@@ -17,7 +17,6 @@ from .potential import (
     potential_deriv,
     potential_second_deriv,
     potential_value,
-    second_derivative_bound,
 )
 from .spectral1d import (
     Basis1D,
@@ -45,13 +44,11 @@ from .field2d import (
 )
 from .timestepping import (
     SchemeParams,
-    State,
     StepOperator,
     bdf2_smallstep_threshold,
     bootstrap_first_step,
     build_step_operator,
-    evolve_first_order,
-    step,
+    march,
     sufficient_stabilizers,
 )
 from .diagnostics import (

@@ -7,7 +7,7 @@ Subcommands:
     prepare-initial  emit phi0.csv / phi1.csv snapshot files
 
 Configs are JSON objects whose keys match the config dataclass field names
-(see README). CHILLWAVE_THREADS caps parallel sweep/convergence cells.
+(see README).
 """
 
 from __future__ import annotations

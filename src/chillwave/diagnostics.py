@@ -31,7 +31,7 @@ from .field2d import (
     to_nodal,
 )
 from .potential import PotentialSpec, lipschitz_bound, potential_value
-from .timestepping import SchemeParams, State
+from .timestepping import SchemeParams
 
 TRACE_HEADER = "n,t,E_eps,E_mod,dE_mod,mean,dt_norm"
 
@@ -121,14 +121,15 @@ def energy_eps(u: Field, spec: PotentialSpec, eps: float) -> float:
     return 0.5 * eps * h1_seminorm_sq(u) + bulk_energy(u, spec) / eps
 
 
-def modified_energy(state: State, params: SchemeParams, spec: PotentialSpec) -> float:
-    """E_C or E_B of the state, per the scheme in params."""
+def modified_energy(curr: Field, prev: Field, params: SchemeParams, spec: PotentialSpec) -> float:
+    """E_C or E_B of the pair (phi^n, phi^{n-1}) = (curr, prev), per the
+    scheme in params."""
     if params.scheme not in ("SL_CN", "SL_BDF2"):
         raise ValueError("modified energy is defined for SL_CN and SL_BDF2 only")
     L = lipschitz_bound(spec)
-    diff = Field(state.phi_curr.basis, state.phi_curr.coeffs - state.phi_prev.coeffs)
+    diff = Field(curr.basis, curr.coeffs - prev.coeffs)
     dt_sq = max(inner_l2(diff, diff), 0.0)
-    e = energy_eps(state.phi_curr, spec, params.eps)
+    e = energy_eps(curr, spec, params.eps)
     if params.scheme == "SL_CN":
         return e + (L / (4.0 * params.eps) + 0.5 * params.B) * dt_sq
     hm1_sq = hminus1_norm(diff) ** 2

@@ -1,17 +1,13 @@
 """Experiment harness: seeded initial data, simulation runs, minimum-
 stabilizer sweeps, and temporal convergence studies.
 
-Everything here is deterministic given the config (seed included). Sweep
-and convergence cells are independent jobs; the env var CHILLWAVE_THREADS
-caps how many run concurrently (default 1, i.e. serial). Results are keyed
-by cell coordinates, so assembly order never affects the output files.
+Everything here is deterministic given the config (seed included). Every
+run starts with `bootstrap_first_step` and then steps with `march`.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -25,17 +21,10 @@ from .diagnostics import (
     stability_verdict,
 )
 from .errors import NonFinite, SolveFailed
-from .field2d import Field, NodalGrid, from_nodal, mean_value, norm_l2, modal_decomposition
+from .field2d import Field, NodalGrid, from_nodal, mean_value, norm_l2
 from .potential import PotentialSpec
 from .spectral1d import Basis1D, assemble_basis
-from .timestepping import (
-    SchemeParams,
-    State,
-    _advance,
-    build_step_operator,
-    evolve_first_order,
-    step,
-)
+from .timestepping import SchemeParams, bootstrap_first_step, build_step_operator, march
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -45,9 +34,9 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 def splitmix64(seed: int, count: int) -> np.ndarray:
     """First `count` outputs of the SplitMix64 stream for `seed`.
 
-    State advances by the 64-bit golden-ratio constant per draw and each
-    state is finalized by the xorshift-multiply mix; matches the published
-    reference outputs (seed 0 starts 0xE220A8397B1DCDAF, ...).
+    The generator state advances by the 64-bit golden-ratio constant per
+    draw and each state is finalized by the xorshift-multiply mix; matches
+    the published reference outputs (seed 0 starts 0xE220A8397B1DCDAF, ...).
     """
     idx = np.arange(1, count + 1, dtype=np.uint64)
     z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + idx * _GOLDEN
@@ -78,11 +67,21 @@ def generate_phi0(M: int, seed: int) -> Field:
 def prepare_phi1(phi0: Field, eps: float) -> Field:
     """Relax random noise into a developed-interface state: 64 substeps of
     the first-order scheme with step eps^3 (final time 64 eps^3), unit
-    mobility, stabilizer S = 1/eps."""
-    out, _ = evolve_first_order(
-        phi0, PotentialSpec(), eps=eps, gamma=1.0, s=eps**3, n_steps=64, S=1.0 / eps
-    )
-    return out
+    mobility, stabilizer B = 1/eps."""
+    params = SchemeParams(scheme="FIRST_ORDER", tau=eps**3, gamma=1.0, eps=eps, B=1.0 / eps)
+    op = build_step_operator(params, phi0.basis)
+    _, phi1, _ = march(op, PotentialSpec(), phi0.coeffs, phi0.coeffs, 64)
+    return Field(phi0.basis, phi1)
+
+
+def _step_count(T: float, tau: float) -> int:
+    """Steps of size tau that reach T; raises unless T is a positive
+    integer multiple of tau (up to 1e-9 relative rounding slack)."""
+    r = T / tau
+    n = round(r)
+    if n < 1 or abs(r - n) > 1e-9 * max(1.0, r):
+        raise ValueError(f"T = {T} is not a positive integer multiple of tau = {tau}")
+    return n
 
 
 @dataclass
@@ -111,16 +110,19 @@ class RunConfig:
         for name in ("eps", "gamma", "tau"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0")
-        if self.T < self.tau:
-            raise ValueError("T must be >= tau")
+        self.n_steps()  # raises unless T is a positive multiple of tau
         if self.initial not in ("random", "prepared"):
             raise ValueError("initial must be 'random' or 'prepared'")
         if self.m < 1 or self.snapshot_every < 0:
             raise ValueError("m must be >= 1 and snapshot_every >= 0")
 
     def n_steps(self) -> int:
-        r = self.T / self.tau
-        return int(round(r)) if abs(r - round(r)) < 1e-9 * max(1.0, r) else math.ceil(r)
+        return _step_count(self.T, self.tau)
+
+    def scheme_params(self, tau: float) -> SchemeParams:
+        return SchemeParams(
+            scheme=self.scheme, tau=tau, gamma=self.gamma, eps=self.eps, A=self.A, B=self.B
+        )
 
 
 _RUN_FIELDS = (
@@ -153,7 +155,7 @@ def run_simulation(
     phi_init: Field | None = None,
     basis: Basis1D | None = None,
 ) -> tuple[EnergyTrace, Field, list[tuple[int, float, Field]]]:
-    """Bootstrap the first step, then march ceil(T/tau) - 1 scheme steps.
+    """Bootstrap the first step, then march T/tau - 1 scheme steps.
 
     Returns the per-step energy trace, the final field, and the snapshot
     list [(n, t, field), ...] per cfg.snapshot_every. Blow-up or a failed
@@ -161,82 +163,47 @@ def run_simulation(
     data), not raised.
     """
     spec = PotentialSpec()
-    if phi_init is None:
-        phi_init = initial_field(cfg, basis)
-    phi0 = phi_init
-    params = SchemeParams(
-        scheme=cfg.scheme, tau=cfg.tau, gamma=cfg.gamma, eps=cfg.eps, A=cfg.A, B=cfg.B
-    )
-    op = build_step_operator(params, phi0.basis)
+    phi0 = phi_init if phi_init is not None else initial_field(cfg, basis)
+    basis = phi0.basis
+    params = cfg.scheme_params(cfg.tau)
+    op = build_step_operator(params, basis)
     trace = EnergyTrace()
     snapshots: list[tuple[int, float, Field]] = []
     N = cfg.n_steps()
+    final, e_mod = phi0, 0.0
 
-    try:
-        phi1, boot_res = evolve_first_order(
-            phi0, spec, eps=cfg.eps, gamma=cfg.gamma,
-            s=cfg.tau / cfg.m, n_steps=cfg.m, S=1.0 / cfg.eps,
-        )
-    except (NonFinite, SolveFailed):
-        trace.blew_up = True
-        trace.blowup_step = 1
-        return trace, phi0, snapshots
-
-    state = State(phi_curr=phi1, phi_prev=phi0, t=cfg.tau, n=1, residual=boot_res)
-    trace.max_residual = boot_res
-    e_mod = modified_energy(state, params, spec)
-    # row 1: the bootstrap transition; no earlier modified energy exists,
-    # so its increment is 0 by convention
-    trace.append(
-        TraceRow(
-            n=1,
-            t=state.t,
-            E_eps=energy_eps(phi1, spec, cfg.eps),
-            E_mod=e_mod,
-            dE_mod=0.0,
-            mean=mean_value(phi1),
-            dt_norm=_diff_norm(state),
-        )
-    )
-    _maybe_snapshot(snapshots, cfg, state, N)
-
-    for n in range(2, N + 1):
-        try:
-            state = step(state, op, spec)
-        except (NonFinite, SolveFailed):
-            trace.blew_up = True
-            trace.blowup_step = n
-            break
-        trace.max_residual = max(trace.max_residual, state.residual)
-        e_new = modified_energy(state, params, spec)
+    def observe(prev: np.ndarray, curr: np.ndarray, residual: float) -> None:
+        nonlocal final, e_mod
+        n = len(trace) + 1
+        t = trace.rows[-1].t + cfg.tau if trace.rows else cfg.tau
+        final = Field(basis, curr)
+        e_new = modified_energy(final, Field(basis, prev), params, spec)
+        trace.max_residual = max(trace.max_residual, residual)
+        # row 1 is the bootstrap transition; no earlier modified energy
+        # exists, so its increment is 0 by convention
         trace.append(
             TraceRow(
-                n=state.n,
-                t=state.t,
-                E_eps=energy_eps(state.phi_curr, spec, cfg.eps),
+                n=n,
+                t=t,
+                E_eps=energy_eps(final, spec, cfg.eps),
                 E_mod=e_new,
-                dE_mod=e_new - e_mod,
-                mean=mean_value(state.phi_curr),
-                dt_norm=_diff_norm(state),
+                dE_mod=e_new - e_mod if n > 1 else 0.0,
+                mean=mean_value(final),
+                dt_norm=norm_l2(Field(basis, curr - prev)),
             )
         )
         e_mod = e_new
-        _maybe_snapshot(snapshots, cfg, state, N)
+        if cfg.snapshot_every > 0 and (n % cfg.snapshot_every == 0 or n == N):
+            snapshots.append((n, t, final.copy()))
 
-    return trace, state.phi_curr, snapshots
-
-
-def _diff_norm(state: State) -> float:
-    d = Field(state.phi_curr.basis, state.phi_curr.coeffs - state.phi_prev.coeffs)
-    return norm_l2(d)
-
-
-def _maybe_snapshot(snapshots, cfg: RunConfig, state: State, N: int) -> None:
-    if cfg.snapshot_every <= 0:
-        return
-    if state.n % cfg.snapshot_every == 0 or state.n == N:
-        if not snapshots or snapshots[-1][0] != state.n:
-            snapshots.append((state.n, state.t, state.phi_curr.copy()))
+    try:
+        phi1, boot_res = bootstrap_first_step(phi0, params, cfg.m, spec)
+        observe(phi0.coeffs, phi1.coeffs, boot_res)
+        march(op, spec, phi0.coeffs, phi1.coeffs, N - 1, observe)
+    except (NonFinite, SolveFailed):
+        trace.blew_up = True
+        trace.blowup_step = len(trace) + 1
+    return trace, final, snapshots
 
 
 # ---------------------------------------------------------------------------
@@ -331,14 +298,6 @@ def _num(x: float) -> str:
     return str(int(x)) if float(x).is_integer() and abs(x) < 1e15 else repr(float(x))
 
 
-def max_workers() -> int:
-    raw = os.environ.get("CHILLWAVE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _candidate_config(sc: SweepConfig, gamma: float, tau: float, candidate: float) -> RunConfig:
     a, b = (candidate, sc.fixed_value) if sc.target == "A" else (sc.fixed_value, candidate)
     return replace(
@@ -378,20 +337,13 @@ def sweep_min_stabilizer(sc: SweepConfig) -> SweepResult:
     """For each (gamma, tau) cell, the smallest ladder candidate whose
     1024-step run is judged stable; None marks ladder exhaustion."""
     basis = assemble_basis(sc.base.M)
-    # warm the shared basis cache before threading so workers only read
-    modal_decomposition(basis)
     result = SweepResult(config=sc)
-    cells = [(g, t) for g in sc.gamma_list for t in sc.tau_list]
-    workers = min(max_workers(), len(cells))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outs = list(pool.map(lambda c: _sweep_cell(sc, basis, *c), cells))
-    else:
-        outs = [_sweep_cell(sc, basis, g, t) for g, t in cells]
-    for key, minimum, ladder, anomalies in outs:
-        result.cells[key] = minimum
-        result.ladders[key] = ladder
-        result.anomalies.extend(anomalies)
+    for gamma in sc.gamma_list:
+        for tau in sc.tau_list:
+            key, minimum, ladder, anomalies = _sweep_cell(sc, basis, gamma, tau)
+            result.cells[key] = minimum
+            result.ladders[key] = ladder
+            result.anomalies.extend(anomalies)
     return result
 
 
@@ -410,25 +362,6 @@ class ConvergenceRow:
     h1_order: float
 
 
-def _march(phi_init: Field, cfg: RunConfig, tau: float, spec: PotentialSpec) -> Field:
-    """Lean fixed-step march to T used by the convergence study: bootstrap
-    plus scheme steps on raw coefficient arrays, no energy tracing."""
-    params = SchemeParams(
-        scheme=cfg.scheme, tau=tau, gamma=cfg.gamma, eps=cfg.eps, A=cfg.A, B=cfg.B
-    )
-    basis = phi_init.basis
-    op = build_step_operator(params, basis)
-    phi1, _ = evolve_first_order(
-        phi_init, spec, eps=cfg.eps, gamma=cfg.gamma,
-        s=tau / cfg.m, n_steps=cfg.m, S=1.0 / cfg.eps,
-    )
-    curr, prev = phi1.coeffs, phi_init.coeffs
-    n_total = int(round(cfg.T / tau))
-    for _ in range(n_total - 1):
-        curr, prev = _advance(op, spec, curr, prev)[0], curr
-    return Field(basis, curr)
-
-
 def convergence_study(
     cfg: RunConfig, tau_list: list[float], tau_ref: float
 ) -> list[ConvergenceRow]:
@@ -438,22 +371,19 @@ def convergence_study(
     Every run starts from the same initial datum (per cfg.initial) and
     performs its own per-tau bootstrap.
     """
-    for tau in list(tau_list) + [tau_ref]:
-        r = cfg.T / tau
-        if abs(r - round(r)) > 1e-9 * max(1.0, r):
-            raise ValueError(f"T = {cfg.T} is not an integer multiple of tau = {tau}")
+    taus = [tau_ref] + list(tau_list)
+    steps = [_step_count(cfg.T, tau) for tau in taus]
     spec = PotentialSpec()
     basis = assemble_basis(cfg.M)
-    modal_decomposition(basis)
     phi_init = initial_field(cfg, basis)
 
-    taus = [tau_ref] + list(tau_list)
-    workers = min(max_workers(), len(taus))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            finals = list(pool.map(lambda t: _march(phi_init, cfg, t, spec), taus))
-    else:
-        finals = [_march(phi_init, cfg, t, spec) for t in taus]
+    finals = []
+    for tau, n in zip(taus, steps):
+        params = cfg.scheme_params(tau)
+        phi1, _ = bootstrap_first_step(phi_init, params, cfg.m, spec)
+        op = build_step_operator(params, basis)
+        _, final, _ = march(op, spec, phi_init.coeffs, phi1.coeffs, n - 1)
+        finals.append(Field(basis, final))
     ref = finals[0]
 
     rows: list[ConvergenceRow] = []

@@ -3,9 +3,7 @@
 The bulk free-energy density is the quartic double well F(u) = (u^2-1)^2/4
 on [-p, p] (p = truncation point), continued outside by its second-order
 Taylor expansion at +-p. The continuation keeps F in C^2, makes f = F'
-globally Lipschitz, and leaves the wells at +-1 untouched. An optional
-"blended" mode replaces the two branch joints with quintic Hermite patches
-over [p - delta, p + delta] so that f' is smooth across the joints as well.
+globally Lipschitz, and leaves the wells at +-1 untouched.
 
 All evaluators accept scalars or numpy arrays and are pure functions.
 """
@@ -16,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_MODES = ("piecewise", "blended")
-
 
 @dataclass(frozen=True)
 class PotentialSpec:
@@ -25,22 +21,13 @@ class PotentialSpec:
 
     truncation_point : where the quartic is cut off (> 1); 2.0 is the
         standard choice and gives Lipschitz bound L = 11.
-    blend_width : half-width of the Hermite blend bands around the joints;
-        only used when mode == "blended". 0 reduces to the piecewise form.
-    mode : "piecewise" (exact branches, f in C^1) or "blended" (f in C^2).
     """
 
     truncation_point: float = 2.0
-    blend_width: float = 0.1
-    mode: str = "piecewise"
 
     def __post_init__(self):
         if not self.truncation_point > 1.0:
             raise ValueError("truncation_point must be > 1")
-        if self.blend_width < 0.0:
-            raise ValueError("blend_width must be >= 0")
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}")
 
 
 def _outer_coeffs(p: float) -> tuple[float, float, float]:
@@ -51,61 +38,47 @@ def _outer_coeffs(p: float) -> tuple[float, float, float]:
     return a, b, c
 
 
-def _quintic_blend(p: float, delta: float) -> np.ndarray:
-    """Monomial coefficients of the quintic matching the inner quartic at
-    p - delta and the outer parabola at p + delta (value, 1st, 2nd deriv)."""
-    x0, x1 = p - delta, p + delta
-    a, b, c = _outer_coeffs(p)
-    # inner data at x0
-    v0 = 0.25 * (x0 * x0 - 1.0) ** 2
-    d0 = x0**3 - x0
-    s0 = 3.0 * x0 * x0 - 1.0
-    # outer data at x1
-    v1 = a * (x1 - p) ** 2 + b * (x1 - p) + c
-    d1 = 2.0 * a * (x1 - p) + b
-    s1 = 2.0 * a
-    rows = []
-    rhs = [v0, d0, s0, v1, d1, s1]
-    for x in (x0, x1):
-        rows.append([x**k for k in range(6)])
-        rows.append([k * x ** (k - 1) if k >= 1 else 0.0 for k in range(6)])
-        rows.append([k * (k - 1) * x ** (k - 2) if k >= 2 else 0.0 for k in range(6)])
-    return np.linalg.solve(np.array(rows, dtype=float), np.array(rhs, dtype=float))
-
-
 def _eval_branches(spec: PotentialSpec, phi, order: int):
     """Evaluate F (order 0), f (order 1) or f' (order 2) on |phi| via the
-    even/odd symmetry of the potential."""
-    x = np.asarray(phi, dtype=float)
+    even/odd symmetry of the potential.
+
+    Arrays are built in place in a few buffers: at M = 64 the temporaries
+    of a branch-by-branch expression made the allocator trim and regrow
+    the heap on every call.
+    """
+    scalar = np.ndim(phi) == 0
+    x = np.atleast_1d(np.asarray(phi, dtype=float))
     ax = np.abs(x)
-    sign = np.where(x < 0.0, -1.0, 1.0)
     p = spec.truncation_point
     a, b, c = _outer_coeffs(p)
 
     if order == 0:
-        inner = 0.25 * (ax * ax - 1.0) ** 2
-        outer = a * (ax - p) ** 2 + b * (ax - p) + c
+        out = np.square(ax)
+        out -= 1.0
+        np.square(out, out=out)
+        out *= 0.25
+        d = ax - p
+        outer = np.square(d)
+        outer *= a
+        d *= b
+        outer += d
+        outer += c
     elif order == 1:
-        inner = ax**3 - ax
-        outer = 2.0 * a * (ax - p) + b
+        out = ax**3
+        out -= ax
+        outer = ax - p
+        outer *= 2.0 * a
+        outer += b
     else:
-        inner = 3.0 * ax * ax - 1.0
-        outer = np.full_like(ax, 2.0 * a)
+        out = 3.0 * ax
+        out *= ax
+        out -= 1.0
+        outer = 2.0 * a
 
-    out = np.where(ax <= p, inner, outer)
-
-    if spec.mode == "blended" and spec.blend_width > 0.0:
-        delta = spec.blend_width
-        q = _quintic_blend(p, delta)
-        dq = np.polynomial.polynomial.polyder(q, order) if order else q
-        band = (ax > p - delta) & (ax < p + delta)
-        out = np.where(band, np.polynomial.polynomial.polyval(ax, dq), out)
-
+    np.copyto(out, outer, where=ax > p)
     if order == 1:
-        out = sign * out  # f is odd; F and f' are even
-    if np.isscalar(phi) or np.ndim(phi) == 0:
-        return float(out)
-    return out
+        np.negative(out, out=out, where=x < 0.0)  # f is odd; F and f' are even
+    return float(out[0]) if scalar else out
 
 
 def potential_value(spec: PotentialSpec, phi):
@@ -125,26 +98,7 @@ def potential_second_deriv(spec: PotentialSpec, phi):
 
 
 def lipschitz_bound(spec: PotentialSpec) -> float:
-    """L = sup over the reals of |f'|.
-
-    For the piecewise form this is exactly 3 p^2 - 1 (attained at the
-    joints and held by the outer branch); the blend can overshoot it
-    slightly, so blended mode reports a dense-sampling supremum.
-    """
+    """L = sup over the reals of |f'| = 3 p^2 - 1, attained at the joints
+    and held by the outer branch."""
     p = spec.truncation_point
-    exact = 3.0 * p * p - 1.0
-    if spec.mode == "piecewise" or spec.blend_width == 0.0:
-        return exact
-    phi = np.linspace(-p - 1.0, p + 1.0, 200001)
-    return float(np.max(np.abs(potential_second_deriv(spec, phi))))
-
-
-def second_derivative_bound(spec: PotentialSpec) -> float:
-    """L2 = sup |f''|; 6 p for the piecewise form (supremum over the inner
-    branch; the outer branch has f'' = 0), sampled for blended mode."""
-    p = spec.truncation_point
-    if spec.mode == "piecewise" or spec.blend_width == 0.0:
-        return 6.0 * p
-    phi = np.linspace(-p - 1.0, p + 1.0, 400001)
-    fp = potential_second_deriv(spec, phi)
-    return float(np.max(np.abs(np.gradient(fp, phi))))
+    return 3.0 * p * p - 1.0

@@ -81,7 +81,7 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 class Basis1D:
     """Assembled Galerkin basis of dimension M.
 
-    Immutable after assembly; safe to share across threads. eval_M and
+    Immutable after assembly apart from the cache below. eval_M and
     eval_2M are M x P tables of phi_k at the M- and 2M-point Gauss nodes.
     The private cache holds the lazily built generalized eigendecomposition
     reused by field operations and step operators.

@@ -11,7 +11,7 @@ with scheme-dependent scalars (a, c, b0):
 
     SL_BDF2      a = 3/(2 tau),  c = eps + A tau,    b0 = B
     SL_CN        a = 1/tau,      c = eps/2 + A tau,  b0 = B
-    FIRST_ORDER  a = 1/s,        c = eps,            b0 = S
+    FIRST_ORDER  a = 1/tau,      c = eps,            b0 = B
 
 In the generalized eigenbasis of (stiffness, mass) both M2 and K2 are
 diagonal (identity and sigma = lam_k + lam_j), so eliminating mu gives a
@@ -21,12 +21,15 @@ scalar equation per mode:
     mu_tilde = R2_tilde + (c sigma + b0) phi_tilde.
 
 This is a direct solve; the assembled block residual is still checked
-against the 1e-10 contract at every step.
+against the 1e-10 contract at every step. `march` holds the one loop that
+advances any of the three schemes; runs, sweeps, convergence studies and
+the first-order bootstrap all step through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -51,7 +54,8 @@ RESIDUAL_LIMIT = 1e-10
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Time-step configuration. S is used only by FIRST_ORDER."""
+    """Time-step configuration. FIRST_ORDER ignores A and uses B as its
+    stabilizer."""
 
     scheme: str
     tau: float
@@ -59,7 +63,6 @@ class SchemeParams:
     eps: float
     A: float = 0.0
     B: float = 0.0
-    S: float = 0.0
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -70,26 +73,13 @@ class SchemeParams:
             raise ValueError("gamma must be > 0")
         if not 0.0 < self.eps <= 1.0:
             raise ValueError("eps must be in (0, 1]")
-        if self.A < 0.0 or self.B < 0.0 or self.S < 0.0:
-            raise ValueError("stabilizers A, B, S must be >= 0")
-
-
-@dataclass
-class State:
-    """Two-level history (phi_curr = phi^n, phi_prev = phi^{n-1}) plus the
-    residual of the solve that produced phi_curr."""
-
-    phi_curr: Field
-    phi_prev: Field
-    t: float
-    n: int
-    residual: float = 0.0
+        if self.A < 0.0 or self.B < 0.0:
+            raise ValueError("stabilizers A, B must be >= 0")
 
 
 @dataclass
 class StepOperator:
-    """Pre-built constant-coefficient solver, reusable across steps and
-    shareable across threads (all fields immutable after build)."""
+    """Pre-built constant-coefficient solver, reusable across steps."""
 
     params: SchemeParams
     basis: Basis1D
@@ -104,7 +94,7 @@ def _scheme_scalars(p: SchemeParams) -> tuple[float, float, float]:
         return 1.5 / p.tau, p.eps + p.A * p.tau, p.B
     if p.scheme == "SL_CN":
         return 1.0 / p.tau, 0.5 * p.eps + p.A * p.tau, p.B
-    return 1.0 / p.tau, p.eps, p.S
+    return 1.0 / p.tau, p.eps, p.B
 
 
 def build_step_operator(params: SchemeParams, basis: Basis1D) -> StepOperator:
@@ -139,7 +129,7 @@ def solve_blocks(op: StepOperator, R1: np.ndarray, R2: np.ndarray):
     return phi, mu, float(num / den)
 
 
-def _rhs(op: StepOperator, spec: PotentialSpec, curr: np.ndarray, prev: np.ndarray | None):
+def _rhs(op: StepOperator, spec: PotentialSpec, curr: np.ndarray, prev: np.ndarray):
     p = op.params
     basis = op.basis
     if p.scheme == "SL_BDF2":
@@ -159,62 +149,40 @@ def _rhs(op: StepOperator, spec: PotentialSpec, curr: np.ndarray, prev: np.ndarr
         )
     else:  # FIRST_ORDER uses only the current level
         R1 = mass_apply(basis, curr) / p.tau
-        R2 = nonlinear_load(spec, basis, curr) / p.eps - p.S * mass_apply(basis, curr)
+        R2 = nonlinear_load(spec, basis, curr) / p.eps - p.B * mass_apply(basis, curr)
     return R1, R2
 
 
-def _advance(op: StepOperator, spec: PotentialSpec, curr: np.ndarray, prev: np.ndarray | None):
-    R1, R2 = _rhs(op, spec, curr, prev)
-    phi, _, residual = solve_blocks(op, R1, R2)
-    if not np.all(np.isfinite(phi)) or np.max(np.abs(phi)) > BLOWUP_LIMIT:
-        raise NonFinite(f"step blew up (max |coeff| > {BLOWUP_LIMIT:.0e} or non-finite)")
-    if residual > RESIDUAL_LIMIT:
-        raise SolveFailed(f"block residual {residual:.3e} exceeds {RESIDUAL_LIMIT:.0e}")
-    return phi, residual
-
-
-def step(state: State, op: StepOperator, spec: PotentialSpec) -> State:
-    """Advance one step of SL_BDF2 or SL_CN.
-
-    Raises NonFinite on blow-up (stability sweeps treat that as an
-    unstable verdict) and SolveFailed if the block residual exceeds 1e-10.
-    """
-    if op.params.scheme not in ("SL_BDF2", "SL_CN"):
-        raise ValueError("step drives the two-level schemes; "
-                         "use bootstrap_first_step / evolve_first_order for FIRST_ORDER")
-    if state.phi_curr.basis is not op.basis:
-        raise ValueError("state and operator must share one Basis1D instance")
-    phi, residual = _advance(op, spec, state.phi_curr.coeffs, state.phi_prev.coeffs)
-    return State(
-        phi_curr=Field(op.basis, phi),
-        phi_prev=state.phi_curr,
-        t=state.t + op.params.tau,
-        n=state.n + 1,
-        residual=residual,
-    )
-
-
-def evolve_first_order(
-    phi0: Field,
+def march(
+    op: StepOperator,
     spec: PotentialSpec,
-    eps: float,
-    gamma: float,
-    s: float,
+    prev: np.ndarray,
+    curr: np.ndarray,
     n_steps: int,
-    S: float,
-) -> tuple[Field, float]:
-    """Run n_steps of the first-order stabilized scheme with substep s.
+    observe: Callable[[np.ndarray, np.ndarray, float], None] | None = None,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Advance n_steps of op's scheme from the coefficient arrays
+    (prev, curr) = (phi^{n-1}, phi^n); FIRST_ORDER reads only curr.
 
-    Returns the final field and the worst block residual encountered.
+    After each step observe(prev, curr, residual) sees the new pair and the
+    block residual of the solve that produced curr. Returns the last pair
+    and the worst residual. Raises NonFinite on blow-up (stability sweeps
+    treat that as an unstable verdict) and SolveFailed if a block residual
+    exceeds 1e-10.
     """
-    params = SchemeParams(scheme="FIRST_ORDER", tau=s, gamma=gamma, eps=eps, S=S)
-    op = build_step_operator(params, phi0.basis)
-    coeffs = phi0.coeffs
     worst = 0.0
     for _ in range(n_steps):
-        coeffs, residual = _advance(op, spec, coeffs, None)
+        R1, R2 = _rhs(op, spec, curr, prev)
+        phi, _, residual = solve_blocks(op, R1, R2)
+        if not np.all(np.isfinite(phi)) or np.max(np.abs(phi)) > BLOWUP_LIMIT:
+            raise NonFinite(f"step blew up (max |coeff| > {BLOWUP_LIMIT:.0e} or non-finite)")
+        if residual > RESIDUAL_LIMIT:
+            raise SolveFailed(f"block residual {residual:.3e} exceeds {RESIDUAL_LIMIT:.0e}")
+        prev, curr = curr, phi
         worst = max(worst, residual)
-    return Field(phi0.basis, coeffs), worst
+        if observe is not None:
+            observe(prev, curr, residual)
+    return prev, curr, worst
 
 
 def bootstrap_first_step(
@@ -222,16 +190,21 @@ def bootstrap_first_step(
     params: SchemeParams,
     m: int = 10,
     spec: PotentialSpec = PotentialSpec(),
-) -> Field:
+) -> tuple[Field, float]:
     """Produce phi^1 for the two-level schemes: m substeps of the
-    first-order scheme with s = tau/m and S = 1/eps."""
+    first-order scheme with step tau/m and stabilizer B = 1/eps.
+
+    Returns phi^1 and the worst block residual of the substeps.
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
-    phi1, _ = evolve_first_order(
-        phi0, spec, eps=params.eps, gamma=params.gamma,
-        s=params.tau / m, n_steps=m, S=1.0 / params.eps,
+    first = SchemeParams(
+        scheme="FIRST_ORDER", tau=params.tau / m, gamma=params.gamma,
+        eps=params.eps, B=1.0 / params.eps,
     )
-    return phi1
+    op = build_step_operator(first, phi0.basis)
+    _, phi1, worst = march(op, spec, phi0.coeffs, phi0.coeffs, m)
+    return Field(phi0.basis, phi1), worst
 
 
 def sufficient_stabilizers(

@@ -197,23 +197,20 @@ def test_criterion_7_constant_equilibrium(capsys):
     c.coeffs[0, 0] = 0.8
     worst = 0.0
 
+    def movement(prev, curr, residual):
+        nonlocal worst
+        worst = max(worst, np.abs(curr - prev).max())
+
     for scheme in ("SL_BDF2", "SL_CN"):
         params = cw.SchemeParams(scheme=scheme, tau=0.1, gamma=GAMMA, eps=EPS,
                                  A=1.0, B=10.0)
         op = cw.build_step_operator(params, basis)
-        st = cw.State(phi_curr=c.copy(), phi_prev=c.copy(), t=0.0, n=1)
-        prev = c.coeffs
-        for _ in range(100):
-            st = cw.step(st, op, spec)
-            worst = max(worst, np.abs(st.phi_curr.coeffs - prev).max())
-            prev = st.phi_curr.coeffs
+        cw.march(op, spec, c.coeffs.copy(), c.coeffs.copy(), 100, observe=movement)
 
-    u = c.copy()
-    for _ in range(100):
-        unew, _ = cw.evolve_first_order(u, spec, eps=EPS, gamma=GAMMA, s=0.1,
-                                        n_steps=1, S=1.0 / EPS)
-        worst = max(worst, np.abs(unew.coeffs - u.coeffs).max())
-        u = unew
+    params = cw.SchemeParams(scheme="FIRST_ORDER", tau=0.1, gamma=GAMMA, eps=EPS,
+                             B=1.0 / EPS)
+    op = cw.build_step_operator(params, basis)
+    cw.march(op, spec, c.coeffs.copy(), c.coeffs.copy(), 100, observe=movement)
 
     ok = worst <= 1e-12
     report(capsys, 7, ok,

@@ -72,8 +72,7 @@ def test_run_rejects_unknown_key(tmp_path):
         main(["run", "--config", str(cfg_path)])
 
 
-def test_sweep_command(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CHILLWAVE_THREADS", "2")
+def test_sweep_command(tmp_path, capsys):
     cfg_path = tmp_path / "sweep.json"
     write_json(cfg_path, {
         "base": dict(M=8, eps=0.25, gamma=1.0, tau=4e-5, T=64 * 4e-5,

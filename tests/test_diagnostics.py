@@ -7,7 +7,6 @@ from chillwave import (
     MeanNotZero,
     PotentialSpec,
     SchemeParams,
-    State,
     TraceRow,
     energy_eps,
     error_norms,
@@ -90,10 +89,9 @@ def test_energy_eps_brute_force_oracle(basis8, spec):
 
 def test_modified_energy_reduces_to_energy_eps(basis8, spec):
     c = rand_field(basis8, np.random.default_rng(22), amp=0.3)
-    st = State(phi_curr=c, phi_prev=c.copy(), t=1.0, n=3)
     for scheme in ("SL_CN", "SL_BDF2"):
         params = SchemeParams(scheme=scheme, tau=0.1, gamma=0.0025, eps=0.05, B=20.0)
-        assert modified_energy(st, params, spec) == pytest.approx(
+        assert modified_energy(c, c.copy(), params, spec) == pytest.approx(
             energy_eps(c, spec, 0.05), rel=1e-12
         )
 
@@ -103,12 +101,11 @@ def test_modified_energy_large_tau_limit(basis8, spec):
     curr = rand_field(basis8, rng, amp=0.3)
     prev = Field(basis8, curr.coeffs + 1e-3 * rand_field(basis8, rng).coeffs)
     prev.coeffs[0, 0] = curr.coeffs[0, 0]  # conservation
-    st = State(phi_curr=curr, phi_prev=prev, t=1.0, n=2)
     eps, B, L = 0.05, 20.0, 11.0
     params = SchemeParams(scheme="SL_BDF2", tau=1e12, gamma=0.0025, eps=eps, B=B)
     d = norm_l2(Field(basis8, curr.coeffs - prev.coeffs))
     expected = energy_eps(curr, spec, eps) + (L / (2 * eps) + B / 2) * d**2
-    assert modified_energy(st, params, spec) == pytest.approx(expected, rel=1e-9)
+    assert modified_energy(curr, prev, params, spec) == pytest.approx(expected, rel=1e-9)
 
 
 def test_modified_energy_exceeds_energy_eps(basis8, spec):
@@ -116,18 +113,16 @@ def test_modified_energy_exceeds_energy_eps(basis8, spec):
     curr = rand_field(basis8, rng, amp=0.4)
     prev = Field(basis8, curr.coeffs + 0.01 * rand_field(basis8, rng).coeffs)
     prev.coeffs[0, 0] = curr.coeffs[0, 0]
-    st = State(phi_curr=curr, phi_prev=prev, t=0.5, n=2)
     for scheme in ("SL_CN", "SL_BDF2"):
         params = SchemeParams(scheme=scheme, tau=0.1, gamma=0.0025, eps=0.05, B=5.0)
-        assert modified_energy(st, params, spec) >= energy_eps(curr, spec, 0.05)
+        assert modified_energy(curr, prev, params, spec) >= energy_eps(curr, spec, 0.05)
 
 
 def test_modified_energy_rejects_first_order(basis8, spec):
     c = constant_field(basis8, 0.1)
-    st = State(phi_curr=c, phi_prev=c, t=0.1, n=1)
-    params = SchemeParams(scheme="FIRST_ORDER", tau=0.1, gamma=1.0, eps=0.25, S=4.0)
+    params = SchemeParams(scheme="FIRST_ORDER", tau=0.1, gamma=1.0, eps=0.25, B=4.0)
     with pytest.raises(ValueError):
-        modified_energy(st, params, spec)
+        modified_energy(c, c, params, spec)
 
 
 def test_verdict_stable():
@@ -198,15 +193,16 @@ def test_error_norms_triangle_inequality(basis16):
 def test_energy_decreases_along_stable_run(basis16, spec):
     # short developed-interface run; E_eps itself should trend down
     from chillwave.harness import random_nodal_field
-    from chillwave import bootstrap_first_step, build_step_operator, step
+    from chillwave import bootstrap_first_step, build_step_operator, march
 
     params = SchemeParams(scheme="SL_CN", tau=0.01, gamma=0.0025, eps=0.25, A=0.25, B=8.0)
     phi0 = random_nodal_field(basis16, 30)
-    phi1 = bootstrap_first_step(phi0, params)
+    phi1, _ = bootstrap_first_step(phi0, params)
     op = build_step_operator(params, basis16)
-    st = State(phi_curr=phi1, phi_prev=phi0, t=params.tau, n=1)
-    energies = [energy_eps(st.phi_curr, spec, params.eps)]
-    for _ in range(50):
-        st = step(st, op, spec)
-        energies.append(energy_eps(st.phi_curr, spec, params.eps))
+    energies = [energy_eps(phi1, spec, params.eps)]
+
+    def record(prev, curr, residual):
+        energies.append(energy_eps(Field(basis16, curr), spec, params.eps))
+
+    march(op, spec, phi0.coeffs, phi1.coeffs, 50, observe=record)
     assert energies[-1] < energies[0]

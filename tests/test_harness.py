@@ -21,7 +21,6 @@ from chillwave import (
 from chillwave.harness import (
     CONVERGENCE_HEADER,
     initial_field,
-    max_workers,
     run_config_from_dict,
     run_config_to_dict,
     sweep_config_from_dict,
@@ -130,8 +129,8 @@ def test_n_steps_rounding():
     assert cfg.n_steps() == 1024
     cfg = RunConfig(M=8, eps=0.05, gamma=1.0, tau=0.1, T=0.3, scheme="SL_CN")
     assert cfg.n_steps() == 3  # 0.3/0.1 is not exact in binary
-    cfg = RunConfig(M=8, eps=0.05, gamma=1.0, tau=0.1, T=0.35, scheme="SL_CN")
-    assert cfg.n_steps() == 4
+    with pytest.raises(ValueError):  # T must be an integer multiple of tau
+        RunConfig(M=8, eps=0.05, gamma=1.0, tau=0.1, T=0.35, scheme="SL_CN")
 
 
 def test_single_step_run_is_the_bootstrap(basis8):
@@ -302,23 +301,3 @@ def test_convergence_csv_format(tmp_path):
     # NaN orders serialize as empty cells
     assert lines[1].split(",")[2] == ""
 
-
-def test_max_workers_env(monkeypatch):
-    monkeypatch.delenv("CHILLWAVE_THREADS", raising=False)
-    assert max_workers() == 1
-    monkeypatch.setenv("CHILLWAVE_THREADS", "3")
-    assert max_workers() == 3
-    monkeypatch.setenv("CHILLWAVE_THREADS", "bogus")
-    assert max_workers() == 1
-
-
-def test_sweep_parallel_matches_serial(monkeypatch):
-    base = RunConfig(M=8, eps=0.25, gamma=1.0, tau=4e-5, T=64 * 4e-5,
-                     scheme="SL_BDF2", seed=9)
-    sc = SweepConfig(base=base, target="A", gamma_list=[1.0],
-                     tau_list=[4e-5, 8e-5], steps=64)
-    monkeypatch.setenv("CHILLWAVE_THREADS", "2")
-    par = sweep_min_stabilizer(sc)
-    monkeypatch.delenv("CHILLWAVE_THREADS")
-    ser = sweep_min_stabilizer(sc)
-    assert par.cells == ser.cells

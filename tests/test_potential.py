@@ -7,7 +7,6 @@ from chillwave import (
     potential_deriv,
     potential_second_deriv,
     potential_value,
-    second_derivative_bound,
 )
 
 
@@ -83,14 +82,6 @@ def test_lipschitz_bound_piecewise(spec):
     assert sampled == pytest.approx(lipschitz_bound(spec), rel=1e-9)
 
 
-def test_lipschitz_bound_blended():
-    spec = PotentialSpec(mode="blended", blend_width=0.1)
-    L = lipschitz_bound(spec)
-    assert 11.0 <= L <= 12.1
-    phi = np.linspace(-10.0, 10.0, 200001)
-    assert np.abs(potential_second_deriv(spec, phi)).max() <= L + 1e-9
-
-
 def test_lipschitz_bound_other_truncation():
     spec = PotentialSpec(truncation_point=1.5)
     expected = 3 * 1.5**2 - 1  # inner max equals the outer slope
@@ -99,27 +90,6 @@ def test_lipschitz_bound_other_truncation():
     assert np.abs(potential_second_deriv(spec, phi)).max() == pytest.approx(
         expected, rel=1e-9
     )
-
-
-def test_second_derivative_bound(spec):
-    # sup |f''| = 6p, attained at the truncation point
-    assert second_derivative_bound(spec) == pytest.approx(12.0)
-    phi = np.linspace(-3.0, 3.0, 100001)
-    h = 1e-6
-    fpp = (potential_second_deriv(spec, phi + h) - potential_second_deriv(spec, phi - h)) / (2 * h)
-    assert np.abs(fpp).max() <= second_derivative_bound(spec) + 1e-3
-
-
-def test_blended_smooths_fpp_jump():
-    pw = PotentialSpec()
-    bl = PotentialSpec(mode="blended", blend_width=0.1)
-    # far from the bands the modes agree exactly
-    for phi in (0.0, 1.0, 1.5, 2.5, 4.0, -3.0):
-        assert potential_value(bl, phi) == pytest.approx(potential_value(pw, phi), abs=1e-12)
-    # inside the band, blended f' stays continuous on a fine grid
-    phi = np.linspace(1.85, 2.15, 20001)
-    fp = potential_second_deriv(bl, phi)
-    assert np.abs(np.diff(fp)).max() < 1e-2
 
 
 def test_array_scalar_agreement(spec):
@@ -132,7 +102,3 @@ def test_array_scalar_agreement(spec):
 def test_spec_validation():
     with pytest.raises(ValueError):
         PotentialSpec(truncation_point=1.0)
-    with pytest.raises(ValueError):
-        PotentialSpec(blend_width=-0.1)
-    with pytest.raises(ValueError):
-        PotentialSpec(mode="mollified")

@@ -8,18 +8,19 @@ from chillwave import (
     NonFinite,
     PotentialSpec,
     SchemeParams,
-    State,
+    SolveFailed,
+    assemble_basis,
     bdf2_smallstep_threshold,
     bootstrap_first_step,
     build_step_operator,
     energy_eps,
     error_norms,
-    evolve_first_order,
+    march,
     mean_value,
     norm_l2,
-    step,
     sufficient_stabilizers,
 )
+from chillwave.field2d import modal_decomposition
 from chillwave.harness import random_nodal_field
 from chillwave.timestepping import solve_blocks
 
@@ -61,7 +62,7 @@ def test_params_validation():
 )
 def test_block_solve_manufactured(basis8, scheme, A, B, scalars):
     tau, gamma, eps = 0.05, 0.3, 0.25
-    kw = {"S": 4.0} if scheme == "FIRST_ORDER" else {"A": A, "B": B}
+    kw = {"B": 4.0} if scheme == "FIRST_ORDER" else {"A": A, "B": B}
     params = SchemeParams(scheme=scheme, tau=tau, gamma=gamma, eps=eps, **kw)
     op = build_step_operator(params, basis8)
     a, c, b0 = scalars(tau, eps, A, B)
@@ -81,18 +82,11 @@ def test_constant_is_fixed_point(basis8, spec):
         params = SchemeParams(scheme=scheme, tau=0.1, gamma=0.0025, eps=0.05, A=1.0, B=10.0)
         op = build_step_operator(params, basis8)
         c = constant_field(basis8, 0.3)
-        st = State(phi_curr=c, phi_prev=c.copy(), t=0.0, n=1)
-        for _ in range(20):
-            st = step(st, op, spec)
-            assert np.abs(st.phi_curr.coeffs - c.coeffs).max() <= 1e-12
 
+        def check(prev, curr, residual):
+            assert np.abs(curr - c.coeffs).max() <= 1e-12
 
-def test_step_rejects_first_order(basis8, spec):
-    params = SchemeParams(scheme="FIRST_ORDER", tau=0.1, gamma=1.0, eps=0.25, S=4.0)
-    op = build_step_operator(params, basis8)
-    c = constant_field(basis8, 0.0)
-    with pytest.raises(ValueError):
-        step(State(phi_curr=c, phi_prev=c, t=0.0, n=1), op, spec)
+        march(op, spec, c.coeffs.copy(), c.coeffs, 20, observe=check)
 
 
 def test_mean_conservation_100_steps(basis16, spec):
@@ -102,36 +96,32 @@ def test_mean_conservation_100_steps(basis16, spec):
         )
         phi0 = random_nodal_field(basis16, 2)
         m0 = mean_value(phi0)
-        phi1 = bootstrap_first_step(phi0, params)
+        phi1, _ = bootstrap_first_step(phi0, params)
         op = build_step_operator(params, basis16)
-        st = State(phi_curr=phi1, phi_prev=phi0, t=params.tau, n=1)
-        for _ in range(100):
-            st = step(st, op, spec)
-        assert abs(mean_value(st.phi_curr) - m0) <= 1e-11
-        assert st.residual <= 1e-10
+        _, curr, worst = march(op, spec, phi0.coeffs, phi1.coeffs, 100)
+        assert abs(mean_value(Field(basis16, curr)) - m0) <= 1e-11
+        assert worst <= 1e-10
 
 
 def test_nonfinite_on_blowup(basis16, spec):
     params = SchemeParams(scheme="SL_BDF2", tau=1.0, gamma=0.0025, eps=0.05)
     phi0 = random_nodal_field(basis16, 1)
-    phi1 = bootstrap_first_step(phi0, params)
+    phi1, _ = bootstrap_first_step(phi0, params)
     op = build_step_operator(params, basis16)
-    st = State(phi_curr=phi1, phi_prev=phi0, t=params.tau, n=1)
     with pytest.raises(NonFinite):
-        for _ in range(100):
-            st = step(st, op, spec)
+        march(op, spec, phi0.coeffs, phi1.coeffs, 100)
 
 
 def test_steady_state_reached(basis16, spec):
     # moderate stabilizers at tau = 1: the flow settles to an equilibrium
     params = SchemeParams(scheme="SL_BDF2", tau=1.0, gamma=1.0, eps=0.25, A=0.25, B=8.0)
     phi0 = random_nodal_field(basis16, 42)
-    phi1 = bootstrap_first_step(phi0, params)
+    phi1, _ = bootstrap_first_step(phi0, params)
     op = build_step_operator(params, basis16)
-    st = State(phi_curr=phi1, phi_prev=phi0, t=params.tau, n=1)
+    prev, curr = phi0.coeffs, phi1.coeffs
     for _ in range(400):
-        st = step(st, op, spec)
-        dt_norm = norm_l2(Field(basis16, st.phi_curr.coeffs - st.phi_prev.coeffs))
+        prev, curr, _ = march(op, spec, prev, curr, 1)
+        dt_norm = norm_l2(Field(basis16, curr - prev))
         if dt_norm < 1e-8:
             return
     pytest.fail(f"no steady state within 400 steps, last |d_t phi| = {dt_norm:.2e}")
@@ -140,7 +130,7 @@ def test_steady_state_reached(basis16, spec):
 def test_bootstrap_constant_unchanged(basis8):
     params = SchemeParams(scheme="SL_BDF2", tau=0.2, gamma=1.0, eps=0.25)
     c = constant_field(basis8, -0.4)
-    out = bootstrap_first_step(c, params)
+    out, _ = bootstrap_first_step(c, params)
     assert np.abs(out.coeffs - c.coeffs).max() <= 1e-12
 
 
@@ -167,10 +157,9 @@ def test_bootstrap_second_order_in_tau(basis8, spec):
     # at tau = 0.005 to stay in the asymptotic range
     for tau in (0.005, 0.0025, 0.00125):
         params = SchemeParams(scheme="SL_BDF2", tau=tau, gamma=gamma, eps=eps)
-        phi1 = bootstrap_first_step(phi0, params)
-        ref, _ = evolve_first_order(
-            phi0, spec, eps=eps, gamma=gamma, s=tau / 4000, n_steps=4000, S=1.0 / eps
-        )
+        phi1, _ = bootstrap_first_step(phi0, params)
+        # the same first-order scheme with 400x smaller substeps
+        ref, _ = bootstrap_first_step(phi0, params, m=4000, spec=spec)
         errs.append(error_norms(phi1, ref)[0])
     for e_coarse, e_fine in zip(errs, errs[1:]):
         assert 3.4 <= e_coarse / e_fine <= 4.6
@@ -179,10 +168,10 @@ def test_bootstrap_second_order_in_tau(basis8, spec):
 def test_first_order_dissipates(basis16, spec):
     phi0 = random_nodal_field(basis16, 4)
     e0 = energy_eps(phi0, spec, 0.25)
-    out, worst = evolve_first_order(
-        phi0, spec, eps=0.25, gamma=1.0, s=0.25**3, n_steps=64, S=4.0
-    )
-    assert energy_eps(out, spec, 0.25) < e0
+    params = SchemeParams(scheme="FIRST_ORDER", tau=0.25**3, gamma=1.0, eps=0.25, B=4.0)
+    op = build_step_operator(params, basis16)
+    _, out, worst = march(op, spec, phi0.coeffs, phi0.coeffs, 64)
+    assert energy_eps(Field(basis16, out), spec, 0.25) < e0
     assert worst <= 1e-10
 
 
@@ -212,11 +201,27 @@ def test_bdf2_smallstep_threshold():
 def test_operator_reuse_matches_rebuild(basis8, spec):
     params = SchemeParams(scheme="SL_CN", tau=0.05, gamma=1.0, eps=0.25, A=0.25, B=8.0)
     phi0 = random_nodal_field(basis8, 6)
-    phi1 = bootstrap_first_step(phi0, params)
+    phi1, _ = bootstrap_first_step(phi0, params)
     shared = build_step_operator(params, basis8)
-    st_a = State(phi_curr=phi1, phi_prev=phi0, t=params.tau, n=1)
-    st_b = State(phi_curr=phi1.copy(), phi_prev=phi0.copy(), t=params.tau, n=1)
+    _, curr_a, _ = march(shared, spec, phi0.coeffs, phi1.coeffs, 5)
+    prev_b, curr_b = phi0.coeffs.copy(), phi1.coeffs.copy()
     for _ in range(5):
-        st_a = step(st_a, shared, spec)
-        st_b = step(st_b, build_step_operator(params, basis8), spec)
-    np.testing.assert_array_equal(st_a.phi_curr.coeffs, st_b.phi_curr.coeffs)
+        prev_b, curr_b, _ = march(build_step_operator(params, basis8), spec, prev_b, curr_b, 1)
+    np.testing.assert_array_equal(curr_a, curr_b)
+
+
+def test_march_rejects_wrong_eigenbasis(spec):
+    # the assembled block residual is what catches a wrong modal solve:
+    # an eigenvector matrix off by about 1e-6 must fail the 1e-10 contract
+    params = SchemeParams(scheme="SL_BDF2", tau=0.01, gamma=0.0025, eps=0.05, A=5.0625, B=220.0)
+    basis = assemble_basis(8)
+    phi0 = random_nodal_field(basis, 7)
+    op = build_step_operator(params, basis)
+    *_, worst = march(op, spec, phi0.coeffs, phi0.coeffs, 1)
+    assert worst <= 1e-10
+
+    lam, E, sigma = modal_decomposition(basis)
+    rng = np.random.default_rng(8)
+    basis._cache["modal"] = (lam, E * (1.0 + 1e-6 * rng.standard_normal(E.shape)), sigma)
+    with pytest.raises(SolveFailed):
+        march(build_step_operator(params, basis), spec, phi0.coeffs, phi0.coeffs, 1)
