@@ -21,10 +21,7 @@ from .potential import (
 from .spectral1d import (
     Basis1D,
     assemble_basis,
-    backward_transform_1d,
-    forward_transform_1d,
     gauss_legendre,
-    legendre_values,
 )
 from .field2d import (
     Field,
@@ -34,9 +31,7 @@ from .field2d import (
     hminus1_norm,
     inner_hminus1,
     inner_l2,
-    inv_neumann_laplacian,
     mean_value,
-    nonlinear_projection,
     norm_l2,
     read_snapshot,
     to_nodal,

@@ -17,6 +17,7 @@ import json
 import os
 import sys
 
+from .errors import ChillwaveError
 from .field2d import mean_value, write_snapshot
 from .harness import (
     convergence_study,
@@ -94,6 +95,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_converge(args) -> int:
     raw = _load_json(args.config)
+    missing = [key for key in ("tau_list", "tau_ref") if key not in raw]
+    if missing:
+        raise ValueError(f"converge config needs {' and '.join(missing)}")
     tau_list = raw.pop("tau_list")
     tau_ref = raw.pop("tau_ref")
     cfg = run_config_from_dict(raw)
@@ -158,8 +162,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. Bad input (a config the package rejects, a
+    missing key or file) prints one `chillwave: error: ...` line on
+    stderr and returns 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ChillwaveError, ValueError, KeyError, OSError) as exc:
+        print(f"chillwave: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -124,6 +124,14 @@ def energy_eps(u: Field, spec: PotentialSpec, eps: float) -> float:
 def modified_energy(curr: Field, prev: Field, params: SchemeParams, spec: PotentialSpec) -> float:
     """E_C or E_B of the pair (phi^n, phi^{n-1}) = (curr, prev), per the
     scheme in params."""
+    return step_energies(curr, prev, params, spec)[1]
+
+
+def step_energies(
+    curr: Field, prev: Field, params: SchemeParams, spec: PotentialSpec
+) -> tuple[float, float, float]:
+    """(E_eps(curr), modified energy, ||curr - prev||^2) of the pair, each
+    computed once: a run's trace row needs all three."""
     if params.scheme not in ("SL_CN", "SL_BDF2"):
         raise ValueError("modified energy is defined for SL_CN and SL_BDF2 only")
     L = lipschitz_bound(spec)
@@ -131,13 +139,14 @@ def modified_energy(curr: Field, prev: Field, params: SchemeParams, spec: Potent
     dt_sq = max(inner_l2(diff, diff), 0.0)
     e = energy_eps(curr, spec, params.eps)
     if params.scheme == "SL_CN":
-        return e + (L / (4.0 * params.eps) + 0.5 * params.B) * dt_sq
+        return e, e + (L / (4.0 * params.eps) + 0.5 * params.B) * dt_sq, dt_sq
     hm1_sq = hminus1_norm(diff) ** 2
-    return (
+    e_mod = (
         e
         + hm1_sq / (4.0 * params.tau * params.gamma)
         + (L / (2.0 * params.eps) + 0.5 * params.B) * dt_sq
     )
+    return e, e_mod, dt_sq
 
 
 def stability_verdict(trace: EnergyTrace, threshold: float = 1e-10, min_steps: int = 1024) -> str:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import MeanNotZero
 from .potential import PotentialSpec, potential_deriv
-from .spectral1d import Basis1D, mass_solve
+from .spectral1d import Basis1D
 
 # absolute floor for the zero-mean precondition so that near-zero
 # difference fields (norm ~ roundoff) are not rejected spuriously
@@ -68,19 +68,11 @@ def to_nodal(u: Field, node_set: str) -> NodalGrid:
 
 def from_nodal(g: NodalGrid) -> Field:
     """Quadrature least-squares fit of grid values in V_M x V_M: the
-    interpolant on the M set, the exact L^2 projection on the 2M set."""
-    return Field(g.basis, _project(g))
-
-
-def _grid_load(g: NodalGrid) -> np.ndarray:
-    tab = g.basis.eval_table(g.node_set)
-    w = g.basis.weights(g.node_set)
-    tw = tab * w
-    return tw @ g.values @ tw.T
-
-
-def _project(g: NodalGrid) -> np.ndarray:
-    return mass_solve(g.basis, mass_solve(g.basis, _grid_load(g)).T).T
+    interpolant on the M set, the exact L^2 projection on the 2M set.
+    The Gram of either Gauss rule is the diagonal mass matrix."""
+    tw = g.basis.eval_table(g.node_set) * g.basis.weights(g.node_set)
+    d = np.diag(g.basis.mass)
+    return Field(g.basis, tw @ g.values @ tw.T / d[:, None] / d)
 
 
 def mass_apply(basis: Basis1D, C: np.ndarray) -> np.ndarray:
@@ -148,32 +140,20 @@ def _modal_coeffs(u: Field) -> np.ndarray:
 
 def _require_zero_mean(u: Field) -> None:
     m = abs(mean_value(u))
-    if m > max(1e-10 * norm_l2(u), _MEAN_ABS_FLOOR):
+    # the norm is needed only when |mean| clears the absolute floor
+    if m > _MEAN_ABS_FLOOR and m > 1e-10 * norm_l2(u):
         raise MeanNotZero(f"|mean| = {m:.3e} for a field that must be zero-mean")
-
-
-def inv_neumann_laplacian(u: Field) -> Field:
-    """Zero-mean solution v of the Galerkin problem (grad v, grad w) = (u, w).
-
-    Exact per-mode division by sigma in the modal basis; the constant mode
-    of the solution is pinned to zero.
-    """
-    _require_zero_mean(u)
-    _, _, sigma = modal_decomposition(u.basis)
-    ut = _modal_coeffs(u)
-    vt = np.zeros_like(ut)
-    pos = sigma > 0.0
-    vt[pos] = ut[pos] / sigma[pos]
-    return Field(u.basis, from_modal(u.basis, vt))
 
 
 def inner_hminus1(u: Field, v: Field) -> float:
     """(u, v) in H^-1, i.e. (u, -Lap^-1 v); both fields must be zero-mean."""
     _same_basis(u, v)
     _require_zero_mean(u)
-    _require_zero_mean(v)
+    if v is not u:
+        _require_zero_mean(v)
     _, _, sigma = modal_decomposition(u.basis)
-    ut, vt = _modal_coeffs(u), _modal_coeffs(v)
+    ut = _modal_coeffs(u)
+    vt = ut if v is u else _modal_coeffs(v)
     pos = sigma > 0.0
     return float(np.sum(ut[pos] * vt[pos] / sigma[pos]))
 
@@ -182,17 +162,9 @@ def hminus1_norm(u: Field) -> float:
     return float(np.sqrt(max(inner_hminus1(u, u), 0.0)))
 
 
-def nonlinear_projection(spec: PotentialSpec, a: Field) -> Field:
-    """Project f(a) onto V_M x V_M, dealiased on the 2M x 2M grid."""
-    g = to_nodal(a, "2M")
-    vals = potential_deriv(spec, g.values)
-    return from_nodal(NodalGrid(a.basis, vals, "2M"))
-
-
 def nonlinear_load(spec: PotentialSpec, basis: Basis1D, coeffs: np.ndarray) -> np.ndarray:
     """Load array b[k,j] = quadrature of f(a) phi_k(x) phi_j(y) on the 2M
-    grid; this is mass_apply of nonlinear_projection without the two mass
-    solves, which the step right-hand sides consume directly."""
+    grid, the explicit force that the step right-hand sides consume."""
     tab = basis.eval_2M
     grid = tab.T @ coeffs @ tab
     vals = potential_deriv(spec, grid)

@@ -8,20 +8,13 @@ run starts with `bootstrap_first_step` and then steps with `march`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .diagnostics import (
-    EnergyTrace,
-    TraceRow,
-    energy_eps,
-    error_norms,
-    modified_energy,
-    stability_verdict,
-)
+from .diagnostics import EnergyTrace, TraceRow, error_norms, stability_verdict, step_energies
 from .errors import NonFinite, SolveFailed
-from .field2d import Field, NodalGrid, from_nodal, mean_value, norm_l2
+from .field2d import Field, NodalGrid, from_nodal, mean_value
 from .potential import PotentialSpec
 from .spectral1d import Basis1D, assemble_basis
 from .timestepping import SchemeParams, bootstrap_first_step, build_step_operator, march
@@ -103,13 +96,26 @@ class RunConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
+        # JSON gives 48.0 for 48 and true for 1; neither is accepted
+        for names, kinds, what in (
+            (("M", "seed", "m", "snapshot_every"), int, "an integer"),
+            (("eps", "gamma", "tau", "T", "A", "B"), (int, float), "a number"),
+        ):
+            for name in names:
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, kinds):
+                    raise ValueError(f"{name} must be {what}, got {value!r}")
         if self.M < 4:
             raise ValueError("M must be >= 4")
         if self.scheme not in ("SL_BDF2", "SL_CN"):
             raise ValueError("run scheme must be SL_BDF2 or SL_CN")
-        for name in ("eps", "gamma", "tau"):
+        if not 0.0 < self.eps <= 1.0:
+            raise ValueError("eps must be in (0, 1]")
+        for name in ("gamma", "tau"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0")
+        if not (self.A >= 0.0 and self.B >= 0.0):
+            raise ValueError("stabilizers A, B must be >= 0")
         self.n_steps()  # raises unless T is a positive multiple of tau
         if self.initial not in ("random", "prepared"):
             raise ValueError("initial must be 'random' or 'prepared'")
@@ -125,21 +131,23 @@ class RunConfig:
         )
 
 
-_RUN_FIELDS = (
-    "M", "eps", "gamma", "tau", "T", "scheme", "A", "B",
-    "seed", "initial", "m", "snapshot_every", "out_dir",
-)
+def _from_dict(cls, d: dict):
+    """cls(**d), rejecting unknown keys and naming missing required ones."""
+    unknown = set(d) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]
+    if missing:
+        raise ValueError(f"missing {cls.__name__} keys: {missing}")
+    return cls(**d)
 
 
 def run_config_from_dict(d: dict) -> RunConfig:
-    unknown = set(d) - set(_RUN_FIELDS)
-    if unknown:
-        raise ValueError(f"unknown RunConfig keys: {sorted(unknown)}")
-    return RunConfig(**d)
+    return _from_dict(RunConfig, d)
 
 
 def run_config_to_dict(cfg: RunConfig) -> dict:
-    return {name: getattr(cfg, name) for name in _RUN_FIELDS}
+    return asdict(cfg)
 
 
 def initial_field(cfg: RunConfig, basis: Basis1D | None = None) -> Field:
@@ -177,7 +185,7 @@ def run_simulation(
         n = len(trace) + 1
         t = trace.rows[-1].t + cfg.tau if trace.rows else cfg.tau
         final = Field(basis, curr)
-        e_new = modified_energy(final, Field(basis, prev), params, spec)
+        e_eps, e_new, dt_sq = step_energies(final, Field(basis, prev), params, spec)
         trace.max_residual = max(trace.max_residual, residual)
         # row 1 is the bootstrap transition; no earlier modified energy
         # exists, so its increment is 0 by convention
@@ -185,11 +193,11 @@ def run_simulation(
             TraceRow(
                 n=n,
                 t=t,
-                E_eps=energy_eps(final, spec, cfg.eps),
+                E_eps=e_eps,
                 E_mod=e_new,
                 dE_mod=e_new - e_mod if n > 1 else 0.0,
                 mean=mean_value(final),
-                dt_norm=norm_l2(Field(basis, curr - prev)),
+                dt_norm=float(np.sqrt(dt_sq)),
             )
         )
         e_mod = e_new
@@ -212,14 +220,15 @@ def run_simulation(
 
 def default_ladder(target: str, gamma: float, eps: float) -> list[float]:
     """Candidate ladders: {0} + {2^i * 4 gamma/eps^2, i = -7..1} for A,
-    {0} + {2^i * 2/eps, i = -3..4} for B."""
+    {0} + {2^i * 2/eps, i = -3..4} for B. Each rung is rounded to 12
+    significant digits, so 4/0.05^2 / 2^7 is 12.5, not 12.499999999999998."""
     if target == "A":
-        base = 4.0 * gamma / (eps * eps)
-        return [0.0] + [2.0**i * base for i in range(-7, 2)]
-    if target == "B":
-        base = 2.0 / eps
-        return [0.0] + [2.0**i * base for i in range(-3, 5)]
-    raise ValueError("target must be 'A' or 'B'")
+        base, powers = 4.0 * gamma / (eps * eps), range(-7, 2)
+    elif target == "B":
+        base, powers = 2.0 / eps, range(-3, 5)
+    else:
+        raise ValueError("target must be 'A' or 'B'")
+    return [0.0] + [float(f"{2.0**i * base:.12g}") for i in powers]
 
 
 @dataclass
@@ -240,7 +249,6 @@ class SweepConfig:
     fixed_value: float = 0.0
     ladder: list[float] | None = None
     steps: int = 1024
-    threshold: float = 1e-10
     full_scan: bool = False
 
     def __post_init__(self):
@@ -258,13 +266,9 @@ class SweepConfig:
 
 def sweep_config_from_dict(d: dict) -> SweepConfig:
     d = dict(d)
-    base = run_config_from_dict(d.pop("base"))
-    known = ("target", "gamma_list", "tau_list", "fixed_value",
-             "ladder", "steps", "threshold", "full_scan")
-    unknown = set(d) - set(known)
-    if unknown:
-        raise ValueError(f"unknown SweepConfig keys: {sorted(unknown)}")
-    return SweepConfig(base=base, **d)
+    if "base" in d:
+        d["base"] = run_config_from_dict(d["base"])
+    return _from_dict(SweepConfig, d)
 
 
 @dataclass
@@ -316,7 +320,7 @@ def _sweep_cell(sc: SweepConfig, basis: Basis1D, gamma: float, tau: float):
         stable = (
             not trace.blew_up
             and len(trace) >= sc.steps
-            and stability_verdict(trace, sc.threshold, sc.steps) == "stable"
+            and stability_verdict(trace, min_steps=sc.steps) == "stable"
         )
         verdicts.append(stable)
         if stable and minimum is None:

@@ -40,15 +40,6 @@ def legendre_table(max_degree: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def legendre_values(max_degree: int, x: float) -> np.ndarray:
-    """L_0(x) .. L_max(x) at a single point of [-1, 1]."""
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
-    if abs(x) > 1.0 + 1e-12:
-        raise ValueError(f"x = {x} outside [-1, 1]")
-    return legendre_table(max_degree, np.array([x]))[:, 0]
-
-
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
 
@@ -98,10 +89,6 @@ class Basis1D:
     eval_2M: np.ndarray
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def nodes(self, node_set: str) -> np.ndarray:
-        _check_node_set(node_set)
-        return self.nodes_M if node_set == "M" else self.nodes_2M
-
     def weights(self, node_set: str) -> np.ndarray:
         _check_node_set(node_set)
         return self.weights_M if node_set == "M" else self.weights_2M
@@ -136,39 +123,3 @@ def assemble_basis(M: int) -> Basis1D:
         eval_M=legendre_table(M - 1, xm),
         eval_2M=legendre_table(M - 1, x2),
     )
-
-
-def mass_solve(basis: Basis1D, rhs: np.ndarray) -> np.ndarray:
-    """Solve mass @ c = rhs (rhs may be a matrix of columns).
-
-    This is also the quadrature Gram solve of either Gauss rule.
-    """
-    rhs = np.asarray(rhs, dtype=float)
-    d = np.diag(basis.mass)
-    return rhs / (d if rhs.ndim == 1 else d[:, None])
-
-
-def forward_transform_1d(basis: Basis1D, nodal: np.ndarray) -> np.ndarray:
-    """Quadrature-weighted least-squares fit of nodal values in the basis.
-
-    The node set (M or 2M points) is inferred from the length of `nodal`.
-    Solves mass @ c = b with b_k = sum_i w_i nodal_i phi_k(x_i); mass is
-    the Gram of either rule, so backward then forward is the identity on
-    coefficient space for either set.
-    """
-    nodal = np.asarray(nodal, dtype=float)
-    if nodal.shape == (basis.M,):
-        tab, w = basis.eval_M, basis.weights_M
-    elif nodal.shape == (2 * basis.M,):
-        tab, w = basis.eval_2M, basis.weights_2M
-    else:
-        raise ValueError(f"expected {basis.M} or {2 * basis.M} values, got {nodal.shape}")
-    return mass_solve(basis, tab @ (w * nodal))
-
-
-def backward_transform_1d(basis: Basis1D, coeffs: np.ndarray, node_set: str) -> np.ndarray:
-    """Evaluate sum_k c_k phi_k at the chosen Gauss node set."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (basis.M,):
-        raise ValueError(f"expected {basis.M} coefficients, got {coeffs.shape}")
-    return basis.eval_table(node_set).T @ coeffs

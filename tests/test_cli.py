@@ -65,11 +65,32 @@ def test_run_deterministic_outputs(tmp_path):
     assert (out1 / "final_field.csv").read_bytes() == (out2 / "final_field.csv").read_bytes()
 
 
-def test_run_rejects_unknown_key(tmp_path):
+def assert_one_line_error(capsys, rc, *words):
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("chillwave: error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    for word in words:
+        assert word in err
+
+
+def test_run_rejects_unknown_key(tmp_path, capsys):
     cfg_path = tmp_path / "run.json"
     write_json(cfg_path, dict(RUN_CFG, epsilon=0.1))
-    with pytest.raises(ValueError):
-        main(["run", "--config", str(cfg_path)])
+    rc = main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+    assert_one_line_error(capsys, rc, "epsilon")
+
+
+def test_converge_names_missing_tau_list(tmp_path, capsys):
+    cfg_path = tmp_path / "conv.json"
+    write_json(cfg_path, dict(RUN_CFG, tau_ref=0.05))
+    rc = main(["converge", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+    assert_one_line_error(capsys, rc, "tau_list")
+
+
+def test_missing_config_file(tmp_path, capsys):
+    rc = main(["run", "--config", str(tmp_path / "absent.json")])
+    assert_one_line_error(capsys, rc, "absent.json")
 
 
 def test_sweep_command(tmp_path, capsys):

@@ -11,15 +11,14 @@ from chillwave import (
     hminus1_norm,
     inner_hminus1,
     inner_l2,
-    inv_neumann_laplacian,
     mean_value,
-    nonlinear_projection,
     norm_l2,
     potential_deriv,
     read_snapshot,
     to_nodal,
     write_snapshot,
 )
+from chillwave.field2d import nonlinear_load
 from conftest import (
     oracle_basis_values,
     oracle_eval_2d,
@@ -126,50 +125,6 @@ def test_mean_value(basis8):
     assert mean_value(u) == pytest.approx(quad_mean, abs=1e-13)
 
 
-def test_inv_neumann_zero(basis8):
-    z = inv_neumann_laplacian(unit_field(basis8, 0, 0, 0.0))
-    assert norm_l2(z) == 0.0
-
-
-def test_inv_neumann_rejects_nonzero_mean(basis8):
-    with pytest.raises(MeanNotZero):
-        inv_neumann_laplacian(unit_field(basis8, 0, 0, 0.5))
-
-
-def test_inv_neumann_galerkin_system(basis16):
-    # (grad v, grad w) = (u, w) for all w, checked against a dense solve
-    rng = np.random.default_rng(8)
-    u = rand_zero_mean(basis16, rng)
-    v = inv_neumann_laplacian(u)
-    assert mean_value(v) == pytest.approx(0.0, abs=1e-14)
-    K2, M2 = kron_stiff(basis16), kron_mass(basis16)
-    rhs = M2 @ u.coeffs.ravel()
-    lhs = K2 @ v.coeffs.ravel()
-    # rows of the reduced system (constant-mode row is the kernel)
-    assert np.abs(lhs[1:] - rhs[1:]).max() <= 1e-11
-
-
-def test_inv_neumann_forward_consistency(basis16):
-    rng = np.random.default_rng(9)
-    u = rand_zero_mean(basis16, rng)
-    v = inv_neumann_laplacian(u)
-    K2, M2 = kron_stiff(basis16), kron_mass(basis16)
-    rec = np.linalg.solve(M2, K2 @ v.coeffs.ravel()).reshape(16, 16)
-    assert np.abs(rec - u.coeffs).max() <= 1e-9
-
-
-def test_inv_neumann_cosine_eigenfunction():
-    b = cw.assemble_basis(32)
-    g = NodalGrid(
-        b,
-        np.cos(np.pi * b.nodes_2M)[:, None] * np.cos(np.pi * b.nodes_2M)[None, :],
-        "2M",
-    )
-    u = from_nodal(g)
-    v = inv_neumann_laplacian(u)
-    np.testing.assert_allclose(v.coeffs, u.coeffs / (2 * np.pi**2), atol=1e-8)
-
-
 def test_hminus1_basics(basis16):
     assert hminus1_norm(unit_field(basis16, 0, 0, 0.0)) == 0.0
     rng = np.random.default_rng(10)
@@ -203,37 +158,41 @@ def test_hminus1_cosine_value():
     assert hminus1_norm(u) == pytest.approx(1.0 / (np.sqrt(2.0) * np.pi), abs=1e-6)
 
 
-def test_nonlinear_projection_constants(basis8, spec):
-    z = nonlinear_projection(spec, unit_field(basis8, 0, 0, 1.0))
-    assert np.abs(z.coeffs).max() <= 1e-13
-    c = nonlinear_projection(spec, unit_field(basis8, 0, 0, 0.5))
+def oracle_load(spec, coeffs):
+    # independent 2M-point quadrature of f(a) phi_k(x) phi_j(y)
+    M = coeffs.shape[0]
+    x, w = oracle_quadrature(2 * M)
+    tw = oracle_basis_values(M, x) * w
+    return tw @ potential_deriv(spec, oracle_eval_2d(coeffs, x, x)) @ tw.T
+
+
+def test_nonlinear_load_constants(basis8, spec):
+    z = nonlinear_load(spec, basis8, unit_field(basis8, 0, 0, 1.0).coeffs)
+    assert np.abs(z).max() <= 1e-13
+    c = nonlinear_load(spec, basis8, unit_field(basis8, 0, 0, 0.5).coeffs)
     expected = np.zeros((8, 8))
-    expected[0, 0] = -0.375
-    np.testing.assert_allclose(c.coeffs, expected, atol=1e-13)
+    expected[0, 0] = 4 * -0.375  # f(1/2) times the area of the square
+    np.testing.assert_allclose(c, expected, atol=1e-13)
 
 
-def test_nonlinear_projection_cubic_exact(basis8, spec):
-    a = unit_field(basis8, 1, 0)  # a(x, y) = x
-    proj = nonlinear_projection(spec, a)
-    g = to_nodal(proj, "2M")
-    x = basis8.nodes_2M
-    np.testing.assert_allclose(
-        g.values, (x**3 - x)[:, None] * np.ones(16)[None, :], atol=1e-12
-    )
+def test_nonlinear_load_cubic_exact(basis8, spec):
+    # a(x, y) = x: f(a) = x^3 - x = (2/5)(L_3 - L_1), so the load is
+    # (2/5) ||L_k||^2 (delta_k3 - delta_k1) times integral of L_0(y) = 2
+    load = nonlinear_load(spec, basis8, unit_field(basis8, 1, 0).coeffs)
+    expected = np.zeros((8, 8))
+    expected[1, 0] = -0.4 * (2 / 3) * 2
+    expected[3, 0] = 0.4 * (2 / 7) * 2
+    np.testing.assert_allclose(load, expected, atol=1e-13)
+    np.testing.assert_allclose(load, oracle_load(spec, unit_field(basis8, 1, 0).coeffs),
+                               atol=1e-13)
 
 
-def test_nonlinear_projection_oracle(basis8, spec):
+def test_nonlinear_load_oracle(basis8, spec):
     rng = np.random.default_rng(12)
     a = rand_field(basis8, rng, amp=0.4)
-    proj = nonlinear_projection(spec, a)
-    # independent 2M-point quadrature projection
-    x, w = oracle_quadrature(16)
-    tab = oracle_basis_values(8, x)
-    fvals = potential_deriv(spec, oracle_eval_2d(a.coeffs, x, x))
-    load = (tab * w) @ fvals @ (tab * w).T
-    G = (tab * w) @ tab.T
-    expected = np.linalg.solve(G, np.linalg.solve(G, load.T).T)
-    np.testing.assert_allclose(proj.coeffs, expected, atol=1e-12)
+    np.testing.assert_allclose(
+        nonlinear_load(spec, basis8, a.coeffs), oracle_load(spec, a.coeffs), atol=1e-12
+    )
 
 
 def test_l2_telescoping_identity(basis16):
@@ -252,6 +211,8 @@ def test_hminus1_inner_product_consistency(basis16):
     v = rand_zero_mean(basis16, rng)
     assert inner_hminus1(u, v) == pytest.approx(inner_hminus1(v, u), rel=1e-11)
     assert inner_hminus1(u, u) == pytest.approx(hminus1_norm(u) ** 2, rel=1e-11)
+    # u with itself reuses one modal transform; a copy takes the general path
+    assert inner_hminus1(u, u) == inner_hminus1(u, u.copy())
 
 
 def test_interpolation_inequality(basis16):
@@ -291,3 +252,19 @@ def test_snapshot_reuses_supplied_basis(tmp_path, basis8):
     back, _ = read_snapshot(p, basis=basis8)
     assert back.basis is basis8
     np.testing.assert_allclose(back.coeffs, u.coeffs, atol=1e-12)
+
+
+def test_spatial_convergence_cosine():
+    # the L^2 projection of the smooth Neumann function cos(pi x) cos(pi y)
+    # converges spectrally: at least 10x smaller error per 2 more modes
+    x, w = oracle_quadrature(80)
+    exact = np.outer(np.cos(np.pi * x), np.cos(np.pi * x))
+    errs = []
+    for M in range(6, 18, 2):
+        b = cw.assemble_basis(M)
+        c = np.cos(np.pi * b.nodes_2M)
+        u = from_nodal(NodalGrid(b, np.outer(c, c), "2M"))
+        diff = oracle_eval_2d(u.coeffs, x, x) - exact
+        errs.append(np.sqrt(w @ diff**2 @ w))
+    assert all(fine <= coarse / 10 for coarse, fine in zip(errs, errs[1:]))
+    assert errs[-1] < 1e-9

@@ -114,6 +114,19 @@ def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(M=8, eps=0.05, gamma=1.0, tau=0.1, T=1.0, scheme="SL_CN",
                   initial="noise")
+    good = dict(M=8, eps=0.05, gamma=1.0, tau=0.1, T=1.0, scheme="SL_CN")
+    RunConfig(**dict(good, eps=1, gamma=2, A=0, B=5))  # ints are numbers
+    for bad in (
+        dict(eps=1.5), dict(eps=0.0), dict(eps=-0.05),
+        dict(M=48.0), dict(seed=42.0), dict(m=10.0), dict(snapshot_every=2.0),
+        dict(M=True), dict(seed=False),
+        dict(eps="0.05"), dict(gamma=None), dict(A=[1.0]), dict(B=True), dict(T="1"),
+        dict(A=-1.0),
+    ):
+        with pytest.raises(ValueError):
+            RunConfig(**dict(good, **bad))
+    with pytest.raises(ValueError, match="missing RunConfig keys"):
+        run_config_from_dict({"M": 8, "eps": 0.05})
 
 
 def test_run_config_dict_round_trip():
@@ -197,16 +210,15 @@ def test_initial_field_prepared_differs(basis16):
 
 
 def test_default_ladders():
-    # 4 gamma/eps^2 = 4 and 2/eps = 40 up to one ulp of float division
+    # 4 gamma/eps^2 and 2/eps are inexact in binary; the rungs are not
     lad_a = default_ladder("A", gamma=0.0025, eps=0.05)
-    assert lad_a[0] == 0.0
-    np.testing.assert_allclose(lad_a[1:], [4.0 * 2.0**i for i in range(-7, 2)],
-                               rtol=1e-15)
+    assert lad_a == [0.0] + [4.0 * 2.0**i for i in range(-7, 2)]
     lad_b = default_ladder("B", gamma=0.0025, eps=0.05)
-    assert lad_b[0] == 0.0
-    np.testing.assert_allclose(lad_b[1:], [40.0 * 2.0**i for i in range(-3, 5)],
-                               rtol=1e-15)
-    assert lad_b[-1] == pytest.approx(640.0, rel=1e-15)
+    assert lad_b == [0.0] + [40.0 * 2.0**i for i in range(-3, 5)]
+    assert lad_b[-1] == 640.0
+    lad_c9 = default_ladder("A", gamma=1.0, eps=0.05)
+    assert lad_c9 == [0.0] + [1600.0 * 2.0**i for i in range(-7, 2)]
+    assert lad_c9[1] == 12.5 and lad_c9[5] == 200.0
 
 
 def test_sweep_config_validation():

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from chillwave import (
+    NodalGrid,
     QuadratureError,
     assemble_basis,
-    backward_transform_1d,
-    forward_transform_1d,
+    from_nodal,
     gauss_legendre,
-    legendre_values,
+    to_nodal,
 )
+from chillwave.spectral1d import legendre_table
 from conftest import oracle_basis_values, oracle_quadrature
 
 
@@ -25,27 +26,20 @@ def legendre_monomial(k, x):
 
 
 def test_legendre_values_endpoints_and_origin():
-    np.testing.assert_allclose(legendre_values(2, 1.0), [1.0, 1.0, 1.0], atol=1e-15)
-    np.testing.assert_allclose(legendre_values(2, 0.0), [1.0, 0.0, -0.5], atol=1e-15)
+    tab = legendre_table(2, np.array([1.0, 0.0]))
+    np.testing.assert_allclose(tab[:, 0], [1.0, 1.0, 1.0], atol=1e-15)
+    np.testing.assert_allclose(tab[:, 1], [1.0, 0.0, -0.5], atol=1e-15)
 
 
 def test_legendre_values_monomial_oracle():
-    vals = legendre_values(5, 0.3)
+    vals = legendre_table(5, np.array([0.3]))[:, 0]
     for k in range(6):
         assert vals[k] == pytest.approx(legendre_monomial(k, 0.3), abs=1e-14)
 
 
 def test_legendre_values_bounded():
-    for x in np.linspace(-1.0, 1.0, 101):
-        assert np.abs(legendre_values(20, x)).max() <= 1.0 + 1e-12
-
-
-def test_legendre_values_domain_error():
-    legendre_values(3, 1.0 + 1e-13)  # inside tolerance
-    with pytest.raises(ValueError):
-        legendre_values(3, 1.1)
-    with pytest.raises(ValueError):
-        legendre_values(3, -1.0 - 1e-6)
+    tab = legendre_table(20, np.linspace(-1.0, 1.0, 101))
+    assert np.abs(tab).max() <= 1.0 + 1e-12
 
 
 def test_gauss_rule_tiny():
@@ -141,61 +135,25 @@ def test_assemble_precondition():
         assemble_basis(3)
 
 
-def test_forward_reproduces_basis_member(basis8):
-    e3 = np.zeros(8)
-    e3[3] = 1.0
-    nodal = backward_transform_1d(basis8, e3, "M")
-    np.testing.assert_allclose(forward_transform_1d(basis8, nodal), e3, atol=1e-13)
-
-
-def test_forward_constant(basis8):
-    c = forward_transform_1d(basis8, np.ones(8))
-    expected = np.zeros(8)
-    expected[0] = 1.0
-    np.testing.assert_allclose(c, expected, atol=1e-13)
-
-
-def test_backward_examples(basis8):
-    e0 = np.zeros(8)
-    e0[0] = 1.0
-    np.testing.assert_allclose(backward_transform_1d(basis8, e0, "M"), np.ones(8), atol=1e-14)
-    e1 = np.zeros(8)
-    e1[1] = 1.0
-    np.testing.assert_allclose(
-        backward_transform_1d(basis8, e1, "2M"), basis8.nodes_2M, atol=1e-14
-    )
-
-
-def test_round_trip_random_coefficients(basis16):
-    rng = np.random.default_rng(2)
-    for node_set in ("M", "2M"):
-        c = rng.standard_normal(16)
-        nodal = backward_transform_1d(basis16, c, node_set)
-        np.testing.assert_allclose(forward_transform_1d(basis16, nodal), c, atol=1e-13)
+def x5_grid(basis):
+    # x^5 (x) 1 on the 2M x 2M Gauss grid
+    x = basis.nodes_2M
+    return NodalGrid(basis, (x**5)[:, None] * np.ones(x.size)[None, :], "2M")
 
 
 def test_x5_round_trip_as_written(basis8):
-    x2m = basis8.nodes_2M
-    c = forward_transform_1d(basis8, x2m**5)
-    np.testing.assert_allclose(backward_transform_1d(basis8, c, "2M"), x2m**5, atol=1e-13)
+    g = x5_grid(basis8)
+    np.testing.assert_allclose(to_nodal(from_nodal(g), "2M").values, g.values, atol=1e-13)
 
 
 def test_x5_forward_is_the_exact_projection(basis8):
-    # the transform should still return the quadrature-optimal projection
+    # the fit should return the quadrature-optimal projection, x^5 in x
+    # times the constant mode in y
     M = basis8.M
     x, w = oracle_quadrature(2 * M)
     tab = oracle_basis_values(M, x)
     G = (tab * w) @ tab.T
     rhs = (tab * w) @ x**5
-    np.testing.assert_allclose(
-        forward_transform_1d(basis8, basis8.nodes_2M**5),
-        np.linalg.solve(G, rhs),
-        atol=1e-12,
-    )
-
-
-def test_forward_length_validation(basis8):
-    with pytest.raises(ValueError):
-        forward_transform_1d(basis8, np.ones(9))
-    with pytest.raises(ValueError):
-        backward_transform_1d(basis8, np.ones(8), "3M")
+    expected = np.zeros((M, M))
+    expected[:, 0] = np.linalg.solve(G, rhs)
+    np.testing.assert_allclose(from_nodal(x5_grid(basis8)).coeffs, expected, atol=1e-12)
