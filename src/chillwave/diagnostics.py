@@ -54,8 +54,8 @@ class EnergyTrace:
     Rows are appended once per time step (the bootstrap step is row n = 1;
     there is no row for the initial datum, and row 1 carries dE_mod = 0 by
     convention since no earlier modified energy exists). blew_up marks a
-    run terminated early by NonFinite; max_residual tracks the worst block
-    residual seen.
+    run terminated early by NonFinite; max_residual tracks the worst
+    eigendecomposition residual of the step operators used.
     """
 
     rows: list[TraceRow] = field(default_factory=list)

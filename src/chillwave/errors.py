@@ -16,7 +16,8 @@ class SingularSystem(ChillwaveError):
 
 
 class SolveFailed(ChillwaveError):
-    """A linear solve finished but its residual exceeded the contract."""
+    """The eigendecomposition behind the modal solve failed its residual
+    contract: a solver fault, not a stability verdict."""
 
 
 class NonFinite(ChillwaveError):

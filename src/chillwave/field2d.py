@@ -76,13 +76,16 @@ def from_nodal(g: NodalGrid) -> Field:
 
 
 def mass_apply(basis: Basis1D, C: np.ndarray) -> np.ndarray:
-    """(mass x mass) action in coefficient-matrix form."""
-    return basis.mass @ C @ basis.mass
+    """(mass x mass) action in coefficient-matrix form; the diagonal mass
+    is applied as a row and column scaling."""
+    d = np.diag(basis.mass)
+    return d[:, None] * C * d
 
 
 def stiffness_apply(basis: Basis1D, C: np.ndarray) -> np.ndarray:
     """(stiff x mass + mass x stiff) action in coefficient-matrix form."""
-    return basis.stiffness @ C @ basis.mass + basis.mass @ C @ basis.stiffness
+    d = np.diag(basis.mass)
+    return (basis.stiffness @ C) * d + (d[:, None] * C) @ basis.stiffness
 
 
 def inner_l2(u: Field, v: Field) -> float:

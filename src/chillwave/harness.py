@@ -13,7 +13,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .diagnostics import EnergyTrace, TraceRow, error_norms, stability_verdict, step_energies
-from .errors import NonFinite, SolveFailed
+from .errors import NonFinite
 from .field2d import Field, NodalGrid, from_nodal, mean_value
 from .potential import PotentialSpec
 from .spectral1d import Basis1D, assemble_basis
@@ -77,6 +77,14 @@ def _step_count(T: float, tau: float) -> int:
     return n
 
 
+_NUMBER = (int, float)
+
+
+def _is(value, kinds) -> bool:
+    # JSON gives 48.0 for 48 and true for 1; neither passes as an int
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 @dataclass
 class RunConfig:
     """Single-simulation configuration; JSON keys match field names."""
@@ -96,14 +104,13 @@ class RunConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        # JSON gives 48.0 for 48 and true for 1; neither is accepted
         for names, kinds, what in (
             (("M", "seed", "m", "snapshot_every"), int, "an integer"),
-            (("eps", "gamma", "tau", "T", "A", "B"), (int, float), "a number"),
+            (("eps", "gamma", "tau", "T", "A", "B"), _NUMBER, "a number"),
         ):
             for name in names:
                 value = getattr(self, name)
-                if isinstance(value, bool) or not isinstance(value, kinds):
+                if not _is(value, kinds):
                     raise ValueError(f"{name} must be {what}, got {value!r}")
         if self.M < 4:
             raise ValueError("M must be >= 4")
@@ -133,6 +140,8 @@ class RunConfig:
 
 def _from_dict(cls, d: dict):
     """cls(**d), rejecting unknown keys and naming missing required ones."""
+    if not isinstance(d, dict):
+        raise ValueError(f"a {cls.__name__} config must be a JSON object, got {d!r}")
     unknown = set(d) - {f.name for f in fields(cls)}
     if unknown:
         raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
@@ -166,9 +175,10 @@ def run_simulation(
     """Bootstrap the first step, then march T/tau - 1 scheme steps.
 
     Returns the per-step energy trace, the final field, and the snapshot
-    list [(n, t, field), ...] per cfg.snapshot_every. Blow-up or a failed
-    solve terminates the run early and is recorded on the trace (verdict
-    data), not raised.
+    list [(n, t, field), ...] per cfg.snapshot_every. A blow-up (NonFinite)
+    terminates the run early and is recorded on the trace (verdict data),
+    not raised. A SolveFailed from a bad eigendecomposition is a solver
+    fault, not a verdict, and propagates.
     """
     spec = PotentialSpec()
     phi0 = phi_init if phi_init is not None else initial_field(cfg, basis)
@@ -208,7 +218,7 @@ def run_simulation(
         phi1, boot_res = bootstrap_first_step(phi0, params, cfg.m, spec)
         observe(phi0.coeffs, phi1.coeffs, boot_res)
         march(op, spec, phi0.coeffs, phi1.coeffs, N - 1, observe)
-    except (NonFinite, SolveFailed):
+    except NonFinite:
         trace.blew_up = True
         trace.blowup_step = len(trace) + 1
     return trace, final, snapshots
@@ -252,22 +262,34 @@ class SweepConfig:
     full_scan: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.base, RunConfig):
+            raise ValueError(f"base must be a run config object, got {self.base!r}")
         if self.target not in ("A", "B"):
             raise ValueError("target must be 'A' or 'B'")
-        if not self.gamma_list or not self.tau_list:
-            raise ValueError("gamma_list and tau_list must be non-empty")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if self.ladder is not None:
-            lad = list(self.ladder)
-            if sorted(set(lad)) != lad:
-                raise ValueError("ladder must be strictly increasing")
+        for name in ("gamma_list", "tau_list"):
+            value = getattr(self, name)
+            positive = isinstance(value, list) and all(_is(v, _NUMBER) and v > 0.0 for v in value)
+            if not (positive and value):
+                raise ValueError(f"{name} must be a non-empty list of numbers > 0, got {value!r}")
+        if not (_is(self.fixed_value, _NUMBER) and self.fixed_value >= 0.0):
+            raise ValueError(f"fixed_value must be a number >= 0, got {self.fixed_value!r}")
+        if not (_is(self.steps, int) and self.steps >= 1):
+            raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
+        if not isinstance(self.full_scan, bool):
+            raise ValueError(f"full_scan must be true or false, got {self.full_scan!r}")
+        lad = self.ladder
+        if lad is not None and not (
+            isinstance(lad, list) and lad and all(_is(v, _NUMBER) and v >= 0.0 for v in lad)
+            and sorted(set(lad)) == lad
+        ):
+            raise ValueError(
+                f"ladder must be a non-empty increasing list of numbers >= 0, got {lad!r}"
+            )
 
 
 def sweep_config_from_dict(d: dict) -> SweepConfig:
-    d = dict(d)
-    if "base" in d:
-        d["base"] = run_config_from_dict(d["base"])
+    if isinstance(d, dict) and isinstance(d.get("base"), dict):
+        d = dict(d, base=run_config_from_dict(d["base"]))
     return _from_dict(SweepConfig, d)
 
 

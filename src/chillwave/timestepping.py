@@ -1,29 +1,27 @@
 """Time-marching schemes for the Cahn-Hilliard equation.
 
-Three schemes, all linear with constant coefficients, all reduced to one
-modal solve per step. Writing M2 = mass x mass and K2 = stiff x mass +
-mass x stiff, each step solves the block system
+Three schemes, all linear with constant coefficients. Writing M2 = mass x
+mass and K2 = stiff x mass + mass x stiff, each step solves the block
+system
 
     [ a M2          gamma K2 ] [phi_new]   [R1]
     [ -c K2 - b0 M2    M2    ] [  mu   ] = [R2]
 
-with scheme-dependent scalars (a, c, b0):
+with b0 = B. In the generalized eigenbasis of (stiffness, mass), where
+K E = M E diag(lam) and E^T M E = I, M2 is the identity and K2 is sigma =
+lam_k + lam_j. `march` holds the state in these modal coordinates,
+v^n = E^T (M2 phi^n) E, so each step is elementwise apart from the force:
 
-    SL_BDF2      a = 3/(2 tau),  c = eps + A tau,    b0 = B
-    SL_CN        a = 1/tau,      c = eps/2 + A tau,  b0 = B
-    FIRST_ORDER  a = 1/tau,      c = eps,            b0 = B
+    R1 = r_n v^n + r_p v^{n-1}
+    R2 = f(x_n v^n + x_p v^{n-1}) / eps + s sigma v^n - B (y_n v^n + y_p v^{n-1})
+    v^{n+1} = (R1 - gamma sigma R2) / (a + gamma sigma (c sigma + b0))
 
-In the generalized eigenbasis of (stiffness, mass) both M2 and K2 are
-diagonal (identity and sigma = lam_k + lam_j), so eliminating mu gives a
-scalar equation per mode:
-
-    (a + gamma sigma (c sigma + b0)) phi_tilde = R1_tilde - gamma sigma R2_tilde
-    mu_tilde = R2_tilde + (c sigma + b0) phi_tilde.
-
-This is a direct solve; the assembled block residual is still checked
-against the 1e-10 contract at every step. `march` holds the one loop that
-advances any of the three schemes; runs, sweeps, convergence studies and
-the first-order bootstrap all step through it.
+with the per-scheme coefficients of `_TABLE` (SL_CN stabilizes B on
+2 phi^n - phi^{n-1} but extrapolates f at 1.5 phi^n - 0.5 phi^{n-1}).
+The solve is as exact as the eigendecomposition, so `build_step_operator`
+checks ||K E - M E diag(lam)|| / ||K E|| and ||E^T M E - I|| once against
+the 1e-10 contract, and every step reports that residual. Runs, sweeps,
+convergence studies and the first-order bootstrap all step through `march`.
 """
 
 from __future__ import annotations
@@ -34,15 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonFinite, SingularSystem, SolveFailed
-from .field2d import (
-    Field,
-    from_modal,
-    mass_apply,
-    modal_decomposition,
-    nonlinear_load,
-    stiffness_apply,
-    to_modal,
-)
+from .field2d import Field, from_modal, mass_apply, modal_decomposition, nonlinear_load, to_modal
 from .potential import PotentialSpec
 from .spectral1d import Basis1D
 
@@ -50,6 +40,13 @@ SCHEMES = ("SL_BDF2", "SL_CN", "FIRST_ORDER")
 
 BLOWUP_LIMIT = 1e8
 RESIDUAL_LIMIT = 1e-10
+
+# per scheme, from (tau, eps, A): a, c, (r_n, r_p), s, (x_n, x_p), (y_n, y_p)
+_TABLE = {
+    "SL_BDF2": lambda t, e, A: (1.5 / t, e + A * t, (2 / t, -0.5 / t), -A * t, (2, -1), (2, -1)),
+    "SL_CN": lambda t, e, A: (1 / t, e / 2 + A * t, (1 / t, 0), e / 2 - A * t, (1.5, -0.5), (2, -1)),
+    "FIRST_ORDER": lambda t, e, A: (1 / t, e, (1 / t, 0), 0, (1, 0), (1, 0)),
+}
 
 
 @dataclass(frozen=True)
@@ -79,78 +76,41 @@ class SchemeParams:
 
 @dataclass
 class StepOperator:
-    """Pre-built constant-coefficient solver, reusable across steps."""
+    """Pre-built constant-coefficient modal solver, reusable across steps:
+    the `_TABLE` weights, sigma, the per-mode denominators and the checked
+    residual of the eigendecomposition."""
 
     params: SchemeParams
     basis: Basis1D
-    a: float
-    c: float
-    b0: float
+    r: tuple[float, float]
+    s: float
+    x: tuple[float, float]
+    y: tuple[float, float]
+    sigma: np.ndarray
     denom: np.ndarray  # a + gamma sigma (c sigma + b0), per mode pair
-
-
-def _scheme_scalars(p: SchemeParams) -> tuple[float, float, float]:
-    if p.scheme == "SL_BDF2":
-        return 1.5 / p.tau, p.eps + p.A * p.tau, p.B
-    if p.scheme == "SL_CN":
-        return 1.0 / p.tau, 0.5 * p.eps + p.A * p.tau, p.B
-    return 1.0 / p.tau, p.eps, p.B
+    residual: float
 
 
 def build_step_operator(params: SchemeParams, basis: Basis1D) -> StepOperator:
-    a, c, b0 = _scheme_scalars(params)
-    _, _, sigma = modal_decomposition(basis)
-    denom = a + params.gamma * sigma * (c * sigma + b0)
+    """Raises SolveFailed unless the cached eigendecomposition meets the
+    1e-10 contract; sigma is rebuilt from the checked lam."""
+    a, c, r, s, x, y = _TABLE[params.scheme](params.tau, params.eps, params.A)
+    lam, E, _ = modal_decomposition(basis)
+    KE = basis.stiffness @ E
+    ME = np.diag(basis.mass)[:, None] * E
+    residual = float(max(
+        np.linalg.norm(KE - ME * lam) / np.linalg.norm(KE),
+        np.linalg.norm(E.T @ ME - np.eye(basis.M)),
+    ))
+    if not residual <= RESIDUAL_LIMIT:
+        raise SolveFailed(
+            f"eigendecomposition residual {residual:.3e} exceeds {RESIDUAL_LIMIT:.0e}"
+        )
+    sigma = lam[:, None] + lam[None, :]
+    denom = a + params.gamma * sigma * (c * sigma + params.B)
     if not np.all(np.isfinite(denom)) or np.min(np.abs(denom)) < 1e-300:
         raise SingularSystem("step operator denominators are degenerate")
-    return StepOperator(params=params, basis=basis, a=a, c=c, b0=b0, denom=denom)
-
-
-def solve_blocks(op: StepOperator, R1: np.ndarray, R2: np.ndarray):
-    """Solve the block system for given load arrays; returns coefficient
-    matrices (phi, mu) and the relative residual of the assembled blocks."""
-    basis = op.basis
-    _, _, sigma = modal_decomposition(basis)
-    r1t, r2t = to_modal(basis, R1), to_modal(basis, R2)
-    phit = (r1t - op.params.gamma * sigma * r2t) / op.denom
-    mut = r2t + (op.c * sigma + op.b0) * phit
-    phi = from_modal(basis, phit)
-    mu = from_modal(basis, mut)
-
-    res1 = op.a * mass_apply(basis, phi) + op.params.gamma * stiffness_apply(basis, mu) - R1
-    res2 = (
-        -op.c * stiffness_apply(basis, phi)
-        - op.b0 * mass_apply(basis, phi)
-        + mass_apply(basis, mu)
-        - R2
-    )
-    num = np.sqrt(np.sum(res1 * res1) + np.sum(res2 * res2))
-    den = 1.0 + np.sqrt(np.sum(R1 * R1) + np.sum(R2 * R2))
-    return phi, mu, float(num / den)
-
-
-def _rhs(op: StepOperator, spec: PotentialSpec, curr: np.ndarray, prev: np.ndarray):
-    p = op.params
-    basis = op.basis
-    if p.scheme == "SL_BDF2":
-        extr = 2.0 * curr - prev
-        R1 = mass_apply(basis, 4.0 * curr - prev) / (2.0 * p.tau)
-        R2 = (
-            nonlinear_load(spec, basis, extr) / p.eps
-            - p.A * p.tau * stiffness_apply(basis, curr)
-            - p.B * mass_apply(basis, extr)
-        )
-    elif p.scheme == "SL_CN":
-        R1 = mass_apply(basis, curr) / p.tau
-        R2 = (
-            (0.5 * p.eps - p.A * p.tau) * stiffness_apply(basis, curr)
-            + nonlinear_load(spec, basis, 1.5 * curr - 0.5 * prev) / p.eps
-            - p.B * mass_apply(basis, 2.0 * curr - prev)
-        )
-    else:  # FIRST_ORDER uses only the current level
-        R1 = mass_apply(basis, curr) / p.tau
-        R2 = nonlinear_load(spec, basis, curr) / p.eps - p.B * mass_apply(basis, curr)
-    return R1, R2
+    return StepOperator(params, basis, r, s, x, y, sigma, denom, residual)
 
 
 def march(
@@ -164,25 +124,33 @@ def march(
     """Advance n_steps of op's scheme from the coefficient arrays
     (prev, curr) = (phi^{n-1}, phi^n); FIRST_ORDER reads only curr.
 
-    After each step observe(prev, curr, residual) sees the new pair and the
-    block residual of the solve that produced curr. Returns the last pair
-    and the worst residual. Raises NonFinite on blow-up (stability sweeps
-    treat that as an unstable verdict) and SolveFailed if a block residual
-    exceeds 1e-10.
+    The state is held in modal coordinates between entry and exit. After
+    each step observe(prev, curr, residual) sees the new pair in basis
+    coefficients and the operator's eigendecomposition residual. Returns
+    the last pair and that residual. Raises NonFinite on blow-up of the
+    modal coefficients (stability sweeps treat that as an unstable
+    verdict).
     """
-    worst = 0.0
+    basis, p = op.basis, op.params
+    (rn, rp), (xn, xp), (yn, yp) = op.r, op.x, op.y
+    gamma_sigma = p.gamma * op.sigma
+    prev_t, curr_t = (to_modal(basis, mass_apply(basis, u)) for u in (prev, curr))
     for _ in range(n_steps):
-        R1, R2 = _rhs(op, spec, curr, prev)
-        phi, _, residual = solve_blocks(op, R1, R2)
-        if not np.all(np.isfinite(phi)) or np.max(np.abs(phi)) > BLOWUP_LIMIT:
-            raise NonFinite(f"step blew up (max |coeff| > {BLOWUP_LIMIT:.0e} or non-finite)")
-        if residual > RESIDUAL_LIMIT:
-            raise SolveFailed(f"block residual {residual:.3e} exceeds {RESIDUAL_LIMIT:.0e}")
-        prev, curr = curr, phi
-        worst = max(worst, residual)
+        force = nonlinear_load(spec, basis, from_modal(basis, xn * curr_t + xp * prev_t))
+        r1 = rn * curr_t + rp * prev_t
+        r2 = (
+            to_modal(basis, force) / p.eps
+            + op.s * op.sigma * curr_t
+            - p.B * (yn * curr_t + yp * prev_t)
+        )
+        new = (r1 - gamma_sigma * r2) / op.denom
+        if not np.all(np.isfinite(new)) or np.max(np.abs(new)) > BLOWUP_LIMIT:
+            raise NonFinite(f"step blew up (max |modal coeff| > {BLOWUP_LIMIT:.0e} or non-finite)")
+        prev_t, curr_t = curr_t, new
         if observe is not None:
-            observe(prev, curr, residual)
-    return prev, curr, worst
+            prev, curr = curr, from_modal(basis, curr_t)
+            observe(prev, curr, op.residual)
+    return from_modal(basis, prev_t), from_modal(basis, curr_t), op.residual
 
 
 def bootstrap_first_step(
@@ -194,7 +162,7 @@ def bootstrap_first_step(
     """Produce phi^1 for the two-level schemes: m substeps of the
     first-order scheme with step tau/m and stabilizer B = 1/eps.
 
-    Returns phi^1 and the worst block residual of the substeps.
+    Returns phi^1 and the eigendecomposition residual of its operator.
     """
     if m < 1:
         raise ValueError("m must be >= 1")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
 
-from chillwave import Field, PotentialSpec, assemble_basis
+from chillwave import Field, PotentialSpec, assemble_basis, potential_deriv
 
 
 @pytest.fixture(scope="session")
@@ -55,6 +55,14 @@ def oracle_eval_2d(coeffs, x, y, dx=0, dy=0):
     tx = oracle_basis_values(M, x, deriv=dx)
     ty = oracle_basis_values(M, y, deriv=dy)
     return tx.T @ coeffs @ ty
+
+
+def oracle_load(spec, coeffs):
+    # independent 2M-point quadrature of f(a) phi_k(x) phi_j(y)
+    M = coeffs.shape[0]
+    x, w = oracle_quadrature(2 * M)
+    tw = oracle_basis_values(M, x) * w
+    return tw @ potential_deriv(spec, oracle_eval_2d(coeffs, x, x)) @ tw.T
 
 
 def rand_field(basis, rng, amp=1.0):

@@ -234,7 +234,8 @@ def test_criterion_8_block_residuals(capsys):
         worst = max(worst, cw.run_simulation(cfg)[0].max_residual)
     ok = worst <= 1e-10
     report(capsys, 8, ok,
-           f"block-system residuals across all acceptance runs: worst = "
+           f"eigendecomposition residuals (||KE - MEL|| / ||KE||, ||E^T M E - I||) "
+           f"behind the modal solves of all acceptance runs: worst = "
            f"{worst:.2e} (contract 1e-10)")
     assert ok
 

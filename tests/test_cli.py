@@ -93,16 +93,26 @@ def test_missing_config_file(tmp_path, capsys):
     assert_one_line_error(capsys, rc, "absent.json")
 
 
+SWEEP_CFG = {
+    "base": dict(M=8, eps=0.25, gamma=1.0, tau=4e-5, T=64 * 4e-5, scheme="SL_BDF2", seed=9),
+    "target": "A", "gamma_list": [1.0], "tau_list": [4e-5], "steps": 64,
+}
+
+
+@pytest.mark.parametrize("key,value", [
+    ("base", 5), ("gamma_list", 1), ("tau_list", []), ("steps", 8.0),
+    ("fixed_value", -1), ("full_scan", "yes"), ("ladder", 5), ("ladder", []),
+])
+def test_sweep_rejects_bad_config(tmp_path, capsys, key, value):
+    cfg_path = tmp_path / "sweep.json"
+    write_json(cfg_path, dict(SWEEP_CFG, **{key: value}))
+    rc = main(["sweep", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+    assert_one_line_error(capsys, rc, key)
+
+
 def test_sweep_command(tmp_path, capsys):
     cfg_path = tmp_path / "sweep.json"
-    write_json(cfg_path, {
-        "base": dict(M=8, eps=0.25, gamma=1.0, tau=4e-5, T=64 * 4e-5,
-                     scheme="SL_BDF2", seed=9),
-        "target": "A",
-        "gamma_list": [1.0],
-        "tau_list": [4e-5],
-        "steps": 64,
-    })
+    write_json(cfg_path, SWEEP_CFG)
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
     lines = (out / "sweep.csv").read_text().strip().splitlines()

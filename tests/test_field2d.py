@@ -13,15 +13,14 @@ from chillwave import (
     inner_l2,
     mean_value,
     norm_l2,
-    potential_deriv,
     read_snapshot,
     to_nodal,
     write_snapshot,
 )
 from chillwave.field2d import nonlinear_load
 from conftest import (
-    oracle_basis_values,
     oracle_eval_2d,
+    oracle_load,
     oracle_quadrature,
     rand_field,
     rand_zero_mean,
@@ -156,14 +155,6 @@ def test_hminus1_cosine_value():
     )
     u = from_nodal(g)
     assert hminus1_norm(u) == pytest.approx(1.0 / (np.sqrt(2.0) * np.pi), abs=1e-6)
-
-
-def oracle_load(spec, coeffs):
-    # independent 2M-point quadrature of f(a) phi_k(x) phi_j(y)
-    M = coeffs.shape[0]
-    x, w = oracle_quadrature(2 * M)
-    tw = oracle_basis_values(M, x) * w
-    return tw @ potential_deriv(spec, oracle_eval_2d(coeffs, x, x)) @ tw.T
 
 
 def test_nonlinear_load_constants(basis8, spec):

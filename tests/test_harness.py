@@ -5,6 +5,7 @@ import pytest
 
 from chillwave import (
     RunConfig,
+    SolveFailed,
     SweepConfig,
     assemble_basis,
     convergence_study,
@@ -18,6 +19,7 @@ from chillwave import (
     stability_verdict,
     sweep_min_stabilizer,
 )
+from chillwave.field2d import modal_decomposition
 from chillwave.harness import (
     CONVERGENCE_HEADER,
     initial_field,
@@ -181,6 +183,19 @@ def test_run_simulation_records_blowup(basis16):
     assert stability_verdict(trace) == "unstable"
 
 
+def test_run_simulation_raises_on_wrong_eigenbasis():
+    # a wrong eigendecomposition is a solver fault, not a blow-up verdict:
+    # it raises instead of marking the trace blown up
+    basis = assemble_basis(8)
+    lam, E, sigma = modal_decomposition(basis)
+    rng = np.random.default_rng(8)
+    basis._cache["modal"] = (lam, E * (1.0 + 1e-6 * rng.standard_normal(E.shape)), sigma)
+    cfg = RunConfig(M=8, eps=0.25, gamma=1.0, tau=0.1, T=0.5, scheme="SL_BDF2",
+                    A=0.25, B=8.0, seed=6)
+    with pytest.raises(SolveFailed):
+        run_simulation(cfg, basis=basis)
+
+
 def test_run_simulation_snapshot_cadence(basis8):
     cfg = RunConfig(M=8, eps=0.25, gamma=1.0, tau=0.1, T=0.6, scheme="SL_CN",
                     A=0.25, B=8.0, seed=5, snapshot_every=2)
@@ -230,6 +245,30 @@ def test_sweep_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(base=base, target="A", gamma_list=[1.0], tau_list=[0.1],
                     ladder=[0.0, 2.0, 1.0])
+    good = dict(base=base, target="A", gamma_list=[1.0], tau_list=[0.1])
+    SweepConfig(**dict(good, gamma_list=[1], fixed_value=0, steps=8, full_scan=True))
+    for bad in (
+        dict(base=5), dict(base={"M": 8}),
+        dict(gamma_list=1), dict(tau_list=0.1), dict(gamma_list=(1.0,)),
+        dict(tau_list=[0.1, -0.1]), dict(gamma_list=[0.0]), dict(gamma_list=[True]),
+        dict(tau_list=["0.1"]), dict(gamma_list=[float("nan")]),
+        dict(steps=8.0), dict(steps=True), dict(steps=0),
+        dict(fixed_value=-1.0), dict(fixed_value="0"), dict(fixed_value=None),
+        dict(full_scan=1), dict(full_scan="yes"),
+        dict(ladder=5), dict(ladder=[]), dict(ladder=[0.0, "1"]), dict(ladder=[-1.0, 0.0]),
+    ):
+        with pytest.raises(ValueError):
+            SweepConfig(**dict(good, **bad))
+    raw = dict(base=dict(M=8, eps=0.25, gamma=1.0, tau=0.1, T=1.0, scheme="SL_BDF2"),
+               target="A", gamma_list=[1.0], tau_list=[0.1])
+    for bad in (dict(base=5), dict(base=[1]), dict(gamma_list=1), dict(steps=8.0)):
+        with pytest.raises(ValueError):
+            sweep_config_from_dict(dict(raw, **bad))
+    for not_an_object in ([1], "sweep", None):
+        with pytest.raises(ValueError, match="JSON object"):
+            sweep_config_from_dict(not_an_object)
+        with pytest.raises(ValueError, match="JSON object"):
+            run_config_from_dict(not_an_object)
 
 
 def test_sweep_stable_at_zero_returns_zero():

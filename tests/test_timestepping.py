@@ -22,7 +22,7 @@ from chillwave import (
 )
 from chillwave.field2d import modal_decomposition
 from chillwave.harness import random_nodal_field
-from chillwave.timestepping import solve_blocks
+from conftest import oracle_load
 
 
 def constant_field(basis, c):
@@ -50,6 +50,28 @@ def test_params_validation():
         SchemeParams(scheme="AB2", tau=0.1, gamma=1.0, eps=0.1)
 
 
+def weak_form_rhs(scheme, basis, spec, tau, eps, A, B, prev, curr):
+    # R1 and R2 of each scheme's discrete weak form, flattened, with the
+    # oracle load for the explicit force
+    Mm = np.kron(basis.mass, basis.mass)
+    Kk = np.kron(basis.stiffness, basis.mass) + np.kron(basis.mass, basis.stiffness)
+    c, p = curr.ravel(), prev.ravel()
+
+    def load(u):
+        return oracle_load(spec, u).ravel() / eps
+
+    if scheme == "SL_BDF2":
+        R1 = Mm @ (4.0 * c - p) / (2.0 * tau)
+        R2 = load(2.0 * curr - prev) - A * tau * Kk @ c - B * Mm @ (2.0 * c - p)
+    elif scheme == "SL_CN":
+        R1 = Mm @ c / tau
+        R2 = (eps / 2 - A * tau) * Kk @ c + load(1.5 * curr - 0.5 * prev) - B * Mm @ (2.0 * c - p)
+    else:
+        R1 = Mm @ c / tau
+        R2 = load(curr) - B * Mm @ c
+    return np.concatenate([R1, R2])
+
+
 # the block layout of each scheme, per the discrete weak forms
 @pytest.mark.parametrize(
     "scheme,A,B,scalars",
@@ -57,23 +79,20 @@ def test_params_validation():
         ("SL_BDF2", 0.5, 2.0, lambda tau, eps, A, B: (1.5 / tau, eps + A * tau, B)),
         ("SL_CN", 0.5, 2.0, lambda tau, eps, A, B: (1.0 / tau, eps / 2 + A * tau, B)),
         ("SL_CN", 0.0, 0.0, lambda tau, eps, A, B: (1.0 / tau, eps / 2, 0.0)),
-        ("FIRST_ORDER", 0.0, 0.0, lambda tau, eps, A, B: (1.0 / tau, eps, 4.0)),
+        ("FIRST_ORDER", 0.0, 4.0, lambda tau, eps, A, B: (1.0 / tau, eps, B)),
     ],
 )
-def test_block_solve_manufactured(basis8, scheme, A, B, scalars):
+def test_march_step_matches_dense_blocks(basis8, spec, scheme, A, B, scalars):
     tau, gamma, eps = 0.05, 0.3, 0.25
-    kw = {"B": 4.0} if scheme == "FIRST_ORDER" else {"A": A, "B": B}
-    params = SchemeParams(scheme=scheme, tau=tau, gamma=gamma, eps=eps, **kw)
-    op = build_step_operator(params, basis8)
-    a, c, b0 = scalars(tau, eps, A, B)
-    block = dense_blocks(basis8, a, c, b0, gamma)
+    params = SchemeParams(scheme=scheme, tau=tau, gamma=gamma, eps=eps, A=A, B=B)
     rng = np.random.default_rng(20)
-    phi = rng.standard_normal(64)
-    mu = rng.standard_normal(64)
-    R = block @ np.concatenate([phi, mu])
-    got_phi, got_mu, res = solve_blocks(op, R[:64].reshape(8, 8), R[64:].reshape(8, 8))
-    assert np.abs(got_phi.ravel() - phi).max() <= 1e-10
-    assert np.abs(got_mu.ravel() - mu).max() <= 1e-10
+    prev, curr = 0.3 * rng.standard_normal((2, 8, 8))
+    block = dense_blocks(basis8, *scalars(tau, eps, A, B), gamma)
+    R = weak_form_rhs(scheme, basis8, spec, tau, eps, A, B, prev, curr)
+    expected = np.linalg.solve(block, R)[:64].reshape(8, 8)
+    got_prev, got, res = march(build_step_operator(params, basis8), spec, prev, curr, 1)
+    assert np.abs(got - expected).max() <= 1e-10
+    assert np.abs(got_prev - curr).max() <= 1e-12
     assert res <= 1e-10
 
 
@@ -203,25 +222,35 @@ def test_operator_reuse_matches_rebuild(basis8, spec):
     phi0 = random_nodal_field(basis8, 6)
     phi1, _ = bootstrap_first_step(phi0, params)
     shared = build_step_operator(params, basis8)
-    _, curr_a, _ = march(shared, spec, phi0.coeffs, phi1.coeffs, 5)
-    prev_b, curr_b = phi0.coeffs.copy(), phi1.coeffs.copy()
+    prev_a, curr_a = prev_b, curr_b = phi0.coeffs, phi1.coeffs
     for _ in range(5):
+        prev_a, curr_a, _ = march(shared, spec, prev_a, curr_a, 1)
         prev_b, curr_b, _ = march(build_step_operator(params, basis8), spec, prev_b, curr_b, 1)
     np.testing.assert_array_equal(curr_a, curr_b)
 
 
 def test_march_rejects_wrong_eigenbasis(spec):
-    # the assembled block residual is what catches a wrong modal solve:
-    # an eigenvector matrix off by about 1e-6 must fail the 1e-10 contract
+    # the modal solve is exact when the eigendecomposition is, so
+    # build_step_operator checks K E = M E diag(lam) and E^T M E = I
+    # against the 1e-10 contract: eigenvectors off by a relative 1e-6 or
+    # 1e-10, or eigenvalues off by 1e-8, must be rejected; sigma is rebuilt
+    # from the checked lam, so a corrupted cached sigma never reaches a step
     params = SchemeParams(scheme="SL_BDF2", tau=0.01, gamma=0.0025, eps=0.05, A=5.0625, B=220.0)
     basis = assemble_basis(8)
     phi0 = random_nodal_field(basis, 7)
-    op = build_step_operator(params, basis)
-    *_, worst = march(op, spec, phi0.coeffs, phi0.coeffs, 1)
+    _, clean, worst = march(build_step_operator(params, basis), spec, phi0.coeffs, phi0.coeffs, 1)
     assert worst <= 1e-10
 
-    lam, E, sigma = modal_decomposition(basis)
     rng = np.random.default_rng(8)
-    basis._cache["modal"] = (lam, E * (1.0 + 1e-6 * rng.standard_normal(E.shape)), sigma)
-    with pytest.raises(SolveFailed):
-        march(build_step_operator(params, basis), spec, phi0.coeffs, phi0.coeffs, 1)
+    for which, rel in (("E", 1e-6), ("E", 1e-10), ("lam", 1e-8), ("sigma", 1e-6)):
+        basis = assemble_basis(8)
+        modal = list(modal_decomposition(basis))
+        k = ("lam", "E", "sigma").index(which)
+        modal[k] = modal[k] * (1.0 + rel * rng.standard_normal(modal[k].shape))
+        basis._cache["modal"] = tuple(modal)
+        if which == "sigma":
+            _, out, _ = march(build_step_operator(params, basis), spec, phi0.coeffs, phi0.coeffs, 1)
+            np.testing.assert_array_equal(out, clean)
+            continue
+        with pytest.raises(SolveFailed):
+            build_step_operator(params, basis)
