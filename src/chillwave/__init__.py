@@ -8,7 +8,6 @@ from .errors import (
     MeanNotZero,
     NonFinite,
     QuadratureError,
-    SingularSystem,
     SolveFailed,
 )
 from .potential import (
@@ -49,9 +48,7 @@ from .timestepping import (
 from .diagnostics import (
     EnergyTrace,
     TraceRow,
-    energy_eps,
     error_norms,
-    modified_energy,
     stability_verdict,
 )
 from .harness import (

@@ -12,7 +12,11 @@ non-increasing:
                       + (L/(2 eps) + B/2) ||dt phi^n||^2
 
 where dt phi^n = phi^n - phi^{n-1} and L is the potential's Lipschitz
-bound.
+bound. In the modal coordinates v of `march` (mass I, stiffness sigma)
+every term but the bulk one is a sum over modes:
+
+    |grad u|^2 = sum sigma v^2,  ||u||^2 = sum v^2,
+    ||u||_-1^2 = sum_{sigma > 0} v^2 / sigma,  int F(u) = w^T F(grid) w.
 """
 
 from __future__ import annotations
@@ -22,16 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MeanNotZero
-from .field2d import (
-    Field,
-    h1_seminorm_sq,
-    hminus1_norm,
-    inner_l2,
-    mean_value,
-    to_nodal,
-)
+from .field2d import Field, h1_seminorm_sq, hminus1_norm, inner_l2, mean_value, modal_decomposition
 from .potential import PotentialSpec, lipschitz_bound, potential_value
-from .timestepping import SchemeParams
+from .timestepping import StepOperator
 
 TRACE_HEADER = "n,t,E_eps,E_mod,dE_mod,mean,dt_norm"
 
@@ -110,43 +107,30 @@ class EnergyTrace:
         return trace
 
 
-def bulk_energy(u: Field, spec: PotentialSpec) -> float:
-    """int F(u) over the domain, 2M x 2M Gauss quadrature."""
-    g = to_nodal(u, "2M")
-    w = u.basis.weights_2M
-    return float(np.einsum("i,ij,j->", w, potential_value(spec, g.values), w))
-
-
-def energy_eps(u: Field, spec: PotentialSpec, eps: float) -> float:
-    return 0.5 * eps * h1_seminorm_sq(u) + bulk_energy(u, spec) / eps
-
-
-def modified_energy(curr: Field, prev: Field, params: SchemeParams, spec: PotentialSpec) -> float:
-    """E_C or E_B of the pair (phi^n, phi^{n-1}) = (curr, prev), per the
-    scheme in params."""
-    return step_energies(curr, prev, params, spec)[1]
-
-
 def step_energies(
-    curr: Field, prev: Field, params: SchemeParams, spec: PotentialSpec
-) -> tuple[float, float, float]:
-    """(E_eps(curr), modified energy, ||curr - prev||^2) of the pair, each
-    computed once: a run's trace row needs all three."""
-    if params.scheme not in ("SL_CN", "SL_BDF2"):
+    op: StepOperator, spec: PotentialSpec, prev: np.ndarray, curr: np.ndarray, grid: np.ndarray
+) -> tuple[float, float, float, float]:
+    """(E_eps, modified energy, ||curr - prev||^2, mean) of the modal pair
+    (phi^{n-1}, phi^n) = (prev, curr), with grid the 2M grid of curr, per
+    the scheme of op: what `march` hands its observer and a trace row
+    needs."""
+    p = op.params
+    if p.scheme not in ("SL_CN", "SL_BDF2"):
         raise ValueError("modified energy is defined for SL_CN and SL_BDF2 only")
     L = lipschitz_bound(spec)
-    diff = Field(curr.basis, curr.coeffs - prev.coeffs)
-    dt_sq = max(inner_l2(diff, diff), 0.0)
-    e = energy_eps(curr, spec, params.eps)
-    if params.scheme == "SL_CN":
-        return e, e + (L / (4.0 * params.eps) + 0.5 * params.B) * dt_sq, dt_sq
-    hm1_sq = hminus1_norm(diff) ** 2
-    e_mod = (
-        e
-        + hm1_sq / (4.0 * params.tau * params.gamma)
-        + (L / (2.0 * params.eps) + 0.5 * params.B) * dt_sq
-    )
-    return e, e_mod, dt_sq
+    w = op.basis.weights_2M
+    bulk = float(np.einsum("i,ij,j->", w, potential_value(spec, grid), w))
+    e = 0.5 * p.eps * float(np.sum(op.sigma * curr * curr)) + bulk / p.eps
+    diff = curr - prev
+    dt_sq = float(np.sum(diff * diff))
+    _, E, _ = modal_decomposition(op.basis)
+    mean = float(E[0, 0] * curr[0, 0] * E[0, 0])  # E[0, k] = 0 for k > 0
+    if p.scheme == "SL_CN":
+        return e, e + (L / (4.0 * p.eps) + 0.5 * p.B) * dt_sq, dt_sq, mean
+    pos = op.sigma > 0.0
+    hm1_sq = float(np.sum(diff[pos] ** 2 / op.sigma[pos]))
+    e_mod = e + hm1_sq / (4.0 * p.tau * p.gamma) + (L / (2.0 * p.eps) + 0.5 * p.B) * dt_sq
+    return e, e_mod, dt_sq, mean
 
 
 def stability_verdict(trace: EnergyTrace, threshold: float = 1e-10, min_steps: int = 1024) -> str:

@@ -11,10 +11,6 @@ class MeanNotZero(ChillwaveError):
     H^-1 computation."""
 
 
-class SingularSystem(ChillwaveError):
-    """The step operator's block system could not be factorized."""
-
-
 class SolveFailed(ChillwaveError):
     """The eigendecomposition behind the modal solve failed its residual
     contract: a solver fault, not a stability verdict."""

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeanNotZero
-from .potential import PotentialSpec, potential_deriv
 from .spectral1d import Basis1D
 
 # absolute floor for the zero-mean precondition so that near-zero
@@ -163,16 +162,6 @@ def inner_hminus1(u: Field, v: Field) -> float:
 
 def hminus1_norm(u: Field) -> float:
     return float(np.sqrt(max(inner_hminus1(u, u), 0.0)))
-
-
-def nonlinear_load(spec: PotentialSpec, basis: Basis1D, coeffs: np.ndarray) -> np.ndarray:
-    """Load array b[k,j] = quadrature of f(a) phi_k(x) phi_j(y) on the 2M
-    grid, the explicit force that the step right-hand sides consume."""
-    tab = basis.eval_2M
-    grid = tab.T @ coeffs @ tab
-    vals = potential_deriv(spec, grid)
-    tw = tab * basis.weights_2M
-    return tw @ vals @ tw.T
 
 
 def _same_basis(u: Field, v: Field) -> None:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .diagnostics import EnergyTrace, TraceRow, error_norms, stability_verdict, step_energies
 from .errors import NonFinite
-from .field2d import Field, NodalGrid, from_nodal, mean_value
+from .field2d import Field, NodalGrid, from_modal, from_nodal
 from .potential import PotentialSpec
 from .spectral1d import Basis1D, assemble_basis
 from .timestepping import SchemeParams, bootstrap_first_step, build_step_operator, march
@@ -58,20 +58,18 @@ def generate_phi0(M: int, seed: int) -> Field:
 
 
 def prepare_phi1(phi0: Field, eps: float) -> Field:
-    """Relax random noise into a developed-interface state: 64 substeps of
-    the first-order scheme with step eps^3 (final time 64 eps^3), unit
-    mobility, stabilizer B = 1/eps."""
-    params = SchemeParams(scheme="FIRST_ORDER", tau=eps**3, gamma=1.0, eps=eps, B=1.0 / eps)
-    op = build_step_operator(params, phi0.basis)
-    _, phi1, _ = march(op, PotentialSpec(), phi0.coeffs, phi0.coeffs, 64)
-    return Field(phi0.basis, phi1)
+    """Relax random noise into a developed-interface state: the first-order
+    bootstrap to time 64 eps^3 in 64 substeps of eps^3, unit mobility,
+    stabilizer B = 1/eps."""
+    params = SchemeParams(scheme="FIRST_ORDER", tau=64.0 * eps**3, gamma=1.0, eps=eps)
+    return bootstrap_first_step(phi0, params, m=64)[0]
 
 
 def _step_count(T: float, tau: float) -> int:
     """Steps of size tau that reach T; raises unless T is a positive
     integer multiple of tau (up to 1e-9 relative rounding slack)."""
     r = T / tau
-    n = round(r)
+    n = round(r) if math.isfinite(r) else 0
     if n < 1 or abs(r - n) > 1e-9 * max(1.0, r):
         raise ValueError(f"T = {T} is not a positive integer multiple of tau = {tau}")
     return n
@@ -83,6 +81,12 @@ _NUMBER = (int, float)
 def _is(value, kinds) -> bool:
     # JSON gives 48.0 for 48 and true for 1; neither passes as an int
     return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _check_positive_list(name: str, value) -> None:
+    if not (isinstance(value, list) and value
+            and all(_is(v, _NUMBER) and 0.0 < v < math.inf for v in value)):
+        raise ValueError(f"{name} must be a non-empty list of finite numbers > 0, got {value!r}")
 
 
 @dataclass
@@ -116,13 +120,7 @@ class RunConfig:
             raise ValueError("M must be >= 4")
         if self.scheme not in ("SL_BDF2", "SL_CN"):
             raise ValueError("run scheme must be SL_BDF2 or SL_CN")
-        if not 0.0 < self.eps <= 1.0:
-            raise ValueError("eps must be in (0, 1]")
-        for name in ("gamma", "tau"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0")
-        if not (self.A >= 0.0 and self.B >= 0.0):
-            raise ValueError("stabilizers A, B must be >= 0")
+        self.scheme_params(self.tau)  # raises on a bad eps, gamma, tau, A or B
         self.n_steps()  # raises unless T is a positive multiple of tau
         if self.initial not in ("random", "prepared"):
             raise ValueError("initial must be 'random' or 'prepared'")
@@ -175,28 +173,29 @@ def run_simulation(
     """Bootstrap the first step, then march T/tau - 1 scheme steps.
 
     Returns the per-step energy trace, the final field, and the snapshot
-    list [(n, t, field), ...] per cfg.snapshot_every. A blow-up (NonFinite)
-    terminates the run early and is recorded on the trace (verdict data),
-    not raised. A SolveFailed from a bad eigendecomposition is a solver
-    fault, not a verdict, and propagates.
+    list [(n, t, field), ...] per cfg.snapshot_every. Trace rows come from
+    the modal pairs `march` observes; only snapshots and the final field
+    go back to basis coefficients. A blow-up (NonFinite) terminates the
+    run early and is recorded on the trace (verdict data), not raised; the
+    final field is then the last good state. A SolveFailed from a bad
+    eigendecomposition is a solver fault, not a verdict, and propagates.
     """
     spec = PotentialSpec()
     phi0 = phi_init if phi_init is not None else initial_field(cfg, basis)
     basis = phi0.basis
     params = cfg.scheme_params(cfg.tau)
     op = build_step_operator(params, basis)
-    trace = EnergyTrace()
+    trace = EnergyTrace(max_residual=op.residual)
     snapshots: list[tuple[int, float, Field]] = []
     N = cfg.n_steps()
-    final, e_mod = phi0, 0.0
+    last, e_mod = None, 0.0
 
-    def observe(prev: np.ndarray, curr: np.ndarray, residual: float) -> None:
-        nonlocal final, e_mod
+    def observe(prev: np.ndarray, curr: np.ndarray, grid: np.ndarray) -> None:
+        nonlocal last, e_mod
         n = len(trace) + 1
         t = trace.rows[-1].t + cfg.tau if trace.rows else cfg.tau
-        final = Field(basis, curr)
-        e_eps, e_new, dt_sq = step_energies(final, Field(basis, prev), params, spec)
-        trace.max_residual = max(trace.max_residual, residual)
+        last = curr
+        e_eps, e_new, dt_sq, mean = step_energies(op, spec, prev, curr, grid)
         # row 1 is the bootstrap transition; no earlier modified energy
         # exists, so its increment is 0 by convention
         trace.append(
@@ -206,21 +205,21 @@ def run_simulation(
                 E_eps=e_eps,
                 E_mod=e_new,
                 dE_mod=e_new - e_mod if n > 1 else 0.0,
-                mean=mean_value(final),
+                mean=mean,
                 dt_norm=float(np.sqrt(dt_sq)),
             )
         )
         e_mod = e_new
         if cfg.snapshot_every > 0 and (n % cfg.snapshot_every == 0 or n == N):
-            snapshots.append((n, t, final.copy()))
+            snapshots.append((n, t, Field(basis, from_modal(basis, curr))))
 
     try:
-        phi1, boot_res = bootstrap_first_step(phi0, params, cfg.m, spec)
-        observe(phi0.coeffs, phi1.coeffs, boot_res)
+        phi1, _ = bootstrap_first_step(phi0, params, cfg.m, spec)
         march(op, spec, phi0.coeffs, phi1.coeffs, N - 1, observe)
     except NonFinite:
         trace.blew_up = True
         trace.blowup_step = len(trace) + 1
+    final = phi0 if last is None else Field(basis, from_modal(basis, last))
     return trace, final, snapshots
 
 
@@ -267,23 +266,21 @@ class SweepConfig:
         if self.target not in ("A", "B"):
             raise ValueError("target must be 'A' or 'B'")
         for name in ("gamma_list", "tau_list"):
-            value = getattr(self, name)
-            positive = isinstance(value, list) and all(_is(v, _NUMBER) and v > 0.0 for v in value)
-            if not (positive and value):
-                raise ValueError(f"{name} must be a non-empty list of numbers > 0, got {value!r}")
-        if not (_is(self.fixed_value, _NUMBER) and self.fixed_value >= 0.0):
-            raise ValueError(f"fixed_value must be a number >= 0, got {self.fixed_value!r}")
+            _check_positive_list(name, getattr(self, name))
+        if not (_is(self.fixed_value, _NUMBER) and 0.0 <= self.fixed_value < math.inf):
+            raise ValueError(f"fixed_value must be a finite number >= 0, got {self.fixed_value!r}")
         if not (_is(self.steps, int) and self.steps >= 1):
             raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
         if not isinstance(self.full_scan, bool):
             raise ValueError(f"full_scan must be true or false, got {self.full_scan!r}")
         lad = self.ladder
         if lad is not None and not (
-            isinstance(lad, list) and lad and all(_is(v, _NUMBER) and v >= 0.0 for v in lad)
+            isinstance(lad, list) and lad
+            and all(_is(v, _NUMBER) and 0.0 <= v < math.inf for v in lad)
             and sorted(set(lad)) == lad
         ):
             raise ValueError(
-                f"ladder must be a non-empty increasing list of numbers >= 0, got {lad!r}"
+                f"ladder must be a non-empty increasing list of finite numbers >= 0, got {lad!r}"
             )
 
 
@@ -395,9 +392,13 @@ def convergence_study(
     log2(err(2 tau) / err(tau)) between consecutive halvings.
 
     Every run starts from the same initial datum (per cfg.initial) and
-    performs its own per-tau bootstrap.
+    performs its own per-tau bootstrap. tau_list must be a non-empty list
+    and tau_ref a number, all finite and > 0.
     """
-    taus = [tau_ref] + list(tau_list)
+    _check_positive_list("tau_list", tau_list)
+    if not (_is(tau_ref, _NUMBER) and 0.0 < tau_ref < math.inf):
+        raise ValueError(f"tau_ref must be a finite number > 0, got {tau_ref!r}")
+    taus = [tau_ref] + tau_list
     steps = [_step_count(cfg.T, tau) for tau in taus]
     spec = PotentialSpec()
     basis = assemble_basis(cfg.M)

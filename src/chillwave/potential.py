@@ -39,8 +39,8 @@ def _outer_coeffs(p: float) -> tuple[float, float, float]:
 
 
 def _eval_branches(spec: PotentialSpec, phi, order: int):
-    """Evaluate F (order 0), f (order 1) or f' (order 2) on |phi| via the
-    even/odd symmetry of the potential.
+    """Evaluate F (order 0) or f' (order 2) on |phi| via the evenness of
+    both.
 
     Arrays are built in place in a few buffers: at M = 64 the temporaries
     of a branch-by-branch expression made the allocator trim and regrow
@@ -63,12 +63,6 @@ def _eval_branches(spec: PotentialSpec, phi, order: int):
         d *= b
         outer += d
         outer += c
-    elif order == 1:
-        out = ax**3
-        out -= ax
-        outer = ax - p
-        outer *= 2.0 * a
-        outer += b
     else:
         out = 3.0 * ax
         out *= ax
@@ -76,8 +70,6 @@ def _eval_branches(spec: PotentialSpec, phi, order: int):
         outer = 2.0 * a
 
     np.copyto(out, outer, where=ax > p)
-    if order == 1:
-        np.negative(out, out=out, where=x < 0.0)  # f is odd; F and f' are even
     return float(out[0]) if scalar else out
 
 
@@ -88,8 +80,19 @@ def potential_value(spec: PotentialSpec, phi):
 
 def potential_deriv(spec: PotentialSpec, phi):
     """f(phi) = F'(phi): phi^3 - phi inside the truncation interval,
-    linear continuation outside."""
-    return _eval_branches(spec, phi, 1)
+    linear continuation outside. Branch-free: with c = clip(phi, -p, p),
+    f = c^3 - c + (3 p^2 - 1) (phi - c)."""
+    scalar = np.ndim(phi) == 0
+    x = np.atleast_1d(np.asarray(phi, dtype=float))
+    p = spec.truncation_point
+    c = np.clip(x, -p, p)
+    out = np.square(c)
+    out *= c
+    out -= c
+    np.subtract(x, c, out=c)
+    c *= 3.0 * p * p - 1.0
+    out += c
+    return float(out[0]) if scalar else out
 
 
 def potential_second_deriv(spec: PotentialSpec, phi):

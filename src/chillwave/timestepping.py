@@ -10,30 +10,34 @@ system
 with b0 = B. In the generalized eigenbasis of (stiffness, mass), where
 K E = M E diag(lam) and E^T M E = I, M2 is the identity and K2 is sigma =
 lam_k + lam_j. `march` holds the state in these modal coordinates,
-v^n = E^T (M2 phi^n) E, so each step is elementwise apart from the force:
+v^n = E^T (M2 phi^n) E, together with its grid g^n = T v^n T^T on the
+2M x 2M Gauss nodes (T = eval_2M^T E). Each step is elementwise apart from
+the force, whose modal load is G f(g) G^T with G = E^T (eval_2M w_2M):
 
     R1 = r_n v^n + r_p v^{n-1}
-    R2 = f(x_n v^n + x_p v^{n-1}) / eps + s sigma v^n - B (y_n v^n + y_p v^{n-1})
+    R2 = G f(x_n g^n + x_p g^{n-1}) G^T / eps + s sigma v^n - B (y_n v^n + y_p v^{n-1})
     v^{n+1} = (R1 - gamma sigma R2) / (a + gamma sigma (c sigma + b0))
 
 with the per-scheme coefficients of `_TABLE` (SL_CN stabilizes B on
 2 phi^n - phi^{n-1} but extrapolates f at 1.5 phi^n - 0.5 phi^{n-1}).
+A step is one load and one new grid: 4 dense matmuls.
 The solve is as exact as the eigendecomposition, so `build_step_operator`
 checks ||K E - M E diag(lam)|| / ||K E|| and ||E^T M E - I|| once against
-the 1e-10 contract, and every step reports that residual. Runs, sweeps,
+the 1e-10 contract, and `march` reports that residual. Runs, sweeps,
 convergence studies and the first-order bootstrap all step through `march`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import NonFinite, SingularSystem, SolveFailed
-from .field2d import Field, from_modal, mass_apply, modal_decomposition, nonlinear_load, to_modal
-from .potential import PotentialSpec
+from .errors import NonFinite, SolveFailed
+from .field2d import Field, from_modal, mass_apply, modal_decomposition, to_modal
+from .potential import PotentialSpec, potential_deriv
 from .spectral1d import Basis1D
 
 SCHEMES = ("SL_BDF2", "SL_CN", "FIRST_ORDER")
@@ -51,8 +55,8 @@ _TABLE = {
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Time-step configuration. FIRST_ORDER ignores A and uses B as its
-    stabilizer."""
+    """Time-step configuration; every number must be finite. FIRST_ORDER
+    ignores A and uses B as its stabilizer."""
 
     scheme: str
     tau: float
@@ -64,21 +68,20 @@ class SchemeParams:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
-        if not self.tau > 0.0:
-            raise ValueError("tau must be > 0")
-        if not self.gamma > 0.0:
-            raise ValueError("gamma must be > 0")
+        for name in ("tau", "gamma"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be > 0 and finite")
         if not 0.0 < self.eps <= 1.0:
             raise ValueError("eps must be in (0, 1]")
-        if self.A < 0.0 or self.B < 0.0:
-            raise ValueError("stabilizers A, B must be >= 0")
+        if not (0.0 <= self.A < math.inf and 0.0 <= self.B < math.inf):
+            raise ValueError("stabilizers A, B must be >= 0 and finite")
 
 
 @dataclass
 class StepOperator:
     """Pre-built constant-coefficient modal solver, reusable across steps:
-    the `_TABLE` weights, sigma, the per-mode denominators and the checked
-    residual of the eigendecomposition."""
+    the `_TABLE` weights, sigma, the per-mode denominators, the grid maps
+    T and G, and the checked residual of the eigendecomposition."""
 
     params: SchemeParams
     basis: Basis1D
@@ -87,7 +90,9 @@ class StepOperator:
     x: tuple[float, float]
     y: tuple[float, float]
     sigma: np.ndarray
-    denom: np.ndarray  # a + gamma sigma (c sigma + b0), per mode pair
+    denom: np.ndarray  # a + gamma sigma (c sigma + b0) >= a > 0, per mode pair
+    T: np.ndarray  # 2M x M: grid = T v T^T
+    G: np.ndarray  # M x 2M: modal load = G f(grid) G^T
     residual: float
 
 
@@ -108,9 +113,15 @@ def build_step_operator(params: SchemeParams, basis: Basis1D) -> StepOperator:
         )
     sigma = lam[:, None] + lam[None, :]
     denom = a + params.gamma * sigma * (c * sigma + params.B)
-    if not np.all(np.isfinite(denom)) or np.min(np.abs(denom)) < 1e-300:
-        raise SingularSystem("step operator denominators are degenerate")
-    return StepOperator(params, basis, r, s, x, y, sigma, denom, residual)
+    T = basis.eval_2M.T @ E
+    G = E.T @ (basis.eval_2M * basis.weights_2M)
+    return StepOperator(params, basis, r, s, x, y, sigma, denom, T, G, residual)
+
+
+def modal_load(op: StepOperator, spec: PotentialSpec, grid: np.ndarray) -> np.ndarray:
+    """G f(grid) G^T: the 2M-point quadrature of f against each modal basis
+    function, the explicit force of every scheme."""
+    return op.G @ potential_deriv(spec, grid) @ op.G.T
 
 
 def march(
@@ -119,38 +130,40 @@ def march(
     prev: np.ndarray,
     curr: np.ndarray,
     n_steps: int,
-    observe: Callable[[np.ndarray, np.ndarray, float], None] | None = None,
+    observe: Callable[[np.ndarray, np.ndarray, np.ndarray], None] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Advance n_steps of op's scheme from the coefficient arrays
     (prev, curr) = (phi^{n-1}, phi^n); FIRST_ORDER reads only curr.
 
-    The state is held in modal coordinates between entry and exit. After
-    each step observe(prev, curr, residual) sees the new pair in basis
-    coefficients and the operator's eigendecomposition residual. Returns
-    the last pair and that residual. Raises NonFinite on blow-up of the
-    modal coefficients (stability sweeps treat that as an unstable
-    verdict).
+    The state is held in modal coordinates, with the 2M grid of each
+    level, from entry to exit. observe(prev, curr, grid) sees the entry
+    pair and then each new pair as modal arrays, with the grid of curr.
+    Returns the last pair in basis coefficients and the operator's
+    eigendecomposition residual. Raises NonFinite on blow-up of the modal
+    coefficients (stability sweeps treat that as an unstable verdict).
     """
     basis, p = op.basis, op.params
     (rn, rp), (xn, xp), (yn, yp) = op.r, op.x, op.y
     gamma_sigma = p.gamma * op.sigma
-    prev_t, curr_t = (to_modal(basis, mass_apply(basis, u)) for u in (prev, curr))
+    prev, curr = (to_modal(basis, mass_apply(basis, u)) for u in (prev, curr))
+    grid_prev, grid = (op.T @ v @ op.T.T for v in (prev, curr))
+    if observe is not None:
+        observe(prev, curr, grid)
     for _ in range(n_steps):
-        force = nonlinear_load(spec, basis, from_modal(basis, xn * curr_t + xp * prev_t))
-        r1 = rn * curr_t + rp * prev_t
+        r1 = rn * curr + rp * prev
         r2 = (
-            to_modal(basis, force) / p.eps
-            + op.s * op.sigma * curr_t
-            - p.B * (yn * curr_t + yp * prev_t)
+            modal_load(op, spec, xn * grid + xp * grid_prev) / p.eps
+            + op.s * op.sigma * curr
+            - p.B * (yn * curr + yp * prev)
         )
         new = (r1 - gamma_sigma * r2) / op.denom
         if not np.all(np.isfinite(new)) or np.max(np.abs(new)) > BLOWUP_LIMIT:
             raise NonFinite(f"step blew up (max |modal coeff| > {BLOWUP_LIMIT:.0e} or non-finite)")
-        prev_t, curr_t = curr_t, new
+        prev, curr = curr, new
+        grid_prev, grid = grid, op.T @ new @ op.T.T
         if observe is not None:
-            prev, curr = curr, from_modal(basis, curr_t)
-            observe(prev, curr, op.residual)
-    return from_modal(basis, prev_t), from_modal(basis, curr_t), op.residual
+            observe(prev, curr, grid)
+    return from_modal(basis, prev), from_modal(basis, curr), op.residual
 
 
 def bootstrap_first_step(

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
 
-from chillwave import Field, PotentialSpec, assemble_basis, potential_deriv
+from chillwave import Field, PotentialSpec, SchemeParams, assemble_basis, build_step_operator, potential_deriv
+from chillwave.diagnostics import step_energies
+from chillwave.field2d import mass_apply, to_modal
 
 
 @pytest.fixture(scope="session")
@@ -63,6 +65,27 @@ def oracle_load(spec, coeffs):
     x, w = oracle_quadrature(2 * M)
     tw = oracle_basis_values(M, x) * w
     return tw @ potential_deriv(spec, oracle_eval_2d(coeffs, x, x)) @ tw.T
+
+
+def modal(op, coeffs):
+    """Modal coefficients of a coefficient array and their 2M grid, as
+    `march` holds them."""
+    v = to_modal(op.basis, mass_apply(op.basis, coeffs))
+    return v, op.T @ v @ op.T.T
+
+
+def field_energies(spec, params, curr, prev=None):
+    """step_energies of the Field pair (prev, curr): (E_eps, E_mod,
+    ||curr - prev||^2, mean). prev defaults to curr."""
+    op = build_step_operator(params, curr.basis)
+    v_curr, grid = modal(op, curr.coeffs)
+    v_prev = v_curr if prev is None else modal(op, prev.coeffs)[0]
+    return step_energies(op, spec, v_prev, v_curr, grid)
+
+
+def energy_eps(spec, eps, u):
+    """E_eps(u): scheme, tau and gamma do not enter it."""
+    return field_energies(spec, SchemeParams("SL_CN", tau=1.0, gamma=1.0, eps=eps), u)[0]
 
 
 def rand_field(basis, rng, amp=1.0):

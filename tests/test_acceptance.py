@@ -197,7 +197,8 @@ def test_criterion_7_constant_equilibrium(capsys):
     c.coeffs[0, 0] = 0.8
     worst = 0.0
 
-    def movement(prev, curr, residual):
+    def movement(prev, curr, grid):
+        # modal coefficients: the L^2 norm of a field is their 2-norm
         nonlocal worst
         worst = max(worst, np.abs(curr - prev).max())
 
@@ -215,7 +216,7 @@ def test_criterion_7_constant_equilibrium(capsys):
     ok = worst <= 1e-12
     report(capsys, 7, ok,
            f"constant initial data is a fixed point of all three schemes: "
-           f"max per-step movement over 100 steps = {worst:.2e} "
+           f"max per-step modal movement over 100 steps = {worst:.2e} "
            f"(tolerance 1e-12)")
     assert ok
 
@@ -270,4 +271,38 @@ def test_criterion_9_sweep_cells(capsys):
            f"{min_a}; min B (SL_CN, gamma=1, A=25, tau=10) = {min_b}; "
            f"gamma=1, tau=0.1 column: min A falls from {mins[0.0]:g} at B=0 "
            f"to {mins[40.0]:g} at B=40")
+    assert ok
+
+
+def spatial_run(M):
+    """The criterion-10 run at M modes: SL_BDF2, 100 steps of 1e-3 from the
+    projected 0.4 cos(pi x) cos(pi y) + 0.2 cos(2 pi x)."""
+    basis = cw.assemble_basis(M)
+    c1, c2 = np.cos(np.pi * basis.nodes_2M), np.cos(2 * np.pi * basis.nodes_2M)
+    phi0 = from_nodal(NodalGrid(basis, 0.4 * np.outer(c1, c1) + 0.2 * c2[:, None], "2M"))
+    cfg = cw.RunConfig(M=M, eps=0.2, gamma=0.01, tau=1e-3, T=0.1, scheme="SL_BDF2",
+                       A=1.0, B=5.0)
+    trace, final, _ = cw.run_simulation(cfg, phi_init=phi0)
+    assert not trace.blew_up and len(trace) == 100
+    return final
+
+
+def test_criterion_10_spatial_convergence(capsys):
+    # the basis L_k is hierarchical, so an M-mode field embeds exactly in
+    # the M = 64 space by zero-padding its coefficients
+    ref = spatial_run(64)
+    errs = []
+    for M in (8, 12, 16, 20, 24, 32):
+        padded = np.zeros((64, 64))
+        padded[:M, :M] = spatial_run(M).coeffs
+        errs.append(cw.norm_l2(cw.Field(ref.basis, padded - ref.coeffs)))
+    # bound: the 3.9e-8 of the prototype table in ROADMAP item 3, to one
+    # digit; its smallest ratio between neighbours there is 4.2
+    geometric = all(fine <= coarse / 3 for coarse, fine in zip(errs, errs[1:]))
+    ok = geometric and errs[-1] <= 4e-8
+    report(capsys, 10, ok,
+           f"spatial convergence of an SL_BDF2 run (eps=0.2, 100 steps of 1e-3) to "
+           f"M=64: L2 errors at M=8..32 "
+           f"{', '.join(f'{e:.1e}' for e in errs)}, each >= 3x below the last -> "
+           f"{geometric}; M=32 error {errs[-1]:.2e} (bound 4e-8)")
     assert ok

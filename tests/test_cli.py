@@ -81,6 +81,36 @@ def test_run_rejects_unknown_key(tmp_path, capsys):
     assert_one_line_error(capsys, rc, "epsilon")
 
 
+@pytest.mark.parametrize("key,value", [
+    ("T", float("inf")), ("A", float("inf")), ("gamma", float("inf")),
+    ("tau", float("nan")), ("B", float("nan")),
+])
+def test_run_rejects_non_finite_number(tmp_path, capsys, key, value):
+    # JSON's Infinity and NaN are numbers to the parser, not to a run
+    cfg_path = tmp_path / "run.json"
+    write_json(cfg_path, dict(RUN_CFG, **{key: value}))
+    rc = main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+    assert_one_line_error(capsys, rc, key)
+
+
+CONVERGE_CFG = dict(M=8, eps=0.25, gamma=1e-3, tau=0.01, T=0.02, scheme="SL_BDF2",
+                    A=0.25, B=8.0, seed=11, tau_list=[0.01, 0.005], tau_ref=1.25e-3)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("tau_list", 5), ("tau_list", []), ("tau_list", [0.01, "0.005"]),
+    ("tau_list", [float("inf")]), ("tau_list", [0.01, -0.005]),
+    ("tau_ref", "0.05"), ("tau_ref", float("inf")), ("tau_ref", 0.0), ("tau_ref", None),
+])
+def test_converge_rejects_bad_taus(tmp_path, capsys, key, value):
+    cfg_path = tmp_path / "conv.json"
+    write_json(cfg_path, dict(CONVERGE_CFG, **{key: value}))
+    out = tmp_path / "out"
+    rc = main(["converge", "--config", str(cfg_path), "--out-dir", str(out)])
+    assert_one_line_error(capsys, rc, key)
+    assert not (out / "convergence.csv").exists()
+
+
 def test_converge_names_missing_tau_list(tmp_path, capsys):
     cfg_path = tmp_path / "conv.json"
     write_json(cfg_path, dict(RUN_CFG, tau_ref=0.05))
@@ -102,6 +132,8 @@ SWEEP_CFG = {
 @pytest.mark.parametrize("key,value", [
     ("base", 5), ("gamma_list", 1), ("tau_list", []), ("steps", 8.0),
     ("fixed_value", -1), ("full_scan", "yes"), ("ladder", 5), ("ladder", []),
+    ("gamma_list", [float("inf")]), ("tau_list", [float("nan")]),
+    ("fixed_value", float("inf")), ("ladder", [0.0, float("inf")]),
 ])
 def test_sweep_rejects_bad_config(tmp_path, capsys, key, value):
     cfg_path = tmp_path / "sweep.json"
@@ -123,10 +155,7 @@ def test_sweep_command(tmp_path, capsys):
 
 def test_converge_command(tmp_path, capsys):
     cfg_path = tmp_path / "conv.json"
-    write_json(cfg_path, dict(
-        M=8, eps=0.25, gamma=1e-3, tau=0.01, T=0.02, scheme="SL_BDF2",
-        A=0.25, B=8.0, seed=11, tau_list=[0.01, 0.005], tau_ref=1.25e-3,
-    ))
+    write_json(cfg_path, CONVERGE_CFG)
     out = tmp_path / "out"
     assert main(["converge", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
     lines = (out / "convergence.csv").read_text().strip().splitlines()

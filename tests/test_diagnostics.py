@@ -5,18 +5,17 @@ from chillwave import (
     EnergyTrace,
     Field,
     MeanNotZero,
-    PotentialSpec,
     SchemeParams,
     TraceRow,
-    energy_eps,
     error_norms,
-    modified_energy,
+    hminus1_norm,
+    mean_value,
     norm_l2,
     potential_value,
     stability_verdict,
 )
-from chillwave.diagnostics import TRACE_HEADER
-from conftest import oracle_eval_2d, oracle_quadrature, rand_field
+from chillwave.diagnostics import TRACE_HEADER, step_energies
+from conftest import energy_eps, field_energies, oracle_eval_2d, oracle_quadrature, rand_field
 
 
 def constant_field(basis, c):
@@ -63,8 +62,8 @@ def test_trace_csv_round_trip(tmp_path):
 
 
 def test_energy_eps_constants(basis8, spec):
-    assert energy_eps(constant_field(basis8, 1.0), spec, 0.05) == pytest.approx(0.0, abs=1e-12)
-    assert energy_eps(constant_field(basis8, 0.0), spec, 0.05) == pytest.approx(20.0, abs=1e-10)
+    assert energy_eps(spec, 0.05, constant_field(basis8, 1.0)) == pytest.approx(0.0, abs=1e-12)
+    assert energy_eps(spec, 0.05, constant_field(basis8, 0.0)) == pytest.approx(20.0, abs=1e-10)
 
 
 def test_energy_eps_brute_force_oracle(basis8, spec):
@@ -84,15 +83,15 @@ def test_energy_eps_brute_force_oracle(basis8, spec):
     eps = 0.07
     grad_term = 0.5 * eps * (w @ (ux**2 + uy**2) @ w)
     bulk_term = (w @ potential_value(spec, vals) @ w) / eps
-    assert energy_eps(u, spec, eps) == pytest.approx(grad_term + bulk_term, rel=1e-12)
+    assert energy_eps(spec, eps, u) == pytest.approx(grad_term + bulk_term, rel=1e-12)
 
 
 def test_modified_energy_reduces_to_energy_eps(basis8, spec):
     c = rand_field(basis8, np.random.default_rng(22), amp=0.3)
     for scheme in ("SL_CN", "SL_BDF2"):
         params = SchemeParams(scheme=scheme, tau=0.1, gamma=0.0025, eps=0.05, B=20.0)
-        assert modified_energy(c, c.copy(), params, spec) == pytest.approx(
-            energy_eps(c, spec, 0.05), rel=1e-12
+        assert field_energies(spec, params, c, c.copy())[1] == pytest.approx(
+            energy_eps(spec, 0.05, c), rel=1e-12
         )
 
 
@@ -104,8 +103,32 @@ def test_modified_energy_large_tau_limit(basis8, spec):
     eps, B, L = 0.05, 20.0, 11.0
     params = SchemeParams(scheme="SL_BDF2", tau=1e12, gamma=0.0025, eps=eps, B=B)
     d = norm_l2(Field(basis8, curr.coeffs - prev.coeffs))
-    expected = energy_eps(curr, spec, eps) + (L / (2 * eps) + B / 2) * d**2
-    assert modified_energy(curr, prev, params, spec) == pytest.approx(expected, rel=1e-9)
+    expected = energy_eps(spec, eps, curr) + (L / (2 * eps) + B / 2) * d**2
+    assert field_energies(spec, params, curr, prev)[1] == pytest.approx(expected, rel=1e-9)
+
+
+def test_step_energies_history_terms(basis8, spec):
+    # the history corrections at a finite step, against the Field-level
+    # norms (the H^-1 norm is checked against a dense solve in test_field2d)
+    rng = np.random.default_rng(29)
+    curr = rand_field(basis8, rng, amp=0.4)
+    prev = Field(basis8, curr.coeffs + 0.05 * rand_field(basis8, rng).coeffs)
+    prev.coeffs[0, 0] = curr.coeffs[0, 0]
+    diff = Field(basis8, curr.coeffs - prev.coeffs)
+    eps, tau, gamma, B, L = 0.05, 0.1, 0.0025, 5.0, 11.0
+    e = energy_eps(spec, eps, curr)
+    dt_sq, hm1_sq = norm_l2(diff) ** 2, hminus1_norm(diff) ** 2
+    expected = {
+        "SL_CN": e + (L / (4 * eps) + B / 2) * dt_sq,
+        "SL_BDF2": e + hm1_sq / (4 * tau * gamma) + (L / (2 * eps) + B / 2) * dt_sq,
+    }
+    for scheme, e_mod in expected.items():
+        params = SchemeParams(scheme=scheme, tau=tau, gamma=gamma, eps=eps, B=B)
+        got = field_energies(spec, params, curr, prev)
+        assert got[0] == pytest.approx(e, rel=1e-12)
+        assert got[1] == pytest.approx(e_mod, rel=1e-12)
+        assert got[2] == pytest.approx(dt_sq, rel=1e-12)
+        assert got[3] == pytest.approx(mean_value(curr), abs=1e-15)
 
 
 def test_modified_energy_exceeds_energy_eps(basis8, spec):
@@ -115,14 +138,14 @@ def test_modified_energy_exceeds_energy_eps(basis8, spec):
     prev.coeffs[0, 0] = curr.coeffs[0, 0]
     for scheme in ("SL_CN", "SL_BDF2"):
         params = SchemeParams(scheme=scheme, tau=0.1, gamma=0.0025, eps=0.05, B=5.0)
-        assert modified_energy(curr, prev, params, spec) >= energy_eps(curr, spec, 0.05)
+        assert field_energies(spec, params, curr, prev)[1] >= energy_eps(spec, 0.05, curr)
 
 
 def test_modified_energy_rejects_first_order(basis8, spec):
     c = constant_field(basis8, 0.1)
     params = SchemeParams(scheme="FIRST_ORDER", tau=0.1, gamma=1.0, eps=0.25, B=4.0)
     with pytest.raises(ValueError):
-        modified_energy(c, c, params, spec)
+        field_energies(spec, params, c, c)
 
 
 def test_verdict_stable():
@@ -191,7 +214,9 @@ def test_error_norms_triangle_inequality(basis16):
 
 
 def test_energy_decreases_along_stable_run(basis16, spec):
-    # short developed-interface run; E_eps itself should trend down
+    # short developed-interface run; E_eps itself should trend down. The
+    # observer's modal arrays and grid must give the energies of the fields
+    # that march returns, so the trend is not read off the wrong arrays.
     from chillwave.harness import random_nodal_field
     from chillwave import bootstrap_first_step, build_step_operator, march
 
@@ -199,10 +224,15 @@ def test_energy_decreases_along_stable_run(basis16, spec):
     phi0 = random_nodal_field(basis16, 30)
     phi1, _ = bootstrap_first_step(phi0, params)
     op = build_step_operator(params, basis16)
-    energies = [energy_eps(phi1, spec, params.eps)]
+    rows = []
 
-    def record(prev, curr, residual):
-        energies.append(energy_eps(Field(basis16, curr), spec, params.eps))
+    def record(prev, curr, grid):
+        rows.append(step_energies(op, spec, prev, curr, grid))
 
-    march(op, spec, phi0.coeffs, phi1.coeffs, 50, observe=record)
-    assert energies[-1] < energies[0]
+    prev, curr, _ = march(op, spec, phi0.coeffs, phi1.coeffs, 50, observe=record)
+    assert len(rows) == 51  # the entry pair, then one per step
+    energies = [row[0] for row in rows]
+    assert energies[0] == pytest.approx(energy_eps(spec, params.eps, phi1), rel=1e-12)
+    last = field_energies(spec, params, Field(basis16, curr), Field(basis16, prev))
+    np.testing.assert_allclose(rows[-1], last, rtol=1e-12, atol=1e-14)
+    assert energies[-1] < energies[0] - 1e-3

@@ -10,7 +10,6 @@ from chillwave import (
     assemble_basis,
     convergence_study,
     default_ladder,
-    energy_eps,
     generate_phi0,
     mean_value,
     prepare_phi1,
@@ -28,6 +27,7 @@ from chillwave.harness import (
     sweep_config_from_dict,
     write_convergence_csv,
 )
+from conftest import energy_eps
 
 
 def splitmix_ref(seed, count):
@@ -103,7 +103,7 @@ def test_prepare_phi1_constant_unchanged(basis8):
 def test_prepare_phi1_dissipates(spec):
     phi0 = generate_phi0(16, 42)
     phi1 = prepare_phi1(phi0, 0.05)
-    assert energy_eps(phi1, spec, 0.05) < energy_eps(phi0, spec, 0.05)
+    assert energy_eps(spec, 0.05, phi1) < energy_eps(spec, 0.05, phi0)
 
 
 def test_run_config_validation():

@@ -63,6 +63,22 @@ def test_deriv_matches_finite_difference(spec):
     assert rel.max() <= 1e-6
 
 
+def test_deriv_matches_piecewise_definition(spec):
+    # the clip form c^3 - c + (3p^2 - 1)(phi - c) against the two branches
+    # written out, within a few ulp of max(1, |f|); infinities and NaN
+    # map as the branches do
+    p = spec.truncation_point
+    rng = np.random.default_rng(1)
+    phi = np.concatenate([rng.uniform(-6.0, 6.0, 2000), [-p, p, 0.0, -1.0, 1.0, 1e300, -1e300]])
+    outer = np.sign(phi) * ((p**3 - p) + (3 * p * p - 1) * (np.abs(phi) - p))
+    with np.errstate(over="ignore", invalid="ignore"):  # the unused inner branch at 1e300
+        ref = np.where(np.abs(phi) <= p, phi**3 - phi, outer)
+    f = potential_deriv(spec, phi)
+    assert np.all(np.abs(f - ref) <= 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(ref)))
+    special = potential_deriv(spec, np.array([np.inf, -np.inf, np.nan]))
+    assert special[0] == np.inf and special[1] == -np.inf and np.isnan(special[2])
+
+
 def test_branch_continuity(spec):
     p = spec.truncation_point
     for s in (-1.0, 1.0):

@@ -13,16 +13,15 @@ from chillwave import (
     bdf2_smallstep_threshold,
     bootstrap_first_step,
     build_step_operator,
-    energy_eps,
     error_norms,
     march,
     mean_value,
     norm_l2,
     sufficient_stabilizers,
 )
-from chillwave.field2d import modal_decomposition
+from chillwave.field2d import from_modal, modal_decomposition
 from chillwave.harness import random_nodal_field
-from conftest import oracle_load
+from conftest import energy_eps, oracle_load
 
 
 def constant_field(basis, c):
@@ -48,6 +47,12 @@ def test_params_validation():
         SchemeParams(scheme="SL_BDF2", tau=0.1, gamma=1.0, eps=0.1, A=-1.0)
     with pytest.raises(ValueError):
         SchemeParams(scheme="AB2", tau=0.1, gamma=1.0, eps=0.1)
+    # only finite numbers: NaN fails every comparison, inf is no step size
+    nan, inf = float("nan"), float("inf")
+    for bad in (dict(A=nan, B=nan), dict(B=nan), dict(A=inf), dict(B=inf), dict(tau=inf),
+                dict(tau=nan), dict(gamma=inf), dict(gamma=nan), dict(eps=nan), dict(eps=inf)):
+        with pytest.raises(ValueError):
+            SchemeParams(**dict(dict(scheme="SL_BDF2", tau=0.1, gamma=1.0, eps=0.1), **bad))
 
 
 def weak_form_rhs(scheme, basis, spec, tau, eps, A, B, prev, curr):
@@ -101,11 +106,16 @@ def test_constant_is_fixed_point(basis8, spec):
         params = SchemeParams(scheme=scheme, tau=0.1, gamma=0.0025, eps=0.05, A=1.0, B=10.0)
         op = build_step_operator(params, basis8)
         c = constant_field(basis8, 0.3)
+        seen = []
 
-        def check(prev, curr, residual):
-            assert np.abs(curr - c.coeffs).max() <= 1e-12
+        def check(prev, curr, grid):
+            # modal arrays: back to coefficients, and the grid of curr
+            assert np.abs(from_modal(basis8, curr) - c.coeffs).max() <= 1e-12
+            assert np.abs(grid - 0.3).max() <= 1e-12
+            seen.append(curr)
 
         march(op, spec, c.coeffs.copy(), c.coeffs, 20, observe=check)
+        assert len(seen) == 21  # the entry pair, then every step
 
 
 def test_mean_conservation_100_steps(basis16, spec):
@@ -186,11 +196,11 @@ def test_bootstrap_second_order_in_tau(basis8, spec):
 
 def test_first_order_dissipates(basis16, spec):
     phi0 = random_nodal_field(basis16, 4)
-    e0 = energy_eps(phi0, spec, 0.25)
+    e0 = energy_eps(spec, 0.25, phi0)
     params = SchemeParams(scheme="FIRST_ORDER", tau=0.25**3, gamma=1.0, eps=0.25, B=4.0)
     op = build_step_operator(params, basis16)
     _, out, worst = march(op, spec, phi0.coeffs, phi0.coeffs, 64)
-    assert energy_eps(Field(basis16, out), spec, 0.25) < e0
+    assert energy_eps(spec, 0.25, Field(basis16, out)) < e0
     assert worst <= 1e-10
 
 
@@ -215,6 +225,21 @@ def test_bdf2_smallstep_threshold():
     assert bdf2_smallstep_threshold(0.05, 0.0025, 11.0) == pytest.approx(
         8 * 0.05**3 / (25 * 121 * 0.0025)
     )
+
+
+def test_observer_does_not_change_the_march(basis8, spec):
+    # one stepping path: an observed march returns the bare march's fields
+    params = SchemeParams(scheme="SL_BDF2", tau=0.05, gamma=1.0, eps=0.25, A=0.25, B=8.0)
+    phi0 = random_nodal_field(basis8, 9)
+    phi1, _ = bootstrap_first_step(phi0, params)
+    op = build_step_operator(params, basis8)
+    bare = march(op, spec, phi0.coeffs, phi1.coeffs, 10)
+    seen = []
+    observed = march(op, spec, phi0.coeffs, phi1.coeffs, 10, observe=lambda *a: seen.append(a))
+    for got, want in zip(observed, bare):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(from_modal(basis8, seen[-1][1]), bare[1])
+    np.testing.assert_array_equal(seen[-1][0], seen[-2][1])
 
 
 def test_operator_reuse_matches_rebuild(basis8, spec):
