@@ -14,7 +14,6 @@ from .potential import (
     PotentialSpec,
     lipschitz_bound,
     potential_deriv,
-    potential_second_deriv,
     potential_value,
 )
 from .spectral1d import (

@@ -95,6 +95,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_converge(args) -> int:
     raw = _load_json(args.config)
+    if not isinstance(raw, dict):
+        raise ValueError(f"a converge config must be a JSON object, got {raw!r}")
     missing = [key for key in ("tau_list", "tau_ref") if key not in raw]
     if missing:
         raise ValueError(f"converge config needs {' and '.join(missing)}")

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MeanNotZero
-from .field2d import Field, h1_seminorm_sq, hminus1_norm, inner_l2, mean_value, modal_decomposition
+from .field2d import Field, h1_seminorm_sq, hminus1_norm, inner_l2, mean_value
 from .potential import PotentialSpec, lipschitz_bound, potential_value
 from .timestepping import StepOperator
 
@@ -51,8 +51,8 @@ class EnergyTrace:
     Rows are appended once per time step (the bootstrap step is row n = 1;
     there is no row for the initial datum, and row 1 carries dE_mod = 0 by
     convention since no earlier modified energy exists). blew_up marks a
-    run terminated early by NonFinite; max_residual tracks the worst
-    eigendecomposition residual of the step operators used.
+    run terminated early by NonFinite; max_residual is the checked
+    eigendecomposition residual of the run's basis (Basis1D.residual).
     """
 
     rows: list[TraceRow] = field(default_factory=list)
@@ -114,21 +114,20 @@ def step_energies(
     (phi^{n-1}, phi^n) = (prev, curr), with grid the 2M grid of curr, per
     the scheme of op: what `march` hands its observer and a trace row
     needs."""
-    p = op.params
+    p, basis = op.params, op.basis
     if p.scheme not in ("SL_CN", "SL_BDF2"):
         raise ValueError("modified energy is defined for SL_CN and SL_BDF2 only")
     L = lipschitz_bound(spec)
-    w = op.basis.weights_2M
+    w, sigma, E = basis.weights_2M, basis.sigma, basis.E
     bulk = float(np.einsum("i,ij,j->", w, potential_value(spec, grid), w))
-    e = 0.5 * p.eps * float(np.sum(op.sigma * curr * curr)) + bulk / p.eps
+    e = 0.5 * p.eps * float(np.sum(sigma * curr * curr)) + bulk / p.eps
     diff = curr - prev
     dt_sq = float(np.sum(diff * diff))
-    _, E, _ = modal_decomposition(op.basis)
     mean = float(E[0, 0] * curr[0, 0] * E[0, 0])  # E[0, k] = 0 for k > 0
     if p.scheme == "SL_CN":
         return e, e + (L / (4.0 * p.eps) + 0.5 * p.B) * dt_sq, dt_sq, mean
-    pos = op.sigma > 0.0
-    hm1_sq = float(np.sum(diff[pos] ** 2 / op.sigma[pos]))
+    pos = sigma > 0.0
+    hm1_sq = float(np.sum(diff[pos] ** 2 / sigma[pos]))
     e_mod = e + hm1_sq / (4.0 * p.tau * p.gamma) + (L / (2.0 * p.eps) + 0.5 * p.B) * dt_sq
     return e, e_mod, dt_sq, mean
 

@@ -1,16 +1,16 @@
 """Tensor-product fields on V_M x V_M and their norms.
 
 A Field stores the coefficient matrix C with u = sum_{k,j} C[k,j]
-phi_k(x) phi_j(y). All bilinear forms reduce to 1-D matrix actions:
+phi_k(x) phi_j(y). Every norm is a sum over the modal coefficients
+v = E^T (M C M) E of `to_modal`, in the eigenbasis (lam, E) of the basis
+(see Basis1D), where the mass is the identity and the stiffness is the
+symbol sigma[k,j] = lam_k + lam_j:
 
-    (u, v)      = <C_u, mass @ C_v @ mass>
-    |grad u|^2  = <C_u, stiff @ C_u @ mass + mass @ C_u @ stiff>
+    (u, w)      = sum v_u v_w
+    |grad u|^2  = sum sigma v^2
+    (u, w)_-1   = sum over sigma > 0 of v_u v_w / sigma
 
-The H^-1 machinery diagonalizes the pair (stiffness, mass) once per basis:
-with K E = M E diag(lam), E^T M E = I, every 2-D operator of interest is
-diagonal in the eigenbasis with symbol sigma[k,j] = lam_k + lam_j, and the
-Neumann kernel is exactly the (0,0) mode. That decomposition is cached on
-the basis and shared with the time steppers.
+The Neumann kernel is exactly the (0,0) mode.
 """
 
 from __future__ import annotations
@@ -39,9 +39,6 @@ class Field:
         M = self.basis.M
         if self.coeffs.shape != (M, M):
             raise ValueError(f"coeffs must be {M}x{M}, got {self.coeffs.shape}")
-
-    def copy(self) -> "Field":
-        return Field(self.basis, self.coeffs.copy())
 
 
 @dataclass
@@ -74,22 +71,28 @@ def from_nodal(g: NodalGrid) -> Field:
     return Field(g.basis, tw @ g.values @ tw.T / d[:, None] / d)
 
 
-def mass_apply(basis: Basis1D, C: np.ndarray) -> np.ndarray:
-    """(mass x mass) action in coefficient-matrix form; the diagonal mass
-    is applied as a row and column scaling."""
-    d = np.diag(basis.mass)
-    return d[:, None] * C * d
+def modal_decomposition(basis: Basis1D):
+    """(lam, E, sigma) of the basis's checked eigendecomposition."""
+    return basis.lam, basis.E, basis.sigma
 
 
-def stiffness_apply(basis: Basis1D, C: np.ndarray) -> np.ndarray:
-    """(stiff x mass + mass x stiff) action in coefficient-matrix form."""
+def to_modal(basis: Basis1D, C: np.ndarray) -> np.ndarray:
+    """Modal coefficients E^T (M C M) E of a coefficient array; the
+    diagonal mass acts as a row and column scaling."""
     d = np.diag(basis.mass)
-    return (basis.stiffness @ C) * d + (d[:, None] * C) @ basis.stiffness
+    return basis.E.T @ (d[:, None] * C * d) @ basis.E
+
+
+def from_modal(basis: Basis1D, v: np.ndarray) -> np.ndarray:
+    """Modal coefficients back to basis coefficients: E v E^T."""
+    return basis.E @ v @ basis.E.T
 
 
 def inner_l2(u: Field, v: Field) -> float:
     _same_basis(u, v)
-    return float(np.sum(u.coeffs * mass_apply(u.basis, v.coeffs)))
+    ut = to_modal(u.basis, u.coeffs)
+    vt = ut if v is u else to_modal(v.basis, v.coeffs)
+    return float(np.sum(ut * vt))
 
 
 def norm_l2(u: Field) -> float:
@@ -97,47 +100,14 @@ def norm_l2(u: Field) -> float:
 
 
 def h1_seminorm_sq(u: Field) -> float:
-    return float(np.sum(u.coeffs * stiffness_apply(u.basis, u.coeffs)))
+    v = to_modal(u.basis, u.coeffs)
+    return float(np.sum(u.basis.sigma * v * v))
 
 
 def mean_value(u: Field) -> float:
     """(1/|Omega|) integral of u; equals coeffs[0,0] because every basis
     product except phi_0 phi_0 has zero mean."""
     return float(u.coeffs[0, 0])
-
-
-def modal_decomposition(basis: Basis1D):
-    """Cached generalized eigendecomposition of (stiffness, mass).
-
-    Returns (lam, E, sigma): K E = M E diag(lam) with E^T M E = I, lam
-    ascending, lam[0] clamped to exactly 0 (the constant mode), and
-    sigma[k, j] = lam[k] + lam[j] the 2-D Laplacian symbol.
-    """
-    if "modal" not in basis._cache:
-        from scipy.linalg import eigh
-
-        lam, E = eigh(basis.stiffness, basis.mass)
-        lam[0] = 0.0  # Neumann kernel: exactly the constant mode
-        sigma = lam[:, None] + lam[None, :]
-        basis._cache["modal"] = (lam, E, sigma)
-    return basis._cache["modal"]
-
-
-def to_modal(basis: Basis1D, load: np.ndarray) -> np.ndarray:
-    """Transform a load array (tested against basis functions) to modal."""
-    _, E, _ = modal_decomposition(basis)
-    return E.T @ load @ E
-
-
-def from_modal(basis: Basis1D, tilde: np.ndarray) -> np.ndarray:
-    """Modal coefficients back to basis coefficients."""
-    _, E, _ = modal_decomposition(basis)
-    return E @ tilde @ E.T
-
-
-def _modal_coeffs(u: Field) -> np.ndarray:
-    # U_tilde = E^T (M C M) E; diagonalizes both (.,.) and (grad., grad.)
-    return to_modal(u.basis, mass_apply(u.basis, u.coeffs))
 
 
 def _require_zero_mean(u: Field) -> None:
@@ -153,9 +123,9 @@ def inner_hminus1(u: Field, v: Field) -> float:
     _require_zero_mean(u)
     if v is not u:
         _require_zero_mean(v)
-    _, _, sigma = modal_decomposition(u.basis)
-    ut = _modal_coeffs(u)
-    vt = ut if v is u else _modal_coeffs(v)
+    sigma = u.basis.sigma
+    ut = to_modal(u.basis, u.coeffs)
+    vt = ut if v is u else to_modal(v.basis, v.coeffs)
     pos = sigma > 0.0
     return float(np.sum(ut[pos] * vt[pos] / sigma[pos]))
 

@@ -62,7 +62,7 @@ def prepare_phi1(phi0: Field, eps: float) -> Field:
     bootstrap to time 64 eps^3 in 64 substeps of eps^3, unit mobility,
     stabilizer B = 1/eps."""
     params = SchemeParams(scheme="FIRST_ORDER", tau=64.0 * eps**3, gamma=1.0, eps=eps)
-    return bootstrap_first_step(phi0, params, m=64)[0]
+    return bootstrap_first_step(phi0, params, m=64)
 
 
 def _step_count(T: float, tau: float) -> int:
@@ -185,7 +185,7 @@ def run_simulation(
     basis = phi0.basis
     params = cfg.scheme_params(cfg.tau)
     op = build_step_operator(params, basis)
-    trace = EnergyTrace(max_residual=op.residual)
+    trace = EnergyTrace(max_residual=basis.residual)
     snapshots: list[tuple[int, float, Field]] = []
     N = cfg.n_steps()
     last, e_mod = None, 0.0
@@ -214,7 +214,7 @@ def run_simulation(
             snapshots.append((n, t, Field(basis, from_modal(basis, curr))))
 
     try:
-        phi1, _ = bootstrap_first_step(phi0, params, cfg.m, spec)
+        phi1 = bootstrap_first_step(phi0, params, cfg.m, spec)
         march(op, spec, phi0.coeffs, phi1.coeffs, N - 1, observe)
     except NonFinite:
         trace.blew_up = True
@@ -407,9 +407,9 @@ def convergence_study(
     finals = []
     for tau, n in zip(taus, steps):
         params = cfg.scheme_params(tau)
-        phi1, _ = bootstrap_first_step(phi_init, params, cfg.m, spec)
+        phi1 = bootstrap_first_step(phi_init, params, cfg.m, spec)
         op = build_step_operator(params, basis)
-        _, final, _ = march(op, spec, phi_init.coeffs, phi1.coeffs, n - 1)
+        _, final = march(op, spec, phi_init.coeffs, phi1.coeffs, n - 1)
         finals.append(Field(basis, final))
     ref = finals[0]
 

@@ -38,9 +38,9 @@ def _outer_coeffs(p: float) -> tuple[float, float, float]:
     return a, b, c
 
 
-def _eval_branches(spec: PotentialSpec, phi, order: int):
-    """Evaluate F (order 0) or f' (order 2) on |phi| via the evenness of
-    both.
+def potential_value(spec: PotentialSpec, phi):
+    """Energy density F(phi). Total function on the reals; evaluated on
+    |phi| via the evenness of F.
 
     Arrays are built in place in a few buffers: at M = 64 the temporaries
     of a branch-by-branch expression made the allocator trim and regrow
@@ -52,30 +52,19 @@ def _eval_branches(spec: PotentialSpec, phi, order: int):
     p = spec.truncation_point
     a, b, c = _outer_coeffs(p)
 
-    if order == 0:
-        out = np.square(ax)
-        out -= 1.0
-        np.square(out, out=out)
-        out *= 0.25
-        d = ax - p
-        outer = np.square(d)
-        outer *= a
-        d *= b
-        outer += d
-        outer += c
-    else:
-        out = 3.0 * ax
-        out *= ax
-        out -= 1.0
-        outer = 2.0 * a
+    out = np.square(ax)
+    out -= 1.0
+    np.square(out, out=out)
+    out *= 0.25
+    d = ax - p
+    outer = np.square(d)
+    outer *= a
+    d *= b
+    outer += d
+    outer += c
 
     np.copyto(out, outer, where=ax > p)
     return float(out[0]) if scalar else out
-
-
-def potential_value(spec: PotentialSpec, phi):
-    """Energy density F(phi). Total function on the reals."""
-    return _eval_branches(spec, phi, 0)
 
 
 def potential_deriv(spec: PotentialSpec, phi):
@@ -93,11 +82,6 @@ def potential_deriv(spec: PotentialSpec, phi):
     c *= 3.0 * p * p - 1.0
     out += c
     return float(out[0]) if scalar else out
-
-
-def potential_second_deriv(spec: PotentialSpec, phi):
-    """f'(phi): 3 phi^2 - 1 inside, constant 3 p^2 - 1 outside."""
-    return _eval_branches(spec, phi, 2)
 
 
 def lipschitz_bound(spec: PotentialSpec) -> float:

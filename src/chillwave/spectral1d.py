@@ -14,7 +14,9 @@ and the stiffness matrix is a checkerboard:
 The constant mode phi_0 spans the stiffness kernel, which is what the
 Neumann problem requires. Basis products have degree <= 2M-2, so both the
 M- and 2M-point Gauss rules integrate them exactly and the quadrature Gram
-of either rule is the mass matrix.
+of either rule is the mass matrix. The eigenbasis of (stiffness, mass)
+diagonalizes every operator of the time steppers (Shen's
+matrix-diagonalization method); `Basis1D` holds it, checked.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import QuadratureError, SolveFailed
 
 _NODE_SETS = ("M", "2M")
+RESIDUAL_LIMIT = 1e-10
 
 
 def legendre_table(max_degree: int, x: np.ndarray) -> np.ndarray:
@@ -68,14 +71,18 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-@dataclass
+@dataclass(frozen=True)
 class Basis1D:
-    """Assembled Galerkin basis of dimension M.
+    """Assembled Galerkin basis of dimension M; every array is read-only.
 
-    Immutable after assembly apart from the cache below. eval_M and
-    eval_2M are M x P tables of phi_k at the M- and 2M-point Gauss nodes.
-    The private cache holds the lazily built generalized eigendecomposition
-    reused by field operations and step operators.
+    eval_M and eval_2M are M x P tables of phi_k at the M- and 2M-point
+    Gauss nodes. (lam, E) solve K E = M E diag(lam), E^T M E = I, lam[0] = 0
+    (the constant mode). Construction raises SolveFailed unless their
+    residual, max(||K E - M E diag(lam)|| / ||K E||, ||E^T M E - I||), is
+    within 1e-10, and derives from them the 2-D Laplacian symbol
+    sigma[k, j] = lam[k] + lam[j], the modal-to-grid map T = eval_2M^T E
+    (grid = T v T^T) and the modal load map G = E^T eval_2M diag(w_2M)
+    (load = G f(grid) G^T).
     """
 
     M: int
@@ -87,7 +94,32 @@ class Basis1D:
     stiffness: np.ndarray
     eval_M: np.ndarray
     eval_2M: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    lam: np.ndarray
+    E: np.ndarray
+    sigma: np.ndarray = field(init=False, repr=False)
+    T: np.ndarray = field(init=False, repr=False)
+    G: np.ndarray = field(init=False, repr=False)
+    residual: float = field(init=False)
+
+    def __post_init__(self):
+        lam, E = self.lam, self.E
+        KE = self.stiffness @ E
+        ME = np.diag(self.mass)[:, None] * E
+        residual = float(max(
+            np.linalg.norm(KE - ME * lam) / np.linalg.norm(KE),
+            np.linalg.norm(E.T @ ME - np.eye(self.M)),
+        ))
+        if not residual <= RESIDUAL_LIMIT:
+            raise SolveFailed(
+                f"eigendecomposition residual {residual:.3e} exceeds {RESIDUAL_LIMIT:.0e}"
+            )
+        object.__setattr__(self, "sigma", lam[:, None] + lam[None, :])
+        object.__setattr__(self, "T", self.eval_2M.T @ E)
+        object.__setattr__(self, "G", E.T @ (self.eval_2M * self.weights_2M))
+        object.__setattr__(self, "residual", residual)
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     def weights(self, node_set: str) -> np.ndarray:
         _check_node_set(node_set)
@@ -104,12 +136,18 @@ def _check_node_set(node_set: str) -> None:
 
 
 def assemble_basis(M: int) -> Basis1D:
-    """Build Basis1D from the analytic Legendre orthogonality relations."""
+    """Build Basis1D from the analytic Legendre orthogonality relations;
+    with D = diag(mass), E = D^-1/2 Q for the eigenvectors Q of the
+    symmetric D^-1/2 K D^-1/2."""
     if M < 4:
         raise ValueError("M must be >= 4")
     k = np.arange(M)
     m = np.minimum.outer(k, k)
     stiffness = np.where((k[:, None] + k[None, :]) % 2 == 0, m * (m + 1.0), 0.0)
+    mass = 2.0 / (2 * k + 1)
+    s = 1.0 / np.sqrt(mass)
+    lam, Q = np.linalg.eigh(s[:, None] * stiffness * s)
+    lam[0] = 0.0  # Neumann kernel: exactly the constant mode
     xm, wm = gauss_legendre(M)
     x2, w2 = gauss_legendre(2 * M)
     return Basis1D(
@@ -118,8 +156,10 @@ def assemble_basis(M: int) -> Basis1D:
         weights_M=wm,
         nodes_2M=x2,
         weights_2M=w2,
-        mass=np.diag(2.0 / (2 * k + 1)),
+        mass=np.diag(mass),
         stiffness=stiffness,
         eval_M=legendre_table(M - 1, xm),
         eval_2M=legendre_table(M - 1, x2),
+        lam=lam,
+        E=s[:, None] * Q,
     )

@@ -11,7 +11,7 @@ from numpy.polynomial import legendre as npleg
 
 from chillwave import Field, PotentialSpec, SchemeParams, assemble_basis, build_step_operator, potential_deriv
 from chillwave.diagnostics import step_energies
-from chillwave.field2d import mass_apply, to_modal
+from chillwave.field2d import to_modal
 
 
 @pytest.fixture(scope="session")
@@ -70,8 +70,9 @@ def oracle_load(spec, coeffs):
 def modal(op, coeffs):
     """Modal coefficients of a coefficient array and their 2M grid, as
     `march` holds them."""
-    v = to_modal(op.basis, mass_apply(op.basis, coeffs))
-    return v, op.T @ v @ op.T.T
+    v = to_modal(op.basis, coeffs)
+    T = op.basis.T
+    return v, T @ v @ T.T
 
 
 def field_energies(spec, params, curr, prev=None):

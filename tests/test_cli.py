@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -116,6 +117,30 @@ def test_converge_names_missing_tau_list(tmp_path, capsys):
     write_json(cfg_path, dict(RUN_CFG, tau_ref=0.05))
     rc = main(["converge", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
     assert_one_line_error(capsys, rc, "tau_list")
+
+
+@pytest.mark.parametrize("raw", [["tau_list", "tau_ref"], [1]])
+def test_converge_rejects_non_object(tmp_path, capsys, raw):
+    cfg_path = tmp_path / "conv.json"
+    write_json(cfg_path, raw)
+    rc = main(["converge", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+    assert_one_line_error(capsys, rc, "must be a JSON object")
+
+
+@pytest.mark.parametrize("bad", [
+    dict(tau=1e-320, T=1e-319),  # 1/tau overflows
+    dict(gamma=1e300, A=1e300, B=1e300),  # gamma sigma (c sigma + B) overflows
+])
+def test_run_rejects_overflowing_step_coefficients(tmp_path, capsys, bad):
+    # finite inputs whose per-mode step coefficients are not finite are a
+    # config error, not a blow-up at step 1, and raise no numpy warning
+    cfg_path = tmp_path / "run.json"
+    write_json(cfg_path, dict(RUN_CFG, **bad))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+    assert_one_line_error(capsys, rc, "tau", "gamma", "A =", "B =")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_missing_config_file(tmp_path, capsys):

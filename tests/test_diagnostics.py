@@ -90,7 +90,7 @@ def test_modified_energy_reduces_to_energy_eps(basis8, spec):
     c = rand_field(basis8, np.random.default_rng(22), amp=0.3)
     for scheme in ("SL_CN", "SL_BDF2"):
         params = SchemeParams(scheme=scheme, tau=0.1, gamma=0.0025, eps=0.05, B=20.0)
-        assert field_energies(spec, params, c, c.copy())[1] == pytest.approx(
+        assert field_energies(spec, params, c, Field(c.basis, c.coeffs.copy()))[1] == pytest.approx(
             energy_eps(spec, 0.05, c), rel=1e-12
         )
 
@@ -193,7 +193,7 @@ def test_error_norms_homogeneity(basis16):
 
 def test_error_norms_mean_mismatch(basis16):
     u = rand_field(basis16, np.random.default_rng(27))
-    v = u.copy()
+    v = Field(u.basis, u.coeffs.copy())
     v.coeffs[0, 0] += 1e-3
     with pytest.raises(MeanNotZero):
         error_norms(u, v)
@@ -222,14 +222,14 @@ def test_energy_decreases_along_stable_run(basis16, spec):
 
     params = SchemeParams(scheme="SL_CN", tau=0.01, gamma=0.0025, eps=0.25, A=0.25, B=8.0)
     phi0 = random_nodal_field(basis16, 30)
-    phi1, _ = bootstrap_first_step(phi0, params)
+    phi1 = bootstrap_first_step(phi0, params)
     op = build_step_operator(params, basis16)
     rows = []
 
     def record(prev, curr, grid):
         rows.append(step_energies(op, spec, prev, curr, grid))
 
-    prev, curr, _ = march(op, spec, phi0.coeffs, phi1.coeffs, 50, observe=record)
+    prev, curr = march(op, spec, phi0.coeffs, phi1.coeffs, 50, observe=record)
     assert len(rows) == 51  # the entry pair, then one per step
     energies = [row[0] for row in rows]
     assert energies[0] == pytest.approx(energy_eps(spec, params.eps, phi1), rel=1e-12)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +22,6 @@ from chillwave import (
     stability_verdict,
     sweep_min_stabilizer,
 )
-from chillwave.field2d import modal_decomposition
 from chillwave.harness import (
     CONVERGENCE_HEADER,
     initial_field,
@@ -183,17 +186,21 @@ def test_run_simulation_records_blowup(basis16):
     assert stability_verdict(trace) == "unstable"
 
 
-def test_run_simulation_raises_on_wrong_eigenbasis():
+def test_run_simulation_raises_on_wrong_eigenbasis(monkeypatch):
     # a wrong eigendecomposition is a solver fault, not a blow-up verdict:
-    # it raises instead of marking the trace blown up
-    basis = assemble_basis(8)
-    lam, E, sigma = modal_decomposition(basis)
+    # it raises instead of returning a trace marked blown up
+    eigh = np.linalg.eigh
     rng = np.random.default_rng(8)
-    basis._cache["modal"] = (lam, E * (1.0 + 1e-6 * rng.standard_normal(E.shape)), sigma)
+
+    def perturbed(a):
+        lam, Q = eigh(a)
+        return lam, Q * (1.0 + 1e-6 * rng.standard_normal(Q.shape))
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
     cfg = RunConfig(M=8, eps=0.25, gamma=1.0, tau=0.1, T=0.5, scheme="SL_BDF2",
                     A=0.25, B=8.0, seed=6)
     with pytest.raises(SolveFailed):
-        run_simulation(cfg, basis=basis)
+        run_simulation(cfg)
 
 
 def test_run_simulation_snapshot_cadence(basis8):
@@ -352,3 +359,29 @@ def test_convergence_csv_format(tmp_path):
     # NaN orders serialize as empty cells
     assert lines[1].split(",")[2] == ""
 
+
+
+def test_library_runs_without_scipy(tmp_path):
+    # numpy is the only dependency: a run, a convergence study and a
+    # snapshot round trip in a fresh interpreter import no scipy module
+    code = f"""
+import sys
+import chillwave as cw
+basis = cw.assemble_basis(8)
+cfg = cw.RunConfig(M=8, eps=0.25, gamma=1.0, tau=0.1, T=0.3, scheme="SL_BDF2",
+                   A=0.25, B=8.0, seed=6)
+trace, final, _ = cw.run_simulation(cfg, basis=basis)
+cw.convergence_study(cfg, [0.1], 0.05)
+path = {str(tmp_path / "final.csv")!r}
+cw.write_snapshot(final, path, eps=0.25, gamma=1.0, t=0.3, step=3)
+cw.read_snapshot(path)
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(len(trace), loaded)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["3", "[]"]

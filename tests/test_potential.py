@@ -5,9 +5,21 @@ from chillwave import (
     PotentialSpec,
     lipschitz_bound,
     potential_deriv,
-    potential_second_deriv,
     potential_value,
 )
+
+
+def second_deriv_oracle(spec, phi):
+    # f' from the piecewise definition: 3 phi^2 - 1 inside, the outer
+    # slope 3 p^2 - 1 outside
+    p = spec.truncation_point
+    phi = np.asarray(phi, dtype=float)
+    return np.where(np.abs(phi) <= p, 3.0 * phi * phi - 1.0, 3.0 * p * p - 1.0)
+
+
+def deriv_quotient(spec, phi, h=1e-5):
+    # central difference quotient of the production f
+    return (potential_deriv(spec, phi + h) - potential_deriv(spec, phi - h)) / (2 * h)
 
 
 def test_value_at_wells_and_origin(spec):
@@ -29,9 +41,22 @@ def test_deriv_examples(spec):
 
 
 def test_second_deriv_examples(spec):
-    assert potential_second_deriv(spec, 0.0) == pytest.approx(-1.0)
-    assert potential_second_deriv(spec, 2.0) == pytest.approx(11.0, abs=1e-13)
-    assert potential_second_deriv(spec, 10.0) == pytest.approx(11.0)
+    assert second_deriv_oracle(spec, 0.0) == pytest.approx(-1.0)
+    assert second_deriv_oracle(spec, 2.0) == pytest.approx(11.0, abs=1e-13)
+    assert second_deriv_oracle(spec, 10.0) == pytest.approx(11.0)
+    # off the joint, where f'' is continuous, so is the quotient's error
+    assert deriv_quotient(spec, 0.0) == pytest.approx(-1.0, rel=1e-6)
+    assert deriv_quotient(spec, 10.0) == pytest.approx(11.0, rel=1e-6)
+
+
+def test_deriv_quotients_match_second_deriv_oracle(spec):
+    # ties the f' oracle of the Lipschitz and joint tests to potential_deriv,
+    # at the tolerance of test_deriv_matches_finite_difference
+    rng = np.random.default_rng(2)
+    phi = rng.uniform(-5.0, 5.0, 1000)
+    oracle = second_deriv_oracle(spec, phi)
+    rel = np.abs(deriv_quotient(spec, phi) - oracle) / np.maximum(1.0, np.abs(oracle))
+    assert rel.max() <= 1e-6
 
 
 def test_symmetry():
@@ -86,14 +111,14 @@ def test_branch_continuity(spec):
         assert abs(potential_value(spec, lo) - potential_value(spec, hi)) <= 1e-8
         assert abs(potential_deriv(spec, lo) - potential_deriv(spec, hi)) <= 1e-7
         # joint is C^2 by construction: f' = 3p^2 - 1 on both sides
-        assert abs(potential_second_deriv(spec, lo) - potential_second_deriv(spec, hi)) <= 1e-7
+        assert abs(second_deriv_oracle(spec, lo) - second_deriv_oracle(spec, hi)) <= 1e-7
 
 
 def test_lipschitz_bound_piecewise(spec):
     assert lipschitz_bound(spec) == pytest.approx(11.0)
     # sampling oracle
     phi = np.linspace(-10.0, 10.0, 200001)
-    sampled = np.abs(potential_second_deriv(spec, phi)).max()
+    sampled = np.abs(second_deriv_oracle(spec, phi)).max()
     assert sampled <= lipschitz_bound(spec) + 1e-12
     assert sampled == pytest.approx(lipschitz_bound(spec), rel=1e-9)
 
@@ -103,7 +128,7 @@ def test_lipschitz_bound_other_truncation():
     expected = 3 * 1.5**2 - 1  # inner max equals the outer slope
     assert lipschitz_bound(spec) == pytest.approx(expected)
     phi = np.linspace(-10.0, 10.0, 100001)
-    assert np.abs(potential_second_deriv(spec, phi)).max() == pytest.approx(
+    assert np.abs(second_deriv_oracle(spec, phi)).max() == pytest.approx(
         expected, rel=1e-9
     )
 
