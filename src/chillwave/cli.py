@@ -2,7 +2,7 @@
 
 Subcommands:
     run              single simulation -> trace.csv, snapshots, summary.json
-    sweep            minimum-stabilizer tables -> sweep.csv
+    sweep            minimum-stabilizer tables -> sweep.csv, sweep_log.csv
     converge         temporal convergence table -> convergence.csv
     prepare-initial  emit phi0.csv / phi1.csv snapshot files
 
@@ -15,8 +15,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
 
+import numpy as np
+
+from . import __version__
 from .errors import ChillwaveError
 from .field2d import mean_value, write_snapshot
 from .harness import (
@@ -64,6 +68,13 @@ def _cmd_run(args) -> int:
         "steps_completed": len(trace),
         "blew_up": trace.blew_up,
         "blowup_step": trace.blowup_step,
+        "stop_reason": "blow_up" if trace.blew_up else "completed",
+        "stop_step": trace.blowup_step if trace.blew_up else len(trace),
+        "versions": {
+            "chillwave": __version__,
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+        },
         "max_residual": trace.max_residual,
         "final_E_eps": last.E_eps if last else None,
         "final_E_mod": last.E_mod if last else None,
@@ -87,6 +98,7 @@ def _cmd_sweep(args) -> int:
     result = sweep_min_stabilizer(sc)
     path = os.path.join(out, "sweep.csv")
     result.write_csv(path)
+    result.write_log_csv(os.path.join(out, "sweep_log.csv"))
     for note in result.anomalies:
         print("anomaly:", note, file=sys.stderr)
     print(f"sweep of min {sc.target} ({len(result.cells)} cells) written to {path}")

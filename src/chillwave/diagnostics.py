@@ -17,6 +17,9 @@ every term but the bulk one is a sum over modes:
 
     |grad u|^2 = sum sigma v^2,  ||u||^2 = sum v^2,
     ||u||_-1^2 = sum_{sigma > 0} v^2 / sigma,  int F(u) = w^T F(grid) w.
+
+Both history corrections are then one weighted sum, sum hw (dt v)^2,
+with per-mode weights hw that `energy_weights` builds once per run.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .potential import PotentialSpec, lipschitz_bound, potential_value
 from .timestepping import StepOperator
 
 TRACE_HEADER = "n,t,E_eps,E_mod,dE_mod,mean,dt_norm"
+VERDICT_THRESHOLD = 1e-10  # largest dE_mod a stable trace may show
 
 
 @dataclass
@@ -107,41 +111,64 @@ class EnergyTrace:
         return trace
 
 
+@dataclass(frozen=True)
+class EnergyWeights:
+    """The operator-only factors of a trace row, built once per run by
+    `energy_weights`: the 2M quadrature weights w, grad = eps sigma / 2,
+    the history weight hw of each mode and E[0, 0] (the mean of v is
+    E[0, 0] v[0, 0] E[0, 0]; E[0, k] = 0 for k > 0)."""
+
+    spec: PotentialSpec
+    eps: float
+    w: np.ndarray
+    grad: np.ndarray
+    hw: np.ndarray
+    e00: float
+
+
+def energy_weights(op: StepOperator, spec: PotentialSpec) -> EnergyWeights:
+    """The weights of op's modified energy: per mode, hw = L/(4 eps) + B/2
+    for SL_CN and [sigma > 0]/(4 tau gamma sigma) + L/(2 eps) + B/2 for
+    SL_BDF2, so both history corrections are sum hw (v^n - v^{n-1})^2."""
+    p, basis = op.params, op.basis
+    L, sigma = lipschitz_bound(spec), basis.sigma
+    if p.scheme == "SL_CN":
+        hw = np.full_like(sigma, L / (4.0 * p.eps) + 0.5 * p.B)
+    elif p.scheme == "SL_BDF2":
+        hm1 = np.divide(1.0, 4.0 * p.tau * p.gamma * sigma,
+                        out=np.zeros_like(sigma), where=sigma > 0.0)
+        hw = hm1 + (L / (2.0 * p.eps) + 0.5 * p.B)
+    else:
+        raise ValueError("modified energy is defined for SL_CN and SL_BDF2 only")
+    return EnergyWeights(spec, p.eps, basis.weights_2M, 0.5 * p.eps * sigma, hw,
+                         float(basis.E[0, 0]))
+
+
 def step_energies(
-    op: StepOperator, spec: PotentialSpec, prev: np.ndarray, curr: np.ndarray, grid: np.ndarray
+    ew: EnergyWeights, prev: np.ndarray, curr: np.ndarray, grid: np.ndarray
 ) -> tuple[float, float, float, float]:
     """(E_eps, modified energy, ||curr - prev||^2, mean) of the modal pair
-    (phi^{n-1}, phi^n) = (prev, curr), with grid the 2M grid of curr, per
-    the scheme of op: what `march` hands its observer and a trace row
-    needs."""
-    p, basis = op.params, op.basis
-    if p.scheme not in ("SL_CN", "SL_BDF2"):
-        raise ValueError("modified energy is defined for SL_CN and SL_BDF2 only")
-    L = lipschitz_bound(spec)
-    w, sigma, E = basis.weights_2M, basis.sigma, basis.E
-    bulk = float(np.einsum("i,ij,j->", w, potential_value(spec, grid), w))
-    e = 0.5 * p.eps * float(np.sum(sigma * curr * curr)) + bulk / p.eps
+    (phi^{n-1}, phi^n) = (prev, curr), with grid the 2M grid of curr: what
+    `march` hands its observer and a trace row needs."""
+    bulk = float(ew.w @ potential_value(ew.spec, grid) @ ew.w)
+    e = float(np.vdot(ew.grad, curr * curr)) + bulk / ew.eps
     diff = curr - prev
-    dt_sq = float(np.sum(diff * diff))
-    mean = float(E[0, 0] * curr[0, 0] * E[0, 0])  # E[0, k] = 0 for k > 0
-    if p.scheme == "SL_CN":
-        return e, e + (L / (4.0 * p.eps) + 0.5 * p.B) * dt_sq, dt_sq, mean
-    pos = sigma > 0.0
-    hm1_sq = float(np.sum(diff[pos] ** 2 / sigma[pos]))
-    e_mod = e + hm1_sq / (4.0 * p.tau * p.gamma) + (L / (2.0 * p.eps) + 0.5 * p.B) * dt_sq
-    return e, e_mod, dt_sq, mean
+    diff *= diff
+    dt_sq = float(np.sum(diff))
+    c = float(curr[0, 0])
+    return e, e + float(np.vdot(ew.hw, diff)), dt_sq, ew.e00 * c * ew.e00
 
 
-def stability_verdict(trace: EnergyTrace, threshold: float = 1e-10, min_steps: int = 1024) -> str:
-    """"stable" iff no blow-up occurred and every per-step increment
-    dE_mod is <= threshold; a trace must either hold min_steps rows or
-    have been terminated by blow-up."""
-    if trace.blew_up:
+def stability_verdict(
+    trace: EnergyTrace, threshold: float = VERDICT_THRESHOLD, min_steps: int = 1024
+) -> str:
+    """"unstable" if the run blew up or any per-step increment dE_mod
+    exceeds threshold, whatever the trace's length; otherwise "stable",
+    which needs min_steps rows (a shorter trace raises ValueError)."""
+    if trace.blew_up or any(r.dE_mod > threshold for r in trace.rows):
         return "unstable"
     if len(trace) < min_steps:
-        raise ValueError(f"trace has {len(trace)} rows; needs >= {min_steps} or a blow-up")
-    if any(r.dE_mod > threshold for r in trace.rows):
-        return "unstable"
+        raise ValueError(f"trace has {len(trace)} rows; needs >= {min_steps} or a violation")
     return "stable"
 
 

@@ -8,11 +8,15 @@ run starts with `bootstrap_first_step` and then steps with `march`.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+import sys
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, replace
 
 import numpy as np
 
-from .diagnostics import EnergyTrace, TraceRow, error_norms, stability_verdict, step_energies
+from .diagnostics import (
+    VERDICT_THRESHOLD, EnergyTrace, TraceRow, energy_weights, error_norms, stability_verdict,
+    step_energies,
+)
 from .errors import NonFinite
 from .field2d import Field, NodalGrid, from_modal, from_nodal
 from .potential import PotentialSpec
@@ -61,8 +65,18 @@ def prepare_phi1(phi0: Field, eps: float) -> Field:
     """Relax random noise into a developed-interface state: the first-order
     bootstrap to time 64 eps^3 in 64 substeps of eps^3, unit mobility,
     stabilizer B = 1/eps."""
+    _check_prepare_eps(eps)
     params = SchemeParams(scheme="FIRST_ORDER", tau=64.0 * eps**3, gamma=1.0, eps=eps)
     return bootstrap_first_step(phi0, params, m=64)
+
+
+def _check_prepare_eps(eps: float) -> None:
+    # the substep eps^3 must be a normal float: 64 eps^3 > 0, and its
+    # reciprocal, the bootstrap's step coefficient, stays finite
+    if not (0.0 < eps <= 1.0 and eps**3 >= sys.float_info.min):
+        raise ValueError(
+            f"eps must be in (0, 1] with eps^3 a normal float to prepare phi1, got {eps!r}"
+        )
 
 
 def _step_count(T: float, tau: float) -> int:
@@ -124,6 +138,8 @@ class RunConfig:
         self.n_steps()  # raises unless T is a positive multiple of tau
         if self.initial not in ("random", "prepared"):
             raise ValueError("initial must be 'random' or 'prepared'")
+        if self.initial == "prepared":
+            _check_prepare_eps(self.eps)
         if self.m < 1 or self.snapshot_every < 0:
             raise ValueError("m must be >= 1 and snapshot_every >= 0")
 
@@ -165,10 +181,16 @@ def initial_field(cfg: RunConfig, basis: Basis1D | None = None) -> Field:
     return phi0
 
 
+class _EnergyIncrease(Exception):
+    """A trace row's dE_mod exceeded run_simulation's stop_above."""
+
+
 def run_simulation(
     cfg: RunConfig,
     phi_init: Field | None = None,
     basis: Basis1D | None = None,
+    *,
+    stop_above: float | None = None,
 ) -> tuple[EnergyTrace, Field, list[tuple[int, float, Field]]]:
     """Bootstrap the first step, then march T/tau - 1 scheme steps.
 
@@ -179,12 +201,16 @@ def run_simulation(
     run early and is recorded on the trace (verdict data), not raised; the
     final field is then the last good state. A SolveFailed from a bad
     eigendecomposition is a solver fault, not a verdict, and propagates.
+    With stop_above set, the run ends right after the first row whose
+    dE_mod exceeds it: the trace is then shorter than T/tau without a
+    blow-up, and its last row is the violation.
     """
     spec = PotentialSpec()
     phi0 = phi_init if phi_init is not None else initial_field(cfg, basis)
     basis = phi0.basis
     params = cfg.scheme_params(cfg.tau)
     op = build_step_operator(params, basis)
+    weights = energy_weights(op, spec)
     trace = EnergyTrace(max_residual=basis.residual)
     snapshots: list[tuple[int, float, Field]] = []
     N = cfg.n_steps()
@@ -195,7 +221,7 @@ def run_simulation(
         n = len(trace) + 1
         t = trace.rows[-1].t + cfg.tau if trace.rows else cfg.tau
         last = curr
-        e_eps, e_new, dt_sq, mean = step_energies(op, spec, prev, curr, grid)
+        e_eps, e_new, dt_sq, mean = step_energies(weights, prev, curr, grid)
         # row 1 is the bootstrap transition; no earlier modified energy
         # exists, so its increment is 0 by convention
         trace.append(
@@ -212,6 +238,8 @@ def run_simulation(
         e_mod = e_new
         if cfg.snapshot_every > 0 and (n % cfg.snapshot_every == 0 or n == N):
             snapshots.append((n, t, Field(basis, from_modal(basis, curr))))
+        if stop_above is not None and trace.rows[-1].dE_mod > stop_above:
+            raise _EnergyIncrease
 
     try:
         phi1 = bootstrap_first_step(phi0, params, cfg.m, spec)
@@ -219,6 +247,8 @@ def run_simulation(
     except NonFinite:
         trace.blew_up = True
         trace.blowup_step = len(trace) + 1
+    except _EnergyIncrease:
+        pass
     final = phi0 if last is None else Field(basis, from_modal(basis, last))
     return trace, final, snapshots
 
@@ -291,6 +321,23 @@ def sweep_config_from_dict(d: dict) -> SweepConfig:
 
 
 @dataclass
+class SweepRecord:
+    """One candidate run of a sweep, a row of sweep_log.csv. stop_reason is
+    "completed", "energy_increase" (stopped at its first dE_mod above the
+    verdict threshold, which is then its last row) or "blow_up"; the first
+    violation is None when no row exceeded the threshold."""
+
+    gamma: float
+    tau: float
+    candidate: float
+    verdict: str
+    rows_run: int
+    stop_reason: str
+    first_violation_step: int | None
+    first_violation_dE_mod: float | None
+
+
+@dataclass
 class SweepResult:
     config: SweepConfig
     # (gamma, tau) -> smallest stable candidate, or None if the ladder was
@@ -298,6 +345,7 @@ class SweepResult:
     cells: dict[tuple[float, float], float | None] = field(default_factory=dict)
     ladders: dict[tuple[float, float], list[float]] = field(default_factory=dict)
     anomalies: list[str] = field(default_factory=list)
+    log: list[SweepRecord] = field(default_factory=list)  # every candidate run, in order
 
     def cell_text(self, gamma: float, tau: float) -> str:
         value = self.cells[(gamma, tau)]
@@ -315,6 +363,15 @@ class SweepResult:
                 cells = ",".join(self.cell_text(g, tau) for g in cfg.gamma_list)
                 fh.write(f"{_num(tau)},{cells}\n")
 
+    def write_log_csv(self, path) -> None:
+        """One row per candidate run, columns named as SweepRecord's fields;
+        an empty cell for no violation."""
+        with open(path, "w") as fh:
+            fh.write(",".join(f.name for f in fields(SweepRecord)) + "\n")
+            for r in self.log:
+                cells = ("" if v is None else v if isinstance(v, str) else _num(v) for v in astuple(r))
+                fh.write(",".join(cells) + "\n")
+
 
 def _num(x: float) -> str:
     # integers print bare (0, 2, 640); everything else shortest round-trip
@@ -329,44 +386,45 @@ def _candidate_config(sc: SweepConfig, gamma: float, tau: float, candidate: floa
     )
 
 
-def _sweep_cell(sc: SweepConfig, basis: Basis1D, gamma: float, tau: float):
+def _sweep_cell(sc: SweepConfig, phi0: Field, gamma: float, tau: float, result: SweepResult):
+    """Walk the cell's ladder from phi0. Each candidate stops at its first
+    dE_mod above the verdict threshold, which already makes it unstable."""
     ladder = list(sc.ladder) if sc.ladder is not None else default_ladder(sc.target, gamma, sc.base.eps)
     verdicts: list[bool] = []
     minimum: float | None = None
     for candidate in ladder:
         cfg = _candidate_config(sc, gamma, tau, candidate)
-        trace, _, _ = run_simulation(cfg, basis=basis)
-        stable = (
-            not trace.blew_up
-            and len(trace) >= sc.steps
-            and stability_verdict(trace, min_steps=sc.steps) == "stable"
-        )
-        verdicts.append(stable)
-        if stable and minimum is None:
+        trace, _, _ = run_simulation(cfg, phi_init=phi0, stop_above=VERDICT_THRESHOLD)
+        verdict = stability_verdict(trace, min_steps=sc.steps)
+        first = next((r for r in trace.rows if r.dE_mod > VERDICT_THRESHOLD), None)
+        result.log.append(SweepRecord(
+            gamma, tau, candidate, verdict, len(trace),
+            "blow_up" if trace.blew_up else "completed" if first is None else "energy_increase",
+            None if first is None else first.n, None if first is None else first.dE_mod,
+        ))
+        verdicts.append(verdict == "stable")
+        if verdicts[-1] and minimum is None:
             minimum = candidate
             if not sc.full_scan:
                 break
-    anomalies = []
-    if sc.full_scan and minimum is not None:
-        tail = verdicts[verdicts.index(True):]
-        if not all(tail):
-            anomalies.append(
-                f"non-monotone ladder at gamma={gamma} tau={tau}: verdicts {verdicts}"
-            )
-    return (gamma, tau), minimum, ladder, anomalies
+    result.cells[(gamma, tau)] = minimum
+    result.ladders[(gamma, tau)] = ladder
+    if sc.full_scan and minimum is not None and not all(verdicts[verdicts.index(True):]):
+        result.anomalies.append(
+            f"non-monotone ladder at gamma={gamma} tau={tau}: verdicts {verdicts}"
+        )
 
 
 def sweep_min_stabilizer(sc: SweepConfig) -> SweepResult:
     """For each (gamma, tau) cell, the smallest ladder candidate whose
-    1024-step run is judged stable; None marks ladder exhaustion."""
-    basis = assemble_basis(sc.base.M)
+    1024-step run is judged stable; None marks ladder exhaustion. Every
+    candidate starts from one phi0, built once: it depends only on M, seed,
+    initial and eps, which no candidate changes."""
+    phi0 = initial_field(sc.base)
     result = SweepResult(config=sc)
     for gamma in sc.gamma_list:
         for tau in sc.tau_list:
-            key, minimum, ladder, anomalies = _sweep_cell(sc, basis, gamma, tau)
-            result.cells[key] = minimum
-            result.ladders[key] = ladder
-            result.anomalies.extend(anomalies)
+            _sweep_cell(sc, phi0, gamma, tau, result)
     return result
 
 

@@ -10,7 +10,7 @@ import pytest
 from numpy.polynomial import legendre as npleg
 
 from chillwave import Field, PotentialSpec, SchemeParams, assemble_basis, build_step_operator, potential_deriv
-from chillwave.diagnostics import step_energies
+from chillwave.diagnostics import energy_weights, step_energies
 from chillwave.field2d import to_modal
 
 
@@ -81,7 +81,7 @@ def field_energies(spec, params, curr, prev=None):
     op = build_step_operator(params, curr.basis)
     v_curr, grid = modal(op, curr.coeffs)
     v_prev = v_curr if prev is None else modal(op, prev.coeffs)[0]
-    return step_energies(op, spec, v_prev, v_curr, grid)
+    return step_energies(energy_weights(op, spec), v_prev, v_curr, grid)
 
 
 def energy_eps(spec, eps, u):

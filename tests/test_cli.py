@@ -1,10 +1,11 @@
 import json
+import platform
 import warnings
 
 import numpy as np
 import pytest
 
-from chillwave import mean_value, read_snapshot
+from chillwave import __version__, mean_value, read_snapshot
 from chillwave.cli import build_parser, main
 
 
@@ -42,7 +43,25 @@ def test_run_outputs(tmp_path, capsys):
     assert summary["max_residual"] <= 1e-10
     assert summary["mean_drift"] <= 1e-11
     assert summary["config"]["M"] == 8
+    assert (summary["stop_reason"], summary["stop_step"]) == ("completed", 5)
+    assert summary["versions"] == {
+        "chillwave": __version__, "numpy": np.__version__,
+        "python": platform.python_version(),
+    }
     assert "completed" in capsys.readouterr().out
+
+
+def test_run_summary_records_blow_up(tmp_path):
+    cfg_path = tmp_path / "run.json"
+    write_json(cfg_path, dict(M=16, eps=0.05, gamma=0.0025, tau=1.0, T=100.0,
+                              scheme="SL_BDF2", seed=1))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["blew_up"] is True
+    assert summary["stop_reason"] == "blow_up"
+    assert summary["stop_step"] == summary["blowup_step"] == summary["steps_completed"] + 1
+    assert set(summary["versions"]) == {"chillwave", "numpy", "python"}
 
 
 def test_run_final_field_matches_last_snapshot(tmp_path):
@@ -73,6 +92,7 @@ def assert_one_line_error(capsys, rc, *words):
     assert err.count("\n") == 1 and "Traceback" not in err
     for word in words:
         assert word in err
+    return err
 
 
 def test_run_rejects_unknown_key(tmp_path, capsys):
@@ -176,6 +196,37 @@ def test_sweep_command(tmp_path, capsys):
     assert lines[0] == "tau,gamma=1"
     assert lines[1] == "4e-05,0"
     assert "1 cells" in capsys.readouterr().out
+    log = (out / "sweep_log.csv").read_text().splitlines()
+    assert log == [SWEEP_LOG_COLUMNS, "1,4e-05,0,stable,64,completed,,"]
+
+
+SWEEP_LOG_COLUMNS = ("gamma,tau,candidate,verdict,rows_run,stop_reason,"
+                     "first_violation_step,first_violation_dE_mod")
+
+
+def test_sweep_log_records_every_candidate(tmp_path):
+    # SL_CN at M = 8: A = 0, 0.5, 1 and 2 break the 1e-10 bound and stop
+    # there; A = 4 is the first stable rung
+    cfg_path = tmp_path / "sweep.json"
+    write_json(cfg_path, dict(
+        base=dict(M=8, eps=0.25, gamma=1.0, tau=0.01, T=0.64, scheme="SL_CN", seed=42),
+        target="A", gamma_list=[1.0], tau_list=[0.01], steps=64))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+    header, *rows = (out / "sweep_log.csv").read_text().splitlines()
+    assert header == SWEEP_LOG_COLUMNS
+    rows = [dict(zip(header.split(","), row.split(","))) for row in rows]
+    assert [r["candidate"] for r in rows] == ["0", "0.5", "1", "2", "4"]
+    assert all((r["gamma"], r["tau"]) == ("1", "0.01") for r in rows)
+    *stopped, last = rows
+    for r in stopped:
+        assert (r["verdict"], r["stop_reason"]) == ("unstable", "energy_increase")
+        assert int(r["rows_run"]) == int(r["first_violation_step"]) < 64
+        assert float(r["first_violation_dE_mod"]) > 1e-10
+    assert last == dict(gamma="1", tau="0.01", candidate="4", verdict="stable", rows_run="64",
+                        stop_reason="completed", first_violation_step="",
+                        first_violation_dE_mod="")
+    assert (out / "sweep.csv").read_text().splitlines()[1] == "0.01,4"
 
 
 def test_converge_command(tmp_path, capsys):
@@ -201,3 +252,21 @@ def test_prepare_initial_command(tmp_path, capsys):
     assert meta1["step"] == 64
     assert mean_value(phi0) == pytest.approx(mean_value(phi1), abs=1e-11)
     assert "phi0.csv" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("eps", ["0", "1e-200", "nan"])
+def test_prepare_initial_rejects_bad_eps(tmp_path, capsys, eps):
+    # the error names the eps the user gave, not the tau derived from it
+    out = tmp_path / "init"
+    rc = main(["prepare-initial", "--M", "8", "--eps", eps, "--seed", "7", "--out", str(out)])
+    assert "tau" not in assert_one_line_error(capsys, rc, "eps")
+    assert not (out / "phi1.csv").exists()
+
+
+def test_run_rejects_prepared_eps_underflow(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    write_json(cfg_path, dict(RUN_CFG, eps=1e-200, initial="prepared"))
+    out = tmp_path / "out"
+    rc = main(["run", "--config", str(cfg_path), "--out-dir", str(out)])
+    assert_one_line_error(capsys, rc, "eps")
+    assert not out.exists()

@@ -14,7 +14,7 @@ from chillwave import (
     potential_value,
     stability_verdict,
 )
-from chillwave.diagnostics import TRACE_HEADER, step_energies
+from chillwave.diagnostics import TRACE_HEADER, energy_weights, step_energies
 from conftest import energy_eps, field_energies, oracle_eval_2d, oracle_quadrature, rand_field
 
 
@@ -175,6 +175,16 @@ def test_verdict_needs_enough_rows():
     assert stability_verdict(tr, min_steps=10) == "stable"
 
 
+def test_verdict_violation_before_length():
+    # a short trace that ends at its first violating row (a sweep candidate
+    # stopped early) is judged on that row, not rejected for its length
+    tr = make_trace([0.0, -1e-6, 2e-10])
+    assert stability_verdict(tr) == "unstable"
+    assert stability_verdict(tr, threshold=1e-9, min_steps=3) == "stable"
+    with pytest.raises(ValueError):
+        stability_verdict(tr, threshold=1e-9)
+
+
 def test_error_norms_identical(basis16):
     u = rand_field(basis16, np.random.default_rng(25))
     assert error_norms(u, u) == (0.0, 0.0, 0.0)
@@ -224,10 +234,11 @@ def test_energy_decreases_along_stable_run(basis16, spec):
     phi0 = random_nodal_field(basis16, 30)
     phi1 = bootstrap_first_step(phi0, params)
     op = build_step_operator(params, basis16)
+    weights = energy_weights(op, spec)
     rows = []
 
     def record(prev, curr, grid):
-        rows.append(step_energies(op, spec, prev, curr, grid))
+        rows.append(step_energies(weights, prev, curr, grid))
 
     prev, curr = march(op, spec, phi0.coeffs, phi1.coeffs, 50, observe=record)
     assert len(rows) == 51  # the entry pair, then one per step

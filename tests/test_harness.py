@@ -1,5 +1,6 @@
 import math
 import os
+from dataclasses import replace
 import subprocess
 import sys
 from pathlib import Path
@@ -130,6 +131,12 @@ def test_run_config_validation():
     ):
         with pytest.raises(ValueError):
             RunConfig(**dict(good, **bad))
+    # prepared data relaxes for 64 eps^3: an eps whose cube underflows is a
+    # config error, not a failure at run time
+    RunConfig(**dict(good, eps=1e-100, initial="prepared"))
+    RunConfig(**dict(good, eps=1e-200))
+    with pytest.raises(ValueError, match="eps"):
+        RunConfig(**dict(good, eps=1e-200, initial="prepared"))
     with pytest.raises(ValueError, match="missing RunConfig keys"):
         run_config_from_dict({"M": 8, "eps": 0.05})
 
@@ -308,6 +315,70 @@ def test_sweep_csv_layout(tmp_path):
     lines = p.read_text().strip().splitlines()
     assert lines[0] == "tau,gamma=1"
     assert lines[1].startswith("4e-05,")
+
+
+def ladder_walk(sc, gamma, tau):
+    # the reference sweep: a full-length run per rung, without stop_above
+    # or a shared phi0, judged by stability_verdict
+    from chillwave.harness import _candidate_config
+
+    ladder = sc.ladder or default_ladder(sc.target, gamma, sc.base.eps)
+    out = []
+    for candidate in ladder:
+        trace, _, _ = run_simulation(_candidate_config(sc, gamma, tau, candidate))
+        out.append((candidate, trace, stability_verdict(trace, min_steps=sc.steps)))
+    return out
+
+
+def test_sweep_early_stop_keeps_every_verdict():
+    # SL_CN at M = 8: A = 0 .. 2 break the 1e-10 bound after 28 to 57 of
+    # 64 steps, A >= 4 are stable
+    base = RunConfig(M=8, eps=0.25, gamma=1.0, tau=0.01, T=0.64, scheme="SL_CN", seed=42)
+    sc = SweepConfig(base=base, target="A", gamma_list=[1.0], tau_list=[0.01], steps=64,
+                     full_scan=True)
+    res = sweep_min_stabilizer(sc)
+    reference = ladder_walk(sc, 1.0, 0.01)
+    assert [r.verdict for r in res.log] == [v for _, _, v in reference]
+    assert {v for _, _, v in reference} == {"stable", "unstable"}
+    assert res.cells[(1.0, 0.01)] == 4.0 and res.anomalies == []
+    stopped = 0
+    for record, (candidate, full, verdict) in zip(res.log, reference):
+        assert record.candidate == candidate
+        first = next((r for r in full.rows if r.dE_mod > 1e-10), None)
+        if first is None:
+            assert (record.stop_reason, record.rows_run) == ("completed", 64)
+            continue
+        stopped += 1
+        # the stopped run ends exactly at the full run's first violating row
+        assert record.stop_reason == "energy_increase"
+        assert record.rows_run == record.first_violation_step == first.n < 64
+        assert record.first_violation_dE_mod == first.dE_mod
+        cfg = replace(base, A=candidate)
+        short, _, _ = run_simulation(cfg, stop_above=1e-10)
+        assert not short.blew_up and short.rows == full.rows[:first.n]
+    assert stopped == 4
+
+
+def test_sweep_builds_prepared_phi0_once(monkeypatch):
+    import chillwave.harness as harness
+
+    base = RunConfig(M=8, eps=0.25, gamma=1.0, tau=0.1, T=6.4, scheme="SL_CN", seed=42,
+                     initial="prepared")
+    sc = SweepConfig(base=base, target="A", gamma_list=[1.0], tau_list=[0.1], steps=64)
+    reference = ladder_walk(sc, 1.0, 0.1)
+    expected = next(c for c, _, v in reference if v == "stable")
+    calls = []
+    prepare = harness.prepare_phi1
+
+    def counted(phi0, eps):
+        calls.append(eps)
+        return prepare(phi0, eps)
+
+    monkeypatch.setattr(harness, "prepare_phi1", counted)
+    res = sweep_min_stabilizer(sc)
+    assert calls == [0.25]
+    assert len(res.log) > 1  # several candidates shared the one phi0
+    assert res.cells[(1.0, 0.1)] == expected == 16.0
 
 
 def test_sweep_config_from_dict_unknown_key():
