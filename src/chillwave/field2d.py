@@ -155,9 +155,8 @@ def write_snapshot(u: Field, path, eps: float, gamma: float, t: float, step: int
     with open(path, "w") as fh:
         fh.write("M,eps,gamma,t,step\n")
         fh.write(f"{u.basis.M},{float(eps)!r},{float(gamma)!r},{float(t)!r},{int(step)}\n")
-        for row in g.values:
-            # float() first: repr of a numpy scalar is not parseable
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for row in g.values.tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def read_snapshot(path, basis: Basis1D | None = None) -> tuple[Field, dict]:

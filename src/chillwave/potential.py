@@ -30,58 +30,53 @@ class PotentialSpec:
             raise ValueError("truncation_point must be > 1")
 
 
-def _outer_coeffs(p: float) -> tuple[float, float, float]:
-    # Taylor continuation at the joint: F(p), f(p), f'(p)/2.
-    c = 0.25 * (p * p - 1.0) ** 2
-    b = p**3 - p
-    a = 0.5 * (3.0 * p * p - 1.0)
-    return a, b, c
-
-
 def potential_value(spec: PotentialSpec, phi):
-    """Energy density F(phi). Total function on the reals; evaluated on
-    |phi| via the evenness of F.
-
-    Arrays are built in place in a few buffers: at M = 64 the temporaries
-    of a branch-by-branch expression made the allocator trim and regrow
-    the heap on every call.
-    """
+    """Energy density F(phi). Total function on the reals: the quartic is
+    evaluated everywhere, then only the points with |phi| > p are
+    overwritten by the Taylor continuation a d^2 + b d + c, d = |phi| - p
+    (F is even)."""
     scalar = np.ndim(phi) == 0
     x = np.atleast_1d(np.asarray(phi, dtype=float))
-    ax = np.abs(x)
     p = spec.truncation_point
-    a, b, c = _outer_coeffs(p)
-
-    out = np.square(ax)
-    out -= 1.0
-    np.square(out, out=out)
-    out *= 0.25
-    d = ax - p
-    outer = np.square(d)
-    outer *= a
-    d *= b
-    outer += d
-    outer += c
-
-    np.copyto(out, outer, where=ax > p)
+    with np.errstate(over="ignore", invalid="ignore"):  # the quartic at huge |phi|
+        out = np.square(x)
+        out -= 1.0
+        np.square(out, out=out)
+        out *= 0.25
+        outside = _outside(x, p)
+        if outside is not None:
+            # Taylor continuation at the joint: f'(p)/2, f(p), F(p)
+            a, b, c = 0.5 * (3.0 * p * p - 1.0), p**3 - p, 0.25 * (p * p - 1.0) ** 2
+            d = np.abs(x[outside]) - p
+            out[outside] = (np.square(d) * a + d * b) + c
     return float(out[0]) if scalar else out
 
 
 def potential_deriv(spec: PotentialSpec, phi):
-    """f(phi) = F'(phi): phi^3 - phi inside the truncation interval,
-    linear continuation outside. Branch-free: with c = clip(phi, -p, p),
-    f = c^3 - c + (3 p^2 - 1) (phi - c)."""
+    """f(phi) = F'(phi): phi^3 - phi, evaluated everywhere, then only the
+    points with |phi| > p are overwritten by the linear continuation
+    c^3 - c + (3 p^2 - 1) (phi - c), c = sign(phi) p."""
     scalar = np.ndim(phi) == 0
     x = np.atleast_1d(np.asarray(phi, dtype=float))
     p = spec.truncation_point
-    c = np.clip(x, -p, p)
-    out = np.square(c)
-    out *= c
-    out -= c
-    np.subtract(x, c, out=c)
-    c *= 3.0 * p * p - 1.0
-    out += c
+    with np.errstate(over="ignore", invalid="ignore"):  # the quartic at huge |phi|
+        out = np.square(x)
+        out *= x
+        out -= x
+        outside = _outside(x, p)
+        if outside is not None:
+            xo = x[outside]
+            c = np.copysign(p, xo)
+            out[outside] = (np.square(c) * c - c) + (xo - c) * (3.0 * p * p - 1.0)
     return float(out[0]) if scalar else out
+
+
+def _outside(x: np.ndarray, p: float):
+    # the mask |x| > p, or None when two reductions show no point is
+    # outside; a NaN fails both comparisons and takes the masked path
+    if not x.size or (-p <= x.min() and x.max() <= p):
+        return None
+    return np.abs(x) > p
 
 
 def lipschitz_bound(spec: PotentialSpec) -> float:

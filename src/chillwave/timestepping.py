@@ -11,17 +11,18 @@ with b0 = B. In the generalized eigenbasis of (stiffness, mass), where
 K E = M E diag(lam) and E^T M E = I, M2 is the identity and K2 is sigma =
 lam_k + lam_j. `march` holds the state in these modal coordinates,
 v^n = E^T (M2 phi^n) E, together with its grid g^n = T v^n T^T on the
-2M x 2M Gauss nodes (T = eval_2M^T E). Each step is elementwise apart from
-the force, whose modal load is G f(g) G^T with G = E^T (eval_2M w_2M):
+2M x 2M Gauss nodes (T = eval_2M^T E). Eliminating mu from R1 = r_n v^n +
+r_p v^{n-1} and R2 = load / eps + s sigma v^n - B (y_n v^n + y_p v^{n-1})
+leaves three per-mode weights, built once per operator (see
+`build_step_operator`), and the explicit force, whose modal load is
+G f(g) G^T with G = E^T (eval_2M w_2M):
 
-    R1 = r_n v^n + r_p v^{n-1}
-    R2 = G f(x_n g^n + x_p g^{n-1}) G^T / eps + s sigma v^n - B (y_n v^n + y_p v^{n-1})
-    v^{n+1} = (R1 - gamma sigma R2) / (a + gamma sigma (c sigma + b0))
+    v^{n+1} = cn v^n + cp v^{n-1} + cl G f(g^n + x_p (g^{n-1} - g^n)) G^T
 
 with the per-scheme coefficients of `_TABLE` (SL_CN stabilizes B on
-2 phi^n - phi^{n-1} but extrapolates f at 1.5 phi^n - 0.5 phi^{n-1}).
-A step is one load and one new grid: 4 dense matmuls. sigma, T and G
-are the basis's (see Basis1D). Runs, sweeps, convergence studies and the
+2 phi^n - phi^{n-1} but extrapolates f at 1.5 phi^n - 0.5 phi^{n-1}). A
+step is one load and one new grid: 4 dense matmuls. sigma, T and G are
+the basis's (see Basis1D). Runs, sweeps, convergence studies and the
 first-order bootstrap all step through `march`.
 """
 
@@ -42,11 +43,11 @@ SCHEMES = ("SL_BDF2", "SL_CN", "FIRST_ORDER")
 
 BLOWUP_LIMIT = 1e8
 
-# per scheme, from (tau, eps, A): a, c, (r_n, r_p), s, (x_n, x_p), (y_n, y_p)
+# per scheme, from (tau, eps, A): a, c, (r_n, r_p), s, x_p, (y_n, y_p); x_n = 1 - x_p
 _TABLE = {
-    "SL_BDF2": lambda t, e, A: (1.5 / t, e + A * t, (2 / t, -0.5 / t), -A * t, (2, -1), (2, -1)),
-    "SL_CN": lambda t, e, A: (1 / t, e / 2 + A * t, (1 / t, 0), e / 2 - A * t, (1.5, -0.5), (2, -1)),
-    "FIRST_ORDER": lambda t, e, A: (1 / t, e, (1 / t, 0), 0, (1, 0), (1, 0)),
+    "SL_BDF2": lambda t, e, A: (1.5 / t, e + A * t, (2 / t, -0.5 / t), -A * t, -1.0, (2, -1)),
+    "SL_CN": lambda t, e, A: (1 / t, e / 2 + A * t, (1 / t, 0), e / 2 - A * t, -0.5, (2, -1)),
+    "FIRST_ORDER": lambda t, e, A: (1 / t, e, (1 / t, 0), 0, 0.0, (1, 0)),
 }
 
 
@@ -77,30 +78,34 @@ class SchemeParams:
 @dataclass
 class StepOperator:
     """Pre-built constant-coefficient modal solver, reusable across steps:
-    the `_TABLE` weights and the per-mode denominators."""
+    the per-mode weights of v^{n+1} = cn v^n + cp v^{n-1} + cl load and the
+    force's extrapolation weight x_p."""
 
     params: SchemeParams
     basis: Basis1D
-    r: tuple[float, float]
-    s: float
-    x: tuple[float, float]
-    y: tuple[float, float]
-    denom: np.ndarray  # a + gamma sigma (c sigma + b0) >= a > 0, per mode pair
+    xp: float
+    cn: np.ndarray
+    cp: np.ndarray
+    cl: np.ndarray
 
 
 def build_step_operator(params: SchemeParams, basis: Basis1D) -> StepOperator:
     """Raises ValueError when a step coefficient overflows (a subnormal
     tau, or gamma, A or B near the float range)."""
-    a, c, r, s, x, y = _TABLE[params.scheme](params.tau, params.eps, params.A)
-    sigma = basis.sigma
+    a, c, (rn, rp), s, xp, (yn, yp) = _TABLE[params.scheme](params.tau, params.eps, params.A)
+    sigma, B = basis.sigma, params.B
+    gamma_sigma = params.gamma * sigma
     with np.errstate(over="ignore", invalid="ignore"):
-        denom = a + params.gamma * sigma * (c * sigma + params.B)
-    if not (np.all(np.isfinite(denom)) and np.all(np.isfinite(r))):
+        denom = a + gamma_sigma * (c * sigma + B)  # >= a > 0 per mode pair
+        cn = (rn - gamma_sigma * (s * sigma - B * yn)) / denom
+        cp = (rp + gamma_sigma * B * yp) / denom
+        cl = -gamma_sigma / (params.eps * denom)
+    if not all(np.isfinite(w).all() for w in (denom, cn, cp, cl)):
         raise ValueError(
             f"step coefficients overflow for tau = {params.tau}, gamma = {params.gamma}, "
             f"A = {params.A}, B = {params.B}"
         )
-    return StepOperator(params, basis, r, s, x, y, denom)
+    return StepOperator(params, basis, xp, cn, cp, cl)
 
 
 def modal_load(op: StepOperator, spec: PotentialSpec, grid: np.ndarray) -> np.ndarray:
@@ -127,34 +132,33 @@ def march(
     blow-up of the modal coefficients (stability sweeps treat that as an
     unstable verdict).
     """
-    basis, p = op.basis, op.params
-    (rn, rp), (xn, xp), (yn, yp) = op.r, op.x, op.y
-    sigma, T = basis.sigma, basis.T
-    gamma_sigma = p.gamma * sigma
-    prev, curr = (to_modal(basis, u) for u in (prev, curr))
+    T, xp, cn, cp, cl = op.basis.T, op.xp, op.cn, op.cp, op.cl
+    prev, curr = (to_modal(op.basis, u) for u in (prev, curr))
     grid_prev, grid = (T @ v @ T.T for v in (prev, curr))
+    force = np.empty_like(grid)  # x_n g^n + x_p g^{n-1}, rebuilt in place each step
     # Freeing one untouched block of 8 grids raises glibc's dynamic mmap and
     # trim thresholds above the step's grid-sized temporaries; below them the
-    # heap is trimmed and faulted back in every step (22 page faults a step
-    # at M = 64 and 218 at M = 128, 1.2-1.35x slower).
+    # heap is trimmed and faulted back in every step (0.24 page faults a
+    # step at M = 64 and 56 at M = 128, 1.08x and 1.3x slower).
     np.empty((8,) + grid.shape)
     if observe is not None:
         observe(prev, curr, grid)
     for _ in range(n_steps):
-        r1 = rn * curr + rp * prev
-        r2 = (
-            modal_load(op, spec, xn * grid + xp * grid_prev) / p.eps
-            + op.s * sigma * curr
-            - p.B * (yn * curr + yp * prev)
-        )
-        new = (r1 - gamma_sigma * r2) / op.denom
-        if not np.all(np.isfinite(new)) or np.max(np.abs(new)) > BLOWUP_LIMIT:
+        np.subtract(grid_prev, grid, out=force)
+        force *= xp
+        force += grid
+        load = modal_load(op, spec, force)
+        new = cn * curr
+        new += cp * prev
+        load *= cl
+        new += load
+        if not np.abs(new).max() <= BLOWUP_LIMIT:  # NaN fails the comparison too
             raise NonFinite(f"step blew up (max |modal coeff| > {BLOWUP_LIMIT:.0e} or non-finite)")
         prev, curr = curr, new
         grid_prev, grid = grid, T @ new @ T.T
         if observe is not None:
             observe(prev, curr, grid)
-    return from_modal(basis, prev), from_modal(basis, curr)
+    return from_modal(op.basis, prev), from_modal(op.basis, curr)
 
 
 def bootstrap_first_step(

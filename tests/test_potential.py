@@ -89,9 +89,9 @@ def test_deriv_matches_finite_difference(spec):
 
 
 def test_deriv_matches_piecewise_definition(spec):
-    # the clip form c^3 - c + (3p^2 - 1)(phi - c) against the two branches
-    # written out, within a few ulp of max(1, |f|); infinities and NaN
-    # map as the branches do
+    # the masked form (phi^3 - phi everywhere, then the outer branch where
+    # |phi| > p) against the two branches written out, within a few ulp of
+    # max(1, |f|); infinities and NaN map as the branches do
     p = spec.truncation_point
     rng = np.random.default_rng(1)
     phi = np.concatenate([rng.uniform(-6.0, 6.0, 2000), [-p, p, 0.0, -1.0, 1.0, 1e300, -1e300]])
@@ -100,8 +100,29 @@ def test_deriv_matches_piecewise_definition(spec):
         ref = np.where(np.abs(phi) <= p, phi**3 - phi, outer)
     f = potential_deriv(spec, phi)
     assert np.all(np.abs(f - ref) <= 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(ref)))
-    special = potential_deriv(spec, np.array([np.inf, -np.inf, np.nan]))
+    # a NaN fails the min/max range test, so the outer point beside it
+    # still takes the outer branch
+    special = potential_deriv(spec, np.array([np.inf, -np.inf, np.nan, 3.0]))
     assert special[0] == np.inf and special[1] == -np.inf and np.isnan(special[2])
+    assert special[3] == pytest.approx(17.0, rel=1e-15)
+
+
+def test_value_matches_piecewise_definition(spec):
+    # the masked form against the quartic and its Taylor continuation
+    # written out, within a few ulp of max(1, F); F overflows to inf at
+    # +-1e300 and at the infinities, NaN stays NaN, and the outer point
+    # beside the NaN still takes the outer branch
+    p = spec.truncation_point
+    a, b, c = 0.5 * (3 * p * p - 1), p**3 - p, 0.25 * (p * p - 1) ** 2
+    rng = np.random.default_rng(4)
+    phi = np.concatenate([rng.uniform(-6.0, 6.0, 2000), [-p, p, 0.0, -1.0, 1.0]])
+    d = np.abs(phi) - p
+    ref = np.where(np.abs(phi) <= p, 0.25 * (phi * phi - 1) ** 2, a * d * d + b * d + c)
+    F = potential_value(spec, phi)
+    assert np.all(np.abs(F - ref) <= 4 * np.finfo(float).eps * np.maximum(1.0, ref))
+    special = potential_value(spec, np.array([1e300, -1e300, np.inf, -np.inf, np.nan, 3.0]))
+    assert np.all(special[:4] == np.inf) and np.isnan(special[4])
+    assert special[5] == pytest.approx(13.75, rel=1e-15)
 
 
 def test_branch_continuity(spec):

@@ -1,4 +1,5 @@
 import inspect
+import warnings
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -20,8 +21,9 @@ from chillwave import (
     norm_l2,
     sufficient_stabilizers,
 )
-from chillwave.field2d import from_modal
+from chillwave.field2d import from_modal, to_modal
 from chillwave.harness import random_nodal_field
+from chillwave.timestepping import BLOWUP_LIMIT
 from conftest import energy_eps, oracle_load
 
 
@@ -139,6 +141,38 @@ def test_nonfinite_on_blowup(basis16, spec):
     op = build_step_operator(params, basis16)
     with pytest.raises(NonFinite):
         march(op, spec, phi0.coeffs, phi1.coeffs, 100)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "above_limit"])
+def test_nonfinite_entry_state_stops_step_1(basis8, spec, bad):
+    # one reduction, not max|v| <= BLOWUP_LIMIT, catches NaN and +-inf as
+    # well as a coefficient past the limit; the mean mode is carried over
+    # unchanged, so a mean coefficient just above the limit stays above it
+    params = SchemeParams(scheme="SL_BDF2", tau=0.01, gamma=0.0025, eps=0.05, A=1.0, B=10.0)
+    phi = random_nodal_field(basis8, 3).coeffs
+    if bad == "above_limit":
+        v = to_modal(basis8, phi)
+        v[0, 0] = BLOWUP_LIMIT * (1.0 + 1e-6)
+        phi = from_modal(basis8, v)
+    else:
+        phi[2, 3] = float(bad)
+    seen = []
+    # numpy's own warnings on inf arithmetic before the check are not
+    # what is pinned here
+    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(NonFinite):
+        march(build_step_operator(params, basis8), spec, phi, phi, 5,
+              observe=lambda *a: seen.append(a))
+    assert len(seen) == 1  # the entry pair only: step 1 raised
+
+
+def test_subnormal_step_coefficient_is_an_error(basis8):
+    # 1.5 / tau is finite but r_n = 2 / tau is not: only the weight cn
+    # overflows, and the check says so without a numpy warning
+    params = SchemeParams("SL_BDF2", tau=1e-308, gamma=1.0, eps=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow"):
+            build_step_operator(params, basis8)
 
 
 def test_steady_state_reached(basis16, spec):
