@@ -17,6 +17,7 @@ import json
 import os
 import platform
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from .harness import (
     generate_phi0,
     prepare_phi1,
     run_config_from_dict,
-    run_config_to_dict,
     run_simulation,
     sweep_config_from_dict,
     sweep_min_stabilizer,
@@ -64,7 +64,7 @@ def _cmd_run(args) -> int:
         t=last.t if last else 0.0, step=last.n if last else 0,
     )
     summary = {
-        "config": run_config_to_dict(cfg),
+        "config": asdict(cfg),
         "steps_completed": len(trace),
         "blew_up": trace.blew_up,
         "blowup_step": trace.blowup_step,

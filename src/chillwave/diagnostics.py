@@ -12,8 +12,8 @@ non-increasing:
                       + (L/(2 eps) + B/2) ||dt phi^n||^2
 
 where dt phi^n = phi^n - phi^{n-1} and L is the potential's Lipschitz
-bound. In the modal coordinates v of `march` (mass I, stiffness sigma)
-every term but the bulk one is a sum over modes:
+bound. In the modal coordinates v of a Field and of `march` (mass I,
+stiffness sigma) every term but the bulk one is a sum over modes:
 
     |grad u|^2 = sum sigma v^2,  ||u||^2 = sum v^2,
     ||u||_-1^2 = sum_{sigma > 0} v^2 / sigma,  int F(u) = w^T F(grid) w.
@@ -29,8 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MeanNotZero
-from .field2d import Field, h1_seminorm_sq, hminus1_norm, inner_l2, mean_value
+from .field2d import Field, h1_seminorm_sq, hminus1_norm, inner_l2, mean_value, modal_mean
 from .potential import PotentialSpec, lipschitz_bound, potential_value
+from .spectral1d import Basis1D
 from .timestepping import StepOperator
 
 TRACE_HEADER = "n,t,E_eps,E_mod,dE_mod,mean,dt_norm"
@@ -114,16 +115,14 @@ class EnergyTrace:
 @dataclass(frozen=True)
 class EnergyWeights:
     """The operator-only factors of a trace row, built once per run by
-    `energy_weights`: the 2M quadrature weights w, grad = eps sigma / 2,
-    the history weight hw of each mode and E[0, 0] (the mean of v is
-    E[0, 0] v[0, 0] E[0, 0]; E[0, k] = 0 for k > 0)."""
+    `energy_weights`: the basis (its 2M quadrature weights and mean),
+    grad = eps sigma / 2 and the history weight hw of each mode."""
 
     spec: PotentialSpec
     eps: float
-    w: np.ndarray
+    basis: Basis1D
     grad: np.ndarray
     hw: np.ndarray
-    e00: float
 
 
 def energy_weights(op: StepOperator, spec: PotentialSpec) -> EnergyWeights:
@@ -140,8 +139,7 @@ def energy_weights(op: StepOperator, spec: PotentialSpec) -> EnergyWeights:
         hw = hm1 + (L / (2.0 * p.eps) + 0.5 * p.B)
     else:
         raise ValueError("modified energy is defined for SL_CN and SL_BDF2 only")
-    return EnergyWeights(spec, p.eps, basis.weights_2M, 0.5 * p.eps * sigma, hw,
-                         float(basis.E[0, 0]))
+    return EnergyWeights(spec, p.eps, basis, 0.5 * p.eps * sigma, hw)
 
 
 def step_energies(
@@ -150,22 +148,21 @@ def step_energies(
     """(E_eps, modified energy, ||curr - prev||^2, mean) of the modal pair
     (phi^{n-1}, phi^n) = (prev, curr), with grid the 2M grid of curr: what
     `march` hands its observer and a trace row needs."""
-    bulk = float(ew.w @ potential_value(ew.spec, grid) @ ew.w)
+    w = ew.basis.weights_2M
+    bulk = float(w @ potential_value(ew.spec, grid) @ w)
     e = float(np.vdot(ew.grad, curr * curr)) + bulk / ew.eps
     diff = curr - prev
     diff *= diff
     dt_sq = float(np.sum(diff))
-    c = float(curr[0, 0])
-    return e, e + float(np.vdot(ew.hw, diff)), dt_sq, ew.e00 * c * ew.e00
+    return e, e + float(np.vdot(ew.hw, diff)), dt_sq, modal_mean(ew.basis, curr)
 
 
-def stability_verdict(
-    trace: EnergyTrace, threshold: float = VERDICT_THRESHOLD, min_steps: int = 1024
-) -> str:
+def stability_verdict(trace: EnergyTrace, min_steps: int = 1024) -> str:
     """"unstable" if the run blew up or any per-step increment dE_mod
-    exceeds threshold, whatever the trace's length; otherwise "stable",
-    which needs min_steps rows (a shorter trace raises ValueError)."""
-    if trace.blew_up or any(r.dE_mod > threshold for r in trace.rows):
+    exceeds VERDICT_THRESHOLD, whatever the trace's length; otherwise
+    "stable", which needs min_steps rows (a shorter trace raises
+    ValueError)."""
+    if trace.blew_up or any(r.dE_mod > VERDICT_THRESHOLD for r in trace.rows):
         return "unstable"
     if len(trace) < min_steps:
         raise ValueError(f"trace has {len(trace)} rows; needs >= {min_steps} or a violation")
@@ -185,8 +182,8 @@ def error_norms(u: Field, v: Field) -> tuple[float, float, float]:
         raise MeanNotZero(
             f"mean(u) - mean(v) = {mean_value(u) - mean_value(v):.3e} exceeds 1e-9"
         )
-    d = Field(u.basis, u.coeffs - v.coeffs)
-    d.coeffs[0, 0] = 0.0
+    d = Field(u.basis, u.v - v.v)
+    d.v[0, 0] = 0.0  # the constant mode
     l2_sq = max(inner_l2(d, d), 0.0)
     h1_full = np.sqrt(l2_sq + max(h1_seminorm_sq(d), 0.0))
     return hminus1_norm(d), float(np.sqrt(l2_sq)), float(h1_full)

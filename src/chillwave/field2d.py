@@ -1,16 +1,19 @@
 """Tensor-product fields on V_M x V_M and their norms.
 
-A Field stores the coefficient matrix C with u = sum_{k,j} C[k,j]
-phi_k(x) phi_j(y). Every norm is a sum over the modal coefficients
-v = E^T (M C M) E of `to_modal`, in the eigenbasis (lam, E) of the basis
-(see Basis1D), where the mass is the identity and the stiffness is the
-symbol sigma[k,j] = lam_k + lam_j:
+A Field stores the modal coefficients v of u in the eigenbasis (lam, E)
+of the basis (see Basis1D): u = sum_{k,j} v[k,j] psi_k(x) psi_j(y) with
+psi_k = sum_i E[i,k] phi_i. There the mass is the identity and the
+stiffness is the symbol sigma[k,j] = lam_k + lam_j, so every norm is a
+sum over modes:
 
     (u, w)      = sum v_u v_w
     |grad u|^2  = sum sigma v^2
     (u, w)_-1   = sum over sigma > 0 of v_u v_w / sigma
 
-The Neumann kernel is exactly the (0,0) mode.
+The Neumann kernel, the constants, is exactly the (0,0) mode. The
+Legendre coefficients C = E v E^T, with u = sum C[k,j] phi_k(x) phi_j(y),
+are a read-only export (`Field.coeffs`); nothing in the package reads
+them back.
 """
 
 from __future__ import annotations
@@ -29,16 +32,25 @@ _MEAN_ABS_FLOOR = 1e-14
 
 @dataclass
 class Field:
-    """Element of V_M x V_M: coeffs[k, j] multiplies phi_k(x) phi_j(y)."""
+    """Element of V_M x V_M: v[k, j] multiplies psi_k(x) psi_j(y), the
+    modal basis functions (v is what `march` steps)."""
 
     basis: Basis1D
-    coeffs: np.ndarray
+    v: np.ndarray
 
     def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
+        self.v = np.asarray(self.v, dtype=float)
         M = self.basis.M
-        if self.coeffs.shape != (M, M):
-            raise ValueError(f"coeffs must be {M}x{M}, got {self.coeffs.shape}")
+        if self.v.shape != (M, M):
+            raise ValueError(f"v must be {M}x{M}, got {self.v.shape}")
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """Legendre coefficients E v E^T, a read-only array: coeffs[k, j]
+        multiplies phi_k(x) phi_j(y)."""
+        c = self.basis.E @ self.v @ self.basis.E.T
+        c.flags.writeable = False
+        return c
 
 
 @dataclass
@@ -58,17 +70,17 @@ class NodalGrid:
 
 
 def to_nodal(u: Field, node_set: str) -> NodalGrid:
-    tab = u.basis.eval_table(node_set)
-    return NodalGrid(u.basis, tab.T @ u.coeffs @ tab, node_set)
+    T = u.basis.T_M if node_set == "M" else u.basis.T
+    return NodalGrid(u.basis, T @ u.v @ T.T, node_set)
 
 
 def from_nodal(g: NodalGrid) -> Field:
     """Quadrature least-squares fit of grid values in V_M x V_M: the
     interpolant on the M set, the exact L^2 projection on the 2M set.
-    The Gram of either Gauss rule is the diagonal mass matrix."""
-    tw = g.basis.eval_table(g.node_set) * g.basis.weights(g.node_set)
-    d = np.diag(g.basis.mass)
-    return Field(g.basis, tw @ g.values @ tw.T / d[:, None] / d)
+    The Gram of either Gauss rule is the mass matrix, the identity in
+    modal coordinates, so the fit is G_P g G_P^T."""
+    G = g.basis.G_M if g.node_set == "M" else g.basis.G
+    return Field(g.basis, G @ g.values @ G.T)
 
 
 def modal_decomposition(basis: Basis1D):
@@ -76,23 +88,17 @@ def modal_decomposition(basis: Basis1D):
     return basis.lam, basis.E, basis.sigma
 
 
-def to_modal(basis: Basis1D, C: np.ndarray) -> np.ndarray:
-    """Modal coefficients E^T (M C M) E of a coefficient array; the
-    diagonal mass acts as a row and column scaling."""
-    d = np.diag(basis.mass)
-    return basis.E.T @ (d[:, None] * C * d) @ basis.E
-
-
-def from_modal(basis: Basis1D, v: np.ndarray) -> np.ndarray:
-    """Modal coefficients back to basis coefficients: E v E^T."""
-    return basis.E @ v @ basis.E.T
+def modal_mean(basis: Basis1D, v: np.ndarray) -> float:
+    """(1/|Omega|) integral of the field with modal coefficients v, which
+    is E[0,0] v[0,0] E[0,0]: psi_k has mean E[0, k], and E[0, k] = 0 for
+    k > 0."""
+    e = float(basis.E[0, 0])
+    return e * float(v[0, 0]) * e
 
 
 def inner_l2(u: Field, v: Field) -> float:
     _same_basis(u, v)
-    ut = to_modal(u.basis, u.coeffs)
-    vt = ut if v is u else to_modal(v.basis, v.coeffs)
-    return float(np.sum(ut * vt))
+    return float(np.sum(u.v * v.v))
 
 
 def norm_l2(u: Field) -> float:
@@ -100,14 +106,12 @@ def norm_l2(u: Field) -> float:
 
 
 def h1_seminorm_sq(u: Field) -> float:
-    v = to_modal(u.basis, u.coeffs)
-    return float(np.sum(u.basis.sigma * v * v))
+    return float(np.sum(u.basis.sigma * u.v * u.v))
 
 
 def mean_value(u: Field) -> float:
-    """(1/|Omega|) integral of u; equals coeffs[0,0] because every basis
-    product except phi_0 phi_0 has zero mean."""
-    return float(u.coeffs[0, 0])
+    """(1/|Omega|) integral of u; equals coeffs[0,0]."""
+    return modal_mean(u.basis, u.v)
 
 
 def _require_zero_mean(u: Field) -> None:
@@ -124,10 +128,8 @@ def inner_hminus1(u: Field, v: Field) -> float:
     if v is not u:
         _require_zero_mean(v)
     sigma = u.basis.sigma
-    ut = to_modal(u.basis, u.coeffs)
-    vt = ut if v is u else to_modal(v.basis, v.coeffs)
     pos = sigma > 0.0
-    return float(np.sum(ut[pos] * vt[pos] / sigma[pos]))
+    return float(np.sum(u.v[pos] * v.v[pos] / sigma[pos]))
 
 
 def hminus1_norm(u: Field) -> float:

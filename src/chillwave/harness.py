@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, replace
+from dataclasses import MISSING, astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .diagnostics import (
     step_energies,
 )
 from .errors import NonFinite
-from .field2d import Field, NodalGrid, from_modal, from_nodal
+from .field2d import Field, NodalGrid, from_nodal
 from .potential import PotentialSpec
 from .spectral1d import Basis1D, assemble_basis
 from .timestepping import SchemeParams, bootstrap_first_step, build_step_operator, march
@@ -169,10 +169,6 @@ def run_config_from_dict(d: dict) -> RunConfig:
     return _from_dict(RunConfig, d)
 
 
-def run_config_to_dict(cfg: RunConfig) -> dict:
-    return asdict(cfg)
-
-
 def initial_field(cfg: RunConfig, basis: Basis1D | None = None) -> Field:
     base = basis if basis is not None else assemble_basis(cfg.M)
     phi0 = random_nodal_field(base, cfg.seed)
@@ -195,16 +191,22 @@ def run_simulation(
     """Bootstrap the first step, then march T/tau - 1 scheme steps.
 
     Returns the per-step energy trace, the final field, and the snapshot
-    list [(n, t, field), ...] per cfg.snapshot_every. Trace rows come from
-    the modal pairs `march` observes; only snapshots and the final field
-    go back to basis coefficients. A blow-up (NonFinite) terminates the
-    run early and is recorded on the trace (verdict data), not raised; the
-    final field is then the last good state. A SolveFailed from a bad
-    eigendecomposition is a solver fault, not a verdict, and propagates.
+    list [(n, t, field), ...] per cfg.snapshot_every. Trace rows, snapshots
+    and the final field are read off the modal pairs `march` observes.
+    phi_init and basis, when given, must have cfg.M modes (ValueError
+    otherwise); basis is unused when phi_init is given. A blow-up
+    (NonFinite) terminates the run early and is recorded on the trace
+    (verdict data), not raised; the final field is then the last good
+    state. A SolveFailed from a bad eigendecomposition is a solver fault,
+    not a verdict, and propagates.
     With stop_above set, the run ends right after the first row whose
     dE_mod exceeds it: the trace is then shorter than T/tau without a
     blow-up, and its last row is the violation.
     """
+    given = {"phi_init": None if phi_init is None else phi_init.basis, "basis": basis}
+    for name, b in given.items():
+        if b is not None and b.M != cfg.M:
+            raise ValueError(f"{name} has M = {b.M}, but the config asks for M = {cfg.M}")
     spec = PotentialSpec()
     phi0 = phi_init if phi_init is not None else initial_field(cfg, basis)
     basis = phi0.basis
@@ -237,19 +239,19 @@ def run_simulation(
         )
         e_mod = e_new
         if cfg.snapshot_every > 0 and (n % cfg.snapshot_every == 0 or n == N):
-            snapshots.append((n, t, Field(basis, from_modal(basis, curr))))
+            snapshots.append((n, t, Field(basis, curr)))
         if stop_above is not None and trace.rows[-1].dE_mod > stop_above:
             raise _EnergyIncrease
 
     try:
         phi1 = bootstrap_first_step(phi0, params, cfg.m, spec)
-        march(op, spec, phi0.coeffs, phi1.coeffs, N - 1, observe)
+        march(op, spec, phi0.v, phi1.v, N - 1, observe)
     except NonFinite:
         trace.blew_up = True
         trace.blowup_step = len(trace) + 1
     except _EnergyIncrease:
         pass
-    final = phi0 if last is None else Field(basis, from_modal(basis, last))
+    final = phi0 if last is None else Field(basis, last)
     return trace, final, snapshots
 
 
@@ -467,7 +469,7 @@ def convergence_study(
         params = cfg.scheme_params(tau)
         phi1 = bootstrap_first_step(phi_init, params, cfg.m, spec)
         op = build_step_operator(params, basis)
-        _, final = march(op, spec, phi_init.coeffs, phi1.coeffs, n - 1)
+        _, final = march(op, spec, phi_init.v, phi1.v, n - 1)
         finals.append(Field(basis, final))
     ref = finals[0]
 

@@ -16,7 +16,8 @@ Neumann problem requires. Basis products have degree <= 2M-2, so both the
 M- and 2M-point Gauss rules integrate them exactly and the quadrature Gram
 of either rule is the mass matrix. The eigenbasis of (stiffness, mass)
 diagonalizes every operator of the time steppers (Shen's
-matrix-diagonalization method); `Basis1D` holds it, checked.
+matrix-diagonalization method); `Basis1D` holds it, checked, with the
+maps between modal coefficients and either Gauss grid.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import numpy as np
 
 from .errors import QuadratureError, SolveFailed
 
-_NODE_SETS = ("M", "2M")
 RESIDUAL_LIMIT = 1e-10
 
 
@@ -80,9 +80,11 @@ class Basis1D:
     (the constant mode). Construction raises SolveFailed unless their
     residual, max(||K E - M E diag(lam)|| / ||K E||, ||E^T M E - I||), is
     within 1e-10, and derives from them the 2-D Laplacian symbol
-    sigma[k, j] = lam[k] + lam[j], the modal-to-grid map T = eval_2M^T E
-    (grid = T v T^T) and the modal load map G = E^T eval_2M diag(w_2M)
-    (load = G f(grid) G^T).
+    sigma[k, j] = lam[k] + lam[j] and, per node set P, the modal-to-grid
+    map T_P = eval_P^T E (grid = T_P v T_P^T) and the grid-to-modal map
+    G_P = E^T eval_P diag(w_P), the quadrature fit v = G_P g G_P^T, which
+    is the modal load G f(grid) G^T on the 2M set. T and G are the 2M
+    maps, T_M and G_M the M ones.
     """
 
     M: int
@@ -99,6 +101,8 @@ class Basis1D:
     sigma: np.ndarray = field(init=False, repr=False)
     T: np.ndarray = field(init=False, repr=False)
     G: np.ndarray = field(init=False, repr=False)
+    T_M: np.ndarray = field(init=False, repr=False)
+    G_M: np.ndarray = field(init=False, repr=False)
     residual: float = field(init=False)
 
     def __post_init__(self):
@@ -116,24 +120,12 @@ class Basis1D:
         object.__setattr__(self, "sigma", lam[:, None] + lam[None, :])
         object.__setattr__(self, "T", self.eval_2M.T @ E)
         object.__setattr__(self, "G", E.T @ (self.eval_2M * self.weights_2M))
+        object.__setattr__(self, "T_M", self.eval_M.T @ E)
+        object.__setattr__(self, "G_M", E.T @ (self.eval_M * self.weights_M))
         object.__setattr__(self, "residual", residual)
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
-
-    def weights(self, node_set: str) -> np.ndarray:
-        _check_node_set(node_set)
-        return self.weights_M if node_set == "M" else self.weights_2M
-
-    def eval_table(self, node_set: str) -> np.ndarray:
-        _check_node_set(node_set)
-        return self.eval_M if node_set == "M" else self.eval_2M
-
-
-def _check_node_set(node_set: str) -> None:
-    if node_set not in _NODE_SETS:
-        raise ValueError(f"node_set must be one of {_NODE_SETS}")
-
 
 def assemble_basis(M: int) -> Basis1D:
     """Build Basis1D from the analytic Legendre orthogonality relations;

@@ -9,13 +9,13 @@ system
 
 with b0 = B. In the generalized eigenbasis of (stiffness, mass), where
 K E = M E diag(lam) and E^T M E = I, M2 is the identity and K2 is sigma =
-lam_k + lam_j. `march` holds the state in these modal coordinates,
-v^n = E^T (M2 phi^n) E, together with its grid g^n = T v^n T^T on the
-2M x 2M Gauss nodes (T = eval_2M^T E). Eliminating mu from R1 = r_n v^n +
-r_p v^{n-1} and R2 = load / eps + s sigma v^n - B (y_n v^n + y_p v^{n-1})
-leaves three per-mode weights, built once per operator (see
-`build_step_operator`), and the explicit force, whose modal load is
-G f(g) G^T with G = E^T (eval_2M w_2M):
+lam_k + lam_j. A field is stored in these modal coordinates (`Field.v`),
+and `march` takes, steps and returns them, with the grid g^n = T v^n T^T
+of each level on the 2M x 2M Gauss nodes (T = eval_2M^T E). Eliminating
+mu from R1 = r_n v^n + r_p v^{n-1} and R2 = load / eps + s sigma v^n -
+B (y_n v^n + y_p v^{n-1}) leaves three per-mode weights, built once per
+operator (see `build_step_operator`), and the explicit force, whose modal
+load is G f(g) G^T with G = E^T (eval_2M w_2M):
 
     v^{n+1} = cn v^n + cp v^{n-1} + cl G f(g^n + x_p (g^{n-1} - g^n)) G^T
 
@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonFinite
-from .field2d import Field, from_modal, to_modal
+from .field2d import Field
 from .potential import PotentialSpec, potential_deriv
 from .spectral1d import Basis1D
 
@@ -122,18 +122,16 @@ def march(
     n_steps: int,
     observe: Callable[[np.ndarray, np.ndarray, np.ndarray], None] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Advance n_steps of op's scheme from the coefficient arrays
-    (prev, curr) = (phi^{n-1}, phi^n); FIRST_ORDER reads only curr.
+    """Advance n_steps of op's scheme from the modal arrays
+    (prev, curr) = (v^{n-1}, v^n); FIRST_ORDER reads only curr.
 
-    The state is held in modal coordinates, with the 2M grid of each
-    level, from entry to exit. observe(prev, curr, grid) sees the entry
-    pair and then each new pair as modal arrays, with the grid of curr.
-    Returns the last pair in basis coefficients. Raises NonFinite on
-    blow-up of the modal coefficients (stability sweeps treat that as an
-    unstable verdict).
+    observe(prev, curr, grid) sees the entry pair and then each new pair,
+    with the 2M grid of curr. Returns the last pair. Every array is in
+    modal coordinates, and none is written to: each step makes new ones.
+    Raises NonFinite on blow-up of the modal coefficients (stability
+    sweeps treat that as an unstable verdict).
     """
     T, xp, cn, cp, cl = op.basis.T, op.xp, op.cn, op.cp, op.cl
-    prev, curr = (to_modal(op.basis, u) for u in (prev, curr))
     grid_prev, grid = (T @ v @ T.T for v in (prev, curr))
     force = np.empty_like(grid)  # x_n g^n + x_p g^{n-1}, rebuilt in place each step
     # Freeing one untouched block of 8 grids raises glibc's dynamic mmap and
@@ -158,7 +156,7 @@ def march(
         grid_prev, grid = grid, T @ new @ T.T
         if observe is not None:
             observe(prev, curr, grid)
-    return from_modal(op.basis, prev), from_modal(op.basis, curr)
+    return prev, curr
 
 
 def bootstrap_first_step(
@@ -176,8 +174,8 @@ def bootstrap_first_step(
         eps=params.eps, B=1.0 / params.eps,
     )
     op = build_step_operator(first, phi0.basis)
-    _, phi1 = march(op, spec, phi0.coeffs, phi0.coeffs, m)
-    return Field(phi0.basis, phi1)
+    _, v1 = march(op, spec, phi0.v, phi0.v, m)
+    return Field(phi0.basis, v1)
 
 
 def sufficient_stabilizers(

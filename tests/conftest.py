@@ -3,7 +3,8 @@
 Oracles deliberately avoid the package's own Legendre machinery: basis
 values come from numpy.polynomial.legendre and quadrature nodes from
 numpy's leggauss, so matrix/transform tests cross-check two independent
-implementations.
+implementations. A Field holds modal coefficients; `legendre_field` builds
+one from Legendre coefficients with the analytic mass diag(2/(2k+1)).
 """
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from numpy.polynomial import legendre as npleg
 
 from chillwave import Field, PotentialSpec, SchemeParams, assemble_basis, build_step_operator, potential_deriv
 from chillwave.diagnostics import energy_weights, step_energies
-from chillwave.field2d import to_modal
 
 
 @pytest.fixture(scope="session")
@@ -67,21 +67,27 @@ def oracle_load(spec, coeffs):
     return tw @ potential_deriv(spec, oracle_eval_2d(coeffs, x, x)) @ tw.T
 
 
-def modal(op, coeffs):
-    """Modal coefficients of a coefficient array and their 2M grid, as
-    `march` holds them."""
-    v = to_modal(op.basis, coeffs)
-    T = op.basis.T
-    return v, T @ v @ T.T
+def legendre_field(basis, coeffs):
+    """The Field with Legendre coefficients coeffs[k, j] (multiplying
+    L_k(x) L_j(y)): modal coefficients E^T (M coeffs M) E, M the mass."""
+    d = 2.0 / (2 * np.arange(basis.M) + 1)
+    return Field(basis, basis.E.T @ (d[:, None] * coeffs * d) @ basis.E)
+
+
+def unit_field(basis, k, j, value=1.0):
+    """value * L_k(x) L_j(y); (0, 0) is the constant value."""
+    coeffs = np.zeros((basis.M, basis.M))
+    coeffs[k, j] = value
+    return legendre_field(basis, coeffs)
 
 
 def field_energies(spec, params, curr, prev=None):
     """step_energies of the Field pair (prev, curr): (E_eps, E_mod,
     ||curr - prev||^2, mean). prev defaults to curr."""
     op = build_step_operator(params, curr.basis)
-    v_curr, grid = modal(op, curr.coeffs)
-    v_prev = v_curr if prev is None else modal(op, prev.coeffs)[0]
-    return step_energies(energy_weights(op, spec), v_prev, v_curr, grid)
+    T = op.basis.T
+    prev = curr if prev is None else prev
+    return step_energies(energy_weights(op, spec), prev.v, curr.v, T @ curr.v @ T.T)
 
 
 def energy_eps(spec, eps, u):
@@ -90,10 +96,11 @@ def energy_eps(spec, eps, u):
 
 
 def rand_field(basis, rng, amp=1.0):
-    return Field(basis, amp * rng.standard_normal((basis.M, basis.M)))
+    """Random Legendre coefficients."""
+    return legendre_field(basis, amp * rng.standard_normal((basis.M, basis.M)))
 
 
 def rand_zero_mean(basis, rng, amp=1.0):
     u = rand_field(basis, rng, amp)
-    u.coeffs[0, 0] = 0.0
+    u.v[0, 0] = 0.0  # the constant mode
     return u

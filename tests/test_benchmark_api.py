@@ -1,0 +1,42 @@
+"""The package API that the benchmark in perfbench/ calls.
+
+perfbench/workloads.py is imported as it is checked in and never edited
+here: every workload's set-up runs, and trace_m48 runs once and passes its
+own output check. A change that removes or renames what a workload uses
+(`modal_decomposition`, `mean_value`, `Field.coeffs`, `read_snapshot` with
+a basis, `run_simulation(cfg, phi_init=, basis=)`, ...) fails here.
+"""
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+def test_every_workload_sets_up(workloads, tmp_path):
+    assert set(workloads.WORKLOADS) == {"trace_m48", "cli_m128", "sweep_c9", "converge_c4"}
+    for name, workload in workloads.WORKLOADS.items():
+        ctx = workload.setup(42, str(tmp_path / name))
+        assert ctx.basis.M == ctx.cfg.M
+
+
+def test_trace_m48_runs_and_passes_its_check(workloads, tmp_path):
+    workload = workloads.WORKLOADS["trace_m48"]
+    ctx = workload.setup(42, str(tmp_path))
+    outcome = workload.check(ctx, workload.run(ctx))
+    assert (outcome.attempted, outcome.failed) == (1, 0)
+    assert outcome.fingerprint["verdict"] == "stable"

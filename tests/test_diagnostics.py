@@ -15,13 +15,15 @@ from chillwave import (
     stability_verdict,
 )
 from chillwave.diagnostics import TRACE_HEADER, energy_weights, step_energies
-from conftest import energy_eps, field_energies, oracle_eval_2d, oracle_quadrature, rand_field
-
-
-def constant_field(basis, c):
-    u = Field(basis, np.zeros((basis.M, basis.M)))
-    u.coeffs[0, 0] = c
-    return u
+from conftest import (
+    energy_eps,
+    field_energies,
+    legendre_field,
+    oracle_eval_2d,
+    oracle_quadrature,
+    rand_field,
+    unit_field,
+)
 
 
 def make_trace(increments, blew_up=False, blowup_step=None):
@@ -62,8 +64,8 @@ def test_trace_csv_round_trip(tmp_path):
 
 
 def test_energy_eps_constants(basis8, spec):
-    assert energy_eps(spec, 0.05, constant_field(basis8, 1.0)) == pytest.approx(0.0, abs=1e-12)
-    assert energy_eps(spec, 0.05, constant_field(basis8, 0.0)) == pytest.approx(20.0, abs=1e-10)
+    assert energy_eps(spec, 0.05, unit_field(basis8, 0, 0, 1.0)) == pytest.approx(0.0, abs=1e-12)
+    assert energy_eps(spec, 0.05, unit_field(basis8, 0, 0, 0.0)) == pytest.approx(20.0, abs=1e-10)
 
 
 def test_energy_eps_brute_force_oracle(basis8, spec):
@@ -73,7 +75,7 @@ def test_energy_eps_brute_force_oracle(basis8, spec):
     rng = np.random.default_rng(21)
     c = np.zeros((8, 8))
     c[:6, :6] = 0.1 * rng.standard_normal((6, 6))
-    u = Field(basis8, c)
+    u = legendre_field(basis8, c)
     # independent 4M-point quadrature of both energy terms
     x, w = oracle_quadrature(32)
     vals = oracle_eval_2d(u.coeffs, x, x)
@@ -90,7 +92,7 @@ def test_modified_energy_reduces_to_energy_eps(basis8, spec):
     c = rand_field(basis8, np.random.default_rng(22), amp=0.3)
     for scheme in ("SL_CN", "SL_BDF2"):
         params = SchemeParams(scheme=scheme, tau=0.1, gamma=0.0025, eps=0.05, B=20.0)
-        assert field_energies(spec, params, c, Field(c.basis, c.coeffs.copy()))[1] == pytest.approx(
+        assert field_energies(spec, params, c, Field(c.basis, c.v.copy()))[1] == pytest.approx(
             energy_eps(spec, 0.05, c), rel=1e-12
         )
 
@@ -98,11 +100,11 @@ def test_modified_energy_reduces_to_energy_eps(basis8, spec):
 def test_modified_energy_large_tau_limit(basis8, spec):
     rng = np.random.default_rng(23)
     curr = rand_field(basis8, rng, amp=0.3)
-    prev = Field(basis8, curr.coeffs + 1e-3 * rand_field(basis8, rng).coeffs)
-    prev.coeffs[0, 0] = curr.coeffs[0, 0]  # conservation
+    prev = Field(basis8, curr.v + 1e-3 * rand_field(basis8, rng).v)
+    prev.v[0, 0] = curr.v[0, 0]  # conservation
     eps, B, L = 0.05, 20.0, 11.0
     params = SchemeParams(scheme="SL_BDF2", tau=1e12, gamma=0.0025, eps=eps, B=B)
-    d = norm_l2(Field(basis8, curr.coeffs - prev.coeffs))
+    d = norm_l2(Field(basis8, curr.v - prev.v))
     expected = energy_eps(spec, eps, curr) + (L / (2 * eps) + B / 2) * d**2
     assert field_energies(spec, params, curr, prev)[1] == pytest.approx(expected, rel=1e-9)
 
@@ -112,9 +114,9 @@ def test_step_energies_history_terms(basis8, spec):
     # norms (the H^-1 norm is checked against a dense solve in test_field2d)
     rng = np.random.default_rng(29)
     curr = rand_field(basis8, rng, amp=0.4)
-    prev = Field(basis8, curr.coeffs + 0.05 * rand_field(basis8, rng).coeffs)
-    prev.coeffs[0, 0] = curr.coeffs[0, 0]
-    diff = Field(basis8, curr.coeffs - prev.coeffs)
+    prev = Field(basis8, curr.v + 0.05 * rand_field(basis8, rng).v)
+    prev.v[0, 0] = curr.v[0, 0]
+    diff = Field(basis8, curr.v - prev.v)
     eps, tau, gamma, B, L = 0.05, 0.1, 0.0025, 5.0, 11.0
     e = energy_eps(spec, eps, curr)
     dt_sq, hm1_sq = norm_l2(diff) ** 2, hminus1_norm(diff) ** 2
@@ -134,15 +136,15 @@ def test_step_energies_history_terms(basis8, spec):
 def test_modified_energy_exceeds_energy_eps(basis8, spec):
     rng = np.random.default_rng(24)
     curr = rand_field(basis8, rng, amp=0.4)
-    prev = Field(basis8, curr.coeffs + 0.01 * rand_field(basis8, rng).coeffs)
-    prev.coeffs[0, 0] = curr.coeffs[0, 0]
+    prev = Field(basis8, curr.v + 0.01 * rand_field(basis8, rng).v)
+    prev.v[0, 0] = curr.v[0, 0]
     for scheme in ("SL_CN", "SL_BDF2"):
         params = SchemeParams(scheme=scheme, tau=0.1, gamma=0.0025, eps=0.05, B=5.0)
         assert field_energies(spec, params, curr, prev)[1] >= energy_eps(spec, 0.05, curr)
 
 
 def test_modified_energy_rejects_first_order(basis8, spec):
-    c = constant_field(basis8, 0.1)
+    c = unit_field(basis8, 0, 0, 0.1)
     params = SchemeParams(scheme="FIRST_ORDER", tau=0.1, gamma=1.0, eps=0.25, B=4.0)
     with pytest.raises(ValueError):
         field_energies(spec, params, c, c)
@@ -177,12 +179,14 @@ def test_verdict_needs_enough_rows():
 
 def test_verdict_violation_before_length():
     # a short trace that ends at its first violating row (a sweep candidate
-    # stopped early) is judged on that row, not rejected for its length
-    tr = make_trace([0.0, -1e-6, 2e-10])
-    assert stability_verdict(tr) == "unstable"
-    assert stability_verdict(tr, threshold=1e-9, min_steps=3) == "stable"
-    with pytest.raises(ValueError):
-        stability_verdict(tr, threshold=1e-9)
+    # stopped early) is judged on that row, not rejected for its length;
+    # one whose rows stay at or below 1e-10 is stable only if long enough
+    assert stability_verdict(make_trace([0.0, -1e-6, 2e-10])) == "unstable"
+    for below in (1e-10, 5e-11):
+        tr = make_trace([0.0, -1e-6, below])
+        assert stability_verdict(tr, min_steps=3) == "stable"
+        with pytest.raises(ValueError):
+            stability_verdict(tr)
 
 
 def test_error_norms_identical(basis16):
@@ -195,16 +199,16 @@ def test_error_norms_homogeneity(basis16):
     u = rand_field(basis16, rng)
     mode = np.zeros((16, 16))
     mode[3, 2] = 1.0
-    errs1 = error_norms(Field(basis16, u.coeffs + mode), u)
-    errs4 = error_norms(Field(basis16, u.coeffs + 4 * mode), u)
+    errs1 = error_norms(Field(basis16, u.v + mode), u)
+    errs4 = error_norms(Field(basis16, u.v + 4 * mode), u)
     for e1, e4 in zip(errs1, errs4):
         assert e4 == pytest.approx(4 * e1, rel=1e-10)
 
 
 def test_error_norms_mean_mismatch(basis16):
     u = rand_field(basis16, np.random.default_rng(27))
-    v = Field(u.basis, u.coeffs.copy())
-    v.coeffs[0, 0] += 1e-3
+    v = Field(u.basis, u.v.copy())
+    v.v[0, 0] += 1e-3
     with pytest.raises(MeanNotZero):
         error_norms(u, v)
 
@@ -214,8 +218,8 @@ def test_error_norms_triangle_inequality(basis16):
     for _ in range(10):
         u, v, w = (rand_field(basis16, rng) for _ in range(3))
         # align means so the H^-1 solve is defined for every pair
-        v.coeffs[0, 0] = u.coeffs[0, 0]
-        w.coeffs[0, 0] = u.coeffs[0, 0]
+        v.v[0, 0] = u.v[0, 0]
+        w.v[0, 0] = u.v[0, 0]
         uw = error_norms(u, w)
         uv = error_norms(u, v)
         vw = error_norms(v, w)
@@ -240,7 +244,7 @@ def test_energy_decreases_along_stable_run(basis16, spec):
     def record(prev, curr, grid):
         rows.append(step_energies(weights, prev, curr, grid))
 
-    prev, curr = march(op, spec, phi0.coeffs, phi1.coeffs, 50, observe=record)
+    prev, curr = march(op, spec, phi0.v, phi1.v, 50, observe=record)
     assert len(rows) == 51  # the entry pair, then one per step
     energies = [row[0] for row in rows]
     assert energies[0] == pytest.approx(energy_eps(spec, params.eps, phi1), rel=1e-12)

@@ -19,19 +19,13 @@ from chillwave import (
 )
 from chillwave.timestepping import modal_load
 from conftest import (
-    modal,
     oracle_eval_2d,
     oracle_load,
     oracle_quadrature,
     rand_field,
     rand_zero_mean,
+    unit_field,
 )
-
-
-def unit_field(basis, k, j, value=1.0):
-    u = Field(basis, np.zeros((basis.M, basis.M)))
-    u.coeffs[k, j] = value
-    return u
 
 
 def kron_mass(basis):
@@ -49,6 +43,19 @@ def test_field_shape_validation(basis8):
         NodalGrid(basis8, np.zeros((8, 8)), "2M")
     with pytest.raises(ValueError):
         NodalGrid(basis8, np.zeros((8, 8)), "fine")
+
+
+def test_coeffs_is_a_read_only_export(basis8):
+    # a write to the Legendre coefficients would be lost on a temporary,
+    # so it raises; the field itself is its modal coefficients v
+    u = unit_field(basis8, 2, 1, 0.5)
+    expected = np.zeros((8, 8))
+    expected[2, 1] = 0.5
+    np.testing.assert_allclose(u.coeffs, expected, atol=1e-15)
+    with pytest.raises(ValueError, match="read-only"):
+        u.coeffs[0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        u.coeffs = expected
 
 
 def test_nodal_round_trip_constant(basis8):
@@ -129,7 +136,7 @@ def test_hminus1_basics(basis16):
     assert hminus1_norm(unit_field(basis16, 0, 0, 0.0)) == 0.0
     rng = np.random.default_rng(10)
     u = rand_zero_mean(basis16, rng)
-    assert hminus1_norm(Field(basis16, -2.5 * u.coeffs)) == pytest.approx(
+    assert hminus1_norm(Field(basis16, -2.5 * u.v)) == pytest.approx(
         2.5 * hminus1_norm(u), rel=1e-12
     )
     with pytest.raises(MeanNotZero):
@@ -158,11 +165,11 @@ def test_hminus1_cosine_value():
     assert hminus1_norm(u) == pytest.approx(1.0 / (np.sqrt(2.0) * np.pi), abs=1e-6)
 
 
-def nonlinear_load(spec, basis, coeffs):
-    # the production modal load of a coefficient array, from its grid as
-    # march holds it
-    op = cw.build_step_operator(cw.SchemeParams("SL_CN", tau=1.0, gamma=1.0, eps=1.0), basis)
-    return modal_load(op, spec, modal(op, coeffs)[1])
+def nonlinear_load(spec, u):
+    # the production modal load of a field, from its 2M grid as march
+    # holds it
+    op = cw.build_step_operator(cw.SchemeParams("SL_CN", tau=1.0, gamma=1.0, eps=1.0), u.basis)
+    return modal_load(op, spec, to_nodal(u, "2M").values)
 
 
 def to_modal_form(basis, load):
@@ -171,9 +178,9 @@ def to_modal_form(basis, load):
 
 
 def test_nonlinear_load_constants(basis8, spec):
-    z = nonlinear_load(spec, basis8, unit_field(basis8, 0, 0, 1.0).coeffs)
+    z = nonlinear_load(spec, unit_field(basis8, 0, 0, 1.0))
     assert np.abs(z).max() <= 1e-13
-    c = nonlinear_load(spec, basis8, unit_field(basis8, 0, 0, 0.5).coeffs)
+    c = nonlinear_load(spec, unit_field(basis8, 0, 0, 0.5))
     expected = np.zeros((8, 8))
     expected[0, 0] = 4 * -0.375  # f(1/2) times the area of the square
     np.testing.assert_allclose(c, to_modal_form(basis8, expected), atol=1e-13)
@@ -182,7 +189,7 @@ def test_nonlinear_load_constants(basis8, spec):
 def test_nonlinear_load_cubic_exact(basis8, spec):
     # a(x, y) = x: f(a) = x^3 - x = (2/5)(L_3 - L_1), so the load is
     # (2/5) ||L_k||^2 (delta_k3 - delta_k1) times integral of L_0(y) = 2
-    load = nonlinear_load(spec, basis8, unit_field(basis8, 1, 0).coeffs)
+    load = nonlinear_load(spec, unit_field(basis8, 1, 0))
     expected = np.zeros((8, 8))
     expected[1, 0] = -0.4 * (2 / 3) * 2
     expected[3, 0] = 0.4 * (2 / 7) * 2
@@ -195,7 +202,7 @@ def test_nonlinear_load_oracle(basis8, spec):
     rng = np.random.default_rng(12)
     a = rand_field(basis8, rng, amp=0.4)
     np.testing.assert_allclose(
-        nonlinear_load(spec, basis8, a.coeffs),
+        nonlinear_load(spec, a),
         to_modal_form(basis8, oracle_load(spec, a.coeffs)), atol=1e-12,
     )
 
@@ -204,7 +211,7 @@ def test_l2_telescoping_identity(basis16):
     # 2(a - b, a) = |a|^2 - |b|^2 + |a - b|^2
     rng = np.random.default_rng(13)
     a, b = rand_field(basis16, rng), rand_field(basis16, rng)
-    d = Field(basis16, a.coeffs - b.coeffs)
+    d = Field(basis16, a.v - b.v)
     lhs = 2 * inner_l2(d, a)
     rhs = norm_l2(a) ** 2 - norm_l2(b) ** 2 + norm_l2(d) ** 2
     assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -216,8 +223,8 @@ def test_hminus1_inner_product_consistency(basis16):
     v = rand_zero_mean(basis16, rng)
     assert inner_hminus1(u, v) == pytest.approx(inner_hminus1(v, u), rel=1e-11)
     assert inner_hminus1(u, u) == pytest.approx(hminus1_norm(u) ** 2, rel=1e-11)
-    # u with itself reuses one modal transform; a copy takes the general path
-    assert inner_hminus1(u, u) == inner_hminus1(u, Field(u.basis, u.coeffs.copy()))
+    # u with itself checks one mean; a copy takes the general path
+    assert inner_hminus1(u, u) == inner_hminus1(u, Field(u.basis, u.v.copy()))
 
 
 def test_interpolation_inequality(basis16):

@@ -1,6 +1,6 @@
 import math
 import os
-from dataclasses import replace
+from dataclasses import asdict, replace
 import subprocess
 import sys
 from pathlib import Path
@@ -27,11 +27,10 @@ from chillwave.harness import (
     CONVERGENCE_HEADER,
     initial_field,
     run_config_from_dict,
-    run_config_to_dict,
     sweep_config_from_dict,
     write_convergence_csv,
 )
-from conftest import energy_eps
+from conftest import energy_eps, unit_field
 
 
 def splitmix_ref(seed, count):
@@ -96,10 +95,7 @@ def test_generate_phi0_mean_small():
 
 
 def test_prepare_phi1_constant_unchanged(basis8):
-    from chillwave import Field
-
-    c = Field(basis8, np.zeros((8, 8)))
-    c.coeffs[0, 0] = 0.2
+    c = unit_field(basis8, 0, 0, 0.2)
     out = prepare_phi1(c, 0.25)
     assert np.abs(out.coeffs - c.coeffs).max() <= 1e-12
 
@@ -144,7 +140,7 @@ def test_run_config_validation():
 def test_run_config_dict_round_trip():
     cfg = RunConfig(M=8, eps=0.05, gamma=0.0025, tau=0.1, T=1.0, scheme="SL_CN",
                     A=0.25, B=20.0, seed=7, initial="prepared", m=5)
-    assert run_config_from_dict(run_config_to_dict(cfg)) == cfg
+    assert run_config_from_dict(asdict(cfg)) == cfg
     with pytest.raises(ValueError):
         run_config_from_dict({"M": 8, "epsilon": 0.05})
 
@@ -169,18 +165,28 @@ def test_single_step_run_is_the_bootstrap(basis8):
 
 
 def test_constant_initial_flat_trace(basis8):
-    from chillwave import Field
-
     cfg = RunConfig(M=8, eps=0.25, gamma=1.0, tau=0.1, T=1.0, scheme="SL_CN",
                     A=0.25, B=8.0)
-    c = Field(basis8, np.zeros((8, 8)))
-    c.coeffs[0, 0] = 0.5
+    c = unit_field(basis8, 0, 0, 0.5)
     trace, final, _ = run_simulation(cfg, phi_init=c, basis=basis8)
     assert len(trace) == 10
     e = trace.column("E_eps")
     np.testing.assert_allclose(e, e[0], rtol=1e-12)
     assert trace.column("dt_norm").max() <= 1e-12
     assert np.abs(final.coeffs - c.coeffs).max() <= 1e-11
+
+
+@pytest.mark.parametrize("given", ["phi_init", "basis"])
+def test_run_simulation_rejects_mismatched_M(given):
+    # the run would otherwise go ahead at the field's or the basis's M
+    cfg = RunConfig(M=16, eps=0.25, gamma=1.0, tau=0.1, T=0.3, scheme="SL_CN",
+                    A=0.25, B=8.0)
+    if given == "phi_init":
+        kwargs, M = dict(phi_init=generate_phi0(8, 42)), 8
+    else:
+        kwargs, M = dict(basis=assemble_basis(12)), 12
+    with pytest.raises(ValueError, match=f"{given} has M = {M}, .* M = 16"):
+        run_simulation(cfg, **kwargs)
 
 
 def test_run_simulation_records_blowup(basis16):

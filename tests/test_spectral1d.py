@@ -157,3 +157,17 @@ def test_x5_forward_is_the_exact_projection(basis8):
     expected = np.zeros((M, M))
     expected[:, 0] = np.linalg.solve(G, rhs)
     np.testing.assert_allclose(from_nodal(x5_grid(basis8)).coeffs, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("M", [8, 13])
+def test_grid_maps_match_oracle(M):
+    # T_P = eval_P^T E evaluates modal coefficients on the P-point Gauss
+    # grid and G_P = E^T eval_P diag(w_P) fits them back, for P = M (T_M,
+    # G_M) and P = 2M (T, G); the fit inverts evaluation on either set
+    b = assemble_basis(M)
+    for n, T, G in ((M, b.T_M, b.G_M), (2 * M, b.T, b.G)):
+        x, w = oracle_quadrature(n)
+        tab = oracle_basis_values(M, x)
+        np.testing.assert_allclose(T, tab.T @ b.E, atol=1e-12)
+        np.testing.assert_allclose(G, b.E.T @ (tab * w), atol=1e-12)
+        np.testing.assert_allclose(G @ T, np.eye(M), atol=1e-12)

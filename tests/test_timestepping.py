@@ -21,16 +21,9 @@ from chillwave import (
     norm_l2,
     sufficient_stabilizers,
 )
-from chillwave.field2d import from_modal, to_modal
 from chillwave.harness import random_nodal_field
 from chillwave.timestepping import BLOWUP_LIMIT
-from conftest import energy_eps, oracle_load
-
-
-def constant_field(basis, c):
-    u = Field(basis, np.zeros((basis.M, basis.M)))
-    u.coeffs[0, 0] = c
-    return u
+from conftest import energy_eps, legendre_field, oracle_load, unit_field
 
 
 def dense_blocks(basis, a, c, b0, gamma):
@@ -98,7 +91,9 @@ def test_march_step_matches_dense_blocks(basis8, spec, scheme, A, B, scalars):
     block = dense_blocks(basis8, *scalars(tau, eps, A, B), gamma)
     R = weak_form_rhs(scheme, basis8, spec, tau, eps, A, B, prev, curr)
     expected = np.linalg.solve(block, R)[:64].reshape(8, 8)
-    got_prev, got = march(build_step_operator(params, basis8), spec, prev, curr, 1)
+    entry = (legendre_field(basis8, u).v for u in (prev, curr))
+    got_prev, got = (Field(basis8, v).coeffs
+                     for v in march(build_step_operator(params, basis8), spec, *entry, 1))
     assert np.abs(got - expected).max() <= 1e-10
     assert np.abs(got_prev - curr).max() <= 1e-12
     assert basis8.residual <= 1e-10
@@ -108,16 +103,16 @@ def test_constant_is_fixed_point(basis8, spec):
     for scheme in ("SL_BDF2", "SL_CN"):
         params = SchemeParams(scheme=scheme, tau=0.1, gamma=0.0025, eps=0.05, A=1.0, B=10.0)
         op = build_step_operator(params, basis8)
-        c = constant_field(basis8, 0.3)
+        c = unit_field(basis8, 0, 0, 0.3)
         seen = []
 
         def check(prev, curr, grid):
-            # modal arrays: back to coefficients, and the grid of curr
-            assert np.abs(from_modal(basis8, curr) - c.coeffs).max() <= 1e-12
+            # modal arrays, and the grid of curr
+            assert np.abs(curr - c.v).max() <= 1e-12
             assert np.abs(grid - 0.3).max() <= 1e-12
             seen.append(curr)
 
-        march(op, spec, c.coeffs.copy(), c.coeffs, 20, observe=check)
+        march(op, spec, c.v, c.v, 20, observe=check)
         assert len(seen) == 21  # the entry pair, then every step
 
 
@@ -130,7 +125,7 @@ def test_mean_conservation_100_steps(basis16, spec):
         m0 = mean_value(phi0)
         phi1 = bootstrap_first_step(phi0, params)
         op = build_step_operator(params, basis16)
-        _, curr = march(op, spec, phi0.coeffs, phi1.coeffs, 100)
+        _, curr = march(op, spec, phi0.v, phi1.v, 100)
         assert abs(mean_value(Field(basis16, curr)) - m0) <= 1e-11
 
 
@@ -140,7 +135,7 @@ def test_nonfinite_on_blowup(basis16, spec):
     phi1 = bootstrap_first_step(phi0, params)
     op = build_step_operator(params, basis16)
     with pytest.raises(NonFinite):
-        march(op, spec, phi0.coeffs, phi1.coeffs, 100)
+        march(op, spec, phi0.v, phi1.v, 100)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "above_limit"])
@@ -149,18 +144,16 @@ def test_nonfinite_entry_state_stops_step_1(basis8, spec, bad):
     # well as a coefficient past the limit; the mean mode is carried over
     # unchanged, so a mean coefficient just above the limit stays above it
     params = SchemeParams(scheme="SL_BDF2", tau=0.01, gamma=0.0025, eps=0.05, A=1.0, B=10.0)
-    phi = random_nodal_field(basis8, 3).coeffs
+    v = random_nodal_field(basis8, 3).v
     if bad == "above_limit":
-        v = to_modal(basis8, phi)
         v[0, 0] = BLOWUP_LIMIT * (1.0 + 1e-6)
-        phi = from_modal(basis8, v)
     else:
-        phi[2, 3] = float(bad)
+        v[2, 3] = float(bad)
     seen = []
     # numpy's own warnings on inf arithmetic before the check are not
     # what is pinned here
     with np.errstate(invalid="ignore", over="ignore"), pytest.raises(NonFinite):
-        march(build_step_operator(params, basis8), spec, phi, phi, 5,
+        march(build_step_operator(params, basis8), spec, v, v, 5,
               observe=lambda *a: seen.append(a))
     assert len(seen) == 1  # the entry pair only: step 1 raised
 
@@ -181,7 +174,7 @@ def test_steady_state_reached(basis16, spec):
     phi0 = random_nodal_field(basis16, 42)
     phi1 = bootstrap_first_step(phi0, params)
     op = build_step_operator(params, basis16)
-    prev, curr = phi0.coeffs, phi1.coeffs
+    prev, curr = phi0.v, phi1.v
     for _ in range(400):
         prev, curr = march(op, spec, prev, curr, 1)
         dt_norm = norm_l2(Field(basis16, curr - prev))
@@ -192,7 +185,7 @@ def test_steady_state_reached(basis16, spec):
 
 def test_bootstrap_constant_unchanged(basis8):
     params = SchemeParams(scheme="SL_BDF2", tau=0.2, gamma=1.0, eps=0.25)
-    c = constant_field(basis8, -0.4)
+    c = unit_field(basis8, 0, 0, -0.4)
     out = bootstrap_first_step(c, params)
     assert np.abs(out.coeffs - c.coeffs).max() <= 1e-12
 
@@ -213,7 +206,7 @@ def test_bootstrap_second_order_in_tau(basis8, spec):
     P = np.zeros((3, 8))
     P[0, 0] = P[1, 1] = P[2, 2] = 1.0
     P[2, 4] = -1.0
-    phi0 = Field(basis8, P.T @ raw @ P)
+    phi0 = legendre_field(basis8, P.T @ raw @ P)
     eps, gamma = 0.25, 1e-3
     errs = []
     # the top 1-D eigenvalue at M = 8 is about 536, so the ladder starts
@@ -233,7 +226,7 @@ def test_first_order_dissipates(basis16, spec):
     e0 = energy_eps(spec, 0.25, phi0)
     params = SchemeParams(scheme="FIRST_ORDER", tau=0.25**3, gamma=1.0, eps=0.25, B=4.0)
     op = build_step_operator(params, basis16)
-    _, out = march(op, spec, phi0.coeffs, phi0.coeffs, 64)
+    _, out = march(op, spec, phi0.v, phi0.v, 64)
     assert energy_eps(spec, 0.25, Field(basis16, out)) < e0
 
 
@@ -261,17 +254,18 @@ def test_bdf2_smallstep_threshold():
 
 
 def test_observer_does_not_change_the_march(basis8, spec):
-    # one stepping path: an observed march returns the bare march's fields
+    # one stepping path: an observed march returns the bare march's fields,
+    # which are the last pair it observed, in the same modal coordinates
     params = SchemeParams(scheme="SL_BDF2", tau=0.05, gamma=1.0, eps=0.25, A=0.25, B=8.0)
     phi0 = random_nodal_field(basis8, 9)
     phi1 = bootstrap_first_step(phi0, params)
     op = build_step_operator(params, basis8)
-    bare = march(op, spec, phi0.coeffs, phi1.coeffs, 10)
+    bare = march(op, spec, phi0.v, phi1.v, 10)
     seen = []
-    observed = march(op, spec, phi0.coeffs, phi1.coeffs, 10, observe=lambda *a: seen.append(a))
-    for got, want in zip(observed, bare):
+    observed = march(op, spec, phi0.v, phi1.v, 10, observe=lambda *a: seen.append(a))
+    for got, want, last in zip(observed, bare, seen[-1]):
         np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(from_modal(basis8, seen[-1][1]), bare[1])
+        np.testing.assert_array_equal(last, want)
     np.testing.assert_array_equal(seen[-1][0], seen[-2][1])
 
 
@@ -280,7 +274,7 @@ def test_operator_reuse_matches_rebuild(basis8, spec):
     phi0 = random_nodal_field(basis8, 6)
     phi1 = bootstrap_first_step(phi0, params)
     shared = build_step_operator(params, basis8)
-    prev_a, curr_a = prev_b, curr_b = phi0.coeffs, phi1.coeffs
+    prev_a, curr_a = prev_b, curr_b = phi0.v, phi1.v
     for _ in range(5):
         prev_a, curr_a = march(shared, spec, prev_a, curr_a, 1)
         prev_b, curr_b = march(build_step_operator(params, basis8), spec, prev_b, curr_b, 1)
@@ -291,13 +285,13 @@ def test_march_rejects_wrong_eigenbasis(spec):
     # the modal solve is exact when the eigendecomposition is, so Basis1D
     # checks K E = M E diag(lam) and E^T M E = I against the 1e-10
     # contract on construction: eigenvectors off by a relative 1e-6 or
-    # 1e-10, or eigenvalues off by 1e-8, must be rejected; sigma, T and G
-    # are derived from the checked pair and every array is read-only, so a
-    # corrupted copy never reaches a step
+    # 1e-10, or eigenvalues off by 1e-8, must be rejected; sigma and the
+    # grid maps are derived from the checked pair and every array is
+    # read-only, so a corrupted copy never reaches a step
     params = SchemeParams(scheme="SL_BDF2", tau=0.01, gamma=0.0025, eps=0.05, A=5.0625, B=220.0)
     basis = assemble_basis(8)
     phi0 = random_nodal_field(basis, 7)
-    march(build_step_operator(params, basis), spec, phi0.coeffs, phi0.coeffs, 1)
+    march(build_step_operator(params, basis), spec, phi0.v, phi0.v, 1)
     assert basis.residual <= 1e-10
 
     rng = np.random.default_rng(8)
@@ -305,7 +299,7 @@ def test_march_rejects_wrong_eigenbasis(spec):
         good = getattr(basis, which)
         with pytest.raises(SolveFailed):
             replace(basis, **{which: good * (1.0 + rel * rng.standard_normal(good.shape))})
-    for name in ("sigma", "E"):
+    for name in ("sigma", "E", "T", "G", "T_M", "G_M"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(basis, name)[1, 1] = 0.0
         with pytest.raises(FrozenInstanceError):
