@@ -23,7 +23,6 @@ from .spectral1d import (
 )
 from .field2d import (
     Field,
-    NodalGrid,
     from_nodal,
     h1_seminorm_sq,
     hminus1_norm,
@@ -46,7 +45,6 @@ from .timestepping import (
 )
 from .diagnostics import (
     EnergyTrace,
-    TraceRow,
     error_norms,
     stability_verdict,
 )
@@ -57,7 +55,6 @@ from .harness import (
     SweepResult,
     convergence_study,
     default_ladder,
-    generate_phi0,
     prepare_phi1,
     run_simulation,
     splitmix64,

@@ -26,14 +26,15 @@ from .errors import ChillwaveError
 from .field2d import mean_value, write_snapshot
 from .harness import (
     convergence_study,
-    generate_phi0,
     prepare_phi1,
+    random_nodal_field,
     run_config_from_dict,
     run_simulation,
     sweep_config_from_dict,
     sweep_min_stabilizer,
     write_convergence_csv,
 )
+from .spectral1d import assemble_basis
 
 
 def _load_json(path: str) -> dict:
@@ -57,11 +58,12 @@ def _cmd_run(args) -> int:
             u, os.path.join(out, f"snapshot_{n:06d}.csv"),
             eps=cfg.eps, gamma=cfg.gamma, t=t, step=n,
         )
-    last = trace.rows[-1] if trace.rows else None
+    rows = trace.rows
+    ran = len(rows) > 0  # a blow-up in the bootstrap leaves no row
     write_snapshot(
         final, os.path.join(out, "final_field.csv"),
         eps=cfg.eps, gamma=cfg.gamma,
-        t=last.t if last else 0.0, step=last.n if last else 0,
+        t=rows["t"][-1] if ran else 0.0, step=rows["n"][-1] if ran else 0,
     )
     summary = {
         "config": asdict(cfg),
@@ -76,13 +78,10 @@ def _cmd_run(args) -> int:
             "python": platform.python_version(),
         },
         "max_residual": trace.max_residual,
-        "final_E_eps": last.E_eps if last else None,
-        "final_E_mod": last.E_mod if last else None,
-        "max_dE_mod": max((r.dE_mod for r in trace.rows), default=None),
-        "mean_drift": (
-            max(abs(r.mean - trace.rows[0].mean) for r in trace.rows)
-            if trace.rows else None
-        ),
+        "final_E_eps": float(rows["E_eps"][-1]) if ran else None,
+        "final_E_mod": float(rows["E_mod"][-1]) if ran else None,
+        "max_dE_mod": float(rows["dE_mod"].max()) if ran else None,
+        "mean_drift": float(np.abs(rows["mean"] - rows["mean"][0]).max()) if ran else None,
     }
     with open(os.path.join(out, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -129,9 +128,9 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_prepare_initial(args) -> int:
-    out = _ensure_dir(args.out)
-    phi0 = generate_phi0(args.M, args.seed)
+    phi0 = random_nodal_field(assemble_basis(args.M), args.seed)
     phi1 = prepare_phi1(phi0, args.eps)
+    out = _ensure_dir(args.out)
     write_snapshot(phi0, os.path.join(out, "phi0.csv"),
                    eps=args.eps, gamma=1.0, t=0.0, step=0)
     write_snapshot(phi1, os.path.join(out, "phi1.csv"),

@@ -20,11 +20,15 @@ stiffness sigma) every term but the bulk one is a sum over modes:
 
 Both history corrections are then one weighted sum, sum hw (dt v)^2,
 with per-mode weights hw that `energy_weights` builds once per run.
+
+A run's record is data: an EnergyTrace holds one record array with a row
+per step (TRACE_DTYPE), and the stability verdict is an expression on
+its dE_mod column.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,82 +38,64 @@ from .potential import PotentialSpec, lipschitz_bound, potential_value
 from .spectral1d import Basis1D
 from .timestepping import StepOperator
 
-TRACE_HEADER = "n,t,E_eps,E_mod,dE_mod,mean,dt_norm"
+TRACE_DTYPE = np.dtype([("n", np.int64)] + [
+    (name, np.float64) for name in ("t", "E_eps", "E_mod", "dE_mod", "mean", "dt_norm")
+])
+TRACE_HEADER = ",".join(TRACE_DTYPE.names)
 VERDICT_THRESHOLD = 1e-10  # largest dE_mod a stable trace may show
 
 
-@dataclass
-class TraceRow:
-    n: int
-    t: float
-    E_eps: float
-    E_mod: float
-    dE_mod: float
-    mean: float
-    dt_norm: float
-
-
-@dataclass
+@dataclass(eq=False)
 class EnergyTrace:
     """Per-step record of a simulation.
 
-    Rows are appended once per time step (the bootstrap step is row n = 1;
-    there is no row for the initial datum, and row 1 carries dE_mod = 0 by
-    convention since no earlier modified energy exists). blew_up marks a
-    run terminated early by NonFinite; max_residual is the checked
-    eigendecomposition residual of the run's basis (Basis1D.residual).
+    rows is a record array of dtype TRACE_DTYPE, one row per time step
+    (the bootstrap step is row n = 1; there is no row for the initial
+    datum, and row 1 carries dE_mod = 0 by convention since no earlier
+    modified energy exists). rows["E_eps"] is a column; index columns by
+    name, since attribute access finds ndarray methods first (rows.mean
+    is ndarray.mean, not the column).
+    blowup_step is the step at which NonFinite ended the run, if it did;
+    max_residual is the checked eigendecomposition residual of the run's
+    basis (Basis1D.residual).
     """
 
-    rows: list[TraceRow] = field(default_factory=list)
-    blew_up: bool = False
+    rows: np.recarray
     blowup_step: int | None = None
     max_residual: float = 0.0
 
-    def append(self, row: TraceRow) -> None:
-        if self.rows:
-            last = self.rows[-1]
-            if row.n != last.n + 1:
-                raise ValueError("trace rows must be contiguous in n")
-            if row.t <= last.t:
-                raise ValueError("trace times must be strictly increasing")
-        self.rows.append(row)
+    @property
+    def blew_up(self) -> bool:
+        return self.blowup_step is not None
 
     def __len__(self) -> int:
         return len(self.rows)
 
     def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.rows])
+        return self.rows[name]
 
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write(TRACE_HEADER + "\n")
-            for r in self.rows:
-                fh.write(
-                    f"{r.n},{r.t!r},{r.E_eps!r},{r.E_mod!r},"
-                    f"{r.dE_mod!r},{r.mean!r},{r.dt_norm!r}\n"
-                )
+            for row in self.rows.tolist():
+                fh.write(",".join(map(repr, row)) + "\n")
 
     @classmethod
     def read_csv(cls, path) -> "EnergyTrace":
-        trace = cls()
+        """A trace written by write_csv; ValueError unless n is contiguous
+        and t strictly increasing."""
         with open(path) as fh:
             header = fh.readline().strip()
             if header != TRACE_HEADER:
                 raise ValueError(f"unexpected trace header: {header}")
-            for line in fh:
-                parts = line.strip().split(",")
-                trace.append(
-                    TraceRow(
-                        n=int(parts[0]),
-                        t=float(parts[1]),
-                        E_eps=float(parts[2]),
-                        E_mod=float(parts[3]),
-                        dE_mod=float(parts[4]),
-                        mean=float(parts[5]),
-                        dt_norm=float(parts[6]),
-                    )
-                )
-        return trace
+            parts = (line.strip().split(",") for line in fh)
+            rows = np.array([(int(p[0]), *map(float, p[1:])) for p in parts], dtype=TRACE_DTYPE)
+        n, t = rows["n"], rows["t"]
+        if np.any(n[1:] != n[:-1] + 1):
+            raise ValueError("trace rows must be contiguous in n")
+        if np.any(t[1:] <= t[:-1]):
+            raise ValueError("trace times must be strictly increasing")
+        return cls(rows.view(np.recarray))
 
 
 @dataclass(frozen=True)
@@ -162,7 +148,7 @@ def stability_verdict(trace: EnergyTrace, min_steps: int = 1024) -> str:
     exceeds VERDICT_THRESHOLD, whatever the trace's length; otherwise
     "stable", which needs min_steps rows (a shorter trace raises
     ValueError)."""
-    if trace.blew_up or any(r.dE_mod > VERDICT_THRESHOLD for r in trace.rows):
+    if trace.blew_up or np.any(trace.rows["dE_mod"] > VERDICT_THRESHOLD):
         return "unstable"
     if len(trace) < min_steps:
         raise ValueError(f"trace has {len(trace)} rows; needs >= {min_steps} or a violation")

@@ -13,7 +13,9 @@ sum over modes:
 The Neumann kernel, the constants, is exactly the (0,0) mode. The
 Legendre coefficients C = E v E^T, with u = sum C[k,j] phi_k(x) phi_j(y),
 are a read-only export (`Field.coeffs`); nothing in the package reads
-them back.
+them back. Grid values are plain P x P arrays, P = M or 2M:
+`to_nodal(u, P)` evaluates a field there and `from_nodal(basis, values)`
+fits one back, choosing the node set from the array's shape.
 """
 
 from __future__ import annotations
@@ -53,34 +55,26 @@ class Field:
         return c
 
 
-@dataclass
-class NodalGrid:
-    """Values on the P x P tensor Gauss grid; values[i, j] = u(x_i, y_j)."""
-
-    basis: Basis1D
-    values: np.ndarray
-    node_set: str
-
-    def __post_init__(self):
-        P = self.basis.M if self.node_set == "M" else 2 * self.basis.M
-        if self.node_set not in ("M", "2M"):
-            raise ValueError("node_set must be 'M' or '2M'")
-        if self.values.shape != (P, P):
-            raise ValueError(f"values must be {P}x{P}, got {self.values.shape}")
+def to_nodal(u: Field, P: int) -> np.ndarray:
+    """The values of u on the P x P Gauss grid, P = M or 2M:
+    values[i, j] = u(x_i, y_j) = (T_P v T_P^T)[i, j]."""
+    T = {u.basis.M: u.basis.T_M, 2 * u.basis.M: u.basis.T}.get(P)
+    if T is None:
+        raise ValueError(f"a nodal grid has P = {u.basis.M} or {2 * u.basis.M} points, got {P!r}")
+    return T @ u.v @ T.T
 
 
-def to_nodal(u: Field, node_set: str) -> NodalGrid:
-    T = u.basis.T_M if node_set == "M" else u.basis.T
-    return NodalGrid(u.basis, T @ u.v @ T.T, node_set)
-
-
-def from_nodal(g: NodalGrid) -> Field:
-    """Quadrature least-squares fit of grid values in V_M x V_M: the
-    interpolant on the M set, the exact L^2 projection on the 2M set.
-    The Gram of either Gauss rule is the mass matrix, the identity in
-    modal coordinates, so the fit is G_P g G_P^T."""
-    G = g.basis.G_M if g.node_set == "M" else g.basis.G
-    return Field(g.basis, G @ g.values @ G.T)
+def from_nodal(basis: Basis1D, values: np.ndarray) -> Field:
+    """Quadrature least-squares fit in V_M x V_M of values on the P x P
+    Gauss grid, P = M or 2M by values.shape: the interpolant on the M set,
+    the exact L^2 projection on the 2M set. The Gram of either Gauss rule
+    is the mass matrix, the identity in modal coordinates, so the fit is
+    G_P values G_P^T."""
+    M = basis.M
+    G = {(M, M): basis.G_M, (2 * M, 2 * M): basis.G}.get(values.shape)
+    if G is None:
+        raise ValueError(f"values must be {M}x{M} or {2 * M}x{2 * M}, got {values.shape}")
+    return Field(basis, G @ values @ G.T)
 
 
 def modal_decomposition(basis: Basis1D):
@@ -153,11 +147,11 @@ def write_snapshot(u: Field, path, eps: float, gamma: float, t: float, step: int
     repr (shortest round-trip) form; then M rows of M comma-separated
     values, row i = x-index, column j = y-index.
     """
-    g = to_nodal(u, "M")
+    T = u.basis.T_M
     with open(path, "w") as fh:
         fh.write("M,eps,gamma,t,step\n")
         fh.write(f"{u.basis.M},{float(eps)!r},{float(gamma)!r},{float(t)!r},{int(step)}\n")
-        for row in g.values.tolist():
+        for row in (T @ u.v @ T.T).tolist():
             fh.write(",".join(map(repr, row)) + "\n")
 
 
@@ -182,5 +176,7 @@ def read_snapshot(path, basis: Basis1D | None = None) -> tuple[Field, dict]:
         raise ValueError(f"snapshot body is {vals.shape}, expected {(M, M)}")
     if basis is None:
         basis = assemble_basis(M)
-    u = from_nodal(NodalGrid(basis, vals, "M"))
-    return u, meta
+    if basis.M != M:
+        raise ValueError(f"snapshot has M = {M}, but the basis has M = {basis.M}")
+    G = basis.G_M
+    return Field(basis, G @ vals @ G.T), meta

@@ -3,6 +3,9 @@ stabilizer sweeps, and temporal convergence studies.
 
 Everything here is deterministic given the config (seed included). Every
 run starts with `bootstrap_first_step` and then steps with `march`.
+Results are data: a run's trace is one record array that its observer
+fills row by row, and a sweep's result is its config plus the log of
+every candidate run, from which cells, ladders and anomalies are read.
 """
 
 from __future__ import annotations
@@ -14,11 +17,11 @@ from dataclasses import MISSING, astuple, dataclass, field, fields, replace
 import numpy as np
 
 from .diagnostics import (
-    VERDICT_THRESHOLD, EnergyTrace, TraceRow, energy_weights, error_norms, stability_verdict,
+    TRACE_DTYPE, VERDICT_THRESHOLD, EnergyTrace, energy_weights, error_norms, stability_verdict,
     step_energies,
 )
 from .errors import NonFinite
-from .field2d import Field, NodalGrid, from_nodal
+from .field2d import Field
 from .potential import PotentialSpec
 from .spectral1d import Basis1D, assemble_basis
 from .timestepping import SchemeParams, bootstrap_first_step, build_step_operator, march
@@ -47,18 +50,11 @@ def _uniform_pm1(seed: int, count: int) -> np.ndarray:
 
 
 def random_nodal_field(basis: Basis1D, seed: int) -> Field:
-    """Uniform [-1, 1] noise at the 2M x 2M Gauss nodes (row-major by
-    x-index then y-index), projected onto V_M x V_M."""
+    """Seeded uniform [-1, 1] noise at the 2M x 2M Gauss nodes (row-major
+    by x-index then y-index), L^2-projected onto V_M x V_M."""
     P = 2 * basis.M
-    vals = _uniform_pm1(seed, P * P).reshape(P, P)
-    return from_nodal(NodalGrid(basis, vals, "2M"))
-
-
-def generate_phi0(M: int, seed: int) -> Field:
-    """Seeded random initial datum; deterministic across runs."""
-    if M < 4:
-        raise ValueError("M must be >= 4")
-    return random_nodal_field(assemble_basis(M), seed)
+    G = basis.G
+    return Field(basis, G @ _uniform_pm1(seed, P * P).reshape(P, P) @ G.T)
 
 
 def prepare_phi1(phi0: Field, eps: float) -> Field:
@@ -98,9 +94,12 @@ def _is(value, kinds) -> bool:
 
 
 def _check_positive_list(name: str, value) -> None:
+    # distinct: a repeat would rerun a sweep cell or a convergence tau
     if not (isinstance(value, list) and value
-            and all(_is(v, _NUMBER) and 0.0 < v < math.inf for v in value)):
-        raise ValueError(f"{name} must be a non-empty list of finite numbers > 0, got {value!r}")
+            and all(_is(v, _NUMBER) and 0.0 < v < math.inf for v in value)
+            and len(set(value)) == len(value)):
+        raise ValueError(f"{name} must be a non-empty list of distinct finite numbers > 0, "
+                         f"got {value!r}")
 
 
 @dataclass
@@ -122,6 +121,8 @@ class RunConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
+        if not (self.out_dir is None or isinstance(self.out_dir, str)):
+            raise ValueError(f"out_dir must be a path string or null, got {self.out_dir!r}")
         for names, kinds, what in (
             (("M", "seed", "m", "snapshot_every"), int, "an integer"),
             (("eps", "gamma", "tau", "T", "A", "B"), _NUMBER, "a number"),
@@ -170,6 +171,8 @@ def run_config_from_dict(d: dict) -> RunConfig:
 
 
 def initial_field(cfg: RunConfig, basis: Basis1D | None = None) -> Field:
+    """The config's phi0: seeded noise, relaxed by prepare_phi1 when
+    cfg.initial is "prepared"."""
     base = basis if basis is not None else assemble_basis(cfg.M)
     phi0 = random_nodal_field(base, cfg.seed)
     if cfg.initial == "prepared":
@@ -213,44 +216,36 @@ def run_simulation(
     params = cfg.scheme_params(cfg.tau)
     op = build_step_operator(params, basis)
     weights = energy_weights(op, spec)
-    trace = EnergyTrace(max_residual=basis.residual)
     snapshots: list[tuple[int, float, Field]] = []
     N = cfg.n_steps()
-    last, e_mod = None, 0.0
+    rows = np.empty(N, TRACE_DTYPE)
+    n, t, e_mod, last = 0, 0.0, 0.0, None
 
     def observe(prev: np.ndarray, curr: np.ndarray, grid: np.ndarray) -> None:
-        nonlocal last, e_mod
-        n = len(trace) + 1
-        t = trace.rows[-1].t + cfg.tau if trace.rows else cfg.tau
+        nonlocal n, t, e_mod, last
+        n += 1
+        t += cfg.tau
         last = curr
         e_eps, e_new, dt_sq, mean = step_energies(weights, prev, curr, grid)
         # row 1 is the bootstrap transition; no earlier modified energy
         # exists, so its increment is 0 by convention
-        trace.append(
-            TraceRow(
-                n=n,
-                t=t,
-                E_eps=e_eps,
-                E_mod=e_new,
-                dE_mod=e_new - e_mod if n > 1 else 0.0,
-                mean=mean,
-                dt_norm=float(np.sqrt(dt_sq)),
-            )
-        )
+        dE_mod = e_new - e_mod if n > 1 else 0.0
+        rows[n - 1] = (n, t, e_eps, e_new, dE_mod, mean, np.sqrt(dt_sq))
         e_mod = e_new
         if cfg.snapshot_every > 0 and (n % cfg.snapshot_every == 0 or n == N):
             snapshots.append((n, t, Field(basis, curr)))
-        if stop_above is not None and trace.rows[-1].dE_mod > stop_above:
+        if stop_above is not None and dE_mod > stop_above:
             raise _EnergyIncrease
 
+    blowup_step = None
     try:
         phi1 = bootstrap_first_step(phi0, params, cfg.m, spec)
         march(op, spec, phi0.v, phi1.v, N - 1, observe)
     except NonFinite:
-        trace.blew_up = True
-        trace.blowup_step = len(trace) + 1
+        blowup_step = n + 1
     except _EnergyIncrease:
         pass
+    trace = EnergyTrace(rows[:n].view(np.recarray), blowup_step, basis.residual)
     final = phi0 if last is None else Field(basis, last)
     return trace, final, snapshots
 
@@ -341,18 +336,49 @@ class SweepRecord:
 
 @dataclass
 class SweepResult:
+    """A sweep's config and its log, every candidate run in order; cells,
+    ladders and anomalies are read off the two."""
+
     config: SweepConfig
-    # (gamma, tau) -> smallest stable candidate, or None if the ladder was
-    # exhausted without a stable verdict
-    cells: dict[tuple[float, float], float | None] = field(default_factory=dict)
-    ladders: dict[tuple[float, float], list[float]] = field(default_factory=dict)
-    anomalies: list[str] = field(default_factory=list)
-    log: list[SweepRecord] = field(default_factory=list)  # every candidate run, in order
+    log: list[SweepRecord] = field(default_factory=list)
+
+    def _runs(self) -> dict[tuple[float, float], list[SweepRecord]]:
+        """(gamma, tau) -> the cell's records in run order, for every cell."""
+        cfg = self.config
+        runs = {(gamma, tau): [] for gamma in cfg.gamma_list for tau in cfg.tau_list}
+        for r in self.log:
+            runs[(r.gamma, r.tau)].append(r)
+        return runs
+
+    @property
+    def cells(self) -> dict[tuple[float, float], float | None]:
+        """(gamma, tau) -> the smallest stable candidate, the first one a
+        cell logs; None if the ladder was exhausted without one."""
+        return {
+            key: next((r.candidate for r in runs if r.verdict == "stable"), None)
+            for key, runs in self._runs().items()
+        }
+
+    @property
+    def ladders(self) -> dict[tuple[float, float], list[float]]:
+        """(gamma, tau) -> the ladder the cell walks."""
+        return {(gamma, tau): _ladder(self.config, gamma) for gamma, tau in self._runs()}
+
+    @property
+    def anomalies(self) -> list[str]:
+        """The cells of a full scan where an unstable candidate follows a
+        stable one."""
+        notes = []
+        for (gamma, tau), runs in self._runs().items():
+            verdicts = [r.verdict == "stable" for r in runs]
+            if True in verdicts and not all(verdicts[verdicts.index(True):]):
+                notes.append(f"non-monotone ladder at gamma={gamma} tau={tau}: verdicts {verdicts}")
+        return notes
 
     def cell_text(self, gamma: float, tau: float) -> str:
         value = self.cells[(gamma, tau)]
         if value is None:
-            return ">" + _num(self.ladders[(gamma, tau)][-1])
+            return ">" + _num(_ladder(self.config, gamma)[-1])
         return _num(value)
 
     def write_csv(self, path) -> None:
@@ -388,33 +414,28 @@ def _candidate_config(sc: SweepConfig, gamma: float, tau: float, candidate: floa
     )
 
 
-def _sweep_cell(sc: SweepConfig, phi0: Field, gamma: float, tau: float, result: SweepResult):
-    """Walk the cell's ladder from phi0. Each candidate stops at its first
-    dE_mod above the verdict threshold, which already makes it unstable."""
-    ladder = list(sc.ladder) if sc.ladder is not None else default_ladder(sc.target, gamma, sc.base.eps)
-    verdicts: list[bool] = []
-    minimum: float | None = None
-    for candidate in ladder:
+def _ladder(sc: SweepConfig, gamma: float) -> list[float]:
+    return list(sc.ladder) if sc.ladder is not None else default_ladder(sc.target, gamma, sc.base.eps)
+
+
+def _sweep_cell(sc: SweepConfig, phi0: Field, gamma: float, tau: float, log: list[SweepRecord]):
+    """Walk the cell's ladder from phi0, logging each candidate, up to the
+    first stable one (every one with full_scan). Each candidate stops at
+    its first dE_mod above the verdict threshold, which already makes it
+    unstable."""
+    for candidate in _ladder(sc, gamma):
         cfg = _candidate_config(sc, gamma, tau, candidate)
         trace, _, _ = run_simulation(cfg, phi_init=phi0, stop_above=VERDICT_THRESHOLD)
         verdict = stability_verdict(trace, min_steps=sc.steps)
-        first = next((r for r in trace.rows if r.dE_mod > VERDICT_THRESHOLD), None)
-        result.log.append(SweepRecord(
+        over = trace.rows[trace.rows["dE_mod"] > VERDICT_THRESHOLD]
+        first = (int(over["n"][0]), float(over["dE_mod"][0])) if len(over) else (None, None)
+        log.append(SweepRecord(
             gamma, tau, candidate, verdict, len(trace),
-            "blow_up" if trace.blew_up else "completed" if first is None else "energy_increase",
-            None if first is None else first.n, None if first is None else first.dE_mod,
+            "blow_up" if trace.blew_up else "energy_increase" if len(over) else "completed",
+            *first,
         ))
-        verdicts.append(verdict == "stable")
-        if verdicts[-1] and minimum is None:
-            minimum = candidate
-            if not sc.full_scan:
-                break
-    result.cells[(gamma, tau)] = minimum
-    result.ladders[(gamma, tau)] = ladder
-    if sc.full_scan and minimum is not None and not all(verdicts[verdicts.index(True):]):
-        result.anomalies.append(
-            f"non-monotone ladder at gamma={gamma} tau={tau}: verdicts {verdicts}"
-        )
+        if verdict == "stable" and not sc.full_scan:
+            break
 
 
 def sweep_min_stabilizer(sc: SweepConfig) -> SweepResult:
@@ -426,7 +447,7 @@ def sweep_min_stabilizer(sc: SweepConfig) -> SweepResult:
     result = SweepResult(config=sc)
     for gamma in sc.gamma_list:
         for tau in sc.tau_list:
-            _sweep_cell(sc, phi0, gamma, tau, result)
+            _sweep_cell(sc, phi0, gamma, tau, result.log)
     return result
 
 

@@ -120,7 +120,7 @@ CONVERGE_CFG = dict(M=8, eps=0.25, gamma=1e-3, tau=0.01, T=0.02, scheme="SL_BDF2
 
 @pytest.mark.parametrize("key,value", [
     ("tau_list", 5), ("tau_list", []), ("tau_list", [0.01, "0.005"]),
-    ("tau_list", [float("inf")]), ("tau_list", [0.01, -0.005]),
+    ("tau_list", [float("inf")]), ("tau_list", [0.01, -0.005]), ("tau_list", [0.01, 0.01]),
     ("tau_ref", "0.05"), ("tau_ref", float("inf")), ("tau_ref", 0.0), ("tau_ref", None),
 ])
 def test_converge_rejects_bad_taus(tmp_path, capsys, key, value):
@@ -254,13 +254,17 @@ def test_prepare_initial_command(tmp_path, capsys):
     assert "phi0.csv" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("eps", ["0", "1e-200", "nan"])
-def test_prepare_initial_rejects_bad_eps(tmp_path, capsys, eps):
-    # the error names the eps the user gave, not the tau derived from it
+@pytest.mark.parametrize("M, eps, word", [
+    *(pytest.param("8", eps, "eps", id=eps) for eps in ("0", "1e-200", "nan")),
+    pytest.param("3", "0.25", "M", id="M3"),
+])
+def test_prepare_initial_rejects_bad_eps(tmp_path, capsys, M, eps, word):
+    # the error names the eps the user gave, not the tau derived from it,
+    # and comes before the out directory is made
     out = tmp_path / "init"
-    rc = main(["prepare-initial", "--M", "8", "--eps", eps, "--seed", "7", "--out", str(out)])
-    assert "tau" not in assert_one_line_error(capsys, rc, "eps")
-    assert not (out / "phi1.csv").exists()
+    rc = main(["prepare-initial", "--M", M, "--eps", eps, "--seed", "7", "--out", str(out)])
+    assert "tau" not in assert_one_line_error(capsys, rc, word)
+    assert not out.exists()
 
 
 def test_run_rejects_prepared_eps_underflow(tmp_path, capsys):
@@ -270,3 +274,20 @@ def test_run_rejects_prepared_eps_underflow(tmp_path, capsys):
     rc = main(["run", "--config", str(cfg_path), "--out-dir", str(out)])
     assert_one_line_error(capsys, rc, "eps")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("out_dir", [5, [1], True])
+@pytest.mark.parametrize("command", ["run", "sweep", "converge"])
+def test_config_out_dir_must_be_a_string(tmp_path, capsys, monkeypatch, command, out_dir):
+    # without --out-dir the config's out_dir is the output path
+    cfg = {
+        "run": dict(RUN_CFG, out_dir=out_dir),
+        "sweep": dict(SWEEP_CFG, base=dict(SWEEP_CFG["base"], out_dir=out_dir)),
+        "converge": dict(CONVERGE_CFG, out_dir=out_dir),
+    }[command]
+    cfg_path = tmp_path / "config.json"
+    write_json(cfg_path, cfg)
+    monkeypatch.chdir(tmp_path)
+    rc = main([command, "--config", str(cfg_path)])
+    assert_one_line_error(capsys, rc, "out_dir")
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]

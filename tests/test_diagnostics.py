@@ -6,7 +6,6 @@ from chillwave import (
     Field,
     MeanNotZero,
     SchemeParams,
-    TraceRow,
     error_norms,
     hminus1_norm,
     mean_value,
@@ -14,7 +13,7 @@ from chillwave import (
     potential_value,
     stability_verdict,
 )
-from chillwave.diagnostics import TRACE_HEADER, energy_weights, step_energies
+from chillwave.diagnostics import TRACE_DTYPE, TRACE_HEADER, energy_weights, step_energies
 from conftest import (
     energy_eps,
     field_energies,
@@ -26,22 +25,31 @@ from conftest import (
 )
 
 
-def make_trace(increments, blew_up=False, blowup_step=None):
-    tr = EnergyTrace(blew_up=blew_up, blowup_step=blowup_step)
-    e = 10.0
-    for i, d in enumerate(increments):
-        e += d
-        tr.append(TraceRow(n=i + 1, t=(i + 1) * 0.1, E_eps=e, E_mod=e, dE_mod=d,
-                           mean=0.0, dt_norm=1e-3))
-    return tr
+def make_trace(increments, blowup_step=None):
+    rows = np.zeros(len(increments), TRACE_DTYPE).view(np.recarray)
+    rows["n"] = np.arange(1, len(increments) + 1)
+    rows["t"] = rows["n"] * 0.1
+    rows["E_eps"] = rows["E_mod"] = np.cumsum([10.0, *increments])[1:]
+    rows["dE_mod"] = increments
+    rows["dt_norm"] = 1e-3
+    return EnergyTrace(rows, blowup_step=blowup_step)
 
 
-def test_trace_append_validation():
-    tr = make_trace([0.0, -1.0])
-    with pytest.raises(ValueError):
-        tr.append(TraceRow(n=4, t=0.4, E_eps=1, E_mod=1, dE_mod=0, mean=0, dt_norm=0))
-    with pytest.raises(ValueError):
-        tr.append(TraceRow(n=3, t=0.2, E_eps=1, E_mod=1, dE_mod=0, mean=0, dt_norm=0))
+@pytest.mark.parametrize("body, error", [
+    ("1,0.1,1.0,1.0,0.0,0.0,0.0\n3,0.2,1.0,1.0,0.0,0.0,0.0\n", "contiguous in n"),
+    ("1,0.1,1.0,1.0,0.0,0.0,0.0\n2,0.1,1.0,1.0,0.0,0.0,0.0\n", "strictly increasing"),
+    ("", None),
+], ids=["skipped_n", "repeated_t", "header_only"])
+def test_trace_read_csv_validation(tmp_path, body, error):
+    # trace files come from outside the program: read_csv checks what the
+    # run's observer guarantees
+    p = tmp_path / "trace.csv"
+    p.write_text(TRACE_HEADER + "\n" + body)
+    if error is None:
+        assert len(EnergyTrace.read_csv(p)) == 0
+    else:
+        with pytest.raises(ValueError, match=error):
+            EnergyTrace.read_csv(p)
 
 
 def test_trace_columns():
@@ -59,8 +67,7 @@ def test_trace_csv_round_trip(tmp_path):
         assert fh.readline().strip() == TRACE_HEADER
     back = EnergyTrace.read_csv(p)
     assert len(back) == len(tr)
-    for a, b in zip(tr.rows, back.rows):
-        assert a == b  # repr round trip is exact
+    assert back.rows.tolist() == tr.rows.tolist()  # repr round trip is exact
 
 
 def test_energy_eps_constants(basis8, spec):
@@ -166,7 +173,7 @@ def test_verdict_unstable_increment():
 
 
 def test_verdict_blowup_is_unstable():
-    tr = make_trace([0.0, -1e-6], blew_up=True, blowup_step=3)
+    tr = make_trace([0.0, -1e-6], blowup_step=3)
     assert stability_verdict(tr) == "unstable"
 
 

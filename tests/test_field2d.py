@@ -5,7 +5,6 @@ import chillwave as cw
 from chillwave import (
     Field,
     MeanNotZero,
-    NodalGrid,
     from_nodal,
     h1_seminorm_sq,
     hminus1_norm,
@@ -39,10 +38,12 @@ def kron_stiff(basis):
 def test_field_shape_validation(basis8):
     with pytest.raises(ValueError):
         Field(basis8, np.zeros((8, 7)))
+    # a nodal grid has M or 2M points a side
+    for shape in ((8, 16), (12, 12), (64,)):
+        with pytest.raises(ValueError):
+            from_nodal(basis8, np.zeros(shape))
     with pytest.raises(ValueError):
-        NodalGrid(basis8, np.zeros((8, 8)), "2M")
-    with pytest.raises(ValueError):
-        NodalGrid(basis8, np.zeros((8, 8)), "fine")
+        to_nodal(unit_field(basis8, 0, 0), 12)
 
 
 def test_coeffs_is_a_read_only_export(basis8):
@@ -60,32 +61,33 @@ def test_coeffs_is_a_read_only_export(basis8):
 
 def test_nodal_round_trip_constant(basis8):
     u = unit_field(basis8, 0, 0)
-    g = to_nodal(u, "M")
-    np.testing.assert_allclose(g.values, np.ones((8, 8)), atol=1e-14)
-    np.testing.assert_allclose(from_nodal(g).coeffs, u.coeffs, atol=1e-13)
+    g = to_nodal(u, 8)
+    np.testing.assert_allclose(g, np.ones((8, 8)), atol=1e-14)
+    np.testing.assert_allclose(from_nodal(basis8, g).coeffs, u.coeffs, atol=1e-13)
 
 
 def test_nodal_round_trip_basis_member(basis8):
     u = unit_field(basis8, 2, 3)
-    for node_set in ("M", "2M"):
-        g = to_nodal(u, node_set)
-        np.testing.assert_allclose(from_nodal(g).coeffs, u.coeffs, atol=1e-13)
+    for P in (8, 16):
+        g = to_nodal(u, P)
+        assert g.shape == (P, P)
+        np.testing.assert_allclose(from_nodal(basis8, g).coeffs, u.coeffs, atol=1e-13)
 
 
 def test_nodal_round_trip_random(basis16):
     rng = np.random.default_rng(3)
     u = rand_field(basis16, rng)
-    for node_set in ("M", "2M"):
-        back = from_nodal(to_nodal(u, node_set))
+    for P in (16, 32):
+        back = from_nodal(basis16, to_nodal(u, P))
         assert np.abs(back.coeffs - u.coeffs).max() <= 1e-12
 
 
 def test_to_nodal_matches_oracle_evaluation(basis8):
     rng = np.random.default_rng(4)
     u = rand_field(basis8, rng)
-    g = to_nodal(u, "2M")
+    g = to_nodal(u, 16)
     expected = oracle_eval_2d(u.coeffs, basis8.nodes_2M, basis8.nodes_2M)
-    np.testing.assert_allclose(g.values, expected, atol=1e-12)
+    np.testing.assert_allclose(g, expected, atol=1e-12)
 
 
 def test_inner_l2_examples(basis8):
@@ -156,12 +158,8 @@ def test_hminus1_dense_oracle(basis16):
 
 def test_hminus1_cosine_value():
     b = cw.assemble_basis(32)
-    g = NodalGrid(
-        b,
-        np.cos(np.pi * b.nodes_2M)[:, None] * np.cos(np.pi * b.nodes_2M)[None, :],
-        "2M",
-    )
-    u = from_nodal(g)
+    c = np.cos(np.pi * b.nodes_2M)
+    u = from_nodal(b, np.outer(c, c))
     assert hminus1_norm(u) == pytest.approx(1.0 / (np.sqrt(2.0) * np.pi), abs=1e-6)
 
 
@@ -169,7 +167,7 @@ def nonlinear_load(spec, u):
     # the production modal load of a field, from its 2M grid as march
     # holds it
     op = cw.build_step_operator(cw.SchemeParams("SL_CN", tau=1.0, gamma=1.0, eps=1.0), u.basis)
-    return modal_load(op, spec, to_nodal(u, "2M").values)
+    return modal_load(op, spec, to_nodal(u, 2 * u.basis.M))
 
 
 def to_modal_form(basis, load):
@@ -264,6 +262,10 @@ def test_snapshot_reuses_supplied_basis(tmp_path, basis8):
     back, _ = read_snapshot(p, basis=basis8)
     assert back.basis is basis8
     np.testing.assert_allclose(back.coeffs, u.coeffs, atol=1e-12)
+    # an 8 x 8 body is the 2M grid of M = 4, but a snapshot is always on
+    # the M grid of its own M
+    with pytest.raises(ValueError, match="snapshot has M = 8, but the basis has M = 4"):
+        read_snapshot(p, basis=cw.assemble_basis(4))
 
 
 def test_spatial_convergence_cosine():
@@ -275,7 +277,7 @@ def test_spatial_convergence_cosine():
     for M in range(6, 18, 2):
         b = cw.assemble_basis(M)
         c = np.cos(np.pi * b.nodes_2M)
-        u = from_nodal(NodalGrid(b, np.outer(c, c), "2M"))
+        u = from_nodal(b, np.outer(c, c))
         diff = oracle_eval_2d(u.coeffs, x, x) - exact
         errs.append(np.sqrt(w @ diff**2 @ w))
     assert all(fine <= coarse / 10 for coarse, fine in zip(errs, errs[1:]))

@@ -15,7 +15,6 @@ from chillwave import (
     assemble_basis,
     convergence_study,
     default_ladder,
-    generate_phi0,
     mean_value,
     prepare_phi1,
     run_simulation,
@@ -26,6 +25,7 @@ from chillwave import (
 from chillwave.harness import (
     CONVERGENCE_HEADER,
     initial_field,
+    random_nodal_field,
     run_config_from_dict,
     sweep_config_from_dict,
     write_convergence_csv,
@@ -81,17 +81,17 @@ def test_splitmix64_seed42_stated_reference():
     assert int(splitmix64(42, 1)[0]) == 0x13F5E66F2F16F199
 
 
-def test_generate_phi0_deterministic():
-    a = generate_phi0(8, 42)
-    b = generate_phi0(8, 42)
+def test_random_nodal_field_deterministic(basis8):
+    a = random_nodal_field(basis8, 42)
+    b = random_nodal_field(assemble_basis(8), 42)
     np.testing.assert_array_equal(a.coeffs, b.coeffs)
-    c = generate_phi0(8, 43)
+    c = random_nodal_field(basis8, 43)
     assert np.abs(a.coeffs - c.coeffs).max() > 1e-3
 
 
-def test_generate_phi0_mean_small():
+def test_random_nodal_field_mean_small():
     for M in (16, 32):
-        assert abs(mean_value(generate_phi0(M, 42))) <= 0.2
+        assert abs(mean_value(random_nodal_field(assemble_basis(M), 42))) <= 0.2
 
 
 def test_prepare_phi1_constant_unchanged(basis8):
@@ -101,7 +101,7 @@ def test_prepare_phi1_constant_unchanged(basis8):
 
 
 def test_prepare_phi1_dissipates(spec):
-    phi0 = generate_phi0(16, 42)
+    phi0 = random_nodal_field(assemble_basis(16), 42)
     phi1 = prepare_phi1(phi0, 0.05)
     assert energy_eps(spec, 0.05, phi1) < energy_eps(spec, 0.05, phi0)
 
@@ -159,8 +159,8 @@ def test_single_step_run_is_the_bootstrap(basis8):
                     A=0.25, B=8.0, seed=3)
     trace, final, snaps = run_simulation(cfg, basis=basis8)
     assert len(trace) == 1
-    assert trace.rows[0].n == 1
-    assert trace.rows[0].dE_mod == 0.0
+    assert trace.rows["n"][0] == 1
+    assert trace.rows["dE_mod"][0] == 0.0
     assert snaps == []
 
 
@@ -182,7 +182,7 @@ def test_run_simulation_rejects_mismatched_M(given):
     cfg = RunConfig(M=16, eps=0.25, gamma=1.0, tau=0.1, T=0.3, scheme="SL_CN",
                     A=0.25, B=8.0)
     if given == "phi_init":
-        kwargs, M = dict(phi_init=generate_phi0(8, 42)), 8
+        kwargs, M = dict(phi_init=random_nodal_field(assemble_basis(8), 42)), 8
     else:
         kwargs, M = dict(basis=assemble_basis(12)), 12
     with pytest.raises(ValueError, match=f"{given} has M = {M}, .* M = 16"):
@@ -271,6 +271,7 @@ def test_sweep_config_validation():
         dict(base=5), dict(base={"M": 8}),
         dict(gamma_list=1), dict(tau_list=0.1), dict(gamma_list=(1.0,)),
         dict(tau_list=[0.1, -0.1]), dict(gamma_list=[0.0]), dict(gamma_list=[True]),
+        dict(gamma_list=[1.0, 1.0]), dict(tau_list=[0.1, 0.2, 0.1]),
         dict(tau_list=["0.1"]), dict(gamma_list=[float("nan")]),
         dict(steps=8.0), dict(steps=True), dict(steps=0),
         dict(fixed_value=-1.0), dict(fixed_value="0"), dict(fixed_value=None),
@@ -323,6 +324,32 @@ def test_sweep_csv_layout(tmp_path):
     assert lines[1].startswith("4e-05,")
 
 
+def test_sweep_result_reads_cells_and_anomalies_off_its_log():
+    # a result is its config plus its log: no run is needed to derive the
+    # cells, the ladders, the ">X" text and a non-monotone full scan
+    from chillwave.harness import SweepRecord, SweepResult
+
+    base = RunConfig(M=8, eps=0.25, gamma=1.0, tau=0.1, T=6.4, scheme="SL_CN")
+    sc = SweepConfig(base=base, target="A", gamma_list=[1.0, 2.0], tau_list=[0.1],
+                     ladder=[0.0, 1.0, 2.0], steps=64, full_scan=True)
+
+    def record(gamma, candidate, stable):
+        if stable:
+            return SweepRecord(gamma, 0.1, candidate, "stable", 64, "completed", None, None)
+        return SweepRecord(gamma, 0.1, candidate, "unstable", 5, "energy_increase", 5, 1e-3)
+
+    verdicts = {1.0: [False, True, False], 2.0: [False, False, False]}
+    res = SweepResult(sc, [record(gamma, candidate, stable)
+                           for gamma in (1.0, 2.0)
+                           for candidate, stable in zip(sc.ladder, verdicts[gamma])])
+    assert res.cells == {(1.0, 0.1): 1.0, (2.0, 0.1): None}
+    assert res.ladders == {(1.0, 0.1): [0.0, 1.0, 2.0], (2.0, 0.1): [0.0, 1.0, 2.0]}
+    assert [res.cell_text(g, 0.1) for g in (1.0, 2.0)] == ["1", ">2"]
+    assert res.anomalies == [
+        "non-monotone ladder at gamma=1.0 tau=0.1: verdicts [False, True, False]"
+    ]
+
+
 def ladder_walk(sc, gamma, tau):
     # the reference sweep: a full-length run per rung, without stop_above
     # or a shared phi0, judged by stability_verdict
@@ -350,18 +377,18 @@ def test_sweep_early_stop_keeps_every_verdict():
     stopped = 0
     for record, (candidate, full, verdict) in zip(res.log, reference):
         assert record.candidate == candidate
-        first = next((r for r in full.rows if r.dE_mod > 1e-10), None)
+        first = next((r for r in full.rows if r["dE_mod"] > 1e-10), None)
         if first is None:
             assert (record.stop_reason, record.rows_run) == ("completed", 64)
             continue
         stopped += 1
         # the stopped run ends exactly at the full run's first violating row
         assert record.stop_reason == "energy_increase"
-        assert record.rows_run == record.first_violation_step == first.n < 64
-        assert record.first_violation_dE_mod == first.dE_mod
+        assert record.rows_run == record.first_violation_step == first["n"] < 64
+        assert record.first_violation_dE_mod == first["dE_mod"]
         cfg = replace(base, A=candidate)
         short, _, _ = run_simulation(cfg, stop_above=1e-10)
-        assert not short.blew_up and short.rows == full.rows[:first.n]
+        assert not short.blew_up and np.array_equal(short.rows, full.rows[:first["n"]])
     assert stopped == 4
 
 
