@@ -176,12 +176,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand. Bad input (a config the package rejects, a
-    missing key or file) prints one `chillwave: error: ...` line on
-    stderr and returns 2."""
+    missing key or file, a size whose arrays cannot be allocated) prints
+    one `chillwave: error: ...` line on stderr and returns 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ChillwaveError, ValueError, KeyError, OSError) as exc:
+    except (ChillwaveError, ValueError, KeyError, OSError, MemoryError) as exc:
         print(f"chillwave: error: {exc}", file=sys.stderr)
         return 2
 

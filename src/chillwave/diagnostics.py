@@ -11,9 +11,9 @@ non-increasing:
     SL_BDF2   E_B^n = E_eps(phi^n) + 1/(4 tau gamma) ||dt phi^n||_-1^2
                       + (L/(2 eps) + B/2) ||dt phi^n||^2
 
-where dt phi^n = phi^n - phi^{n-1} and L is the potential's Lipschitz
-bound. In the modal coordinates v of a Field and of `march` (mass I,
-stiffness sigma) every term but the bulk one is a sum over modes:
+where dt phi^n = phi^n - phi^{n-1} and L is the Lipschitz bound of
+`potential.SPEC`. In the modal coordinates v of a Field and of `march`
+(mass I, stiffness sigma) every term but the bulk one is a sum over modes:
 
     |grad u|^2 = sum sigma v^2,  ||u||^2 = sum v^2,
     ||u||_-1^2 = sum_{sigma > 0} v^2 / sigma,  int F(u) = w^T F(grid) w.
@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import MeanNotZero
 from .field2d import Field, h1_seminorm_sq, hminus1_norm, inner_l2, mean_value, modal_mean
-from .potential import PotentialSpec, lipschitz_bound, potential_value
+from .potential import SPEC, lipschitz_bound, potential_value
 from .spectral1d import Basis1D
 from .timestepping import StepOperator
 
@@ -104,19 +104,18 @@ class EnergyWeights:
     `energy_weights`: the basis (its 2M quadrature weights and mean),
     grad = eps sigma / 2 and the history weight hw of each mode."""
 
-    spec: PotentialSpec
     eps: float
     basis: Basis1D
     grad: np.ndarray
     hw: np.ndarray
 
 
-def energy_weights(op: StepOperator, spec: PotentialSpec) -> EnergyWeights:
+def energy_weights(op: StepOperator) -> EnergyWeights:
     """The weights of op's modified energy: per mode, hw = L/(4 eps) + B/2
     for SL_CN and [sigma > 0]/(4 tau gamma sigma) + L/(2 eps) + B/2 for
     SL_BDF2, so both history corrections are sum hw (v^n - v^{n-1})^2."""
     p, basis = op.params, op.basis
-    L, sigma = lipschitz_bound(spec), basis.sigma
+    L, sigma = lipschitz_bound(SPEC), basis.sigma
     if p.scheme == "SL_CN":
         hw = np.full_like(sigma, L / (4.0 * p.eps) + 0.5 * p.B)
     elif p.scheme == "SL_BDF2":
@@ -125,17 +124,17 @@ def energy_weights(op: StepOperator, spec: PotentialSpec) -> EnergyWeights:
         hw = hm1 + (L / (2.0 * p.eps) + 0.5 * p.B)
     else:
         raise ValueError("modified energy is defined for SL_CN and SL_BDF2 only")
-    return EnergyWeights(spec, p.eps, basis, 0.5 * p.eps * sigma, hw)
+    return EnergyWeights(p.eps, basis, 0.5 * p.eps * sigma, hw)
 
 
 def step_energies(
     ew: EnergyWeights, prev: np.ndarray, curr: np.ndarray, grid: np.ndarray
 ) -> tuple[float, float, float, float]:
     """(E_eps, modified energy, ||curr - prev||^2, mean) of the modal pair
-    (phi^{n-1}, phi^n) = (prev, curr), with grid the 2M grid of curr: what
-    `march` hands its observer and a trace row needs."""
+    (phi^{n-1}, phi^n) = (prev, curr), with grid the 2M grid of curr: a
+    state that `march` yields, and what a trace row needs."""
     w = ew.basis.weights_2M
-    bulk = float(w @ potential_value(ew.spec, grid) @ w)
+    bulk = float(w @ potential_value(SPEC, grid) @ w)
     e = float(np.vdot(ew.grad, curr * curr)) + bulk / ew.eps
     diff = curr - prev
     diff *= diff

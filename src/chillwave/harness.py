@@ -3,9 +3,10 @@ stabilizer sweeps, and temporal convergence studies.
 
 Everything here is deterministic given the config (seed included). Every
 run starts with `bootstrap_first_step` and then steps with `march`.
-Results are data: a run's trace is one record array that its observer
-fills row by row, and a sweep's result is its config plus the log of
-every candidate run, from which cells, ladders and anomalies are read.
+Results are data: a run's trace is one record array that its loop over
+`march`'s states fills row by row, and a sweep's result is its config
+plus the log of every candidate run, from which cells, ladders and
+anomalies are read.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .diagnostics import (
 )
 from .errors import NonFinite
 from .field2d import Field
-from .potential import PotentialSpec
 from .spectral1d import Basis1D, assemble_basis
 from .timestepping import SchemeParams, bootstrap_first_step, build_step_operator, march
 
@@ -180,10 +180,6 @@ def initial_field(cfg: RunConfig, basis: Basis1D | None = None) -> Field:
     return phi0
 
 
-class _EnergyIncrease(Exception):
-    """A trace row's dE_mod exceeded run_simulation's stop_above."""
-
-
 def run_simulation(
     cfg: RunConfig,
     phi_init: Field | None = None,
@@ -195,7 +191,7 @@ def run_simulation(
 
     Returns the per-step energy trace, the final field, and the snapshot
     list [(n, t, field), ...] per cfg.snapshot_every. Trace rows, snapshots
-    and the final field are read off the modal pairs `march` observes.
+    and the final field are read off the modal pairs `march` yields.
     phi_init and basis, when given, must have cfg.M modes (ValueError
     otherwise); basis is unused when phi_init is given. A blow-up
     (NonFinite) terminates the run early and is recorded on the trace
@@ -210,43 +206,34 @@ def run_simulation(
     for name, b in given.items():
         if b is not None and b.M != cfg.M:
             raise ValueError(f"{name} has M = {b.M}, but the config asks for M = {cfg.M}")
-    spec = PotentialSpec()
     phi0 = phi_init if phi_init is not None else initial_field(cfg, basis)
     basis = phi0.basis
     params = cfg.scheme_params(cfg.tau)
     op = build_step_operator(params, basis)
-    weights = energy_weights(op, spec)
+    weights = energy_weights(op)
     snapshots: list[tuple[int, float, Field]] = []
     N = cfg.n_steps()
     rows = np.empty(N, TRACE_DTYPE)
-    n, t, e_mod, last = 0, 0.0, 0.0, None
-
-    def observe(prev: np.ndarray, curr: np.ndarray, grid: np.ndarray) -> None:
-        nonlocal n, t, e_mod, last
-        n += 1
-        t += cfg.tau
-        last = curr
-        e_eps, e_new, dt_sq, mean = step_energies(weights, prev, curr, grid)
-        # row 1 is the bootstrap transition; no earlier modified energy
-        # exists, so its increment is 0 by convention
-        dE_mod = e_new - e_mod if n > 1 else 0.0
-        rows[n - 1] = (n, t, e_eps, e_new, dE_mod, mean, np.sqrt(dt_sq))
-        e_mod = e_new
-        if cfg.snapshot_every > 0 and (n % cfg.snapshot_every == 0 or n == N):
-            snapshots.append((n, t, Field(basis, curr)))
-        if stop_above is not None and dE_mod > stop_above:
-            raise _EnergyIncrease
-
-    blowup_step = None
+    n, t, e_mod, curr, blowup_step = 0, 0.0, 0.0, None, None
     try:
-        phi1 = bootstrap_first_step(phi0, params, cfg.m, spec)
-        march(op, spec, phi0.v, phi1.v, N - 1, observe)
+        phi1 = bootstrap_first_step(phi0, params, cfg.m)
+        for prev, curr, grid in march(op, phi0.v, phi1.v, N - 1):
+            n += 1
+            t += cfg.tau
+            e_eps, e_new, dt_sq, mean = step_energies(weights, prev, curr, grid)
+            # row 1 is the bootstrap transition; no earlier modified energy
+            # exists, so its increment is 0 by convention
+            dE_mod = e_new - e_mod if n > 1 else 0.0
+            rows[n - 1] = (n, t, e_eps, e_new, dE_mod, mean, np.sqrt(dt_sq))
+            e_mod = e_new
+            if cfg.snapshot_every > 0 and (n % cfg.snapshot_every == 0 or n == N):
+                snapshots.append((n, t, Field(basis, curr)))
+            if stop_above is not None and dE_mod > stop_above:
+                break
     except NonFinite:
         blowup_step = n + 1
-    except _EnergyIncrease:
-        pass
     trace = EnergyTrace(rows[:n].view(np.recarray), blowup_step, basis.residual)
-    final = phi0 if last is None else Field(basis, last)
+    final = phi0 if curr is None else Field(basis, curr)
     return trace, final, snapshots
 
 
@@ -469,8 +456,8 @@ class ConvergenceRow:
 def convergence_study(
     cfg: RunConfig, tau_list: list[float], tau_ref: float
 ) -> list[ConvergenceRow]:
-    """Errors at T against a fine-step reference run, plus observed orders
-    log2(err(2 tau) / err(tau)) between consecutive halvings.
+    """Errors at T against a fine-step reference run, plus the measured
+    orders log2(err(2 tau) / err(tau)) between consecutive halvings.
 
     Every run starts from the same initial datum (per cfg.initial) and
     performs its own per-tau bootstrap. tau_list must be a non-empty list
@@ -481,16 +468,16 @@ def convergence_study(
         raise ValueError(f"tau_ref must be a finite number > 0, got {tau_ref!r}")
     taus = [tau_ref] + tau_list
     steps = [_step_count(cfg.T, tau) for tau in taus]
-    spec = PotentialSpec()
     basis = assemble_basis(cfg.M)
     phi_init = initial_field(cfg, basis)
 
     finals = []
     for tau, n in zip(taus, steps):
         params = cfg.scheme_params(tau)
-        phi1 = bootstrap_first_step(phi_init, params, cfg.m, spec)
+        phi1 = bootstrap_first_step(phi_init, params, cfg.m)
         op = build_step_operator(params, basis)
-        _, final = march(op, spec, phi_init.v, phi1.v, n - 1)
+        for _, final, _ in march(op, phi_init.v, phi1.v, n - 1):
+            pass  # keeps only the last state
         finals.append(Field(basis, final))
     ref = finals[0]
 

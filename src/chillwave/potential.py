@@ -30,6 +30,9 @@ class PotentialSpec:
             raise ValueError("truncation_point must be > 1")
 
 
+SPEC = PotentialSpec()  # the one potential of every step and energy: p = 2, L = 11
+
+
 def potential_value(spec: PotentialSpec, phi):
     """Energy density F(phi). Total function on the reals: the quartic is
     evaluated everywhere, then only the points with |phi| > p are

@@ -10,33 +10,34 @@ system
 with b0 = B. In the generalized eigenbasis of (stiffness, mass), where
 K E = M E diag(lam) and E^T M E = I, M2 is the identity and K2 is sigma =
 lam_k + lam_j. A field is stored in these modal coordinates (`Field.v`),
-and `march` takes, steps and returns them, with the grid g^n = T v^n T^T
+and `march` takes, steps and yields them, with the grid g^n = T v^n T^T
 of each level on the 2M x 2M Gauss nodes (T = eval_2M^T E). Eliminating
 mu from R1 = r_n v^n + r_p v^{n-1} and R2 = load / eps + s sigma v^n -
 B (y_n v^n + y_p v^{n-1}) leaves three per-mode weights, built once per
 operator (see `build_step_operator`), and the explicit force, whose modal
-load is G f(g) G^T with G = E^T (eval_2M w_2M):
+load is G f(g) G^T with G = E^T (eval_2M w_2M), f from `potential.SPEC`:
 
     v^{n+1} = cn v^n + cp v^{n-1} + cl G f(g^n + x_p (g^{n-1} - g^n)) G^T
 
 with the per-scheme coefficients of `_TABLE` (SL_CN stabilizes B on
 2 phi^n - phi^{n-1} but extrapolates f at 1.5 phi^n - 0.5 phi^{n-1}). A
 step is one load and one new grid: 4 dense matmuls. sigma, T and G are
-the basis's (see Basis1D). Runs, sweeps, convergence studies and the
-first-order bootstrap all step through `march`.
+the basis's (see Basis1D). `march` yields the states (v^{n-1}, v^n, g^n),
+the entry state first; runs, sweeps, convergence studies and the
+first-order bootstrap are loops over them, and a run may `break` early.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import NonFinite
 from .field2d import Field
-from .potential import PotentialSpec, potential_deriv
+from .potential import SPEC, potential_deriv
 from .spectral1d import Basis1D
 
 SCHEMES = ("SL_BDF2", "SL_CN", "FIRST_ORDER")
@@ -108,27 +109,24 @@ def build_step_operator(params: SchemeParams, basis: Basis1D) -> StepOperator:
     return StepOperator(params, basis, xp, cn, cp, cl)
 
 
-def modal_load(op: StepOperator, spec: PotentialSpec, grid: np.ndarray) -> np.ndarray:
+def modal_load(op: StepOperator, grid: np.ndarray) -> np.ndarray:
     """G f(grid) G^T: the 2M-point quadrature of f against each modal basis
     function, the explicit force of every scheme."""
-    return op.basis.G @ potential_deriv(spec, grid) @ op.basis.G.T
+    return op.basis.G @ potential_deriv(SPEC, grid) @ op.basis.G.T
 
 
 def march(
-    op: StepOperator,
-    spec: PotentialSpec,
-    prev: np.ndarray,
-    curr: np.ndarray,
-    n_steps: int,
-    observe: Callable[[np.ndarray, np.ndarray, np.ndarray], None] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+    op: StepOperator, prev: np.ndarray, curr: np.ndarray, n_steps: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Advance n_steps of op's scheme from the modal arrays
     (prev, curr) = (v^{n-1}, v^n); FIRST_ORDER reads only curr.
 
-    observe(prev, curr, grid) sees the entry pair and then each new pair,
-    with the 2M grid of curr. Returns the last pair. Every array is in
-    modal coordinates, and none is written to: each step makes new ones.
-    Raises NonFinite on blow-up of the modal coefficients (stability
+    Yields (prev, curr, grid) for the entry pair and then for each new
+    pair, n_steps + 1 states, with grid the 2M grid of curr. Each step
+    makes new arrays and writes to none that it was given or has yielded,
+    so a consumer may keep any of them but must not write to them; it
+    stops early by leaving its loop. On blow-up of the modal coefficients
+    the iteration raises NonFinite after the last finite state (stability
     sweeps treat that as an unstable verdict).
     """
     T, xp, cn, cp, cl = op.basis.T, op.xp, op.cn, op.cp, op.cl
@@ -139,13 +137,12 @@ def march(
     # heap is trimmed and faulted back in every step (0.24 page faults a
     # step at M = 64 and 56 at M = 128, 1.08x and 1.3x slower).
     np.empty((8,) + grid.shape)
-    if observe is not None:
-        observe(prev, curr, grid)
+    yield prev, curr, grid
     for _ in range(n_steps):
         np.subtract(grid_prev, grid, out=force)
         force *= xp
         force += grid
-        load = modal_load(op, spec, force)
+        load = modal_load(op, force)
         new = cn * curr
         new += cp * prev
         load *= cl
@@ -154,17 +151,10 @@ def march(
             raise NonFinite(f"step blew up (max |modal coeff| > {BLOWUP_LIMIT:.0e} or non-finite)")
         prev, curr = curr, new
         grid_prev, grid = grid, T @ new @ T.T
-        if observe is not None:
-            observe(prev, curr, grid)
-    return prev, curr
+        yield prev, curr, grid
 
 
-def bootstrap_first_step(
-    phi0: Field,
-    params: SchemeParams,
-    m: int = 10,
-    spec: PotentialSpec = PotentialSpec(),
-) -> Field:
+def bootstrap_first_step(phi0: Field, params: SchemeParams, m: int = 10) -> Field:
     """Produce phi^1 for the two-level schemes: m substeps of the
     first-order scheme with step tau/m and stabilizer B = 1/eps."""
     if m < 1:
@@ -174,7 +164,8 @@ def bootstrap_first_step(
         eps=params.eps, B=1.0 / params.eps,
     )
     op = build_step_operator(first, phi0.basis)
-    _, v1 = march(op, spec, phi0.v, phi0.v, m)
+    for _, v1, _ in march(op, phi0.v, phi0.v, m):
+        pass  # keeps only the last state
     return Field(phi0.basis, v1)
 
 

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
 
-from chillwave import Field, PotentialSpec, SchemeParams, assemble_basis, build_step_operator, potential_deriv
+from chillwave import Field, SchemeParams, assemble_basis, build_step_operator, potential_deriv
 from chillwave.diagnostics import energy_weights, step_energies
+from chillwave.potential import SPEC
 
 
 @pytest.fixture(scope="session")
@@ -26,7 +27,8 @@ def basis16():
 
 @pytest.fixture(scope="session")
 def spec():
-    return PotentialSpec()
+    # the one potential the solver and its energies use
+    return SPEC
 
 
 def oracle_basis_values(M, x, deriv=0):
@@ -81,18 +83,18 @@ def unit_field(basis, k, j, value=1.0):
     return legendre_field(basis, coeffs)
 
 
-def field_energies(spec, params, curr, prev=None):
+def field_energies(params, curr, prev=None):
     """step_energies of the Field pair (prev, curr): (E_eps, E_mod,
     ||curr - prev||^2, mean). prev defaults to curr."""
     op = build_step_operator(params, curr.basis)
     T = op.basis.T
     prev = curr if prev is None else prev
-    return step_energies(energy_weights(op, spec), prev.v, curr.v, T @ curr.v @ T.T)
+    return step_energies(energy_weights(op), prev.v, curr.v, T @ curr.v @ T.T)
 
 
-def energy_eps(spec, eps, u):
+def energy_eps(eps, u):
     """E_eps(u): scheme, tau and gamma do not enter it."""
-    return field_energies(spec, SchemeParams("SL_CN", tau=1.0, gamma=1.0, eps=eps), u)[0]
+    return field_energies(SchemeParams("SL_CN", tau=1.0, gamma=1.0, eps=eps), u)[0]
 
 
 def rand_field(basis, rng, amp=1.0):

@@ -163,6 +163,23 @@ def test_run_rejects_overflowing_step_coefficients(tmp_path, capsys, bad):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("command", [
+    pytest.param(["run"], id="run-1e15-rows"),
+    pytest.param(["prepare-initial", "--M", "10000000", "--eps", "0.05", "--seed", "1"],
+                 id="prepare-M1e7"),
+])
+def test_unallocatable_size_is_an_error(tmp_path, capsys, command):
+    # 10^15 trace rows (49.7 PiB) and M = 10^7 (728 TiB in assemble_basis)
+    # are both larger than a 47-bit user address space, so the allocation
+    # is refused before any memory is touched
+    cfg_path = tmp_path / "run.json"
+    write_json(cfg_path, dict(M=8, eps=0.05, gamma=1.0, tau=0.01, T=1e13, scheme="SL_BDF2"))
+    out = str(tmp_path / "out")
+    args = ["--config", str(cfg_path), "--out-dir", out] if command == ["run"] else ["--out", out]
+    rc = main(command + args)
+    assert_one_line_error(capsys, rc, "Unable to allocate")
+
+
 def test_missing_config_file(tmp_path, capsys):
     rc = main(["run", "--config", str(tmp_path / "absent.json")])
     assert_one_line_error(capsys, rc, "absent.json")

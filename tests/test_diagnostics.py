@@ -42,7 +42,7 @@ def make_trace(increments, blowup_step=None):
 ], ids=["skipped_n", "repeated_t", "header_only"])
 def test_trace_read_csv_validation(tmp_path, body, error):
     # trace files come from outside the program: read_csv checks what the
-    # run's observer guarantees
+    # run's loop over march guarantees
     p = tmp_path / "trace.csv"
     p.write_text(TRACE_HEADER + "\n" + body)
     if error is None:
@@ -70,9 +70,9 @@ def test_trace_csv_round_trip(tmp_path):
     assert back.rows.tolist() == tr.rows.tolist()  # repr round trip is exact
 
 
-def test_energy_eps_constants(basis8, spec):
-    assert energy_eps(spec, 0.05, unit_field(basis8, 0, 0, 1.0)) == pytest.approx(0.0, abs=1e-12)
-    assert energy_eps(spec, 0.05, unit_field(basis8, 0, 0, 0.0)) == pytest.approx(20.0, abs=1e-10)
+def test_energy_eps_constants(basis8):
+    assert energy_eps(0.05, unit_field(basis8, 0, 0, 1.0)) == pytest.approx(0.0, abs=1e-12)
+    assert energy_eps(0.05, unit_field(basis8, 0, 0, 0.0)) == pytest.approx(20.0, abs=1e-10)
 
 
 def test_energy_eps_brute_force_oracle(basis8, spec):
@@ -92,19 +92,19 @@ def test_energy_eps_brute_force_oracle(basis8, spec):
     eps = 0.07
     grad_term = 0.5 * eps * (w @ (ux**2 + uy**2) @ w)
     bulk_term = (w @ potential_value(spec, vals) @ w) / eps
-    assert energy_eps(spec, eps, u) == pytest.approx(grad_term + bulk_term, rel=1e-12)
+    assert energy_eps(eps, u) == pytest.approx(grad_term + bulk_term, rel=1e-12)
 
 
-def test_modified_energy_reduces_to_energy_eps(basis8, spec):
+def test_modified_energy_reduces_to_energy_eps(basis8):
     c = rand_field(basis8, np.random.default_rng(22), amp=0.3)
     for scheme in ("SL_CN", "SL_BDF2"):
         params = SchemeParams(scheme=scheme, tau=0.1, gamma=0.0025, eps=0.05, B=20.0)
-        assert field_energies(spec, params, c, Field(c.basis, c.v.copy()))[1] == pytest.approx(
-            energy_eps(spec, 0.05, c), rel=1e-12
+        assert field_energies(params, c, Field(c.basis, c.v.copy()))[1] == pytest.approx(
+            energy_eps(0.05, c), rel=1e-12
         )
 
 
-def test_modified_energy_large_tau_limit(basis8, spec):
+def test_modified_energy_large_tau_limit(basis8):
     rng = np.random.default_rng(23)
     curr = rand_field(basis8, rng, amp=0.3)
     prev = Field(basis8, curr.v + 1e-3 * rand_field(basis8, rng).v)
@@ -112,11 +112,11 @@ def test_modified_energy_large_tau_limit(basis8, spec):
     eps, B, L = 0.05, 20.0, 11.0
     params = SchemeParams(scheme="SL_BDF2", tau=1e12, gamma=0.0025, eps=eps, B=B)
     d = norm_l2(Field(basis8, curr.v - prev.v))
-    expected = energy_eps(spec, eps, curr) + (L / (2 * eps) + B / 2) * d**2
-    assert field_energies(spec, params, curr, prev)[1] == pytest.approx(expected, rel=1e-9)
+    expected = energy_eps(eps, curr) + (L / (2 * eps) + B / 2) * d**2
+    assert field_energies(params, curr, prev)[1] == pytest.approx(expected, rel=1e-9)
 
 
-def test_step_energies_history_terms(basis8, spec):
+def test_step_energies_history_terms(basis8):
     # the history corrections at a finite step, against the Field-level
     # norms (the H^-1 norm is checked against a dense solve in test_field2d)
     rng = np.random.default_rng(29)
@@ -125,7 +125,7 @@ def test_step_energies_history_terms(basis8, spec):
     prev.v[0, 0] = curr.v[0, 0]
     diff = Field(basis8, curr.v - prev.v)
     eps, tau, gamma, B, L = 0.05, 0.1, 0.0025, 5.0, 11.0
-    e = energy_eps(spec, eps, curr)
+    e = energy_eps(eps, curr)
     dt_sq, hm1_sq = norm_l2(diff) ** 2, hminus1_norm(diff) ** 2
     expected = {
         "SL_CN": e + (L / (4 * eps) + B / 2) * dt_sq,
@@ -133,28 +133,28 @@ def test_step_energies_history_terms(basis8, spec):
     }
     for scheme, e_mod in expected.items():
         params = SchemeParams(scheme=scheme, tau=tau, gamma=gamma, eps=eps, B=B)
-        got = field_energies(spec, params, curr, prev)
+        got = field_energies(params, curr, prev)
         assert got[0] == pytest.approx(e, rel=1e-12)
         assert got[1] == pytest.approx(e_mod, rel=1e-12)
         assert got[2] == pytest.approx(dt_sq, rel=1e-12)
         assert got[3] == pytest.approx(mean_value(curr), abs=1e-15)
 
 
-def test_modified_energy_exceeds_energy_eps(basis8, spec):
+def test_modified_energy_exceeds_energy_eps(basis8):
     rng = np.random.default_rng(24)
     curr = rand_field(basis8, rng, amp=0.4)
     prev = Field(basis8, curr.v + 0.01 * rand_field(basis8, rng).v)
     prev.v[0, 0] = curr.v[0, 0]
     for scheme in ("SL_CN", "SL_BDF2"):
         params = SchemeParams(scheme=scheme, tau=0.1, gamma=0.0025, eps=0.05, B=5.0)
-        assert field_energies(spec, params, curr, prev)[1] >= energy_eps(spec, 0.05, curr)
+        assert field_energies(params, curr, prev)[1] >= energy_eps(0.05, curr)
 
 
-def test_modified_energy_rejects_first_order(basis8, spec):
+def test_modified_energy_rejects_first_order(basis8):
     c = unit_field(basis8, 0, 0, 0.1)
     params = SchemeParams(scheme="FIRST_ORDER", tau=0.1, gamma=1.0, eps=0.25, B=4.0)
     with pytest.raises(ValueError):
-        field_energies(spec, params, c, c)
+        field_energies(params, c, c)
 
 
 def test_verdict_stable():
@@ -234,10 +234,10 @@ def test_error_norms_triangle_inequality(basis16):
             assert uw[i] <= uv[i] + vw[i] + 1e-10
 
 
-def test_energy_decreases_along_stable_run(basis16, spec):
+def test_energy_decreases_along_stable_run(basis16):
     # short developed-interface run; E_eps itself should trend down. The
-    # observer's modal arrays and grid must give the energies of the fields
-    # that march returns, so the trend is not read off the wrong arrays.
+    # grid of each state march yields must give the energies of its modal
+    # pair, so the trend is not read off the wrong arrays.
     from chillwave.harness import random_nodal_field
     from chillwave import bootstrap_first_step, build_step_operator, march
 
@@ -245,16 +245,13 @@ def test_energy_decreases_along_stable_run(basis16, spec):
     phi0 = random_nodal_field(basis16, 30)
     phi1 = bootstrap_first_step(phi0, params)
     op = build_step_operator(params, basis16)
-    weights = energy_weights(op, spec)
+    weights = energy_weights(op)
     rows = []
-
-    def record(prev, curr, grid):
+    for prev, curr, grid in march(op, phi0.v, phi1.v, 50):
         rows.append(step_energies(weights, prev, curr, grid))
-
-    prev, curr = march(op, spec, phi0.v, phi1.v, 50, observe=record)
     assert len(rows) == 51  # the entry pair, then one per step
     energies = [row[0] for row in rows]
-    assert energies[0] == pytest.approx(energy_eps(spec, params.eps, phi1), rel=1e-12)
-    last = field_energies(spec, params, Field(basis16, curr), Field(basis16, prev))
+    assert energies[0] == pytest.approx(energy_eps(params.eps, phi1), rel=1e-12)
+    last = field_energies(params, Field(basis16, curr), Field(basis16, prev))
     np.testing.assert_allclose(rows[-1], last, rtol=1e-12, atol=1e-14)
     assert energies[-1] < energies[0] - 1e-3

@@ -163,11 +163,11 @@ def test_hminus1_cosine_value():
     assert hminus1_norm(u) == pytest.approx(1.0 / (np.sqrt(2.0) * np.pi), abs=1e-6)
 
 
-def nonlinear_load(spec, u):
+def nonlinear_load(u):
     # the production modal load of a field, from its 2M grid as march
     # holds it
     op = cw.build_step_operator(cw.SchemeParams("SL_CN", tau=1.0, gamma=1.0, eps=1.0), u.basis)
-    return modal_load(op, spec, to_nodal(u, 2 * u.basis.M))
+    return modal_load(op, to_nodal(u, 2 * u.basis.M))
 
 
 def to_modal_form(basis, load):
@@ -175,10 +175,10 @@ def to_modal_form(basis, load):
     return basis.E.T @ load @ basis.E
 
 
-def test_nonlinear_load_constants(basis8, spec):
-    z = nonlinear_load(spec, unit_field(basis8, 0, 0, 1.0))
+def test_nonlinear_load_constants(basis8):
+    z = nonlinear_load(unit_field(basis8, 0, 0, 1.0))
     assert np.abs(z).max() <= 1e-13
-    c = nonlinear_load(spec, unit_field(basis8, 0, 0, 0.5))
+    c = nonlinear_load(unit_field(basis8, 0, 0, 0.5))
     expected = np.zeros((8, 8))
     expected[0, 0] = 4 * -0.375  # f(1/2) times the area of the square
     np.testing.assert_allclose(c, to_modal_form(basis8, expected), atol=1e-13)
@@ -187,7 +187,7 @@ def test_nonlinear_load_constants(basis8, spec):
 def test_nonlinear_load_cubic_exact(basis8, spec):
     # a(x, y) = x: f(a) = x^3 - x = (2/5)(L_3 - L_1), so the load is
     # (2/5) ||L_k||^2 (delta_k3 - delta_k1) times integral of L_0(y) = 2
-    load = nonlinear_load(spec, unit_field(basis8, 1, 0))
+    load = nonlinear_load(unit_field(basis8, 1, 0))
     expected = np.zeros((8, 8))
     expected[1, 0] = -0.4 * (2 / 3) * 2
     expected[3, 0] = 0.4 * (2 / 7) * 2
@@ -200,7 +200,7 @@ def test_nonlinear_load_oracle(basis8, spec):
     rng = np.random.default_rng(12)
     a = rand_field(basis8, rng, amp=0.4)
     np.testing.assert_allclose(
-        nonlinear_load(spec, a),
+        nonlinear_load(a),
         to_modal_form(basis8, oracle_load(spec, a.coeffs)), atol=1e-12,
     )
 

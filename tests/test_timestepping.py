@@ -8,7 +8,6 @@ import pytest
 from chillwave import (
     Field,
     NonFinite,
-    PotentialSpec,
     SchemeParams,
     SolveFailed,
     assemble_basis,
@@ -24,6 +23,13 @@ from chillwave import (
 from chillwave.harness import random_nodal_field
 from chillwave.timestepping import BLOWUP_LIMIT
 from conftest import energy_eps, legendre_field, oracle_load, unit_field
+
+
+def last_pair(op, prev, curr, n_steps):
+    # the pair march ends on, keeping no earlier state
+    for prev, curr, _ in march(op, prev, curr, n_steps):
+        pass
+    return prev, curr
 
 
 def dense_blocks(basis, a, c, b0, gamma):
@@ -84,39 +90,43 @@ def weak_form_rhs(scheme, basis, spec, tau, eps, A, B, prev, curr):
     ],
 )
 def test_march_step_matches_dense_blocks(basis8, spec, scheme, A, B, scalars):
+    # each of the first 3 steps, from the pair march yielded before it
     tau, gamma, eps = 0.05, 0.3, 0.25
     params = SchemeParams(scheme=scheme, tau=tau, gamma=gamma, eps=eps, A=A, B=B)
     rng = np.random.default_rng(20)
     prev, curr = 0.3 * rng.standard_normal((2, 8, 8))
     block = dense_blocks(basis8, *scalars(tau, eps, A, B), gamma)
-    R = weak_form_rhs(scheme, basis8, spec, tau, eps, A, B, prev, curr)
-    expected = np.linalg.solve(block, R)[:64].reshape(8, 8)
     entry = (legendre_field(basis8, u).v for u in (prev, curr))
-    got_prev, got = (Field(basis8, v).coeffs
-                     for v in march(build_step_operator(params, basis8), spec, *entry, 1))
-    assert np.abs(got - expected).max() <= 1e-10
-    assert np.abs(got_prev - curr).max() <= 1e-12
+    states = march(build_step_operator(params, basis8), *entry, 3)
+    next(states)
+    steps = 0
+    for state in states:
+        R = weak_form_rhs(scheme, basis8, spec, tau, eps, A, B, prev, curr)
+        expected = np.linalg.solve(block, R)[:64].reshape(8, 8)
+        got_prev, got = (Field(basis8, v).coeffs for v in state[:2])
+        assert np.abs(got - expected).max() <= 1e-10
+        assert np.abs(got_prev - curr).max() <= 1e-12
+        prev, curr = got_prev, got
+        steps += 1
+    assert steps == 3
     assert basis8.residual <= 1e-10
 
 
-def test_constant_is_fixed_point(basis8, spec):
+def test_constant_is_fixed_point(basis8):
     for scheme in ("SL_BDF2", "SL_CN"):
         params = SchemeParams(scheme=scheme, tau=0.1, gamma=0.0025, eps=0.05, A=1.0, B=10.0)
         op = build_step_operator(params, basis8)
         c = unit_field(basis8, 0, 0, 0.3)
-        seen = []
-
-        def check(prev, curr, grid):
+        seen = 0
+        for _, curr, grid in march(op, c.v, c.v, 20):
             # modal arrays, and the grid of curr
             assert np.abs(curr - c.v).max() <= 1e-12
             assert np.abs(grid - 0.3).max() <= 1e-12
-            seen.append(curr)
-
-        march(op, spec, c.v, c.v, 20, observe=check)
-        assert len(seen) == 21  # the entry pair, then every step
+            seen += 1
+        assert seen == 21  # the entry pair, then every step
 
 
-def test_mean_conservation_100_steps(basis16, spec):
+def test_mean_conservation_100_steps(basis16):
     for scheme in ("SL_BDF2", "SL_CN"):
         params = SchemeParams(
             scheme=scheme, tau=0.01, gamma=0.0025, eps=0.05, A=7.5625, B=110.0
@@ -125,21 +135,30 @@ def test_mean_conservation_100_steps(basis16, spec):
         m0 = mean_value(phi0)
         phi1 = bootstrap_first_step(phi0, params)
         op = build_step_operator(params, basis16)
-        _, curr = march(op, spec, phi0.v, phi1.v, 100)
+        _, curr = last_pair(op, phi0.v, phi1.v, 100)
         assert abs(mean_value(Field(basis16, curr)) - m0) <= 1e-11
 
 
-def test_nonfinite_on_blowup(basis16, spec):
+def test_nonfinite_on_blowup(basis16):
+    # every state yielded before NonFinite is finite, and NonFinite comes
+    # from the step right after the last one: a march that stops there
+    # completes
     params = SchemeParams(scheme="SL_BDF2", tau=1.0, gamma=0.0025, eps=0.05)
     phi0 = random_nodal_field(basis16, 1)
     phi1 = bootstrap_first_step(phi0, params)
     op = build_step_operator(params, basis16)
+    seen = []
     with pytest.raises(NonFinite):
-        march(op, spec, phi0.v, phi1.v, 100)
+        for prev, curr, grid in march(op, phi0.v, phi1.v, 100):
+            seen.append(curr)
+            assert np.abs(curr).max() <= BLOWUP_LIMIT and np.isfinite(grid).all()
+    assert 1 < len(seen) < 101
+    _, curr = last_pair(op, phi0.v, phi1.v, len(seen) - 1)
+    np.testing.assert_array_equal(curr, seen[-1])
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "above_limit"])
-def test_nonfinite_entry_state_stops_step_1(basis8, spec, bad):
+def test_nonfinite_entry_state_stops_step_1(basis8, bad):
     # one reduction, not max|v| <= BLOWUP_LIMIT, catches NaN and +-inf as
     # well as a coefficient past the limit; the mean mode is carried over
     # unchanged, so a mean coefficient just above the limit stays above it
@@ -153,8 +172,8 @@ def test_nonfinite_entry_state_stops_step_1(basis8, spec, bad):
     # numpy's own warnings on inf arithmetic before the check are not
     # what is pinned here
     with np.errstate(invalid="ignore", over="ignore"), pytest.raises(NonFinite):
-        march(build_step_operator(params, basis8), spec, v, v, 5,
-              observe=lambda *a: seen.append(a))
+        for state in march(build_step_operator(params, basis8), v, v, 5):
+            seen.append(state)
     assert len(seen) == 1  # the entry pair only: step 1 raised
 
 
@@ -168,15 +187,15 @@ def test_subnormal_step_coefficient_is_an_error(basis8):
             build_step_operator(params, basis8)
 
 
-def test_steady_state_reached(basis16, spec):
+def test_steady_state_reached(basis16):
     # moderate stabilizers at tau = 1: the flow settles to an equilibrium
     params = SchemeParams(scheme="SL_BDF2", tau=1.0, gamma=1.0, eps=0.25, A=0.25, B=8.0)
     phi0 = random_nodal_field(basis16, 42)
     phi1 = bootstrap_first_step(phi0, params)
     op = build_step_operator(params, basis16)
-    prev, curr = phi0.v, phi1.v
-    for _ in range(400):
-        prev, curr = march(op, spec, prev, curr, 1)
+    states = march(op, phi0.v, phi1.v, 400)
+    next(states)
+    for prev, curr, _ in states:
         dt_norm = norm_l2(Field(basis16, curr - prev))
         if dt_norm < 1e-8:
             return
@@ -194,7 +213,7 @@ def test_bootstrap_default_substeps():
     assert inspect.signature(bootstrap_first_step).parameters["m"].default == 10
 
 
-def test_bootstrap_second_order_in_tau(basis8, spec):
+def test_bootstrap_second_order_in_tau(basis8):
     # slow-relaxation regime: low-mode data and a small basis keep every
     # mode fed by the cubic at rate*tau << 1, where the O(tau^2) global
     # error of the m-substep bootstrap is actually observable
@@ -215,19 +234,19 @@ def test_bootstrap_second_order_in_tau(basis8, spec):
         params = SchemeParams(scheme="SL_BDF2", tau=tau, gamma=gamma, eps=eps)
         phi1 = bootstrap_first_step(phi0, params)
         # the same first-order scheme with 400x smaller substeps
-        ref = bootstrap_first_step(phi0, params, m=4000, spec=spec)
+        ref = bootstrap_first_step(phi0, params, m=4000)
         errs.append(error_norms(phi1, ref)[0])
     for e_coarse, e_fine in zip(errs, errs[1:]):
         assert 3.4 <= e_coarse / e_fine <= 4.6
 
 
-def test_first_order_dissipates(basis16, spec):
+def test_first_order_dissipates(basis16):
     phi0 = random_nodal_field(basis16, 4)
-    e0 = energy_eps(spec, 0.25, phi0)
+    e0 = energy_eps(0.25, phi0)
     params = SchemeParams(scheme="FIRST_ORDER", tau=0.25**3, gamma=1.0, eps=0.25, B=4.0)
     op = build_step_operator(params, basis16)
-    _, out = march(op, spec, phi0.v, phi0.v, 64)
-    assert energy_eps(spec, 0.25, Field(basis16, out)) < e0
+    _, out = last_pair(op, phi0.v, phi0.v, 64)
+    assert energy_eps(0.25, Field(basis16, out)) < e0
 
 
 def test_sufficient_stabilizers_values():
@@ -253,35 +272,55 @@ def test_bdf2_smallstep_threshold():
     )
 
 
-def test_observer_does_not_change_the_march(basis8, spec):
-    # one stepping path: an observed march returns the bare march's fields,
-    # which are the last pair it observed, in the same modal coordinates
+def test_march_yields_entry_then_each_step(basis8):
+    # n_steps + 1 states: the entry pair first, as given, then each new
+    # pair, whose prev is the curr before it; every grid is T curr T^T
     params = SchemeParams(scheme="SL_BDF2", tau=0.05, gamma=1.0, eps=0.25, A=0.25, B=8.0)
     phi0 = random_nodal_field(basis8, 9)
     phi1 = bootstrap_first_step(phi0, params)
-    op = build_step_operator(params, basis8)
-    bare = march(op, spec, phi0.v, phi1.v, 10)
-    seen = []
-    observed = march(op, spec, phi0.v, phi1.v, 10, observe=lambda *a: seen.append(a))
-    for got, want, last in zip(observed, bare, seen[-1]):
-        np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(last, want)
-    np.testing.assert_array_equal(seen[-1][0], seen[-2][1])
+    T = basis8.T
+    states = list(march(build_step_operator(params, basis8), phi0.v, phi1.v, 10))
+    assert len(states) == 11
+    assert states[0][0] is phi0.v and states[0][1] is phi1.v
+    for (_, before, _), (prev, _, _) in zip(states, states[1:]):
+        assert prev is before
+    for _, curr, grid in states:
+        np.testing.assert_allclose(grid, T @ curr @ T.T, rtol=0, atol=1e-13)
 
 
-def test_operator_reuse_matches_rebuild(basis8, spec):
+def test_march_writes_to_no_array_it_was_given_or_yielded(basis8):
+    # a consumer may keep any state, and one that stops early by leaving
+    # its loop leaves its inputs as they were
+    params = SchemeParams(scheme="SL_CN", tau=0.05, gamma=1.0, eps=0.25, A=0.25, B=8.0)
+    phi0 = random_nodal_field(basis8, 10)
+    phi1 = bootstrap_first_step(phi0, params)
+    prev, curr = phi0.v, phi1.v
+    copies = prev.copy(), curr.copy()
+    kept = []
+    for n, state in enumerate(march(build_step_operator(params, basis8), prev, curr, 10)):
+        kept.append((state, tuple(a.copy() for a in state)))
+        if n == 3:
+            break
+    np.testing.assert_array_equal(prev, copies[0])
+    np.testing.assert_array_equal(curr, copies[1])
+    for state, copy in kept:
+        for a, b in zip(state, copy):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_operator_reuse_matches_rebuild(basis8):
     params = SchemeParams(scheme="SL_CN", tau=0.05, gamma=1.0, eps=0.25, A=0.25, B=8.0)
     phi0 = random_nodal_field(basis8, 6)
     phi1 = bootstrap_first_step(phi0, params)
     shared = build_step_operator(params, basis8)
     prev_a, curr_a = prev_b, curr_b = phi0.v, phi1.v
     for _ in range(5):
-        prev_a, curr_a = march(shared, spec, prev_a, curr_a, 1)
-        prev_b, curr_b = march(build_step_operator(params, basis8), spec, prev_b, curr_b, 1)
+        prev_a, curr_a = last_pair(shared, prev_a, curr_a, 1)
+        prev_b, curr_b = last_pair(build_step_operator(params, basis8), prev_b, curr_b, 1)
     np.testing.assert_array_equal(curr_a, curr_b)
 
 
-def test_march_rejects_wrong_eigenbasis(spec):
+def test_march_rejects_wrong_eigenbasis():
     # the modal solve is exact when the eigendecomposition is, so Basis1D
     # checks K E = M E diag(lam) and E^T M E = I against the 1e-10
     # contract on construction: eigenvectors off by a relative 1e-6 or
@@ -291,7 +330,7 @@ def test_march_rejects_wrong_eigenbasis(spec):
     params = SchemeParams(scheme="SL_BDF2", tau=0.01, gamma=0.0025, eps=0.05, A=5.0625, B=220.0)
     basis = assemble_basis(8)
     phi0 = random_nodal_field(basis, 7)
-    march(build_step_operator(params, basis), spec, phi0.v, phi0.v, 1)
+    last_pair(build_step_operator(params, basis), phi0.v, phi0.v, 1)
     assert basis.residual <= 1e-10
 
     rng = np.random.default_rng(8)
