@@ -23,7 +23,6 @@ from .spectral1d import (
 )
 from .field2d import (
     Field,
-    from_nodal,
     h1_seminorm_sq,
     hminus1_norm,
     inner_hminus1,
@@ -31,7 +30,6 @@ from .field2d import (
     mean_value,
     norm_l2,
     read_snapshot,
-    to_nodal,
     write_snapshot,
 )
 from .timestepping import (

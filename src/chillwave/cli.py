@@ -50,8 +50,8 @@ def _ensure_dir(path: str) -> str:
 def _cmd_run(args) -> int:
     raw = _load_json(args.config)
     cfg = run_config_from_dict(raw)
-    out = _ensure_dir(args.out_dir or cfg.out_dir or ".")
     trace, final, snapshots = run_simulation(cfg)
+    out = _ensure_dir(args.out_dir or cfg.out_dir or ".")
     trace.write_csv(os.path.join(out, "trace.csv"))
     for n, t, u in snapshots:
         write_snapshot(
@@ -93,8 +93,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     sc = sweep_config_from_dict(_load_json(args.config))
-    out = _ensure_dir(args.out_dir or sc.base.out_dir or ".")
     result = sweep_min_stabilizer(sc)
+    out = _ensure_dir(args.out_dir or sc.base.out_dir or ".")
     path = os.path.join(out, "sweep.csv")
     result.write_csv(path)
     result.write_log_csv(os.path.join(out, "sweep_log.csv"))
@@ -114,8 +114,8 @@ def _cmd_converge(args) -> int:
     tau_list = raw.pop("tau_list")
     tau_ref = raw.pop("tau_ref")
     cfg = run_config_from_dict(raw)
-    out = _ensure_dir(args.out_dir or cfg.out_dir or ".")
     rows = convergence_study(cfg, tau_list, tau_ref)
+    out = _ensure_dir(args.out_dir or cfg.out_dir or ".")
     path = os.path.join(out, "convergence.csv")
     write_convergence_csv(rows, path)
     for r in rows:
@@ -177,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand. Bad input (a config the package rejects, a
     missing key or file, a size whose arrays cannot be allocated) prints
-    one `chillwave: error: ...` line on stderr and returns 2."""
+    one `chillwave: error: ...` line on stderr and returns 2; a command
+    makes its output directory only once its computation has returned."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

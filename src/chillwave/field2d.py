@@ -13,9 +13,9 @@ sum over modes:
 The Neumann kernel, the constants, is exactly the (0,0) mode. The
 Legendre coefficients C = E v E^T, with u = sum C[k,j] phi_k(x) phi_j(y),
 are a read-only export (`Field.coeffs`); nothing in the package reads
-them back. Grid values are plain P x P arrays, P = M or 2M:
-`to_nodal(u, P)` evaluates a field there and `from_nodal(basis, values)`
-fits one back, choosing the node set from the array's shape.
+them back. Grid values are plain arrays, T_P v T_P^T on the P x P Gauss
+grid, and G_P g G_P^T fits a grid g back, with the basis's maps: the M
+set for snapshot files, the 2M set for the seeded noise and the step.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeanNotZero
-from .spectral1d import Basis1D
+from .spectral1d import Basis1D, assemble_basis
 
 # absolute floor for the zero-mean precondition so that near-zero
 # difference fields (norm ~ roundoff) are not rejected spuriously
@@ -53,28 +53,6 @@ class Field:
         c = self.basis.E @ self.v @ self.basis.E.T
         c.flags.writeable = False
         return c
-
-
-def to_nodal(u: Field, P: int) -> np.ndarray:
-    """The values of u on the P x P Gauss grid, P = M or 2M:
-    values[i, j] = u(x_i, y_j) = (T_P v T_P^T)[i, j]."""
-    T = {u.basis.M: u.basis.T_M, 2 * u.basis.M: u.basis.T}.get(P)
-    if T is None:
-        raise ValueError(f"a nodal grid has P = {u.basis.M} or {2 * u.basis.M} points, got {P!r}")
-    return T @ u.v @ T.T
-
-
-def from_nodal(basis: Basis1D, values: np.ndarray) -> Field:
-    """Quadrature least-squares fit in V_M x V_M of values on the P x P
-    Gauss grid, P = M or 2M by values.shape: the interpolant on the M set,
-    the exact L^2 projection on the 2M set. The Gram of either Gauss rule
-    is the mass matrix, the identity in modal coordinates, so the fit is
-    G_P values G_P^T."""
-    M = basis.M
-    G = {(M, M): basis.G_M, (2 * M, 2 * M): basis.G}.get(values.shape)
-    if G is None:
-        raise ValueError(f"values must be {M}x{M} or {2 * M}x{2 * M}, got {values.shape}")
-    return Field(basis, G @ values @ G.T)
 
 
 def modal_decomposition(basis: Basis1D):
@@ -160,8 +138,6 @@ def read_snapshot(path, basis: Basis1D | None = None) -> tuple[Field, dict]:
 
     A basis is assembled from the header M when none is supplied.
     """
-    from .spectral1d import assemble_basis
-
     with open(path) as fh:
         names = fh.readline().strip().split(",")
         parts = fh.readline().strip().split(",")

@@ -16,8 +16,8 @@ Neumann problem requires. Basis products have degree <= 2M-2, so both the
 M- and 2M-point Gauss rules integrate them exactly and the quadrature Gram
 of either rule is the mass matrix. The eigenbasis of (stiffness, mass)
 diagonalizes every operator of the time steppers (Shen's
-matrix-diagonalization method); `Basis1D` holds it, checked, with the
-maps between modal coefficients and either Gauss grid.
+matrix-diagonalization method); `Basis1D` checks that eigenpair and derives
+from it the only maps between modal coefficients and either Gauss grid.
 """
 
 from __future__ import annotations
@@ -71,33 +71,37 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def _mass_stiffness(M: int) -> tuple[np.ndarray, np.ndarray]:
+    """The analytic mass diagonal 2/(2k+1) and stiffness matrix of L_0..L_{M-1}."""
+    k = np.arange(M)
+    m = np.minimum.outer(k, k)
+    stiffness = np.where((k[:, None] + k[None, :]) % 2 == 0, m * (m + 1.0), 0.0)
+    return 2.0 / (2 * k + 1), stiffness
+
+
 @dataclass(frozen=True)
 class Basis1D:
-    """Assembled Galerkin basis of dimension M; every array is read-only.
+    """Galerkin basis of dimension M built from an eigenpair (lam, E) with
+    K E = M E diag(lam), E^T M E = I and lam[0] = 0 (the constant mode).
 
-    eval_M and eval_2M are M x P tables of phi_k at the M- and 2M-point
-    Gauss nodes. (lam, E) solve K E = M E diag(lam), E^T M E = I, lam[0] = 0
-    (the constant mode). Construction raises SolveFailed unless their
-    residual, max(||K E - M E diag(lam)|| / ||K E||, ||E^T M E - I||), is
-    within 1e-10, and derives from them the 2-D Laplacian symbol
-    sigma[k, j] = lam[k] + lam[j] and, per node set P, the modal-to-grid
-    map T_P = eval_P^T E (grid = T_P v T_P^T) and the grid-to-modal map
-    G_P = E^T eval_P diag(w_P), the quadrature fit v = G_P g G_P^T, which
-    is the modal load G f(grid) G^T on the 2M set. T and G are the 2M
-    maps, T_M and G_M the M ones.
+    Construction raises SolveFailed unless the pair's residual against the
+    analytic mass and stiffness, max(||K E - M E diag(lam)|| / ||K E||,
+    ||E^T M E - I||), is within 1e-10. From the checked pair it derives
+    sigma[k, j] = lam[k] + lam[j] and, per Gauss node set P with M x P
+    basis table eval_P and weights w_P, the grid map T_P = eval_P^T E
+    (grid = T_P v T_P^T) and the fit G_P = E^T eval_P diag(w_P) (v = G_P g
+    G_P^T; the modal load G f(grid) G^T on the 2M set). T and G are the 2M
+    maps, T_M and G_M the M ones. Every array is read-only, and
+    `replace(basis, E=...)` re-checks the new pair and re-derives the maps.
     """
 
     M: int
-    nodes_M: np.ndarray
-    weights_M: np.ndarray
-    nodes_2M: np.ndarray
-    weights_2M: np.ndarray
-    mass: np.ndarray
-    stiffness: np.ndarray
-    eval_M: np.ndarray
-    eval_2M: np.ndarray
     lam: np.ndarray
     E: np.ndarray
+    mass: np.ndarray = field(init=False, repr=False)
+    stiffness: np.ndarray = field(init=False, repr=False)
+    nodes_2M: np.ndarray = field(init=False, repr=False)
+    weights_2M: np.ndarray = field(init=False, repr=False)
     sigma: np.ndarray = field(init=False, repr=False)
     T: np.ndarray = field(init=False, repr=False)
     G: np.ndarray = field(init=False, repr=False)
@@ -106,26 +110,33 @@ class Basis1D:
     residual: float = field(init=False)
 
     def __post_init__(self):
-        lam, E = self.lam, self.E
-        KE = self.stiffness @ E
-        ME = np.diag(self.mass)[:, None] * E
+        M, lam, E = self.M, self.lam, self.E
+        mass, stiffness = _mass_stiffness(M)
+        KE = stiffness @ E
+        ME = mass[:, None] * E
         residual = float(max(
             np.linalg.norm(KE - ME * lam) / np.linalg.norm(KE),
-            np.linalg.norm(E.T @ ME - np.eye(self.M)),
+            np.linalg.norm(E.T @ ME - np.eye(M)),
         ))
         if not residual <= RESIDUAL_LIMIT:
             raise SolveFailed(
                 f"eigendecomposition residual {residual:.3e} exceeds {RESIDUAL_LIMIT:.0e}"
             )
-        object.__setattr__(self, "sigma", lam[:, None] + lam[None, :])
-        object.__setattr__(self, "T", self.eval_2M.T @ E)
-        object.__setattr__(self, "G", E.T @ (self.eval_2M * self.weights_2M))
-        object.__setattr__(self, "T_M", self.eval_M.T @ E)
-        object.__setattr__(self, "G_M", E.T @ (self.eval_M * self.weights_M))
-        object.__setattr__(self, "residual", residual)
+        xm, wm = gauss_legendre(M)
+        x2, w2 = gauss_legendre(2 * M)
+        eval_M, eval_2M = legendre_table(M - 1, xm), legendre_table(M - 1, x2)
+        derived = {
+            "mass": np.diag(mass), "stiffness": stiffness, "nodes_2M": x2, "weights_2M": w2,
+            "sigma": lam[:, None] + lam[None, :], "residual": residual,
+            "T": eval_2M.T @ E, "G": E.T @ (eval_2M * w2),
+            "T_M": eval_M.T @ E, "G_M": E.T @ (eval_M * wm),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
+
 
 def assemble_basis(M: int) -> Basis1D:
     """Build Basis1D from the analytic Legendre orthogonality relations;
@@ -133,25 +144,8 @@ def assemble_basis(M: int) -> Basis1D:
     symmetric D^-1/2 K D^-1/2."""
     if M < 4:
         raise ValueError("M must be >= 4")
-    k = np.arange(M)
-    m = np.minimum.outer(k, k)
-    stiffness = np.where((k[:, None] + k[None, :]) % 2 == 0, m * (m + 1.0), 0.0)
-    mass = 2.0 / (2 * k + 1)
+    mass, stiffness = _mass_stiffness(M)
     s = 1.0 / np.sqrt(mass)
     lam, Q = np.linalg.eigh(s[:, None] * stiffness * s)
     lam[0] = 0.0  # Neumann kernel: exactly the constant mode
-    xm, wm = gauss_legendre(M)
-    x2, w2 = gauss_legendre(2 * M)
-    return Basis1D(
-        M=M,
-        nodes_M=xm,
-        weights_M=wm,
-        nodes_2M=x2,
-        weights_2M=w2,
-        mass=np.diag(mass),
-        stiffness=stiffness,
-        eval_M=legendre_table(M - 1, xm),
-        eval_2M=legendre_table(M - 1, x2),
-        lam=lam,
-        E=s[:, None] * Q,
-    )
+    return Basis1D(M=M, lam=lam, E=s[:, None] * Q)

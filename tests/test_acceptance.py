@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import chillwave as cw
-from chillwave.field2d import from_nodal
 from chillwave.harness import random_nodal_field
 from conftest import legendre_field, unit_field
 
@@ -114,7 +113,7 @@ def test_criterion_5_spectral_oracles(capsys):
     b32 = cw.assemble_basis(32)
     x2m = b32.nodes_2M
     grid = np.cos(np.pi * x2m)[:, None] * np.cos(np.pi * x2m)[None, :]
-    u = from_nodal(b32, grid)
+    u = cw.Field(b32, b32.G @ grid @ b32.G.T)
     got = cw.hminus1_norm(u)
     want = 1.0 / (np.sqrt(2.0) * np.pi)
     cosine_ok = abs(got - want) <= 1e-6
@@ -271,7 +270,7 @@ def spatial_run(M):
     projected 0.4 cos(pi x) cos(pi y) + 0.2 cos(2 pi x)."""
     basis = cw.assemble_basis(M)
     c1, c2 = np.cos(np.pi * basis.nodes_2M), np.cos(2 * np.pi * basis.nodes_2M)
-    phi0 = from_nodal(basis, 0.4 * np.outer(c1, c1) + 0.2 * c2[:, None])
+    phi0 = cw.Field(basis, basis.G @ (0.4 * np.outer(c1, c1) + 0.2 * c2[:, None]) @ basis.G.T)
     cfg = cw.RunConfig(M=M, eps=0.2, gamma=0.01, tau=1e-3, T=0.1, scheme="SL_BDF2",
                        A=1.0, B=5.0)
     trace, final, _ = cw.run_simulation(cfg, phi_init=phi0)

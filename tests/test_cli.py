@@ -129,7 +129,16 @@ def test_converge_rejects_bad_taus(tmp_path, capsys, key, value):
     out = tmp_path / "out"
     rc = main(["converge", "--config", str(cfg_path), "--out-dir", str(out)])
     assert_one_line_error(capsys, rc, key)
-    assert not (out / "convergence.csv").exists()
+    assert not out.exists()
+
+
+def test_converge_rejects_tau_that_does_not_divide_T(tmp_path, capsys):
+    cfg_path = tmp_path / "conv.json"
+    write_json(cfg_path, dict(CONVERGE_CFG, tau_list=[0.03]))
+    out = tmp_path / "out"
+    rc = main(["converge", "--config", str(cfg_path), "--out-dir", str(out)])
+    assert_one_line_error(capsys, rc, "T = 0.02", "multiple of tau = 0.03")
+    assert not out.exists()
 
 
 def test_converge_names_missing_tau_list(tmp_path, capsys):
@@ -161,6 +170,7 @@ def test_run_rejects_overflowing_step_coefficients(tmp_path, capsys, bad):
         rc = main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
     assert_one_line_error(capsys, rc, "tau", "gamma", "A =", "B =")
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", [
@@ -174,10 +184,11 @@ def test_unallocatable_size_is_an_error(tmp_path, capsys, command):
     # is refused before any memory is touched
     cfg_path = tmp_path / "run.json"
     write_json(cfg_path, dict(M=8, eps=0.05, gamma=1.0, tau=0.01, T=1e13, scheme="SL_BDF2"))
-    out = str(tmp_path / "out")
-    args = ["--config", str(cfg_path), "--out-dir", out] if command == ["run"] else ["--out", out]
-    rc = main(command + args)
+    out = tmp_path / "out"
+    args = ["--config", str(cfg_path), "--out-dir"] if command == ["run"] else ["--out"]
+    rc = main(command + args + [str(out)])
     assert_one_line_error(capsys, rc, "Unable to allocate")
+    assert not out.exists()
 
 
 def test_missing_config_file(tmp_path, capsys):

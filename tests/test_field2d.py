@@ -5,7 +5,6 @@ import chillwave as cw
 from chillwave import (
     Field,
     MeanNotZero,
-    from_nodal,
     h1_seminorm_sq,
     hminus1_norm,
     inner_hminus1,
@@ -13,7 +12,6 @@ from chillwave import (
     mean_value,
     norm_l2,
     read_snapshot,
-    to_nodal,
     write_snapshot,
 )
 from chillwave.timestepping import modal_load
@@ -38,12 +36,6 @@ def kron_stiff(basis):
 def test_field_shape_validation(basis8):
     with pytest.raises(ValueError):
         Field(basis8, np.zeros((8, 7)))
-    # a nodal grid has M or 2M points a side
-    for shape in ((8, 16), (12, 12), (64,)):
-        with pytest.raises(ValueError):
-            from_nodal(basis8, np.zeros(shape))
-    with pytest.raises(ValueError):
-        to_nodal(unit_field(basis8, 0, 0), 12)
 
 
 def test_coeffs_is_a_read_only_export(basis8):
@@ -59,33 +51,39 @@ def test_coeffs_is_a_read_only_export(basis8):
         u.coeffs = expected
 
 
+def grid_maps(basis):
+    # (T_P, G_P) for the M- and the 2M-point Gauss grid
+    return (basis.T_M, basis.G_M), (basis.T, basis.G)
+
+
 def test_nodal_round_trip_constant(basis8):
     u = unit_field(basis8, 0, 0)
-    g = to_nodal(u, 8)
+    T, G = basis8.T_M, basis8.G_M
+    g = T @ u.v @ T.T
     np.testing.assert_allclose(g, np.ones((8, 8)), atol=1e-14)
-    np.testing.assert_allclose(from_nodal(basis8, g).coeffs, u.coeffs, atol=1e-13)
+    np.testing.assert_allclose(Field(basis8, G @ g @ G.T).coeffs, u.coeffs, atol=1e-13)
 
 
 def test_nodal_round_trip_basis_member(basis8):
     u = unit_field(basis8, 2, 3)
-    for P in (8, 16):
-        g = to_nodal(u, P)
+    for (T, G), P in zip(grid_maps(basis8), (8, 16)):
+        g = T @ u.v @ T.T
         assert g.shape == (P, P)
-        np.testing.assert_allclose(from_nodal(basis8, g).coeffs, u.coeffs, atol=1e-13)
+        np.testing.assert_allclose(Field(basis8, G @ g @ G.T).coeffs, u.coeffs, atol=1e-13)
 
 
 def test_nodal_round_trip_random(basis16):
     rng = np.random.default_rng(3)
     u = rand_field(basis16, rng)
-    for P in (16, 32):
-        back = from_nodal(basis16, to_nodal(u, P))
+    for T, G in grid_maps(basis16):
+        back = Field(basis16, G @ (T @ u.v @ T.T) @ G.T)
         assert np.abs(back.coeffs - u.coeffs).max() <= 1e-12
 
 
-def test_to_nodal_matches_oracle_evaluation(basis8):
+def test_grid_map_matches_oracle_evaluation(basis8):
     rng = np.random.default_rng(4)
     u = rand_field(basis8, rng)
-    g = to_nodal(u, 16)
+    g = basis8.T @ u.v @ basis8.T.T
     expected = oracle_eval_2d(u.coeffs, basis8.nodes_2M, basis8.nodes_2M)
     np.testing.assert_allclose(g, expected, atol=1e-12)
 
@@ -159,7 +157,7 @@ def test_hminus1_dense_oracle(basis16):
 def test_hminus1_cosine_value():
     b = cw.assemble_basis(32)
     c = np.cos(np.pi * b.nodes_2M)
-    u = from_nodal(b, np.outer(c, c))
+    u = Field(b, b.G @ np.outer(c, c) @ b.G.T)
     assert hminus1_norm(u) == pytest.approx(1.0 / (np.sqrt(2.0) * np.pi), abs=1e-6)
 
 
@@ -167,7 +165,7 @@ def nonlinear_load(u):
     # the production modal load of a field, from its 2M grid as march
     # holds it
     op = cw.build_step_operator(cw.SchemeParams("SL_CN", tau=1.0, gamma=1.0, eps=1.0), u.basis)
-    return modal_load(op, to_nodal(u, 2 * u.basis.M))
+    return modal_load(op, u.basis.T @ u.v @ u.basis.T.T)
 
 
 def to_modal_form(basis, load):
@@ -277,7 +275,7 @@ def test_spatial_convergence_cosine():
     for M in range(6, 18, 2):
         b = cw.assemble_basis(M)
         c = np.cos(np.pi * b.nodes_2M)
-        u = from_nodal(b, np.outer(c, c))
+        u = Field(b, b.G @ np.outer(c, c) @ b.G.T)
         diff = oracle_eval_2d(u.coeffs, x, x) - exact
         errs.append(np.sqrt(w @ diff**2 @ w))
     assert all(fine <= coarse / 10 for coarse, fine in zip(errs, errs[1:]))

@@ -343,3 +343,24 @@ def test_march_rejects_wrong_eigenbasis():
             getattr(basis, name)[1, 1] = 0.0
         with pytest.raises(FrozenInstanceError):
             setattr(basis, name, np.zeros((8, 8)))
+
+
+def test_basis_rederives_its_maps_from_any_valid_eigenpair():
+    # an eigenvector is fixed only up to sign: flipping every third one is
+    # another valid pair, and the grid maps must follow it exactly, since a
+    # map left over from the old E would give wrong fields without an error
+    params = SchemeParams(scheme="SL_BDF2", tau=0.01, gamma=0.0025, eps=0.05, A=5.0625, B=220.0)
+    basis = assemble_basis(8)
+    s = np.where(np.arange(8) % 3 == 0, -1.0, 1.0)
+    flipped = replace(basis, E=basis.E * s)
+    assert flipped.residual <= 1e-10
+    for name in ("T", "T_M"):
+        np.testing.assert_array_equal(getattr(flipped, name), getattr(basis, name) * s)
+    for name in ("G", "G_M"):
+        np.testing.assert_array_equal(getattr(flipped, name), s[:, None] * getattr(basis, name))
+    grids = []
+    for b in (basis, flipped):
+        phi0 = random_nodal_field(b, 7)
+        *_, (_, _, grid) = march(build_step_operator(params, b), phi0.v, phi0.v, 5)
+        grids.append(grid)
+    np.testing.assert_array_equal(grids[0], grids[1])
