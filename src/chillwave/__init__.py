@@ -47,7 +47,6 @@ from .diagnostics import (
     stability_verdict,
 )
 from .harness import (
-    ConvergenceRow,
     RunConfig,
     SweepConfig,
     SweepResult,

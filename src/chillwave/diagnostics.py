@@ -18,8 +18,10 @@ where dt phi^n = phi^n - phi^{n-1} and L is the Lipschitz bound of
     |grad u|^2 = sum sigma v^2,  ||u||^2 = sum v^2,
     ||u||_-1^2 = sum_{sigma > 0} v^2 / sigma,  int F(u) = w^T F(grid) w.
 
-Both history corrections are then one weighted sum, sum hw (dt v)^2,
-with per-mode weights hw that `energy_weights` builds once per run.
+Both history corrections are then one weighted sum, sum hw (dt v)^2.
+The per-mode weights hw and grad = eps sigma / 2 are the step operator's
+(`build_step_operator`), so `step_energies` reads a trace row off the
+operator and a state of `march`.
 
 A run's record is data: an EnergyTrace holds one record array with a row
 per step (TRACE_DTYPE), and the stability verdict is an expression on
@@ -34,8 +36,7 @@ import numpy as np
 
 from .errors import MeanNotZero
 from .field2d import Field, h1_seminorm_sq, hminus1_norm, inner_l2, mean_value, modal_mean
-from .potential import SPEC, lipschitz_bound, potential_value
-from .spectral1d import Basis1D
+from .potential import SPEC, potential_value
 from .timestepping import StepOperator
 
 TRACE_DTYPE = np.dtype([("n", np.int64)] + [
@@ -98,48 +99,22 @@ class EnergyTrace:
         return cls(rows.view(np.recarray))
 
 
-@dataclass(frozen=True)
-class EnergyWeights:
-    """The operator-only factors of a trace row, built once per run by
-    `energy_weights`: the basis (its 2M quadrature weights and mean),
-    grad = eps sigma / 2 and the history weight hw of each mode."""
-
-    eps: float
-    basis: Basis1D
-    grad: np.ndarray
-    hw: np.ndarray
-
-
-def energy_weights(op: StepOperator) -> EnergyWeights:
-    """The weights of op's modified energy: per mode, hw = L/(4 eps) + B/2
-    for SL_CN and [sigma > 0]/(4 tau gamma sigma) + L/(2 eps) + B/2 for
-    SL_BDF2, so both history corrections are sum hw (v^n - v^{n-1})^2."""
-    p, basis = op.params, op.basis
-    L, sigma = lipschitz_bound(SPEC), basis.sigma
-    if p.scheme == "SL_CN":
-        hw = np.full_like(sigma, L / (4.0 * p.eps) + 0.5 * p.B)
-    elif p.scheme == "SL_BDF2":
-        hm1 = np.divide(1.0, 4.0 * p.tau * p.gamma * sigma,
-                        out=np.zeros_like(sigma), where=sigma > 0.0)
-        hw = hm1 + (L / (2.0 * p.eps) + 0.5 * p.B)
-    else:
-        raise ValueError("modified energy is defined for SL_CN and SL_BDF2 only")
-    return EnergyWeights(p.eps, basis, 0.5 * p.eps * sigma, hw)
-
-
 def step_energies(
-    ew: EnergyWeights, prev: np.ndarray, curr: np.ndarray, grid: np.ndarray
+    op: StepOperator, prev: np.ndarray, curr: np.ndarray, grid: np.ndarray
 ) -> tuple[float, float, float, float]:
     """(E_eps, modified energy, ||curr - prev||^2, mean) of the modal pair
-    (phi^{n-1}, phi^n) = (prev, curr), with grid the 2M grid of curr: a
-    state that `march` yields, and what a trace row needs."""
-    w = ew.basis.weights_2M
+    (phi^{n-1}, phi^n) = (prev, curr) under op's scheme, with grid the 2M
+    grid of curr: a state that `march` yields, and what a trace row needs.
+    ValueError for FIRST_ORDER, which has no modified energy."""
+    if op.hw is None:
+        raise ValueError("modified energy is defined for SL_CN and SL_BDF2 only")
+    w = op.basis.weights_2M
     bulk = float(w @ potential_value(SPEC, grid) @ w)
-    e = float(np.vdot(ew.grad, curr * curr)) + bulk / ew.eps
+    e = float(np.vdot(op.grad, curr * curr)) + bulk / op.params.eps
     diff = curr - prev
     diff *= diff
     dt_sq = float(np.sum(diff))
-    return e, e + float(np.vdot(ew.hw, diff)), dt_sq, modal_mean(ew.basis, curr)
+    return e, e + float(np.vdot(op.hw, diff)), dt_sq, modal_mean(op.basis, curr)
 
 
 def stability_verdict(trace: EnergyTrace, min_steps: int = 1024) -> str:

@@ -18,8 +18,7 @@ from dataclasses import MISSING, astuple, dataclass, field, fields, replace
 import numpy as np
 
 from .diagnostics import (
-    TRACE_DTYPE, VERDICT_THRESHOLD, EnergyTrace, energy_weights, error_norms, stability_verdict,
-    step_energies,
+    TRACE_DTYPE, VERDICT_THRESHOLD, EnergyTrace, error_norms, stability_verdict, step_energies,
 )
 from .errors import NonFinite
 from .field2d import Field
@@ -75,13 +74,14 @@ def _check_prepare_eps(eps: float) -> None:
         )
 
 
-def _step_count(T: float, tau: float) -> int:
-    """Steps of size tau that reach T; raises unless T is a positive
-    integer multiple of tau (up to 1e-9 relative rounding slack)."""
+def _step_count(T: float, tau: float, key: str = "tau") -> int:
+    """Steps of size tau that reach T; raises, naming the config key that
+    gave tau, unless T is a positive integer multiple of tau (up to 1e-9
+    relative rounding slack)."""
     r = T / tau
     n = round(r) if math.isfinite(r) else 0
     if n < 1 or abs(r - n) > 1e-9 * max(1.0, r):
-        raise ValueError(f"T = {T} is not a positive integer multiple of tau = {tau}")
+        raise ValueError(f"{key}: T = {T} is not a positive integer multiple of tau = {tau}")
     return n
 
 
@@ -210,7 +210,6 @@ def run_simulation(
     basis = phi0.basis
     params = cfg.scheme_params(cfg.tau)
     op = build_step_operator(params, basis)
-    weights = energy_weights(op)
     snapshots: list[tuple[int, float, Field]] = []
     N = cfg.n_steps()
     rows = np.empty(N, TRACE_DTYPE)
@@ -220,7 +219,7 @@ def run_simulation(
         for prev, curr, grid in march(op, phi0.v, phi1.v, N - 1):
             n += 1
             t += cfg.tau
-            e_eps, e_new, dt_sq, mean = step_energies(weights, prev, curr, grid)
+            e_eps, e_new, dt_sq, mean = step_energies(op, prev, curr, grid)
             # row 1 is the bootstrap transition; no earlier modified energy
             # exists, so its increment is 0 by convention
             dE_mod = e_new - e_mod if n > 1 else 0.0
@@ -259,10 +258,10 @@ class SweepConfig:
     """Minimum-stabilizer sweep over a (gamma, tau) grid.
 
     target names the stabilizer being minimized; the other one is held at
-    fixed_value. ladder overrides the default candidate ladder (must be
-    strictly increasing after the leading 0). full_scan evaluates every
-    candidate instead of stopping at the first stable one, to surface
-    monotonicity anomalies.
+    fixed_value. ladder overrides the default candidate ladder (a
+    non-empty, strictly increasing list of finite values >= 0; it need
+    not start at 0). full_scan evaluates every candidate instead of
+    stopping at the first stable one, to surface monotonicity anomalies.
     """
 
     base: RunConfig
@@ -442,32 +441,27 @@ def sweep_min_stabilizer(sc: SweepConfig) -> SweepResult:
 # convergence study
 
 
-@dataclass
-class ConvergenceRow:
-    tau: float
-    h_minus1: float
-    h_minus1_order: float  # NaN when no 2*tau predecessor exists
-    l2: float
-    l2_order: float
-    h1: float
-    h1_order: float
+CONVERGENCE_DTYPE = np.dtype([(name, np.float64) for name in (
+    "tau", "h_minus1", "h_minus1_order", "l2", "l2_order", "h1", "h1_order")])
+CONVERGENCE_HEADER = "tau,h_minus1_err,h_minus1_order,l2_err,l2_order,h1_err,h1_order"
 
 
-def convergence_study(
-    cfg: RunConfig, tau_list: list[float], tau_ref: float
-) -> list[ConvergenceRow]:
+def convergence_study(cfg: RunConfig, tau_list: list[float], tau_ref: float) -> np.recarray:
     """Errors at T against a fine-step reference run, plus the measured
     orders log2(err(2 tau) / err(tau)) between consecutive halvings.
 
-    Every run starts from the same initial datum (per cfg.initial) and
-    performs its own per-tau bootstrap. tau_list must be a non-empty list
-    and tau_ref a number, all finite and > 0.
+    Returns a record array of CONVERGENCE_DTYPE, one row per tau_list
+    entry; an order is NaN unless the previous entry is 2 tau and both
+    errors are nonzero. Every run starts from the same initial datum (per
+    cfg.initial) and performs its own per-tau bootstrap. tau_list must be
+    a non-empty list and tau_ref a number, all finite and > 0.
     """
     _check_positive_list("tau_list", tau_list)
     if not (_is(tau_ref, _NUMBER) and 0.0 < tau_ref < math.inf):
         raise ValueError(f"tau_ref must be a finite number > 0, got {tau_ref!r}")
     taus = [tau_ref] + tau_list
-    steps = [_step_count(cfg.T, tau) for tau in taus]
+    steps = [_step_count(cfg.T, tau_ref, "tau_ref")]
+    steps += [_step_count(cfg.T, tau, "tau_list") for tau in tau_list]
     basis = assemble_basis(cfg.M)
     phi_init = initial_field(cfg, basis)
 
@@ -479,42 +473,20 @@ def convergence_study(
         for _, final, _ in march(op, phi_init.v, phi1.v, n - 1):
             pass  # keeps only the last state
         finals.append(Field(basis, final))
-    ref = finals[0]
 
-    rows: list[ConvergenceRow] = []
-    prev_errs: tuple[float, float, float] | None = None
-    prev_tau: float | None = None
-    for tau, final in zip(tau_list, finals[1:]):
-        errs = error_norms(final, ref)
-        orders = [math.nan] * 3
-        if prev_errs is not None and abs(prev_tau / tau - 2.0) < 1e-9:
-            orders = [
-                math.log2(pe / e) if e > 0.0 and pe > 0.0 else math.nan
-                for pe, e in zip(prev_errs, errs)
-            ]
-        rows.append(
-            ConvergenceRow(
-                tau=tau,
-                h_minus1=errs[0], h_minus1_order=orders[0],
-                l2=errs[1], l2_order=orders[1],
-                h1=errs[2], h1_order=orders[2],
-            )
-        )
-        prev_errs, prev_tau = errs, tau
-    return rows
+    errs = [error_norms(final, finals[0]) for final in finals[1:]]
+    rows = []
+    for k, tau in enumerate(tau_list):
+        halved = k > 0 and abs(tau_list[k - 1] / tau - 2.0) < 1e-9
+        orders = [math.log2(pe / e) if halved and pe > 0.0 and e > 0.0 else math.nan
+                  for pe, e in zip(errs[k - 1], errs[k])]
+        rows.append((tau,) + sum(zip(errs[k], orders), ()))
+    return np.array(rows, CONVERGENCE_DTYPE).view(np.recarray)
 
 
-CONVERGENCE_HEADER = "tau,h_minus1_err,h_minus1_order,l2_err,l2_order,h1_err,h1_order"
-
-
-def write_convergence_csv(rows: list[ConvergenceRow], path) -> None:
-    def fmt(x: float) -> str:
-        return "" if math.isnan(x) else repr(x)
-
+def write_convergence_csv(rows: np.recarray, path) -> None:
+    """CONVERGENCE_HEADER, then one line per row; a NaN order is an empty cell."""
     with open(path, "w") as fh:
         fh.write(CONVERGENCE_HEADER + "\n")
-        for r in rows:
-            fh.write(
-                f"{r.tau!r},{r.h_minus1!r},{fmt(r.h_minus1_order)},"
-                f"{r.l2!r},{fmt(r.l2_order)},{r.h1!r},{fmt(r.h1_order)}\n"
-            )
+        for row in rows.tolist():
+            fh.write(",".join("" if math.isnan(x) else repr(x) for x in row) + "\n")

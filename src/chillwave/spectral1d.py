@@ -98,9 +98,6 @@ class Basis1D:
     M: int
     lam: np.ndarray
     E: np.ndarray
-    mass: np.ndarray = field(init=False, repr=False)
-    stiffness: np.ndarray = field(init=False, repr=False)
-    nodes_2M: np.ndarray = field(init=False, repr=False)
     weights_2M: np.ndarray = field(init=False, repr=False)
     sigma: np.ndarray = field(init=False, repr=False)
     T: np.ndarray = field(init=False, repr=False)
@@ -126,8 +123,7 @@ class Basis1D:
         x2, w2 = gauss_legendre(2 * M)
         eval_M, eval_2M = legendre_table(M - 1, xm), legendre_table(M - 1, x2)
         derived = {
-            "mass": np.diag(mass), "stiffness": stiffness, "nodes_2M": x2, "weights_2M": w2,
-            "sigma": lam[:, None] + lam[None, :], "residual": residual,
+            "weights_2M": w2, "sigma": lam[:, None] + lam[None, :], "residual": residual,
             "T": eval_2M.T @ E, "G": E.T @ (eval_2M * w2),
             "T_M": eval_M.T @ E, "G_M": E.T @ (eval_M * wm),
         }

@@ -22,9 +22,12 @@ load is G f(g) G^T with G = E^T (eval_2M w_2M), f from `potential.SPEC`:
 with the per-scheme coefficients of `_TABLE` (SL_CN stabilizes B on
 2 phi^n - phi^{n-1} but extrapolates f at 1.5 phi^n - 0.5 phi^{n-1}). A
 step is one load and one new grid: 4 dense matmuls. sigma, T and G are
-the basis's (see Basis1D). `march` yields the states (v^{n-1}, v^n, g^n),
-the entry state first; runs, sweeps, convergence studies and the
-first-order bootstrap are loops over them, and a run may `break` early.
+the basis's (see Basis1D). A `_TABLE` row also holds its scheme's
+modified-energy constants (h_1, h_L), from which the operator keeps the
+energy weights that `diagnostics.step_energies` reads. `march` yields the
+states (v^{n-1}, v^n, g^n), the entry state first; runs, sweeps,
+convergence studies and the first-order bootstrap are loops over them,
+and a run may `break` early.
 """
 
 from __future__ import annotations
@@ -37,18 +40,21 @@ import numpy as np
 
 from .errors import NonFinite
 from .field2d import Field
-from .potential import SPEC, potential_deriv
+from .potential import SPEC, lipschitz_bound, potential_deriv
 from .spectral1d import Basis1D
 
 SCHEMES = ("SL_BDF2", "SL_CN", "FIRST_ORDER")
 
 BLOWUP_LIMIT = 1e8
 
-# per scheme, from (tau, eps, A): a, c, (r_n, r_p), s, x_p, (y_n, y_p); x_n = 1 - x_p
+# per scheme, from (tau, eps, A): a, c, (r_n, r_p), s, x_p, (y_n, y_p); x_n = 1 - x_p;
+# then the modified energy's history constants (h_1, h_L), None without one
 _TABLE = {
-    "SL_BDF2": lambda t, e, A: (1.5 / t, e + A * t, (2 / t, -0.5 / t), -A * t, -1.0, (2, -1)),
-    "SL_CN": lambda t, e, A: (1 / t, e / 2 + A * t, (1 / t, 0), e / 2 - A * t, -0.5, (2, -1)),
-    "FIRST_ORDER": lambda t, e, A: (1 / t, e, (1 / t, 0), 0, 0.0, (1, 0)),
+    "SL_BDF2": lambda t, e, A: (
+        1.5 / t, e + A * t, (2 / t, -0.5 / t), -A * t, -1.0, (2, -1), (0.25, 0.5)),
+    "SL_CN": lambda t, e, A: (
+        1 / t, e / 2 + A * t, (1 / t, 0), e / 2 - A * t, -0.5, (2, -1), (0.0, 0.25)),
+    "FIRST_ORDER": lambda t, e, A: (1 / t, e, (1 / t, 0), 0, 0.0, (1, 0), None),
 }
 
 
@@ -80,7 +86,9 @@ class SchemeParams:
 class StepOperator:
     """Pre-built constant-coefficient modal solver, reusable across steps:
     the per-mode weights of v^{n+1} = cn v^n + cp v^{n-1} + cl load and the
-    force's extrapolation weight x_p."""
+    force's extrapolation weight x_p; and the per-mode weights of its
+    scheme's modified energy, grad = eps sigma / 2 and the history weight
+    hw (None for FIRST_ORDER, which has no modified energy)."""
 
     params: SchemeParams
     basis: Basis1D
@@ -88,25 +96,35 @@ class StepOperator:
     cn: np.ndarray
     cp: np.ndarray
     cl: np.ndarray
+    grad: np.ndarray
+    hw: np.ndarray | None
 
 
 def build_step_operator(params: SchemeParams, basis: Basis1D) -> StepOperator:
-    """Raises ValueError when a step coefficient overflows (a subnormal
-    tau, or gamma, A or B near the float range)."""
-    a, c, (rn, rp), s, xp, (yn, yp) = _TABLE[params.scheme](params.tau, params.eps, params.A)
-    sigma, B = basis.sigma, params.B
-    gamma_sigma = params.gamma * sigma
-    with np.errstate(over="ignore", invalid="ignore"):
+    """Raises ValueError when a step or energy coefficient overflows (a
+    subnormal tau or tau gamma, or gamma, A or B near the float range).
+
+    The history weight of the modified energy is, per mode,
+    hw = h_1 [sigma > 0] / (tau gamma sigma) + h_L L / eps + B / 2."""
+    p, B, sigma = params, params.B, basis.sigma
+    a, c, (rn, rp), s, xp, (yn, yp), h = _TABLE[p.scheme](p.tau, p.eps, p.A)
+    gamma_sigma = p.gamma * sigma
+    hw = None
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         denom = a + gamma_sigma * (c * sigma + B)  # >= a > 0 per mode pair
         cn = (rn - gamma_sigma * (s * sigma - B * yn)) / denom
         cp = (rp + gamma_sigma * B * yp) / denom
-        cl = -gamma_sigma / (params.eps * denom)
-    if not all(np.isfinite(w).all() for w in (denom, cn, cp, cl)):
+        cl = -gamma_sigma / (p.eps * denom)
+        if h is not None:
+            hm1 = np.divide(h[0], p.tau * p.gamma * sigma,
+                            out=np.zeros_like(sigma), where=h[0] * sigma > 0.0)
+            hw = hm1 + (h[1] * lipschitz_bound(SPEC) / p.eps + 0.5 * B)
+    if not all(np.isfinite(w).all() for w in (denom, cn, cp, cl, hw) if w is not None):
         raise ValueError(
-            f"step coefficients overflow for tau = {params.tau}, gamma = {params.gamma}, "
-            f"A = {params.A}, B = {params.B}"
+            f"step coefficients overflow for tau = {p.tau}, gamma = {p.gamma}, "
+            f"A = {p.A}, B = {p.B}"
         )
-    return StepOperator(params, basis, xp, cn, cp, cl)
+    return StepOperator(p, basis, xp, cn, cp, cl, 0.5 * p.eps * sigma, hw)
 
 
 def modal_load(op: StepOperator, grid: np.ndarray) -> np.ndarray:

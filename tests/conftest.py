@@ -4,14 +4,16 @@ Oracles deliberately avoid the package's own Legendre machinery: basis
 values come from numpy.polynomial.legendre and quadrature nodes from
 numpy's leggauss, so matrix/transform tests cross-check two independent
 implementations. A Field holds modal coefficients; `legendre_field` builds
-one from Legendre coefficients with the analytic mass diag(2/(2k+1)).
+one from Legendre coefficients with the analytic mass diag(2/(2k+1)), and
+`analytic_mass_stiffness` gives the dense mass and stiffness matrices from
+their closed forms.
 """
 import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
 
 from chillwave import Field, SchemeParams, assemble_basis, build_step_operator, potential_deriv
-from chillwave.diagnostics import energy_weights, step_energies
+from chillwave.diagnostics import step_energies
 from chillwave.potential import SPEC
 
 
@@ -69,6 +71,18 @@ def oracle_load(spec, coeffs):
     return tw @ potential_deriv(spec, oracle_eval_2d(coeffs, x, x)) @ tw.T
 
 
+def analytic_mass_stiffness(M):
+    """Dense mass and stiffness of L_0..L_{M-1}: integral L_k^2 = 2/(2k+1),
+    and integral L_j' L_k' = m(m+1), m = min(j, k), when j + k is even
+    (0 otherwise)."""
+    stiffness = np.zeros((M, M))
+    for j in range(M):
+        for k in range(j % 2, M, 2):
+            m = min(j, k)
+            stiffness[j, k] = m * (m + 1)
+    return np.diag([2.0 / (2 * k + 1) for k in range(M)]), stiffness
+
+
 def legendre_field(basis, coeffs):
     """The Field with Legendre coefficients coeffs[k, j] (multiplying
     L_k(x) L_j(y)): modal coefficients E^T (M coeffs M) E, M the mass."""
@@ -89,7 +103,7 @@ def field_energies(params, curr, prev=None):
     op = build_step_operator(params, curr.basis)
     T = op.basis.T
     prev = curr if prev is None else prev
-    return step_energies(energy_weights(op), prev.v, curr.v, T @ curr.v @ T.T)
+    return step_energies(op, prev.v, curr.v, T @ curr.v @ T.T)
 
 
 def energy_eps(eps, u):

@@ -111,22 +111,24 @@ def test_criterion_4_second_order_convergence(capsys):
 def test_criterion_5_spectral_oracles(capsys):
     # clause 1: H^-1 norm of the projected cosine product
     b32 = cw.assemble_basis(32)
-    x2m = b32.nodes_2M
+    x2m, _ = cw.gauss_legendre(64)
     grid = np.cos(np.pi * x2m)[:, None] * np.cos(np.pi * x2m)[None, :]
     u = cw.Field(b32, b32.G @ grid @ b32.G.T)
     got = cw.hminus1_norm(u)
     want = 1.0 / (np.sqrt(2.0) * np.pi)
     cosine_ok = abs(got - want) <= 1e-6
 
-    # clause 2: assembled stiffness against the closed form of
-    # integral L_j' L_k' = m(m+1), m = min(j, k), for j + k even (else 0)
+    # clause 2: the basis's eigenpair against the closed form of
+    # integral L_j' L_k' = m(m+1), m = min(j, k), for j + k even (else 0):
+    # K E = M E diag(lam) with the mass diag(2/(2k+1))
     expected = np.zeros((32, 32))
     for j in range(32):
         for k in range(32):
             if (j + k) % 2 == 0:
                 m = min(j, k)
                 expected[j, k] = m * (m + 1)
-    stiffness_ok = np.abs(b32.stiffness - expected).max() <= 1e-12
+    KE, ME = expected @ b32.E, (2.0 / (2 * np.arange(32) + 1))[:, None] * b32.E
+    stiffness_ok = np.linalg.norm(KE - ME * b32.lam) <= 1e-12 * np.linalg.norm(KE)
 
     # clause 3: Gauss exactness on monomials up to degree 2n-1
     quad_ok = True
@@ -269,7 +271,8 @@ def spatial_run(M):
     """The criterion-10 run at M modes: SL_BDF2, 100 steps of 1e-3 from the
     projected 0.4 cos(pi x) cos(pi y) + 0.2 cos(2 pi x)."""
     basis = cw.assemble_basis(M)
-    c1, c2 = np.cos(np.pi * basis.nodes_2M), np.cos(2 * np.pi * basis.nodes_2M)
+    x, _ = cw.gauss_legendre(2 * M)
+    c1, c2 = np.cos(np.pi * x), np.cos(2 * np.pi * x)
     phi0 = cw.Field(basis, basis.G @ (0.4 * np.outer(c1, c1) + 0.2 * c2[:, None]) @ basis.G.T)
     cfg = cw.RunConfig(M=M, eps=0.2, gamma=0.01, tau=1e-3, T=0.1, scheme="SL_BDF2",
                        A=1.0, B=5.0)

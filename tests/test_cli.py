@@ -133,12 +133,15 @@ def test_converge_rejects_bad_taus(tmp_path, capsys, key, value):
 
 
 def test_converge_rejects_tau_that_does_not_divide_T(tmp_path, capsys):
-    cfg_path = tmp_path / "conv.json"
-    write_json(cfg_path, dict(CONVERGE_CFG, tau_list=[0.03]))
-    out = tmp_path / "out"
-    rc = main(["converge", "--config", str(cfg_path), "--out-dir", str(out)])
-    assert_one_line_error(capsys, rc, "T = 0.02", "multiple of tau = 0.03")
-    assert not out.exists()
+    # the message names the key whose tau fails, and only that key
+    for key, other, value in (("tau_list", "tau_ref", [0.03]), ("tau_ref", "tau_list", 0.03)):
+        cfg_path = tmp_path / "conv.json"
+        write_json(cfg_path, dict(CONVERGE_CFG, **{key: value}))
+        out = tmp_path / "out"
+        rc = main(["converge", "--config", str(cfg_path), "--out-dir", str(out)])
+        err = assert_one_line_error(capsys, rc, "T = 0.02", "multiple of tau = 0.03", key)
+        assert other not in err
+        assert not out.exists()
 
 
 def test_converge_names_missing_tau_list(tmp_path, capsys):
@@ -159,6 +162,8 @@ def test_converge_rejects_non_object(tmp_path, capsys, raw):
 @pytest.mark.parametrize("bad", [
     dict(tau=1e-320, T=1e-319),  # 1/tau overflows
     dict(gamma=1e300, A=1e300, B=1e300),  # gamma sigma (c sigma + B) overflows
+    # SL_BDF2's energy history weight 1/(4 tau gamma sigma) overflows
+    dict(scheme="SL_BDF2", tau=1e-200, gamma=1e-200, T=1e-199),
 ])
 def test_run_rejects_overflowing_step_coefficients(tmp_path, capsys, bad):
     # finite inputs whose per-mode step coefficients are not finite are a

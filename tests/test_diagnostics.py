@@ -13,7 +13,7 @@ from chillwave import (
     potential_value,
     stability_verdict,
 )
-from chillwave.diagnostics import TRACE_DTYPE, TRACE_HEADER, energy_weights, step_energies
+from chillwave.diagnostics import TRACE_DTYPE, TRACE_HEADER, step_energies
 from conftest import (
     energy_eps,
     field_energies,
@@ -245,10 +245,9 @@ def test_energy_decreases_along_stable_run(basis16):
     phi0 = random_nodal_field(basis16, 30)
     phi1 = bootstrap_first_step(phi0, params)
     op = build_step_operator(params, basis16)
-    weights = energy_weights(op)
     rows = []
     for prev, curr, grid in march(op, phi0.v, phi1.v, 50):
-        rows.append(step_energies(weights, prev, curr, grid))
+        rows.append(step_energies(op, prev, curr, grid))
     assert len(rows) == 51  # the entry pair, then one per step
     energies = [row[0] for row in rows]
     assert energies[0] == pytest.approx(energy_eps(params.eps, phi1), rel=1e-12)

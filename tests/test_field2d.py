@@ -16,6 +16,7 @@ from chillwave import (
 )
 from chillwave.timestepping import modal_load
 from conftest import (
+    analytic_mass_stiffness,
     oracle_eval_2d,
     oracle_load,
     oracle_quadrature,
@@ -25,12 +26,10 @@ from conftest import (
 )
 
 
-def kron_mass(basis):
-    return np.kron(basis.mass, basis.mass)
-
-
-def kron_stiff(basis):
-    return np.kron(basis.stiffness, basis.mass) + np.kron(basis.mass, basis.stiffness)
+def kron_stiff_mass(basis):
+    # the 2-D stiffness K x M + M x K and mass M x M, from the closed forms
+    mass, stiff = analytic_mass_stiffness(basis.M)
+    return np.kron(stiff, mass) + np.kron(mass, stiff), np.kron(mass, mass)
 
 
 def test_field_shape_validation(basis8):
@@ -84,7 +83,8 @@ def test_grid_map_matches_oracle_evaluation(basis8):
     rng = np.random.default_rng(4)
     u = rand_field(basis8, rng)
     g = basis8.T @ u.v @ basis8.T.T
-    expected = oracle_eval_2d(u.coeffs, basis8.nodes_2M, basis8.nodes_2M)
+    x, _ = cw.gauss_legendre(16)
+    expected = oracle_eval_2d(u.coeffs, x, x)
     np.testing.assert_allclose(g, expected, atol=1e-12)
 
 
@@ -146,7 +146,7 @@ def test_hminus1_basics(basis16):
 def test_hminus1_dense_oracle(basis16):
     rng = np.random.default_rng(11)
     u = rand_zero_mean(basis16, rng)
-    K2, M2 = kron_stiff(basis16), kron_mass(basis16)
+    K2, M2 = kron_stiff_mass(basis16)
     rhs = (M2 @ u.coeffs.ravel())[1:]
     w = np.linalg.solve(K2[1:, 1:], rhs)
     v = np.concatenate([[0.0], w])
@@ -156,7 +156,7 @@ def test_hminus1_dense_oracle(basis16):
 
 def test_hminus1_cosine_value():
     b = cw.assemble_basis(32)
-    c = np.cos(np.pi * b.nodes_2M)
+    c = np.cos(np.pi * cw.gauss_legendre(64)[0])
     u = Field(b, b.G @ np.outer(c, c) @ b.G.T)
     assert hminus1_norm(u) == pytest.approx(1.0 / (np.sqrt(2.0) * np.pi), abs=1e-6)
 
@@ -274,7 +274,7 @@ def test_spatial_convergence_cosine():
     errs = []
     for M in range(6, 18, 2):
         b = cw.assemble_basis(M)
-        c = np.cos(np.pi * b.nodes_2M)
+        c = np.cos(np.pi * cw.gauss_legendre(2 * M)[0])
         u = Field(b, b.G @ np.outer(c, c) @ b.G.T)
         diff = oracle_eval_2d(u.coeffs, x, x) - exact
         errs.append(np.sqrt(w @ diff**2 @ w))

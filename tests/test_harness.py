@@ -23,6 +23,7 @@ from chillwave import (
     sweep_min_stabilizer,
 )
 from chillwave.harness import (
+    CONVERGENCE_DTYPE,
     CONVERGENCE_HEADER,
     initial_field,
     random_nodal_field,
@@ -462,6 +463,34 @@ def test_convergence_csv_format(tmp_path):
     assert lines[0] == CONVERGENCE_HEADER
     # NaN orders serialize as empty cells
     assert lines[1].split(",")[2] == ""
+
+
+def test_convergence_orders_need_a_halving(tmp_path):
+    # 0.02 -> 0.005 is no halving: every order is NaN, an empty CSV cell
+    cfg = RunConfig(M=8, eps=0.25, gamma=1e-3, tau=0.02, T=0.04, scheme="SL_BDF2",
+                    A=0.25, B=8.0, seed=11)
+    rows = convergence_study(cfg, [0.02, 0.005], 0.0025)
+    assert rows.dtype == CONVERGENCE_DTYPE and isinstance(rows, np.recarray)
+    for name in ("h_minus1", "l2", "h1"):
+        assert (rows[name] > 0.0).all() and np.isnan(rows[name + "_order"]).all()
+    p = tmp_path / "conv.csv"
+    write_convergence_csv(rows, p)
+    for line in p.read_text().splitlines()[1:]:
+        cells = line.split(",")
+        assert [cells[i] for i in (2, 4, 6)] == ["", "", ""]
+        assert all(cells[i] for i in (0, 1, 3, 5))
+
+
+def test_convergence_order_is_nan_after_a_zero_error():
+    # the tau_ref entry repeats the reference run exactly: its errors are 0
+    # after a nonzero row at 2 tau_ref, and log2(err / 0) is no order
+    cfg = RunConfig(M=8, eps=0.25, gamma=1e-3, tau=0.01, T=0.04, scheme="SL_BDF2",
+                    A=0.25, B=8.0, seed=11)
+    rows = convergence_study(cfg, [0.01, 0.005], 0.005)
+    assert rows.dtype == CONVERGENCE_DTYPE
+    for name in ("h_minus1", "l2", "h1"):
+        assert rows[name][0] > 0.0 and rows[name][1] == 0.0
+        assert np.isnan(rows[name + "_order"]).all()
 
 
 

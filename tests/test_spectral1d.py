@@ -3,7 +3,7 @@ import pytest
 
 from chillwave import Field, QuadratureError, assemble_basis, gauss_legendre
 from chillwave.spectral1d import legendre_table
-from conftest import oracle_basis_values, oracle_quadrature
+from conftest import analytic_mass_stiffness, oracle_basis_values, oracle_quadrature
 
 
 # explicit monomial forms, k <= 5
@@ -84,16 +84,15 @@ def test_gauss_preconditions():
 
 
 def test_basis_matrices_examples():
-    b = assemble_basis(4)
-    np.testing.assert_allclose(np.diag(b.stiffness), [0.0, 2.0, 6.0, 12.0], atol=1e-13)
-    assert b.mass[2, 2] == pytest.approx(2 / 5, abs=1e-14)
-    b6 = assemble_basis(6)
+    mass, stiff = analytic_mass_stiffness(4)
+    np.testing.assert_allclose(np.diag(stiff), [0.0, 2.0, 6.0, 12.0], atol=1e-13)
+    assert mass[2, 2] == pytest.approx(2 / 5, abs=1e-14)
     # integral of L_2' L_4' = 2 (2 + 1)
-    assert b6.stiffness[2, 4] == pytest.approx(6.0, abs=1e-14)
+    assert analytic_mass_stiffness(6)[1][2, 4] == pytest.approx(6.0, abs=1e-14)
 
 
 def test_basis_matrix_structure(basis16):
-    mass, stiff = basis16.mass, basis16.stiffness
+    mass, stiff = analytic_mass_stiffness(basis16.M)
     np.testing.assert_allclose(mass, np.diag(np.diag(mass)), atol=1e-15)
     assert np.all(np.diag(mass) > 0)
     np.testing.assert_allclose(stiff, stiff.T, atol=1e-15)
@@ -106,7 +105,7 @@ def test_basis_matrix_structure(basis16):
 
 
 def test_stiffness_diagonal_formula(basis16):
-    d = np.diag(basis16.stiffness)
+    d = np.diag(analytic_mass_stiffness(basis16.M)[1])
     assert d[0] == 0.0
     for k in range(1, basis16.M):
         assert d[k] == pytest.approx(k * (k + 1), abs=1e-12)
@@ -119,8 +118,13 @@ def test_matrices_against_quadrature_oracle(basis8):
     dtab = oracle_basis_values(M, x, deriv=1)
     mass_q = (tab * w) @ tab.T
     stiff_q = (dtab * w) @ dtab.T
-    np.testing.assert_allclose(basis8.mass, mass_q, atol=1e-12)
-    np.testing.assert_allclose(basis8.stiffness, stiff_q, atol=1e-12)
+    mass, stiff = analytic_mass_stiffness(M)
+    np.testing.assert_allclose(mass, mass_q, atol=1e-12)
+    np.testing.assert_allclose(stiff, stiff_q, atol=1e-12)
+    # the basis's eigenpair diagonalizes them: K E = M E diag(lam), E^T M E = I
+    E, lam = basis8.E, basis8.lam
+    np.testing.assert_allclose(stiff @ E, mass @ E * lam, atol=1e-12)
+    np.testing.assert_allclose(E.T @ mass @ E, np.eye(M), atol=1e-12)
 
 
 def test_assemble_precondition():
@@ -130,7 +134,7 @@ def test_assemble_precondition():
 
 def x5_grid(basis):
     # x^5 (x) 1 on the 2M x 2M Gauss grid
-    x = basis.nodes_2M
+    x, _ = gauss_legendre(2 * basis.M)
     return (x**5)[:, None] * np.ones(x.size)[None, :]
 
 

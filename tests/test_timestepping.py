@@ -22,7 +22,7 @@ from chillwave import (
 )
 from chillwave.harness import random_nodal_field
 from chillwave.timestepping import BLOWUP_LIMIT
-from conftest import energy_eps, legendre_field, oracle_load, unit_field
+from conftest import analytic_mass_stiffness, energy_eps, legendre_field, oracle_load, unit_field
 
 
 def last_pair(op, prev, curr, n_steps):
@@ -32,9 +32,14 @@ def last_pair(op, prev, curr, n_steps):
     return prev, curr
 
 
+def kron_mass_stiffness(basis):
+    # the 2-D mass M x M and stiffness K x M + M x K, from the closed forms
+    mass, stiff = analytic_mass_stiffness(basis.M)
+    return np.kron(mass, mass), np.kron(stiff, mass) + np.kron(mass, stiff)
+
+
 def dense_blocks(basis, a, c, b0, gamma):
-    Mm = np.kron(basis.mass, basis.mass)
-    Kk = np.kron(basis.stiffness, basis.mass) + np.kron(basis.mass, basis.stiffness)
+    Mm, Kk = kron_mass_stiffness(basis)
     return np.block([[a * Mm, gamma * Kk], [-c * Kk - b0 * Mm, Mm]])
 
 
@@ -60,8 +65,7 @@ def test_params_validation():
 def weak_form_rhs(scheme, basis, spec, tau, eps, A, B, prev, curr):
     # R1 and R2 of each scheme's discrete weak form, flattened, with the
     # oracle load for the explicit force
-    Mm = np.kron(basis.mass, basis.mass)
-    Kk = np.kron(basis.stiffness, basis.mass) + np.kron(basis.mass, basis.stiffness)
+    Mm, Kk = kron_mass_stiffness(basis)
     c, p = curr.ravel(), prev.ravel()
 
     def load(u):
@@ -318,6 +322,27 @@ def test_operator_reuse_matches_rebuild(basis8):
         prev_a, curr_a = last_pair(shared, prev_a, curr_a, 1)
         prev_b, curr_b = last_pair(build_step_operator(params, basis8), prev_b, curr_b, 1)
     np.testing.assert_array_equal(curr_a, curr_b)
+
+
+@pytest.mark.parametrize("M", [8, 48])
+def test_step_operator_carries_energy_weights(M):
+    # grad = eps sigma / 2 and each scheme's history weight hw, equal bit
+    # for bit to the modified energies' textbook forms: SL_BDF2
+    # [sigma > 0] / (4 tau gamma sigma) + L / (2 eps) + B / 2, SL_CN
+    # L / (4 eps) + B / 2; FIRST_ORDER has no modified energy
+    basis = assemble_basis(M)
+    sigma, L = basis.sigma, 11.0
+    tau, gamma, eps, B = 0.01, 0.0025, 0.05, 5.0
+    hm1 = np.divide(1.0, 4.0 * tau * gamma * sigma, out=np.zeros_like(sigma), where=sigma > 0.0)
+    expected = {
+        "SL_BDF2": hm1 + (L / (2.0 * eps) + 0.5 * B),
+        "SL_CN": np.full_like(sigma, L / (4.0 * eps) + 0.5 * B),
+        "FIRST_ORDER": None,
+    }
+    for scheme, hw in expected.items():
+        op = build_step_operator(SchemeParams(scheme, tau, gamma, eps, B=B), basis)
+        assert np.array_equal(op.grad, 0.5 * eps * sigma)
+        assert op.hw is None if hw is None else np.array_equal(op.hw, hw)
 
 
 def test_march_rejects_wrong_eigenbasis():
