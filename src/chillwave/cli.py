@@ -149,20 +149,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="single simulation from a JSON config")
-    p_run.add_argument("--config", required=True)
-    p_run.add_argument("--out-dir", default=None)
-    p_run.set_defaults(func=_cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="minimum-stabilizer sweep")
-    p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--out-dir", default=None)
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_conv = sub.add_parser("converge", help="temporal convergence study")
-    p_conv.add_argument("--config", required=True)
-    p_conv.add_argument("--out-dir", default=None)
-    p_conv.set_defaults(func=_cmd_converge)
+    for name, func, help_text in (
+        ("run", _cmd_run, "single simulation from a JSON config"),
+        ("sweep", _cmd_sweep, "minimum-stabilizer sweep"),
+        ("converge", _cmd_converge, "temporal convergence study"),
+    ):
+        p_cfg = sub.add_parser(name, help=help_text)
+        p_cfg.add_argument("--config", required=True)
+        p_cfg.add_argument("--out-dir", default=None)
+        p_cfg.set_defaults(func=func)
 
     p_prep = sub.add_parser("prepare-initial", help="emit phi0/phi1 snapshots")
     p_prep.add_argument("--M", type=int, required=True)

@@ -35,7 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeanNotZero
-from .field2d import Field, h1_seminorm_sq, hminus1_norm, inner_l2, mean_value, modal_mean
+from .field2d import (
+    Field, h1_seminorm_sq, hminus1_norm, inner_l2, mean_value, modal_mean, write_rows,
+)
 from .potential import SPEC, potential_value
 from .timestepping import StepOperator
 
@@ -76,10 +78,7 @@ class EnergyTrace:
         return self.rows[name]
 
     def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(TRACE_HEADER + "\n")
-            for row in self.rows.tolist():
-                fh.write(",".join(map(repr, row)) + "\n")
+        write_rows(path, TRACE_HEADER, self.rows.tolist())
 
     @classmethod
     def read_csv(cls, path) -> "EnergyTrace":
@@ -118,11 +117,11 @@ def step_energies(
 
 
 def stability_verdict(trace: EnergyTrace, min_steps: int = 1024) -> str:
-    """"unstable" if the run blew up or any per-step increment dE_mod
-    exceeds VERDICT_THRESHOLD, whatever the trace's length; otherwise
-    "stable", which needs min_steps rows (a shorter trace raises
-    ValueError)."""
-    if trace.blew_up or np.any(trace.rows["dE_mod"] > VERDICT_THRESHOLD):
+    """"unstable" if the run blew up or any per-step increment dE_mod is
+    not <= VERDICT_THRESHOLD (a NaN increment violates), whatever the
+    trace's length; otherwise "stable", which needs min_steps rows (a
+    shorter trace raises ValueError)."""
+    if trace.blew_up or not np.all(trace.rows["dE_mod"] <= VERDICT_THRESHOLD):
         return "unstable"
     if len(trace) < min_steps:
         raise ValueError(f"trace has {len(trace)} rows; needs >= {min_steps} or a violation")

@@ -16,6 +16,7 @@ are a read-only export (`Field.coeffs`); nothing in the package reads
 them back. Grid values are plain arrays, T_P v T_P^T on the P x P Gauss
 grid, and G_P g G_P^T fits a grid g back, with the basis's maps: the M
 set for snapshot files, the 2M set for the seeded noise and the step.
+Every CSV file of the package is written by `write_rows`, line by line.
 """
 
 from __future__ import annotations
@@ -114,7 +115,16 @@ def _same_basis(u: Field, v: Field) -> None:
 
 
 # ---------------------------------------------------------------------------
-# snapshot files
+# CSV files
+
+
+def write_rows(path, header: str, rows, cell=repr) -> None:
+    """Write the header line, then per row one line of cell(value) for
+    each value, comma-joined."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(cell, row)) + "\n")
 
 
 def write_snapshot(u: Field, path, eps: float, gamma: float, t: float, step: int) -> None:
@@ -126,11 +136,8 @@ def write_snapshot(u: Field, path, eps: float, gamma: float, t: float, step: int
     values, row i = x-index, column j = y-index.
     """
     T = u.basis.T_M
-    with open(path, "w") as fh:
-        fh.write("M,eps,gamma,t,step\n")
-        fh.write(f"{u.basis.M},{float(eps)!r},{float(gamma)!r},{float(t)!r},{int(step)}\n")
-        for row in (T @ u.v @ T.T).tolist():
-            fh.write(",".join(map(repr, row)) + "\n")
+    meta = (int(u.basis.M), float(eps), float(gamma), float(t), int(step))
+    write_rows(path, "M,eps,gamma,t,step", [meta, *(T @ u.v @ T.T).tolist()])
 
 
 def read_snapshot(path, basis: Basis1D | None = None) -> tuple[Field, dict]:

@@ -3,17 +3,18 @@ stabilizer sweeps, and temporal convergence studies.
 
 Everything here is deterministic given the config (seed included). Every
 run starts with `bootstrap_first_step` and then steps with `march`.
-Results are data: a run's trace is one record array that its loop over
-`march`'s states fills row by row, and a sweep's result is its config
-plus the log of every candidate run, from which cells, ladders and
-anomalies are read.
+Results are tables: a run's trace, a sweep's log (one row per candidate
+run) and a convergence study are record arrays, from which verdicts,
+cells, ladders and anomalies are read and which `field2d.write_rows`
+writes as CSV; a NaN in a sweep log or convergence table, "no value",
+is an empty cell.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import MISSING, astuple, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .diagnostics import (
     TRACE_DTYPE, VERDICT_THRESHOLD, EnergyTrace, error_norms, stability_verdict, step_energies,
 )
 from .errors import NonFinite
-from .field2d import Field
+from .field2d import Field, write_rows
 from .spectral1d import Basis1D, assemble_basis
 from .timestepping import SchemeParams, bootstrap_first_step, build_step_operator, march
 
@@ -199,8 +200,8 @@ def run_simulation(
     state. A SolveFailed from a bad eigendecomposition is a solver fault,
     not a verdict, and propagates.
     With stop_above set, the run ends right after the first row whose
-    dE_mod exceeds it: the trace is then shorter than T/tau without a
-    blow-up, and its last row is the violation.
+    dE_mod is not <= it (NaN included): the trace is then shorter than
+    T/tau without a blow-up, and its last row is the violation.
     """
     given = {"phi_init": None if phi_init is None else phi_init.basis, "basis": basis}
     for name, b in given.items():
@@ -227,7 +228,7 @@ def run_simulation(
             e_mod = e_new
             if cfg.snapshot_every > 0 and (n % cfg.snapshot_every == 0 or n == N):
                 snapshots.append((n, t, Field(basis, curr)))
-            if stop_above is not None and dE_mod > stop_above:
+            if stop_above is not None and not dE_mod <= stop_above:
                 break
     except NonFinite:
         blowup_step = n + 1
@@ -303,47 +304,35 @@ def sweep_config_from_dict(d: dict) -> SweepConfig:
     return _from_dict(SweepConfig, d)
 
 
-@dataclass
-class SweepRecord:
-    """One candidate run of a sweep, a row of sweep_log.csv. stop_reason is
-    "completed", "energy_increase" (stopped at its first dE_mod above the
-    verdict threshold, which is then its last row) or "blow_up"; the first
-    violation is None when no row exceeded the threshold."""
-
-    gamma: float
-    tau: float
-    candidate: float
-    verdict: str
-    rows_run: int
-    stop_reason: str
-    first_violation_step: int | None
-    first_violation_dE_mod: float | None
+SWEEP_LOG_DTYPE = np.dtype([
+    ("gamma", "f8"), ("tau", "f8"), ("candidate", "f8"), ("verdict", "U8"), ("rows_run", "i8"),
+    ("stop_reason", "U15"), ("first_violation_step", "f8"), ("first_violation_dE_mod", "f8"),
+])
 
 
 @dataclass
 class SweepResult:
-    """A sweep's config and its log, every candidate run in order; cells,
-    ladders and anomalies are read off the two."""
+    """A sweep's config and its log, a SWEEP_LOG_DTYPE record array with a
+    row per candidate run in run order; cells, ladders and anomalies are
+    read off the two. stop_reason is "completed", "energy_increase"
+    (stopped at its first dE_mod above the verdict threshold, then its
+    last row) or "blow_up"; the first violation is NaN if there is none."""
 
     config: SweepConfig
-    log: list[SweepRecord] = field(default_factory=list)
+    log: np.recarray
 
-    def _runs(self) -> dict[tuple[float, float], list[SweepRecord]]:
-        """(gamma, tau) -> the cell's records in run order, for every cell."""
-        cfg = self.config
-        runs = {(gamma, tau): [] for gamma in cfg.gamma_list for tau in cfg.tau_list}
-        for r in self.log:
-            runs[(r.gamma, r.tau)].append(r)
-        return runs
+    def _runs(self) -> dict[tuple[float, float], np.recarray]:
+        """(gamma, tau) -> the cell's log rows in run order, for every cell."""
+        cfg, log = self.config, self.log
+        return {(gamma, tau): log[(log["gamma"] == gamma) & (log["tau"] == tau)]
+                for gamma in cfg.gamma_list for tau in cfg.tau_list}
 
     @property
     def cells(self) -> dict[tuple[float, float], float | None]:
         """(gamma, tau) -> the smallest stable candidate, the first one a
         cell logs; None if the ladder was exhausted without one."""
-        return {
-            key: next((r.candidate for r in runs if r.verdict == "stable"), None)
-            for key, runs in self._runs().items()
-        }
+        return {key: next(iter(runs["candidate"][runs["verdict"] == "stable"].tolist()), None)
+                for key, runs in self._runs().items()}
 
     @property
     def ladders(self) -> dict[tuple[float, float], list[float]]:
@@ -356,9 +345,10 @@ class SweepResult:
         stable one."""
         notes = []
         for (gamma, tau), runs in self._runs().items():
-            verdicts = [r.verdict == "stable" for r in runs]
-            if True in verdicts and not all(verdicts[verdicts.index(True):]):
-                notes.append(f"non-monotone ladder at gamma={gamma} tau={tau}: verdicts {verdicts}")
+            stable = runs["verdict"] == "stable"
+            if stable.any() and not stable[stable.argmax():].all():
+                notes.append(f"non-monotone ladder at gamma={gamma} tau={tau}: "
+                             f"verdicts {stable.tolist()}")
         return notes
 
     def cell_text(self, gamma: float, tau: float) -> str:
@@ -370,21 +360,16 @@ class SweepResult:
     def write_csv(self, path) -> None:
         """Wide layout mirroring the reference tables: one row per tau,
         one column per gamma."""
-        cfg = self.config
-        with open(path, "w") as fh:
-            fh.write("tau," + ",".join(f"gamma={_num(g)}" for g in cfg.gamma_list) + "\n")
-            for tau in cfg.tau_list:
-                cells = ",".join(self.cell_text(g, tau) for g in cfg.gamma_list)
-                fh.write(f"{_num(tau)},{cells}\n")
+        gammas = self.config.gamma_list
+        write_rows(path, "tau," + ",".join(f"gamma={_num(g)}" for g in gammas), (
+            [_num(tau)] + [self.cell_text(g, tau) for g in gammas] for tau in self.config.tau_list
+        ), cell=str)
 
     def write_log_csv(self, path) -> None:
-        """One row per candidate run, columns named as SweepRecord's fields;
+        """One row per candidate run, columns named as SWEEP_LOG_DTYPE's;
         an empty cell for no violation."""
-        with open(path, "w") as fh:
-            fh.write(",".join(f.name for f in fields(SweepRecord)) + "\n")
-            for r in self.log:
-                cells = ("" if v is None else v if isinstance(v, str) else _num(v) for v in astuple(r))
-                fh.write(",".join(cells) + "\n")
+        write_rows(path, ",".join(SWEEP_LOG_DTYPE.names), self.log.tolist(),
+                   cell=lambda v: v if isinstance(v, str) else "" if math.isnan(v) else _num(v))
 
 
 def _num(x: float) -> str:
@@ -404,22 +389,20 @@ def _ladder(sc: SweepConfig, gamma: float) -> list[float]:
     return list(sc.ladder) if sc.ladder is not None else default_ladder(sc.target, gamma, sc.base.eps)
 
 
-def _sweep_cell(sc: SweepConfig, phi0: Field, gamma: float, tau: float, log: list[SweepRecord]):
-    """Walk the cell's ladder from phi0, logging each candidate, up to the
-    first stable one (every one with full_scan). Each candidate stops at
-    its first dE_mod above the verdict threshold, which already makes it
-    unstable."""
+def _sweep_cell(sc: SweepConfig, phi0: Field, gamma: float, tau: float, log: list[tuple]):
+    """Walk the cell's ladder from phi0, appending a SWEEP_LOG_DTYPE row
+    per candidate, up to the first stable one (every one with full_scan).
+    Each candidate stops at its first dE_mod not <= the verdict
+    threshold, which already makes it unstable."""
     for candidate in _ladder(sc, gamma):
         cfg = _candidate_config(sc, gamma, tau, candidate)
         trace, _, _ = run_simulation(cfg, phi_init=phi0, stop_above=VERDICT_THRESHOLD)
         verdict = stability_verdict(trace, min_steps=sc.steps)
-        over = trace.rows[trace.rows["dE_mod"] > VERDICT_THRESHOLD]
-        first = (int(over["n"][0]), float(over["dE_mod"][0])) if len(over) else (None, None)
-        log.append(SweepRecord(
-            gamma, tau, candidate, verdict, len(trace),
-            "blow_up" if trace.blew_up else "energy_increase" if len(over) else "completed",
-            *first,
-        ))
+        over = trace.rows[~(trace.rows["dE_mod"] <= VERDICT_THRESHOLD)]
+        first = (over["n"][0], over["dE_mod"][0]) if len(over) else (math.nan, math.nan)
+        log.append((gamma, tau, candidate, verdict, len(trace),
+                    "blow_up" if trace.blew_up else "energy_increase" if len(over) else "completed",
+                    *first))
         if verdict == "stable" and not sc.full_scan:
             break
 
@@ -430,11 +413,11 @@ def sweep_min_stabilizer(sc: SweepConfig) -> SweepResult:
     candidate starts from one phi0, built once: it depends only on M, seed,
     initial and eps, which no candidate changes."""
     phi0 = initial_field(sc.base)
-    result = SweepResult(config=sc)
+    log: list[tuple] = []
     for gamma in sc.gamma_list:
         for tau in sc.tau_list:
-            _sweep_cell(sc, phi0, gamma, tau, result.log)
-    return result
+            _sweep_cell(sc, phi0, gamma, tau, log)
+    return SweepResult(sc, np.array(log, SWEEP_LOG_DTYPE).view(np.recarray))
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +469,5 @@ def convergence_study(cfg: RunConfig, tau_list: list[float], tau_ref: float) -> 
 
 def write_convergence_csv(rows: np.recarray, path) -> None:
     """CONVERGENCE_HEADER, then one line per row; a NaN order is an empty cell."""
-    with open(path, "w") as fh:
-        fh.write(CONVERGENCE_HEADER + "\n")
-        for row in rows.tolist():
-            fh.write(",".join("" if math.isnan(x) else repr(x) for x in row) + "\n")
+    write_rows(path, CONVERGENCE_HEADER, rows.tolist(),
+               cell=lambda x: "" if math.isnan(x) else repr(x))

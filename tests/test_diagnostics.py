@@ -177,6 +177,15 @@ def test_verdict_blowup_is_unstable():
     assert stability_verdict(tr) == "unstable"
 
 
+def test_verdict_nan_increment_read_from_csv_is_unstable(tmp_path):
+    # a trace file from outside the program may carry a NaN dE_mod; a row
+    # violates unless dE_mod <= the threshold, so NaN is no proof of stability
+    p = tmp_path / "trace.csv"
+    p.write_text(TRACE_HEADER + "\n1,0.1,1.0,1.0,0.0,0.0,0.0\n2,0.2,1.0,nan,nan,0.0,0.0\n"
+                 "3,0.3,1.0,1.0,-1e-6,0.0,0.0\n")
+    assert stability_verdict(EnergyTrace.read_csv(p), min_steps=3) == "unstable"
+
+
 def test_verdict_needs_enough_rows():
     tr = make_trace([0.0] * 10)
     with pytest.raises(ValueError):

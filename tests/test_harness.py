@@ -328,7 +328,7 @@ def test_sweep_csv_layout(tmp_path):
 def test_sweep_result_reads_cells_and_anomalies_off_its_log():
     # a result is its config plus its log: no run is needed to derive the
     # cells, the ladders, the ">X" text and a non-monotone full scan
-    from chillwave.harness import SweepRecord, SweepResult
+    from chillwave.harness import SWEEP_LOG_DTYPE, SweepResult
 
     base = RunConfig(M=8, eps=0.25, gamma=1.0, tau=0.1, T=6.4, scheme="SL_CN")
     sc = SweepConfig(base=base, target="A", gamma_list=[1.0, 2.0], tau_list=[0.1],
@@ -336,19 +336,42 @@ def test_sweep_result_reads_cells_and_anomalies_off_its_log():
 
     def record(gamma, candidate, stable):
         if stable:
-            return SweepRecord(gamma, 0.1, candidate, "stable", 64, "completed", None, None)
-        return SweepRecord(gamma, 0.1, candidate, "unstable", 5, "energy_increase", 5, 1e-3)
+            return (gamma, 0.1, candidate, "stable", 64, "completed", np.nan, np.nan)
+        return (gamma, 0.1, candidate, "unstable", 5, "energy_increase", 5, 1e-3)
 
     verdicts = {1.0: [False, True, False], 2.0: [False, False, False]}
-    res = SweepResult(sc, [record(gamma, candidate, stable)
-                           for gamma in (1.0, 2.0)
-                           for candidate, stable in zip(sc.ladder, verdicts[gamma])])
+    log = np.array([record(gamma, candidate, stable)
+                    for gamma in (1.0, 2.0)
+                    for candidate, stable in zip(sc.ladder, verdicts[gamma])], SWEEP_LOG_DTYPE)
+    res = SweepResult(sc, log.view(np.recarray))
     assert res.cells == {(1.0, 0.1): 1.0, (2.0, 0.1): None}
     assert res.ladders == {(1.0, 0.1): [0.0, 1.0, 2.0], (2.0, 0.1): [0.0, 1.0, 2.0]}
     assert [res.cell_text(g, 0.1) for g in (1.0, 2.0)] == ["1", ">2"]
     assert res.anomalies == [
         "non-monotone ladder at gamma=1.0 tau=0.1: verdicts [False, True, False]"
     ]
+
+
+def test_nan_energy_increment_stops_a_sweep_candidate(monkeypatch):
+    # a NaN dE_mod violates at every site that judges an increment: the
+    # stop_above break, the log's first violation and the verdict
+    import chillwave.harness as harness
+
+    energies, calls = harness.step_energies, []
+
+    def nan_on_third_row(*args):
+        calls.append(None)
+        e, e_mod, dt_sq, mean = energies(*args)
+        return e, math.nan if len(calls) == 3 else e_mod, dt_sq, mean
+
+    monkeypatch.setattr(harness, "step_energies", nan_on_third_row)
+    base = RunConfig(M=8, eps=0.25, gamma=1.0, tau=4e-5, T=64 * 4e-5,
+                     scheme="SL_BDF2", seed=9)
+    sc = SweepConfig(base=base, target="A", gamma_list=[1.0], tau_list=[4e-5],
+                     ladder=[0.0], steps=64)
+    (row,) = sweep_min_stabilizer(sc).log
+    assert (row.verdict, row.stop_reason, row.rows_run) == ("unstable", "energy_increase", 3)
+    assert row.first_violation_step == 3.0 and math.isnan(row.first_violation_dE_mod)
 
 
 def ladder_walk(sc, gamma, tau):
