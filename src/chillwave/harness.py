@@ -436,7 +436,8 @@ def convergence_study(cfg: RunConfig, tau_list: list[float], tau_ref: float) -> 
     Returns a record array of CONVERGENCE_DTYPE, one row per tau_list
     entry; an order is NaN unless the previous entry is 2 tau and both
     errors are nonzero. Every run starts from the same initial datum (per
-    cfg.initial) and performs its own per-tau bootstrap. tau_list must be
+    cfg.initial), performs its own per-tau bootstrap and, reading only
+    its final pair, marches without grids. tau_list must be
     a non-empty list and tau_ref a number, all finite and > 0.
     """
     _check_positive_list("tau_list", tau_list)
@@ -453,7 +454,7 @@ def convergence_study(cfg: RunConfig, tau_list: list[float], tau_ref: float) -> 
         params = cfg.scheme_params(tau)
         phi1 = bootstrap_first_step(phi_init, params, cfg.m)
         op = build_step_operator(params, basis)
-        for _, final, _ in march(op, phi_init.v, phi1.v, n - 1):
+        for _, final, _ in march(op, phi_init.v, phi1.v, n - 1, grids=False):
             pass  # keeps only the last state
         finals.append(Field(basis, final))
 

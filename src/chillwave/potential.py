@@ -6,6 +6,9 @@ Taylor expansion at +-p. The continuation keeps F in C^2, makes f = F'
 globally Lipschitz, and leaves the wells at +-1 untouched.
 
 All evaluators accept scalars or numpy arrays and are pure functions.
+Each tests the range |u| <= p by one reduction of u^2, which a NaN fails;
+`cube_in_range` gives the step its load's cubic f(u) + u = u^3 when the
+whole array passes.
 """
 
 from __future__ import annotations
@@ -43,13 +46,14 @@ def potential_value(spec: PotentialSpec, phi):
     p = spec.truncation_point
     with np.errstate(over="ignore", invalid="ignore"):  # the quartic at huge |phi|
         out = np.square(x)
+        inside = _inside(out, p)
         out -= 1.0
         np.square(out, out=out)
         out *= 0.25
-        outside = _outside(x, p)
-        if outside is not None:
+        if not inside:
             # Taylor continuation at the joint: f'(p)/2, f(p), F(p)
             a, b, c = 0.5 * (3.0 * p * p - 1.0), p**3 - p, 0.25 * (p * p - 1.0) ** 2
+            outside = np.abs(x) > p
             d = np.abs(x[outside]) - p
             out[outside] = (np.square(d) * a + d * b) + c
     return float(out[0]) if scalar else out
@@ -64,22 +68,32 @@ def potential_deriv(spec: PotentialSpec, phi):
     p = spec.truncation_point
     with np.errstate(over="ignore", invalid="ignore"):  # the quartic at huge |phi|
         out = np.square(x)
+        inside = _inside(out, p)
         out *= x
         out -= x
-        outside = _outside(x, p)
-        if outside is not None:
+        if not inside:
+            outside = np.abs(x) > p
             xo = x[outside]
             c = np.copysign(p, xo)
             out[outside] = (np.square(c) * c - c) + (xo - c) * (3.0 * p * p - 1.0)
     return float(out[0]) if scalar else out
 
 
-def _outside(x: np.ndarray, p: float):
-    # the mask |x| > p, or None when two reductions show no point is
-    # outside; a NaN fails both comparisons and takes the masked path
-    if not x.size or (-p <= x.min() and x.max() <= p):
+def cube_in_range(spec: PotentialSpec, x: np.ndarray) -> np.ndarray | None:
+    """x^3 when every point of the array x lies in [-p, p], where f is the
+    cubic x^3 - x; None when one does not (a NaN or an infinity included),
+    where only `potential_deriv` gives f."""
+    with np.errstate(over="ignore"):  # x^2 at huge |x|
+        cube = np.square(x)
+    if not _inside(cube, spec.truncation_point):
         return None
-    return np.abs(x) > p
+    cube *= x
+    return cube
+
+
+def _inside(sq: np.ndarray, p: float) -> bool:
+    # every |x| <= p, by one reduction of sq = x^2; a NaN fails the comparison
+    return not sq.size or sq.max() <= p * p
 
 
 def lipschitz_bound(spec: PotentialSpec) -> float:

@@ -10,24 +10,31 @@ system
 with b0 = B. In the generalized eigenbasis of (stiffness, mass), where
 K E = M E diag(lam) and E^T M E = I, M2 is the identity and K2 is sigma =
 lam_k + lam_j. A field is stored in these modal coordinates (`Field.v`),
-and `march` takes, steps and yields them, with the grid g^n = T v^n T^T
-of each level on the 2M x 2M Gauss nodes (T = eval_2M^T E). Eliminating
-mu from R1 = r_n v^n + r_p v^{n-1} and R2 = load / eps + s sigma v^n -
+and `march` takes, steps and yields them. Eliminating mu from
+R1 = r_n v^n + r_p v^{n-1} and R2 = load / eps + s sigma v^n -
 B (y_n v^n + y_p v^{n-1}) leaves three per-mode weights, built once per
-operator (see `build_step_operator`), and the explicit force, whose modal
-load is G f(g) G^T with G = E^T (eval_2M w_2M), f from `potential.SPEC`:
+operator (see `build_step_operator`), and the explicit force at the
+extrapolated field w = v^n + x_p (v^{n-1} - v^n), whose modal load is
+G f(g) G^T for its grid g = T w T^T on the 2M x 2M Gauss nodes
+(T = eval_2M^T E, G = E^T (eval_2M w_2M), f from `potential.SPEC`):
 
-    v^{n+1} = cn v^n + cp v^{n-1} + cl G f(g^n + x_p (g^{n-1} - g^n)) G^T
+    v^{n+1} = cn v^n + cp v^{n-1} + cl G f(T w T^T) G^T
 
 with the per-scheme coefficients of `_TABLE` (SL_CN stabilizes B on
-2 phi^n - phi^{n-1} but extrapolates f at 1.5 phi^n - 0.5 phi^{n-1}). A
-step is one load and one new grid: 4 dense matmuls. sigma, T and G are
-the basis's (see Basis1D). A `_TABLE` row also holds its scheme's
-modified-energy constants (h_1, h_L), from which the operator keeps the
-energy weights that `diagnostics.step_energies` reads. `march` yields the
-states (v^{n-1}, v^n, g^n), the entry state first; runs, sweeps,
-convergence studies and the first-order bootstrap are loops over them,
-and a run may `break` early.
+2 phi^n - phi^{n-1} but extrapolates f at 1.5 phi^n - 0.5 phi^{n-1};
+FIRST_ORDER has x_p = cp = 0 and reads only v^n). Inside [-p, p] f is
+the cubic, and G T = I, so the load is G g^3 G^T - w (`modal_load`). A
+step is one load and one new grid: 4 dense matmuls. With grids (the
+default) `march` keeps the grid g^n = T v^n T^T of each level and builds
+g as g^n + x_p (g^{n-1} - g^n); a lean march (grids=False), for callers
+that read only the modal pairs, transforms w itself and keeps no grid.
+sigma, T and G are the basis's (see Basis1D). A `_TABLE` row also holds
+its scheme's modified-energy constants (h_1, h_L), from which the
+operator keeps the energy weights that `diagnostics.step_energies`
+reads. `march` yields the states (v^{n-1}, v^n, g^n), the entry state
+first, with g^n None in a lean march; runs, sweeps, convergence studies
+and the first-order bootstrap are loops over them, and a run may
+`break` early.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ import numpy as np
 
 from .errors import NonFinite
 from .field2d import Field
-from .potential import SPEC, lipschitz_bound, potential_deriv
+from .potential import SPEC, cube_in_range, lipschitz_bound, potential_deriv
 from .spectral1d import Basis1D
 
 SCHEMES = ("SL_BDF2", "SL_CN", "FIRST_ORDER")
@@ -127,54 +134,78 @@ def build_step_operator(params: SchemeParams, basis: Basis1D) -> StepOperator:
     return StepOperator(p, basis, xp, cn, cp, cl, 0.5 * p.eps * sigma, hw)
 
 
-def modal_load(op: StepOperator, grid: np.ndarray) -> np.ndarray:
+def modal_load(op: StepOperator, w: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """G f(grid) G^T: the 2M-point quadrature of f against each modal basis
-    function, the explicit force of every scheme."""
-    return op.basis.G @ potential_deriv(SPEC, grid) @ op.basis.G.T
+    function, the explicit force of every scheme, for the modal field w and
+    its 2M grid T w T^T. On a grid inside [-p, p] it is G grid^3 G^T - w
+    (G T = I); any other grid (a point outside, a NaN or an infinity)
+    takes `potential_deriv`."""
+    G = op.basis.G
+    cube = cube_in_range(SPEC, grid)
+    if cube is None:
+        return G @ potential_deriv(SPEC, grid) @ G.T
+    load = G @ cube @ G.T
+    load -= w
+    return load
 
 
 def march(
-    op: StepOperator, prev: np.ndarray, curr: np.ndarray, n_steps: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    op: StepOperator, prev: np.ndarray, curr: np.ndarray, n_steps: int, *, grids: bool = True
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
     """Advance n_steps of op's scheme from the modal arrays
     (prev, curr) = (v^{n-1}, v^n); FIRST_ORDER reads only curr.
 
     Yields (prev, curr, grid) for the entry pair and then for each new
-    pair, n_steps + 1 states, with grid the 2M grid of curr. Each step
-    makes new arrays and writes to none that it was given or has yielded,
-    so a consumer may keep any of them but must not write to them; it
-    stops early by leaving its loop. On blow-up of the modal coefficients
-    the iteration raises NonFinite after the last finite state (stability
-    sweeps treat that as an unstable verdict).
+    pair, n_steps + 1 states, with grid the 2M grid of curr, or None in a
+    lean march (grids=False, for callers that read only modal states).
+    Each step makes new arrays and writes to none that it was given or
+    has yielded, so a consumer may keep any of them but must not write to
+    them; it stops early by leaving its loop. On blow-up of the modal
+    coefficients the iteration raises NonFinite after the last finite
+    state (stability sweeps treat that as an unstable verdict).
     """
     T, xp, cn, cp, cl = op.basis.T, op.xp, op.cn, op.cp, op.cl
-    grid_prev, grid = (T @ v @ T.T for v in (prev, curr))
-    force = np.empty_like(grid)  # x_n g^n + x_p g^{n-1}, rebuilt in place each step
+    two_level = xp != 0.0  # FIRST_ORDER's x_p and cp are 0: prev is never read
+    P = T.shape[0]
+    grid = T @ curr @ T.T if grids else None
+    if grids and two_level:
+        grid_prev = T @ prev @ T.T
+        buf = np.empty_like(grid)  # the grid force, rebuilt in place each step
     # Freeing one untouched block of 8 grids raises glibc's dynamic mmap and
     # trim thresholds above the step's grid-sized temporaries; below them the
     # heap is trimmed and faulted back in every step (0.24 page faults a
     # step at M = 64 and 56 at M = 128, 1.08x and 1.3x slower).
-    np.empty((8,) + grid.shape)
+    np.empty((8, P, P))
     yield prev, curr, grid
     for _ in range(n_steps):
-        np.subtract(grid_prev, grid, out=force)
-        force *= xp
-        force += grid
-        load = modal_load(op, force)
         new = cn * curr
-        new += cp * prev
+        w, force = curr, grid
+        if two_level:  # the force x_n v^n + x_p v^{n-1}, and with grids its grid
+            new += cp * prev
+            w = prev - curr
+            w *= xp
+            w += curr
+            if grids:
+                force = np.subtract(grid_prev, grid, out=buf)
+                force *= xp
+                force += grid
+        if not grids:
+            force = T @ w @ T.T
+        load = modal_load(op, w, force)
         load *= cl
         new += load
         if not np.abs(new).max() <= BLOWUP_LIMIT:  # NaN fails the comparison too
             raise NonFinite(f"step blew up (max |modal coeff| > {BLOWUP_LIMIT:.0e} or non-finite)")
         prev, curr = curr, new
-        grid_prev, grid = grid, T @ new @ T.T
+        if grids:
+            grid_prev, grid = grid, T @ new @ T.T
         yield prev, curr, grid
 
 
 def bootstrap_first_step(phi0: Field, params: SchemeParams, m: int = 10) -> Field:
     """Produce phi^1 for the two-level schemes: m substeps of the
-    first-order scheme with step tau/m and stabilizer B = 1/eps."""
+    first-order scheme with step tau/m and stabilizer B = 1/eps, on a lean
+    march (no grids)."""
     if m < 1:
         raise ValueError("m must be >= 1")
     first = SchemeParams(
@@ -182,7 +213,7 @@ def bootstrap_first_step(phi0: Field, params: SchemeParams, m: int = 10) -> Fiel
         eps=params.eps, B=1.0 / params.eps,
     )
     op = build_step_operator(first, phi0.basis)
-    for _, v1, _ in march(op, phi0.v, phi0.v, m):
+    for _, v1, _ in march(op, phi0.v, phi0.v, m, grids=False):
         pass  # keeps only the last state
     return Field(phi0.basis, v1)
 

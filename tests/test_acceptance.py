@@ -300,3 +300,43 @@ def test_criterion_10_spatial_convergence(capsys):
            f"{', '.join(f'{e:.1e}' for e in errs)}, each >= 3x below the last -> "
            f"{geometric}; M=32 error {errs[-1]:.2e} (bound 4e-8)")
     assert ok
+
+
+def paper_eps_final(scheme, datum, M):
+    """The criterion-11 run at M modes: 256 steps of 0.01 at eps = 0.05 with
+    the theorem stabilizers, from the Legendre coefficients datum
+    zero-padded to M (exact at every M), on the lean march."""
+    padded = np.zeros((M, M))
+    padded[:datum.shape[0], :datum.shape[1]] = datum
+    phi0 = legendre_field(cw.assemble_basis(M), padded)
+    A, B = cw.sufficient_stabilizers(scheme, EPS, GAMMA, 0.01, L)
+    params = cw.SchemeParams(scheme=scheme, tau=0.01, gamma=GAMMA, eps=EPS, A=A, B=B)
+    phi1 = cw.bootstrap_first_step(phi0, params)
+    op = cw.build_step_operator(params, phi0.basis)
+    for _, final, _ in cw.march(op, phi0.v, phi1.v, 255, grids=False):
+        pass
+    return cw.Field(phi0.basis, final)
+
+
+def test_criterion_11_spatial_convergence_paper_eps(capsys):
+    # criterion 10 at the paper's eps = 0.05, from seed-42 prepare_phi1 at
+    # M = 32: each M zero-padded into one shared M = 96 run per scheme
+    datum = cw.prepare_phi1(random_nodal_field(cw.assemble_basis(32), SEED), EPS).coeffs
+    errs = {}
+    for scheme in ("SL_BDF2", "SL_CN"):
+        ref = paper_eps_final(scheme, datum, 96)
+        errs[scheme] = []
+        for M in (32, 48, 64):
+            padded = np.zeros((96, 96))
+            padded[:M, :M] = paper_eps_final(scheme, datum, M).coeffs
+            errs[scheme].append(cw.norm_l2(legendre_field(ref.basis, padded - ref.coeffs)))
+    # bound: the ROADMAP table gives 3.75e-2, 4.78e-3 and 6.65e-4 for
+    # SL_BDF2, a smallest ratio of 7.1 between neighbours
+    geometric = all(fine <= coarse / 4 for e in errs.values() for coarse, fine in zip(e, e[1:]))
+    ok = geometric and all(e[1] <= 1e-2 for e in errs.values())
+    report(capsys, 11, ok,
+           f"spatial convergence at eps={EPS} (256 steps of 0.01, theorem stabilizers) to "
+           f"M=96: L2 errors at M=32, 48, 64 "
+           + "; ".join(f"{s} {', '.join(f'{x:.2e}' for x in e)}" for s, e in errs.items())
+           + f", each >= 4x below the last -> {geometric}; M=48 errors <= 1e-2")
+    assert ok

@@ -7,6 +7,7 @@ from chillwave import (
     potential_deriv,
     potential_value,
 )
+from chillwave.potential import cube_in_range
 
 
 def second_deriv_oracle(spec, phi):
@@ -100,11 +101,21 @@ def test_deriv_matches_piecewise_definition(spec):
         ref = np.where(np.abs(phi) <= p, phi**3 - phi, outer)
     f = potential_deriv(spec, phi)
     assert np.all(np.abs(f - ref) <= 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(ref)))
-    # a NaN fails the min/max range test, so the outer point beside it
-    # still takes the outer branch
+    # a NaN fails the range test, one reduction of phi^2, so the outer
+    # point beside it still takes the outer branch
     special = potential_deriv(spec, np.array([np.inf, -np.inf, np.nan, 3.0]))
     assert special[0] == np.inf and special[1] == -np.inf and np.isnan(special[2])
     assert special[3] == pytest.approx(17.0, rel=1e-15)
+
+
+def test_cube_in_range(spec):
+    # x^3 on the closed interval [-p, p], where f is the cubic; None once a
+    # point is outside it, NaN or infinite, or squares to inf
+    p = spec.truncation_point
+    x = np.array([-p, -1.0, 0.0, 0.5, p])
+    np.testing.assert_array_equal(cube_in_range(spec, x), x * x * x)
+    for bad in (np.nextafter(p, 3.0), -np.nextafter(p, 3.0), np.nan, np.inf, -np.inf, 1e300):
+        assert cube_in_range(spec, np.append(x, bad)) is None
 
 
 def test_value_matches_piecewise_definition(spec):

@@ -18,10 +18,11 @@ from chillwave import (
     march,
     mean_value,
     norm_l2,
+    potential_deriv,
     sufficient_stabilizers,
 )
 from chillwave.harness import random_nodal_field
-from chillwave.timestepping import BLOWUP_LIMIT
+from chillwave.timestepping import BLOWUP_LIMIT, modal_load
 from conftest import analytic_mass_stiffness, energy_eps, legendre_field, oracle_load, unit_field
 
 
@@ -94,25 +95,27 @@ def weak_form_rhs(scheme, basis, spec, tau, eps, A, B, prev, curr):
     ],
 )
 def test_march_step_matches_dense_blocks(basis8, spec, scheme, A, B, scalars):
-    # each of the first 3 steps, from the pair march yielded before it
+    # each of the first 3 steps, from the pair march yielded before it,
+    # with and without grids
     tau, gamma, eps = 0.05, 0.3, 0.25
     params = SchemeParams(scheme=scheme, tau=tau, gamma=gamma, eps=eps, A=A, B=B)
-    rng = np.random.default_rng(20)
-    prev, curr = 0.3 * rng.standard_normal((2, 8, 8))
     block = dense_blocks(basis8, *scalars(tau, eps, A, B), gamma)
-    entry = (legendre_field(basis8, u).v for u in (prev, curr))
-    states = march(build_step_operator(params, basis8), *entry, 3)
-    next(states)
-    steps = 0
-    for state in states:
-        R = weak_form_rhs(scheme, basis8, spec, tau, eps, A, B, prev, curr)
-        expected = np.linalg.solve(block, R)[:64].reshape(8, 8)
-        got_prev, got = (Field(basis8, v).coeffs for v in state[:2])
-        assert np.abs(got - expected).max() <= 1e-10
-        assert np.abs(got_prev - curr).max() <= 1e-12
-        prev, curr = got_prev, got
-        steps += 1
-    assert steps == 3
+    for grids in (True, False):
+        rng = np.random.default_rng(20)
+        prev, curr = 0.3 * rng.standard_normal((2, 8, 8))
+        entry = (legendre_field(basis8, u).v for u in (prev, curr))
+        states = march(build_step_operator(params, basis8), *entry, 3, grids=grids)
+        next(states)
+        steps = 0
+        for state in states:
+            R = weak_form_rhs(scheme, basis8, spec, tau, eps, A, B, prev, curr)
+            expected = np.linalg.solve(block, R)[:64].reshape(8, 8)
+            got_prev, got = (Field(basis8, v).coeffs for v in state[:2])
+            assert np.abs(got - expected).max() <= 1e-10
+            assert np.abs(got_prev - curr).max() <= 1e-12
+            prev, curr = got_prev, got
+            steps += 1
+        assert steps == 3
     assert basis8.residual <= 1e-10
 
 
@@ -172,13 +175,14 @@ def test_nonfinite_entry_state_stops_step_1(basis8, bad):
         v[0, 0] = BLOWUP_LIMIT * (1.0 + 1e-6)
     else:
         v[2, 3] = float(bad)
-    seen = []
-    # numpy's own warnings on inf arithmetic before the check are not
-    # what is pinned here
-    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(NonFinite):
-        for state in march(build_step_operator(params, basis8), v, v, 5):
-            seen.append(state)
-    assert len(seen) == 1  # the entry pair only: step 1 raised
+    for grids in (True, False):
+        seen = []
+        # numpy's own warnings on inf arithmetic before the check are not
+        # what is pinned here
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(NonFinite):
+            for state in march(build_step_operator(params, basis8), v, v, 5, grids=grids):
+                seen.append(state)
+        assert len(seen) == 1  # the entry pair only: step 1 raised
 
 
 def test_subnormal_step_coefficient_is_an_error(basis8):
@@ -294,22 +298,78 @@ def test_march_yields_entry_then_each_step(basis8):
 
 def test_march_writes_to_no_array_it_was_given_or_yielded(basis8):
     # a consumer may keep any state, and one that stops early by leaving
-    # its loop leaves its inputs as they were
+    # its loop leaves its inputs as they were, with and without grids
     params = SchemeParams(scheme="SL_CN", tau=0.05, gamma=1.0, eps=0.25, A=0.25, B=8.0)
     phi0 = random_nodal_field(basis8, 10)
     phi1 = bootstrap_first_step(phi0, params)
     prev, curr = phi0.v, phi1.v
     copies = prev.copy(), curr.copy()
-    kept = []
-    for n, state in enumerate(march(build_step_operator(params, basis8), prev, curr, 10)):
-        kept.append((state, tuple(a.copy() for a in state)))
-        if n == 3:
-            break
-    np.testing.assert_array_equal(prev, copies[0])
-    np.testing.assert_array_equal(curr, copies[1])
-    for state, copy in kept:
-        for a, b in zip(state, copy):
-            np.testing.assert_array_equal(a, b)
+    for grids in (True, False):
+        kept = []
+        states = march(build_step_operator(params, basis8), prev, curr, 10, grids=grids)
+        for n, state in enumerate(states):
+            kept.append((state, tuple(None if a is None else a.copy() for a in state)))
+            if n == 3:
+                break
+        np.testing.assert_array_equal(prev, copies[0])
+        np.testing.assert_array_equal(curr, copies[1])
+        for state, copy in kept:
+            assert (state[2] is None) == (not grids)
+            for a, b in zip(state, copy):
+                np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("M", [8, 16])
+def test_lean_march_matches_grid_march(M):
+    # grids=False builds the force on modes and transforms it once; its
+    # states carry no grid, and its final pair is the grid march's up to
+    # roundoff for every scheme
+    basis = assemble_basis(M)
+    phi0 = random_nodal_field(basis, 11)
+    for scheme in ("SL_BDF2", "SL_CN", "FIRST_ORDER"):
+        params = SchemeParams(scheme=scheme, tau=0.05, gamma=1.0, eps=0.25, A=0.25, B=8.0)
+        op = build_step_operator(params, basis)
+        phi1 = bootstrap_first_step(phi0, params)
+        lean = list(march(op, phi0.v, phi1.v, 20, grids=False))
+        assert len(lean) == 21 and all(grid is None for _, _, grid in lean)
+        final = last_pair(op, phi0.v, phi1.v, 20)
+        for a, b in zip(lean[-1][:2], final):
+            assert np.abs(a - b).max() <= 1e-13
+
+
+def test_first_order_never_reads_prev(basis8):
+    # x_p and cp are 0 for FIRST_ORDER, so a NaN prev must not reach a
+    # step: the states from (NaN, v) are those from (v, v), bit for bit
+    params = SchemeParams(scheme="FIRST_ORDER", tau=0.05, gamma=1.0, eps=0.25, B=4.0)
+    op = build_step_operator(params, basis8)
+    v = random_nodal_field(basis8, 12).v
+    for grids in (True, False):
+        got = list(march(op, np.full_like(v, np.nan), v, 3, grids=grids))
+        want = list(march(op, v, v, 3, grids=grids))
+        assert len(got) == len(want) == 4
+        for n, (a, b) in enumerate(zip(got, want)):
+            for x, y in zip(a[n == 0:], b[n == 0:]):  # the entry prev is as given
+                np.testing.assert_array_equal(x, y)
+
+
+def test_modal_load_cubic_and_fallback(basis8, spec):
+    # inside [-p, p] the load is G g^3 G^T - w, the quadrature of f up to
+    # roundoff; a grid with a point outside, a NaN or an infinity is the
+    # quadrature of potential_deriv's f, bit for bit
+    op = build_step_operator(SchemeParams("SL_CN", tau=1.0, gamma=1.0, eps=1.0), basis8)
+    T, G = basis8.T, basis8.G
+    w = random_nodal_field(basis8, 13).v
+    g = T @ w @ T.T
+    assert np.abs(g).max() <= spec.truncation_point
+    np.testing.assert_allclose(modal_load(op, w, g), G @ potential_deriv(spec, g) @ G.T,
+                               rtol=0, atol=1e-13)
+    for bad in (2.5, -2.5, np.nan, np.inf, -np.inf):
+        off = g.copy()
+        off[3, 5] = bad
+        with np.errstate(invalid="ignore"):  # inf - inf inside the matmuls
+            got = modal_load(op, w, off)
+            want = G @ potential_deriv(spec, off) @ G.T
+        np.testing.assert_array_equal(got, want)
 
 
 def test_operator_reuse_matches_rebuild(basis8):
