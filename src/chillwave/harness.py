@@ -37,9 +37,13 @@ def splitmix64(seed: int, count: int) -> np.ndarray:
     The generator state advances by the 64-bit golden-ratio constant per
     draw and each state is finalized by the xorshift-multiply mix; matches
     the published reference outputs (seed 0 starts 0xE220A8397B1DCDAF, ...).
+    A seed that is not an integer in [0, 2^64) raises ValueError: masked,
+    it would alias another (2^64 would give seed 0's stream).
     """
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     idx = np.arange(1, count + 1, dtype=np.uint64)
-    z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + idx * _GOLDEN
+    z = np.uint64(seed) + idx * _GOLDEN
     z = (z ^ (z >> np.uint64(30))) * _MIX1
     z = (z ^ (z >> np.uint64(27))) * _MIX2
     return z ^ (z >> np.uint64(31))
@@ -214,12 +218,12 @@ def run_simulation(
     snapshots: list[tuple[int, float, Field]] = []
     N = cfg.n_steps()
     rows = np.empty(N, TRACE_DTYPE)
-    n, t, e_mod, curr, blowup_step = 0, 0.0, 0.0, None, None
+    n, e_mod, curr, blowup_step = 0, 0.0, None, None
     try:
         phi1 = bootstrap_first_step(phi0, params, cfg.m)
         for prev, curr, grid in march(op, phi0.v, phi1.v, N - 1):
             n += 1
-            t += cfg.tau
+            t = n * cfg.tau  # not a running sum, whose rounding drifts
             e_eps, e_new, dt_sq, mean = step_energies(op, prev, curr, grid)
             # row 1 is the bootstrap transition; no earlier modified energy
             # exists, so its increment is 0 by convention
@@ -438,7 +442,8 @@ def convergence_study(cfg: RunConfig, tau_list: list[float], tau_ref: float) -> 
     errors are nonzero. Every run starts from the same initial datum (per
     cfg.initial), performs its own per-tau bootstrap and, reading only
     its final pair, marches without grids. tau_list must be
-    a non-empty list and tau_ref a number, all finite and > 0.
+    a non-empty list and tau_ref a number, all finite and > 0, with
+    tau_ref <= min(tau_list).
     """
     _check_positive_list("tau_list", tau_list)
     if not (_is(tau_ref, _NUMBER) and 0.0 < tau_ref < math.inf):
@@ -446,6 +451,9 @@ def convergence_study(cfg: RunConfig, tau_list: list[float], tau_ref: float) -> 
     taus = [tau_ref] + tau_list
     steps = [_step_count(cfg.T, tau_ref, "tau_ref")]
     steps += [_step_count(cfg.T, tau, "tau_list") for tau in tau_list]
+    if tau_ref > min(tau_list):
+        raise ValueError(f"tau_ref = {tau_ref} is coarser than the finest tau in tau_list, "
+                         f"{min(tau_list)}: the reference run must be the finest")
     basis = assemble_basis(cfg.M)
     phi_init = initial_field(cfg, basis)
 

@@ -6,8 +6,14 @@ numpy's leggauss, so matrix/transform tests cross-check two independent
 implementations. A Field holds modal coefficients; `legendre_field` builds
 one from Legendre coefficients with the analytic mass diag(2/(2k+1)), and
 `analytic_mass_stiffness` gives the dense mass and stiffness matrices from
-their closed forms.
+their closed forms. `experiment` runs a benchmark workload (perfbench/
+workloads.py, as checked in) once per session for the tests that share it.
 """
+import importlib.util
+import sys
+from functools import lru_cache
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
@@ -15,6 +21,38 @@ from numpy.polynomial import legendre as npleg
 from chillwave import Field, SchemeParams, assemble_basis, build_step_operator, potential_deriv
 from chillwave.diagnostics import step_energies
 from chillwave.potential import SPEC
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name):
+    """Yield perfbench/<name>.py as imported, in sys.modules until closed."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+@pytest.fixture(scope="session")
+def workloads():
+    yield from load_perfbench("workloads")
+
+
+@pytest.fixture(scope="session")
+def experiment(workloads, tmp_path_factory):
+    """experiment(name) -> (ctx, result): setup(42, dir), then run, once."""
+    @lru_cache(maxsize=None)
+    def get(name):
+        workload = workloads.WORKLOADS[name]
+        ctx = workload.setup(42, str(tmp_path_factory.mktemp(name)))
+        return ctx, workload.run(ctx)
+
+    return get
 
 
 @pytest.fixture(scope="session")

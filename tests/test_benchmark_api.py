@@ -1,43 +1,23 @@
 """The package API that the benchmark in perfbench/ calls.
 
 perfbench/workloads.py is imported as it is checked in and never edited
-here: every workload's set-up runs, and every workload runs once at seed 42
-and passes its own output check. A change that removes or renames what a
-workload uses (`modal_decomposition`, `mean_value`, `Field.coeffs`,
+here: every workload's set-up runs, and its seed-42 run (shared with the
+acceptance criteria) passes its check. A change that removes or renames
+what a workload uses (`modal_decomposition`, `mean_value`, `Field.coeffs`,
 `read_snapshot` with a basis, `run_simulation(cfg, phi_init=, basis=)`,
 `EnergyTrace.read_csv`, `SweepResult.cells` and `ladders`, ...) fails here.
 perfbench/tracer.py, also loaded as checked in, wraps package functions by
 name for `run.py --trace 1`; a package change that breaks a wrapper fails
 the traced run here.
 """
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def load(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    try:
-        spec.loader.exec_module(module)
-        yield module
-    finally:
-        del sys.modules[spec.name]
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    yield from load("workloads")
+from conftest import load_perfbench
 
 
 @pytest.fixture(scope="module")
 def tracer():
-    yield from load("tracer")
+    yield from load_perfbench("tracer")
 
 
 def test_every_workload_sets_up(workloads, tmp_path):
@@ -48,10 +28,9 @@ def test_every_workload_sets_up(workloads, tmp_path):
 
 
 @pytest.mark.parametrize("name", ["trace_m48", "cli_m128", "sweep_c9", "converge_c4"])
-def test_workload_runs_and_passes_its_check(workloads, tmp_path, name):
+def test_workload_runs_and_passes_its_check(workloads, experiment, name):
     workload = workloads.WORKLOADS[name]
-    ctx = workload.setup(42, str(tmp_path))
-    outcome = workload.check(ctx, workload.run(ctx))
+    outcome = workload.check(*experiment(name))
     assert outcome.attempted == workload.attempts
     assert outcome.failed == 0
 

@@ -122,6 +122,7 @@ CONVERGE_CFG = dict(M=8, eps=0.25, gamma=1e-3, tau=0.01, T=0.02, scheme="SL_BDF2
     ("tau_list", 5), ("tau_list", []), ("tau_list", [0.01, "0.005"]),
     ("tau_list", [float("inf")]), ("tau_list", [0.01, -0.005]), ("tau_list", [0.01, 0.01]),
     ("tau_ref", "0.05"), ("tau_ref", float("inf")), ("tau_ref", 0.0), ("tau_ref", None),
+    ("tau_ref", 0.02),  # coarser than the finest tau, 0.005
 ])
 def test_converge_rejects_bad_taus(tmp_path, capsys, key, value):
     cfg_path = tmp_path / "conv.json"
@@ -324,3 +325,21 @@ def test_config_out_dir_must_be_a_string(tmp_path, capsys, monkeypatch, command,
     rc = main([command, "--config", str(cfg_path)])
     assert_one_line_error(capsys, rc, "out_dir")
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("command", ["run", "sweep", "converge", "prepare-initial"])
+def test_seed_outside_64_bits_is_an_error(tmp_path, capsys, command, seed):
+    out = tmp_path / "out"
+    if command == "prepare-initial":
+        args = ["--M", "8", "--eps", "0.25", "--seed", str(seed), "--out", str(out)]
+    else:
+        cfg = {
+            "run": dict(RUN_CFG, seed=seed),
+            "sweep": dict(SWEEP_CFG, base=dict(SWEEP_CFG["base"], seed=seed)),
+            "converge": dict(CONVERGE_CFG, seed=seed),
+        }[command]
+        write_json(tmp_path / "config.json", cfg)
+        args = ["--config", str(tmp_path / "config.json"), "--out-dir", str(out)]
+    assert_one_line_error(capsys, main([command, *args]), "seed", str(seed))
+    assert not out.exists()

@@ -71,6 +71,14 @@ def test_splitmix64_seed42_first_output():
     assert int(splitmix64(42, 1)[0]) == 0xBDD732262FEB6E95
 
 
+def test_splitmix64_rejects_seed_outside_64_bits():
+    # a masked seed would alias: 2^64 would give seed 0's stream
+    assert [int(v) for v in splitmix64(2**64 - 1, 3)] == splitmix_ref(2**64 - 1, 3)
+    for seed in (-1, 2**64, 42.0):
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\^64\)"):
+            splitmix64(seed, 1)
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="stated reference value 0x13F5E66F2F16F199 does not match "
@@ -226,6 +234,16 @@ def test_run_simulation_snapshot_cadence(basis8):
                      A=0.25, B=8.0, seed=5, snapshot_every=4)
     _, _, snaps2 = run_simulation(cfg2, basis=basis8)
     assert [n for n, _, _ in snaps2] == [4, 6]  # final step always included
+
+
+def test_trace_time_is_step_times_tau(basis8):
+    # a running sum of 0.01 is 0.09999999999999999 after 10 steps
+    cfg = RunConfig(M=8, eps=0.25, gamma=1.0, tau=0.01, T=1.0, scheme="SL_CN",
+                    A=0.25, B=8.0, seed=5, snapshot_every=10)
+    trace, _, snaps = run_simulation(cfg, basis=basis8)
+    assert len(trace) == 100
+    assert (trace.rows["t"] == trace.rows["n"] * cfg.tau).all()
+    assert [t for _, t, _ in snaps] == [n * cfg.tau for n, _, _ in snaps]
 
 
 def test_run_trace_csv_deterministic(tmp_path, basis8):
@@ -460,6 +478,14 @@ def test_convergence_requires_divisible_tau():
     cfg = RunConfig(M=8, eps=0.25, gamma=1e-3, tau=0.01, T=0.05, scheme="SL_BDF2")
     with pytest.raises(ValueError):
         convergence_study(cfg, [0.03], 0.01)
+
+
+def test_convergence_rejects_a_coarser_reference():
+    # a tau_ref above the finest tau gave negative "orders"; equal is allowed
+    cfg = RunConfig(M=8, eps=0.25, gamma=1e-3, tau=0.01, T=0.04, scheme="SL_BDF2",
+                    A=0.25, B=8.0, seed=11)
+    with pytest.raises(ValueError, match="tau_ref = 0.02 is coarser"):
+        convergence_study(cfg, [0.01, 0.005], 0.02)
 
 
 def test_convergence_orders_near_two():
