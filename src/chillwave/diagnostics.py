@@ -36,7 +36,8 @@ import numpy as np
 
 from .errors import MeanNotZero
 from .field2d import (
-    Field, h1_seminorm_sq, hminus1_norm, inner_l2, mean_value, modal_mean, write_rows,
+    Field, _same_basis, h1_seminorm_sq, hminus1_norm, inner_l2, mean_value, modal_mean,
+    write_rows,
 )
 from .potential import SPEC, potential_value
 from .timestepping import StepOperator
@@ -135,8 +136,7 @@ def error_norms(u: Field, v: Field) -> tuple[float, float, float]:
     zero-mean difference); the residual mean, pure roundoff at that point,
     is removed from the difference before the Neumann solve.
     """
-    if u.basis is not v.basis:
-        raise ValueError("fields must share one Basis1D instance")
+    _same_basis(u, v)
     if abs(mean_value(u) - mean_value(v)) > 1e-9:
         raise MeanNotZero(
             f"mean(u) - mean(v) = {mean_value(u) - mean_value(v):.3e} exceeds 1e-9"

@@ -341,7 +341,8 @@ class SweepResult:
     @property
     def ladders(self) -> dict[tuple[float, float], list[float]]:
         """(gamma, tau) -> the ladder the cell walks."""
-        return {(gamma, tau): _ladder(self.config, gamma) for gamma, tau in self._runs()}
+        cfg = self.config
+        return {(gamma, tau): _ladder(cfg, gamma) for gamma in cfg.gamma_list for tau in cfg.tau_list}
 
     @property
     def anomalies(self) -> list[str]:
@@ -356,17 +357,16 @@ class SweepResult:
         return notes
 
     def cell_text(self, gamma: float, tau: float) -> str:
-        value = self.cells[(gamma, tau)]
-        if value is None:
-            return ">" + _num(_ladder(self.config, gamma)[-1])
-        return _num(value)
+        return _cell_text(self.config, gamma, self.cells[(gamma, tau)])
 
     def write_csv(self, path) -> None:
         """Wide layout mirroring the reference tables: one row per tau,
         one column per gamma."""
-        gammas = self.config.gamma_list
+        cfg, cells = self.config, self.cells
+        gammas = cfg.gamma_list
         write_rows(path, "tau," + ",".join(f"gamma={_num(g)}" for g in gammas), (
-            [_num(tau)] + [self.cell_text(g, tau) for g in gammas] for tau in self.config.tau_list
+            [_num(tau)] + [_cell_text(cfg, g, cells[(g, tau)]) for g in gammas]
+            for tau in cfg.tau_list
         ), cell=str)
 
     def write_log_csv(self, path) -> None:
@@ -379,6 +379,11 @@ class SweepResult:
 def _num(x: float) -> str:
     # integers print bare (0, 2, 640); everything else shortest round-trip
     return str(int(x)) if float(x).is_integer() and abs(x) < 1e15 else repr(float(x))
+
+
+def _cell_text(sc: SweepConfig, gamma: float, value: float | None) -> str:
+    # a cell's minimum, or ">" and the top of its ladder when it has none
+    return ">" + _num(_ladder(sc, gamma)[-1]) if value is None else _num(value)
 
 
 def _candidate_config(sc: SweepConfig, gamma: float, tau: float, candidate: float) -> RunConfig:

@@ -6,9 +6,10 @@ Taylor expansion at +-p. The continuation keeps F in C^2, makes f = F'
 globally Lipschitz, and leaves the wells at +-1 untouched.
 
 All evaluators accept scalars or numpy arrays and are pure functions.
-Each tests the range |u| <= p by one reduction of u^2, which a NaN fails;
-`cube_in_range` gives the step its load's cubic f(u) + u = u^3 when the
-whole array passes.
+`potential_deriv` is the closed form of f, with no test of the range.
+`potential_value` and `cube_in_range` test |u| <= p by one reduction of
+u^2, which a NaN fails; `cube_in_range` gives the step its load's cubic
+f(u) + u = u^3 when the whole array passes.
 """
 
 from __future__ import annotations
@@ -60,23 +61,14 @@ def potential_value(spec: PotentialSpec, phi):
 
 
 def potential_deriv(spec: PotentialSpec, phi):
-    """f(phi) = F'(phi): phi^3 - phi, evaluated everywhere, then only the
-    points with |phi| > p are overwritten by the linear continuation
-    c^3 - c + (3 p^2 - 1) (phi - c), c = sign(phi) p."""
-    scalar = np.ndim(phi) == 0
-    x = np.atleast_1d(np.asarray(phi, dtype=float))
+    """f(phi) = F'(phi) in closed form: c^3 - c + L (phi - c) with
+    c = clip(phi, -p, p) and L the outer slope `lipschitz_bound(spec)`;
+    inside [-p, p] the second term is 0 and f is the cubic. A Python
+    number gives an np.float64."""
     p = spec.truncation_point
-    with np.errstate(over="ignore", invalid="ignore"):  # the quartic at huge |phi|
-        out = np.square(x)
-        inside = _inside(out, p)
-        out *= x
-        out -= x
-        if not inside:
-            outside = np.abs(x) > p
-            xo = x[outside]
-            c = np.copysign(p, xo)
-            out[outside] = (np.square(c) * c - c) + (xo - c) * (3.0 * p * p - 1.0)
-    return float(out[0]) if scalar else out
+    c = np.clip(phi, -p, p)
+    with np.errstate(over="ignore"):  # L (phi - c) at |phi| near the float range
+        return (c * c * c - c) + (phi - c) * lipschitz_bound(spec)
 
 
 def cube_in_range(spec: PotentialSpec, x: np.ndarray) -> np.ndarray | None:

@@ -138,8 +138,8 @@ def modal_load(op: StepOperator, w: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """G f(grid) G^T: the 2M-point quadrature of f against each modal basis
     function, the explicit force of every scheme, for the modal field w and
     its 2M grid T w T^T. On a grid inside [-p, p] it is G grid^3 G^T - w
-    (G T = I); any other grid (a point outside, a NaN or an infinity)
-    takes `potential_deriv`."""
+    (G T = I, `cube_in_range`); any other grid (a point outside, a NaN or
+    an infinity) takes f itself, `potential_deriv`'s closed form."""
     G = op.basis.G
     cube = cube_in_range(SPEC, grid)
     if cube is None:
@@ -160,22 +160,17 @@ def march(
     lean march (grids=False, for callers that read only modal states).
     Each step makes new arrays and writes to none that it was given or
     has yielded, so a consumer may keep any of them but must not write to
-    them; it stops early by leaving its loop. On blow-up of the modal
-    coefficients the iteration raises NonFinite after the last finite
-    state (stability sweeps treat that as an unstable verdict).
+    them; it stops early by leaving its loop. A two-level march with grids
+    builds each step's force grid in one buffer of its own. On blow-up of
+    the modal coefficients the iteration raises NonFinite after the last
+    finite state (stability sweeps treat that as an unstable verdict).
     """
     T, xp, cn, cp, cl = op.basis.T, op.xp, op.cn, op.cp, op.cl
     two_level = xp != 0.0  # FIRST_ORDER's x_p and cp are 0: prev is never read
-    P = T.shape[0]
     grid = T @ curr @ T.T if grids else None
     if grids and two_level:
         grid_prev = T @ prev @ T.T
         buf = np.empty_like(grid)  # the grid force, rebuilt in place each step
-    # Freeing one untouched block of 8 grids raises glibc's dynamic mmap and
-    # trim thresholds above the step's grid-sized temporaries; below them the
-    # heap is trimmed and faulted back in every step (0.24 page faults a
-    # step at M = 64 and 56 at M = 128, 1.08x and 1.3x slower).
-    np.empty((8, P, P))
     yield prev, curr, grid
     for _ in range(n_steps):
         new = cn * curr

@@ -90,9 +90,8 @@ def test_deriv_matches_finite_difference(spec):
 
 
 def test_deriv_matches_piecewise_definition(spec):
-    # the masked form (phi^3 - phi everywhere, then the outer branch where
-    # |phi| > p) against the two branches written out, within a few ulp of
-    # max(1, |f|); infinities and NaN map as the branches do
+    # the closed form against the two branches written out, within a few
+    # ulp of max(1, |f|); infinities and NaN map as the branches do
     p = spec.truncation_point
     rng = np.random.default_rng(1)
     phi = np.concatenate([rng.uniform(-6.0, 6.0, 2000), [-p, p, 0.0, -1.0, 1.0, 1e300, -1e300]])
@@ -101,11 +100,51 @@ def test_deriv_matches_piecewise_definition(spec):
         ref = np.where(np.abs(phi) <= p, phi**3 - phi, outer)
     f = potential_deriv(spec, phi)
     assert np.all(np.abs(f - ref) <= 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(ref)))
-    # a NaN fails the range test, one reduction of phi^2, so the outer
-    # point beside it still takes the outer branch
+    # the outer point beside a NaN still takes the outer branch
     special = potential_deriv(spec, np.array([np.inf, -np.inf, np.nan, 3.0]))
     assert special[0] == np.inf and special[1] == -np.inf and np.isnan(special[2])
     assert special[3] == pytest.approx(17.0, rel=1e-15)
+
+
+def masked_deriv_reference(spec, phi):
+    # the former production f: phi^3 - phi everywhere, then the points with
+    # |phi| > p overwritten by the outer branch
+    scalar = np.ndim(phi) == 0
+    x = np.atleast_1d(np.asarray(phi, dtype=float))
+    p = spec.truncation_point
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.square(x)
+        inside = not out.size or out.max() <= p * p
+        out *= x
+        out -= x
+        if not inside:
+            outside = np.abs(x) > p
+            xo = x[outside]
+            c = np.copysign(p, xo)
+            out[outside] = (np.square(c) * c - c) + (xo - c) * (3.0 * p * p - 1.0)
+    return float(out[0]) if scalar else out
+
+
+@pytest.mark.parametrize("p", [2.0, 1.5])
+def test_deriv_closed_form_matches_masked_form_bitwise(p):
+    # bit for bit, NaN matching NaN, on random points, the joints and their
+    # neighbours, signed zeros, the extremes of the float range (where
+    # L (phi - c) overflows) and the smallest subnormal
+    spec = PotentialSpec(p)
+    joints = [s * q for s in (-1.0, 1.0) for q in (np.nextafter(p, 0.0), p, np.nextafter(p, 3.0))]
+    special = joints + [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 1.7e308, -1.7e308,
+                        5e-324, -5e-324]
+    rng = np.random.default_rng(5)
+    phi = np.concatenate([rng.uniform(-6.0, 6.0, 100_000), special])
+    got, want = potential_deriv(spec, phi), masked_deriv_reference(spec, phi)
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+    for x in special:
+        a, b = potential_deriv(spec, x), masked_deriv_reference(spec, x)
+        assert isinstance(a, float)
+        bits = np.array([a, b]).view(np.int64)
+        assert np.isnan(a) and np.isnan(b) or bits[0] == bits[1]
 
 
 def test_cube_in_range(spec):
