@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import sys
 from dataclasses import asdict
 
@@ -54,17 +55,18 @@ def _cmd_run(args) -> int:
     out = _ensure_dir(args.out_dir or cfg.out_dir or ".")
     trace.write_csv(os.path.join(out, "trace.csv"))
     for n, t, u in snapshots:
-        write_snapshot(
-            u, os.path.join(out, f"snapshot_{n:06d}.csv"),
-            eps=cfg.eps, gamma=cfg.gamma, t=t, step=n,
-        )
+        path = os.path.join(out, f"snapshot_{n:06d}.csv")
+        write_snapshot(u, path, eps=cfg.eps, gamma=cfg.gamma, t=t, step=n)
     rows = trace.rows
     ran = len(rows) > 0  # a blow-up in the bootstrap leaves no row
-    write_snapshot(
-        final, os.path.join(out, "final_field.csv"),
-        eps=cfg.eps, gamma=cfg.gamma,
-        t=rows["t"][-1] if ran else 0.0, step=rows["n"][-1] if ran else 0,
-    )
+    final_path = os.path.join(out, "final_field.csv")
+    if snapshots and snapshots[-1][0] == rows["n"][-1]:
+        shutil.copyfile(path, final_path)  # the last snapshot holds the final field
+    else:
+        write_snapshot(
+            final, final_path, eps=cfg.eps, gamma=cfg.gamma,
+            t=rows["t"][-1] if ran else 0.0, step=rows["n"][-1] if ran else 0,
+        )
     summary = {
         "config": asdict(cfg),
         "steps_completed": len(trace),

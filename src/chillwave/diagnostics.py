@@ -16,12 +16,20 @@ where dt phi^n = phi^n - phi^{n-1} and L is the Lipschitz bound of
 (mass I, stiffness sigma) every term but the bulk one is a sum over modes:
 
     |grad u|^2 = sum sigma v^2,  ||u||^2 = sum v^2,
-    ||u||_-1^2 = sum_{sigma > 0} v^2 / sigma,  int F(u) = w^T F(grid) w.
+    ||u||_-1^2 = sum_{sigma > 0} v^2 / sigma.
 
 Both history corrections are then one weighted sum, sum hw (dt v)^2.
 The per-mode weights hw and grad = eps sigma / 2 are the step operator's
 (`build_step_operator`), so `step_energies` reads a trace row off the
-operator and a state of `march`.
+operator and a state of `march`. The bulk term is w^T F(g) w for the grid
+g of v and the 2M Gauss weights w. On a grid inside [-p, p] F is the
+quartic u^4/4 - u^2/2 + 1/4, and the rule, exact to degree 4M - 1,
+integrates u^2 exactly, so there
+
+    int F(u) = 1/4 w^T (g^2)^2 w - 1/2 sum v^2 + 1      (|Omega| / 4 = 1);
+
+any other grid (a node outside, a NaN or an infinity) takes the
+quadrature of `potential_value`.
 
 A run's record is data: an EnergyTrace holds one record array with a row
 per step (TRACE_DTYPE), and the stability verdict is an expression on
@@ -39,7 +47,7 @@ from .field2d import (
     Field, _same_basis, h1_seminorm_sq, hminus1_norm, inner_l2, mean_value, modal_mean,
     write_rows,
 )
-from .potential import SPEC, potential_value
+from .potential import SPEC, _inside, potential_value
 from .timestepping import StepOperator
 
 TRACE_DTYPE = np.dtype([("n", np.int64)] + [
@@ -109,11 +117,17 @@ def step_energies(
     if op.hw is None:
         raise ValueError("modified energy is defined for SL_CN and SL_BDF2 only")
     w = op.basis.weights_2M
-    bulk = float(w @ potential_value(SPEC, grid) @ w)
+    with np.errstate(over="ignore"):  # g^2 at huge |g|
+        sq = np.square(grid)
+    if _inside(sq, SPEC.truncation_point):  # F = u^4/4 - u^2/2 + 1/4, |Omega| = 4
+        sq *= sq
+        bulk = 0.25 * float(w @ sq @ w) - 0.5 * float(np.vdot(curr, curr)) + 1.0
+    else:
+        bulk = float(w @ potential_value(SPEC, grid) @ w)
     e = float(np.vdot(op.grad, curr * curr)) + bulk / op.params.eps
     diff = curr - prev
+    dt_sq = float(np.vdot(diff, diff))
     diff *= diff
-    dt_sq = float(np.sum(diff))
     return e, e + float(np.vdot(op.hw, diff)), dt_sq, modal_mean(op.basis, curr)
 
 

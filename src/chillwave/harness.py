@@ -356,9 +356,6 @@ class SweepResult:
                              f"verdicts {stable.tolist()}")
         return notes
 
-    def cell_text(self, gamma: float, tau: float) -> str:
-        return _cell_text(self.config, gamma, self.cells[(gamma, tau)])
-
     def write_csv(self, path) -> None:
         """Wide layout mirroring the reference tables: one row per tau,
         one column per gamma."""

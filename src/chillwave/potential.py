@@ -7,8 +7,9 @@ globally Lipschitz, and leaves the wells at +-1 untouched.
 
 All evaluators accept scalars or numpy arrays and are pure functions.
 `potential_deriv` is the closed form of f, with no test of the range.
-`potential_value` and `cube_in_range` test |u| <= p by one reduction of
-u^2, which a NaN fails; `cube_in_range` gives the step its load's cubic
+`potential_value` and `cube_in_range` (and `diagnostics.step_energies`,
+for its closed-form bulk energy) test |u| <= p by one reduction of u^2,
+which a NaN fails; `cube_in_range` gives the step its load's cubic
 f(u) + u = u^3 when the whole array passes.
 """
 

@@ -90,7 +90,7 @@ class Basis1D:
     sigma[k, j] = lam[k] + lam[j] and, per Gauss node set P with M x P
     basis table eval_P and weights w_P, the grid map T_P = eval_P^T E
     (grid = T_P v T_P^T) and the fit G_P = E^T eval_P diag(w_P) (v = G_P g
-    G_P^T; the modal load G f(grid) G^T on the 2M set). T and G are the 2M
+    G_P^T; the modal load G c(grid) G^T on the 2M set). T and G are the 2M
     maps, T_M and G_M the M ones. Every array is read-only, and
     `replace(basis, E=...)` re-checks the new pair and re-derives the maps.
     """

@@ -13,21 +13,24 @@ lam_k + lam_j. A field is stored in these modal coordinates (`Field.v`),
 and `march` takes, steps and yields them. Eliminating mu from
 R1 = r_n v^n + r_p v^{n-1} and R2 = load / eps + s sigma v^n -
 B (y_n v^n + y_p v^{n-1}) leaves three per-mode weights, built once per
-operator (see `build_step_operator`), and the explicit force at the
-extrapolated field w = v^n + x_p (v^{n-1} - v^n), whose modal load is
-G f(g) G^T for its grid g = T w T^T on the 2M x 2M Gauss nodes
-(T = eval_2M^T E, G = E^T (eval_2M w_2M), f from `potential.SPEC`):
+operator (see `build_step_operator`), and the explicit force f(w) at the
+extrapolated field w = x_n v^n + x_p v^{n-1}, x_n = 1 - x_p, on its grid
+g = T w T^T on the 2M x 2M Gauss nodes (T = eval_2M^T E,
+G = E^T (eval_2M w_2M), f from `potential.SPEC`). Writing f(g) = c(g) - g
+and using G g G^T = w (G T = I), the -w joins the weights of v^n and
+v^{n-1}, and a step is
 
-    v^{n+1} = cn v^n + cp v^{n-1} + cl G f(T w T^T) G^T
+    v^{n+1} = cn v^n + cp v^{n-1} + cl G c(T w T^T) G^T
 
 with the per-scheme coefficients of `_TABLE` (SL_CN stabilizes B on
 2 phi^n - phi^{n-1} but extrapolates f at 1.5 phi^n - 0.5 phi^{n-1};
-FIRST_ORDER has x_p = cp = 0 and reads only v^n). Inside [-p, p] f is
-the cubic, and G T = I, so the load is G g^3 G^T - w (`modal_load`). A
-step is one load and one new grid: 4 dense matmuls. With grids (the
-default) `march` keeps the grid g^n = T v^n T^T of each level and builds
-g as g^n + x_p (g^{n-1} - g^n); a lean march (grids=False), for callers
-that read only the modal pairs, transforms w itself and keeps no grid.
+FIRST_ORDER has x_p = cp = 0 and reads only v^n). Inside [-p, p] c is
+the cube, so the load is G g^3 G^T (`modal_load`). A step is one load
+and one new grid: 4 dense matmuls. With grids (the default) `march` keeps
+the grid g^n = T v^n T^T of each level, builds g as
+g^n + x_p (g^{n-1} - g^n) and never forms w; a lean march (grids=False),
+for callers that read only the modal pairs, forms w only to transform it
+and keeps no grid.
 sigma, T and G are the basis's (see Basis1D). A `_TABLE` row also holds
 its scheme's modified-energy constants (h_1, h_L), from which the
 operator keeps the energy weights that `diagnostics.step_energies`
@@ -92,10 +95,12 @@ class SchemeParams:
 @dataclass
 class StepOperator:
     """Pre-built constant-coefficient modal solver, reusable across steps:
-    the per-mode weights of v^{n+1} = cn v^n + cp v^{n-1} + cl load and the
-    force's extrapolation weight x_p; and the per-mode weights of its
-    scheme's modified energy, grad = eps sigma / 2 and the history weight
-    hw (None for FIRST_ORDER, which has no modified energy)."""
+    the per-mode weights of v^{n+1} = cn v^n + cp v^{n-1} + cl load, with
+    load = G c(g) G^T (`modal_load`) and cn, cp carrying the -w of
+    f(g) = c(g) - g, and the force's extrapolation weight x_p; and the
+    per-mode weights of its scheme's modified energy, grad = eps sigma / 2
+    and the history weight hw (None for FIRST_ORDER, which has no modified
+    energy)."""
 
     params: SchemeParams
     basis: Basis1D
@@ -119,9 +124,10 @@ def build_step_operator(params: SchemeParams, basis: Basis1D) -> StepOperator:
     hw = None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         denom = a + gamma_sigma * (c * sigma + B)  # >= a > 0 per mode pair
-        cn = (rn - gamma_sigma * (s * sigma - B * yn)) / denom
-        cp = (rp + gamma_sigma * B * yp) / denom
         cl = -gamma_sigma / (p.eps * denom)
+        # f(w) = c(w) - w with w = x_n v^n + x_p v^{n-1}: the -w joins cn, cp
+        cn = (rn - gamma_sigma * (s * sigma - B * yn)) / denom - cl * (1.0 - xp)
+        cp = (rp + gamma_sigma * B * yp) / denom - cl * xp
         if h is not None:
             hm1 = np.divide(h[0], p.tau * p.gamma * sigma,
                             out=np.zeros_like(sigma), where=h[0] * sigma > 0.0)
@@ -134,19 +140,18 @@ def build_step_operator(params: SchemeParams, basis: Basis1D) -> StepOperator:
     return StepOperator(p, basis, xp, cn, cp, cl, 0.5 * p.eps * sigma, hw)
 
 
-def modal_load(op: StepOperator, w: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """G f(grid) G^T: the 2M-point quadrature of f against each modal basis
-    function, the explicit force of every scheme, for the modal field w and
-    its 2M grid T w T^T. On a grid inside [-p, p] it is G grid^3 G^T - w
-    (G T = I, `cube_in_range`); any other grid (a point outside, a NaN or
-    an infinity) takes f itself, `potential_deriv`'s closed form."""
+def modal_load(op: StepOperator, grid: np.ndarray) -> np.ndarray:
+    """G c(grid) G^T for the 2M grid of the force w, with c(g) = f(g) + g:
+    the 2M-point quadrature of f against each modal basis function plus w
+    (G T = I), whose -w the folded weights cn, cp carry. On a grid inside
+    [-p, p] c is the cube (`cube_in_range`); any other grid (a point
+    outside, a NaN or an infinity) takes `potential_deriv`'s f plus the
+    grid."""
     G = op.basis.G
     cube = cube_in_range(SPEC, grid)
     if cube is None:
-        return G @ potential_deriv(SPEC, grid) @ G.T
-    load = G @ cube @ G.T
-    load -= w
-    return load
+        return G @ (potential_deriv(SPEC, grid) + grid) @ G.T
+    return G @ cube @ G.T
 
 
 def march(
@@ -175,18 +180,19 @@ def march(
     for _ in range(n_steps):
         new = cn * curr
         w, force = curr, grid
-        if two_level:  # the force x_n v^n + x_p v^{n-1}, and with grids its grid
+        if two_level:  # the force x_n v^n + x_p v^{n-1}, as a grid or (lean) as modes
             new += cp * prev
-            w = prev - curr
-            w *= xp
-            w += curr
             if grids:
                 force = np.subtract(grid_prev, grid, out=buf)
                 force *= xp
                 force += grid
+            else:
+                w = prev - curr
+                w *= xp
+                w += curr
         if not grids:
             force = T @ w @ T.T
-        load = modal_load(op, w, force)
+        load = modal_load(op, force)
         load *= cl
         new += load
         if not np.abs(new).max() <= BLOWUP_LIMIT:  # NaN fails the comparison too

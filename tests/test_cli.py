@@ -5,8 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from chillwave import __version__, mean_value, read_snapshot
+from chillwave import __version__, cli, mean_value, read_snapshot, run_simulation, write_snapshot
 from chillwave.cli import build_parser, main
+from chillwave.harness import run_config_from_dict
 
 
 def write_json(path, obj):
@@ -73,6 +74,48 @@ def test_run_final_field_matches_last_snapshot(tmp_path):
     u_last, meta_last = read_snapshot(out / "snapshot_000005.csv")
     np.testing.assert_array_equal(u_final.coeffs, u_last.coeffs)
     assert meta_final == meta_last
+
+
+def final_field_bytes(tmp_path, cfg):
+    # final_field.csv as write_snapshot formats the run's final field
+    trace, final, _ = run_simulation(run_config_from_dict(cfg))
+    ref = tmp_path / "ref.csv"
+    write_snapshot(final, ref, eps=cfg["eps"], gamma=cfg["gamma"],
+                   t=trace.rows["t"][-1], step=trace.rows["n"][-1])
+    return ref.read_bytes()
+
+
+def test_run_final_field_copies_the_last_snapshot(tmp_path, monkeypatch):
+    # the last snapshot holds the final step: final_field.csv is its copy,
+    # byte for byte what formatting the final field writes, with one
+    # write_snapshot call fewer
+    cfg = dict(RUN_CFG, snapshot_every=2)
+    write_json(tmp_path / "run.json", cfg)
+    written = []
+    monkeypatch.setattr(cli, "write_snapshot", lambda u, path, **kw: (
+        written.append(path), write_snapshot(u, path, **kw)))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(tmp_path / "run.json"), "--out-dir", str(out)]) == 0
+    assert [p.rsplit("/", 1)[-1] for p in written] == [
+        "snapshot_000002.csv", "snapshot_000004.csv", "snapshot_000005.csv"]
+    final = (out / "final_field.csv").read_bytes()
+    assert final == (out / "snapshot_000005.csv").read_bytes()
+    assert final == final_field_bytes(tmp_path, cfg)
+
+
+def test_run_final_field_formatted_after_a_blow_up(tmp_path):
+    # the run blows up at step 8: its last good step, 7, is no snapshot
+    # step (2, 4, 6), so final_field.csv formats the final field itself
+    cfg = dict(M=16, eps=0.05, gamma=0.0025, tau=1.0, T=100.0, scheme="SL_BDF2", seed=1,
+               snapshot_every=2)
+    write_json(tmp_path / "run.json", cfg)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(tmp_path / "run.json"), "--out-dir", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["blowup_step"] == 8
+    assert sorted(p.name for p in out.glob("snapshot_*.csv")) == [
+        "snapshot_000002.csv", "snapshot_000004.csv", "snapshot_000006.csv"]
+    assert read_snapshot(out / "final_field.csv")[1]["step"] == 7
+    assert (out / "final_field.csv").read_bytes() == final_field_bytes(tmp_path, cfg)
 
 
 def test_run_deterministic_outputs(tmp_path):

@@ -6,6 +6,7 @@ from chillwave import (
     Field,
     MeanNotZero,
     SchemeParams,
+    build_step_operator,
     error_norms,
     hminus1_norm,
     mean_value,
@@ -14,6 +15,8 @@ from chillwave import (
     stability_verdict,
 )
 from chillwave.diagnostics import TRACE_DTYPE, TRACE_HEADER, step_energies
+from chillwave.harness import random_nodal_field
+from chillwave.potential import SPEC
 from conftest import (
     energy_eps,
     field_energies,
@@ -138,6 +141,49 @@ def test_step_energies_history_terms(basis8):
         assert got[1] == pytest.approx(e_mod, rel=1e-12)
         assert got[2] == pytest.approx(dt_sq, rel=1e-12)
         assert got[3] == pytest.approx(mean_value(curr), abs=1e-15)
+
+
+def quadrature_energies(op, prev, curr, grid):
+    # step_energies with its bulk term the 2M-point quadrature of F,
+    # potential_value, on every grid: the rule it keeps off [-p, p]
+    w = op.basis.weights_2M
+    bulk = float(w @ potential_value(SPEC, grid) @ w)
+    e = float(np.vdot(op.grad, curr * curr)) + bulk / op.params.eps
+    diff = curr - prev
+    return e, e + float(np.vdot(op.hw, diff * diff)), float(np.vdot(diff, diff)), \
+        mean_value(Field(op.basis, curr))
+
+
+@pytest.mark.parametrize("M", [8, 16])
+def test_step_energies_closed_form_bulk_and_fallback(M, basis8, basis16):
+    # inside [-p, p] the bulk term is 1/4 w^T g^4 w - 1/2 sum v^2 + 1, equal
+    # to the quadrature of F up to roundoff; with a node outside, a NaN or
+    # an infinity it is that quadrature, bit for bit
+    basis = basis8 if M == 8 else basis16
+    params = SchemeParams("SL_BDF2", tau=0.01, gamma=0.0025, eps=0.05, A=1.0, B=220.0)
+    op = build_step_operator(params, basis)
+    curr = random_nodal_field(basis, 31).v
+    prev = curr + 0.01 * random_nodal_field(basis, 32).v
+    grid = basis.T @ curr @ basis.T.T
+    assert 1.0 < np.abs(grid).max() <= SPEC.truncation_point
+    np.testing.assert_allclose(step_energies(op, prev, curr, grid),
+                               quadrature_energies(op, prev, curr, grid), rtol=1e-13, atol=0)
+    for bad in (2.5, -2.5, np.nan, np.inf, 1e200):
+        off = grid.copy()
+        off[2, 3] = bad
+        np.testing.assert_array_equal(step_energies(op, prev, curr, off),
+                                      quadrature_energies(op, prev, curr, off))
+
+
+def test_trace_m48_energy_is_the_quadrature_of_its_final_field(experiment):
+    # the last E_eps of the cached trace_m48 run, an in-range field, against
+    # the quadrature of F on the grid of its final field
+    ctx, (trace, final, _) = experiment("trace_m48")
+    op = build_step_operator(ctx.cfg.scheme_params(ctx.cfg.tau), final.basis)
+    grid = final.basis.T @ final.v @ final.basis.T.T
+    assert np.abs(grid).max() <= SPEC.truncation_point
+    want = quadrature_energies(op, final.v, final.v, grid)[0]
+    assert trace.rows["E_eps"][-1] == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_modified_energy_exceeds_energy_eps(basis8):

@@ -311,24 +311,26 @@ def test_sweep_config_validation():
             run_config_from_dict(not_an_object)
 
 
-def test_sweep_stable_at_zero_returns_zero():
+def test_sweep_stable_at_zero_returns_zero(tmp_path):
     base = RunConfig(M=8, eps=0.25, gamma=1.0, tau=4e-5, T=64 * 4e-5,
                      scheme="SL_BDF2", seed=9)
     sc = SweepConfig(base=base, target="A", gamma_list=[1.0], tau_list=[4e-5], steps=64)
     res = sweep_min_stabilizer(sc)
     assert res.cells[(1.0, 4e-5)] == 0.0
-    assert res.cell_text(1.0, 4e-5) == "0"
+    res.write_csv(tmp_path / "sweep.csv")
+    assert (tmp_path / "sweep.csv").read_text() == "tau,gamma=1\n4e-05,0\n"
     assert res.anomalies == []
 
 
-def test_sweep_ladder_exhaustion_marker():
+def test_sweep_ladder_exhaustion_marker(tmp_path):
     base = RunConfig(M=8, eps=0.05, gamma=0.0025, tau=1.0, T=64.0,
                      scheme="SL_BDF2", seed=9)
     sc = SweepConfig(base=base, target="A", gamma_list=[0.0025], tau_list=[1.0],
                      ladder=[0.0, 1e-6], steps=64)
     res = sweep_min_stabilizer(sc)
     assert res.cells[(0.0025, 1.0)] is None
-    assert res.cell_text(0.0025, 1.0) == ">1e-06"
+    res.write_csv(tmp_path / "sweep.csv")
+    assert (tmp_path / "sweep.csv").read_text() == "tau,gamma=0.0025\n1,>1e-06\n"
 
 
 def test_sweep_csv_layout(tmp_path):
@@ -343,7 +345,7 @@ def test_sweep_csv_layout(tmp_path):
     assert lines[1].startswith("4e-05,")
 
 
-def test_sweep_result_reads_cells_and_anomalies_off_its_log():
+def test_sweep_result_reads_cells_and_anomalies_off_its_log(tmp_path):
     # a result is its config plus its log: no run is needed to derive the
     # cells, the ladders, the ">X" text and a non-monotone full scan
     from chillwave.harness import SWEEP_LOG_DTYPE, SweepResult
@@ -364,7 +366,8 @@ def test_sweep_result_reads_cells_and_anomalies_off_its_log():
     res = SweepResult(sc, log.view(np.recarray))
     assert res.cells == {(1.0, 0.1): 1.0, (2.0, 0.1): None}
     assert res.ladders == {(1.0, 0.1): [0.0, 1.0, 2.0], (2.0, 0.1): [0.0, 1.0, 2.0]}
-    assert [res.cell_text(g, 0.1) for g in (1.0, 2.0)] == ["1", ">2"]
+    res.write_csv(tmp_path / "sweep.csv")
+    assert (tmp_path / "sweep.csv").read_text() == "tau,gamma=1,gamma=2\n0.1,1,>2\n"
     assert res.anomalies == [
         "non-monotone ladder at gamma=1.0 tau=0.1: verdicts [False, True, False]"
     ]

@@ -353,22 +353,24 @@ def test_first_order_never_reads_prev(basis8):
 
 
 def test_modal_load_cubic_and_fallback(basis8, spec):
-    # inside [-p, p] the load is G g^3 G^T - w, the quadrature of f up to
-    # roundoff; a grid with a point outside, a NaN or an infinity is the
-    # quadrature of potential_deriv's f, bit for bit
+    # the load is G c(g) G^T with c(g) = f(g) + g: inside [-p, p] it is
+    # G g^3 G^T bit for bit, and less w it is the quadrature of f up to
+    # roundoff (G T = I); a grid with a point outside, a NaN or an
+    # infinity is G (f(g) + g) G^T with potential_deriv's f, bit for bit
     op = build_step_operator(SchemeParams("SL_CN", tau=1.0, gamma=1.0, eps=1.0), basis8)
     T, G = basis8.T, basis8.G
     w = random_nodal_field(basis8, 13).v
     g = T @ w @ T.T
     assert np.abs(g).max() <= spec.truncation_point
-    np.testing.assert_allclose(modal_load(op, w, g), G @ potential_deriv(spec, g) @ G.T,
+    np.testing.assert_array_equal(modal_load(op, g), G @ (g * g * g) @ G.T)
+    np.testing.assert_allclose(modal_load(op, g) - w, G @ potential_deriv(spec, g) @ G.T,
                                rtol=0, atol=1e-13)
     for bad in (2.5, -2.5, np.nan, np.inf, -np.inf):
         off = g.copy()
         off[3, 5] = bad
         with np.errstate(invalid="ignore"):  # inf - inf inside the matmuls
-            got = modal_load(op, w, off)
-            want = G @ potential_deriv(spec, off) @ G.T
+            got = modal_load(op, off)
+            want = G @ (potential_deriv(spec, off) + off) @ G.T
         np.testing.assert_array_equal(got, want)
 
 
