@@ -11,8 +11,6 @@ from .errors import (
     SolveFailed,
 )
 from .potential import (
-    PotentialSpec,
-    lipschitz_bound,
     potential_deriv,
     potential_value,
 )

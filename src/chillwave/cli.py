@@ -67,6 +67,7 @@ def _cmd_run(args) -> int:
             final, final_path, eps=cfg.eps, gamma=cfg.gamma,
             t=rows["t"][-1] if ran else 0.0, step=rows["n"][-1] if ran else 0,
         )
+    coeffs = np.abs(final.coeffs)  # the tail: Legendre modes with max(k, j) >= M - 4
     summary = {
         "config": asdict(cfg),
         "steps_completed": len(trace),
@@ -84,6 +85,7 @@ def _cmd_run(args) -> int:
         "final_E_mod": float(rows["E_mod"][-1]) if ran else None,
         "max_dE_mod": float(rows["dE_mod"].max()) if ran else None,
         "mean_drift": float(np.abs(rows["mean"] - rows["mean"][0]).max()) if ran else None,
+        "spectral_tail": float(max(coeffs[cfg.M - 4:].max(), coeffs[:, cfg.M - 4:].max())),
     }
     with open(os.path.join(out, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

@@ -11,8 +11,8 @@ non-increasing:
     SL_BDF2   E_B^n = E_eps(phi^n) + 1/(4 tau gamma) ||dt phi^n||_-1^2
                       + (L/(2 eps) + B/2) ||dt phi^n||^2
 
-where dt phi^n = phi^n - phi^{n-1} and L is the Lipschitz bound of
-`potential.SPEC`. In the modal coordinates v of a Field and of `march`
+where dt phi^n = phi^n - phi^{n-1} and L = `potential.L` is the Lipschitz
+constant of f. In the modal coordinates v of a Field and of `march`
 (mass I, stiffness sigma) every term but the bulk one is a sum over modes:
 
     |grad u|^2 = sum sigma v^2,  ||u||^2 = sum v^2,
@@ -22,9 +22,9 @@ Both history corrections are then one weighted sum, sum hw (dt v)^2.
 The per-mode weights hw and grad = eps sigma / 2 are the step operator's
 (`build_step_operator`), so `step_energies` reads a trace row off the
 operator and a state of `march`. The bulk term is w^T F(g) w for the grid
-g of v and the 2M Gauss weights w. On a grid inside [-p, p] F is the
-quartic u^4/4 - u^2/2 + 1/4, and the rule, exact to degree 4M - 1,
-integrates u^2 exactly, so there
+g of v and the 2M Gauss weights w. On a grid inside [-P, P]
+(`potential.square_in_range`) F is the quartic u^4/4 - u^2/2 + 1/4, and
+the rule, exact to degree 4M - 1, integrates u^2 exactly, so there
 
     int F(u) = 1/4 w^T (g^2)^2 w - 1/2 sum v^2 + 1      (|Omega| / 4 = 1);
 
@@ -47,7 +47,7 @@ from .field2d import (
     Field, _same_basis, h1_seminorm_sq, hminus1_norm, inner_l2, mean_value, modal_mean,
     write_rows,
 )
-from .potential import SPEC, _inside, potential_value
+from .potential import potential_value, square_in_range
 from .timestepping import StepOperator
 
 TRACE_DTYPE = np.dtype([("n", np.int64)] + [
@@ -117,13 +117,12 @@ def step_energies(
     if op.hw is None:
         raise ValueError("modified energy is defined for SL_CN and SL_BDF2 only")
     w = op.basis.weights_2M
-    with np.errstate(over="ignore"):  # g^2 at huge |g|
-        sq = np.square(grid)
-    if _inside(sq, SPEC.truncation_point):  # F = u^4/4 - u^2/2 + 1/4, |Omega| = 4
+    sq = square_in_range(grid)
+    if sq is not None:  # F = u^4/4 - u^2/2 + 1/4, |Omega| = 4
         sq *= sq
         bulk = 0.25 * float(w @ sq @ w) - 0.5 * float(np.vdot(curr, curr)) + 1.0
     else:
-        bulk = float(w @ potential_value(SPEC, grid) @ w)
+        bulk = float(w @ potential_value(grid) @ w)
     e = float(np.vdot(op.grad, curr * curr)) + bulk / op.params.eps
     diff = curr - prev
     dt_sq = float(np.vdot(diff, diff))

@@ -28,6 +28,8 @@ import numpy as np
 from .errors import MeanNotZero
 from .spectral1d import Basis1D, assemble_basis
 
+SNAPSHOT_HEADER = "M,eps,gamma,t,step"
+
 # absolute floor for the zero-mean precondition so that near-zero
 # difference fields (norm ~ roundoff) are not rejected spuriously
 _MEAN_ABS_FLOOR = 1e-14
@@ -137,22 +139,27 @@ def write_snapshot(u: Field, path, eps: float, gamma: float, t: float, step: int
     """
     T = u.basis.T_M
     meta = (int(u.basis.M), float(eps), float(gamma), float(t), int(step))
-    write_rows(path, "M,eps,gamma,t,step", [meta, *(T @ u.v @ T.T).tolist()])
+    write_rows(path, SNAPSHOT_HEADER, [meta, *(T @ u.v @ T.T).tolist()])
 
 
 def read_snapshot(path, basis: Basis1D | None = None) -> tuple[Field, dict]:
     """Read a snapshot file back into a Field (plus header metadata).
 
     A basis is assembled from the header M when none is supplied.
+    ValueError unless line 1 is SNAPSHOT_HEADER and line 2 its five values.
     """
     with open(path) as fh:
-        names = fh.readline().strip().split(",")
-        parts = fh.readline().strip().split(",")
-        meta = dict(zip(names, parts))
-        meta["M"] = int(meta["M"])
-        meta["step"] = int(meta["step"])
-        for key in ("eps", "gamma", "t"):
-            meta[key] = float(meta[key])
+        header, parts = fh.readline().strip(), fh.readline().strip().split(",")
+        try:
+            if header != SNAPSHOT_HEADER or len(parts) != 5:
+                raise ValueError
+            meta = {key: cast(part) for key, cast, part in
+                    zip(SNAPSHOT_HEADER.split(","), (int, float, float, float, int), parts)}
+        except ValueError:
+            raise ValueError(
+                f"snapshot {path} must start with the line {SNAPSHOT_HEADER} "
+                "and a line of its five values"
+            ) from None
         vals = np.array([[float(v) for v in line.strip().split(",")] for line in fh])
     M = meta["M"]
     if vals.shape != (M, M):

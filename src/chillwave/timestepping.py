@@ -16,15 +16,15 @@ B (y_n v^n + y_p v^{n-1}) leaves three per-mode weights, built once per
 operator (see `build_step_operator`), and the explicit force f(w) at the
 extrapolated field w = x_n v^n + x_p v^{n-1}, x_n = 1 - x_p, on its grid
 g = T w T^T on the 2M x 2M Gauss nodes (T = eval_2M^T E,
-G = E^T (eval_2M w_2M), f from `potential.SPEC`). Writing f(g) = c(g) - g
-and using G g G^T = w (G T = I), the -w joins the weights of v^n and
-v^{n-1}, and a step is
+G = E^T (eval_2M w_2M), f = `potential.potential_deriv`). Writing
+f(g) = c(g) - g and using G g G^T = w (G T = I), the -w joins the weights
+of v^n and v^{n-1}, and a step is
 
     v^{n+1} = cn v^n + cp v^{n-1} + cl G c(T w T^T) G^T
 
 with the per-scheme coefficients of `_TABLE` (SL_CN stabilizes B on
 2 phi^n - phi^{n-1} but extrapolates f at 1.5 phi^n - 0.5 phi^{n-1};
-FIRST_ORDER has x_p = cp = 0 and reads only v^n). Inside [-p, p] c is
+FIRST_ORDER has x_p = cp = 0 and reads only v^n). Inside [-P, P] c is
 the cube, so the load is G g^3 G^T (`modal_load`). A step is one load
 and one new grid: 4 dense matmuls. With grids (the default) `march` keeps
 the grid g^n = T v^n T^T of each level, builds g as
@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import NonFinite
 from .field2d import Field
-from .potential import SPEC, cube_in_range, lipschitz_bound, potential_deriv
+from .potential import L, potential_deriv, square_in_range
 from .spectral1d import Basis1D
 
 SCHEMES = ("SL_BDF2", "SL_CN", "FIRST_ORDER")
@@ -131,7 +131,7 @@ def build_step_operator(params: SchemeParams, basis: Basis1D) -> StepOperator:
         if h is not None:
             hm1 = np.divide(h[0], p.tau * p.gamma * sigma,
                             out=np.zeros_like(sigma), where=h[0] * sigma > 0.0)
-            hw = hm1 + (h[1] * lipschitz_bound(SPEC) / p.eps + 0.5 * B)
+            hw = hm1 + (h[1] * L / p.eps + 0.5 * B)
     if not all(np.isfinite(w).all() for w in (denom, cn, cp, cl, hw) if w is not None):
         raise ValueError(
             f"step coefficients overflow for tau = {p.tau}, gamma = {p.gamma}, "
@@ -144,13 +144,14 @@ def modal_load(op: StepOperator, grid: np.ndarray) -> np.ndarray:
     """G c(grid) G^T for the 2M grid of the force w, with c(g) = f(g) + g:
     the 2M-point quadrature of f against each modal basis function plus w
     (G T = I), whose -w the folded weights cn, cp carry. On a grid inside
-    [-p, p] c is the cube (`cube_in_range`); any other grid (a point
-    outside, a NaN or an infinity) takes `potential_deriv`'s f plus the
-    grid."""
+    [-P, P] c is the cube, grid^2 (`square_in_range`) times grid; any
+    other grid (a point outside, a NaN or an infinity) takes
+    `potential_deriv`'s f plus the grid."""
     G = op.basis.G
-    cube = cube_in_range(SPEC, grid)
+    cube = square_in_range(grid)
     if cube is None:
-        return G @ (potential_deriv(SPEC, grid) + grid) @ G.T
+        return G @ (potential_deriv(grid) + grid) @ G.T
+    cube *= grid
     return G @ cube @ G.T
 
 

@@ -20,7 +20,6 @@ from numpy.polynomial import legendre as npleg
 
 from chillwave import Field, SchemeParams, assemble_basis, build_step_operator, potential_deriv
 from chillwave.diagnostics import step_energies
-from chillwave.potential import SPEC
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -65,12 +64,6 @@ def basis16():
     return assemble_basis(16)
 
 
-@pytest.fixture(scope="session")
-def spec():
-    # the one potential the solver and its energies use
-    return SPEC
-
-
 def oracle_basis_values(M, x, deriv=0):
     """Table of phi_k (or a derivative) at arbitrary points, k = 0..M-1.
 
@@ -101,12 +94,12 @@ def oracle_eval_2d(coeffs, x, y, dx=0, dy=0):
     return tx.T @ coeffs @ ty
 
 
-def oracle_load(spec, coeffs):
+def oracle_load(coeffs):
     # independent 2M-point quadrature of f(a) phi_k(x) phi_j(y)
     M = coeffs.shape[0]
     x, w = oracle_quadrature(2 * M)
     tw = oracle_basis_values(M, x) * w
-    return tw @ potential_deriv(spec, oracle_eval_2d(coeffs, x, x)) @ tw.T
+    return tw @ potential_deriv(oracle_eval_2d(coeffs, x, x)) @ tw.T
 
 
 def analytic_mass_stiffness(M):

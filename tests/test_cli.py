@@ -52,6 +52,21 @@ def test_run_outputs(tmp_path, capsys):
     assert "completed" in capsys.readouterr().out
 
 
+def test_run_summary_spectral_tail(tmp_path):
+    # the largest |Legendre coefficient| of the final field among the modes
+    # with max(k, j) >= M - 4, against the read-back final_field.csv
+    cfg_path = tmp_path / "run.json"
+    write_json(cfg_path, dict(RUN_CFG, M=12))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+    tail = json.loads((out / "summary.json").read_text())["spectral_tail"]
+    coeffs = np.abs(read_snapshot(out / "final_field.csv")[0].coeffs)
+    k = np.arange(12)
+    want = coeffs[np.maximum.outer(k, k) >= 8].max()
+    assert tail == pytest.approx(want, rel=1e-9, abs=1e-15)
+    assert 0.0 < tail < coeffs.max()
+
+
 def test_run_summary_records_blow_up(tmp_path):
     cfg_path = tmp_path / "run.json"
     write_json(cfg_path, dict(M=16, eps=0.05, gamma=0.0025, tau=1.0, T=100.0,

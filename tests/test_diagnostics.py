@@ -16,7 +16,7 @@ from chillwave import (
 )
 from chillwave.diagnostics import TRACE_DTYPE, TRACE_HEADER, step_energies
 from chillwave.harness import random_nodal_field
-from chillwave.potential import SPEC
+from chillwave.potential import P
 from conftest import (
     energy_eps,
     field_energies,
@@ -78,10 +78,10 @@ def test_energy_eps_constants(basis8):
     assert energy_eps(0.05, unit_field(basis8, 0, 0, 0.0)) == pytest.approx(20.0, abs=1e-10)
 
 
-def test_energy_eps_brute_force_oracle(basis8, spec):
+def test_energy_eps_brute_force_oracle(basis8):
     # top two coefficient indices stay zero so the internal 2M rule is
     # exact for the quartic term (degree 4(M-1) <= 4M-1); amplitude keeps
-    # |phi| < p so both rules see the inner branch only
+    # |phi| < P so both rules see the inner branch only
     rng = np.random.default_rng(21)
     c = np.zeros((8, 8))
     c[:6, :6] = 0.1 * rng.standard_normal((6, 6))
@@ -89,12 +89,12 @@ def test_energy_eps_brute_force_oracle(basis8, spec):
     # independent 4M-point quadrature of both energy terms
     x, w = oracle_quadrature(32)
     vals = oracle_eval_2d(u.coeffs, x, x)
-    assert np.abs(vals).max() < spec.truncation_point
+    assert np.abs(vals).max() < P
     ux = oracle_eval_2d(u.coeffs, x, x, dx=1)
     uy = oracle_eval_2d(u.coeffs, x, x, dy=1)
     eps = 0.07
     grad_term = 0.5 * eps * (w @ (ux**2 + uy**2) @ w)
-    bulk_term = (w @ potential_value(spec, vals) @ w) / eps
+    bulk_term = (w @ potential_value(vals) @ w) / eps
     assert energy_eps(eps, u) == pytest.approx(grad_term + bulk_term, rel=1e-12)
 
 
@@ -145,9 +145,9 @@ def test_step_energies_history_terms(basis8):
 
 def quadrature_energies(op, prev, curr, grid):
     # step_energies with its bulk term the 2M-point quadrature of F,
-    # potential_value, on every grid: the rule it keeps off [-p, p]
+    # potential_value, on every grid: the rule it keeps off [-P, P]
     w = op.basis.weights_2M
-    bulk = float(w @ potential_value(SPEC, grid) @ w)
+    bulk = float(w @ potential_value(grid) @ w)
     e = float(np.vdot(op.grad, curr * curr)) + bulk / op.params.eps
     diff = curr - prev
     return e, e + float(np.vdot(op.hw, diff * diff)), float(np.vdot(diff, diff)), \
@@ -156,7 +156,7 @@ def quadrature_energies(op, prev, curr, grid):
 
 @pytest.mark.parametrize("M", [8, 16])
 def test_step_energies_closed_form_bulk_and_fallback(M, basis8, basis16):
-    # inside [-p, p] the bulk term is 1/4 w^T g^4 w - 1/2 sum v^2 + 1, equal
+    # inside [-P, P] the bulk term is 1/4 w^T g^4 w - 1/2 sum v^2 + 1, equal
     # to the quadrature of F up to roundoff; with a node outside, a NaN or
     # an infinity it is that quadrature, bit for bit
     basis = basis8 if M == 8 else basis16
@@ -165,7 +165,7 @@ def test_step_energies_closed_form_bulk_and_fallback(M, basis8, basis16):
     curr = random_nodal_field(basis, 31).v
     prev = curr + 0.01 * random_nodal_field(basis, 32).v
     grid = basis.T @ curr @ basis.T.T
-    assert 1.0 < np.abs(grid).max() <= SPEC.truncation_point
+    assert 1.0 < np.abs(grid).max() <= P
     np.testing.assert_allclose(step_energies(op, prev, curr, grid),
                                quadrature_energies(op, prev, curr, grid), rtol=1e-13, atol=0)
     for bad in (2.5, -2.5, np.nan, np.inf, 1e200):
@@ -181,7 +181,7 @@ def test_trace_m48_energy_is_the_quadrature_of_its_final_field(experiment):
     ctx, (trace, final, _) = experiment("trace_m48")
     op = build_step_operator(ctx.cfg.scheme_params(ctx.cfg.tau), final.basis)
     grid = final.basis.T @ final.v @ final.basis.T.T
-    assert np.abs(grid).max() <= SPEC.truncation_point
+    assert np.abs(grid).max() <= P
     want = quadrature_energies(op, final.v, final.v, grid)[0]
     assert trace.rows["E_eps"][-1] == pytest.approx(want, rel=1e-12, abs=0)
 

@@ -43,3 +43,14 @@ def test_every_export_has_a_user():
         and not re.search(rf"\b{re.escape(name)}\b", readme)
     ]
     assert unused == []
+
+
+def test_only_potential_reads_the_truncation_spec():
+    # PotentialSpec and lipschitz_bound stay for perfbench alone: every
+    # step and energy reads the constants potential.P and potential.L
+    spec_names = {"PotentialSpec", "lipschitz_bound", "truncation_point"}
+    readers = {
+        path.name: sorted(names_read(path) & spec_names)
+        for path in PACKAGE.glob("*.py") if path.name != "potential.py"
+    }
+    assert {name: read for name, read in readers.items() if read} == {}

@@ -182,7 +182,7 @@ def test_nonlinear_load_constants(basis8):
     np.testing.assert_allclose(c, to_modal_form(basis8, expected), atol=1e-13)
 
 
-def test_nonlinear_load_cubic_exact(basis8, spec):
+def test_nonlinear_load_cubic_exact(basis8):
     # a(x, y) = x: f(a) = x^3 - x = (2/5)(L_3 - L_1), so the load is
     # (2/5) ||L_k||^2 (delta_k3 - delta_k1) times integral of L_0(y) = 2
     load = nonlinear_load(unit_field(basis8, 1, 0))
@@ -190,16 +190,16 @@ def test_nonlinear_load_cubic_exact(basis8, spec):
     expected[1, 0] = -0.4 * (2 / 3) * 2
     expected[3, 0] = 0.4 * (2 / 7) * 2
     np.testing.assert_allclose(load, to_modal_form(basis8, expected), atol=1e-13)
-    oracle = oracle_load(spec, unit_field(basis8, 1, 0).coeffs)
+    oracle = oracle_load(unit_field(basis8, 1, 0).coeffs)
     np.testing.assert_allclose(load, to_modal_form(basis8, oracle), atol=1e-13)
 
 
-def test_nonlinear_load_oracle(basis8, spec):
+def test_nonlinear_load_oracle(basis8):
     rng = np.random.default_rng(12)
     a = rand_field(basis8, rng, amp=0.4)
     np.testing.assert_allclose(
         nonlinear_load(a),
-        to_modal_form(basis8, oracle_load(spec, a.coeffs)), atol=1e-12,
+        to_modal_form(basis8, oracle_load(a.coeffs)), atol=1e-12,
     )
 
 
@@ -264,6 +264,13 @@ def test_snapshot_reuses_supplied_basis(tmp_path, basis8):
     # the M grid of its own M
     with pytest.raises(ValueError, match="snapshot has M = 8, but the basis has M = 4"):
         read_snapshot(p, basis=cw.assemble_basis(4))
+    # a header or value line other than the five snapshot fields
+    lines = p.read_text().splitlines(keepends=True)
+    for head in (["M,eps,gamma,t,step\n", "8,0.05\n"], ["M,eps,gamma,t\n", "8,0.25,1.0,0.5\n"],
+                 ["M,eps,gamma,t,step\n", "8,0.25,1.0,0.5,five\n"]):
+        p.write_text("".join(head + lines[2:]))
+        with pytest.raises(ValueError, match="must start with the line M,eps,gamma,t,step "):
+            read_snapshot(p, basis=basis8)
 
 
 def test_spatial_convergence_cosine():

@@ -22,6 +22,7 @@ from chillwave import (
     sufficient_stabilizers,
 )
 from chillwave.harness import random_nodal_field
+from chillwave.potential import P
 from chillwave.timestepping import BLOWUP_LIMIT, modal_load
 from conftest import analytic_mass_stiffness, energy_eps, legendre_field, oracle_load, unit_field
 
@@ -63,14 +64,14 @@ def test_params_validation():
             SchemeParams(**dict(dict(scheme="SL_BDF2", tau=0.1, gamma=1.0, eps=0.1), **bad))
 
 
-def weak_form_rhs(scheme, basis, spec, tau, eps, A, B, prev, curr):
+def weak_form_rhs(scheme, basis, tau, eps, A, B, prev, curr):
     # R1 and R2 of each scheme's discrete weak form, flattened, with the
     # oracle load for the explicit force
     Mm, Kk = kron_mass_stiffness(basis)
     c, p = curr.ravel(), prev.ravel()
 
     def load(u):
-        return oracle_load(spec, u).ravel() / eps
+        return oracle_load(u).ravel() / eps
 
     if scheme == "SL_BDF2":
         R1 = Mm @ (4.0 * c - p) / (2.0 * tau)
@@ -94,7 +95,7 @@ def weak_form_rhs(scheme, basis, spec, tau, eps, A, B, prev, curr):
         ("FIRST_ORDER", 0.0, 4.0, lambda tau, eps, A, B: (1.0 / tau, eps, B)),
     ],
 )
-def test_march_step_matches_dense_blocks(basis8, spec, scheme, A, B, scalars):
+def test_march_step_matches_dense_blocks(basis8, scheme, A, B, scalars):
     # each of the first 3 steps, from the pair march yielded before it,
     # with and without grids
     tau, gamma, eps = 0.05, 0.3, 0.25
@@ -108,7 +109,7 @@ def test_march_step_matches_dense_blocks(basis8, spec, scheme, A, B, scalars):
         next(states)
         steps = 0
         for state in states:
-            R = weak_form_rhs(scheme, basis8, spec, tau, eps, A, B, prev, curr)
+            R = weak_form_rhs(scheme, basis8, tau, eps, A, B, prev, curr)
             expected = np.linalg.solve(block, R)[:64].reshape(8, 8)
             got_prev, got = (Field(basis8, v).coeffs for v in state[:2])
             assert np.abs(got - expected).max() <= 1e-10
@@ -352,8 +353,8 @@ def test_first_order_never_reads_prev(basis8):
                 np.testing.assert_array_equal(x, y)
 
 
-def test_modal_load_cubic_and_fallback(basis8, spec):
-    # the load is G c(g) G^T with c(g) = f(g) + g: inside [-p, p] it is
+def test_modal_load_cubic_and_fallback(basis8):
+    # the load is G c(g) G^T with c(g) = f(g) + g: inside [-P, P] it is
     # G g^3 G^T bit for bit, and less w it is the quadrature of f up to
     # roundoff (G T = I); a grid with a point outside, a NaN or an
     # infinity is G (f(g) + g) G^T with potential_deriv's f, bit for bit
@@ -361,16 +362,16 @@ def test_modal_load_cubic_and_fallback(basis8, spec):
     T, G = basis8.T, basis8.G
     w = random_nodal_field(basis8, 13).v
     g = T @ w @ T.T
-    assert np.abs(g).max() <= spec.truncation_point
+    assert np.abs(g).max() <= P
     np.testing.assert_array_equal(modal_load(op, g), G @ (g * g * g) @ G.T)
-    np.testing.assert_allclose(modal_load(op, g) - w, G @ potential_deriv(spec, g) @ G.T,
+    np.testing.assert_allclose(modal_load(op, g) - w, G @ potential_deriv(g) @ G.T,
                                rtol=0, atol=1e-13)
     for bad in (2.5, -2.5, np.nan, np.inf, -np.inf):
         off = g.copy()
         off[3, 5] = bad
         with np.errstate(invalid="ignore"):  # inf - inf inside the matmuls
             got = modal_load(op, off)
-            want = G @ (potential_deriv(spec, off) + off) @ G.T
+            want = G @ (potential_deriv(off) + off) @ G.T
         np.testing.assert_array_equal(got, want)
 
 
