@@ -91,14 +91,24 @@ class EnergyTrace:
 
     @classmethod
     def read_csv(cls, path) -> "EnergyTrace":
-        """A trace written by write_csv; ValueError unless n is contiguous
-        and t strictly increasing."""
+        """A trace written by write_csv; ValueError unless every row is an
+        integer n and six numbers (naming the file and line otherwise), n
+        is contiguous and t strictly increasing."""
         with open(path) as fh:
             header = fh.readline().strip()
             if header != TRACE_HEADER:
                 raise ValueError(f"unexpected trace header: {header}")
-            parts = (line.strip().split(",") for line in fh)
-            rows = np.array([(int(p[0]), *map(float, p[1:])) for p in parts], dtype=TRACE_DTYPE)
+            rows = []
+            for k, line in enumerate(fh, 2):
+                cells = line.split(",")
+                try:
+                    if len(cells) != len(TRACE_DTYPE):
+                        raise ValueError
+                    rows.append((int(cells[0]), *map(float, cells[1:])))
+                except ValueError:
+                    raise ValueError(f"trace {path}, line {k}: expected a row {TRACE_HEADER} "
+                                     "of an integer and six numbers") from None
+        rows = np.array(rows, dtype=TRACE_DTYPE)
         n, t = rows["n"], rows["t"]
         if np.any(n[1:] != n[:-1] + 1):
             raise ValueError("trace rows must be contiguous in n")

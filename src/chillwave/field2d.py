@@ -146,7 +146,8 @@ def read_snapshot(path, basis: Basis1D | None = None) -> tuple[Field, dict]:
     """Read a snapshot file back into a Field (plus header metadata).
 
     A basis is assembled from the header M when none is supplied.
-    ValueError unless line 1 is SNAPSHOT_HEADER and line 2 its five values.
+    ValueError, naming the file, unless line 1 is SNAPSHOT_HEADER, line 2
+    its five values with M >= 4, and M lines of M numbers follow.
     """
     with open(path) as fh:
         header, parts = fh.readline().strip(), fh.readline().strip().split(",")
@@ -160,13 +161,24 @@ def read_snapshot(path, basis: Basis1D | None = None) -> tuple[Field, dict]:
                 f"snapshot {path} must start with the line {SNAPSHOT_HEADER} "
                 "and a line of its five values"
             ) from None
-        vals = np.array([[float(v) for v in line.strip().split(",")] for line in fh])
-    M = meta["M"]
-    if vals.shape != (M, M):
-        raise ValueError(f"snapshot body is {vals.shape}, expected {(M, M)}")
+        M = meta["M"]
+        if M < 4:
+            raise ValueError(f"snapshot {path} has M = {M}, but M must be >= 4")
+        vals = []
+        for i, line in enumerate(fh, 1):
+            cells = line.split(",")
+            try:
+                if len(cells) != M:
+                    raise ValueError
+                vals.append([float(v) for v in cells])
+            except ValueError:
+                raise ValueError(f"snapshot {path}, grid row {i} (line {i + 2}): "
+                                 f"expected M = {M} comma-separated numbers") from None
+    if len(vals) != M:
+        raise ValueError(f"snapshot {path} has {len(vals)} grid rows, expected M = {M}")
     if basis is None:
         basis = assemble_basis(M)
     if basis.M != M:
         raise ValueError(f"snapshot has M = {M}, but the basis has M = {basis.M}")
     G = basis.G_M
-    return Field(basis, G @ vals @ G.T), meta
+    return Field(basis, G @ np.array(vals) @ G.T), meta

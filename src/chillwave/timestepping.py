@@ -24,13 +24,16 @@ of v^n and v^{n-1}, and a step is
 
 with the per-scheme coefficients of `_TABLE` (SL_CN stabilizes B on
 2 phi^n - phi^{n-1} but extrapolates f at 1.5 phi^n - 0.5 phi^{n-1};
-FIRST_ORDER has x_p = cp = 0 and reads only v^n). Inside [-P, P] c is
-the cube, so the load is G g^3 G^T (`modal_load`). A step is one load
-and one new grid: 4 dense matmuls. With grids (the default) `march` keeps
-the grid g^n = T v^n T^T of each level, builds g as
-g^n + x_p (g^{n-1} - g^n) and never forms w; a lean march (grids=False),
-for callers that read only the modal pairs, forms w only to transform it
-and keeps no grid.
+FIRST_ORDER has x_p = cp = 0). Inside [-P, P] c is the cube, so the
+load is G g^3 G^T (`modal_load`). A step is one load and one new grid:
+4 dense matmuls. All three schemes run one step body. Its force is one
+combination a + x_p (b - a): of the grids (a, b) = (g^n, g^{n-1}),
+g^n = T v^n T^T, which `march` keeps for each level (the default), or of
+the modes (v^n, v^{n-1}) in a lean march (grids=False, for callers that
+read only the modal pairs), which then transforms it and keeps no grid.
+FIRST_ORDER steps with v^{n-1} = v^n after its entry state, so its force
+is exactly v^n, its history term exact zeros, and it never reads the
+v^{n-1} it was given.
 sigma, T and G are the basis's (see Basis1D). A `_TABLE` row also holds
 its scheme's modified-energy constants (h_1, h_L), from which the
 operator keeps the energy weights that `diagnostics.step_energies`
@@ -166,35 +169,28 @@ def march(
     lean march (grids=False, for callers that read only modal states).
     Each step makes new arrays and writes to none that it was given or
     has yielded, so a consumer may keep any of them but must not write to
-    them; it stops early by leaving its loop. A two-level march with grids
-    builds each step's force grid in one buffer of its own. On blow-up of
-    the modal coefficients the iteration raises NonFinite after the last
-    finite state (stability sweeps treat that as an unstable verdict).
+    them; it stops early by leaving its loop. A negative n_steps raises
+    ValueError before the first state. On blow-up of the modal
+    coefficients the iteration raises NonFinite after the last finite
+    state (stability sweeps treat that as an unstable verdict).
     """
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     T, xp, cn, cp, cl = op.basis.T, op.xp, op.cn, op.cp, op.cl
-    two_level = xp != 0.0  # FIRST_ORDER's x_p and cp are 0: prev is never read
     grid = T @ curr @ T.T if grids else None
-    if grids and two_level:
-        grid_prev = T @ prev @ T.T
-        buf = np.empty_like(grid)  # the grid force, rebuilt in place each step
     yield prev, curr, grid
+    if xp == 0.0:
+        prev = curr  # FIRST_ORDER (x_p = cp = 0) never reads v^{n-1}
+    grid_prev = T @ prev @ T.T if grids else None
     for _ in range(n_steps):
-        new = cn * curr
-        w, force = curr, grid
-        if two_level:  # the force x_n v^n + x_p v^{n-1}, as a grid or (lean) as modes
-            new += cp * prev
-            if grids:
-                force = np.subtract(grid_prev, grid, out=buf)
-                force *= xp
-                force += grid
-            else:
-                w = prev - curr
-                w *= xp
-                w += curr
-        if not grids:
-            force = T @ w @ T.T
-        load = modal_load(op, force)
+        a, b = (grid, grid_prev) if grids else (curr, prev)
+        force = b - a  # x_n a + x_p b, as a grid or (lean) as modes
+        force *= xp
+        force += a
+        load = modal_load(op, force if grids else T @ force @ T.T)
         load *= cl
+        new = cn * curr
+        new += cp * prev
         new += load
         if not np.abs(new).max() <= BLOWUP_LIMIT:  # NaN fails the comparison too
             raise NonFinite(f"step blew up (max |modal coeff| > {BLOWUP_LIMIT:.0e} or non-finite)")

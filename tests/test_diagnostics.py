@@ -38,21 +38,33 @@ def make_trace(increments, blowup_step=None):
     return EnergyTrace(rows, blowup_step=blowup_step)
 
 
+ROW = "1,0.1,1.0,1.0,0.0,0.0,0.0\n"
+
+
 @pytest.mark.parametrize("body, error", [
-    ("1,0.1,1.0,1.0,0.0,0.0,0.0\n3,0.2,1.0,1.0,0.0,0.0,0.0\n", "contiguous in n"),
-    ("1,0.1,1.0,1.0,0.0,0.0,0.0\n2,0.1,1.0,1.0,0.0,0.0,0.0\n", "strictly increasing"),
+    (ROW + "3,0.2,1.0,1.0,0.0,0.0,0.0\n", "contiguous in n"),
+    (ROW + "2,0.1,1.0,1.0,0.0,0.0,0.0\n", "strictly increasing"),
     ("", None),
-], ids=["skipped_n", "repeated_t", "header_only"])
+    (ROW + "2,0.2,1.0\n", 3),
+    (ROW + "2,0.2,x,1.0,0.0,0.0,0.0\n", 3),
+    ("1.5,0.1,1.0,1.0,0.0,0.0,0.0\n", 2),
+    (ROW + "\n", 3),
+], ids=["skipped_n", "repeated_t", "header_only", "short_row", "text_value", "fractional_n",
+        "trailing_blank_line"])
 def test_trace_read_csv_validation(tmp_path, body, error):
     # trace files come from outside the program: read_csv checks what the
-    # run's loop over march guarantees
+    # run's loop over march guarantees, and names the file and line of a
+    # row that is not an integer n and six numbers
     p = tmp_path / "trace.csv"
     p.write_text(TRACE_HEADER + "\n" + body)
     if error is None:
         assert len(EnergyTrace.read_csv(p)) == 0
     else:
-        with pytest.raises(ValueError, match=error):
+        with pytest.raises(ValueError) as exc:
             EnergyTrace.read_csv(p)
+        # an int is the line of a malformed row
+        want = f"trace {p}, line {error}: expected a row" if isinstance(error, int) else error
+        assert want in str(exc.value)
 
 
 def test_trace_columns():

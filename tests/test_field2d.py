@@ -271,6 +271,20 @@ def test_snapshot_reuses_supplied_basis(tmp_path, basis8):
         p.write_text("".join(head + lines[2:]))
         with pytest.raises(ValueError, match="must start with the line M,eps,gamma,t,step "):
             read_snapshot(p, basis=basis8)
+    # a body other than M rows of M numbers names the file, the row and M
+    row = lines[3].rstrip("\n").split(",")
+    for body, error in (
+        ([*lines[:3], ",".join(row[:-1]) + "\n", *lines[4:]], r"grid row 2 \(line 4\): expected M = 8 "),
+        ([*lines[:4], ",".join(["a", *row[1:]]) + "\n", *lines[5:]], r"grid row 3 \(line 5\)"),
+        (lines[:-1], "has 7 grid rows, expected M = 8"),
+        (lines + ["\n"], r"grid row 9 \(line 11\)"),
+        (["M,eps,gamma,t,step\n", "2,0.25,1.0,0.5,5\n", "0.0,0.0\n", "0.0,0.0\n"],
+         "has M = 2, but M must be >= 4"),
+    ):
+        p.write_text("".join(body))
+        with pytest.raises(ValueError, match=error) as exc:
+            read_snapshot(p)
+        assert str(exc.value).startswith(f"snapshot {p}")
 
 
 def test_spatial_convergence_cosine():

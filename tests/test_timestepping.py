@@ -297,6 +297,17 @@ def test_march_yields_entry_then_each_step(basis8):
         np.testing.assert_allclose(grid, T @ curr @ T.T, rtol=0, atol=1e-13)
 
 
+def test_march_rejects_negative_n_steps(basis8):
+    # n_steps = 0 yields only the entry state; a negative count yields
+    # nothing and raises, so it cannot pass for a zero-step march
+    op = build_step_operator(SchemeParams("SL_CN", tau=0.05, gamma=1.0, eps=0.25), basis8)
+    v = random_nodal_field(basis8, 9).v
+    assert len(list(march(op, v, v, 0))) == 1
+    for grids in (True, False):
+        with pytest.raises(ValueError, match="n_steps must be >= 0, got -5"):
+            next(march(op, v, v, -5, grids=grids))
+
+
 def test_march_writes_to_no_array_it_was_given_or_yielded(basis8):
     # a consumer may keep any state, and one that stops early by leaving
     # its loop leaves its inputs as they were, with and without grids
