@@ -26,7 +26,9 @@ from . import __version__
 from .errors import ChillwaveError
 from .field2d import mean_value, write_snapshot
 from .harness import (
+    PREPARE_STEPS,
     convergence_study,
+    prepare_params,
     prepare_phi1,
     random_nodal_field,
     run_config_from_dict,
@@ -134,11 +136,12 @@ def _cmd_converge(args) -> int:
 def _cmd_prepare_initial(args) -> int:
     phi0 = random_nodal_field(assemble_basis(args.M), args.seed)
     phi1 = prepare_phi1(phi0, args.eps)
+    params = prepare_params(args.eps)
     out = _ensure_dir(args.out)
     write_snapshot(phi0, os.path.join(out, "phi0.csv"),
-                   eps=args.eps, gamma=1.0, t=0.0, step=0)
+                   eps=args.eps, gamma=params.gamma, t=0.0, step=0)
     write_snapshot(phi1, os.path.join(out, "phi1.csv"),
-                   eps=args.eps, gamma=1.0, t=64.0 * args.eps**3, step=64)
+                   eps=args.eps, gamma=params.gamma, t=params.tau, step=PREPARE_STEPS)
     print(
         f"wrote phi0.csv (mean {mean_value(phi0):+.3e}) and phi1.csv "
         f"(mean {mean_value(phi1):+.3e}) to {out}"

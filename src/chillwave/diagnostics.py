@@ -38,11 +38,12 @@ its dE_mod column.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MeanNotZero
+from .errors import MeanNotZero, check_count
 from .field2d import (
     Field, _same_basis, h1_seminorm_sq, hminus1_norm, inner_l2, mean_value, modal_mean,
     write_rows,
@@ -92,8 +93,9 @@ class EnergyTrace:
     @classmethod
     def read_csv(cls, path) -> "EnergyTrace":
         """A trace written by write_csv; ValueError unless every row is an
-        integer n and six numbers (naming the file and line otherwise), n
-        is contiguous and t strictly increasing."""
+        integer n, a finite t and five numbers (naming the file and line
+        otherwise), n is contiguous and t strictly increasing. The energy
+        columns may hold NaN."""
         with open(path) as fh:
             header = fh.readline().strip()
             if header != TRACE_HEADER:
@@ -102,12 +104,13 @@ class EnergyTrace:
             for k, line in enumerate(fh, 2):
                 cells = line.split(",")
                 try:
-                    if len(cells) != len(TRACE_DTYPE):
+                    row = (int(cells[0]), *map(float, cells[1:]))
+                    if len(row) != len(TRACE_DTYPE) or not math.isfinite(row[1]):
                         raise ValueError
-                    rows.append((int(cells[0]), *map(float, cells[1:])))
+                    rows.append(row)
                 except ValueError:
                     raise ValueError(f"trace {path}, line {k}: expected a row {TRACE_HEADER} "
-                                     "of an integer and six numbers") from None
+                                     "of an integer, a finite t and five numbers") from None
         rows = np.array(rows, dtype=TRACE_DTYPE)
         n, t = rows["n"], rows["t"]
         if np.any(n[1:] != n[:-1] + 1):
@@ -143,8 +146,9 @@ def step_energies(
 def stability_verdict(trace: EnergyTrace, min_steps: int = 1024) -> str:
     """"unstable" if the run blew up or any per-step increment dE_mod is
     not <= VERDICT_THRESHOLD (a NaN increment violates), whatever the
-    trace's length; otherwise "stable", which needs min_steps rows (a
-    shorter trace raises ValueError)."""
+    trace's length; otherwise "stable", which needs min_steps rows, an
+    integer >= 1 (a shorter trace raises ValueError)."""
+    check_count("min_steps", min_steps, 1)
     if trace.blew_up or not np.all(trace.rows["dE_mod"] <= VERDICT_THRESHOLD):
         return "unstable"
     if len(trace) < min_steps:

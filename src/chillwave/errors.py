@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one count check."""
+
+from numbers import Integral
+
+
+def check_count(name: str, value, least: int) -> None:
+    """ValueError unless value is an integer >= least: a Python or numpy
+    integer, not a bool, a float or a string."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 class ChillwaveError(Exception):

@@ -21,6 +21,7 @@ Every CSV file of the package is written by `write_rows`, line by line.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,19 +148,20 @@ def read_snapshot(path, basis: Basis1D | None = None) -> tuple[Field, dict]:
 
     A basis is assembled from the header M when none is supplied.
     ValueError, naming the file, unless line 1 is SNAPSHOT_HEADER, line 2
-    its five values with M >= 4, and M lines of M numbers follow.
+    its five finite values with M >= 4, and M lines of M finite numbers follow.
     """
     with open(path) as fh:
         header, parts = fh.readline().strip(), fh.readline().strip().split(",")
         try:
-            if header != SNAPSHOT_HEADER or len(parts) != 5:
+            if header != SNAPSHOT_HEADER or len(parts) != 5 or not all(
+                    math.isfinite(float(part)) for part in parts):
                 raise ValueError
             meta = {key: cast(part) for key, cast, part in
                     zip(SNAPSHOT_HEADER.split(","), (int, float, float, float, int), parts)}
         except ValueError:
             raise ValueError(
                 f"snapshot {path} must start with the line {SNAPSHOT_HEADER} "
-                "and a line of its five values"
+                "and a line of its five finite values"
             ) from None
         M = meta["M"]
         if M < 4:
@@ -168,12 +170,13 @@ def read_snapshot(path, basis: Basis1D | None = None) -> tuple[Field, dict]:
         for i, line in enumerate(fh, 1):
             cells = line.split(",")
             try:
-                if len(cells) != M:
+                row = [float(v) for v in cells]
+                if len(row) != M or not all(map(math.isfinite, row)):
                     raise ValueError
-                vals.append([float(v) for v in cells])
+                vals.append(row)
             except ValueError:
                 raise ValueError(f"snapshot {path}, grid row {i} (line {i + 2}): "
-                                 f"expected M = {M} comma-separated numbers") from None
+                                 f"expected M = {M} comma-separated finite numbers") from None
     if len(vals) != M:
         raise ValueError(f"snapshot {path} has {len(vals)} grid rows, expected M = {M}")
     if basis is None:

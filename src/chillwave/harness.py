@@ -21,7 +21,7 @@ import numpy as np
 from .diagnostics import (
     TRACE_DTYPE, VERDICT_THRESHOLD, EnergyTrace, error_norms, stability_verdict, step_energies,
 )
-from .errors import NonFinite
+from .errors import NonFinite, check_count
 from .field2d import Field, write_rows
 from .spectral1d import Basis1D, assemble_basis
 from .timestepping import SchemeParams, bootstrap_first_step, build_step_operator, march
@@ -61,22 +61,24 @@ def random_nodal_field(basis: Basis1D, seed: int) -> Field:
     return Field(basis, G @ _uniform_pm1(seed, P * P).reshape(P, P) @ G.T)
 
 
-def prepare_phi1(phi0: Field, eps: float) -> Field:
-    """Relax random noise into a developed-interface state: the first-order
-    bootstrap to time 64 eps^3 in 64 substeps of eps^3, unit mobility,
-    stabilizer B = 1/eps."""
-    _check_prepare_eps(eps)
-    params = SchemeParams(scheme="FIRST_ORDER", tau=64.0 * eps**3, gamma=1.0, eps=eps)
-    return bootstrap_first_step(phi0, params, m=64)
+PREPARE_STEPS = 64  # prepare_phi1's substeps of eps^3
 
 
-def _check_prepare_eps(eps: float) -> None:
-    # the substep eps^3 must be a normal float: 64 eps^3 > 0, and its
-    # reciprocal, the bootstrap's step coefficient, stays finite
+def prepare_params(eps: float) -> SchemeParams:
+    """The step that prepare_phi1 bootstraps in PREPARE_STEPS substeps of
+    eps^3, at unit mobility. The substep must be a normal float, so that
+    its reciprocal, the bootstrap's step coefficient, stays finite."""
     if not (0.0 < eps <= 1.0 and eps**3 >= sys.float_info.min):
         raise ValueError(
             f"eps must be in (0, 1] with eps^3 a normal float to prepare phi1, got {eps!r}"
         )
+    return SchemeParams(scheme="FIRST_ORDER", tau=PREPARE_STEPS * eps**3, gamma=1.0, eps=eps)
+
+
+def prepare_phi1(phi0: Field, eps: float) -> Field:
+    """Relax random noise into a developed-interface state: the first-order
+    bootstrap of `prepare_params(eps)`, stabilizer B = 1/eps."""
+    return bootstrap_first_step(phi0, prepare_params(eps), m=PREPARE_STEPS)
 
 
 def _step_count(T: float, tau: float, key: str = "tau") -> int:
@@ -128,16 +130,13 @@ class RunConfig:
     def __post_init__(self):
         if not (self.out_dir is None or isinstance(self.out_dir, str)):
             raise ValueError(f"out_dir must be a path string or null, got {self.out_dir!r}")
-        for names, kinds, what in (
-            (("M", "seed", "m", "snapshot_every"), int, "an integer"),
-            (("eps", "gamma", "tau", "T", "A", "B"), _NUMBER, "a number"),
-        ):
-            for name in names:
-                value = getattr(self, name)
-                if not _is(value, kinds):
-                    raise ValueError(f"{name} must be {what}, got {value!r}")
-        if self.M < 4:
-            raise ValueError("M must be >= 4")
+        if not _is(self.seed, int):  # its range is splitmix64's
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        for name in ("eps", "gamma", "tau", "T", "A", "B"):
+            if not _is(getattr(self, name), _NUMBER):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+        for name, least in (("M", 4), ("m", 1), ("snapshot_every", 0)):
+            check_count(name, getattr(self, name), least)
         if self.scheme not in ("SL_BDF2", "SL_CN"):
             raise ValueError("run scheme must be SL_BDF2 or SL_CN")
         self.scheme_params(self.tau)  # raises on a bad eps, gamma, tau, A or B
@@ -145,9 +144,7 @@ class RunConfig:
         if self.initial not in ("random", "prepared"):
             raise ValueError("initial must be 'random' or 'prepared'")
         if self.initial == "prepared":
-            _check_prepare_eps(self.eps)
-        if self.m < 1 or self.snapshot_every < 0:
-            raise ValueError("m must be >= 1 and snapshot_every >= 0")
+            prepare_params(self.eps)  # raises on an eps too small to prepare phi1
 
     def n_steps(self) -> int:
         return _step_count(self.T, self.tau)
@@ -287,8 +284,7 @@ class SweepConfig:
             _check_positive_list(name, getattr(self, name))
         if not (_is(self.fixed_value, _NUMBER) and 0.0 <= self.fixed_value < math.inf):
             raise ValueError(f"fixed_value must be a finite number >= 0, got {self.fixed_value!r}")
-        if not (_is(self.steps, int) and self.steps >= 1):
-            raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
+        check_count("steps", self.steps, 1)
         if not isinstance(self.full_scan, bool):
             raise ValueError(f"full_scan must be true or false, got {self.full_scan!r}")
         lad = self.ladder

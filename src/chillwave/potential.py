@@ -2,9 +2,9 @@
 
 F(u) = (u^2-1)^2/4 on [-P, P], P = 2, continued outside by its
 second-order Taylor expansion at +-P (Shen & Yang, DCDS-A 2010): F is
-C^2, f = F' is Lipschitz with constant L = 3 P^2 - 1 = 11, and the wells
-at +-1 are untouched. With c = clip(u, -P, P) and d = |u - c| (0 inside),
-both evaluators are closed forms with no test of the range,
+C^2, f = F' is Lipschitz with constant L = sup |f'| = f'(P) = 11, and
+the wells at +-1 are untouched. With c = clip(u, -P, P) and d = |u - c|
+(0 inside), both evaluators are closed forms with no test of the range,
 
     F(u) = (c^2 - 1)^2 / 4 + (L/2) d^2 + f(P) d,    f(u) = c^3 - c + L (u - c),
 
@@ -16,12 +16,10 @@ the energy's bulk term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 P = 2.0  # truncation point
-L = 3.0 * P * P - 1.0  # Lipschitz constant of f: sup |f'|, attained at +-P and held outside
+L = 3.0 * P * P - 1.0  # Lipschitz constant of f: sup |f'| = f'(+-P), held outside
 
 
 def potential_value(phi):
@@ -50,24 +48,11 @@ def square_in_range(x: np.ndarray) -> np.ndarray | None:
     return sq if not sq.size or sq.max() <= P * P else None
 
 
-@dataclass(frozen=True)
 class PotentialSpec:
-    """Kept only for perfbench, which computes L as lipschitz_bound(PotentialSpec()).
-
-    truncation_point : where the quartic is cut off (> 1); 2.0 is the
-        standard choice and gives Lipschitz bound L = 11.
-    """
-
-    truncation_point: float = 2.0
-
-    def __post_init__(self):
-        if not self.truncation_point > 1.0:
-            raise ValueError("truncation_point must be > 1")
+    """Kept only for perfbench, which computes L as lipschitz_bound(PotentialSpec())."""
 
 
 def lipschitz_bound(spec: PotentialSpec) -> float:
-    """L = sup over the reals of |f'| = 3 p^2 - 1, attained at the joints
-    and held by the outer branch. Kept only for perfbench; the package
+    """L, the Lipschitz constant of f. Kept only for perfbench; the package
     reads L."""
-    p = spec.truncation_point
-    return 3.0 * p * p - 1.0
+    return L

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import QuadratureError, SolveFailed
+from .errors import QuadratureError, SolveFailed, check_count
 
 RESIDUAL_LIMIT = 1e-10
 
@@ -49,8 +49,7 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     Newton iteration on L_n from Chebyshev initial guesses, tolerance
     1e-15. The rule integrates polynomials of degree <= 2n-1 exactly.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_count("n", n, 1)
     i = np.arange(n)
     x = -np.cos(np.pi * (4 * i + 3) / (4 * n + 2))
     for it in range(100):
@@ -138,8 +137,7 @@ def assemble_basis(M: int) -> Basis1D:
     """Build Basis1D from the analytic Legendre orthogonality relations;
     with D = diag(mass), E = D^-1/2 Q for the eigenvectors Q of the
     symmetric D^-1/2 K D^-1/2."""
-    if M < 4:
-        raise ValueError("M must be >= 4")
+    check_count("M", M, 4)
     mass, stiffness = _mass_stiffness(M)
     s = 1.0 / np.sqrt(mass)
     lam, Q = np.linalg.eigh(s[:, None] * stiffness * s)

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFinite
+from .errors import NonFinite, check_count
 from .field2d import Field
 from .potential import L, potential_deriv, square_in_range
 from .spectral1d import Basis1D
@@ -74,7 +74,7 @@ _TABLE = {
 @dataclass(frozen=True)
 class SchemeParams:
     """Time-step configuration; every number must be finite. FIRST_ORDER
-    ignores A and uses B as its stabilizer."""
+    uses B as its stabilizer and has no A (a nonzero A raises ValueError)."""
 
     scheme: str
     tau: float
@@ -93,6 +93,8 @@ class SchemeParams:
             raise ValueError("eps must be in (0, 1]")
         if not (0.0 <= self.A < math.inf and 0.0 <= self.B < math.inf):
             raise ValueError("stabilizers A, B must be >= 0 and finite")
+        if self.scheme == "FIRST_ORDER" and self.A != 0.0:
+            raise ValueError(f"FIRST_ORDER has no stabilizer A, got A = {self.A}")
 
 
 @dataclass
@@ -169,13 +171,12 @@ def march(
     lean march (grids=False, for callers that read only modal states).
     Each step makes new arrays and writes to none that it was given or
     has yielded, so a consumer may keep any of them but must not write to
-    them; it stops early by leaving its loop. A negative n_steps raises
-    ValueError before the first state. On blow-up of the modal
-    coefficients the iteration raises NonFinite after the last finite
-    state (stability sweeps treat that as an unstable verdict).
+    them; it stops early by leaving its loop. An n_steps that is not an
+    integer >= 0 raises ValueError before the first state. On blow-up of
+    the modal coefficients the iteration raises NonFinite after the last
+    finite state (stability sweeps treat that as an unstable verdict).
     """
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+    check_count("n_steps", n_steps, 0)
     T, xp, cn, cp, cl = op.basis.T, op.xp, op.cn, op.cp, op.cl
     grid = T @ curr @ T.T if grids else None
     yield prev, curr, grid
@@ -204,8 +205,7 @@ def bootstrap_first_step(phi0: Field, params: SchemeParams, m: int = 10) -> Fiel
     """Produce phi^1 for the two-level schemes: m substeps of the
     first-order scheme with step tau/m and stabilizer B = 1/eps, on a lean
     march (no grids)."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    check_count("m", m, 1)
     first = SchemeParams(
         scheme="FIRST_ORDER", tau=params.tau / m, gamma=params.gamma,
         eps=params.eps, B=1.0 / params.eps,

@@ -49,12 +49,15 @@ ROW = "1,0.1,1.0,1.0,0.0,0.0,0.0\n"
     (ROW + "2,0.2,x,1.0,0.0,0.0,0.0\n", 3),
     ("1.5,0.1,1.0,1.0,0.0,0.0,0.0\n", 2),
     (ROW + "\n", 3),
+    (ROW + "2,nan,1.0,1.0,0.0,0.0,0.0\n", 3),
+    ("1,inf,1.0,1.0,0.0,0.0,0.0\n", 2),
+    (ROW + "nan,0.2,1.0,1.0,0.0,0.0,0.0\n", 3),
 ], ids=["skipped_n", "repeated_t", "header_only", "short_row", "text_value", "fractional_n",
-        "trailing_blank_line"])
+        "trailing_blank_line", "nan_t", "inf_t", "nan_n"])
 def test_trace_read_csv_validation(tmp_path, body, error):
     # trace files come from outside the program: read_csv checks what the
     # run's loop over march guarantees, and names the file and line of a
-    # row that is not an integer n and six numbers
+    # row that is not an integer n, a finite t and five numbers
     p = tmp_path / "trace.csv"
     p.write_text(TRACE_HEADER + "\n" + body)
     if error is None:

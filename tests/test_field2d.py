@@ -271,7 +271,7 @@ def test_snapshot_reuses_supplied_basis(tmp_path, basis8):
         p.write_text("".join(head + lines[2:]))
         with pytest.raises(ValueError, match="must start with the line M,eps,gamma,t,step "):
             read_snapshot(p, basis=basis8)
-    # a body other than M rows of M numbers names the file, the row and M
+    # a body other than M rows of M finite numbers names the file, the row and M
     row = lines[3].rstrip("\n").split(",")
     for body, error in (
         ([*lines[:3], ",".join(row[:-1]) + "\n", *lines[4:]], r"grid row 2 \(line 4\): expected M = 8 "),
@@ -280,6 +280,11 @@ def test_snapshot_reuses_supplied_basis(tmp_path, basis8):
         (lines + ["\n"], r"grid row 9 \(line 11\)"),
         (["M,eps,gamma,t,step\n", "2,0.25,1.0,0.5,5\n", "0.0,0.0\n", "0.0,0.0\n"],
          "has M = 2, but M must be >= 4"),
+        # a snapshot the package writes holds no NaN or infinity
+        ([*lines[:2], ",".join(["nan", "inf", *row[2:]]) + "\n", *lines[3:]],
+         r"grid row 1 \(line 3\): expected M = 8 comma-separated finite numbers"),
+        ([*lines[:5], ",".join([*row[:-1], "-inf"]) + "\n", *lines[6:]], r"grid row 4 \(line 6\)"),
+        (["M,eps,gamma,t,step\n", "8,0.25,nan,0.5,5\n", *lines[2:]], "its five finite values"),
     ):
         p.write_text("".join(body))
         with pytest.raises(ValueError, match=error) as exc:

@@ -5,11 +5,11 @@ from chillwave import potential_deriv, potential_value
 from chillwave.potential import L, P, PotentialSpec, lipschitz_bound, square_in_range
 
 
-def second_deriv_oracle(phi, p=P):
+def second_deriv_oracle(phi):
     # f' from the piecewise definition: 3 phi^2 - 1 inside, the outer
-    # slope 3 p^2 - 1 outside
+    # slope 3 P^2 - 1 outside
     phi = np.asarray(phi, dtype=float)
-    return np.where(np.abs(phi) <= p, 3.0 * phi * phi - 1.0, 3.0 * p * p - 1.0)
+    return np.where(np.abs(phi) <= P, 3.0 * phi * phi - 1.0, 3.0 * P * P - 1.0)
 
 
 def deriv_quotient(phi, h=1e-5):
@@ -210,23 +210,8 @@ def test_lipschitz_bound_piecewise():
     assert sampled == pytest.approx(L, rel=1e-9)
 
 
-def test_lipschitz_bound_other_truncation():
-    spec = PotentialSpec(truncation_point=1.5)
-    expected = 3 * 1.5**2 - 1  # inner max equals the outer slope
-    assert lipschitz_bound(spec) == pytest.approx(expected)
-    phi = np.linspace(-10.0, 10.0, 100001)
-    assert np.abs(second_deriv_oracle(phi, 1.5)).max() == pytest.approx(
-        expected, rel=1e-9
-    )
-
-
 def test_array_scalar_agreement():
     phi = np.array([-3.0, -1.0, 0.3, 2.0, 4.7])
     vec = potential_deriv(phi)
     for i, p in enumerate(phi):
         assert vec[i] == potential_deriv(float(p))
-
-
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        PotentialSpec(truncation_point=1.0)

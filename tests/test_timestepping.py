@@ -56,6 +56,10 @@ def test_params_validation():
         SchemeParams(scheme="SL_BDF2", tau=0.1, gamma=1.0, eps=0.1, A=-1.0)
     with pytest.raises(ValueError):
         SchemeParams(scheme="AB2", tau=0.1, gamma=1.0, eps=0.1)
+    # FIRST_ORDER's weights do not read A: a nonzero A would run something
+    # other than what was asked
+    with pytest.raises(ValueError, match="FIRST_ORDER has no stabilizer A, got A = 5.0"):
+        SchemeParams(scheme="FIRST_ORDER", tau=0.1, gamma=1.0, eps=0.1, A=5.0)
     # only finite numbers: NaN fails every comparison, inf is no step size
     nan, inf = float("nan"), float("inf")
     for bad in (dict(A=nan, B=nan), dict(B=nan), dict(A=inf), dict(B=inf), dict(tau=inf),
@@ -304,7 +308,7 @@ def test_march_rejects_negative_n_steps(basis8):
     v = random_nodal_field(basis8, 9).v
     assert len(list(march(op, v, v, 0))) == 1
     for grids in (True, False):
-        with pytest.raises(ValueError, match="n_steps must be >= 0, got -5"):
+        with pytest.raises(ValueError, match="n_steps must be an integer >= 0, got -5"):
             next(march(op, v, v, -5, grids=grids))
 
 
@@ -339,7 +343,8 @@ def test_lean_march_matches_grid_march(M):
     basis = assemble_basis(M)
     phi0 = random_nodal_field(basis, 11)
     for scheme in ("SL_BDF2", "SL_CN", "FIRST_ORDER"):
-        params = SchemeParams(scheme=scheme, tau=0.05, gamma=1.0, eps=0.25, A=0.25, B=8.0)
+        A = 0.0 if scheme == "FIRST_ORDER" else 0.25  # FIRST_ORDER has no A
+        params = SchemeParams(scheme=scheme, tau=0.05, gamma=1.0, eps=0.25, A=A, B=8.0)
         op = build_step_operator(params, basis)
         phi1 = bootstrap_first_step(phi0, params)
         lean = list(march(op, phi0.v, phi1.v, 20, grids=False))
