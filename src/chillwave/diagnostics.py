@@ -92,14 +92,14 @@ class EnergyTrace:
 
     @classmethod
     def read_csv(cls, path) -> "EnergyTrace":
-        """A trace written by write_csv; ValueError unless every row is an
-        integer n, a finite t and five numbers (naming the file and line
-        otherwise), n is contiguous and t strictly increasing. The energy
-        columns may hold NaN."""
+        """A trace written by write_csv; ValueError, naming the file (and
+        the line of a bad row), unless line 1 is TRACE_HEADER, every row is
+        an integer n, a finite t and five numbers, n is contiguous and t
+        strictly increasing. The energy columns may hold NaN."""
         with open(path) as fh:
             header = fh.readline().strip()
             if header != TRACE_HEADER:
-                raise ValueError(f"unexpected trace header: {header}")
+                raise ValueError(f"trace {path}: header {header!r}, expected {TRACE_HEADER}")
             rows = []
             for k, line in enumerate(fh, 2):
                 cells = line.split(",")
@@ -113,10 +113,10 @@ class EnergyTrace:
                                      "of an integer, a finite t and five numbers") from None
         rows = np.array(rows, dtype=TRACE_DTYPE)
         n, t = rows["n"], rows["t"]
-        if np.any(n[1:] != n[:-1] + 1):
-            raise ValueError("trace rows must be contiguous in n")
-        if np.any(t[1:] <= t[:-1]):
-            raise ValueError("trace times must be strictly increasing")
+        for bad, rule in ((n[1:] != n[:-1] + 1, "rows must be contiguous in n"),
+                          (t[1:] <= t[:-1], "times must be strictly increasing")):
+            if bad.any():  # the pair's second row is on line index + 3
+                raise ValueError(f"trace {path}, line {bad.argmax() + 3}: {rule}")
         return cls(rows.view(np.recarray))
 
 

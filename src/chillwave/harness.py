@@ -21,7 +21,7 @@ import numpy as np
 from .diagnostics import (
     TRACE_DTYPE, VERDICT_THRESHOLD, EnergyTrace, error_norms, stability_verdict, step_energies,
 )
-from .errors import NonFinite, check_count
+from .errors import NonFinite, check_count, check_number
 from .field2d import Field, write_rows
 from .spectral1d import Basis1D, assemble_basis
 from .timestepping import SchemeParams, bootstrap_first_step, build_step_operator, march
@@ -38,9 +38,9 @@ def splitmix64(seed: int, count: int) -> np.ndarray:
     draw and each state is finalized by the xorshift-multiply mix; matches
     the published reference outputs (seed 0 starts 0xE220A8397B1DCDAF, ...).
     A seed that is not an integer in [0, 2^64) raises ValueError: masked,
-    it would alias another (2^64 would give seed 0's stream).
+    it would alias another (2^64 would give seed 0's stream, True seed 1's).
     """
-    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
+    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
         raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     idx = np.arange(1, count + 1, dtype=np.uint64)
     z = np.uint64(seed) + idx * _GOLDEN
@@ -68,7 +68,8 @@ def prepare_params(eps: float) -> SchemeParams:
     """The step that prepare_phi1 bootstraps in PREPARE_STEPS substeps of
     eps^3, at unit mobility. The substep must be a normal float, so that
     its reciprocal, the bootstrap's step coefficient, stays finite."""
-    if not (0.0 < eps <= 1.0 and eps**3 >= sys.float_info.min):
+    check_number("eps", eps, True, 1.0)
+    if eps**3 < sys.float_info.min:
         raise ValueError(
             f"eps must be in (0, 1] with eps^3 a normal float to prepare phi1, got {eps!r}"
         )
@@ -92,20 +93,16 @@ def _step_count(T: float, tau: float, key: str = "tau") -> int:
     return n
 
 
-_NUMBER = (int, float)
-
-
-def _is(value, kinds) -> bool:
-    # JSON gives 48.0 for 48 and true for 1; neither passes as an int
-    return isinstance(value, kinds) and not isinstance(value, bool)
-
-
-def _check_positive_list(name: str, value) -> None:
-    # distinct: a repeat would rerun a sweep cell or a convergence tau
-    if not (isinstance(value, list) and value
-            and all(_is(v, _NUMBER) and 0.0 < v < math.inf for v in value)
-            and len(set(value)) == len(value)):
-        raise ValueError(f"{name} must be a non-empty list of distinct finite numbers > 0, "
+def _check_list(name: str, value, positive: bool) -> None:
+    """ValueError unless value is a non-empty list whose entries pass
+    check_number: distinct if positive (a repeat would rerun a sweep cell
+    or a convergence tau), strictly increasing otherwise (a ladder)."""
+    if not (isinstance(value, list) and value):
+        raise ValueError(f"{name} must be a non-empty list, got {value!r}")
+    for k, v in enumerate(value):
+        check_number(f"{name}[{k}]", v, positive)
+    if sorted(set(value)) != (sorted(value) if positive else value):
+        raise ValueError(f"{name} must be {'distinct' if positive else 'strictly increasing'}, "
                          f"got {value!r}")
 
 
@@ -130,16 +127,12 @@ class RunConfig:
     def __post_init__(self):
         if not (self.out_dir is None or isinstance(self.out_dir, str)):
             raise ValueError(f"out_dir must be a path string or null, got {self.out_dir!r}")
-        if not _is(self.seed, int):  # its range is splitmix64's
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        for name in ("eps", "gamma", "tau", "T", "A", "B"):
-            if not _is(getattr(self, name), _NUMBER):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
-        for name, least in (("M", 4), ("m", 1), ("snapshot_every", 0)):
+        for name, least in (("M", 4), ("seed", 0), ("m", 1), ("snapshot_every", 0)):
             check_count(name, getattr(self, name), least)
         if self.scheme not in ("SL_BDF2", "SL_CN"):
             raise ValueError("run scheme must be SL_BDF2 or SL_CN")
         self.scheme_params(self.tau)  # raises on a bad eps, gamma, tau, A or B
+        check_number("T", self.T, True)
         self.n_steps()  # raises unless T is a positive multiple of tau
         if self.initial not in ("random", "prepared"):
             raise ValueError("initial must be 'random' or 'prepared'")
@@ -281,21 +274,13 @@ class SweepConfig:
         if self.target not in ("A", "B"):
             raise ValueError("target must be 'A' or 'B'")
         for name in ("gamma_list", "tau_list"):
-            _check_positive_list(name, getattr(self, name))
-        if not (_is(self.fixed_value, _NUMBER) and 0.0 <= self.fixed_value < math.inf):
-            raise ValueError(f"fixed_value must be a finite number >= 0, got {self.fixed_value!r}")
+            _check_list(name, getattr(self, name), True)
+        check_number("fixed_value", self.fixed_value, False)
         check_count("steps", self.steps, 1)
         if not isinstance(self.full_scan, bool):
             raise ValueError(f"full_scan must be true or false, got {self.full_scan!r}")
-        lad = self.ladder
-        if lad is not None and not (
-            isinstance(lad, list) and lad
-            and all(_is(v, _NUMBER) and 0.0 <= v < math.inf for v in lad)
-            and sorted(set(lad)) == lad
-        ):
-            raise ValueError(
-                f"ladder must be a non-empty increasing list of finite numbers >= 0, got {lad!r}"
-            )
+        if self.ladder is not None:
+            _check_list("ladder", self.ladder, False)
 
 
 def sweep_config_from_dict(d: dict) -> SweepConfig:
@@ -443,9 +428,8 @@ def convergence_study(cfg: RunConfig, tau_list: list[float], tau_ref: float) -> 
     a non-empty list and tau_ref a number, all finite and > 0, with
     tau_ref <= min(tau_list).
     """
-    _check_positive_list("tau_list", tau_list)
-    if not (_is(tau_ref, _NUMBER) and 0.0 < tau_ref < math.inf):
-        raise ValueError(f"tau_ref must be a finite number > 0, got {tau_ref!r}")
+    _check_list("tau_list", tau_list, True)
+    check_number("tau_ref", tau_ref, True)
     taus = [tau_ref] + tau_list
     steps = [_step_count(cfg.T, tau_ref, "tau_ref")]
     steps += [_step_count(cfg.T, tau, "tau_list") for tau in tau_list]

@@ -80,12 +80,13 @@ def _mass_stiffness(M: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class Basis1D:
-    """Galerkin basis of dimension M built from an eigenpair (lam, E) with
-    K E = M E diag(lam), E^T M E = I and lam[0] = 0 (the constant mode).
+    """Galerkin basis of dimension M = len(lam) from an eigenpair (lam, E)
+    with K E = M E diag(lam), E^T M E = I and lam[0] = 0 (the constant mode).
 
-    Construction raises SolveFailed unless the pair's residual against the
-    analytic mass and stiffness, max(||K E - M E diag(lam)|| / ||K E||,
-    ||E^T M E - I||), is within 1e-10. From the checked pair it derives
+    Construction raises ValueError unless M >= 4 and E is M x M, and
+    SolveFailed unless the pair's residual against the analytic mass and
+    stiffness, max(||K E - M E diag(lam)|| / ||K E||, ||E^T M E - I||), is
+    within 1e-10. From the checked pair it derives
     sigma[k, j] = lam[k] + lam[j] and, per Gauss node set P with M x P
     basis table eval_P and weights w_P, the grid map T_P = eval_P^T E
     (grid = T_P v T_P^T) and the fit G_P = E^T eval_P diag(w_P) (v = G_P g
@@ -94,7 +95,7 @@ class Basis1D:
     `replace(basis, E=...)` re-checks the new pair and re-derives the maps.
     """
 
-    M: int
+    M: int = field(init=False)
     lam: np.ndarray
     E: np.ndarray
     weights_2M: np.ndarray = field(init=False, repr=False)
@@ -106,7 +107,10 @@ class Basis1D:
     residual: float = field(init=False)
 
     def __post_init__(self):
-        M, lam, E = self.M, self.lam, self.E
+        lam, E, M = self.lam, self.E, len(self.lam)
+        check_count("M", M, 4)
+        if np.shape(E) != (M, M):
+            raise ValueError(f"E must be M x M = {M} x {M} for M = len(lam), got {np.shape(E)}")
         mass, stiffness = _mass_stiffness(M)
         KE = stiffness @ E
         ME = mass[:, None] * E
@@ -122,7 +126,7 @@ class Basis1D:
         x2, w2 = gauss_legendre(2 * M)
         eval_M, eval_2M = legendre_table(M - 1, xm), legendre_table(M - 1, x2)
         derived = {
-            "weights_2M": w2, "sigma": lam[:, None] + lam[None, :], "residual": residual,
+            "M": M, "weights_2M": w2, "sigma": lam[:, None] + lam[None, :], "residual": residual,
             "T": eval_2M.T @ E, "G": E.T @ (eval_2M * w2),
             "T_M": eval_M.T @ E, "G_M": E.T @ (eval_M * wm),
         }
@@ -142,4 +146,4 @@ def assemble_basis(M: int) -> Basis1D:
     s = 1.0 / np.sqrt(mass)
     lam, Q = np.linalg.eigh(s[:, None] * stiffness * s)
     lam[0] = 0.0  # Neumann kernel: exactly the constant mode
-    return Basis1D(M=M, lam=lam, E=s[:, None] * Q)
+    return Basis1D(lam=lam, E=s[:, None] * Q)

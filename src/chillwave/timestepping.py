@@ -45,13 +45,12 @@ and the first-order bootstrap are loops over them, and a run may
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFinite, check_count
+from .errors import NonFinite, check_count, check_number
 from .field2d import Field
 from .potential import L, potential_deriv, square_in_range
 from .spectral1d import Basis1D
@@ -73,8 +72,8 @@ _TABLE = {
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Time-step configuration; every number must be finite. FIRST_ORDER
-    uses B as its stabilizer and has no A (a nonzero A raises ValueError)."""
+    """Time-step configuration (tau, gamma > 0, eps in (0, 1], A, B >= 0, by
+    `errors.check_number`); FIRST_ORDER's stabilizer is B, and a nonzero A raises."""
 
     scheme: str
     tau: float
@@ -86,13 +85,11 @@ class SchemeParams:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
-        for name in ("tau", "gamma"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be > 0 and finite")
-        if not 0.0 < self.eps <= 1.0:
-            raise ValueError("eps must be in (0, 1]")
-        if not (0.0 <= self.A < math.inf and 0.0 <= self.B < math.inf):
-            raise ValueError("stabilizers A, B must be >= 0 and finite")
+        check_number("tau", self.tau, True)
+        check_number("gamma", self.gamma, True)
+        check_number("eps", self.eps, True, 1.0)
+        check_number("A", self.A, False)
+        check_number("B", self.B, False)
         if self.scheme == "FIRST_ORDER" and self.A != 0.0:
             raise ValueError(f"FIRST_ORDER has no stabilizer A, got A = {self.A}")
 

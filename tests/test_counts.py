@@ -1,17 +1,24 @@
-"""Every mode, step, substep and row count goes through one check,
+"""Every mode, step, substep, row count and seed goes through one check,
 `errors.check_count`: an integer (a numpy one too, not a bool) no
-smaller than the count's least value, or a one-line ValueError."""
+smaller than the count's least value, or a one-line ValueError. Every
+step size, mobility, interface width, stabilizer and final time, and
+each entry of a config's lists, goes through `errors.check_number`: a
+finite real number (a numpy one too, not a bool) in its range."""
+import math
 import re
 
 import numpy as np
 import pytest
 
 from chillwave import (
-    SchemeParams, assemble_basis, bootstrap_first_step, build_step_operator, gauss_legendre,
-    march, stability_verdict,
+    Basis1D, SchemeParams, assemble_basis, bootstrap_first_step, build_step_operator,
+    gauss_legendre, march, stability_verdict,
 )
+from chillwave import harness
 from chillwave.diagnostics import TRACE_DTYPE, EnergyTrace
-from chillwave.harness import RunConfig, SweepConfig, random_nodal_field
+from chillwave.harness import (
+    RunConfig, SweepConfig, convergence_study, prepare_params, random_nodal_field,
+)
 
 RUN = dict(M=8, eps=0.25, gamma=1.0, tau=0.1, T=1.0, scheme="SL_CN")
 PARAMS = SchemeParams("SL_CN", tau=0.05, gamma=1.0, eps=0.25)
@@ -38,6 +45,7 @@ CALLERS = {
         "min_steps", 1,
         lambda basis, k: stability_verdict(EnergyTrace(np.zeros(4, TRACE_DTYPE)), min_steps=k)),
     "RunConfig.M": ("M", 4, lambda basis, M: RunConfig(**dict(RUN, M=M))),
+    "RunConfig.seed": ("seed", 0, lambda basis, seed: RunConfig(**dict(RUN, seed=seed))),
     "RunConfig.m": ("m", 1, lambda basis, m: RunConfig(**dict(RUN, m=m))),
     "RunConfig.snapshot_every": (
         "snapshot_every", 0, lambda basis, k: RunConfig(**dict(RUN, snapshot_every=k))),
@@ -62,4 +70,81 @@ def test_numpy_integer_counts_pass(basis8):
     assert assemble_basis(np.int64(4)).M == 4
     assert len(gauss_legendre(np.int32(3))[0]) == 3
     assert len(march_states(basis8, np.int64(2), False)) == 3
-    assert RunConfig(**dict(RUN, M=np.int64(8), m=np.uint8(2))).M == 8
+    assert RunConfig(**dict(RUN, M=np.int64(8), m=np.uint8(2), seed=np.uint64(7))).M == 8
+
+
+def test_basis_reads_M_off_lam():
+    # M is len(lam), so it cannot disagree with the pair: passing it is a
+    # TypeError, and a pair too short or of mismatched shapes is a ValueError
+    b = assemble_basis(4)
+    assert Basis1D(b.lam, b.E).M == 4
+    for M in (4.0, 3, True):
+        with pytest.raises(TypeError):
+            Basis1D(M, b.lam, b.E)
+        with pytest.raises(TypeError):
+            Basis1D(M=M, lam=b.lam, E=b.E)
+    with pytest.raises(ValueError, match=re.escape("M must be an integer >= 4, got 3")):
+        Basis1D(b.lam[:3], b.E[:3, :3])
+    with pytest.raises(ValueError, match=re.escape("E must be M x M = 4 x 4")):
+        Basis1D(b.lam, b.E[:, :3])
+
+
+SWEEP = dict(base=RunConfig(**RUN), target="A", gamma_list=[1.0], tau_list=[0.1])
+
+
+def scheme(**number):
+    return SchemeParams(**dict(dict(scheme="SL_CN", tau=0.1, gamma=1.0, eps=0.25), **number))
+
+
+def converge(tau_list=None, tau_ref=0.25):
+    return convergence_study(RunConfig(**RUN), [0.5] if tau_list is None else tau_list, tau_ref)
+
+
+# caller -> (the number's name, its range, a value out of it, a call that passes it)
+NUMBERS = {
+    "SchemeParams.tau": ("tau", "> 0", 0.0, lambda x: scheme(tau=x)),
+    "SchemeParams.gamma": ("gamma", "> 0", -1.0, lambda x: scheme(gamma=x)),
+    "SchemeParams.eps": ("eps", "> 0, and <= 1", 1.5, lambda x: scheme(eps=x)),
+    "SchemeParams.A": ("A", ">= 0", -1.0, lambda x: scheme(A=x)),
+    "SchemeParams.B": ("B", ">= 0", -1.0, lambda x: scheme(B=x)),
+    "RunConfig.eps": ("eps", "> 0, and <= 1", 0.0, lambda x: RunConfig(**dict(RUN, eps=x))),
+    "RunConfig.T": ("T", "> 0", -1.0, lambda x: RunConfig(**dict(RUN, T=x))),
+    "SweepConfig.fixed_value": (
+        "fixed_value", ">= 0", -1.0, lambda x: SweepConfig(**dict(SWEEP, fixed_value=x))),
+    "SweepConfig.gamma_list": (
+        "gamma_list[1]", "> 0", 0.0, lambda x: SweepConfig(**dict(SWEEP, gamma_list=[1.0, x]))),
+    "SweepConfig.tau_list": (
+        "tau_list[0]", "> 0", -0.1, lambda x: SweepConfig(**dict(SWEEP, tau_list=[x]))),
+    "SweepConfig.ladder": (
+        "ladder[1]", ">= 0", -1.0, lambda x: SweepConfig(**dict(SWEEP, ladder=[0.0, x]))),
+    "convergence_study.tau_list": (
+        "tau_list[1]", "> 0", 0.0, lambda x: converge(tau_list=[0.5, x])),
+    "convergence_study.tau_ref": ("tau_ref", "> 0", 0.0, lambda x: converge(tau_ref=x)),
+    "prepare_params": ("eps", "> 0, and <= 1", 2.0, prepare_params),
+}
+
+
+@pytest.mark.parametrize(
+    "bad", ["bool", "string", "none", "nan", "inf", "past_the_floats", "out_of_range"])
+@pytest.mark.parametrize("caller", list(NUMBERS))
+def test_every_number_is_finite_and_in_range(monkeypatch, caller, bad):
+    # a bool, a string, None, NaN, infinity, an integer too large for a
+    # float or a value out of range raises the one message naming the key,
+    # not a TypeError or an OverflowError, and before any run
+    monkeypatch.setattr(harness, "initial_field", None)  # a run would call it
+    name, bound, out, call = NUMBERS[caller]
+    value = {"bool": True, "string": "1", "none": None, "nan": math.nan, "inf": math.inf,
+             "past_the_floats": 10**400, "out_of_range": out}[bad]
+    message = f"{name} must be a finite number {bound}, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(value)
+
+
+def test_numpy_float_numbers_pass():
+    f = np.float64
+    assert scheme(tau=f(0.1), gamma=f(1.0), eps=f(0.25), A=f(1.0), B=f(0.0)).eps == 0.25
+    assert RunConfig(**dict(RUN, eps=f(0.25), T=f(1.0))).n_steps() == 10
+    SweepConfig(**dict(SWEEP, gamma_list=[f(1.0)], tau_list=[f(0.1)], fixed_value=f(0.0),
+                       ladder=[f(0.0), f(1.0)]))
+    assert prepare_params(f(0.25)).eps == 0.25
+    assert len(converge(tau_list=[f(0.5)], tau_ref=f(0.25))) == 1

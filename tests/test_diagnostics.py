@@ -38,36 +38,39 @@ def make_trace(increments, blowup_step=None):
     return EnergyTrace(rows, blowup_step=blowup_step)
 
 
+HEAD = TRACE_HEADER + "\n"
 ROW = "1,0.1,1.0,1.0,0.0,0.0,0.0\n"
 
 
-@pytest.mark.parametrize("body, error", [
-    (ROW + "3,0.2,1.0,1.0,0.0,0.0,0.0\n", "contiguous in n"),
-    (ROW + "2,0.1,1.0,1.0,0.0,0.0,0.0\n", "strictly increasing"),
-    ("", None),
-    (ROW + "2,0.2,1.0\n", 3),
-    (ROW + "2,0.2,x,1.0,0.0,0.0,0.0\n", 3),
-    ("1.5,0.1,1.0,1.0,0.0,0.0,0.0\n", 2),
-    (ROW + "\n", 3),
-    (ROW + "2,nan,1.0,1.0,0.0,0.0,0.0\n", 3),
-    ("1,inf,1.0,1.0,0.0,0.0,0.0\n", 2),
-    (ROW + "nan,0.2,1.0,1.0,0.0,0.0,0.0\n", 3),
-], ids=["skipped_n", "repeated_t", "header_only", "short_row", "text_value", "fractional_n",
-        "trailing_blank_line", "nan_t", "inf_t", "nan_n"])
-def test_trace_read_csv_validation(tmp_path, body, error):
+@pytest.mark.parametrize("text, error", [
+    (HEAD + ROW + "3,0.2,1.0,1.0,0.0,0.0,0.0\n", ", line 3: rows must be contiguous in n"),
+    (HEAD + ROW + "2,0.1,1.0,1.0,0.0,0.0,0.0\n", ", line 3: times must be strictly increasing"),
+    ("n,t\n" + ROW, f": header 'n,t', expected {TRACE_HEADER}"),
+    ("", f": header '', expected {TRACE_HEADER}"),
+    (HEAD, None),
+    (HEAD + ROW + "2,0.2,1.0\n", 3),
+    (HEAD + ROW + "2,0.2,x,1.0,0.0,0.0,0.0\n", 3),
+    (HEAD + "1.5,0.1,1.0,1.0,0.0,0.0,0.0\n", 2),
+    (HEAD + ROW + "\n", 3),
+    (HEAD + ROW + "2,nan,1.0,1.0,0.0,0.0,0.0\n", 3),
+    (HEAD + "1,inf,1.0,1.0,0.0,0.0,0.0\n", 2),
+    (HEAD + ROW + "nan,0.2,1.0,1.0,0.0,0.0,0.0\n", 3),
+], ids=["skipped_n", "repeated_t", "wrong_header", "empty_file", "header_only", "short_row",
+        "text_value", "fractional_n", "trailing_blank_line", "nan_t", "inf_t", "nan_n"])
+def test_trace_read_csv_validation(tmp_path, text, error):
     # trace files come from outside the program: read_csv checks what the
-    # run's loop over march guarantees, and names the file and line of a
-    # row that is not an integer n, a finite t and five numbers
+    # run's loop over march guarantees, and every error names the file (and
+    # the line of a row that is not an integer n, a finite t and five numbers)
     p = tmp_path / "trace.csv"
-    p.write_text(TRACE_HEADER + "\n" + body)
+    p.write_text(text)
     if error is None:
         assert len(EnergyTrace.read_csv(p)) == 0
     else:
         with pytest.raises(ValueError) as exc:
             EnergyTrace.read_csv(p)
         # an int is the line of a malformed row
-        want = f"trace {p}, line {error}: expected a row" if isinstance(error, int) else error
-        assert want in str(exc.value)
+        want = f", line {error}: expected a row" if isinstance(error, int) else error
+        assert f"trace {p}{want}" in str(exc.value)
 
 
 def test_trace_columns():

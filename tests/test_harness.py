@@ -72,9 +72,9 @@ def test_splitmix64_seed42_first_output():
 
 
 def test_splitmix64_rejects_seed_outside_64_bits():
-    # a masked seed would alias: 2^64 would give seed 0's stream
+    # a masked seed would alias: 2^64 would give seed 0's stream, True seed 1's
     assert [int(v) for v in splitmix64(2**64 - 1, 3)] == splitmix_ref(2**64 - 1, 3)
-    for seed in (-1, 2**64, 42.0):
+    for seed in (-1, 2**64, 42.0, True):
         with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\^64\)"):
             splitmix64(seed, 1)
 
