@@ -51,10 +51,9 @@ def _ensure_dir(path: str) -> str:
 
 
 def _cmd_run(args) -> int:
-    raw = _load_json(args.config)
-    cfg = run_config_from_dict(raw)
+    cfg = run_config_from_dict(_load_json(args.config))
     trace, final, snapshots = run_simulation(cfg)
-    out = _ensure_dir(args.out_dir or cfg.out_dir or ".")
+    out = _ensure_dir(args.out_dir or ".")
     trace.write_csv(os.path.join(out, "trace.csv"))
     for n, t, u in snapshots:
         path = os.path.join(out, f"snapshot_{n:06d}.csv")
@@ -100,7 +99,7 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     sc = sweep_config_from_dict(_load_json(args.config))
     result = sweep_min_stabilizer(sc)
-    out = _ensure_dir(args.out_dir or sc.base.out_dir or ".")
+    out = _ensure_dir(args.out_dir or ".")
     path = os.path.join(out, "sweep.csv")
     result.write_csv(path)
     result.write_log_csv(os.path.join(out, "sweep_log.csv"))
@@ -121,7 +120,7 @@ def _cmd_converge(args) -> int:
     tau_ref = raw.pop("tau_ref")
     cfg = run_config_from_dict(raw)
     rows = convergence_study(cfg, tau_list, tau_ref)
-    out = _ensure_dir(args.out_dir or cfg.out_dir or ".")
+    out = _ensure_dir(args.out_dir or ".")
     path = os.path.join(out, "convergence.csv")
     write_convergence_csv(rows, path)
     for r in rows:

@@ -182,6 +182,6 @@ def read_snapshot(path, basis: Basis1D | None = None) -> tuple[Field, dict]:
     if basis is None:
         basis = assemble_basis(M)
     if basis.M != M:
-        raise ValueError(f"snapshot has M = {M}, but the basis has M = {basis.M}")
+        raise ValueError(f"snapshot {path} has M = {M}, but the basis has M = {basis.M}")
     G = basis.G_M
     return Field(basis, G @ np.array(vals) @ G.T), meta

@@ -120,14 +120,10 @@ class RunConfig:
     B: float = 0.0
     seed: int = 42
     initial: str = "random"  # "random" (raw noise) or "prepared" (phi1 state)
-    m: int = 10  # bootstrap substep count
     snapshot_every: int = 0  # steps between snapshots; 0 disables
-    out_dir: str | None = None
 
     def __post_init__(self):
-        if not (self.out_dir is None or isinstance(self.out_dir, str)):
-            raise ValueError(f"out_dir must be a path string or null, got {self.out_dir!r}")
-        for name, least in (("M", 4), ("seed", 0), ("m", 1), ("snapshot_every", 0)):
+        for name, least in (("M", 4), ("seed", 0), ("snapshot_every", 0)):
             check_count(name, getattr(self, name), least)
         if self.scheme not in ("SL_BDF2", "SL_CN"):
             raise ValueError("run scheme must be SL_BDF2 or SL_CN")
@@ -210,7 +206,7 @@ def run_simulation(
     rows = np.empty(N, TRACE_DTYPE)
     n, e_mod, curr, blowup_step = 0, 0.0, None, None
     try:
-        phi1 = bootstrap_first_step(phi0, params, cfg.m)
+        phi1 = bootstrap_first_step(phi0, params)
         for prev, curr, grid in march(op, phi0.v, phi1.v, N - 1):
             n += 1
             t = n * cfg.tau  # not a running sum, whose rounding drifts
@@ -366,10 +362,8 @@ def _cell_text(sc: SweepConfig, gamma: float, value: float | None) -> str:
 
 def _candidate_config(sc: SweepConfig, gamma: float, tau: float, candidate: float) -> RunConfig:
     a, b = (candidate, sc.fixed_value) if sc.target == "A" else (sc.fixed_value, candidate)
-    return replace(
-        sc.base, gamma=gamma, tau=tau, T=sc.steps * tau, A=a, B=b,
-        snapshot_every=0, out_dir=None,
-    )
+    return replace(sc.base, gamma=gamma, tau=tau, T=sc.steps * tau, A=a, B=b,
+                   snapshot_every=0)
 
 
 def _ladder(sc: SweepConfig, gamma: float) -> list[float]:
@@ -442,7 +436,7 @@ def convergence_study(cfg: RunConfig, tau_list: list[float], tau_ref: float) -> 
     finals = []
     for tau, n in zip(taus, steps):
         params = cfg.scheme_params(tau)
-        phi1 = bootstrap_first_step(phi_init, params, cfg.m)
+        phi1 = bootstrap_first_step(phi_init, params)
         op = build_step_operator(params, basis)
         for _, final, _ in march(op, phi_init.v, phi1.v, n - 1, grids=False):
             pass  # keeps only the last state

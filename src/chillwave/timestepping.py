@@ -216,8 +216,11 @@ def bootstrap_first_step(phi0: Field, params: SchemeParams, m: int = 10) -> Fiel
 def sufficient_stabilizers(
     scheme: str, eps: float, gamma: float, tau: float, L: float
 ) -> tuple[float, float]:
-    """Stabilizer pair (A, B) satisfying the discrete energy-dissipation
-    sufficient conditions of the two schemes."""
+    """Stabilizer pair (A, B) meeting the two schemes' sufficient discrete
+    energy-dissipation conditions, for eps in (0, 1] and gamma, tau, L > 0."""
+    check_number("eps", eps, True, 1.0)
+    for name, value in (("gamma", gamma), ("tau", tau), ("L", L)):
+        check_number(name, value, True)
     if scheme == "SL_CN":
         return L * L * gamma / (16.0 * eps * eps), L / (2.0 * eps)
     if scheme == "SL_BDF2":
@@ -227,5 +230,8 @@ def sufficient_stabilizers(
 
 def bdf2_smallstep_threshold(eps: float, gamma: float, L: float) -> float:
     """Largest tau for which SL_BDF2 is provably energy stable with
-    A = B = 0: tau <= 8 eps^3 / (25 L^2 gamma)."""
+    A = B = 0: tau <= 8 eps^3 / (25 L^2 gamma), for eps in (0, 1], gamma, L > 0."""
+    check_number("eps", eps, True, 1.0)
+    for name, value in (("gamma", gamma), ("L", L)):
+        check_number(name, value, True)
     return 8.0 * eps**3 / (25.0 * L * L * gamma)

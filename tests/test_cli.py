@@ -368,20 +368,25 @@ def test_run_rejects_prepared_eps_underflow(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("out_dir", [5, [1], True])
+@pytest.mark.parametrize("key,value", [
+    ("out_dir", 5), ("out_dir", [1]), ("out_dir", True), ("out_dir", "x"), ("m", 10),
+])
 @pytest.mark.parametrize("command", ["run", "sweep", "converge"])
-def test_config_out_dir_must_be_a_string(tmp_path, capsys, monkeypatch, command, out_dir):
-    # without --out-dir the config's out_dir is the output path
+def test_config_out_dir_and_m_are_unknown_keys(tmp_path, capsys, monkeypatch, command, key,
+                                               value):
+    # the output path comes only from --out-dir and the bootstrap count is
+    # bootstrap_first_step's, so a run config naming either is rejected
+    # before anything is written
     cfg = {
-        "run": dict(RUN_CFG, out_dir=out_dir),
-        "sweep": dict(SWEEP_CFG, base=dict(SWEEP_CFG["base"], out_dir=out_dir)),
-        "converge": dict(CONVERGE_CFG, out_dir=out_dir),
+        "run": dict(RUN_CFG, **{key: value}),
+        "sweep": dict(SWEEP_CFG, base=dict(SWEEP_CFG["base"], **{key: value})),
+        "converge": dict(CONVERGE_CFG, **{key: value}),
     }[command]
     cfg_path = tmp_path / "config.json"
     write_json(cfg_path, cfg)
     monkeypatch.chdir(tmp_path)
     rc = main([command, "--config", str(cfg_path)])
-    assert_one_line_error(capsys, rc, "out_dir")
+    assert_one_line_error(capsys, rc, f"unknown RunConfig keys: ['{key}']")
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 

@@ -1,9 +1,10 @@
 """Every mode, step, substep, row count and seed goes through one check,
 `errors.check_count`: an integer (a numpy one too, not a bool) no
 smaller than the count's least value, or a one-line ValueError. Every
-step size, mobility, interface width, stabilizer and final time, and
-each entry of a config's lists, goes through `errors.check_number`: a
-finite real number (a numpy one too, not a bool) in its range."""
+step size, mobility, interface width, stabilizer, Lipschitz bound and
+final time, and each entry of a config's lists, goes through
+`errors.check_number`: a finite real number (a numpy one too, not a
+bool) in its range."""
 import math
 import re
 
@@ -11,8 +12,8 @@ import numpy as np
 import pytest
 
 from chillwave import (
-    Basis1D, SchemeParams, assemble_basis, bootstrap_first_step, build_step_operator,
-    gauss_legendre, march, stability_verdict,
+    Basis1D, SchemeParams, assemble_basis, bdf2_smallstep_threshold, bootstrap_first_step,
+    build_step_operator, gauss_legendre, march, stability_verdict, sufficient_stabilizers,
 )
 from chillwave import harness
 from chillwave.diagnostics import TRACE_DTYPE, EnergyTrace
@@ -46,7 +47,6 @@ CALLERS = {
         lambda basis, k: stability_verdict(EnergyTrace(np.zeros(4, TRACE_DTYPE)), min_steps=k)),
     "RunConfig.M": ("M", 4, lambda basis, M: RunConfig(**dict(RUN, M=M))),
     "RunConfig.seed": ("seed", 0, lambda basis, seed: RunConfig(**dict(RUN, seed=seed))),
-    "RunConfig.m": ("m", 1, lambda basis, m: RunConfig(**dict(RUN, m=m))),
     "RunConfig.snapshot_every": (
         "snapshot_every", 0, lambda basis, k: RunConfig(**dict(RUN, snapshot_every=k))),
     "SweepConfig.steps": ("steps", 1, lambda basis, k: SweepConfig(
@@ -70,7 +70,7 @@ def test_numpy_integer_counts_pass(basis8):
     assert assemble_basis(np.int64(4)).M == 4
     assert len(gauss_legendre(np.int32(3))[0]) == 3
     assert len(march_states(basis8, np.int64(2), False)) == 3
-    assert RunConfig(**dict(RUN, M=np.int64(8), m=np.uint8(2), seed=np.uint64(7))).M == 8
+    assert RunConfig(**dict(RUN, M=np.int64(8), seed=np.uint64(7))).M == 8
 
 
 def test_basis_reads_M_off_lam():
@@ -100,6 +100,15 @@ def converge(tau_list=None, tau_ref=0.25):
     return convergence_study(RunConfig(**RUN), [0.5] if tau_list is None else tau_list, tau_ref)
 
 
+def stabilizers(**number):
+    return sufficient_stabilizers(
+        **dict(dict(scheme="SL_BDF2", eps=0.05, gamma=1.0, tau=0.1, L=11.0), **number))
+
+
+def threshold(**number):
+    return bdf2_smallstep_threshold(**dict(dict(eps=0.05, gamma=1.0, L=11.0), **number))
+
+
 # caller -> (the number's name, its range, a value out of it, a call that passes it)
 NUMBERS = {
     "SchemeParams.tau": ("tau", "> 0", 0.0, lambda x: scheme(tau=x)),
@@ -121,6 +130,13 @@ NUMBERS = {
         "tau_list[1]", "> 0", 0.0, lambda x: converge(tau_list=[0.5, x])),
     "convergence_study.tau_ref": ("tau_ref", "> 0", 0.0, lambda x: converge(tau_ref=x)),
     "prepare_params": ("eps", "> 0, and <= 1", 2.0, prepare_params),
+    "sufficient_stabilizers.eps": ("eps", "> 0, and <= 1", 0.0, lambda x: stabilizers(eps=x)),
+    "sufficient_stabilizers.gamma": ("gamma", "> 0", 0.0, lambda x: stabilizers(gamma=x)),
+    "sufficient_stabilizers.tau": ("tau", "> 0", 0.0, lambda x: stabilizers(tau=x)),
+    "sufficient_stabilizers.L": ("L", "> 0", -11.0, lambda x: stabilizers(L=x)),
+    "bdf2_smallstep_threshold.eps": ("eps", "> 0, and <= 1", 1.5, lambda x: threshold(eps=x)),
+    "bdf2_smallstep_threshold.gamma": ("gamma", "> 0", 0.0, lambda x: threshold(gamma=x)),
+    "bdf2_smallstep_threshold.L": ("L", "> 0", 0.0, lambda x: threshold(L=x)),
 }
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -262,7 +264,8 @@ def test_snapshot_reuses_supplied_basis(tmp_path, basis8):
     np.testing.assert_allclose(back.coeffs, u.coeffs, atol=1e-12)
     # an 8 x 8 body is the 2M grid of M = 4, but a snapshot is always on
     # the M grid of its own M
-    with pytest.raises(ValueError, match="snapshot has M = 8, but the basis has M = 4"):
+    message = f"snapshot {p} has M = 8, but the basis has M = 4"
+    with pytest.raises(ValueError, match=re.escape(message)):
         read_snapshot(p, basis=cw.assemble_basis(4))
     # a header or value line other than the five snapshot fields
     lines = p.read_text().splitlines(keepends=True)

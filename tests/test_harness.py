@@ -1,6 +1,7 @@
 import math
 import os
-from dataclasses import asdict, replace
+import re
+from dataclasses import asdict, fields, replace
 import subprocess
 import sys
 from pathlib import Path
@@ -129,7 +130,7 @@ def test_run_config_validation():
     RunConfig(**dict(good, eps=1, gamma=2, A=0, B=5))  # ints are numbers
     for bad in (
         dict(eps=1.5), dict(eps=0.0), dict(eps=-0.05),
-        dict(M=48.0), dict(seed=42.0), dict(m=10.0), dict(snapshot_every=2.0),
+        dict(M=48.0), dict(seed=42.0), dict(snapshot_every=2.0),
         dict(M=True), dict(seed=False),
         dict(eps="0.05"), dict(gamma=None), dict(A=[1.0]), dict(B=True), dict(T="1"),
         dict(A=-1.0),
@@ -148,10 +149,22 @@ def test_run_config_validation():
 
 def test_run_config_dict_round_trip():
     cfg = RunConfig(M=8, eps=0.05, gamma=0.0025, tau=0.1, T=1.0, scheme="SL_CN",
-                    A=0.25, B=20.0, seed=7, initial="prepared", m=5)
+                    A=0.25, B=20.0, seed=7, initial="prepared", snapshot_every=5)
     assert run_config_from_dict(asdict(cfg)) == cfg
     with pytest.raises(ValueError):
         run_config_from_dict({"M": 8, "epsilon": 0.05})
+
+
+def test_readme_names_every_config_key():
+    # every field of RunConfig and SweepConfig is named in backticks in the
+    # "Config keys:" paragraph of its command's README section, so no key
+    # is added or renamed without its documentation
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for command, cls in (("run", RunConfig), ("sweep", SweepConfig)):
+        section = readme.split(f"### `chillwave {command} ")[1].split("\n### ")[0]
+        paragraph = next(p for p in section.split("\n\n") if p.startswith("Config keys:"))
+        named = set(re.findall(r"`(\w+)`", paragraph))
+        assert [f.name for f in fields(cls) if f.name not in named] == []
 
 
 def test_n_steps_rounding():
