@@ -106,18 +106,13 @@ def _check_list(name: str, value, positive: bool) -> None:
                          f"got {value!r}")
 
 
-@dataclass
-class RunConfig:
-    """Single-simulation configuration; JSON keys match field names."""
+@dataclass(frozen=True, kw_only=True)
+class RunConfig(SchemeParams):
+    """Single-simulation configuration: a two-level scheme's parameters
+    plus the run's size and initial datum; JSON keys match field names."""
 
     M: int
-    eps: float
-    gamma: float
-    tau: float
     T: float
-    scheme: str
-    A: float = 0.0
-    B: float = 0.0
     seed: int = 42
     initial: str = "random"  # "random" (raw noise) or "prepared" (phi1 state)
     snapshot_every: int = 0  # steps between snapshots; 0 disables
@@ -127,7 +122,7 @@ class RunConfig:
             check_count(name, getattr(self, name), least)
         if self.scheme not in ("SL_BDF2", "SL_CN"):
             raise ValueError("run scheme must be SL_BDF2 or SL_CN")
-        self.scheme_params(self.tau)  # raises on a bad eps, gamma, tau, A or B
+        super().__post_init__()
         check_number("T", self.T, True)
         self.n_steps()  # raises unless T is a positive multiple of tau
         if self.initial not in ("random", "prepared"):
@@ -137,11 +132,6 @@ class RunConfig:
 
     def n_steps(self) -> int:
         return _step_count(self.T, self.tau)
-
-    def scheme_params(self, tau: float) -> SchemeParams:
-        return SchemeParams(
-            scheme=self.scheme, tau=tau, gamma=self.gamma, eps=self.eps, A=self.A, B=self.B
-        )
 
 
 def _from_dict(cls, d: dict):
@@ -199,14 +189,13 @@ def run_simulation(
             raise ValueError(f"{name} has M = {b.M}, but the config asks for M = {cfg.M}")
     phi0 = phi_init if phi_init is not None else initial_field(cfg, basis)
     basis = phi0.basis
-    params = cfg.scheme_params(cfg.tau)
-    op = build_step_operator(params, basis)
+    op = build_step_operator(cfg, basis)
     snapshots: list[tuple[int, float, Field]] = []
     N = cfg.n_steps()
     rows = np.empty(N, TRACE_DTYPE)
     n, e_mod, curr, blowup_step = 0, 0.0, None, None
     try:
-        phi1 = bootstrap_first_step(phi0, params)
+        phi1 = bootstrap_first_step(phi0, cfg)
         for prev, curr, grid in march(op, phi0.v, phi1.v, N - 1):
             n += 1
             t = n * cfg.tau  # not a running sum, whose rounding drifts
@@ -435,7 +424,7 @@ def convergence_study(cfg: RunConfig, tau_list: list[float], tau_ref: float) -> 
 
     finals = []
     for tau, n in zip(taus, steps):
-        params = cfg.scheme_params(tau)
+        params = replace(cfg, tau=tau)
         phi1 = bootstrap_first_step(phi_init, params)
         op = build_step_operator(params, basis)
         for _, final, _ in march(op, phi_init.v, phi1.v, n - 1, grids=False):

@@ -213,6 +213,13 @@ def bootstrap_first_step(phi0: Field, params: SchemeParams, m: int = 10) -> Fiel
     return Field(phi0.basis, v1)
 
 
+def _quotient(num: float, den: float, inputs: str) -> float:
+    """num / den; a ValueError naming the inputs if den is 0 or num / den not finite."""
+    if den == 0.0 or not np.isfinite(q := num / den):
+        raise ValueError(f"a theorem bound is not a finite float for {inputs}")
+    return q
+
+
 def sufficient_stabilizers(
     scheme: str, eps: float, gamma: float, tau: float, L: float
 ) -> tuple[float, float]:
@@ -221,10 +228,12 @@ def sufficient_stabilizers(
     check_number("eps", eps, True, 1.0)
     for name, value in (("gamma", gamma), ("tau", tau), ("L", L)):
         check_number(name, value, True)
+    inputs = f"{scheme} at eps = {eps}, gamma = {gamma}, tau = {tau}, L = {L}"
     if scheme == "SL_CN":
-        return L * L * gamma / (16.0 * eps * eps), L / (2.0 * eps)
+        return _quotient(L * L * gamma, 16.0 * eps * eps, inputs), _quotient(L, 2.0 * eps, inputs)
     if scheme == "SL_BDF2":
-        return max(0.0, L * L * gamma / (16.0 * eps * eps) - eps / (2.0 * tau)), L / eps
+        return (max(0.0, _quotient(L * L * gamma, 16.0 * eps * eps, inputs)
+                    - _quotient(eps, 2.0 * tau, inputs)), _quotient(L, eps, inputs))
     raise ValueError("no dissipation condition for scheme " + scheme)
 
 
@@ -234,4 +243,4 @@ def bdf2_smallstep_threshold(eps: float, gamma: float, L: float) -> float:
     check_number("eps", eps, True, 1.0)
     for name, value in (("gamma", gamma), ("L", L)):
         check_number(name, value, True)
-    return 8.0 * eps**3 / (25.0 * L * L * gamma)
+    return _quotient(8.0 * eps**3, 25.0 * L * L * gamma, f"eps = {eps}, gamma = {gamma}, L = {L}")

@@ -243,7 +243,9 @@ def test_criterion_8_block_residuals(capsys, experiment):
     assert ok
 
 
-def test_criterion_9_sweep_cells(capsys, experiment):
+def sweep_c9_cells(experiment):
+    """The cells of the four criterion-9 sweeps, read from the sweep_c9
+    workload once its configs are checked against these."""
     sweeps = [("SL_BDF2", GAMMA, 0.01, "A", 0.0), ("SL_CN", 1.0, 10.0, "B", 25.0),
               ("SL_BDF2", 1.0, 0.1, "A", 0.0), ("SL_BDF2", 1.0, 0.1, "A", 40.0)]
     cells = []
@@ -254,7 +256,11 @@ def test_criterion_9_sweep_cells(capsys, experiment):
         assert (sc.base, sc.target, sc.fixed_value, sc.gamma_list, sc.tau_list, sc.steps,
                 sc.ladder) == (base, target, fixed, [gamma], [tau], STEPS, None)
         cells.append(result.cells[(gamma, tau)])
-    min_a, min_b, *column = cells
+    return cells
+
+
+def test_criterion_9_sweep_cells(capsys, experiment):
+    min_a, min_b, *column = sweep_c9_cells(experiment)
     # a nonzero B should not increase the minimal stable A
     mins = dict(zip((0.0, 40.0), (math.inf if val is None else val for val in column)))
 
@@ -339,4 +345,29 @@ def test_criterion_11_spatial_convergence_paper_eps(capsys):
            f"M=96: L2 errors at M=32, 48, 64 "
            + "; ".join(f"{s} {', '.join(f'{x:.2e}' for x in e)}" for s, e in errs.items())
            + f", each >= 4x below the last -> {geometric}; M=48 errors <= 1e-2")
+    assert ok
+
+
+def test_criterion_13_stabilization_below_theorem(capsys, experiment):
+    # SL_BDF2 at gamma = 1, tau = 0.1, B = 0 on the default ladder: the
+    # minimal stable A against sufficient_stabilizers' A, at eps = 0.1 (a
+    # fresh M = 32 sweep) and at eps = 0.05 (criterion 9's third cell, M = 48);
+    # ROADMAP item 5 measured ratios of 7.6 and 15
+    base = cw.RunConfig(M=32, eps=0.1, gamma=1.0, tau=0.1, T=STEPS * 0.1, scheme="SL_BDF2",
+                        seed=SEED)
+    fresh = cw.sweep_min_stabilizer(
+        cw.SweepConfig(base=base, target="A", gamma_list=[1.0], tau_list=[0.1]))
+    found = {0.1: fresh.cells[(1.0, 0.1)], EPS: sweep_c9_cells(experiment)[2]}
+    cells = []
+    for eps, minimal in found.items():
+        theorem = cw.sufficient_stabilizers("SL_BDF2", eps, 1.0, 0.1, L)[0]
+        # no stable rung (None) fails, and a minimal A of 0 passes
+        ratio = math.nan if minimal is None else math.inf if minimal == 0 else theorem / minimal
+        cells.append((eps, minimal, theorem, ratio))
+    ok = all(ratio >= 4.0 for *_, ratio in cells)
+    report(capsys, 13, ok,
+           "SL_BDF2 at gamma=1, tau=0.1, B=0, seed 42, default ladder: " + "; ".join(
+               f"eps={eps:g}: minimal stable A {minimal} vs theorem A {theorem:g} "
+               f"(ratio {ratio:.3g})" for eps, minimal, theorem, ratio in cells)
+           + "; required ratio >= 4")
     assert ok

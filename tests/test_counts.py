@@ -156,6 +156,34 @@ def test_every_number_is_finite_and_in_range(monkeypatch, caller, bad):
         call(value)
 
 
+# calls whose numbers pass check_number but whose theorem bound does not
+# fit a float -> (the call, the inputs its message names)
+UNREPRESENTABLE = {
+    "sufficient_stabilizers.eps_squared_underflows": (
+        lambda: sufficient_stabilizers("SL_BDF2", 1e-200, 0.0025, 0.01, 11.0),
+        "SL_BDF2 at eps = 1e-200, gamma = 0.0025, tau = 0.01, L = 11.0"),
+    "bdf2_smallstep_threshold.L_squared_underflows": (
+        lambda: bdf2_smallstep_threshold(0.05, 0.0025, 1e-200),
+        "eps = 0.05, gamma = 0.0025, L = 1e-200"),
+    "sufficient_stabilizers.A_overflows": (
+        lambda: sufficient_stabilizers("SL_CN", 0.05, 1.0, 0.01, 1e200),
+        "SL_CN at eps = 0.05, gamma = 1.0, tau = 0.01, L = 1e+200"),
+    "bdf2_smallstep_threshold.overflows": (
+        lambda: bdf2_smallstep_threshold(1.0, 1e-300, 1e-10),
+        "eps = 1.0, gamma = 1e-300, L = 1e-10"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNREPRESENTABLE))
+def test_theorem_bounds_are_finite_floats(case):
+    # a denominator that underflows to 0 or a quotient that overflows
+    # raises the one message naming the inputs: no ZeroDivisionError, no inf
+    call, inputs = UNREPRESENTABLE[case]
+    message = f"a theorem bound is not a finite float for {inputs}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
 def test_numpy_float_numbers_pass():
     f = np.float64
     assert scheme(tau=f(0.1), gamma=f(1.0), eps=f(0.25), A=f(1.0), B=f(0.0)).eps == 0.25

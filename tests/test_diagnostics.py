@@ -197,7 +197,7 @@ def test_trace_m48_energy_is_the_quadrature_of_its_final_field(experiment):
     # the last E_eps of the cached trace_m48 run, an in-range field, against
     # the quadrature of F on the grid of its final field
     ctx, (trace, final, _) = experiment("trace_m48")
-    op = build_step_operator(ctx.cfg.scheme_params(ctx.cfg.tau), final.basis)
+    op = build_step_operator(ctx.cfg, final.basis)
     grid = final.basis.T @ final.v @ final.basis.T.T
     assert np.abs(grid).max() <= P
     want = quadrature_energies(op, final.v, final.v, grid)[0]

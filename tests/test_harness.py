@@ -1,7 +1,7 @@
 import math
 import os
 import re
-from dataclasses import asdict, fields, replace
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 import subprocess
 import sys
 from pathlib import Path
@@ -11,9 +11,11 @@ import pytest
 
 from chillwave import (
     RunConfig,
+    SchemeParams,
     SolveFailed,
     SweepConfig,
     assemble_basis,
+    build_step_operator,
     convergence_study,
     default_ladder,
     mean_value,
@@ -153,6 +155,25 @@ def test_run_config_dict_round_trip():
     assert run_config_from_dict(asdict(cfg)) == cfg
     with pytest.raises(ValueError):
         run_config_from_dict({"M": 8, "epsilon": 0.05})
+
+
+def test_run_config_is_its_scheme_params(basis8):
+    # a run config is a frozen SchemeParams plus the run's size: the step
+    # operator takes it as is, and it changes only through replace, which
+    # checks it again
+    for scheme in ("SL_BDF2", "SL_CN"):
+        cfg = RunConfig(M=8, eps=0.25, gamma=1.0, tau=0.1, T=1.0, scheme=scheme, A=0.5, B=3.0)
+        assert isinstance(cfg, SchemeParams)
+        plain = SchemeParams(scheme=cfg.scheme, tau=cfg.tau, gamma=cfg.gamma, eps=cfg.eps,
+                             A=cfg.A, B=cfg.B)
+        got, want = build_step_operator(cfg, basis8), build_step_operator(plain, basis8)
+        assert got.xp == want.xp
+        for name in ("cn", "cp", "cl", "grad", "hw"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        with pytest.raises(FrozenInstanceError):
+            cfg.tau = 0.2
+        with pytest.raises(ValueError, match="run scheme must be SL_BDF2 or SL_CN"):
+            replace(cfg, scheme="FIRST_ORDER")
 
 
 def test_readme_names_every_config_key():
