@@ -235,7 +235,7 @@ def default_ladder(target: str, gamma: float, eps: float) -> list[float]:
 
 @dataclass
 class SweepConfig:
-    """Minimum-stabilizer sweep over a (gamma, tau) grid.
+    """Minimum-stabilizer sweep over a (gamma, tau) grid; a candidate runs base.n_steps() steps.
 
     target names the stabilizer being minimized; the other one is held at
     fixed_value. ladder overrides the default candidate ladder (a
@@ -250,7 +250,6 @@ class SweepConfig:
     tau_list: list[float]
     fixed_value: float = 0.0
     ladder: list[float] | None = None
-    steps: int = 1024
     full_scan: bool = False
 
     def __post_init__(self):
@@ -261,7 +260,6 @@ class SweepConfig:
         for name in ("gamma_list", "tau_list"):
             _check_list(name, getattr(self, name), True)
         check_number("fixed_value", self.fixed_value, False)
-        check_count("steps", self.steps, 1)
         if not isinstance(self.full_scan, bool):
             raise ValueError(f"full_scan must be true or false, got {self.full_scan!r}")
         if self.ladder is not None:
@@ -351,8 +349,8 @@ def _cell_text(sc: SweepConfig, gamma: float, value: float | None) -> str:
 
 def _candidate_config(sc: SweepConfig, gamma: float, tau: float, candidate: float) -> RunConfig:
     a, b = (candidate, sc.fixed_value) if sc.target == "A" else (sc.fixed_value, candidate)
-    return replace(sc.base, gamma=gamma, tau=tau, T=sc.steps * tau, A=a, B=b,
-                   snapshot_every=0)
+    n = sc.base.n_steps()
+    return replace(sc.base, gamma=gamma, tau=tau, T=n * tau, A=a, B=b, snapshot_every=0)
 
 
 def _ladder(sc: SweepConfig, gamma: float) -> list[float]:
@@ -367,7 +365,7 @@ def _sweep_cell(sc: SweepConfig, phi0: Field, gamma: float, tau: float, log: lis
     for candidate in _ladder(sc, gamma):
         cfg = _candidate_config(sc, gamma, tau, candidate)
         trace, _, _ = run_simulation(cfg, phi_init=phi0, stop_above=VERDICT_THRESHOLD)
-        verdict = stability_verdict(trace, min_steps=sc.steps)
+        verdict = stability_verdict(trace, min_steps=cfg.n_steps())
         over = trace.rows[~(trace.rows["dE_mod"] <= VERDICT_THRESHOLD)]
         first = (over["n"][0], over["dE_mod"][0]) if len(over) else (math.nan, math.nan)
         log.append((gamma, tau, candidate, verdict, len(trace),
@@ -378,10 +376,10 @@ def _sweep_cell(sc: SweepConfig, phi0: Field, gamma: float, tau: float, log: lis
 
 
 def sweep_min_stabilizer(sc: SweepConfig) -> SweepResult:
-    """For each (gamma, tau) cell, the smallest ladder candidate whose
-    1024-step run is judged stable; None marks ladder exhaustion. Every
-    candidate starts from one phi0, built once: it depends only on M, seed,
-    initial and eps, which no candidate changes."""
+    """For each (gamma, tau) cell, the smallest ladder candidate whose run
+    of sc.base.n_steps() steps is judged stable; None marks ladder
+    exhaustion. Every candidate starts from one phi0, built once: it
+    depends only on M, seed, initial and eps, which no candidate changes."""
     phi0 = initial_field(sc.base)
     log: list[tuple] = []
     for gamma in sc.gamma_list:

@@ -214,8 +214,8 @@ def bootstrap_first_step(phi0: Field, params: SchemeParams, m: int = 10) -> Fiel
 
 
 def _quotient(num: float, den: float, inputs: str) -> float:
-    """num / den; a ValueError naming the inputs if den is 0 or num / den not finite."""
-    if den == 0.0 or not np.isfinite(q := num / den):
+    """num / den of two positives; a ValueError naming the inputs unless it is in (0, inf)."""
+    if den == 0.0 or not 0.0 < (q := num / den) < np.inf:
         raise ValueError(f"a theorem bound is not a finite float for {inputs}")
     return q
 

@@ -142,6 +142,17 @@ def energy_eps(eps, u):
     return field_energies(SchemeParams("SL_CN", tau=1.0, gamma=1.0, eps=eps), u)[0]
 
 
+def amplification_factors(op):
+    """Per mode, the largest |z| of op's step linearized about a well,
+    phi = +-1, where c' = 3: the load is then 3 w, so v^{n+1} =
+    b v^n + d v^{n-1} with b = cn + 3 cl (1 - xp) and d = cp + 3 cl xp,
+    and z^2 - b z - d = 0. The (0, 0) mode's factor is 1 (mass
+    conservation)."""
+    b = op.cn + 3.0 * op.cl * (1.0 - op.xp)
+    root = np.sqrt(b * b + 4.0 * (op.cp + 3.0 * op.cl * op.xp) + 0j)
+    return np.maximum(np.abs(b + root), np.abs(b - root)) / 2.0
+
+
 def rand_field(basis, rng, amp=1.0):
     """Random Legendre coefficients."""
     return legendre_field(basis, amp * rng.standard_normal((basis.M, basis.M)))

@@ -253,8 +253,8 @@ def sweep_c9_cells(experiment):
                                                            strict=True):
         sc, base = result.config, cw.RunConfig(M=M_RUN, eps=EPS, gamma=gamma, tau=tau,
                                                T=STEPS * tau, scheme=scheme, seed=SEED)
-        assert (sc.base, sc.target, sc.fixed_value, sc.gamma_list, sc.tau_list, sc.steps,
-                sc.ladder) == (base, target, fixed, [gamma], [tau], STEPS, None)
+        assert (sc.base, sc.base.n_steps(), sc.target, sc.fixed_value, sc.gamma_list,
+                sc.tau_list, sc.ladder) == (base, STEPS, target, fixed, [gamma], [tau], None)
         cells.append(result.cells[(gamma, tau)])
     return cells
 
@@ -370,4 +370,27 @@ def test_criterion_13_stabilization_below_theorem(capsys, experiment):
                f"eps={eps:g}: minimal stable A {minimal} vs theorem A {theorem:g} "
                f"(ratio {ratio:.3g})" for eps, minimal, theorem, ratio in cells)
            + "; required ratio >= 4")
+    assert ok
+
+
+def test_criterion_14_sl_cn_needs_its_stabilizers(capsys):
+    # SL_CN at M = 32 and a small step from the prepared seed-42 datum:
+    # with A = B = 0 it blows up; with sufficient_stabilizers' pair it is
+    # stable over 1024 steps (ROADMAP item 5 measured step 213)
+    tau = 0.00125
+    pair = cw.sufficient_stabilizers("SL_CN", EPS, GAMMA, tau, L)
+
+    def trace(A, B):
+        return cw.run_simulation(cw.RunConfig(
+            M=32, eps=EPS, gamma=GAMMA, tau=tau, T=STEPS * tau, scheme="SL_CN", A=A, B=B,
+            seed=SEED, initial="prepared"))[0]
+
+    bare, stabilized = trace(0.0, 0.0), trace(*pair)
+    verdict = cw.stability_verdict(stabilized)
+    ok = bare.blew_up and verdict == "stable"
+    report(capsys, 14, ok,
+           f"SL_CN at M=32, eps={EPS}, gamma={GAMMA}, tau={tau}, prepared seed-{SEED} "
+           f"datum: A = B = 0 blows up -> {bare.blew_up} (at step {bare.blowup_step}); "
+           f"theorem pair (A, B) = ({pair[0]:g}, {pair[1]:g}): verdict {verdict} over "
+           f"{STEPS} steps")
     assert ok

@@ -262,7 +262,7 @@ def test_missing_config_file(tmp_path, capsys):
 
 SWEEP_CFG = {
     "base": dict(M=8, eps=0.25, gamma=1.0, tau=4e-5, T=64 * 4e-5, scheme="SL_BDF2", seed=9),
-    "target": "A", "gamma_list": [1.0], "tau_list": [4e-5], "steps": 64,
+    "target": "A", "gamma_list": [1.0], "tau_list": [4e-5],
 }
 
 
@@ -276,7 +276,9 @@ def test_sweep_rejects_bad_config(tmp_path, capsys, key, value):
     cfg_path = tmp_path / "sweep.json"
     write_json(cfg_path, dict(SWEEP_CFG, **{key: value}))
     rc = main(["sweep", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
-    assert_one_line_error(capsys, rc, key)
+    # "steps" is not a key: a candidate runs its base's step count
+    unknown = "unknown SweepConfig keys: ['steps']"
+    assert_one_line_error(capsys, rc, unknown if key == "steps" else key)
 
 
 def test_sweep_command(tmp_path, capsys):
@@ -302,7 +304,7 @@ def test_sweep_log_records_every_candidate(tmp_path):
     cfg_path = tmp_path / "sweep.json"
     write_json(cfg_path, dict(
         base=dict(M=8, eps=0.25, gamma=1.0, tau=0.01, T=0.64, scheme="SL_CN", seed=42),
-        target="A", gamma_list=[1.0], tau_list=[0.01], steps=64))
+        target="A", gamma_list=[1.0], tau_list=[0.01]))
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
     header, *rows = (out / "sweep_log.csv").read_text().splitlines()

@@ -49,8 +49,6 @@ CALLERS = {
     "RunConfig.seed": ("seed", 0, lambda basis, seed: RunConfig(**dict(RUN, seed=seed))),
     "RunConfig.snapshot_every": (
         "snapshot_every", 0, lambda basis, k: RunConfig(**dict(RUN, snapshot_every=k))),
-    "SweepConfig.steps": ("steps", 1, lambda basis, k: SweepConfig(
-        base=RunConfig(**RUN), target="A", gamma_list=[1.0], tau_list=[0.1], steps=k)),
 }
 
 
@@ -171,13 +169,20 @@ UNREPRESENTABLE = {
     "bdf2_smallstep_threshold.overflows": (
         lambda: bdf2_smallstep_threshold(1.0, 1e-300, 1e-10),
         "eps = 1.0, gamma = 1e-300, L = 1e-10"),
+    "bdf2_smallstep_threshold.underflows": (
+        lambda: bdf2_smallstep_threshold(1e-120, 1.0, 1e-100),
+        "eps = 1e-120, gamma = 1.0, L = 1e-100"),
+    "sufficient_stabilizers.A_underflows": (
+        lambda: sufficient_stabilizers("SL_CN", 1.0, 5e-324, 0.01, 1.0),
+        "SL_CN at eps = 1.0, gamma = 5e-324, tau = 0.01, L = 1.0"),
 }
 
 
 @pytest.mark.parametrize("case", list(UNREPRESENTABLE))
 def test_theorem_bounds_are_finite_floats(case):
-    # a denominator that underflows to 0 or a quotient that overflows
-    # raises the one message naming the inputs: no ZeroDivisionError, no inf
+    # a denominator that underflows to 0 or a quotient that overflows or
+    # underflows to 0 raises the one message naming the inputs: no
+    # ZeroDivisionError, no inf and no 0 from a positive bound
     call, inputs = UNREPRESENTABLE[case]
     message = f"a theorem bound is not a finite float for {inputs}"
     with pytest.raises(ValueError, match=re.escape(message)):

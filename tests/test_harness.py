@@ -319,14 +319,13 @@ def test_sweep_config_validation():
         SweepConfig(base=base, target="A", gamma_list=[1.0], tau_list=[0.1],
                     ladder=[0.0, 2.0, 1.0])
     good = dict(base=base, target="A", gamma_list=[1.0], tau_list=[0.1])
-    SweepConfig(**dict(good, gamma_list=[1], fixed_value=0, steps=8, full_scan=True))
+    SweepConfig(**dict(good, gamma_list=[1], fixed_value=0, full_scan=True))
     for bad in (
         dict(base=5), dict(base={"M": 8}),
         dict(gamma_list=1), dict(tau_list=0.1), dict(gamma_list=(1.0,)),
         dict(tau_list=[0.1, -0.1]), dict(gamma_list=[0.0]), dict(gamma_list=[True]),
         dict(gamma_list=[1.0, 1.0]), dict(tau_list=[0.1, 0.2, 0.1]),
         dict(tau_list=["0.1"]), dict(gamma_list=[float("nan")]),
-        dict(steps=8.0), dict(steps=True), dict(steps=0),
         dict(fixed_value=-1.0), dict(fixed_value="0"), dict(fixed_value=None),
         dict(full_scan=1), dict(full_scan="yes"),
         dict(ladder=5), dict(ladder=[]), dict(ladder=[0.0, "1"]), dict(ladder=[-1.0, 0.0]),
@@ -348,7 +347,7 @@ def test_sweep_config_validation():
 def test_sweep_stable_at_zero_returns_zero(tmp_path):
     base = RunConfig(M=8, eps=0.25, gamma=1.0, tau=4e-5, T=64 * 4e-5,
                      scheme="SL_BDF2", seed=9)
-    sc = SweepConfig(base=base, target="A", gamma_list=[1.0], tau_list=[4e-5], steps=64)
+    sc = SweepConfig(base=base, target="A", gamma_list=[1.0], tau_list=[4e-5])
     res = sweep_min_stabilizer(sc)
     assert res.cells[(1.0, 4e-5)] == 0.0
     res.write_csv(tmp_path / "sweep.csv")
@@ -356,11 +355,22 @@ def test_sweep_stable_at_zero_returns_zero(tmp_path):
     assert res.anomalies == []
 
 
+def test_sweep_candidate_runs_its_base_step_count():
+    # the base's T / tau sets every candidate's length, at the cell's own tau
+    base = RunConfig(M=8, eps=0.25, gamma=1.0, tau=4e-5, T=32 * 4e-5,
+                     scheme="SL_BDF2", seed=9)
+    for tau in (4e-5, 2e-5):
+        sc = SweepConfig(base=base, target="A", gamma_list=[1.0], tau_list=[tau])
+        (row,) = sweep_min_stabilizer(sc).log
+        assert (row.tau, row.verdict, row.stop_reason, row.rows_run) == (
+            tau, "stable", "completed", 32)
+
+
 def test_sweep_ladder_exhaustion_marker(tmp_path):
     base = RunConfig(M=8, eps=0.05, gamma=0.0025, tau=1.0, T=64.0,
                      scheme="SL_BDF2", seed=9)
     sc = SweepConfig(base=base, target="A", gamma_list=[0.0025], tau_list=[1.0],
-                     ladder=[0.0, 1e-6], steps=64)
+                     ladder=[0.0, 1e-6])
     res = sweep_min_stabilizer(sc)
     assert res.cells[(0.0025, 1.0)] is None
     res.write_csv(tmp_path / "sweep.csv")
@@ -370,7 +380,7 @@ def test_sweep_ladder_exhaustion_marker(tmp_path):
 def test_sweep_csv_layout(tmp_path):
     base = RunConfig(M=8, eps=0.25, gamma=1.0, tau=4e-5, T=64 * 4e-5,
                      scheme="SL_BDF2", seed=9)
-    sc = SweepConfig(base=base, target="A", gamma_list=[1.0], tau_list=[4e-5], steps=64)
+    sc = SweepConfig(base=base, target="A", gamma_list=[1.0], tau_list=[4e-5])
     res = sweep_min_stabilizer(sc)
     p = tmp_path / "sweep.csv"
     res.write_csv(p)
@@ -386,7 +396,7 @@ def test_sweep_result_reads_cells_and_anomalies_off_its_log(tmp_path):
 
     base = RunConfig(M=8, eps=0.25, gamma=1.0, tau=0.1, T=6.4, scheme="SL_CN")
     sc = SweepConfig(base=base, target="A", gamma_list=[1.0, 2.0], tau_list=[0.1],
-                     ladder=[0.0, 1.0, 2.0], steps=64, full_scan=True)
+                     ladder=[0.0, 1.0, 2.0], full_scan=True)
 
     def record(gamma, candidate, stable):
         if stable:
@@ -423,7 +433,7 @@ def test_nan_energy_increment_stops_a_sweep_candidate(monkeypatch):
     base = RunConfig(M=8, eps=0.25, gamma=1.0, tau=4e-5, T=64 * 4e-5,
                      scheme="SL_BDF2", seed=9)
     sc = SweepConfig(base=base, target="A", gamma_list=[1.0], tau_list=[4e-5],
-                     ladder=[0.0], steps=64)
+                     ladder=[0.0])
     (row,) = sweep_min_stabilizer(sc).log
     assert (row.verdict, row.stop_reason, row.rows_run) == ("unstable", "energy_increase", 3)
     assert row.first_violation_step == 3.0 and math.isnan(row.first_violation_dE_mod)
@@ -438,7 +448,7 @@ def ladder_walk(sc, gamma, tau):
     out = []
     for candidate in ladder:
         trace, _, _ = run_simulation(_candidate_config(sc, gamma, tau, candidate))
-        out.append((candidate, trace, stability_verdict(trace, min_steps=sc.steps)))
+        out.append((candidate, trace, stability_verdict(trace, min_steps=sc.base.n_steps())))
     return out
 
 
@@ -446,8 +456,7 @@ def test_sweep_early_stop_keeps_every_verdict():
     # SL_CN at M = 8: A = 0 .. 2 break the 1e-10 bound after 28 to 57 of
     # 64 steps, A >= 4 are stable
     base = RunConfig(M=8, eps=0.25, gamma=1.0, tau=0.01, T=0.64, scheme="SL_CN", seed=42)
-    sc = SweepConfig(base=base, target="A", gamma_list=[1.0], tau_list=[0.01], steps=64,
-                     full_scan=True)
+    sc = SweepConfig(base=base, target="A", gamma_list=[1.0], tau_list=[0.01], full_scan=True)
     res = sweep_min_stabilizer(sc)
     reference = ladder_walk(sc, 1.0, 0.01)
     assert [r.verdict for r in res.log] == [v for _, _, v in reference]
@@ -476,7 +485,7 @@ def test_sweep_builds_prepared_phi0_once(monkeypatch):
 
     base = RunConfig(M=8, eps=0.25, gamma=1.0, tau=0.1, T=6.4, scheme="SL_CN", seed=42,
                      initial="prepared")
-    sc = SweepConfig(base=base, target="A", gamma_list=[1.0], tau_list=[0.1], steps=64)
+    sc = SweepConfig(base=base, target="A", gamma_list=[1.0], tau_list=[0.1])
     reference = ladder_walk(sc, 1.0, 0.1)
     expected = next(c for c, _, v in reference if v == "stable")
     calls = []

@@ -24,7 +24,10 @@ from chillwave import (
 from chillwave.harness import random_nodal_field
 from chillwave.potential import P
 from chillwave.timestepping import BLOWUP_LIMIT, modal_load
-from conftest import analytic_mass_stiffness, energy_eps, legendre_field, oracle_load, unit_field
+from conftest import (
+    amplification_factors, analytic_mass_stiffness, energy_eps, legendre_field, oracle_load,
+    unit_field,
+)
 
 
 def last_pair(op, prev, curr, n_steps):
@@ -277,6 +280,27 @@ def test_sufficient_stabilizers_values():
     assert A == 0.0
     with pytest.raises(ValueError):
         sufficient_stabilizers("FIRST_ORDER", eps=0.05, gamma=0.0025, tau=0.01, L=11.0)
+
+
+def test_linearized_amplification_explains_sl_cn_blow_up():
+    # criterion 14's setting: SL_CN with A = B = 0 grows on a stiff mode
+    # (it blows up at step 213); its theorem pair and SL_BDF2 with
+    # A = B = 0 keep every mode's factor <= 1 (both run 1024 steps stably)
+    basis = assemble_basis(32)
+    eps, gamma, tau = 0.05, 0.0025, 0.00125
+
+    def worst(scheme, A=0.0, B=0.0):
+        # the largest factor over sigma > 0, and that mode's sigma
+        params = SchemeParams(scheme=scheme, tau=tau, gamma=gamma, eps=eps, A=A, B=B)
+        z = amplification_factors(build_step_operator(params, basis))
+        assert abs(z[0, 0] - 1.0) <= 1e-15  # the mean neither grows nor decays
+        k = np.argmax(np.where(basis.sigma > 0.0, z, -np.inf))
+        return z.flat[k], basis.sigma.flat[k]
+
+    growth, stiff = worst("SL_CN")
+    assert growth > 1.0 and stiff > 1e4  # measured 1.0916 at sigma = 1.69e4
+    theorem = sufficient_stabilizers("SL_CN", eps, gamma, tau, 11.0)
+    assert worst("SL_CN", *theorem)[0] <= 1.0 and worst("SL_BDF2")[0] <= 1.0  # both 0.99969
 
 
 def test_bdf2_smallstep_threshold():
