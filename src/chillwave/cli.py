@@ -52,17 +52,22 @@ def _ensure_dir(path: str) -> str:
 
 def _cmd_run(args) -> int:
     cfg = run_config_from_dict(_load_json(args.config))
-    trace, final, snapshots = run_simulation(cfg)
-    out = _ensure_dir(args.out_dir or ".")
-    trace.write_csv(os.path.join(out, "trace.csv"))
-    for n, t, u in snapshots:
-        path = os.path.join(out, f"snapshot_{n:06d}.csv")
+    out = args.out_dir or "."
+    last = None  # (n, path) of the last snapshot written
+
+    def write(n, t, u):  # each snapshot goes to disk when the run reaches it
+        nonlocal last
+        path = os.path.join(_ensure_dir(out), f"snapshot_{n:06d}.csv")
         write_snapshot(u, path, eps=cfg.eps, gamma=cfg.gamma, t=t, step=n)
+        last = n, path
+
+    trace, final, _ = run_simulation(cfg, on_snapshot=write)
+    trace.write_csv(os.path.join(_ensure_dir(out), "trace.csv"))
     rows = trace.rows
     ran = len(rows) > 0  # a blow-up in the bootstrap leaves no row
     final_path = os.path.join(out, "final_field.csv")
-    if snapshots and snapshots[-1][0] == rows["n"][-1]:
-        shutil.copyfile(path, final_path)  # the last snapshot holds the final field
+    if last and last[0] == rows["n"][-1]:
+        shutil.copyfile(last[1], final_path)  # the last snapshot holds the final field
     else:
         write_snapshot(
             final, final_path, eps=cfg.eps, gamma=cfg.gamma,
@@ -179,7 +184,7 @@ def main(argv=None) -> int:
     """Run one subcommand. Bad input (a config the package rejects, a
     missing key or file, a size whose arrays cannot be allocated) prints
     one `chillwave: error: ...` line on stderr and returns 2; a command
-    makes its output directory only once its computation has returned."""
+    makes its output directory only once its first output is due."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
@@ -167,12 +168,16 @@ def run_simulation(
     basis: Basis1D | None = None,
     *,
     stop_above: float | None = None,
+    on_snapshot: Callable[[int, float, Field], object] | None = None,
 ) -> tuple[EnergyTrace, Field, list[tuple[int, float, Field]]]:
     """Bootstrap the first step, then march T/tau - 1 scheme steps.
 
     Returns the per-step energy trace, the final field, and the snapshot
-    list [(n, t, field), ...] per cfg.snapshot_every. Trace rows, snapshots
-    and the final field are read off the modal pairs `march` yields.
+    list [(n, t, field), ...] per cfg.snapshot_every, held in memory until
+    the run ends. With on_snapshot given, each snapshot is passed to
+    on_snapshot(n, t, field) when the run reaches it, none is kept and
+    the list is empty. Trace rows, snapshots and the final field are read
+    off the modal pairs `march` yields.
     phi_init and basis, when given, must have cfg.M modes (ValueError
     otherwise); basis is unused when phi_init is given. A blow-up
     (NonFinite) terminates the run early and is recorded on the trace
@@ -191,6 +196,7 @@ def run_simulation(
     basis = phi0.basis
     op = build_step_operator(cfg, basis)
     snapshots: list[tuple[int, float, Field]] = []
+    keep = on_snapshot or (lambda *snapshot: snapshots.append(snapshot))
     N = cfg.n_steps()
     rows = np.empty(N, TRACE_DTYPE)
     n, e_mod, curr, blowup_step = 0, 0.0, None, None
@@ -206,7 +212,7 @@ def run_simulation(
             rows[n - 1] = (n, t, e_eps, e_new, dE_mod, mean, np.sqrt(dt_sq))
             e_mod = e_new
             if cfg.snapshot_every > 0 and (n % cfg.snapshot_every == 0 or n == N):
-                snapshots.append((n, t, Field(basis, curr)))
+                keep(n, t, Field(basis, curr))
             if stop_above is not None and not dE_mod <= stop_above:
                 break
     except NonFinite:

@@ -1,5 +1,6 @@
 import json
 import platform
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -133,6 +134,30 @@ def test_run_final_field_formatted_after_a_blow_up(tmp_path):
     assert (out / "final_field.csv").read_bytes() == final_field_bytes(tmp_path, cfg)
 
 
+def test_run_snapshot_memory_does_not_grow_with_the_step_count(tmp_path, capsys):
+    # with snapshot_every 1 every step is a snapshot; each is written when
+    # the run reaches it and none is kept, so a 256-step run peaks about
+    # where a 64-step run does (kept, 192 more M = 16 snapshots add 384 KiB)
+    def traced_peak(steps):
+        cfg_path = tmp_path / f"run{steps}.json"
+        write_json(cfg_path, dict(RUN_CFG, M=16, tau=0.01, T=steps * 0.01, snapshot_every=1))
+        out = tmp_path / f"out{steps}"
+        tracemalloc.start()
+        try:
+            assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["stop_reason"], summary["steps_completed"]) == ("completed", steps)
+        assert len(list(out.glob("snapshot_*.csv"))) == steps
+        return peak
+
+    traced_peak(32)  # the first run in a process also traces one-off caches
+    short, long = traced_peak(64), traced_peak(256)
+    assert long - short < 64 * 1024, (short, long)
+
+
 def test_run_deterministic_outputs(tmp_path):
     cfg_path = tmp_path / "run.json"
     write_json(cfg_path, RUN_CFG)
@@ -223,6 +248,11 @@ def test_converge_rejects_non_object(tmp_path, capsys, raw):
     dict(gamma=1e300, A=1e300, B=1e300),  # gamma sigma (c sigma + B) overflows
     # SL_BDF2's energy history weight 1/(4 tau gamma sigma) overflows
     dict(scheme="SL_BDF2", tau=1e-200, gamma=1e-200, T=1e-199),
+    # the same with a snapshot at every step: the output directory appears
+    # at the first snapshot, which these runs never reach
+    dict(tau=1e-320, T=1e-319, snapshot_every=1),
+    dict(gamma=1e300, A=1e300, B=1e300, snapshot_every=1),
+    dict(scheme="SL_BDF2", tau=1e-200, gamma=1e-200, T=1e-199, snapshot_every=1),
 ])
 def test_run_rejects_overflowing_step_coefficients(tmp_path, capsys, bad):
     # finite inputs whose per-mode step coefficients are not finite are a
@@ -237,17 +267,19 @@ def test_run_rejects_overflowing_step_coefficients(tmp_path, capsys, bad):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", [
-    pytest.param(["run"], id="run-1e15-rows"),
-    pytest.param(["prepare-initial", "--M", "10000000", "--eps", "0.05", "--seed", "1"],
+@pytest.mark.parametrize("command,snapshot_every", [
+    pytest.param(["run"], 0, id="run-1e15-rows"),
+    pytest.param(["run"], 1, id="run-1e15-rows-snapshot_every-1"),
+    pytest.param(["prepare-initial", "--M", "10000000", "--eps", "0.05", "--seed", "1"], 0,
                  id="prepare-M1e7"),
 ])
-def test_unallocatable_size_is_an_error(tmp_path, capsys, command):
+def test_unallocatable_size_is_an_error(tmp_path, capsys, command, snapshot_every):
     # 10^15 trace rows (49.7 PiB) and M = 10^7 (728 TiB in assemble_basis)
     # are both larger than a 47-bit user address space, so the allocation
     # is refused before any memory is touched
     cfg_path = tmp_path / "run.json"
-    write_json(cfg_path, dict(M=8, eps=0.05, gamma=1.0, tau=0.01, T=1e13, scheme="SL_BDF2"))
+    write_json(cfg_path, dict(M=8, eps=0.05, gamma=1.0, tau=0.01, T=1e13, scheme="SL_BDF2",
+                              snapshot_every=snapshot_every))
     out = tmp_path / "out"
     args = ["--config", str(cfg_path), "--out-dir"] if command == ["run"] else ["--out"]
     rc = main(command + args + [str(out)])
@@ -393,14 +425,17 @@ def test_config_out_dir_and_m_are_unknown_keys(tmp_path, capsys, monkeypatch, co
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
-@pytest.mark.parametrize("command", ["run", "sweep", "converge", "prepare-initial"])
-def test_seed_outside_64_bits_is_an_error(tmp_path, capsys, command, seed):
+@pytest.mark.parametrize("command,snapshot_every", [
+    *(pytest.param(c, 0, id=c) for c in ("run", "sweep", "converge", "prepare-initial")),
+    pytest.param("run", 1, id="run-snapshot_every-1"),
+])
+def test_seed_outside_64_bits_is_an_error(tmp_path, capsys, command, snapshot_every, seed):
     out = tmp_path / "out"
     if command == "prepare-initial":
         args = ["--M", "8", "--eps", "0.25", "--seed", str(seed), "--out", str(out)]
     else:
         cfg = {
-            "run": dict(RUN_CFG, seed=seed),
+            "run": dict(RUN_CFG, seed=seed, snapshot_every=snapshot_every),
             "sweep": dict(SWEEP_CFG, base=dict(SWEEP_CFG["base"], seed=seed)),
             "converge": dict(CONVERGE_CFG, seed=seed),
         }[command]

@@ -270,6 +270,35 @@ def test_run_simulation_snapshot_cadence(basis8):
     assert [n for n, _, _ in snaps2] == [4, 6]  # final step always included
 
 
+@pytest.mark.parametrize("raw,stop_above,ends", [
+    pytest.param(dict(M=8, eps=0.25, gamma=1.0, tau=0.1, T=0.6, scheme="SL_CN", A=0.25, B=8.0,
+                      seed=5, snapshot_every=2), None, "completed", id="completed"),
+    # blows up at step 8, after the snapshots of steps 2, 4 and 6
+    pytest.param(dict(M=16, eps=0.05, gamma=0.0025, tau=1.0, T=100.0, scheme="SL_BDF2", seed=1,
+                      snapshot_every=2), None, "blow_up", id="blow-up"),
+    # A = 0 stops at its first dE_mod above 1e-10, before step 64
+    pytest.param(dict(M=8, eps=0.25, gamma=1.0, tau=0.01, T=0.64, scheme="SL_CN", seed=42,
+                      snapshot_every=3), 1e-10, "stopped", id="stop-above"),
+])
+def test_snapshot_hook_receives_the_default_list(raw, stop_above, ends):
+    # on_snapshot gets, when the run reaches it, each snapshot the default
+    # list would hold, and run_simulation then keeps none
+    cfg = RunConfig(**raw)
+    trace, final, listed = run_simulation(cfg, stop_above=stop_above)
+    hooked = []
+    hooked_trace, hooked_final, kept = run_simulation(
+        cfg, stop_above=stop_above, on_snapshot=lambda n, t, field: hooked.append((n, t, field)))
+    assert kept == []
+    assert len(listed) >= 3
+    assert [(n, t) for n, t, _ in hooked] == [(n, t) for n, t, _ in listed]
+    assert [n for n, _, _ in hooked] == sorted({n for n, _, _ in hooked})
+    assert all(h.v.tobytes() == f.v.tobytes() for (_, _, h), (_, _, f) in zip(hooked, listed))
+    assert np.array_equal(hooked_trace.rows, trace.rows)
+    assert hooked_final.v.tobytes() == final.v.tobytes()
+    assert ends == ("blow_up" if trace.blew_up else
+                    "completed" if len(trace) == cfg.n_steps() else "stopped")
+
+
 def test_trace_time_is_step_times_tau(basis8):
     # a running sum of 0.01 is 0.09999999999999999 after 10 steps
     cfg = RunConfig(M=8, eps=0.25, gamma=1.0, tau=0.01, T=1.0, scheme="SL_CN",
