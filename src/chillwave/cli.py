@@ -115,24 +115,18 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    raw = _load_json(args.config)
-    if not isinstance(raw, dict):
-        raise ValueError(f"a converge config must be a JSON object, got {raw!r}")
-    missing = [key for key in ("tau_list", "tau_ref") if key not in raw]
-    if missing:
-        raise ValueError(f"converge config needs {' and '.join(missing)}")
-    tau_list = raw.pop("tau_list")
-    tau_ref = raw.pop("tau_ref")
+    raw = _load_json(args.config)  # the reference run's config plus tau_list
+    tau_list = raw.pop("tau_list", None) if isinstance(raw, dict) else None
     cfg = run_config_from_dict(raw)
-    rows = convergence_study(cfg, tau_list, tau_ref)
+    if tau_list is None:
+        raise ValueError("converge config needs tau_list")
+    rows = convergence_study(cfg, tau_list, cfg.tau)
     out = _ensure_dir(args.out_dir or ".")
     path = os.path.join(out, "convergence.csv")
     write_convergence_csv(rows, path)
     for r in rows:
-        print(
-            f"tau={r.tau:g}  H-1 {r.h_minus1:.3e} ({r.h_minus1_order:.2f})  "
-            f"L2 {r.l2:.3e} ({r.l2_order:.2f})  H1 {r.h1:.3e} ({r.h1_order:.2f})"
-        )
+        print(f"tau={r.tau:g}  H-1 {r.h_minus1_err:.3e} ({r.h_minus1_order:.2f})  "
+              f"L2 {r.l2_err:.3e} ({r.l2_order:.2f})  H1 {r.h1_err:.3e} ({r.h1_order:.2f})")
     print(f"convergence table written to {path}")
     return 0
 

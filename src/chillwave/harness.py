@@ -261,6 +261,8 @@ class SweepConfig:
     def __post_init__(self):
         if not isinstance(self.base, RunConfig):
             raise ValueError(f"base must be a run config object, got {self.base!r}")
+        if self.base.snapshot_every:
+            raise ValueError(f"snapshot_every must be 0 in a sweep, got {self.base.snapshot_every}")
         if self.target not in ("A", "B"):
             raise ValueError("target must be 'A' or 'B'")
         for name in ("gamma_list", "tau_list"):
@@ -356,7 +358,7 @@ def _cell_text(sc: SweepConfig, gamma: float, value: float | None) -> str:
 def _candidate_config(sc: SweepConfig, gamma: float, tau: float, candidate: float) -> RunConfig:
     a, b = (candidate, sc.fixed_value) if sc.target == "A" else (sc.fixed_value, candidate)
     n = sc.base.n_steps()
-    return replace(sc.base, gamma=gamma, tau=tau, T=n * tau, A=a, B=b, snapshot_every=0)
+    return replace(sc.base, gamma=gamma, tau=tau, T=n * tau, A=a, B=b)
 
 
 def _ladder(sc: SweepConfig, gamma: float) -> list[float]:
@@ -399,8 +401,7 @@ def sweep_min_stabilizer(sc: SweepConfig) -> SweepResult:
 
 
 CONVERGENCE_DTYPE = np.dtype([(name, np.float64) for name in (
-    "tau", "h_minus1", "h_minus1_order", "l2", "l2_order", "h1", "h1_order")])
-CONVERGENCE_HEADER = "tau,h_minus1_err,h_minus1_order,l2_err,l2_order,h1_err,h1_order"
+    "tau", "h_minus1_err", "h_minus1_order", "l2_err", "l2_order", "h1_err", "h1_order")])
 
 
 def convergence_study(cfg: RunConfig, tau_list: list[float], tau_ref: float) -> np.recarray:
@@ -411,18 +412,20 @@ def convergence_study(cfg: RunConfig, tau_list: list[float], tau_ref: float) -> 
     entry; an order is NaN unless the previous entry is 2 tau and both
     errors are nonzero. Every run starts from the same initial datum (per
     cfg.initial), performs its own per-tau bootstrap and, reading only
-    its final pair, marches without grids. tau_list must be
-    a non-empty list and tau_ref a number, all finite and > 0, with
-    tau_ref <= min(tau_list).
+    its final pair, marches without grids; cfg.tau is not read, and
+    cfg.snapshot_every must be 0. tau_list must be a non-empty list and
+    tau_ref a number, all finite and > 0, with tau_ref <= min(tau_list).
     """
     _check_list("tau_list", tau_list, True)
     check_number("tau_ref", tau_ref, True)
+    if cfg.snapshot_every:
+        raise ValueError(f"snapshot_every must be 0 in a convergence study, got {cfg.snapshot_every}")
     taus = [tau_ref] + tau_list
     steps = [_step_count(cfg.T, tau_ref, "tau_ref")]
     steps += [_step_count(cfg.T, tau, "tau_list") for tau in tau_list]
     if tau_ref > min(tau_list):
-        raise ValueError(f"tau_ref = {tau_ref} is coarser than the finest tau in tau_list, "
-                         f"{min(tau_list)}: the reference run must be the finest")
+        raise ValueError(f"the reference tau = {tau_ref} is coarser than the finest tau in "
+                         f"tau_list, {min(tau_list)}: the reference run must be the finest")
     basis = assemble_basis(cfg.M)
     phi_init = initial_field(cfg, basis)
 
@@ -446,6 +449,6 @@ def convergence_study(cfg: RunConfig, tau_list: list[float], tau_ref: float) -> 
 
 
 def write_convergence_csv(rows: np.recarray, path) -> None:
-    """CONVERGENCE_HEADER, then one line per row; a NaN order is an empty cell."""
-    write_rows(path, CONVERGENCE_HEADER, rows.tolist(),
+    """CONVERGENCE_DTYPE's names, then one line per row; a NaN order is an empty cell."""
+    write_rows(path, ",".join(CONVERGENCE_DTYPE.names), rows.tolist(),
                cell=lambda x: "" if math.isnan(x) else repr(x))

@@ -1,7 +1,8 @@
 """End-to-end acceptance checks.
 
 One test per criterion; each prints a single PASS/FAIL line (straight to
-the terminal, bypassing capture) and asserts the same condition. Expensive
+the terminal, bypassing capture) and asserts the same condition. The
+linearized prediction of criterion 13's cells prints its numbers too. Expensive
 runs are cached and shared between criteria; the benchmark workloads'
 runs come from `experiment`, each behind a check that the configs match.
 """
@@ -13,7 +14,7 @@ import pytest
 
 import chillwave as cw
 from chillwave.harness import random_nodal_field
-from conftest import legendre_field, unit_field
+from conftest import amplification_factors, legendre_field, unit_field
 
 L = 11.0
 EPS = 0.05
@@ -348,16 +349,82 @@ def test_criterion_11_spatial_convergence_paper_eps(capsys):
     assert ok
 
 
+def test_criterion_12_error_constant_across_eps(capsys):
+    # criterion 4's study at M = 32 for eps = 0.16, 0.08, 0.04, each from
+    # its own prepared seed-42 datum; A is SL_CN's theorem A, L^2 gamma /
+    # (16 eps^2), for both schemes, and B each scheme's theorem B
+    C, finest = {}, []
+    for scheme in ("SL_BDF2", "SL_CN"):
+        C[scheme] = []
+        for eps in (0.16, 0.08, 0.04):
+            A = cw.sufficient_stabilizers("SL_CN", eps, GAMMA, TAU_REF, L)[0]
+            B = cw.sufficient_stabilizers(scheme, eps, GAMMA, TAU_REF, L)[1]
+            cfg = cw.RunConfig(M=32, eps=eps, gamma=GAMMA, tau=TAU_REF, T=1.6, scheme=scheme,
+                               A=A, B=B, seed=SEED, initial="prepared")
+            rows = cw.convergence_study(cfg, TAUS, TAU_REF)
+            finest.append(rows.l2_order[-1])
+            C[scheme].append(rows.l2_err[-1] / TAUS[-1] ** 2)
+    powers = {s: [math.log2(fine / coarse) for coarse, fine in zip(c, c[1:])]
+              for s, c in C.items()}
+    rising = all(coarse < fine for c in C.values() for coarse, fine in zip(c, c[1:]))
+    ok = rising and all(1.9 <= o <= 2.1 for o in finest)
+    report(capsys, 12, ok,
+           f"temporal error constant C = L2 error / tau^2 at tau={TAUS[-1]} (M=32, T=1.6, "
+           f"gamma={GAMMA}, prepared seed-{SEED} data, SL_CN's theorem A for both schemes) at "
+           f"eps=0.16, 0.08, 0.04: " + "; ".join(
+               f"{s} {', '.join(f'{c:.3e}' for c in C[s])} (local powers "
+               f"{', '.join(f'{p:.1f}' for p in powers[s])})" for s in C)
+           + f"; rises as eps falls -> {rising}; finest L2 orders span "
+           f"[{min(finest):.2f}, {max(finest):.2f}], required [1.9, 2.1]; over a factor of 4 "
+           f"in eps these gates cannot tell a power of 1/eps from an exponential")
+    assert ok
+
+
+@lru_cache(maxsize=None)
+def fresh_sweep_c13():
+    """Criterion 13's fresh sweep: SL_BDF2 at M = 32, eps = 0.1, gamma = 1,
+    tau = 0.1, B = 0, seed 42, default ladder."""
+    base = cw.RunConfig(M=32, eps=0.1, gamma=1.0, tau=0.1, T=STEPS * 0.1, scheme="SL_BDF2",
+                        seed=SEED)
+    return cw.sweep_min_stabilizer(
+        cw.SweepConfig(base=base, target="A", gamma_list=[1.0], tau_list=[0.1]))
+
+
+def test_linearized_prediction_of_criterion_13_cells(capsys, experiment):
+    # the smallest rung whose linearized step (conftest.amplification_factors)
+    # keeps every mode with sigma > 0 at |z| <= 1, against the swept cell:
+    # criterion 13's B = 0 cells must be the prediction or one rung below
+    # it; criterion 9's B = 40 cell is printed, not gated
+    cells = sweep_c9_cells(experiment)
+    swept = {(0.1, 32, 0.0): fresh_sweep_c13().cells[(1.0, 0.1)],
+             (EPS, M_RUN, 0.0): cells[2], (EPS, M_RUN, 40.0): cells[3]}
+    found = {}
+    for (eps, M, B), minimal in swept.items():
+        basis, ladder = cw.assemble_basis(M), cw.default_ladder("A", 1.0, eps)
+        positive = basis.sigma > 0.0
+
+        def stable(A):
+            params = cw.SchemeParams(scheme="SL_BDF2", tau=0.1, gamma=1.0, eps=eps, A=A, B=B)
+            z = amplification_factors(cw.build_step_operator(params, basis))
+            return z[positive].max() <= 1.0
+
+        predicted = next((A for A in ladder if stable(A)), None)
+        found[eps, M, B] = predicted, minimal
+        if B == 0.0:
+            assert minimal in ladder and predicted in ladder
+            assert ladder.index(predicted) - ladder.index(minimal) in (0, 1)
+    with capsys.disabled():
+        print("\nlinearized prediction (SL_BDF2, gamma=1, tau=0.1, default ladder): " + "; ".join(
+            f"eps={eps:g}, M={M}, B={B:g}: predicted A {pred}, swept {minimal}"
+            for (eps, M, B), (pred, minimal) in found.items()))
+
+
 def test_criterion_13_stabilization_below_theorem(capsys, experiment):
     # SL_BDF2 at gamma = 1, tau = 0.1, B = 0 on the default ladder: the
     # minimal stable A against sufficient_stabilizers' A, at eps = 0.1 (a
     # fresh M = 32 sweep) and at eps = 0.05 (criterion 9's third cell, M = 48);
     # ROADMAP item 5 measured ratios of 7.6 and 15
-    base = cw.RunConfig(M=32, eps=0.1, gamma=1.0, tau=0.1, T=STEPS * 0.1, scheme="SL_BDF2",
-                        seed=SEED)
-    fresh = cw.sweep_min_stabilizer(
-        cw.SweepConfig(base=base, target="A", gamma_list=[1.0], tau_list=[0.1]))
-    found = {0.1: fresh.cells[(1.0, 0.1)], EPS: sweep_c9_cells(experiment)[2]}
+    found = {0.1: fresh_sweep_c13().cells[(1.0, 0.1)], EPS: sweep_c9_cells(experiment)[2]}
     cells = []
     for eps, minimal in found.items():
         theorem = cw.sufficient_stabilizers("SL_BDF2", eps, 1.0, 0.1, L)[0]

@@ -197,15 +197,16 @@ def test_run_rejects_non_finite_number(tmp_path, capsys, key, value):
     assert_one_line_error(capsys, rc, key)
 
 
-CONVERGE_CFG = dict(M=8, eps=0.25, gamma=1e-3, tau=0.01, T=0.02, scheme="SL_BDF2",
-                    A=0.25, B=8.0, seed=11, tau_list=[0.01, 0.005], tau_ref=1.25e-3)
+# the reference run's config, tau its step, plus tau_list
+CONVERGE_CFG = dict(M=8, eps=0.25, gamma=1e-3, tau=1.25e-3, T=0.02, scheme="SL_BDF2",
+                    A=0.25, B=8.0, seed=11, tau_list=[0.01, 0.005])
 
 
 @pytest.mark.parametrize("key,value", [
     ("tau_list", 5), ("tau_list", []), ("tau_list", [0.01, "0.005"]),
     ("tau_list", [float("inf")]), ("tau_list", [0.01, -0.005]), ("tau_list", [0.01, 0.01]),
-    ("tau_ref", "0.05"), ("tau_ref", float("inf")), ("tau_ref", 0.0), ("tau_ref", None),
-    ("tau_ref", 0.02),  # coarser than the finest tau, 0.005
+    ("tau", "0.05"), ("tau", float("inf")), ("tau", 0.0), ("tau", None),
+    ("tau", 0.02),  # coarser than the finest tau, 0.005
 ])
 def test_converge_rejects_bad_taus(tmp_path, capsys, key, value):
     cfg_path = tmp_path / "conv.json"
@@ -217,20 +218,21 @@ def test_converge_rejects_bad_taus(tmp_path, capsys, key, value):
 
 
 def test_converge_rejects_tau_that_does_not_divide_T(tmp_path, capsys):
-    # the message names the key whose tau fails, and only that key
-    for key, other, value in (("tau_list", "tau_ref", [0.03]), ("tau_ref", "tau_list", 0.03)):
+    # the message starts with the key whose tau fails ("tau" is a substring
+    # of "tau_list", so the key is matched where the message names it)
+    for key, value in (("tau_list", [0.03]), ("tau", 0.03)):
         cfg_path = tmp_path / "conv.json"
         write_json(cfg_path, dict(CONVERGE_CFG, **{key: value}))
         out = tmp_path / "out"
         rc = main(["converge", "--config", str(cfg_path), "--out-dir", str(out)])
-        err = assert_one_line_error(capsys, rc, "T = 0.02", "multiple of tau = 0.03", key)
-        assert other not in err
+        err = assert_one_line_error(capsys, rc, "T = 0.02", "multiple of tau = 0.03")
+        assert err.startswith(f"chillwave: error: {key}: ")
         assert not out.exists()
 
 
 def test_converge_names_missing_tau_list(tmp_path, capsys):
     cfg_path = tmp_path / "conv.json"
-    write_json(cfg_path, dict(RUN_CFG, tau_ref=0.05))
+    write_json(cfg_path, RUN_CFG)
     rc = main(["converge", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
     assert_one_line_error(capsys, rc, "tau_list")
 
@@ -241,6 +243,32 @@ def test_converge_rejects_non_object(tmp_path, capsys, raw):
     write_json(cfg_path, raw)
     rc = main(["converge", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
     assert_one_line_error(capsys, rc, "must be a JSON object")
+
+
+def test_converge_rejects_tau_ref_key(tmp_path, capsys):
+    # the config's own tau is the reference step: tau_ref is no key
+    cfg_path = tmp_path / "conv.json"
+    write_json(cfg_path, dict(CONVERGE_CFG, tau_ref=1.25e-3))
+    out = tmp_path / "out"
+    rc = main(["converge", "--config", str(cfg_path), "--out-dir", str(out)])
+    assert_one_line_error(capsys, rc, "unknown RunConfig keys: ['tau_ref']")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["converge", "sweep"])
+def test_snapshots_are_rejected_where_none_are_taken(tmp_path, capsys, command):
+    # a convergence study and a sweep write no snapshot, so a config that
+    # asks for them is an error rather than a run without them
+    cfg = {
+        "converge": dict(CONVERGE_CFG, snapshot_every=1),
+        "sweep": dict(SWEEP_CFG, base=dict(SWEEP_CFG["base"], snapshot_every=4)),
+    }[command]
+    cfg_path = tmp_path / "config.json"
+    write_json(cfg_path, cfg)
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(cfg_path), "--out-dir", str(out)])
+    assert_one_line_error(capsys, rc, "snapshot_every must be 0")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bad", [

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import re
@@ -27,7 +28,6 @@ from chillwave import (
 )
 from chillwave.harness import (
     CONVERGENCE_DTYPE,
-    CONVERGENCE_HEADER,
     initial_field,
     random_nodal_field,
     run_config_from_dict,
@@ -176,16 +176,36 @@ def test_run_config_is_its_scheme_params(basis8):
             replace(cfg, scheme="FIRST_ORDER")
 
 
+def readme_section(command):
+    """The README section of `chillwave <command>`, up to the next heading."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split(f"### `chillwave {command} ")[1].split("\n### ")[0]
+
+
 def test_readme_names_every_config_key():
     # every field of RunConfig and SweepConfig is named in backticks in the
     # "Config keys:" paragraph of its command's README section, so no key
     # is added or renamed without its documentation
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     for command, cls in (("run", RunConfig), ("sweep", SweepConfig)):
-        section = readme.split(f"### `chillwave {command} ")[1].split("\n### ")[0]
+        section = readme_section(command)
         paragraph = next(p for p in section.split("\n\n") if p.startswith("Config keys:"))
         named = set(re.findall(r"`(\w+)`", paragraph))
         assert [f.name for f in fields(cls) if f.name not in named] == []
+
+
+def test_readme_config_examples_parse():
+    # the json example of each command's README section is a config its
+    # parser accepts; a converge config is its reference run, tau the
+    # reference step, plus tau_list
+    example = {command: json.loads(readme_section(command).split("```json\n")[1].split("```")[0])
+               for command in ("run", "sweep", "converge")}
+    run_config_from_dict(example["run"])
+    sweep_config_from_dict(example["sweep"])
+    tau_list = example["converge"].pop("tau_list")
+    cfg = run_config_from_dict(example["converge"])
+    assert cfg.tau <= min(tau_list)
+    for tau in tau_list:
+        replace(cfg, tau=tau).n_steps()  # raises unless T is a multiple of tau
 
 
 def test_n_steps_rounding():
@@ -543,9 +563,9 @@ def test_convergence_zero_row_against_self():
     cfg = RunConfig(M=8, eps=0.25, gamma=1e-3, tau=0.01, T=0.04, scheme="SL_BDF2",
                     A=0.25, B=8.0, seed=11)
     rows = convergence_study(cfg, [0.01], 0.01)
-    assert rows[0].h_minus1 == 0.0
-    assert rows[0].l2 == 0.0
-    assert rows[0].h1 == 0.0
+    assert rows[0].h_minus1_err == 0.0
+    assert rows[0].l2_err == 0.0
+    assert rows[0].h1_err == 0.0
     assert math.isnan(rows[0].h_minus1_order)
 
 
@@ -559,7 +579,7 @@ def test_convergence_rejects_a_coarser_reference():
     # a tau_ref above the finest tau gave negative "orders"; equal is allowed
     cfg = RunConfig(M=8, eps=0.25, gamma=1e-3, tau=0.01, T=0.04, scheme="SL_BDF2",
                     A=0.25, B=8.0, seed=11)
-    with pytest.raises(ValueError, match="tau_ref = 0.02 is coarser"):
+    with pytest.raises(ValueError, match="the reference tau = 0.02 is coarser"):
         convergence_study(cfg, [0.01, 0.005], 0.02)
 
 
@@ -573,7 +593,7 @@ def test_convergence_orders_near_two():
         for order in (row.h_minus1_order, row.l2_order, row.h1_order):
             assert 1.7 <= order <= 2.3
     # errors shrink monotonically
-    errs = [r.l2 for r in rows]
+    errs = [r.l2_err for r in rows]
     assert errs[0] > errs[1] > errs[2]
 
 
@@ -584,7 +604,8 @@ def test_convergence_csv_format(tmp_path):
     p = tmp_path / "conv.csv"
     write_convergence_csv(rows, p)
     lines = p.read_text().strip().splitlines()
-    assert lines[0] == CONVERGENCE_HEADER
+    assert lines[0] == "tau,h_minus1_err,h_minus1_order,l2_err,l2_order,h1_err,h1_order"
+    assert lines[0] == ",".join(CONVERGENCE_DTYPE.names)
     # NaN orders serialize as empty cells
     assert lines[1].split(",")[2] == ""
 
@@ -596,7 +617,7 @@ def test_convergence_orders_need_a_halving(tmp_path):
     rows = convergence_study(cfg, [0.02, 0.005], 0.0025)
     assert rows.dtype == CONVERGENCE_DTYPE and isinstance(rows, np.recarray)
     for name in ("h_minus1", "l2", "h1"):
-        assert (rows[name] > 0.0).all() and np.isnan(rows[name + "_order"]).all()
+        assert (rows[name + "_err"] > 0.0).all() and np.isnan(rows[name + "_order"]).all()
     p = tmp_path / "conv.csv"
     write_convergence_csv(rows, p)
     for line in p.read_text().splitlines()[1:]:
@@ -613,7 +634,7 @@ def test_convergence_order_is_nan_after_a_zero_error():
     rows = convergence_study(cfg, [0.01, 0.005], 0.005)
     assert rows.dtype == CONVERGENCE_DTYPE
     for name in ("h_minus1", "l2", "h1"):
-        assert rows[name][0] > 0.0 and rows[name][1] == 0.0
+        assert rows[name + "_err"][0] > 0.0 and rows[name + "_err"][1] == 0.0
         assert np.isnan(rows[name + "_order"]).all()
 
 
