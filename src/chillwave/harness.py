@@ -152,9 +152,15 @@ def run_config_from_dict(d: dict) -> RunConfig:
     return _from_dict(RunConfig, d)
 
 
+def _check_modes(name: str, basis: Basis1D | None, cfg: RunConfig) -> None:
+    if basis is not None and basis.M != cfg.M:
+        raise ValueError(f"{name} has M = {basis.M}, but the config asks for M = {cfg.M}")
+
+
 def initial_field(cfg: RunConfig, basis: Basis1D | None = None) -> Field:
     """The config's phi0: seeded noise, relaxed by prepare_phi1 when
-    cfg.initial is "prepared"."""
+    cfg.initial is "prepared". basis, when given, must have cfg.M modes."""
+    _check_modes("basis", basis, cfg)
     base = basis if basis is not None else assemble_basis(cfg.M)
     phi0 = random_nodal_field(base, cfg.seed)
     if cfg.initial == "prepared":
@@ -167,7 +173,7 @@ def run_simulation(
     phi_init: Field | None = None,
     basis: Basis1D | None = None,
     *,
-    stop_above: float | None = None,
+    until_unstable: bool = False,
     on_snapshot: Callable[[int, float, Field], object] | None = None,
 ) -> tuple[EnergyTrace, Field, list[tuple[int, float, Field]]]:
     """Bootstrap the first step, then march T/tau - 1 scheme steps.
@@ -184,14 +190,12 @@ def run_simulation(
     (verdict data), not raised; the final field is then the last good
     state. A SolveFailed from a bad eigendecomposition is a solver fault,
     not a verdict, and propagates.
-    With stop_above set, the run ends right after the first row whose
-    dE_mod is not <= it (NaN included): the trace is then shorter than
-    T/tau without a blow-up, and its last row is the violation.
+    With until_unstable, the run ends right after its first row whose
+    dE_mod is not <= VERDICT_THRESHOLD (NaN included), the row that makes
+    stability_verdict say "unstable": that row is then the trace's last.
     """
-    given = {"phi_init": None if phi_init is None else phi_init.basis, "basis": basis}
-    for name, b in given.items():
-        if b is not None and b.M != cfg.M:
-            raise ValueError(f"{name} has M = {b.M}, but the config asks for M = {cfg.M}")
+    _check_modes("phi_init", None if phi_init is None else phi_init.basis, cfg)
+    _check_modes("basis", basis, cfg)
     phi0 = phi_init if phi_init is not None else initial_field(cfg, basis)
     basis = phi0.basis
     op = build_step_operator(cfg, basis)
@@ -213,7 +217,7 @@ def run_simulation(
             e_mod = e_new
             if cfg.snapshot_every > 0 and (n % cfg.snapshot_every == 0 or n == N):
                 keep(n, t, Field(basis, curr))
-            if stop_above is not None and not dE_mod <= stop_above:
+            if until_unstable and not dE_mod <= VERDICT_THRESHOLD:
                 break
     except NonFinite:
         blowup_step = n + 1
@@ -229,17 +233,23 @@ def run_simulation(
 def default_ladder(target: str, gamma: float, eps: float) -> list[float]:
     """Candidate ladders: {0} + {2^i * 4 gamma/eps^2, i = -7..1} for A,
     {0} + {2^i * 2/eps, i = -3..4} for B. Each rung is rounded to 12
-    significant digits, so 4/0.05^2 / 2^7 is 12.5, not 12.499999999999998."""
+    significant digits, so 4/0.05^2 / 2^7 is 12.5, not 12.499999999999998.
+    ValueError unless gamma > 0, eps is in (0, 1] and the rungs are finite
+    and strictly increasing (an eps^2 that underflows gives an inf base)."""
+    check_number("gamma", gamma, True)
+    check_number("eps", eps, True, 1.0)
     if target == "A":
-        base, powers = 4.0 * gamma / (eps * eps), range(-7, 2)
+        base, powers = (4.0 * gamma / (eps * eps) if eps * eps else math.inf), range(-7, 2)
     elif target == "B":
         base, powers = 2.0 / eps, range(-3, 5)
     else:
         raise ValueError("target must be 'A' or 'B'")
-    return [0.0] + [float(f"{2.0**i * base:.12g}") for i in powers]
+    ladder = [0.0] + [float(f"{2.0**i * base:.12g}") for i in powers]
+    _check_list("ladder", ladder, False)
+    return ladder
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepConfig:
     """Minimum-stabilizer sweep over a (gamma, tau) grid; a candidate runs base.n_steps() steps.
 
@@ -286,7 +296,7 @@ SWEEP_LOG_DTYPE = np.dtype([
 ])
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepResult:
     """A sweep's config and its log, a SWEEP_LOG_DTYPE record array with a
     row per candidate run in run order; cells, ladders and anomalies are
@@ -329,12 +339,13 @@ class SweepResult:
         return notes
 
     def write_csv(self, path) -> None:
-        """Wide layout mirroring the reference tables: one row per tau,
-        one column per gamma."""
-        cfg, cells = self.config, self.cells
+        """Wide layout mirroring the reference tables: one row per tau, one
+        column per gamma; a cell with no minimum reads ">" and its ladder's top."""
+        cfg, cells, ladders = self.config, self.cells, self.ladders
         gammas = cfg.gamma_list
         write_rows(path, "tau," + ",".join(f"gamma={_num(g)}" for g in gammas), (
-            [_num(tau)] + [_cell_text(cfg, g, cells[(g, tau)]) for g in gammas]
+            [_num(tau)] + [">" + _num(ladders[g, tau][-1]) if cells[g, tau] is None
+                           else _num(cells[g, tau]) for g in gammas]
             for tau in cfg.tau_list
         ), cell=str)
 
@@ -350,11 +361,6 @@ def _num(x: float) -> str:
     return str(int(x)) if float(x).is_integer() and abs(x) < 1e15 else repr(float(x))
 
 
-def _cell_text(sc: SweepConfig, gamma: float, value: float | None) -> str:
-    # a cell's minimum, or ">" and the top of its ladder when it has none
-    return ">" + _num(_ladder(sc, gamma)[-1]) if value is None else _num(value)
-
-
 def _candidate_config(sc: SweepConfig, gamma: float, tau: float, candidate: float) -> RunConfig:
     a, b = (candidate, sc.fixed_value) if sc.target == "A" else (sc.fixed_value, candidate)
     n = sc.base.n_steps()
@@ -368,16 +374,16 @@ def _ladder(sc: SweepConfig, gamma: float) -> list[float]:
 def _sweep_cell(sc: SweepConfig, phi0: Field, gamma: float, tau: float, log: list[tuple]):
     """Walk the cell's ladder from phi0, appending a SWEEP_LOG_DTYPE row
     per candidate, up to the first stable one (every one with full_scan).
-    Each candidate stops at its first dE_mod not <= the verdict
-    threshold, which already makes it unstable."""
+    Each candidate runs until_unstable, so one that is unstable without a
+    blow-up stopped on its one violation, its last row."""
     for candidate in _ladder(sc, gamma):
         cfg = _candidate_config(sc, gamma, tau, candidate)
-        trace, _, _ = run_simulation(cfg, phi_init=phi0, stop_above=VERDICT_THRESHOLD)
+        trace, _, _ = run_simulation(cfg, phi_init=phi0, until_unstable=True)
         verdict = stability_verdict(trace, min_steps=cfg.n_steps())
-        over = trace.rows[~(trace.rows["dE_mod"] <= VERDICT_THRESHOLD)]
-        first = (over["n"][0], over["dE_mod"][0]) if len(over) else (math.nan, math.nan)
+        stopped = verdict == "unstable" and not trace.blew_up
+        first = (trace.rows["n"][-1], trace.rows["dE_mod"][-1]) if stopped else (math.nan, math.nan)
         log.append((gamma, tau, candidate, verdict, len(trace),
-                    "blow_up" if trace.blew_up else "energy_increase" if len(over) else "completed",
+                    "blow_up" if trace.blew_up else "energy_increase" if stopped else "completed",
                     *first))
         if verdict == "stable" and not sc.full_scan:
             break

@@ -13,7 +13,8 @@ import pytest
 
 from chillwave import (
     Basis1D, SchemeParams, assemble_basis, bdf2_smallstep_threshold, bootstrap_first_step,
-    build_step_operator, gauss_legendre, march, stability_verdict, sufficient_stabilizers,
+    build_step_operator, default_ladder, gauss_legendre, march, stability_verdict,
+    sufficient_stabilizers,
 )
 from chillwave import harness
 from chillwave.diagnostics import TRACE_DTYPE, EnergyTrace
@@ -128,6 +129,10 @@ NUMBERS = {
         "tau_list[1]", "> 0", 0.0, lambda x: converge(tau_list=[0.5, x])),
     "convergence_study.tau_ref": ("tau_ref", "> 0", 0.0, lambda x: converge(tau_ref=x)),
     "prepare_params": ("eps", "> 0, and <= 1", 2.0, prepare_params),
+    "default_ladder.gamma": ("gamma", "> 0", -1.0, lambda x: default_ladder("A", x, 0.05)),
+    "default_ladder.eps": ("eps", "> 0, and <= 1", 0.0, lambda x: default_ladder("A", 1.0, x)),
+    "default_ladder.eps_of_B": (
+        "eps", "> 0, and <= 1", -0.1, lambda x: default_ladder("B", 1.0, x)),
     "sufficient_stabilizers.eps": ("eps", "> 0, and <= 1", 0.0, lambda x: stabilizers(eps=x)),
     "sufficient_stabilizers.gamma": ("gamma", "> 0", 0.0, lambda x: stabilizers(gamma=x)),
     "sufficient_stabilizers.tau": ("tau", "> 0", 0.0, lambda x: stabilizers(tau=x)),
@@ -189,6 +194,26 @@ def test_theorem_bounds_are_finite_floats(case):
         call()
 
 
+# default_ladder inputs that pass check_number but give no ladder of
+# finite, strictly increasing rungs -> the one-line message
+INF_RUNG = "ladder[1] must be a finite number >= 0, got inf"
+UNLADDERED = {
+    "A_eps_squared_underflows": (("A", 1.0, 1e-200), INF_RUNG),
+    "A_base_overflows": (("A", 1e308, 1.0), INF_RUNG),
+    "B_base_overflows": (("B", 1.0, 5e-324), INF_RUNG),
+    "A_rungs_underflow": (("A", 5e-324, 1.0), "ladder must be strictly increasing, got [0.0, 0.0,"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNLADDERED))
+def test_default_ladder_rungs_are_finite_and_increasing(case):
+    # no ZeroDivisionError and no inf rung: a ladder override with such
+    # rungs is rejected too
+    args, message = UNLADDERED[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        default_ladder(*args)
+
+
 def test_numpy_float_numbers_pass():
     f = np.float64
     assert scheme(tau=f(0.1), gamma=f(1.0), eps=f(0.25), A=f(1.0), B=f(0.0)).eps == 0.25
@@ -196,4 +221,5 @@ def test_numpy_float_numbers_pass():
     SweepConfig(**dict(SWEEP, gamma_list=[f(1.0)], tau_list=[f(0.1)], fixed_value=f(0.0),
                        ladder=[f(0.0), f(1.0)]))
     assert prepare_params(f(0.25)).eps == 0.25
+    assert default_ladder("A", f(1.0), f(0.05))[-1] == 3200.0
     assert len(converge(tau_list=[f(0.5)], tau_ref=f(0.25))) == 1

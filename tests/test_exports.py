@@ -54,3 +54,19 @@ def test_only_potential_reads_the_truncation_spec():
         for path in PACKAGE.glob("*.py") if path.name != "potential.py"
     }
     assert {name: read for name, read in readers.items() if read} == {}
+
+
+def test_only_the_verdict_and_the_run_read_the_verdict_threshold():
+    # the instability rule is stated once per reader: stability_verdict
+    # judges a trace by it and run_simulation's until_unstable stops on
+    # it; a sweep reads its log rows off the verdict, not the threshold
+    reads = set()  # (module, the top-level def or class holding the read)
+    for path in PACKAGE.glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            for node in ast.walk(stmt):
+                name = (node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                        else node.attr if isinstance(node, ast.Attribute) else None)
+                if name == "VERDICT_THRESHOLD":
+                    reads.add((path.stem, getattr(stmt, "name", None)))
+    assert {module for module, _ in reads} == {"diagnostics", "harness"}
+    assert {scope for module, scope in reads if module == "harness"} == {"run_simulation"}

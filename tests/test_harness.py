@@ -252,6 +252,14 @@ def test_run_simulation_rejects_mismatched_M(given):
         run_simulation(cfg, **kwargs)
 
 
+def test_initial_field_rejects_a_basis_of_another_M(basis16):
+    # the field would otherwise have the basis's 16 modes, not the config's 8
+    cfg = RunConfig(M=8, eps=0.25, gamma=1.0, tau=0.1, T=0.3, scheme="SL_CN")
+    message = "basis has M = 16, but the config asks for M = 8"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        initial_field(cfg, basis16)
+
+
 def test_run_simulation_records_blowup(basis16):
     cfg = RunConfig(M=16, eps=0.05, gamma=0.0025, tau=1.0, T=100.0,
                     scheme="SL_BDF2", seed=1)
@@ -290,24 +298,25 @@ def test_run_simulation_snapshot_cadence(basis8):
     assert [n for n, _, _ in snaps2] == [4, 6]  # final step always included
 
 
-@pytest.mark.parametrize("raw,stop_above,ends", [
+@pytest.mark.parametrize("raw,until_unstable,ends", [
     pytest.param(dict(M=8, eps=0.25, gamma=1.0, tau=0.1, T=0.6, scheme="SL_CN", A=0.25, B=8.0,
-                      seed=5, snapshot_every=2), None, "completed", id="completed"),
+                      seed=5, snapshot_every=2), False, "completed", id="completed"),
     # blows up at step 8, after the snapshots of steps 2, 4 and 6
     pytest.param(dict(M=16, eps=0.05, gamma=0.0025, tau=1.0, T=100.0, scheme="SL_BDF2", seed=1,
-                      snapshot_every=2), None, "blow_up", id="blow-up"),
+                      snapshot_every=2), False, "blow_up", id="blow-up"),
     # A = 0 stops at its first dE_mod above 1e-10, before step 64
     pytest.param(dict(M=8, eps=0.25, gamma=1.0, tau=0.01, T=0.64, scheme="SL_CN", seed=42,
-                      snapshot_every=3), 1e-10, "stopped", id="stop-above"),
+                      snapshot_every=3), True, "stopped", id="stop-above"),
 ])
-def test_snapshot_hook_receives_the_default_list(raw, stop_above, ends):
+def test_snapshot_hook_receives_the_default_list(raw, until_unstable, ends):
     # on_snapshot gets, when the run reaches it, each snapshot the default
     # list would hold, and run_simulation then keeps none
     cfg = RunConfig(**raw)
-    trace, final, listed = run_simulation(cfg, stop_above=stop_above)
+    trace, final, listed = run_simulation(cfg, until_unstable=until_unstable)
     hooked = []
     hooked_trace, hooked_final, kept = run_simulation(
-        cfg, stop_above=stop_above, on_snapshot=lambda n, t, field: hooked.append((n, t, field)))
+        cfg, until_unstable=until_unstable,
+        on_snapshot=lambda n, t, field: hooked.append((n, t, field)))
     assert kept == []
     assert len(listed) >= 3
     assert [(n, t) for n, t, _ in hooked] == [(n, t) for n, t, _ in listed]
@@ -393,6 +402,20 @@ def test_sweep_config_validation():
             run_config_from_dict(not_an_object)
 
 
+def test_checked_sweep_types_are_frozen():
+    # a field assigned after the checks would run a sweep they never saw
+    from chillwave.harness import SWEEP_LOG_DTYPE, SweepResult
+
+    base = RunConfig(M=8, eps=0.25, gamma=1.0, tau=0.1, T=1.0, scheme="SL_BDF2")
+    sc = SweepConfig(base=base, target="A", gamma_list=[1.0], tau_list=[0.1])
+    res = SweepResult(sc, np.zeros(0, SWEEP_LOG_DTYPE).view(np.recarray))
+    for obj, name, value in ((sc, "target", "C"), (sc, "ladder", [0.0]), (sc, "base", None),
+                             (res, "config", None), (res, "log", None)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, name, value)
+    assert sc.target == "A" and sc.ladder is None and res.config is sc
+
+
 def test_sweep_stable_at_zero_returns_zero(tmp_path):
     base = RunConfig(M=8, eps=0.25, gamma=1.0, tau=4e-5, T=64 * 4e-5,
                      scheme="SL_BDF2", seed=9)
@@ -468,7 +491,7 @@ def test_sweep_result_reads_cells_and_anomalies_off_its_log(tmp_path):
 
 def test_nan_energy_increment_stops_a_sweep_candidate(monkeypatch):
     # a NaN dE_mod violates at every site that judges an increment: the
-    # stop_above break, the log's first violation and the verdict
+    # until_unstable stop, the log's first violation and the verdict
     import chillwave.harness as harness
 
     energies, calls = harness.step_energies, []
@@ -488,8 +511,38 @@ def test_nan_energy_increment_stops_a_sweep_candidate(monkeypatch):
     assert row.first_violation_step == 3.0 and math.isnan(row.first_violation_dE_mod)
 
 
+@pytest.mark.parametrize("above", [False, True], ids=["at-threshold", "just-above"])
+def test_verdict_threshold_is_the_candidate_stop(monkeypatch, above):
+    # a row whose dE_mod is exactly VERDICT_THRESHOLD passes the rule: the
+    # candidate runs on and is stable; the next float up stops it on that row
+    import chillwave.harness as harness
+    from chillwave.diagnostics import VERDICT_THRESHOLD
+
+    energies, calls = harness.step_energies, []
+    dE = np.nextafter(VERDICT_THRESHOLD, np.inf) if above else VERDICT_THRESHOLD
+
+    def rises_by_dE_on_third_row(*args):
+        # E_mod is 0 except on row 3, so row 3's dE_mod is exactly dE
+        calls.append(None)
+        e, _, dt_sq, mean = energies(*args)
+        return e, dE if len(calls) == 3 else 0.0, dt_sq, mean
+
+    monkeypatch.setattr(harness, "step_energies", rises_by_dE_on_third_row)
+    base = RunConfig(M=8, eps=0.25, gamma=1.0, tau=4e-5, T=64 * 4e-5,
+                     scheme="SL_BDF2", seed=9)
+    sc = SweepConfig(base=base, target="A", gamma_list=[1.0], tau_list=[4e-5],
+                     ladder=[0.0])
+    (row,) = sweep_min_stabilizer(sc).log
+    if above:
+        assert (row.verdict, row.stop_reason, row.rows_run) == ("unstable", "energy_increase", 3)
+        assert row.first_violation_step == 3.0 and row.first_violation_dE_mod == dE
+    else:
+        assert (row.verdict, row.stop_reason, row.rows_run) == ("stable", "completed", 64)
+        assert math.isnan(row.first_violation_step) and math.isnan(row.first_violation_dE_mod)
+
+
 def ladder_walk(sc, gamma, tau):
-    # the reference sweep: a full-length run per rung, without stop_above
+    # the reference sweep: a full-length run per rung, without until_unstable
     # or a shared phi0, judged by stability_verdict
     from chillwave.harness import _candidate_config
 
@@ -524,7 +577,7 @@ def test_sweep_early_stop_keeps_every_verdict():
         assert record.rows_run == record.first_violation_step == first["n"] < 64
         assert record.first_violation_dE_mod == first["dE_mod"]
         cfg = replace(base, A=candidate)
-        short, _, _ = run_simulation(cfg, stop_above=1e-10)
+        short, _, _ = run_simulation(cfg, until_unstable=True)
         assert not short.blew_up and np.array_equal(short.rows, full.rows[:first["n"]])
     assert stopped == 4
 
