@@ -79,8 +79,8 @@ def _cmd_run(args) -> int:
         "steps_completed": len(trace),
         "blew_up": trace.blew_up,
         "blowup_step": trace.blowup_step,
-        "stop_reason": "blow_up" if trace.blew_up else "completed",
-        "stop_step": trace.blowup_step if trace.blew_up else len(trace),
+        "stop_reason": trace.stop_reason,
+        "stop_step": trace.blowup_step or len(trace),
         "versions": {
             "chillwave": __version__,
             "numpy": np.__version__,
@@ -96,7 +96,7 @@ def _cmd_run(args) -> int:
     with open(os.path.join(out, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    status = "blew up at step %s" % trace.blowup_step if trace.blew_up else "completed"
+    status = f"blew up at step {trace.blowup_step}" if trace.blew_up else trace.stop_reason
     print(f"run {status}: {len(trace)} steps, outputs in {out}")
     return 0
 

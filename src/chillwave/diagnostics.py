@@ -68,18 +68,24 @@ class EnergyTrace:
     modified energy exists). rows["E_eps"] is a column; index columns by
     name, since attribute access finds ndarray methods first (rows.mean
     is ndarray.mean, not the column).
-    blowup_step is the step at which NonFinite ended the run, if it did;
+    stop_reason says why the run ended: "completed", "energy_increase" (an
+    until_unstable stop, at the last row) or "blow_up" (NonFinite, at step
+    blowup_step = len(rows) + 1); None if not recorded, as by read_csv.
     max_residual is the checked eigendecomposition residual of the run's
     basis (Basis1D.residual).
     """
 
     rows: np.recarray
-    blowup_step: int | None = None
+    stop_reason: str | None = None
     max_residual: float = 0.0
 
     @property
     def blew_up(self) -> bool:
-        return self.blowup_step is not None
+        return self.stop_reason == "blow_up"
+
+    @property
+    def blowup_step(self) -> int | None:
+        return len(self.rows) + 1 if self.blew_up else None
 
     def __len__(self) -> int:
         return len(self.rows)

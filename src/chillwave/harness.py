@@ -186,10 +186,10 @@ def run_simulation(
     off the modal pairs `march` yields.
     phi_init and basis, when given, must have cfg.M modes (ValueError
     otherwise); basis is unused when phi_init is given. A blow-up
-    (NonFinite) terminates the run early and is recorded on the trace
-    (verdict data), not raised; the final field is then the last good
-    state. A SolveFailed from a bad eigendecomposition is a solver fault,
-    not a verdict, and propagates.
+    (NonFinite) ends the run early, as trace.stop_reason records (verdict
+    data, not raised); the final field is then the last good state. A
+    SolveFailed from a bad eigendecomposition is a solver fault, not a
+    verdict, and propagates.
     With until_unstable, the run ends right after its first row whose
     dE_mod is not <= VERDICT_THRESHOLD (NaN included), the row that makes
     stability_verdict say "unstable": that row is then the trace's last.
@@ -203,7 +203,7 @@ def run_simulation(
     keep = on_snapshot or (lambda *snapshot: snapshots.append(snapshot))
     N = cfg.n_steps()
     rows = np.empty(N, TRACE_DTYPE)
-    n, e_mod, curr, blowup_step = 0, 0.0, None, None
+    n, e_mod, curr, stop_reason = 0, 0.0, None, "completed"
     try:
         phi1 = bootstrap_first_step(phi0, cfg)
         for prev, curr, grid in march(op, phi0.v, phi1.v, N - 1):
@@ -218,10 +218,11 @@ def run_simulation(
             if cfg.snapshot_every > 0 and (n % cfg.snapshot_every == 0 or n == N):
                 keep(n, t, Field(basis, curr))
             if until_unstable and not dE_mod <= VERDICT_THRESHOLD:
+                stop_reason = "energy_increase"
                 break
     except NonFinite:
-        blowup_step = n + 1
-    trace = EnergyTrace(rows[:n].view(np.recarray), blowup_step, basis.residual)
+        stop_reason = "blow_up"
+    trace = EnergyTrace(rows[:n].view(np.recarray), stop_reason, basis.residual)
     final = phi0 if curr is None else Field(basis, curr)
     return trace, final, snapshots
 
@@ -300,9 +301,8 @@ SWEEP_LOG_DTYPE = np.dtype([
 class SweepResult:
     """A sweep's config and its log, a SWEEP_LOG_DTYPE record array with a
     row per candidate run in run order; cells, ladders and anomalies are
-    read off the two. stop_reason is "completed", "energy_increase"
-    (stopped at its first dE_mod above the verdict threshold, then its
-    last row) or "blow_up"; the first violation is NaN if there is none."""
+    read off the two. stop_reason is the candidate trace's
+    (EnergyTrace.stop_reason); the first violation is NaN if there is none."""
 
     config: SweepConfig
     log: np.recarray
@@ -373,18 +373,15 @@ def _ladder(sc: SweepConfig, gamma: float) -> list[float]:
 
 def _sweep_cell(sc: SweepConfig, phi0: Field, gamma: float, tau: float, log: list[tuple]):
     """Walk the cell's ladder from phi0, appending a SWEEP_LOG_DTYPE row
-    per candidate, up to the first stable one (every one with full_scan).
-    Each candidate runs until_unstable, so one that is unstable without a
-    blow-up stopped on its one violation, its last row."""
+    per candidate, up to the first stable one (every one with full_scan);
+    a candidate runs until_unstable, so an energy increase is its last row."""
     for candidate in _ladder(sc, gamma):
         cfg = _candidate_config(sc, gamma, tau, candidate)
         trace, _, _ = run_simulation(cfg, phi_init=phi0, until_unstable=True)
         verdict = stability_verdict(trace, min_steps=cfg.n_steps())
-        stopped = verdict == "unstable" and not trace.blew_up
+        stopped = trace.stop_reason == "energy_increase"
         first = (trace.rows["n"][-1], trace.rows["dE_mod"][-1]) if stopped else (math.nan, math.nan)
-        log.append((gamma, tau, candidate, verdict, len(trace),
-                    "blow_up" if trace.blew_up else "energy_increase" if stopped else "completed",
-                    *first))
+        log.append((gamma, tau, candidate, verdict, len(trace), trace.stop_reason, *first))
         if verdict == "stable" and not sc.full_scan:
             break
 

@@ -237,10 +237,9 @@ def sufficient_stabilizers(
     raise ValueError("no dissipation condition for scheme " + scheme)
 
 
-def bdf2_smallstep_threshold(eps: float, gamma: float, L: float) -> float:
-    """Largest tau for which SL_BDF2 is provably energy stable with
-    A = B = 0: tau <= 8 eps^3 / (25 L^2 gamma), for eps in (0, 1], gamma, L > 0."""
+def bdf2_smallstep_threshold(eps: float, gamma: float) -> float:
+    """The paper's sufficient bound on an energy-stable SL_BDF2 step at A = B = 0,
+    8 eps^3 / (25 L^2 gamma) with L = potential.L, for eps in (0, 1] and gamma > 0."""
     check_number("eps", eps, True, 1.0)
-    for name, value in (("gamma", gamma), ("L", L)):
-        check_number(name, value, True)
-    return _quotient(8.0 * eps**3, 25.0 * L * L * gamma, f"eps = {eps}, gamma = {gamma}, L = {L}")
+    check_number("gamma", gamma, True)
+    return _quotient(8.0 * eps**3, 25.0 * L * L * gamma, f"eps = {eps}, gamma = {gamma}")

@@ -45,7 +45,7 @@ def theorem_run(scheme, tau, experiment):
 
 @lru_cache(maxsize=None)
 def smallstep_run():
-    tau = cw.bdf2_smallstep_threshold(EPS, GAMMA, L)
+    tau = cw.bdf2_smallstep_threshold(EPS, GAMMA)
     cfg = cw.RunConfig(M=M_RUN, eps=EPS, gamma=GAMMA, tau=tau, T=STEPS * tau,
                        scheme="SL_BDF2", A=0.0, B=0.0, seed=SEED)
     return cw.run_simulation(cfg)[0]
@@ -99,7 +99,7 @@ def test_criterion_2_energy_dissipation(capsys, experiment):
 def test_criterion_3_smallstep_unconditional(capsys):
     trace = smallstep_run()
     verdict = cw.stability_verdict(trace)
-    tau = cw.bdf2_smallstep_threshold(EPS, GAMMA, L)
+    tau = cw.bdf2_smallstep_threshold(EPS, GAMMA)
     ok = verdict == "stable"
     report(capsys, 3, ok,
            f"SL_BDF2 with A = B = 0 at tau = 8 eps^3/(25 L^2 gamma) = "
@@ -460,4 +460,41 @@ def test_criterion_14_sl_cn_needs_its_stabilizers(capsys):
            f"datum: A = B = 0 blows up -> {bare.blew_up} (at step {bare.blowup_step}); "
            f"theorem pair (A, B) = ({pair[0]:g}, {pair[1]:g}): verdict {verdict} over "
            f"{STEPS} steps")
+    assert ok
+
+
+def test_criterion_15_sl_bdf2_linear_step_limit(capsys):
+    # SL_BDF2 at A = B = 0, linearized about a well: a mode's growth factor
+    # (conftest.amplification_factors) leaves the unit disk through z = -1
+    # once tau passes tau* = 4 eps^3 / (9 gamma), whatever M (README). From
+    # the prepared seed-42 datum a run at 0.9 tau* is stable over 1024
+    # steps and one at 1.3 tau* stops on an energy increase
+    found = []
+    for M, eps, gamma in ((32, 0.1, 0.0025), (32, 0.05, 1.0), (48, 0.025, 0.0025)):
+        limit = 4.0 * eps**3 / (9.0 * gamma)
+        basis = cw.assemble_basis(M)
+        positive = basis.sigma > 0.0
+
+        def largest_z(tau):
+            params = cw.SchemeParams(scheme="SL_BDF2", tau=tau, gamma=gamma, eps=eps)
+            return amplification_factors(cw.build_step_operator(params, basis))[positive].max()
+
+        def trace(tau):
+            return cw.run_simulation(cw.RunConfig(
+                M=M, eps=eps, gamma=gamma, tau=tau, T=STEPS * tau, scheme="SL_BDF2",
+                seed=SEED, initial="prepared"), until_unstable=True)[0]
+
+        below, above = largest_z(0.999 * limit), largest_z(1.001 * limit)
+        verdict, stopped = cw.stability_verdict(trace(0.9 * limit)), trace(1.3 * limit)
+        ratio = limit / cw.bdf2_smallstep_threshold(eps, gamma)
+        ok = (below <= 1.0 < above and verdict == "stable"
+              and stopped.stop_reason == "energy_increase")
+        found.append((ok, f"(M, eps, gamma) = ({M}, {eps:g}, {gamma:g}): tau* = {limit:.6e} "
+                          f"({ratio:.2f} x bdf2_smallstep_threshold), max |z| {below:.5f} at "
+                          f"0.999 tau* and {above:.5f} at 1.001 tau*, 0.9 tau* {verdict}, "
+                          f"1.3 tau* {stopped.stop_reason} at step {len(stopped)}"))
+    ok = all(passed for passed, _ in found)
+    report(capsys, 15, ok,
+           f"SL_BDF2 with A = B = 0 from prepared seed-{SEED} data, T = {STEPS} tau: linear "
+           "step limit tau* = 4 eps^3/(9 gamma); " + "; ".join(text for _, text in found))
     assert ok

@@ -354,6 +354,24 @@ def test_sweep_command(tmp_path, capsys):
     assert log == [SWEEP_LOG_COLUMNS, "1,4e-05,0,stable,64,completed,,"]
 
 
+def test_sweep_prints_each_anomaly_on_stderr(tmp_path, capsys, monkeypatch):
+    # a full scan whose ladder is not monotone: unstable, stable, unstable
+    from chillwave.harness import SWEEP_LOG_DTYPE, SweepResult
+
+    stopped, completed = ("unstable", 3, "energy_increase", 3.0, 1.0), (
+        "stable", 64, "completed", np.nan, np.nan)
+    log = np.array([(1.0, 4e-5, candidate, *row) for candidate, row in
+                    ((0.0, stopped), (1.0, completed), (2.0, stopped))], SWEEP_LOG_DTYPE)
+    monkeypatch.setattr(cli, "sweep_min_stabilizer",
+                        lambda sc: SweepResult(sc, log.view(np.recarray)))
+    cfg_path = tmp_path / "sweep.json"
+    write_json(cfg_path, dict(SWEEP_CFG, ladder=[0.0, 1.0, 2.0], full_scan=True))
+    assert main(["sweep", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == (
+        "anomaly: non-monotone ladder at gamma=1.0 tau=4e-05: verdicts [False, True, False]\n")
+    assert (tmp_path / "out" / "sweep.csv").read_text() == "tau,gamma=1\n4e-05,1\n"
+
+
 SWEEP_LOG_COLUMNS = ("gamma,tau,candidate,verdict,rows_run,stop_reason,"
                      "first_violation_step,first_violation_dE_mod")
 

@@ -105,7 +105,7 @@ def stabilizers(**number):
 
 
 def threshold(**number):
-    return bdf2_smallstep_threshold(**dict(dict(eps=0.05, gamma=1.0, L=11.0), **number))
+    return bdf2_smallstep_threshold(**dict(dict(eps=0.05, gamma=1.0), **number))
 
 
 # caller -> (the number's name, its range, a value out of it, a call that passes it)
@@ -139,7 +139,6 @@ NUMBERS = {
     "sufficient_stabilizers.L": ("L", "> 0", -11.0, lambda x: stabilizers(L=x)),
     "bdf2_smallstep_threshold.eps": ("eps", "> 0, and <= 1", 1.5, lambda x: threshold(eps=x)),
     "bdf2_smallstep_threshold.gamma": ("gamma", "> 0", 0.0, lambda x: threshold(gamma=x)),
-    "bdf2_smallstep_threshold.L": ("L", "> 0", 0.0, lambda x: threshold(L=x)),
 }
 
 
@@ -165,18 +164,15 @@ UNREPRESENTABLE = {
     "sufficient_stabilizers.eps_squared_underflows": (
         lambda: sufficient_stabilizers("SL_BDF2", 1e-200, 0.0025, 0.01, 11.0),
         "SL_BDF2 at eps = 1e-200, gamma = 0.0025, tau = 0.01, L = 11.0"),
-    "bdf2_smallstep_threshold.L_squared_underflows": (
-        lambda: bdf2_smallstep_threshold(0.05, 0.0025, 1e-200),
-        "eps = 0.05, gamma = 0.0025, L = 1e-200"),
     "sufficient_stabilizers.A_overflows": (
         lambda: sufficient_stabilizers("SL_CN", 0.05, 1.0, 0.01, 1e200),
         "SL_CN at eps = 0.05, gamma = 1.0, tau = 0.01, L = 1e+200"),
     "bdf2_smallstep_threshold.overflows": (
-        lambda: bdf2_smallstep_threshold(1.0, 1e-300, 1e-10),
-        "eps = 1.0, gamma = 1e-300, L = 1e-10"),
+        lambda: bdf2_smallstep_threshold(1.0, 5e-324),
+        "eps = 1.0, gamma = 5e-324"),
     "bdf2_smallstep_threshold.underflows": (
-        lambda: bdf2_smallstep_threshold(1e-120, 1.0, 1e-100),
-        "eps = 1e-120, gamma = 1.0, L = 1e-100"),
+        lambda: bdf2_smallstep_threshold(1e-120, 1.0),
+        "eps = 1e-120, gamma = 1.0"),
     "sufficient_stabilizers.A_underflows": (
         lambda: sufficient_stabilizers("SL_CN", 1.0, 5e-324, 0.01, 1.0),
         "SL_CN at eps = 1.0, gamma = 5e-324, tau = 0.01, L = 1.0"),

@@ -28,14 +28,14 @@ from conftest import (
 )
 
 
-def make_trace(increments, blowup_step=None):
+def make_trace(increments, stop_reason=None):
     rows = np.zeros(len(increments), TRACE_DTYPE).view(np.recarray)
     rows["n"] = np.arange(1, len(increments) + 1)
     rows["t"] = rows["n"] * 0.1
     rows["E_eps"] = rows["E_mod"] = np.cumsum([10.0, *increments])[1:]
     rows["dE_mod"] = increments
     rows["dt_norm"] = 1e-3
-    return EnergyTrace(rows, blowup_step=blowup_step)
+    return EnergyTrace(rows, stop_reason=stop_reason)
 
 
 HEAD = TRACE_HEADER + "\n"
@@ -237,7 +237,7 @@ def test_verdict_unstable_increment():
 
 
 def test_verdict_blowup_is_unstable():
-    tr = make_trace([0.0, -1e-6], blowup_step=3)
+    tr = make_trace([0.0, -1e-6], stop_reason="blow_up")
     assert stability_verdict(tr) == "unstable"
 
 

@@ -70,3 +70,18 @@ def test_only_the_verdict_and_the_run_read_the_verdict_threshold():
                     reads.add((path.stem, getattr(stmt, "name", None)))
     assert {module for module, _ in reads} == {"diagnostics", "harness"}
     assert {scope for module, scope in reads if module == "harness"} == {"run_simulation"}
+
+
+def test_only_the_run_names_every_stop_reason():
+    # run_simulation sets a trace's stop_reason at its three exits; the
+    # trace reads "blow_up" and a sweep "energy_increase"; summary.json and
+    # the sweep log copy the trace's reason and name none
+    reasons = {"completed", "energy_increase", "blow_up"}
+    named = set()  # (module, the top-level def or class, the reason)
+    for path in PACKAGE.glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Constant) and node.value in reasons:
+                    named.add((path.stem, getattr(stmt, "name", None), node.value))
+    assert named == {("harness", "run_simulation", reason) for reason in reasons} | {
+        ("diagnostics", "EnergyTrace", "blow_up"), ("harness", "_sweep_cell", "energy_increase")}

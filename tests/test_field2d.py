@@ -90,6 +90,14 @@ def test_grid_map_matches_oracle_evaluation(basis8):
     np.testing.assert_allclose(g, expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("pair", [inner_l2, inner_hminus1, cw.error_norms])
+def test_a_field_pair_shares_one_basis_instance(pair):
+    # two assemble_basis(8) calls give equal bases but two instances
+    u, v = (unit_field(cw.assemble_basis(8), 1, 0) for _ in range(2))
+    with pytest.raises(ValueError, match="fields must share one Basis1D instance"):
+        pair(u, v)
+
+
 def test_inner_l2_examples(basis8):
     one = unit_field(basis8, 0, 0)
     assert inner_l2(one, one) == pytest.approx(4.0, abs=1e-13)

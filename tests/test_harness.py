@@ -306,7 +306,7 @@ def test_run_simulation_snapshot_cadence(basis8):
                       snapshot_every=2), False, "blow_up", id="blow-up"),
     # A = 0 stops at its first dE_mod above 1e-10, before step 64
     pytest.param(dict(M=8, eps=0.25, gamma=1.0, tau=0.01, T=0.64, scheme="SL_CN", seed=42,
-                      snapshot_every=3), True, "stopped", id="stop-above"),
+                      snapshot_every=3), True, "energy_increase", id="stop-above"),
 ])
 def test_snapshot_hook_receives_the_default_list(raw, until_unstable, ends):
     # on_snapshot gets, when the run reaches it, each snapshot the default
@@ -324,8 +324,46 @@ def test_snapshot_hook_receives_the_default_list(raw, until_unstable, ends):
     assert all(h.v.tobytes() == f.v.tobytes() for (_, _, h), (_, _, f) in zip(hooked, listed))
     assert np.array_equal(hooked_trace.rows, trace.rows)
     assert hooked_final.v.tobytes() == final.v.tobytes()
-    assert ends == ("blow_up" if trace.blew_up else
-                    "completed" if len(trace) == cfg.n_steps() else "stopped")
+    assert trace.stop_reason == hooked_trace.stop_reason == ends
+
+
+COMPLETES = dict(M=8, eps=0.25, gamma=1.0, tau=0.1, T=0.6, scheme="SL_CN", A=0.25, B=8.0, seed=5)
+
+
+@pytest.mark.parametrize("raw,until_unstable,bootstrap_blows_up,reason,rows", [
+    pytest.param(COMPLETES, False, False, "completed", 6, id="completed"),
+    pytest.param(COMPLETES, True, False, "completed", 6, id="completed-until-unstable"),
+    # A = 0 breaks the 1e-10 bound after 28 of 64 steps
+    pytest.param(dict(M=8, eps=0.25, gamma=1.0, tau=0.01, T=0.64, scheme="SL_CN", seed=42),
+                 True, False, "energy_increase", 28, id="energy-increase"),
+    pytest.param(dict(M=16, eps=0.05, gamma=0.0025, tau=1.0, T=100.0, scheme="SL_BDF2", seed=1),
+                 False, False, "blow_up", 7, id="blow-up"),
+    pytest.param(COMPLETES, False, True, "blow_up", 0, id="bootstrap-blow-up"),
+])
+def test_the_trace_says_why_the_run_stopped(monkeypatch, tmp_path, raw, until_unstable,
+                                            bootstrap_blows_up, reason, rows):
+    # each exit of run_simulation records its reason; a blow-up is at the
+    # step after the last row (step 1 when the bootstrap blows up), and a
+    # trace read back from its CSV file records none
+    import chillwave.harness as harness
+    from chillwave.diagnostics import VERDICT_THRESHOLD, EnergyTrace
+    from chillwave.errors import NonFinite
+
+    def blows_up(*args):
+        raise NonFinite("bootstrap blew up")
+
+    if bootstrap_blows_up:
+        monkeypatch.setattr(harness, "bootstrap_first_step", blows_up)
+    trace, _, _ = run_simulation(RunConfig(**raw), until_unstable=until_unstable)
+    assert (trace.stop_reason, len(trace)) == (reason, rows)
+    assert trace.blew_up == (reason == "blow_up")
+    assert trace.blowup_step == (rows + 1 if reason == "blow_up" else None)
+    if reason == "energy_increase":
+        dE = trace.rows["dE_mod"]
+        assert dE[-1] > VERDICT_THRESHOLD and (dE[:-1] <= VERDICT_THRESHOLD).all()
+    trace.write_csv(tmp_path / "trace.csv")
+    back = EnergyTrace.read_csv(tmp_path / "trace.csv")
+    assert back.stop_reason is None and not back.blew_up and back.blowup_step is None
 
 
 def test_trace_time_is_step_times_tau(basis8):
@@ -365,6 +403,8 @@ def test_default_ladders():
     lad_c9 = default_ladder("A", gamma=1.0, eps=0.05)
     assert lad_c9 == [0.0] + [1600.0 * 2.0**i for i in range(-7, 2)]
     assert lad_c9[1] == 12.5 and lad_c9[5] == 200.0
+    with pytest.raises(ValueError, match=re.escape("target must be 'A' or 'B'")):
+        default_ladder("C", gamma=1.0, eps=0.05)
 
 
 def test_sweep_config_validation():
@@ -578,7 +618,8 @@ def test_sweep_early_stop_keeps_every_verdict():
         assert record.first_violation_dE_mod == first["dE_mod"]
         cfg = replace(base, A=candidate)
         short, _, _ = run_simulation(cfg, until_unstable=True)
-        assert not short.blew_up and np.array_equal(short.rows, full.rows[:first["n"]])
+        assert short.stop_reason == "energy_increase"
+        assert np.array_equal(short.rows, full.rows[:first["n"]])
     assert stopped == 4
 
 

@@ -304,7 +304,7 @@ def test_linearized_amplification_explains_sl_cn_blow_up():
 
 
 def test_bdf2_smallstep_threshold():
-    assert bdf2_smallstep_threshold(0.05, 0.0025, 11.0) == pytest.approx(
+    assert bdf2_smallstep_threshold(0.05, 0.0025) == pytest.approx(
         8 * 0.05**3 / (25 * 121 * 0.0025)
     )
 
