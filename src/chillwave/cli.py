@@ -13,6 +13,7 @@ Configs are JSON objects whose keys match the config dataclass field names
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -23,8 +24,9 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
+from ._snapshots import SnapshotWriter
 from .errors import ChillwaveError
-from .field2d import mean_value, write_snapshot
+from .field2d import mean_value, snapshot_values, write_snapshot
 from .harness import (
     PREPARE_STEPS,
     convergence_study,
@@ -53,16 +55,19 @@ def _ensure_dir(path: str) -> str:
 def _cmd_run(args) -> int:
     cfg = run_config_from_dict(_load_json(args.config))
     out = args.out_dir or "."
-    last = None  # (n, path) of the last snapshot written
+    last = None  # (n, path) of the last snapshot sent
 
-    def write(n, t, u):  # each snapshot goes to disk when the run reaches it
-        nonlocal last
-        path = os.path.join(_ensure_dir(out), f"snapshot_{n:06d}.csv")
-        write_snapshot(u, path, eps=cfg.eps, gamma=cfg.gamma, t=t, step=n)
-        last = n, path
+    # the writer starts before run_simulation builds the basis, so its
+    # start-up overlaps basis assembly; the with waits for every file
+    with SnapshotWriter() if cfg.snapshot_every > 0 else contextlib.nullcontext() as writer:
+        def write(n, t, u):  # each snapshot goes to the writer when the run reaches it
+            nonlocal last
+            path = os.path.join(_ensure_dir(out), f"snapshot_{n:06d}.csv")
+            writer.send(path, *snapshot_values(u, cfg.eps, cfg.gamma, t, n))
+            last = n, path
 
-    trace, final, _ = run_simulation(cfg, on_snapshot=write)
-    trace.write_csv(os.path.join(_ensure_dir(out), "trace.csv"))
+        trace, final, _ = run_simulation(cfg, on_snapshot=write)
+        trace.write_csv(os.path.join(_ensure_dir(out), "trace.csv"))
     rows = trace.rows
     ran = len(rows) > 0  # a blow-up in the bootstrap leaves no row
     final_path = os.path.join(out, "final_field.csv")
@@ -77,8 +82,6 @@ def _cmd_run(args) -> int:
     summary = {
         "config": asdict(cfg),
         "steps_completed": len(trace),
-        "blew_up": trace.blew_up,
-        "blowup_step": trace.blowup_step,
         "stop_reason": trace.stop_reason,
         "stop_step": trace.blowup_step or len(trace),
         "versions": {

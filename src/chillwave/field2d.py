@@ -26,10 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._snapshots import SNAPSHOT_HEADER, write_grid, write_rows
 from .errors import MeanNotZero
 from .spectral1d import Basis1D, assemble_basis
-
-SNAPSHOT_HEADER = "M,eps,gamma,t,step"
 
 # absolute floor for the zero-mean precondition so that near-zero
 # difference fields (norm ~ roundoff) are not rejected spuriously
@@ -121,13 +120,11 @@ def _same_basis(u: Field, v: Field) -> None:
 # CSV files
 
 
-def write_rows(path, header: str, rows, cell=repr) -> None:
-    """Write the header line, then per row one line of cell(value) for
-    each value, comma-joined."""
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(map(cell, row)) + "\n")
+def snapshot_values(u: Field, eps: float, gamma: float, t: float, step: int):
+    """The header values (M, eps, gamma, t, step) of a snapshot of u and
+    its nodal values T_M v T_M^T on the M x M Gauss grid."""
+    T = u.basis.T_M
+    return (int(u.basis.M), float(eps), float(gamma), float(t), int(step)), T @ u.v @ T.T
 
 
 def write_snapshot(u: Field, path, eps: float, gamma: float, t: float, step: int) -> None:
@@ -138,9 +135,8 @@ def write_snapshot(u: Field, path, eps: float, gamma: float, t: float, step: int
     repr (shortest round-trip) form; then M rows of M comma-separated
     values, row i = x-index, column j = y-index.
     """
-    T = u.basis.T_M
-    meta = (int(u.basis.M), float(eps), float(gamma), float(t), int(step))
-    write_rows(path, SNAPSHOT_HEADER, [meta, *(T @ u.v @ T.T).tolist()])
+    meta, grid = snapshot_values(u, eps, gamma, t, step)
+    write_grid(path, meta, grid.tolist())
 
 
 def read_snapshot(path, basis: Basis1D | None = None) -> tuple[Field, dict]:

@@ -1,13 +1,22 @@
 import json
+import os
 import platform
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from chillwave import __version__, cli, mean_value, read_snapshot, run_simulation, write_snapshot
+from chillwave import (
+    Field, __version__, assemble_basis, cli, mean_value, read_snapshot, run_simulation,
+    write_snapshot,
+)
+from chillwave import _snapshots
 from chillwave.cli import build_parser, main
+from chillwave.errors import SolveFailed
+from chillwave.field2d import snapshot_values
 from chillwave.harness import run_config_from_dict
 
 
@@ -17,6 +26,8 @@ def write_json(path, obj):
 
 RUN_CFG = dict(M=8, eps=0.25, gamma=1.0, tau=0.1, T=0.5, scheme="SL_CN",
                A=0.25, B=8.0, seed=6)
+# an SL_BDF2 run without stabilizers that blows up at step 8
+BLOW_UP_CFG = dict(M=16, eps=0.05, gamma=0.0025, tau=1.0, T=100.0, scheme="SL_BDF2", seed=1)
 
 
 def test_parser_subcommands():
@@ -41,7 +52,6 @@ def test_run_outputs(tmp_path, capsys):
     ]
     summary = json.loads((out / "summary.json").read_text())
     assert summary["steps_completed"] == 5
-    assert summary["blew_up"] is False
     assert summary["max_residual"] <= 1e-10
     assert summary["mean_drift"] <= 1e-11
     assert summary["config"]["M"] == 8
@@ -70,14 +80,14 @@ def test_run_summary_spectral_tail(tmp_path):
 
 def test_run_summary_records_blow_up(tmp_path):
     cfg_path = tmp_path / "run.json"
-    write_json(cfg_path, dict(M=16, eps=0.05, gamma=0.0025, tau=1.0, T=100.0,
-                              scheme="SL_BDF2", seed=1))
+    write_json(cfg_path, BLOW_UP_CFG)
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["blew_up"] is True
     assert summary["stop_reason"] == "blow_up"
-    assert summary["stop_step"] == summary["blowup_step"] == summary["steps_completed"] + 1
+    assert summary["stop_step"] == summary["steps_completed"] + 1
+    # stop_reason and stop_step are the summary's one record of the stop
+    assert not {"blew_up", "blowup_step"} & set(summary)
     assert set(summary["versions"]) == {"chillwave", "numpy", "python"}
 
 
@@ -103,16 +113,17 @@ def final_field_bytes(tmp_path, cfg):
 
 def test_run_final_field_copies_the_last_snapshot(tmp_path, monkeypatch):
     # the last snapshot holds the final step: final_field.csv is its copy,
-    # byte for byte what formatting the final field writes, with one
-    # write_snapshot call fewer
+    # byte for byte what formatting the final field writes, and the writer
+    # is handed the snapshots alone
     cfg = dict(RUN_CFG, snapshot_every=2)
     write_json(tmp_path / "run.json", cfg)
-    written = []
-    monkeypatch.setattr(cli, "write_snapshot", lambda u, path, **kw: (
-        written.append(path), write_snapshot(u, path, **kw)))
+    sent = []
+    send = _snapshots.SnapshotWriter.send
+    monkeypatch.setattr(_snapshots.SnapshotWriter, "send", lambda self, path, *record: (
+        sent.append(path), send(self, path, *record)))
     out = tmp_path / "out"
     assert main(["run", "--config", str(tmp_path / "run.json"), "--out-dir", str(out)]) == 0
-    assert [p.rsplit("/", 1)[-1] for p in written] == [
+    assert [os.path.basename(p) for p in sent] == [
         "snapshot_000002.csv", "snapshot_000004.csv", "snapshot_000005.csv"]
     final = (out / "final_field.csv").read_bytes()
     assert final == (out / "snapshot_000005.csv").read_bytes()
@@ -122,16 +133,108 @@ def test_run_final_field_copies_the_last_snapshot(tmp_path, monkeypatch):
 def test_run_final_field_formatted_after_a_blow_up(tmp_path):
     # the run blows up at step 8: its last good step, 7, is no snapshot
     # step (2, 4, 6), so final_field.csv formats the final field itself
-    cfg = dict(M=16, eps=0.05, gamma=0.0025, tau=1.0, T=100.0, scheme="SL_BDF2", seed=1,
-               snapshot_every=2)
+    cfg = dict(BLOW_UP_CFG, snapshot_every=2)
     write_json(tmp_path / "run.json", cfg)
     out = tmp_path / "out"
     assert main(["run", "--config", str(tmp_path / "run.json"), "--out-dir", str(out)]) == 0
-    assert json.loads((out / "summary.json").read_text())["blowup_step"] == 8
+    assert json.loads((out / "summary.json").read_text())["stop_step"] == 8
     assert sorted(p.name for p in out.glob("snapshot_*.csv")) == [
         "snapshot_000002.csv", "snapshot_000004.csv", "snapshot_000006.csv"]
     assert read_snapshot(out / "final_field.csv")[1]["step"] == 7
     assert (out / "final_field.csv").read_bytes() == final_field_bytes(tmp_path, cfg)
+
+
+def snapshot_bytes(tmp_path, cfg):
+    # {file name: bytes} of each snapshot write_snapshot formats for the run
+    _, _, snapshots = run_simulation(run_config_from_dict(cfg))
+    want = {}
+    for n, t, u in snapshots:
+        ref = tmp_path / "ref.csv"
+        write_snapshot(u, ref, eps=cfg["eps"], gamma=cfg["gamma"], t=t, step=n)
+        want[f"snapshot_{n:06d}.csv"] = ref.read_bytes()
+    return want
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cfg", [
+    pytest.param(dict(RUN_CFG, snapshot_every=1), id="completed"),
+    pytest.param(dict(BLOW_UP_CFG, snapshot_every=2), id="blow_up"),
+])
+def test_run_snapshots_are_write_snapshot_bytes(tmp_path, cfg):
+    # the writer process writes each snapshot byte for byte as
+    # write_snapshot formats the same step's field
+    write_json(tmp_path / "run.json", cfg)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(tmp_path / "run.json"), "--out-dir", str(out)]) == 0
+    got = {p.name: p.read_bytes() for p in out.glob("snapshot_*.csv")}
+    assert got == snapshot_bytes(tmp_path, cfg)
+    assert_no_child_left()
+
+
+def test_run_out_dir_name_round_trips(tmp_path):
+    # a path reaches the writer as bytes, whatever characters it holds
+    cfg = dict(RUN_CFG, snapshot_every=2)
+    write_json(tmp_path / "run.json", cfg)
+    out = tmp_path / "out \t\n\u00e9"
+    assert main(["run", "--config", str(tmp_path / "run.json"), "--out-dir", str(out)]) == 0
+    got = {p.name: p.read_bytes() for p in out.glob("snapshot_*.csv")}
+    assert got == snapshot_bytes(tmp_path, cfg)
+    assert (out / "final_field.csv").read_bytes() == (out / "snapshot_000005.csv").read_bytes()
+
+
+def test_run_names_a_snapshot_the_writer_cannot_write(tmp_path, capsys):
+    write_json(tmp_path / "run.json", dict(RUN_CFG, snapshot_every=2))
+    out = tmp_path / "out"
+    (out / "snapshot_000002.csv").mkdir(parents=True)
+    rc = main(["run", "--config", str(tmp_path / "run.json"), "--out-dir", str(out)])
+    assert_one_line_error(capsys, rc, str(out / "snapshot_000002.csv"))
+    assert not (out / "summary.json").exists()
+    assert_no_child_left()
+
+
+def test_run_failing_after_a_snapshot_leaves_it_complete(tmp_path, capsys, monkeypatch):
+    # the run's own error is reported, and the writer finishes the
+    # snapshot it was handed before the command returns
+    def failing_run(cfg, on_snapshot):
+        def first_then_fail(n, t, u):
+            on_snapshot(n, t, u)
+            raise SolveFailed("residual 1 > tol")
+        return run_simulation(cfg, on_snapshot=first_then_fail)
+
+    cfg = dict(RUN_CFG, M=32, snapshot_every=2)
+    write_json(tmp_path / "run.json", cfg)
+    monkeypatch.setattr(cli, "run_simulation", failing_run)
+    out = tmp_path / "out"
+    rc = main(["run", "--config", str(tmp_path / "run.json"), "--out-dir", str(out)])
+    assert_one_line_error(capsys, rc, "residual 1 > tol")
+    assert [p.name for p in out.iterdir()] == ["snapshot_000002.csv"]
+    want = snapshot_bytes(tmp_path, cfg)["snapshot_000002.csv"]
+    assert (out / "snapshot_000002.csv").read_bytes() == want
+    assert_no_child_left()
+
+
+def test_writer_process_runs_without_numpy(tmp_path):
+    # cli starts the writer as `python -I -S <file>`: fed one record, it
+    # writes write_snapshot's bytes, and loading the file imports no numpy
+    # (with numpy, its start-up would no longer overlap basis assembly)
+    u = Field(assemble_basis(4), np.random.default_rng(3).standard_normal((4, 4)))
+    meta, grid = snapshot_values(u, 0.05, 0.0025, 0.3, 7)
+    path = os.fsencode(tmp_path / "snap.csv")
+    record = _snapshots.RECORD.pack(len(path), *meta) + path + grid.tobytes()
+    done = subprocess.run([sys.executable, "-I", "-S", _snapshots.__file__], input=record,
+                          capture_output=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+    write_snapshot(u, tmp_path / "ref.csv", eps=0.05, gamma=0.0025, t=0.3, step=7)
+    assert (tmp_path / "snap.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    probe = ("import runpy, sys; runpy.run_path(sys.argv[1]); "
+             "print('numpy' in sys.modules, 'chillwave' in sys.modules)")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", probe, _snapshots.__file__],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False False\n", "")
 
 
 def test_run_snapshot_memory_does_not_grow_with_the_step_count(tmp_path, capsys):
