@@ -1,11 +1,11 @@
 """CSV rows, the snapshot file layout, and the snapshot writer process.
 
 Every CSV file of the package is written by `write_rows`, line by line,
-and every snapshot file by `write_grid`. Run as a script, this file is the
-writer process of `chillwave run` (see SnapshotWriter): it reads records
-from stdin and writes each one as a snapshot file with `write_grid`. A
-record is RECORD (the path's length in bytes, then M, eps, gamma, t and
-step), the path (`os.fsencode`) and the M x M grid as M*M native float64s.
+every snapshot file by `write_grid`, and `snapshot_path` names them. Run
+as a script, this file is the writer process of `chillwave run` (see
+SnapshotWriter): started with the run's directory, M, eps and gamma, it
+reads records from stdin and writes each one as a snapshot file. A record
+is one step: STEP (t, step), then the M x M grid as M*M native float64s.
 The module imports the standard library only, so that the process, started
 as `python -I -S <this file>`, does not spend its start-up loading numpy.
 """
@@ -15,7 +15,12 @@ import sys
 from struct import Struct
 
 SNAPSHOT_HEADER = "M,eps,gamma,t,step"
-RECORD = Struct("=Iqdddq")
+STEP = Struct("=dq")
+
+
+def snapshot_path(directory, step: int) -> str:
+    """The snapshot file of step `step` in `directory`."""
+    return os.path.join(directory, f"snapshot_{step:06d}.csv")
 
 
 def write_rows(path, header: str, rows, cell=repr) -> None:
@@ -34,29 +39,28 @@ def write_grid(path, meta, rows) -> None:
 
 
 class SnapshotWriter:
-    """The writer process, started from this file. `send` hands it one
-    snapshot file and returns once the pipe has taken it; `close` waits
-    until the process has written every file sent. Either raises OSError,
-    naming the file, once the process could not write one. As a context
-    manager it closes on every exit; an exception already in flight is
-    the one reported."""
+    """The writer process, started from this file for one run's snapshots
+    in `directory`. `send` hands it one step and returns once the pipe has
+    taken it; `close` waits until the process has written every file sent.
+    Either raises OSError, naming the file, once the process could not
+    write one. As a context manager it closes on every exit; an exception
+    already in flight is the one reported."""
 
-    def __init__(self):
+    def __init__(self, directory, M: int, eps: float, gamma: float):
         import subprocess  # here, not at the top: the writer process never needs it
 
         # its own session: a Ctrl-C reaches only the run, which then closes the pipe
         self._proc = subprocess.Popen(
-            [sys.executable, "-I", "-S", __file__],
+            [sys.executable, "-I", "-S", __file__, directory, str(M), repr(eps), repr(gamma)],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, start_new_session=True,
         )
 
-    def send(self, path, meta, grid) -> None:
-        """Queue the snapshot file path: meta is (M, eps, gamma, t, step)
-        and grid a C-contiguous M x M float64 array."""
-        name = os.fsencode(path)
+    def send(self, t: float, step: int, grid) -> None:
+        """Queue the snapshot of step `step` at time t: grid is a
+        C-contiguous M x M float64 array."""
         pipe = self._proc.stdin
         try:
-            pipe.write(RECORD.pack(len(name), *meta) + name)
+            pipe.write(STEP.pack(t, step))
             pipe.write(grid)
             pipe.flush()
         except BrokenPipeError:  # the process has stopped: report why
@@ -79,28 +83,18 @@ class SnapshotWriter:
             self._proc.communicate()
 
 
-def _read_record(stdin):
-    """(path, meta, grid) of the next record; None at the end of the input
-    or of a record cut short."""
-    head = stdin.read(RECORD.size)
-    if len(head) < RECORD.size:
-        return None
-    size, *meta = RECORD.unpack(head)
-    M = meta[0]
-    name, data = stdin.read(size), stdin.read(8 * M * M)
-    if len(name) < size or len(data) < 8 * M * M:
-        return None
-    grid = memoryview(data).cast("d")  # its items are Python floats
-    return os.fsdecode(name), meta, (grid[i:i + M] for i in range(0, M * M, M))
-
-
 def main() -> int:
-    """Write every record on stdin as a snapshot file. On the first file
-    it cannot write, print one line naming it on stdout and return 1."""
-    while record := _read_record(sys.stdin.buffer):
-        path, meta, rows = record
+    """Write every record on stdin as a snapshot file, until the input or
+    a record ends short. On the first file it cannot write, print one line
+    naming it on stdout and return 1."""
+    directory, M, eps, gamma = sys.argv[1], int(sys.argv[2]), *map(float, sys.argv[3:5])
+    stdin, size = sys.stdin.buffer, 8 * M * M
+    while len(head := stdin.read(STEP.size)) == STEP.size and len(data := stdin.read(size)) == size:
+        t, step = STEP.unpack(head)
+        path = snapshot_path(directory, step)
+        grid = memoryview(data).cast("d")  # its items are Python floats
         try:
-            write_grid(path, meta, rows)
+            write_grid(path, (M, eps, gamma, t, step), (grid[i:i + M] for i in range(0, M * M, M)))
         except OSError as exc:
             message = str(exc) if exc.filename else f"{exc}: {path!r}"
             sys.stdout.buffer.write(message.encode(errors="backslashreplace") + b"\n")

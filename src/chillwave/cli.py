@@ -24,9 +24,9 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from ._snapshots import SnapshotWriter
+from ._snapshots import SnapshotWriter, snapshot_path
 from .errors import ChillwaveError
-from .field2d import mean_value, snapshot_values, write_snapshot
+from .field2d import mean_value, snapshot_grid, write_snapshot
 from .harness import (
     PREPARE_STEPS,
     convergence_study,
@@ -55,24 +55,22 @@ def _ensure_dir(path: str) -> str:
 def _cmd_run(args) -> int:
     cfg = run_config_from_dict(_load_json(args.config))
     out = args.out_dir or "."
-    last = None  # (n, path) of the last snapshot sent
 
     # the writer starts before run_simulation builds the basis, so its
     # start-up overlaps basis assembly; the with waits for every file
-    with SnapshotWriter() if cfg.snapshot_every > 0 else contextlib.nullcontext() as writer:
+    with (SnapshotWriter(out, cfg.M, cfg.eps, cfg.gamma) if cfg.snapshot_every > 0
+          else contextlib.nullcontext()) as writer:
         def write(n, t, u):  # each snapshot goes to the writer when the run reaches it
-            nonlocal last
-            path = os.path.join(_ensure_dir(out), f"snapshot_{n:06d}.csv")
-            writer.send(path, *snapshot_values(u, cfg.eps, cfg.gamma, t, n))
-            last = n, path
+            _ensure_dir(out)
+            writer.send(t, n, snapshot_grid(u))
 
         trace, final, _ = run_simulation(cfg, on_snapshot=write)
         trace.write_csv(os.path.join(_ensure_dir(out), "trace.csv"))
     rows = trace.rows
     ran = len(rows) > 0  # a blow-up in the bootstrap leaves no row
     final_path = os.path.join(out, "final_field.csv")
-    if last and last[0] == rows["n"][-1]:
-        shutil.copyfile(last[1], final_path)  # the last snapshot holds the final field
+    if cfg.snapshot_every > 0 and not trace.blew_up:  # it completed: its last snapshot is step N
+        shutil.copyfile(snapshot_path(out, len(trace)), final_path)
     else:
         write_snapshot(
             final, final_path, eps=cfg.eps, gamma=cfg.gamma,

@@ -43,10 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._snapshots import write_rows
 from .errors import MeanNotZero, check_count
 from .field2d import (
     Field, _same_basis, h1_seminorm_sq, hminus1_norm, inner_l2, mean_value, modal_mean,
-    write_rows,
 )
 from .potential import potential_value, square_in_range
 from .timestepping import StepOperator

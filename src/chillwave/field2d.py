@@ -16,7 +16,6 @@ are a read-only export (`Field.coeffs`); nothing in the package reads
 them back. Grid values are plain arrays, T_P v T_P^T on the P x P Gauss
 grid, and G_P g G_P^T fits a grid g back, with the basis's maps: the M
 set for snapshot files, the 2M set for the seeded noise and the step.
-Every CSV file of the package is written by `write_rows`, line by line.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._snapshots import SNAPSHOT_HEADER, write_grid, write_rows
+from ._snapshots import SNAPSHOT_HEADER, write_grid
 from .errors import MeanNotZero
 from .spectral1d import Basis1D, assemble_basis
 
@@ -120,11 +119,10 @@ def _same_basis(u: Field, v: Field) -> None:
 # CSV files
 
 
-def snapshot_values(u: Field, eps: float, gamma: float, t: float, step: int):
-    """The header values (M, eps, gamma, t, step) of a snapshot of u and
-    its nodal values T_M v T_M^T on the M x M Gauss grid."""
+def snapshot_grid(u: Field) -> np.ndarray:
+    """The nodal values T_M v T_M^T of u on the M x M Gauss grid."""
     T = u.basis.T_M
-    return (int(u.basis.M), float(eps), float(gamma), float(t), int(step)), T @ u.v @ T.T
+    return T @ u.v @ T.T
 
 
 def write_snapshot(u: Field, path, eps: float, gamma: float, t: float, step: int) -> None:
@@ -135,8 +133,8 @@ def write_snapshot(u: Field, path, eps: float, gamma: float, t: float, step: int
     repr (shortest round-trip) form; then M rows of M comma-separated
     values, row i = x-index, column j = y-index.
     """
-    meta, grid = snapshot_values(u, eps, gamma, t, step)
-    write_grid(path, meta, grid.tolist())
+    meta = (int(u.basis.M), float(eps), float(gamma), float(t), int(step))
+    write_grid(path, meta, snapshot_grid(u).tolist())
 
 
 def read_snapshot(path, basis: Basis1D | None = None) -> tuple[Field, dict]:

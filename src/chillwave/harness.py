@@ -5,7 +5,7 @@ Everything here is deterministic given the config (seed included). Every
 run starts with `bootstrap_first_step` and then steps with `march`.
 Results are tables: a run's trace, a sweep's log (one row per candidate
 run) and a convergence study are record arrays, from which verdicts,
-cells, ladders and anomalies are read and which `field2d.write_rows`
+cells, ladders and anomalies are read and which `_snapshots.write_rows`
 writes as CSV; a NaN in a sweep log or convergence table, "no value",
 is an empty cell.
 """
@@ -19,11 +19,12 @@ from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
+from ._snapshots import write_rows
 from .diagnostics import (
     TRACE_DTYPE, VERDICT_THRESHOLD, EnergyTrace, error_norms, stability_verdict, step_energies,
 )
 from .errors import NonFinite, check_count, check_number
-from .field2d import Field, write_rows
+from .field2d import Field
 from .spectral1d import Basis1D, assemble_basis
 from .timestepping import SchemeParams, bootstrap_first_step, build_step_operator, march
 
@@ -121,6 +122,8 @@ class RunConfig(SchemeParams):
     def __post_init__(self):
         for name, least in (("M", 4), ("seed", 0), ("snapshot_every", 0)):
             check_count(name, getattr(self, name), least)
+        if self.seed >= 2**64:  # the one seed check_count passes that splitmix64 refuses
+            splitmix64(self.seed, 0)  # raises its one-line error
         if self.scheme not in ("SL_BDF2", "SL_CN"):
             raise ValueError("run scheme must be SL_BDF2 or SL_CN")
         super().__post_init__()

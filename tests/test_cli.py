@@ -16,7 +16,7 @@ from chillwave import (
 from chillwave import _snapshots
 from chillwave.cli import build_parser, main
 from chillwave.errors import SolveFailed
-from chillwave.field2d import snapshot_values
+from chillwave.field2d import snapshot_grid
 from chillwave.harness import run_config_from_dict
 
 
@@ -119,12 +119,11 @@ def test_run_final_field_copies_the_last_snapshot(tmp_path, monkeypatch):
     write_json(tmp_path / "run.json", cfg)
     sent = []
     send = _snapshots.SnapshotWriter.send
-    monkeypatch.setattr(_snapshots.SnapshotWriter, "send", lambda self, path, *record: (
-        sent.append(path), send(self, path, *record)))
+    monkeypatch.setattr(_snapshots.SnapshotWriter, "send", lambda self, t, step, grid: (
+        sent.append(step), send(self, t, step, grid)))
     out = tmp_path / "out"
     assert main(["run", "--config", str(tmp_path / "run.json"), "--out-dir", str(out)]) == 0
-    assert [os.path.basename(p) for p in sent] == [
-        "snapshot_000002.csv", "snapshot_000004.csv", "snapshot_000005.csv"]
+    assert sent == [2, 4, 5]
     final = (out / "final_field.csv").read_bytes()
     assert final == (out / "snapshot_000005.csv").read_bytes()
     assert final == final_field_bytes(tmp_path, cfg)
@@ -163,6 +162,10 @@ def assert_no_child_left():
 @pytest.mark.parametrize("cfg", [
     pytest.param(dict(RUN_CFG, snapshot_every=1), id="completed"),
     pytest.param(dict(BLOW_UP_CFG, snapshot_every=2), id="blow_up"),
+    # eps and gamma reach the writer as arguments: an integer eps is
+    # written as the float it is, and gamma's last digit survives
+    pytest.param(dict(RUN_CFG, eps=1, gamma=0.30000000000000004, snapshot_every=1),
+                 id="header_values"),
 ])
 def test_run_snapshots_are_write_snapshot_bytes(tmp_path, cfg):
     # the writer process writes each snapshot byte for byte as
@@ -176,7 +179,7 @@ def test_run_snapshots_are_write_snapshot_bytes(tmp_path, cfg):
 
 
 def test_run_out_dir_name_round_trips(tmp_path):
-    # a path reaches the writer as bytes, whatever characters it holds
+    # the directory reaches the writer as an argument, whatever characters it holds
     cfg = dict(RUN_CFG, snapshot_every=2)
     write_json(tmp_path / "run.json", cfg)
     out = tmp_path / "out \t\n\u00e9"
@@ -193,6 +196,37 @@ def test_run_names_a_snapshot_the_writer_cannot_write(tmp_path, capsys):
     rc = main(["run", "--config", str(tmp_path / "run.json"), "--out-dir", str(out)])
     assert_one_line_error(capsys, rc, str(out / "snapshot_000002.csv"))
     assert not (out / "summary.json").exists()
+    assert_no_child_left()
+
+
+def test_run_names_the_snapshot_of_a_writer_that_stopped(tmp_path, capsys, monkeypatch):
+    # the writer stops on step 1's file; step 2 then meets a closed pipe,
+    # and the run reports the writer's own message, not the broken pipe
+    send = _snapshots.SnapshotWriter.send
+
+    def send_after_the_writer_stopped(self, t, step, grid):
+        if step == 2:
+            self._proc.wait()
+        send(self, t, step, grid)
+
+    monkeypatch.setattr(_snapshots.SnapshotWriter, "send", send_after_the_writer_stopped)
+    write_json(tmp_path / "run.json", dict(RUN_CFG, snapshot_every=1))
+    out = tmp_path / "out"
+    (out / "snapshot_000001.csv").mkdir(parents=True)
+    rc = main(["run", "--config", str(tmp_path / "run.json"), "--out-dir", str(out)])
+    assert_one_line_error(capsys, rc, str(out / "snapshot_000001.csv"))
+    assert not (out / "trace.csv").exists()
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("snapshot_every", [0, 2])
+def test_run_out_dir_that_is_a_file_is_an_error(tmp_path, capsys, snapshot_every):
+    write_json(tmp_path / "run.json", dict(RUN_CFG, snapshot_every=snapshot_every))
+    out = tmp_path / "out"
+    out.write_text("not a directory\n")
+    rc = main(["run", "--config", str(tmp_path / "run.json"), "--out-dir", str(out)])
+    assert_one_line_error(capsys, rc, str(out))
+    assert out.read_text() == "not a directory\n"
     assert_no_child_left()
 
 
@@ -218,18 +252,18 @@ def test_run_failing_after_a_snapshot_leaves_it_complete(tmp_path, capsys, monke
 
 
 def test_writer_process_runs_without_numpy(tmp_path):
-    # cli starts the writer as `python -I -S <file>`: fed one record, it
-    # writes write_snapshot's bytes, and loading the file imports no numpy
-    # (with numpy, its start-up would no longer overlap basis assembly)
+    # cli starts the writer as `python -I -S <file> <directory> <M> <eps>
+    # <gamma>`: fed one step, it writes write_snapshot's bytes, and loading
+    # the file imports no numpy (with numpy, its start-up would no longer
+    # overlap basis assembly)
     u = Field(assemble_basis(4), np.random.default_rng(3).standard_normal((4, 4)))
-    meta, grid = snapshot_values(u, 0.05, 0.0025, 0.3, 7)
-    path = os.fsencode(tmp_path / "snap.csv")
-    record = _snapshots.RECORD.pack(len(path), *meta) + path + grid.tobytes()
-    done = subprocess.run([sys.executable, "-I", "-S", _snapshots.__file__], input=record,
-                          capture_output=True, timeout=60)
+    record = _snapshots.STEP.pack(0.3, 7) + snapshot_grid(u).tobytes()
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", _snapshots.__file__, str(tmp_path), "4", "0.05", "0.0025"],
+        input=record, capture_output=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
     write_snapshot(u, tmp_path / "ref.csv", eps=0.05, gamma=0.0025, t=0.3, step=7)
-    assert (tmp_path / "snap.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert (tmp_path / "snapshot_000007.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     probe = ("import runpy, sys; runpy.run_path(sys.argv[1]); "
              "print('numpy' in sys.modules, 'chillwave' in sys.modules)")
     done = subprocess.run([sys.executable, "-I", "-S", "-c", probe, _snapshots.__file__],
@@ -578,7 +612,12 @@ def test_config_out_dir_and_m_are_unknown_keys(tmp_path, capsys, monkeypatch, co
     *(pytest.param(c, 0, id=c) for c in ("run", "sweep", "converge", "prepare-initial")),
     pytest.param("run", 1, id="run-snapshot_every-1"),
 ])
-def test_seed_outside_64_bits_is_an_error(tmp_path, capsys, command, snapshot_every, seed):
+def test_seed_outside_64_bits_is_an_error(tmp_path, capsys, monkeypatch, command,
+                                         snapshot_every, seed):
+    # the config rejects the seed, so `run` starts no snapshot writer
+    started = []
+    monkeypatch.setattr(cli, "SnapshotWriter",
+                        lambda *args: started.append(args) or _snapshots.SnapshotWriter(*args))
     out = tmp_path / "out"
     if command == "prepare-initial":
         args = ["--M", "8", "--eps", "0.25", "--seed", str(seed), "--out", str(out)]
@@ -592,3 +631,4 @@ def test_seed_outside_64_bits_is_an_error(tmp_path, capsys, command, snapshot_ev
         args = ["--config", str(tmp_path / "config.json"), "--out-dir", str(out)]
     assert_one_line_error(capsys, main([command, *args]), "seed", str(seed))
     assert not out.exists()
+    assert started == []

@@ -85,3 +85,17 @@ def test_only_the_run_names_every_stop_reason():
                     named.add((path.stem, getattr(stmt, "name", None), node.value))
     assert named == {("harness", "run_simulation", reason) for reason in reasons} | {
         ("diagnostics", "EnergyTrace", "blow_up"), ("harness", "_sweep_cell", "energy_increase")}
+
+
+def test_only_snapshot_path_names_the_snapshot_files():
+    # the writer process names each snapshot file and the CLI copies the
+    # last one as final_field.csv: both read the name off snapshot_path
+    pattern = re.compile(r"snapshot_(%06d|\{[^}]*:06d\})\.csv")
+    named = set()  # (module, the top-level def or class writing the pattern)
+    for path in PACKAGE.glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            for node in ast.walk(stmt):
+                if isinstance(node, (ast.JoinedStr, ast.Constant)) and pattern.search(
+                        ast.unparse(node)):
+                    named.add((path.stem, getattr(stmt, "name", None)))
+    assert named == {("_snapshots", "snapshot_path")}

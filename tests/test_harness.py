@@ -133,7 +133,7 @@ def test_run_config_validation():
     for bad in (
         dict(eps=1.5), dict(eps=0.0), dict(eps=-0.05),
         dict(M=48.0), dict(seed=42.0), dict(snapshot_every=2.0),
-        dict(M=True), dict(seed=False),
+        dict(M=True), dict(seed=False), dict(seed=2**64),
         dict(eps="0.05"), dict(gamma=None), dict(A=[1.0]), dict(B=True), dict(T="1"),
         dict(A=-1.0),
     ):
