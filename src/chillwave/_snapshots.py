@@ -1,13 +1,14 @@
 """CSV rows, the snapshot file layout, and the snapshot writer process.
 
 Every CSV file of the package is written by `write_rows`, line by line,
-every snapshot file by `write_grid`, and `snapshot_path` names them. Run
-as a script, this file is the writer process of `chillwave run` (see
-SnapshotWriter): started with the run's directory, M, eps and gamma, it
-reads records from stdin and writes each one as a snapshot file. A record
-is one step: STEP (t, step), then the M x M grid as M*M native float64s.
-The module imports the standard library only, so that the process, started
-as `python -I -S <this file>`, does not spend its start-up loading numpy.
+every snapshot file by `write_grid` from the grid `snapshot_grid` gives,
+and `snapshot_path` names them. Run as a script, this file is the writer
+process of `chillwave run` (see SnapshotWriter): started with the run's
+directory, M, eps and gamma, it reads records from stdin and writes each
+one as a snapshot file. A record is one step: STEP (t, step), then the
+M x M grid as M*M native float64s. The module imports the standard
+library only, so that the process, started as `python -I -S <this file>`,
+does not spend its start-up loading numpy.
 """
 
 import os
@@ -21,6 +22,12 @@ STEP = Struct("=dq")
 def snapshot_path(directory, step: int) -> str:
     """The snapshot file of step `step` in `directory`."""
     return os.path.join(directory, f"snapshot_{step:06d}.csv")
+
+
+def snapshot_grid(u):
+    """The nodal values T_M v T_M^T of the Field u on the M x M Gauss grid."""
+    T = u.basis.T_M
+    return T @ u.v @ T.T
 
 
 def write_rows(path, header: str, rows, cell=repr) -> None:
@@ -40,8 +47,9 @@ def write_grid(path, meta, rows) -> None:
 
 class SnapshotWriter:
     """The writer process, started from this file for one run's snapshots
-    in `directory`. `send` hands it one step and returns once the pipe has
-    taken it; `close` waits until the process has written every file sent.
+    in `directory`. `send` is run_simulation's on_snapshot hook: it hands
+    the process one step and returns once the pipe has taken it; `close`
+    waits until the process has written every file sent.
     Either raises OSError, naming the file, once the process could not
     write one. As a context manager it closes on every exit; an exception
     already in flight is the one reported."""
@@ -49,19 +57,20 @@ class SnapshotWriter:
     def __init__(self, directory, M: int, eps: float, gamma: float):
         import subprocess  # here, not at the top: the writer process never needs it
 
+        self._directory = directory
         # its own session: a Ctrl-C reaches only the run, which then closes the pipe
         self._proc = subprocess.Popen(
             [sys.executable, "-I", "-S", __file__, directory, str(M), repr(eps), repr(gamma)],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, start_new_session=True,
         )
 
-    def send(self, t: float, step: int, grid) -> None:
-        """Queue the snapshot of step `step` at time t: grid is a
-        C-contiguous M x M float64 array."""
+    def send(self, n: int, t: float, u) -> None:
+        """Queue the Field u of step n at time t, making the directory first."""
+        os.makedirs(self._directory, exist_ok=True)
         pipe = self._proc.stdin
         try:
-            pipe.write(STEP.pack(t, step))
-            pipe.write(grid)
+            pipe.write(STEP.pack(t, n))
+            pipe.write(snapshot_grid(u))
             pipe.flush()
         except BrokenPipeError:  # the process has stopped: report why
             self.close()

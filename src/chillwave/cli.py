@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands:
-    run              single simulation -> trace.csv, snapshots, summary.json
+    run              single simulation -> trace.csv, snapshots, final_field.csv, summary.json
     sweep            minimum-stabilizer tables -> sweep.csv, sweep_log.csv
     converge         temporal convergence table -> convergence.csv
     prepare-initial  emit phi0.csv / phi1.csv snapshot files
@@ -17,16 +17,15 @@ import contextlib
 import json
 import os
 import platform
-import shutil
 import sys
 from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
-from ._snapshots import SnapshotWriter, snapshot_path
+from ._snapshots import SnapshotWriter
 from .errors import ChillwaveError
-from .field2d import mean_value, snapshot_grid, write_snapshot
+from .field2d import mean_value, write_snapshot
 from .harness import (
     PREPARE_STEPS,
     convergence_study,
@@ -56,26 +55,16 @@ def _cmd_run(args) -> int:
     cfg = run_config_from_dict(_load_json(args.config))
     out = args.out_dir or "."
 
-    # the writer starts before run_simulation builds the basis, so its
-    # start-up overlaps basis assembly; the with waits for every file
+    # the writer starts up while the basis is assembled and writes its last
+    # file while final_field.csv is formatted; the with waits for every file
     with (SnapshotWriter(out, cfg.M, cfg.eps, cfg.gamma) if cfg.snapshot_every > 0
           else contextlib.nullcontext()) as writer:
-        def write(n, t, u):  # each snapshot goes to the writer when the run reaches it
-            _ensure_dir(out)
-            writer.send(t, n, snapshot_grid(u))
-
-        trace, final, _ = run_simulation(cfg, on_snapshot=write)
-        trace.write_csv(os.path.join(_ensure_dir(out), "trace.csv"))
+        trace, final, _ = run_simulation(cfg, on_snapshot=writer and writer.send)
+        write_snapshot(final, os.path.join(_ensure_dir(out), "final_field.csv"), eps=cfg.eps,
+                       gamma=cfg.gamma, t=len(trace) * cfg.tau, step=len(trace))
+        trace.write_csv(os.path.join(out, "trace.csv"))
     rows = trace.rows
     ran = len(rows) > 0  # a blow-up in the bootstrap leaves no row
-    final_path = os.path.join(out, "final_field.csv")
-    if cfg.snapshot_every > 0 and not trace.blew_up:  # it completed: its last snapshot is step N
-        shutil.copyfile(snapshot_path(out, len(trace)), final_path)
-    else:
-        write_snapshot(
-            final, final_path, eps=cfg.eps, gamma=cfg.gamma,
-            t=rows["t"][-1] if ran else 0.0, step=rows["n"][-1] if ran else 0,
-        )
     coeffs = np.abs(final.coeffs)  # the tail: Legendre modes with max(k, j) >= M - 4
     summary = {
         "config": asdict(cfg),

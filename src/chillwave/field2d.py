@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._snapshots import SNAPSHOT_HEADER, write_grid
+from ._snapshots import SNAPSHOT_HEADER, snapshot_grid, write_grid
 from .errors import MeanNotZero
 from .spectral1d import Basis1D, assemble_basis
 
@@ -117,12 +117,6 @@ def _same_basis(u: Field, v: Field) -> None:
 
 # ---------------------------------------------------------------------------
 # CSV files
-
-
-def snapshot_grid(u: Field) -> np.ndarray:
-    """The nodal values T_M v T_M^T of u on the M x M Gauss grid."""
-    T = u.basis.T_M
-    return T @ u.v @ T.T
 
 
 def write_snapshot(u: Field, path, eps: float, gamma: float, t: float, step: int) -> None:

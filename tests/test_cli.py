@@ -15,9 +15,9 @@ from chillwave import (
 )
 from chillwave import _snapshots
 from chillwave.cli import build_parser, main
-from chillwave.errors import SolveFailed
-from chillwave.field2d import snapshot_grid
-from chillwave.harness import run_config_from_dict
+from chillwave.diagnostics import TRACE_HEADER
+from chillwave.errors import NonFinite, SolveFailed
+from chillwave.harness import initial_field, run_config_from_dict
 
 
 def write_json(path, obj):
@@ -111,16 +111,16 @@ def final_field_bytes(tmp_path, cfg):
     return ref.read_bytes()
 
 
-def test_run_final_field_copies_the_last_snapshot(tmp_path, monkeypatch):
-    # the last snapshot holds the final step: final_field.csv is its copy,
-    # byte for byte what formatting the final field writes, and the writer
-    # is handed the snapshots alone
+def test_run_final_field_equals_the_last_snapshot(tmp_path, monkeypatch):
+    # the last snapshot holds the final step: final_field.csv, formatted
+    # from the final field, has its bytes, and the writer is handed the
+    # snapshots alone
     cfg = dict(RUN_CFG, snapshot_every=2)
     write_json(tmp_path / "run.json", cfg)
     sent = []
     send = _snapshots.SnapshotWriter.send
-    monkeypatch.setattr(_snapshots.SnapshotWriter, "send", lambda self, t, step, grid: (
-        sent.append(step), send(self, t, step, grid)))
+    monkeypatch.setattr(_snapshots.SnapshotWriter, "send", lambda self, n, t, u: (
+        sent.append(n), send(self, n, t, u)))
     out = tmp_path / "out"
     assert main(["run", "--config", str(tmp_path / "run.json"), "--out-dir", str(out)]) == 0
     assert sent == [2, 4, 5]
@@ -189,12 +189,41 @@ def test_run_out_dir_name_round_trips(tmp_path):
     assert (out / "final_field.csv").read_bytes() == (out / "snapshot_000005.csv").read_bytes()
 
 
+def test_run_bootstrap_blow_up_leaves_no_snapshot(tmp_path, capsys, monkeypatch):
+    # a blow-up in the bootstrap leaves no trace row and reaches no
+    # snapshot step: final_field.csv is phi0 at step 0
+    import chillwave.harness as harness
+
+    def blows_up(*args):
+        raise NonFinite("bootstrap blew up")
+
+    monkeypatch.setattr(harness, "bootstrap_first_step", blows_up)
+    cfg = dict(RUN_CFG, snapshot_every=2)
+    write_json(tmp_path / "run.json", cfg)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(tmp_path / "run.json"), "--out-dir", str(out)]) == 0
+    assert list(out.glob("snapshot_*.csv")) == []
+    assert (out / "trace.csv").read_text() == TRACE_HEADER + "\n"
+    phi0 = initial_field(run_config_from_dict(cfg))
+    write_snapshot(phi0, tmp_path / "ref.csv", eps=cfg["eps"], gamma=cfg["gamma"], t=0.0, step=0)
+    assert (out / "final_field.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["stop_step"], summary["final_E_eps"]) == (1, None)
+    assert "blew up at step 1" in capsys.readouterr().out
+    assert_no_child_left()
+
+
 def test_run_names_a_snapshot_the_writer_cannot_write(tmp_path, capsys):
-    write_json(tmp_path / "run.json", dict(RUN_CFG, snapshot_every=2))
+    # summary.json is written once every snapshot file is on disk, so it is
+    # missing; trace.csv and final_field.csv are written. In two steps, step
+    # 2 is the only snapshot, so the run has sent every record before the
+    # writer fails (a later send to a writer that has stopped is the next test)
+    write_json(tmp_path / "run.json", dict(RUN_CFG, T=0.2, snapshot_every=2))
     out = tmp_path / "out"
     (out / "snapshot_000002.csv").mkdir(parents=True)
     rc = main(["run", "--config", str(tmp_path / "run.json"), "--out-dir", str(out)])
     assert_one_line_error(capsys, rc, str(out / "snapshot_000002.csv"))
+    assert (out / "trace.csv").exists() and (out / "final_field.csv").exists()
     assert not (out / "summary.json").exists()
     assert_no_child_left()
 
@@ -204,10 +233,10 @@ def test_run_names_the_snapshot_of_a_writer_that_stopped(tmp_path, capsys, monke
     # and the run reports the writer's own message, not the broken pipe
     send = _snapshots.SnapshotWriter.send
 
-    def send_after_the_writer_stopped(self, t, step, grid):
-        if step == 2:
+    def send_after_the_writer_stopped(self, n, t, u):
+        if n == 2:
             self._proc.wait()
-        send(self, t, step, grid)
+        send(self, n, t, u)
 
     monkeypatch.setattr(_snapshots.SnapshotWriter, "send", send_after_the_writer_stopped)
     write_json(tmp_path / "run.json", dict(RUN_CFG, snapshot_every=1))
@@ -257,7 +286,7 @@ def test_writer_process_runs_without_numpy(tmp_path):
     # the file imports no numpy (with numpy, its start-up would no longer
     # overlap basis assembly)
     u = Field(assemble_basis(4), np.random.default_rng(3).standard_normal((4, 4)))
-    record = _snapshots.STEP.pack(0.3, 7) + snapshot_grid(u).tobytes()
+    record = _snapshots.STEP.pack(0.3, 7) + _snapshots.snapshot_grid(u).tobytes()
     done = subprocess.run(
         [sys.executable, "-I", "-S", _snapshots.__file__, str(tmp_path), "4", "0.05", "0.0025"],
         input=record, capture_output=True, timeout=60)

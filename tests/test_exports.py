@@ -88,8 +88,8 @@ def test_only_the_run_names_every_stop_reason():
 
 
 def test_only_snapshot_path_names_the_snapshot_files():
-    # the writer process names each snapshot file and the CLI copies the
-    # last one as final_field.csv: both read the name off snapshot_path
+    # the writer process names each snapshot file off snapshot_path, which
+    # no other module reads: final_field.csv is formatted, not copied
     pattern = re.compile(r"snapshot_(%06d|\{[^}]*:06d\})\.csv")
     named = set()  # (module, the top-level def or class writing the pattern)
     for path in PACKAGE.glob("*.py"):
@@ -99,3 +99,5 @@ def test_only_snapshot_path_names_the_snapshot_files():
                         ast.unparse(node)):
                     named.add((path.stem, getattr(stmt, "name", None)))
     assert named == {("_snapshots", "snapshot_path")}
+    readers = {path.stem for path in PACKAGE.glob("*.py") if "snapshot_path" in names_read(path)}
+    assert readers == {"_snapshots"}
