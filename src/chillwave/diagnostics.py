@@ -127,16 +127,19 @@ class EnergyTrace:
 
 
 def step_energies(
-    op: StepOperator, prev: np.ndarray, curr: np.ndarray, grid: np.ndarray
+    op: StepOperator, prev: np.ndarray, curr: np.ndarray, grid: np.ndarray, scratch: np.ndarray
 ) -> tuple[float, float, float, float]:
     """(E_eps, modified energy, ||curr - prev||^2, mean) of the modal pair
     (phi^{n-1}, phi^n) = (prev, curr) under op's scheme, with grid the 2M
     grid of curr: a state that `march` yields, and what a trace row needs.
+    The in-range bulk term squares grid into scratch, a 2M x 2M array the
+    caller owns (a run allocates one for all its rows), and squares that in
+    place, so a row allocates no grid; grid itself is only read.
     ValueError for FIRST_ORDER, which has no modified energy."""
     if op.hw is None:
         raise ValueError("modified energy is defined for SL_CN and SL_BDF2 only")
     w = op.basis.weights_2M
-    sq = square_in_range(grid)
+    sq = square_in_range(grid, scratch)
     if sq is not None:  # F = u^4/4 - u^2/2 + 1/4, |Omega| = 4
         sq *= sq
         bulk = 0.25 * float(w @ sq @ w) - 0.5 * float(np.vdot(curr, curr)) + 1.0

@@ -206,13 +206,14 @@ def run_simulation(
     keep = on_snapshot or (lambda *snapshot: snapshots.append(snapshot))
     N = cfg.n_steps()
     rows = np.empty(N, TRACE_DTYPE)
+    scratch = np.empty((2 * cfg.M, 2 * cfg.M))  # step_energies' square, for every row
     n, e_mod, curr, stop_reason = 0, 0.0, None, "completed"
     try:
         phi1 = bootstrap_first_step(phi0, cfg)
         for prev, curr, grid in march(op, phi0.v, phi1.v, N - 1):
             n += 1
             t = n * cfg.tau  # not a running sum, whose rounding drifts
-            e_eps, e_new, dt_sq, mean = step_energies(op, prev, curr, grid)
+            e_eps, e_new, dt_sq, mean = step_energies(op, prev, curr, grid, scratch)
             # row 1 is the bootstrap transition; no earlier modified energy
             # exists, so its increment is 0 by convention
             dE_mod = e_new - e_mod if n > 1 else 0.0

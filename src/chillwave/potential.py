@@ -9,9 +9,9 @@ the wells at +-1 are untouched. With c = clip(u, -P, P) and d = |u - c|
     F(u) = (c^2 - 1)^2 / 4 + (L/2) d^2 + f(P) d,    f(u) = c^3 - c + L (u - c),
 
 of scalars (an np.float64 back) or arrays; a NaN stays a NaN.
-`square_in_range` is the one range test: u^2 when every point lies in
-[-P, P], where F is the quartic and f the cubic, for the step's load and
-the energy's bulk term.
+`square_in_range` is the one range test: u^2, written into a scratch
+array its caller owns, when every point lies in [-P, P], where F is the
+quartic and f the cubic, for the step's load and the energy's bulk term.
 """
 
 from __future__ import annotations
@@ -39,12 +39,13 @@ def potential_deriv(phi):
         return (c * c * c - c) + (phi - c) * L
 
 
-def square_in_range(x: np.ndarray) -> np.ndarray | None:
-    """x^2 as a new array when every point of x lies in [-P, P]; None when
-    one does not (a NaN or an infinity included). One reduction of x^2
-    decides, and a NaN fails its comparison."""
+def square_in_range(x: np.ndarray, out: np.ndarray) -> np.ndarray | None:
+    """x^2, written into out (an array of x's shape, which it returns),
+    when every point of x lies in [-P, P]; None when one does not (a NaN
+    or an infinity included), with out then overwritten. One reduction of
+    x^2 decides, and a NaN fails its comparison."""
     with np.errstate(over="ignore"):  # x^2 at huge |x|
-        sq = np.square(x)
+        sq = np.square(x, out=out)
     return sq if not sq.size or sq.max() <= P * P else None
 
 

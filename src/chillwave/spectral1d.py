@@ -43,6 +43,14 @@ def legendre_table(max_degree: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _last_two_rows(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(L_{n-1}(x), L_n(x)), n >= 1, by legendre_table's recurrence, keeping two rows."""
+    lm, ln = np.ones_like(x), x
+    for k in range(1, n):
+        lm, ln = ln, ((2 * k + 1) * x * ln - k * lm) / (k + 1)
+    return lm, ln
+
+
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
 
@@ -53,10 +61,9 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     i = np.arange(n)
     x = -np.cos(np.pi * (4 * i + 3) / (4 * n + 2))
     for it in range(100):
-        tab = legendre_table(n, x)
-        ln = tab[n]
+        lm, ln = _last_two_rows(n, x)
         # L_n'(x) = n (L_{n-1}(x) - x L_n(x)) / (1 - x^2); interior nodes only
-        dln = n * (tab[n - 1] - x * ln) / (1.0 - x * x)
+        dln = n * (lm - x * ln) / (1.0 - x * x)
         dx = ln / dln
         x = x - dx
         if np.max(np.abs(dx)) <= 1e-15:
@@ -64,8 +71,8 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     else:
         raise QuadratureError(f"Gauss-Legendre Newton iteration stalled for n = {n}")
     x = 0.5 * (x - x[::-1])  # enforce the exact +-symmetry of the root set
-    tab = legendre_table(n, x)
-    dln = n * (tab[n - 1] - x * tab[n]) / (1.0 - x * x)
+    lm, ln = _last_two_rows(n, x)
+    dln = n * (lm - x * ln) / (1.0 - x * x)
     w = 2.0 / ((1.0 - x * x) * dln * dln)
     return x, w
 

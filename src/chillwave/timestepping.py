@@ -142,19 +142,28 @@ def build_step_operator(params: SchemeParams, basis: Basis1D) -> StepOperator:
     return StepOperator(p, basis, xp, cn, cp, cl, 0.5 * p.eps * sigma, hw)
 
 
-def modal_load(op: StepOperator, grid: np.ndarray) -> np.ndarray:
+def _part(grid: np.ndarray, rows: int, cols: int, start: int) -> np.ndarray:
+    """The C-contiguous rows x cols array at flat offset start of grid's buffer."""
+    return grid.reshape(-1)[start:start + rows * cols].reshape(rows, cols)
+
+
+def modal_load(op: StepOperator, grid: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """G c(grid) G^T for the 2M grid of the force w, with c(g) = f(g) + g:
     the 2M-point quadrature of f against each modal basis function plus w
     (G T = I), whose -w the folded weights cn, cp carry. On a grid inside
-    [-P, P] c is the cube, grid^2 (`square_in_range`) times grid; any
-    other grid (a point outside, a NaN or an infinity) takes
-    `potential_deriv`'s f plus the grid."""
+    [-P, P] c is the cube: grid^2, squared into the 2M x 2M scratch by
+    `square_in_range`, times grid, written over grid; the two matmuls then
+    write into scratch, and the load is an M x M view of it. Any other grid
+    (a point outside, a NaN or an infinity) takes `potential_deriv`'s f
+    plus the grid, in new arrays, and leaves grid as it was."""
     G = op.basis.G
-    cube = square_in_range(grid)
-    if cube is None:
+    M = len(G)
+    sq = square_in_range(grid, scratch)
+    if sq is None:
         return G @ (potential_deriv(grid) + grid) @ G.T
-    cube *= grid
-    return G @ cube @ G.T
+    cube = np.multiply(sq, grid, out=grid)
+    wide = np.matmul(G, cube, out=_part(scratch, M, 2 * M, 0))
+    return np.matmul(wide, G.T, out=_part(scratch, M, M, 2 * M * M))
 
 
 def march(
@@ -166,35 +175,46 @@ def march(
     Yields (prev, curr, grid) for the entry pair and then for each new
     pair, n_steps + 1 states, with grid the 2M grid of curr, or None in a
     lean march (grids=False, for callers that read only modal states).
-    Each step makes new arrays and writes to none that it was given or
-    has yielded, so a consumer may keep any of them but must not write to
-    them; it stops early by leaving its loop. An n_steps that is not an
-    integer >= 0 raises ValueError before the first state. On blow-up of
-    the modal coefficients the iteration raises NonFinite after the last
-    finite state (stability sweeps treat that as an unstable verdict).
+    A march allocates its work arrays once, before the entry state: two
+    2M x 2M grids, the force and the cube, whose buffers also hold the
+    step's M x M, 2M x M and M x 2M intermediates while they are free.
+    A step then allocates only what it yields, the new modal state and,
+    unless lean, its grid (a load off [-P, P] allocates its fallback too).
+    Each step writes to no array that it was given or has yielded, so a
+    consumer may keep any of them but must not write to them; it stops
+    early by leaving its loop. An n_steps that is not an integer >= 0
+    raises ValueError before the first state. On blow-up of the modal
+    coefficients the iteration raises NonFinite after the last finite
+    state (stability sweeps treat that as an unstable verdict).
     """
     check_count("n_steps", n_steps, 0)
     T, xp, cn, cp, cl = op.basis.T, op.xp, op.cn, op.cp, op.cl
+    M = len(curr)
+    force, cube = np.empty((2, 2 * M, 2 * M))
+    modes, tall = _part(force, M, M, 0), _part(cube, 2 * M, M, 0)
     grid = T @ curr @ T.T if grids else None
+    grid_prev = T @ prev @ T.T if grids and xp != 0.0 else grid
     yield prev, curr, grid
     if xp == 0.0:
         prev = curr  # FIRST_ORDER (x_p = cp = 0) never reads v^{n-1}
-    grid_prev = T @ prev @ T.T if grids else None
     for _ in range(n_steps):
         a, b = (grid, grid_prev) if grids else (curr, prev)
-        force = b - a  # x_n a + x_p b, as a grid or (lean) as modes
-        force *= xp
-        force += a
-        load = modal_load(op, force if grids else T @ force @ T.T)
+        w = np.subtract(b, a, out=force if grids else modes)  # x_n a + x_p b
+        w *= xp
+        w += a
+        b = grid_prev = None  # g^{n-1}, now dead, is freed before the new grid is made
+        if not grids:  # the force's grid, over its modes
+            np.matmul(np.matmul(T, modes, out=tall), T.T, out=force)
+        load = modal_load(op, force, cube)
         load *= cl
         new = cn * curr
-        new += cp * prev
+        new += np.multiply(cp, prev, out=modes)
         new += load
-        if not np.abs(new).max() <= BLOWUP_LIMIT:  # NaN fails the comparison too
+        if not np.abs(new, out=modes).max() <= BLOWUP_LIMIT:  # NaN fails the comparison too
             raise NonFinite(f"step blew up (max |modal coeff| > {BLOWUP_LIMIT:.0e} or non-finite)")
         prev, curr = curr, new
         if grids:
-            grid_prev, grid = grid, T @ new @ T.T
+            grid_prev, grid = grid, np.matmul(T, new, out=tall) @ T.T
         yield prev, curr, grid
 
 

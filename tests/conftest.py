@@ -134,7 +134,8 @@ def field_energies(params, curr, prev=None):
     op = build_step_operator(params, curr.basis)
     T = op.basis.T
     prev = curr if prev is None else prev
-    return step_energies(op, prev.v, curr.v, T @ curr.v @ T.T)
+    grid = T @ curr.v @ T.T
+    return step_energies(op, prev.v, curr.v, grid, np.empty_like(grid))
 
 
 def energy_eps(eps, u):

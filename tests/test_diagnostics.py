@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -184,13 +186,34 @@ def test_step_energies_closed_form_bulk_and_fallback(M, basis8, basis16):
     prev = curr + 0.01 * random_nodal_field(basis, 32).v
     grid = basis.T @ curr @ basis.T.T
     assert 1.0 < np.abs(grid).max() <= P
-    np.testing.assert_allclose(step_energies(op, prev, curr, grid),
+    scratch = np.empty_like(grid)
+    np.testing.assert_allclose(step_energies(op, prev, curr, grid, scratch),
                                quadrature_energies(op, prev, curr, grid), rtol=1e-13, atol=0)
     for bad in (2.5, -2.5, np.nan, np.inf, 1e200):
         off = grid.copy()
         off[2, 3] = bad
-        np.testing.assert_array_equal(step_energies(op, prev, curr, off),
+        np.testing.assert_array_equal(step_energies(op, prev, curr, off, scratch),
                                       quadrature_energies(op, prev, curr, off))
+
+
+def test_step_energies_allocate_no_grid(basis16):
+    # the in-range bulk term squares into the caller's scratch grid:
+    # numpy reports its buffers to tracemalloc, and a row traces less than
+    # one 2M x 2M grid (8,192 B at M = 16)
+    params = SchemeParams("SL_CN", tau=0.01, gamma=0.0025, eps=0.05, A=1.0, B=220.0)
+    op = build_step_operator(params, basis16)
+    curr = random_nodal_field(basis16, 31).v
+    prev = curr + 0.01 * random_nodal_field(basis16, 32).v
+    grid = basis16.T @ curr @ basis16.T.T
+    scratch = np.empty_like(grid)
+    assert np.abs(grid).max() <= P
+    tracemalloc.start()
+    try:
+        step_energies(op, prev, curr, grid, scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < grid.nbytes == 8192
 
 
 def test_trace_m48_energy_is_the_quadrature_of_its_final_field(experiment):
@@ -318,9 +341,9 @@ def test_energy_decreases_along_stable_run(basis16):
     phi0 = random_nodal_field(basis16, 30)
     phi1 = bootstrap_first_step(phi0, params)
     op = build_step_operator(params, basis16)
-    rows = []
+    rows, scratch = [], np.empty((32, 32))
     for prev, curr, grid in march(op, phi0.v, phi1.v, 50):
-        rows.append(step_energies(op, prev, curr, grid))
+        rows.append(step_energies(op, prev, curr, grid, scratch))
     assert len(rows) == 51  # the entry pair, then one per step
     energies = [row[0] for row in rows]
     assert energies[0] == pytest.approx(energy_eps(params.eps, phi1), rel=1e-12)

@@ -175,7 +175,8 @@ def nonlinear_load(u):
     # the production modal load G (f(g) + g) G^T of a field's 2M grid g,
     # as march holds it, less the field's modal coefficients: G f(g) G^T
     op = cw.build_step_operator(cw.SchemeParams("SL_CN", tau=1.0, gamma=1.0, eps=1.0), u.basis)
-    return modal_load(op, u.basis.T @ u.v @ u.basis.T.T) - u.v
+    grid = u.basis.T @ u.v @ u.basis.T.T
+    return modal_load(op, grid, np.empty_like(grid)) - u.v
 
 
 def to_modal_form(basis, load):

@@ -162,17 +162,20 @@ def test_closed_forms_match_masked_forms_bitwise(closed, masked):
 
 
 def test_square_in_range():
-    # x^2 as a new array on the closed interval [-P, P], where F is the
-    # quartic and f the cubic; None once a point is outside it, NaN or
-    # infinite, or squares to inf; an empty array is in range
+    # x^2, written into the given array, on the closed interval [-P, P],
+    # where F is the quartic and f the cubic; None once a point is outside
+    # it, NaN or infinite, or squares to inf; an empty array is in range
     x = np.array([-P, -1.0, 0.0, 0.5, P])
-    sq = square_in_range(x)
+    out = np.empty_like(x)
+    sq = square_in_range(x, out)
+    assert sq is out
     np.testing.assert_array_equal(sq, x * x)
     sq *= x  # the callers write to the result in place
     np.testing.assert_array_equal(x, [-P, -1.0, 0.0, 0.5, P])
     for bad in (np.nextafter(P, 3.0), -np.nextafter(P, 3.0), np.nan, np.inf, -np.inf, 1e200):
-        assert square_in_range(np.append(x, bad)) is None
-    assert square_in_range(np.empty((0, 0))).shape == (0, 0)
+        y = np.append(x, bad)
+        assert square_in_range(y, np.empty_like(y)) is None
+    assert square_in_range(np.empty((0, 0)), np.empty((0, 0))).shape == (0, 0)
 
 
 def test_value_matches_piecewise_definition():

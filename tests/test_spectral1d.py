@@ -77,6 +77,31 @@ def test_gauss_matches_numpy_rule():
     np.testing.assert_allclose(w, wo, atol=1e-13)
 
 
+def table_gauss_legendre(n):
+    # the rule by Newton's method on the full legendre_table of degree n,
+    # of which the iteration reads only the last two rows
+    i = np.arange(n)
+    x = -np.cos(np.pi * (4 * i + 3) / (4 * n + 2))
+    for _ in range(100):
+        tab = legendre_table(n, x)
+        dx = tab[n] / (n * (tab[n - 1] - x * tab[n]) / (1.0 - x * x))
+        x = x - dx
+        if np.max(np.abs(dx)) <= 1e-15:
+            break
+    x = 0.5 * (x - x[::-1])
+    tab = legendre_table(n, x)
+    dln = n * (tab[n - 1] - x * tab[n]) / (1.0 - x * x)
+    return x, 2.0 / ((1.0 - x * x) * dln * dln)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 48, 96, 128, 256])
+def test_gauss_rule_equals_the_table_form(n):
+    # gauss_legendre keeps only L_{n-1} and L_n of the recurrence; its
+    # nodes and weights are the full table's, bit for bit
+    for got, want in zip(gauss_legendre(n), table_gauss_legendre(n)):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_gauss_preconditions():
     with pytest.raises(ValueError):
         gauss_legendre(0)

@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 import warnings
 from dataclasses import FrozenInstanceError, replace
 
@@ -359,6 +360,91 @@ def test_march_writes_to_no_array_it_was_given_or_yielded(basis8):
                 np.testing.assert_array_equal(a, b)
 
 
+def test_march_yields_arrays_that_share_no_memory(basis8):
+    # the work arrays a march reuses are never yielded: every array of a
+    # full march, kept to the end, owns its memory, in both modes
+    params = SchemeParams(scheme="SL_CN", tau=0.05, gamma=1.0, eps=0.25, A=0.25, B=8.0)
+    phi0 = random_nodal_field(basis8, 10)
+    phi1 = bootstrap_first_step(phi0, params)
+    op = build_step_operator(params, basis8)
+    for grids in (True, False):
+        states = list(march(op, phi0.v, phi1.v, 10, grids=grids))
+        kept = list({id(a): a for state in states for a in state if a is not None}.values())
+        assert len(kept) == (3 + 2 * 10 if grids else 2 + 10)  # prev repeats the last curr
+        for k, a in enumerate(kept):
+            for b in kept[:k]:
+                assert not np.shares_memory(a, b)
+
+
+def reference_step(op, prev, curr, grid_prev, grid):
+    # one step of op's scheme on fresh arrays, in march's order of
+    # operations: the force grid (from the grids, or in a lean march from
+    # the modes), its load G c(g) G^T, the new state and its grid
+    T, G = op.basis.T, op.basis.G
+    if grid is None:
+        force = T @ (curr + op.xp * (prev - curr)) @ T.T
+    else:
+        force = grid + op.xp * (grid_prev - grid)
+    in_range = np.abs(force).max() <= P
+    c = force * force * force if in_range else potential_deriv(force) + force
+    new = op.cn * curr + op.cp * prev + op.cl * (G @ c @ G.T)
+    return in_range, new, None if grid is None else T @ new @ T.T
+
+
+@pytest.mark.parametrize("grids", [True, False], ids=["grids", "lean"])
+def test_march_steps_as_a_reference_step_on_and_off_the_range(grids):
+    # each state is the reference step of the one before, bit for bit: on
+    # an SL_CN march that stays in [-P, P], and on BLOW_UP_CFG's scheme
+    # (tests/test_cli.py), whose forces leave it, up to its blow-up
+    basis = assemble_basis(16)
+    phi0 = random_nodal_field(basis, 1)
+    loads = set()
+    for params in (SchemeParams("SL_CN", tau=0.05, gamma=1.0, eps=0.25, A=0.25, B=8.0),
+                   SchemeParams("SL_BDF2", tau=1.0, gamma=0.0025, eps=0.05)):
+        phi1 = bootstrap_first_step(phi0, params)
+        op = build_step_operator(params, basis)
+        states = march(op, phi0.v, phi1.v, 20, grids=grids)
+        before = next(states)
+        grid_prev = basis.T @ phi0.v @ basis.T.T if grids else None
+        try:
+            for state in states:
+                in_range, new, new_grid = reference_step(op, *before[:2], grid_prev, before[2])
+                loads.add(bool(in_range))
+                np.testing.assert_array_equal(state[0], before[1])
+                np.testing.assert_array_equal(state[1], new)
+                if grids:
+                    np.testing.assert_array_equal(state[2], new_grid)
+                else:
+                    assert state[2] is None
+                grid_prev, before = before[2], state
+        except NonFinite:
+            assert params.scheme == "SL_BDF2"
+    assert loads == {True, False}
+
+
+@pytest.mark.parametrize("grids", [True, False], ids=["grids", "lean"])
+@pytest.mark.parametrize("scheme", ["SL_BDF2", "SL_CN", "FIRST_ORDER"])
+def test_a_step_allocates_only_what_it_yields(scheme, grids, basis16):
+    # numpy reports its buffers to tracemalloc. After the entry state, a
+    # step at M = 16 traces the new state (2,048 B) and, unless lean, its
+    # grid (8,192 B), plus at most 2 KiB: its work arrays are the march's
+    A = 0.0 if scheme == "FIRST_ORDER" else 0.25  # FIRST_ORDER has no A
+    params = SchemeParams(scheme=scheme, tau=0.05, gamma=1.0, eps=0.25, A=A, B=8.0)
+    phi0 = random_nodal_field(basis16, 14)
+    phi1 = bootstrap_first_step(phi0, params)
+    states = march(build_step_operator(params, basis16), phi0.v, phi1.v, 2, grids=grids)
+    next(states)
+    tracemalloc.start()
+    try:
+        _, curr, grid = next(states)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    yielded = curr.nbytes + (0 if grid is None else grid.nbytes)
+    assert yielded == (10_240 if grids else 2_048)
+    assert peak <= yielded + 2048
+
+
 @pytest.mark.parametrize("M", [8, 16])
 def test_lean_march_matches_grid_march(M):
     # grids=False builds the force on modes and transforms it once; its
@@ -397,22 +483,27 @@ def test_modal_load_cubic_and_fallback(basis8):
     # the load is G c(g) G^T with c(g) = f(g) + g: inside [-P, P] it is
     # G g^3 G^T bit for bit, and less w it is the quadrature of f up to
     # roundoff (G T = I); a grid with a point outside, a NaN or an
-    # infinity is G (f(g) + g) G^T with potential_deriv's f, bit for bit
+    # infinity is G (f(g) + g) G^T with potential_deriv's f, bit for bit,
+    # and leaves the grid as it was
     op = build_step_operator(SchemeParams("SL_CN", tau=1.0, gamma=1.0, eps=1.0), basis8)
     T, G = basis8.T, basis8.G
     w = random_nodal_field(basis8, 13).v
     g = T @ w @ T.T
+    scratch = np.empty_like(g)
     assert np.abs(g).max() <= P
-    np.testing.assert_array_equal(modal_load(op, g), G @ (g * g * g) @ G.T)
-    np.testing.assert_allclose(modal_load(op, g) - w, G @ potential_deriv(g) @ G.T,
-                               rtol=0, atol=1e-13)
+    np.testing.assert_array_equal(modal_load(op, g.copy(), scratch), G @ (g * g * g) @ G.T)
+    np.testing.assert_allclose(modal_load(op, g.copy(), scratch) - w,
+                               G @ potential_deriv(g) @ G.T, rtol=0, atol=1e-13)
     for bad in (2.5, -2.5, np.nan, np.inf, -np.inf):
         off = g.copy()
         off[3, 5] = bad
         with np.errstate(invalid="ignore"):  # inf - inf inside the matmuls
-            got = modal_load(op, off)
+            got = modal_load(op, off, scratch)
             want = G @ (potential_deriv(off) + off) @ G.T
         np.testing.assert_array_equal(got, want)
+        expected = g.copy()
+        expected[3, 5] = bad
+        np.testing.assert_array_equal(off, expected)
 
 
 def test_operator_reuse_matches_rebuild(basis8):
