@@ -70,7 +70,7 @@ def _cmd_run(args) -> int:
         "config": asdict(cfg),
         "steps_completed": len(trace),
         "stop_reason": trace.stop_reason,
-        "stop_step": trace.blowup_step or len(trace),
+        "stop_step": len(trace) + 1 if trace.blew_up else len(trace),
         "versions": {
             "chillwave": __version__,
             "numpy": np.__version__,
@@ -86,7 +86,7 @@ def _cmd_run(args) -> int:
     with open(os.path.join(out, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    status = f"blew up at step {trace.blowup_step}" if trace.blew_up else trace.stop_reason
+    status = f"blew up at step {summary['stop_step']}" if trace.blew_up else trace.stop_reason
     print(f"run {status}: {len(trace)} steps, outputs in {out}")
     return 0
 

@@ -70,22 +70,18 @@ class EnergyTrace:
     is ndarray.mean, not the column).
     stop_reason says why the run ended: "completed", "energy_increase" (an
     until_unstable stop, at the last row) or "blow_up" (NonFinite, at step
-    blowup_step = len(rows) + 1); None if not recorded, as by read_csv.
+    len(rows) + 1); None if not recorded, as by read_csv.
     max_residual is the checked eigendecomposition residual of the run's
-    basis (Basis1D.residual).
+    basis (Basis1D.residual); NaN if not measured, as by read_csv.
     """
 
     rows: np.recarray
     stop_reason: str | None = None
-    max_residual: float = 0.0
+    max_residual: float = math.nan
 
     @property
     def blew_up(self) -> bool:
         return self.stop_reason == "blow_up"
-
-    @property
-    def blowup_step(self) -> int | None:
-        return len(self.rows) + 1 if self.blew_up else None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -179,6 +175,6 @@ def error_norms(u: Field, v: Field) -> tuple[float, float, float]:
         )
     d = Field(u.basis, u.v - v.v)
     d.v[0, 0] = 0.0  # the constant mode
-    l2_sq = max(inner_l2(d, d), 0.0)
-    h1_full = np.sqrt(l2_sq + max(h1_seminorm_sq(d), 0.0))
+    l2_sq = inner_l2(d, d)
+    h1_full = np.sqrt(l2_sq + h1_seminorm_sq(d))
     return hminus1_norm(d), float(np.sqrt(l2_sq)), float(h1_full)

@@ -76,7 +76,7 @@ def inner_l2(u: Field, v: Field) -> float:
 
 
 def norm_l2(u: Field) -> float:
-    return float(np.sqrt(max(inner_l2(u, u), 0.0)))
+    return float(np.sqrt(inner_l2(u, u)))
 
 
 def h1_seminorm_sq(u: Field) -> float:
@@ -107,7 +107,7 @@ def inner_hminus1(u: Field, v: Field) -> float:
 
 
 def hminus1_norm(u: Field) -> float:
-    return float(np.sqrt(max(inner_hminus1(u, u), 0.0)))
+    return float(np.sqrt(inner_hminus1(u, u)))
 
 
 def _same_basis(u: Field, v: Field) -> None:

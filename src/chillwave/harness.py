@@ -297,7 +297,7 @@ def sweep_config_from_dict(d: dict) -> SweepConfig:
 
 SWEEP_LOG_DTYPE = np.dtype([
     ("gamma", "f8"), ("tau", "f8"), ("candidate", "f8"), ("verdict", "U8"), ("rows_run", "i8"),
-    ("stop_reason", "U15"), ("first_violation_step", "f8"), ("first_violation_dE_mod", "f8"),
+    ("stop_reason", "U15"), ("first_violation_dE_mod", "f8"),
 ])
 
 
@@ -305,8 +305,8 @@ SWEEP_LOG_DTYPE = np.dtype([
 class SweepResult:
     """A sweep's config and its log, a SWEEP_LOG_DTYPE record array with a
     row per candidate run in run order; cells, ladders and anomalies are
-    read off the two. stop_reason is the candidate trace's
-    (EnergyTrace.stop_reason); the first violation is NaN if there is none."""
+    read off the two. A run stops after rows_run steps, for its trace's
+    stop_reason; first_violation_dE_mod is NaN unless energy_increase."""
 
     config: SweepConfig
     log: np.recarray
@@ -383,9 +383,8 @@ def _sweep_cell(sc: SweepConfig, phi0: Field, gamma: float, tau: float, log: lis
         cfg = _candidate_config(sc, gamma, tau, candidate)
         trace, _, _ = run_simulation(cfg, phi_init=phi0, until_unstable=True)
         verdict = stability_verdict(trace, min_steps=cfg.n_steps())
-        stopped = trace.stop_reason == "energy_increase"
-        first = (trace.rows["n"][-1], trace.rows["dE_mod"][-1]) if stopped else (math.nan, math.nan)
-        log.append((gamma, tau, candidate, verdict, len(trace), trace.stop_reason, *first))
+        dE = trace.rows["dE_mod"][-1] if trace.stop_reason == "energy_increase" else math.nan
+        log.append((gamma, tau, candidate, verdict, len(trace), trace.stop_reason, dE))
         if verdict == "stable" and not sc.full_scan:
             break
 

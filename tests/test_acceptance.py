@@ -455,9 +455,10 @@ def test_criterion_14_sl_cn_needs_its_stabilizers(capsys):
     bare, stabilized = trace(0.0, 0.0), trace(*pair)
     verdict = cw.stability_verdict(stabilized)
     ok = bare.blew_up and verdict == "stable"
+    stop_step = len(bare) + 1 if bare.blew_up else None
     report(capsys, 14, ok,
            f"SL_CN at M=32, eps={EPS}, gamma={GAMMA}, tau={tau}, prepared seed-{SEED} "
-           f"datum: A = B = 0 blows up -> {bare.blew_up} (at step {bare.blowup_step}); "
+           f"datum: A = B = 0 blows up -> {bare.blew_up} (at step {stop_step}); "
            f"theorem pair (A, B) = ({pair[0]:g}, {pair[1]:g}): verdict {verdict} over "
            f"{STEPS} steps")
     assert ok
@@ -497,4 +498,47 @@ def test_criterion_15_sl_bdf2_linear_step_limit(capsys):
     report(capsys, 15, ok,
            f"SL_BDF2 with A = B = 0 from prepared seed-{SEED} data, T = {STEPS} tau: linear "
            "step limit tau* = 4 eps^3/(9 gamma); " + "; ".join(text for _, text in found))
+    assert ok
+
+
+def test_criterion_16_sl_cn_linear_step_limit(capsys):
+    # SL_CN at A = B = 0, linearized about a well: the stiffest mode's
+    # growth factor leaves the unit disk through z = -1 once tau passes
+    # tau_CN* = eps / (2 gamma sigma_max) (README), which shrinks like M^-4.
+    # From the prepared seed-42 datum a run at 0.9 tau_CN* is stable over
+    # 1024 steps; only at M = 16 is growth above the limit fast enough to
+    # gate a run at 2 tau_CN*, so the larger M print max |z| there instead
+    found = []
+    for M, eps, gamma in ((16, EPS, GAMMA), (32, EPS, GAMMA), (48, EPS, GAMMA)):
+        basis = cw.assemble_basis(M)
+        sigma_max = basis.sigma.max()
+        limit = eps / (2.0 * gamma * sigma_max)
+        positive = basis.sigma > 0.0
+
+        def largest_z(tau):
+            params = cw.SchemeParams(scheme="SL_CN", tau=tau, gamma=gamma, eps=eps)
+            return amplification_factors(cw.build_step_operator(params, basis))[positive].max()
+
+        def trace(tau):
+            return cw.run_simulation(cw.RunConfig(
+                M=M, eps=eps, gamma=gamma, tau=tau, T=STEPS * tau, scheme="SL_CN",
+                seed=SEED, initial="prepared"), until_unstable=True)[0]
+
+        below, above, twice = (largest_z(k * limit) for k in (0.999, 1.001, 2.0))
+        stable = trace(0.9 * limit)
+        ok = below <= 1.0 < above and stable.stop_reason == "completed"
+        text = (f"(M, eps, gamma) = ({M}, {eps:g}, {gamma:g}): sigma_max = {sigma_max:.4e}, "
+                f"tau_CN* = {limit:.4e} (criterion 15's tau* = "
+                f"{4.0 * eps**3 / (9.0 * gamma) / limit:.0f} tau_CN*), max |z| {below:.6f} at "
+                f"0.999 tau_CN*, {above:.6f} at 1.001 tau_CN* and {twice:.4f} at 2 tau_CN*, "
+                f"0.9 tau_CN* {stable.stop_reason}")
+        if M == 16:
+            stopped = trace(2.0 * limit)
+            ok = ok and stopped.stop_reason == "energy_increase"
+            text += f", 2 tau_CN* {stopped.stop_reason} at step {len(stopped)}"
+        found.append((ok, text))
+    ok = all(passed for passed, _ in found)
+    report(capsys, 16, ok,
+           f"SL_CN with A = B = 0 from prepared seed-{SEED} data, T = {STEPS} tau: linear "
+           "step limit tau_CN* = eps/(2 gamma sigma_max); " + "; ".join(t for _, t in found))
     assert ok

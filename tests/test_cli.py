@@ -78,14 +78,17 @@ def test_run_summary_spectral_tail(tmp_path):
     assert 0.0 < tail < coeffs.max()
 
 
-def test_run_summary_records_blow_up(tmp_path):
+def test_run_summary_records_blow_up(tmp_path, capsys):
+    # the status line and summary.json name one stop step: the step after
+    # the last completed one
     cfg_path = tmp_path / "run.json"
     write_json(cfg_path, BLOW_UP_CFG)
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().out == f"run blew up at step 8: 7 steps, outputs in {out}\n"
     summary = json.loads((out / "summary.json").read_text())
     assert summary["stop_reason"] == "blow_up"
-    assert summary["stop_step"] == summary["steps_completed"] + 1
+    assert summary["stop_step"] == summary["steps_completed"] + 1 == 8
     # stop_reason and stop_step are the summary's one record of the stop
     assert not {"blew_up", "blowup_step"} & set(summary)
     assert set(summary["versions"]) == {"chillwave", "numpy", "python"}
@@ -517,15 +520,15 @@ def test_sweep_command(tmp_path, capsys):
     assert lines[1] == "4e-05,0"
     assert "1 cells" in capsys.readouterr().out
     log = (out / "sweep_log.csv").read_text().splitlines()
-    assert log == [SWEEP_LOG_COLUMNS, "1,4e-05,0,stable,64,completed,,"]
+    assert log == [SWEEP_LOG_COLUMNS, "1,4e-05,0,stable,64,completed,"]
 
 
 def test_sweep_prints_each_anomaly_on_stderr(tmp_path, capsys, monkeypatch):
     # a full scan whose ladder is not monotone: unstable, stable, unstable
     from chillwave.harness import SWEEP_LOG_DTYPE, SweepResult
 
-    stopped, completed = ("unstable", 3, "energy_increase", 3.0, 1.0), (
-        "stable", 64, "completed", np.nan, np.nan)
+    stopped, completed = ("unstable", 3, "energy_increase", 1.0), (
+        "stable", 64, "completed", np.nan)
     log = np.array([(1.0, 4e-5, candidate, *row) for candidate, row in
                     ((0.0, stopped), (1.0, completed), (2.0, stopped))], SWEEP_LOG_DTYPE)
     monkeypatch.setattr(cli, "sweep_min_stabilizer",
@@ -538,8 +541,7 @@ def test_sweep_prints_each_anomaly_on_stderr(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "out" / "sweep.csv").read_text() == "tau,gamma=1\n4e-05,1\n"
 
 
-SWEEP_LOG_COLUMNS = ("gamma,tau,candidate,verdict,rows_run,stop_reason,"
-                     "first_violation_step,first_violation_dE_mod")
+SWEEP_LOG_COLUMNS = "gamma,tau,candidate,verdict,rows_run,stop_reason,first_violation_dE_mod"
 
 
 def test_sweep_log_records_every_candidate(tmp_path):
@@ -559,11 +561,10 @@ def test_sweep_log_records_every_candidate(tmp_path):
     *stopped, last = rows
     for r in stopped:
         assert (r["verdict"], r["stop_reason"]) == ("unstable", "energy_increase")
-        assert int(r["rows_run"]) == int(r["first_violation_step"]) < 64
+        assert int(r["rows_run"]) < 64
         assert float(r["first_violation_dE_mod"]) > 1e-10
     assert last == dict(gamma="1", tau="0.01", candidate="4", verdict="stable", rows_run="64",
-                        stop_reason="completed", first_violation_step="",
-                        first_violation_dE_mod="")
+                        stop_reason="completed", first_violation_dE_mod="")
     assert (out / "sweep.csv").read_text().splitlines()[1] == "0.01,4"
 
 

@@ -265,7 +265,6 @@ def test_run_simulation_records_blowup(basis16):
                     scheme="SL_BDF2", seed=1)
     trace, final, _ = run_simulation(cfg, basis=basis16)
     assert trace.blew_up
-    assert trace.blowup_step is not None
     assert len(trace) < 100
     assert stability_verdict(trace) == "unstable"
 
@@ -357,13 +356,13 @@ def test_the_trace_says_why_the_run_stopped(monkeypatch, tmp_path, raw, until_un
     trace, _, _ = run_simulation(RunConfig(**raw), until_unstable=until_unstable)
     assert (trace.stop_reason, len(trace)) == (reason, rows)
     assert trace.blew_up == (reason == "blow_up")
-    assert trace.blowup_step == (rows + 1 if reason == "blow_up" else None)
+    assert trace.rows["n"].tolist() == list(range(1, rows + 1))  # a blow-up is at rows + 1
     if reason == "energy_increase":
         dE = trace.rows["dE_mod"]
         assert dE[-1] > VERDICT_THRESHOLD and (dE[:-1] <= VERDICT_THRESHOLD).all()
     trace.write_csv(tmp_path / "trace.csv")
     back = EnergyTrace.read_csv(tmp_path / "trace.csv")
-    assert back.stop_reason is None and not back.blew_up and back.blowup_step is None
+    assert back.stop_reason is None and not back.blew_up and math.isnan(back.max_residual)
 
 
 def test_trace_time_is_step_times_tau(basis8):
@@ -512,8 +511,8 @@ def test_sweep_result_reads_cells_and_anomalies_off_its_log(tmp_path):
 
     def record(gamma, candidate, stable):
         if stable:
-            return (gamma, 0.1, candidate, "stable", 64, "completed", np.nan, np.nan)
-        return (gamma, 0.1, candidate, "unstable", 5, "energy_increase", 5, 1e-3)
+            return (gamma, 0.1, candidate, "stable", 64, "completed", np.nan)
+        return (gamma, 0.1, candidate, "unstable", 5, "energy_increase", 1e-3)
 
     verdicts = {1.0: [False, True, False], 2.0: [False, False, False]}
     log = np.array([record(gamma, candidate, stable)
@@ -548,7 +547,7 @@ def test_nan_energy_increment_stops_a_sweep_candidate(monkeypatch):
                      ladder=[0.0])
     (row,) = sweep_min_stabilizer(sc).log
     assert (row.verdict, row.stop_reason, row.rows_run) == ("unstable", "energy_increase", 3)
-    assert row.first_violation_step == 3.0 and math.isnan(row.first_violation_dE_mod)
+    assert math.isnan(row.first_violation_dE_mod)
 
 
 @pytest.mark.parametrize("above", [False, True], ids=["at-threshold", "just-above"])
@@ -575,10 +574,10 @@ def test_verdict_threshold_is_the_candidate_stop(monkeypatch, above):
     (row,) = sweep_min_stabilizer(sc).log
     if above:
         assert (row.verdict, row.stop_reason, row.rows_run) == ("unstable", "energy_increase", 3)
-        assert row.first_violation_step == 3.0 and row.first_violation_dE_mod == dE
+        assert row.first_violation_dE_mod == dE
     else:
         assert (row.verdict, row.stop_reason, row.rows_run) == ("stable", "completed", 64)
-        assert math.isnan(row.first_violation_step) and math.isnan(row.first_violation_dE_mod)
+        assert math.isnan(row.first_violation_dE_mod)
 
 
 def ladder_walk(sc, gamma, tau):
@@ -614,7 +613,7 @@ def test_sweep_early_stop_keeps_every_verdict():
         stopped += 1
         # the stopped run ends exactly at the full run's first violating row
         assert record.stop_reason == "energy_increase"
-        assert record.rows_run == record.first_violation_step == first["n"] < 64
+        assert record.rows_run == first["n"] < 64
         assert record.first_violation_dE_mod == first["dE_mod"]
         cfg = replace(base, A=candidate)
         short, _, _ = run_simulation(cfg, until_unstable=True)
