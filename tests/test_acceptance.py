@@ -509,28 +509,28 @@ def test_criterion_16_sl_cn_linear_step_limit(capsys):
     # 1024 steps; only at M = 16 is growth above the limit fast enough to
     # gate a run at 2 tau_CN*, so the larger M print max |z| there instead
     found = []
-    for M, eps, gamma in ((16, EPS, GAMMA), (32, EPS, GAMMA), (48, EPS, GAMMA)):
+    for M in (16, 32, 48):
         basis = cw.assemble_basis(M)
         sigma_max = basis.sigma.max()
-        limit = eps / (2.0 * gamma * sigma_max)
+        limit = EPS / (2.0 * GAMMA * sigma_max)
         positive = basis.sigma > 0.0
 
         def largest_z(tau):
-            params = cw.SchemeParams(scheme="SL_CN", tau=tau, gamma=gamma, eps=eps)
+            params = cw.SchemeParams(scheme="SL_CN", tau=tau, gamma=GAMMA, eps=EPS)
             return amplification_factors(cw.build_step_operator(params, basis))[positive].max()
 
         def trace(tau):
             return cw.run_simulation(cw.RunConfig(
-                M=M, eps=eps, gamma=gamma, tau=tau, T=STEPS * tau, scheme="SL_CN",
+                M=M, eps=EPS, gamma=GAMMA, tau=tau, T=STEPS * tau, scheme="SL_CN",
                 seed=SEED, initial="prepared"), until_unstable=True)[0]
 
         below, above, twice = (largest_z(k * limit) for k in (0.999, 1.001, 2.0))
         stable = trace(0.9 * limit)
         ok = below <= 1.0 < above and stable.stop_reason == "completed"
-        text = (f"(M, eps, gamma) = ({M}, {eps:g}, {gamma:g}): sigma_max = {sigma_max:.4e}, "
-                f"tau_CN* = {limit:.4e} (criterion 15's tau* = "
-                f"{4.0 * eps**3 / (9.0 * gamma) / limit:.0f} tau_CN*), max |z| {below:.6f} at "
-                f"0.999 tau_CN*, {above:.6f} at 1.001 tau_CN* and {twice:.4f} at 2 tau_CN*, "
+        ratio = 4.0 * EPS**3 / (9.0 * GAMMA) / limit  # criterion 15's tau* over tau_CN*
+        text = (f"M = {M}: sigma_max = {sigma_max:.4e}, tau_CN* = {limit:.4e} (criterion "
+                f"15's tau* = {ratio:.0f} tau_CN*), max |z| {below:.6f} at 0.999 tau_CN*, "
+                f"{above:.6f} at 1.001 tau_CN* and {twice:.4f} at 2 tau_CN*, "
                 f"0.9 tau_CN* {stable.stop_reason}")
         if M == 16:
             stopped = trace(2.0 * limit)
@@ -539,6 +539,7 @@ def test_criterion_16_sl_cn_linear_step_limit(capsys):
         found.append((ok, text))
     ok = all(passed for passed, _ in found)
     report(capsys, 16, ok,
-           f"SL_CN with A = B = 0 from prepared seed-{SEED} data, T = {STEPS} tau: linear "
-           "step limit tau_CN* = eps/(2 gamma sigma_max); " + "; ".join(t for _, t in found))
+           f"SL_CN at eps={EPS}, gamma={GAMMA} with A = B = 0 from prepared seed-{SEED} data, "
+           f"T = {STEPS} tau: linear step limit tau_CN* = eps/(2 gamma sigma_max); "
+           + "; ".join(t for _, t in found))
     assert ok
