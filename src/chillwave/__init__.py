@@ -3,13 +3,7 @@ Cahn-Hilliard equation on a 2-D Legendre-Galerkin spectral discretization,
 with an experiment harness for dissipation, conservation, and convergence
 studies."""
 
-from .errors import (
-    ChillwaveError,
-    MeanNotZero,
-    NonFinite,
-    QuadratureError,
-    SolveFailed,
-)
+from .errors import ChillwaveError, NonFinite, SolveFailed
 from .potential import (
     potential_deriv,
     potential_value,

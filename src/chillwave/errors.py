@@ -26,21 +26,12 @@ class ChillwaveError(Exception):
     """Base class for all package-specific errors."""
 
 
-class MeanNotZero(ChillwaveError):
-    """A field that must have zero mean (or two fields that must share a
-    mean) violated the tolerance. Signals a non-conservative input to an
-    H^-1 computation."""
-
-
 class SolveFailed(ChillwaveError):
-    """The eigendecomposition behind the modal solve failed its residual
-    contract: a solver fault, not a stability verdict."""
+    """A numerical procedure behind the basis missed its contract: the
+    eigenpair's residual, or the Gauss-Legendre Newton iteration's
+    convergence. A solver fault, not a stability verdict."""
 
 
 class NonFinite(ChillwaveError):
     """A time step produced non-finite values or exceeded the blow-up
     magnitude bound. Stability sweeps treat this as an unstable verdict."""
-
-
-class QuadratureError(ChillwaveError):
-    """Newton iteration for a Gauss-Legendre node failed to converge."""

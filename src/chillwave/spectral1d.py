@@ -22,46 +22,47 @@ from it the only maps between modal coefficients and either Gauss grid.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import QuadratureError, SolveFailed, check_count
+from .errors import SolveFailed, check_count
 
 RESIDUAL_LIMIT = 1e-10
 
 
-def legendre_table(max_degree: int, x: np.ndarray) -> np.ndarray:
-    """Rows L_0(x) .. L_max(x) by the three-term recurrence."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty((max_degree + 1, x.size))
-    out[0] = 1.0
-    if max_degree >= 1:
-        out[1] = x
-    for k in range(1, max_degree):
-        out[k + 1] = ((2 * k + 1) * x * out[k] - k * out[k - 1]) / (k + 1)
-    return out
-
-
-def _last_two_rows(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(L_{n-1}(x), L_n(x)), n >= 1, by legendre_table's recurrence, keeping two rows."""
+def _legendre_rows(n: int, x: np.ndarray):
+    """Yield L_0(x), L_1(x), .., L_n(x) by the three-term recurrence."""
     lm, ln = np.ones_like(x), x
+    yield from (lm, ln)[: n + 1]
     for k in range(1, n):
         lm, ln = ln, ((2 * k + 1) * x * ln - k * lm) / (k + 1)
-    return lm, ln
+        yield ln
+
+
+def legendre_table(max_degree: int, x: np.ndarray) -> np.ndarray:
+    """Rows L_0(x) .. L_max(x) by the three-term recurrence, each written
+    into the table as it is made."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(_legendre_rows(max_degree, x), np.dtype((float, x.size)), max_degree + 1)
 
 
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
 
     Newton iteration on L_n from Chebyshev initial guesses, tolerance
-    1e-15. The rule integrates polynomials of degree <= 2n-1 exactly.
+    1e-15, reading the last two rows of the recurrence. The rule
+    integrates polynomials of degree <= 2n-1 exactly. An iteration that
+    has not converged in 100 steps raises SolveFailed: with the eigenpair
+    residual that Basis1D checks, it is one of a basis's two numerical
+    contracts.
     """
     check_count("n", n, 1)
     i = np.arange(n)
     x = -np.cos(np.pi * (4 * i + 3) / (4 * n + 2))
     for it in range(100):
-        lm, ln = _last_two_rows(n, x)
+        lm, ln = deque(_legendre_rows(n, x), maxlen=2)
         # L_n'(x) = n (L_{n-1}(x) - x L_n(x)) / (1 - x^2); interior nodes only
         dln = n * (lm - x * ln) / (1.0 - x * x)
         dx = ln / dln
@@ -69,9 +70,9 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
         if np.max(np.abs(dx)) <= 1e-15:
             break
     else:
-        raise QuadratureError(f"Gauss-Legendre Newton iteration stalled for n = {n}")
+        raise SolveFailed(f"Gauss-Legendre Newton iteration stalled for n = {n}")
     x = 0.5 * (x - x[::-1])  # enforce the exact +-symmetry of the root set
-    lm, ln = _last_two_rows(n, x)
+    lm, ln = deque(_legendre_rows(n, x), maxlen=2)
     dln = n * (lm - x * ln) / (1.0 - x * x)
     w = 2.0 / ((1.0 - x * x) * dln * dln)
     return x, w

@@ -543,3 +543,77 @@ def test_criterion_16_sl_cn_linear_step_limit(capsys):
            f"T = {STEPS} tau: linear step limit tau_CN* = eps/(2 gamma sigma_max); "
            + "; ".join(t for _, t in found))
     assert ok
+
+
+def fitted_field(basis, profile):
+    """The datum profile(x, y), fitted from the 2M grid as criterion 5 does."""
+    x2, _ = cw.gauss_legendre(2 * basis.M)
+    return cw.Field(basis, basis.G @ profile(x2[:, None], x2[None, :]) @ basis.G.T)
+
+
+def theorem_final(scheme, phi0, eps, gamma, tau, T, stops):
+    """The final field of a run from phi0 with sufficient_stabilizers' pair;
+    adds the run's stop reason to the set stops."""
+    A, B = cw.sufficient_stabilizers(scheme, eps, gamma, tau, L)
+    trace, final, _ = cw.run_simulation(cw.RunConfig(
+        M=phi0.basis.M, eps=eps, gamma=gamma, tau=tau, T=T, scheme=scheme, A=A, B=B),
+        phi_init=phi0)
+    stops.add(trace.stop_reason)
+    return final
+
+
+def test_criterion_17_the_pde_as_its_own_oracle(capsys):
+    # clause 1: about a constant phibar, a Neumann mode c of wavenumber
+    # kappa = (pi/2)^2 (kx^2 + ky^2) grows like exp(lambda t), with
+    # lambda = -gamma kappa (eps kappa + f'(phibar)/eps) and
+    # f'(phibar) = 3 phibar^2 - 1; each scheme's amplitude error is
+    # second order in tau (README)
+    eps, gamma, T = 0.1, 0.01, 0.64
+    b16 = cw.assemble_basis(16)
+    x2, _ = cw.gauss_legendre(32)
+    w = b16.weights_2M
+    worst, ratios, stops = 0.0, [], set()
+    for bar, (kx, ky) in ((0.8, (1, 0)), (0.8, (2, 1)), (0.0, (1, 0)), (0.0, (2, 2))):
+        def mode(x, y):
+            return np.cos(kx * np.pi * (x + 1) / 2) * np.cos(ky * np.pi * (y + 1) / 2)
+
+        c = mode(x2[:, None], x2[None, :])
+        phi0 = fitted_field(b16, lambda x, y: bar + 1e-6 * mode(x, y))
+        kappa = (np.pi / 2) ** 2 * (kx * kx + ky * ky)
+        want = 1e-6 * np.exp(-gamma * kappa * (eps * kappa + (3 * bar * bar - 1) / eps) * T)
+        for scheme in ("SL_BDF2", "SL_CN"):
+            errs = []
+            for tau in (0.005, 0.0025):
+                grid = b16.T @ theorem_final(scheme, phi0, eps, gamma, tau, T, stops).v @ b16.T.T
+                amp = (w @ ((grid - bar) * c) @ w) / (w @ (c * c) @ w)
+                errs.append(abs(amp - want) / want)
+            worst = max(worst, errs[1])
+            ratios.append(errs[0] / errs[1])
+    linear_ok = worst <= 1e-3 and all(3.8 <= r <= 4.2 for r in ratios)
+
+    # clause 2: tanh(x / (sqrt(2) eps)) is a steady state of the PDE, so
+    # the schemes' drift from it over T = 1 is spatial error that falls
+    # spectrally in M; a profile 1.2 times too wide is no steady state
+    eps, gamma, tau = 0.1, 1.0, 1e-3
+    schemes = ("SL_BDF2", "SL_CN")
+    bases = {M: cw.assemble_basis(M) for M in (32, 48)}
+    drift = {}  # (scheme, width, M) -> ||phi(T) - phi0||
+    for scheme, width, M in [(s, 1.0, M) for M in bases for s in schemes] + [("SL_BDF2", 1.2, 48)]:
+        phi0 = fitted_field(bases[M], lambda x, y: np.tanh(x / (width * np.sqrt(2) * eps)) + 0 * y)
+        final = theorem_final(scheme, phi0, eps, gamma, tau, 1.0, stops)
+        drift[scheme, width, M] = cw.norm_l2(cw.Field(bases[M], final.v - phi0.v))
+    equilibrium_ok = all(drift[s, 1.0, 48] <= min(1e-4, drift[s, 1.0, 32] / 10) for s in schemes)
+    wide_ok = drift["SL_BDF2", 1.2, 48] >= 1e-2
+
+    ok = stops == {"completed"} and linear_ok and equilibrium_ok and wide_ok
+    report(capsys, 17, ok,
+           f"the PDE as its own oracle: linear Neumann modes at M=16, eps=0.1, gamma=0.01, "
+           f"T={T}, theorem pairs: largest relative amplitude error at tau=0.0025 {worst:.2e} "
+           f"(bound 1e-3), error ratios tau=0.005/0.0025 span [{min(ratios):.3f}, "
+           f"{max(ratios):.3f}] (required [3.8, 4.2]); tanh(x/(sqrt(2) eps)) at eps={eps}, "
+           f"gamma={gamma}, tau={tau}, T=1: L2 drift at M=32, 48 "
+           + ", ".join(f"{s} {drift[s, 1.0, 32]:.2e} -> {drift[s, 1.0, 48]:.2e}" for s in schemes)
+           + f" (>= 10x fall, <= 1e-4) -> {equilibrium_ok}; 1.2x too wide at M=48 (SL_BDF2) "
+           f"{drift['SL_BDF2', 1.2, 48]:.2e} (>= 1e-2) -> {wide_ok}; runs stopped "
+           f"{sorted(stops)}")
+    assert ok

@@ -101,3 +101,27 @@ def test_only_snapshot_path_names_the_snapshot_files():
     assert named == {("_snapshots", "snapshot_path")}
     readers = {path.stem for path in PACKAGE.glob("*.py") if "snapshot_path" in names_read(path)}
     assert readers == {"_snapshots"}
+
+
+def test_every_raise_is_one_of_three_failure_kinds():
+    # bad input is a ValueError (the snapshot writer's failure an OSError),
+    # a numerical procedure behind the basis that misses its contract a
+    # SolveFailed, a blow-up a NonFinite; a bare re-raise names no class
+    kinds = {"ValueError", "SolveFailed", "NonFinite", "OSError"}
+    raised = set()  # (module, line, the class raised)
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add((path.stem, node.lineno, ast.unparse(exc)))
+    assert {site for site in raised if site[2] not in kinds} == set()
+    assert {site[2] for site in raised} == kinds
+    # cli.main turns every kind into its one-line error
+    main = next(node for node in ast.parse((PACKAGE / "cli.py").read_text()).body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    caught = set()
+    for handler in ast.walk(main):
+        if isinstance(handler, ast.ExceptHandler):
+            types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+            caught.update(ast.unparse(t) for t in types)
+    assert {"ChillwaveError", "ValueError", "OSError"} <= caught

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from chillwave import Field, QuadratureError, assemble_basis, gauss_legendre
+from chillwave import Field, SolveFailed, assemble_basis, gauss_legendre
+from chillwave import spectral1d
 from chillwave.spectral1d import legendre_table
 from conftest import analytic_mass_stiffness, oracle_basis_values, oracle_quadrature
 
@@ -105,7 +106,14 @@ def test_gauss_rule_equals_the_table_form(n):
 def test_gauss_preconditions():
     with pytest.raises(ValueError):
         gauss_legendre(0)
-    assert issubclass(QuadratureError, Exception)
+
+
+def test_a_stalled_gauss_iteration_is_a_solve_failure(monkeypatch):
+    # rows (L_{n-1}, L_n) = (1, 1e-3) move each node by about
+    # 1e-3 (1 - x^2) / n a step, so the Newton iteration never converges
+    monkeypatch.setattr(spectral1d, "_legendre_rows", lambda n, x: (1.0, 1e-3))
+    with pytest.raises(SolveFailed, match="stalled for n = 4"):
+        gauss_legendre(4)
 
 
 def test_basis_matrices_examples():
