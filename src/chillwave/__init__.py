@@ -15,6 +15,7 @@ from .spectral1d import (
 )
 from .field2d import (
     Field,
+    error_norms,
     h1_seminorm_sq,
     hminus1_norm,
     inner_hminus1,
@@ -35,7 +36,6 @@ from .timestepping import (
 )
 from .diagnostics import (
     EnergyTrace,
-    error_norms,
     stability_verdict,
 )
 from .harness import (

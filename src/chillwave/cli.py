@@ -172,7 +172,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ChillwaveError, ValueError, KeyError, OSError, MemoryError) as exc:
+    except (ChillwaveError, ValueError, OSError, MemoryError) as exc:
         print(f"chillwave: error: {exc}", file=sys.stderr)
         return 2
 

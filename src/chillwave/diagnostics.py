@@ -1,4 +1,4 @@
-"""Energies, dissipation monitoring, and error norms.
+"""Energies and dissipation monitoring.
 
 The free energy is E_eps(u) = (eps/2) |grad u|^2 + (1/eps) int F(u), with
 the bulk term integrated on the 2M x 2M dealiasing grid (the same
@@ -45,9 +45,7 @@ import numpy as np
 
 from ._snapshots import write_rows
 from .errors import check_count
-from .field2d import (
-    Field, _same_basis, h1_seminorm_sq, hminus1_norm, inner_l2, mean_value, modal_mean,
-)
+from .field2d import modal_mean
 from .potential import potential_value, square_in_range
 from .timestepping import StepOperator
 
@@ -159,20 +157,3 @@ def stability_verdict(trace: EnergyTrace, min_steps: int = 1024) -> str:
     if len(trace) < min_steps:
         raise ValueError(f"trace has {len(trace)} rows; needs >= {min_steps} or a violation")
     return "stable"
-
-
-def error_norms(u: Field, v: Field) -> tuple[float, float, float]:
-    """(H^-1, L^2, H^1) norms of u - v.
-
-    The two fields must share their mean to 1e-9 (the H^-1 norm needs a
-    zero-mean difference); the residual mean, pure roundoff at that point,
-    is removed from the difference before the Neumann solve.
-    """
-    _same_basis(u, v)
-    if abs(mean_value(u) - mean_value(v)) > 1e-9:
-        raise ValueError(f"mean(u) - mean(v) = {mean_value(u) - mean_value(v):.3e} exceeds 1e-9")
-    d = Field(u.basis, u.v - v.v)
-    d.v[0, 0] = 0.0  # the constant mode
-    l2_sq = inner_l2(d, d)
-    h1_full = np.sqrt(l2_sq + h1_seminorm_sq(d))
-    return hminus1_norm(d), float(np.sqrt(l2_sq)), float(h1_full)

@@ -114,6 +114,23 @@ def _same_basis(u: Field, v: Field) -> None:
         raise ValueError("fields must share one Basis1D instance")
 
 
+def error_norms(u: Field, v: Field) -> tuple[float, float, float]:
+    """(H^-1, L^2, H^1) norms of u - v.
+
+    The two fields must share their mean to 1e-9 (the H^-1 norm needs a
+    zero-mean difference); the residual mean, pure roundoff at that point,
+    is removed from the difference before the Neumann solve.
+    """
+    _same_basis(u, v)
+    if abs(mean_value(u) - mean_value(v)) > 1e-9:
+        raise ValueError(f"mean(u) - mean(v) = {mean_value(u) - mean_value(v):.3e} exceeds 1e-9")
+    d = Field(u.basis, u.v - v.v)
+    d.v[0, 0] = 0.0  # the constant mode
+    l2_sq = inner_l2(d, d)
+    h1_full = np.sqrt(l2_sq + h1_seminorm_sq(d))
+    return hminus1_norm(d), float(np.sqrt(l2_sq)), float(h1_full)
+
+
 # ---------------------------------------------------------------------------
 # CSV files
 

@@ -21,10 +21,10 @@ import numpy as np
 
 from ._snapshots import write_rows
 from .diagnostics import (
-    TRACE_DTYPE, VERDICT_THRESHOLD, EnergyTrace, error_norms, stability_verdict, step_energies,
+    TRACE_DTYPE, VERDICT_THRESHOLD, EnergyTrace, stability_verdict, step_energies,
 )
 from .errors import NonFinite, check_count, check_number
-from .field2d import Field
+from .field2d import Field, error_norms
 from .spectral1d import Basis1D, assemble_basis
 from .timestepping import SchemeParams, bootstrap_first_step, build_step_operator, march
 

@@ -55,8 +55,6 @@ from .field2d import Field
 from .potential import L, potential_deriv, square_in_range
 from .spectral1d import Basis1D
 
-SCHEMES = ("SL_BDF2", "SL_CN", "FIRST_ORDER")
-
 BLOWUP_LIMIT = 1e8
 
 # per scheme, from (tau, eps, A): a, c, (r_n, r_p), s, x_p, (y_n, y_p); x_n = 1 - x_p;
@@ -83,8 +81,8 @@ class SchemeParams:
     B: float = 0.0
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}")
+        if self.scheme not in _TABLE:
+            raise ValueError(f"scheme must be one of {tuple(_TABLE)}")
         check_number("tau", self.tau, True)
         check_number("gamma", self.gamma, True)
         check_number("eps", self.eps, True, 1.0)

@@ -45,6 +45,18 @@ def test_every_export_has_a_user():
     assert unused == []
 
 
+def test_no_module_imports_another_modules_private_name():
+    # a name with a leading underscore belongs to its module: a function
+    # that two modules need lives, public, beside the code it composes
+    imported = set()  # (importing module, source module, private name)
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                imported.update((path.stem, node.module, alias.name) for alias in node.names
+                                if alias.name.startswith("_") and not alias.name.endswith("__"))
+    assert imported == set()
+
+
 def test_only_potential_reads_the_truncation_spec():
     # PotentialSpec and lipschitz_bound stay for perfbench alone: every
     # step and energy reads the constants potential.P and potential.L
@@ -116,7 +128,8 @@ def test_every_raise_is_one_of_three_failure_kinds():
                 raised.add((path.stem, node.lineno, ast.unparse(exc)))
     assert {site for site in raised if site[2] not in kinds} == set()
     assert {site[2] for site in raised} == kinds
-    # cli.main turns every kind into its one-line error
+    # cli.main turns every kind into its one-line error, and catches
+    # nothing else: a missing config key is a ValueError, no KeyError
     main = next(node for node in ast.parse((PACKAGE / "cli.py").read_text()).body
                 if isinstance(node, ast.FunctionDef) and node.name == "main")
     caught = set()
@@ -124,4 +137,4 @@ def test_every_raise_is_one_of_three_failure_kinds():
         if isinstance(handler, ast.ExceptHandler):
             types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
             caught.update(ast.unparse(t) for t in types)
-    assert {"ChillwaveError", "ValueError", "OSError"} <= caught
+    assert caught == {"ChillwaveError", "ValueError", "OSError", "MemoryError"}
