@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its count and number checks."""
+"""Exception types shared across the package, and its count, number and choice checks."""
 
 import sys
 from numbers import Integral, Real
@@ -20,6 +20,12 @@ def check_number(name: str, value, positive: bool, most: float = sys.float_info.
         bound = ("> 0" if positive else ">= 0") + (
             f", and <= {most:g}" if most < sys.float_info.max else "")
         raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
+
+
+def check_choice(name: str, value, choices: tuple[str, ...]) -> None:
+    """ValueError unless value is a string among choices."""
+    if not (isinstance(value, str) and value in choices):
+        raise ValueError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
 
 
 class ChillwaveError(Exception):

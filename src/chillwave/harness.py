@@ -23,7 +23,7 @@ from ._snapshots import write_rows
 from .diagnostics import (
     TRACE_DTYPE, VERDICT_THRESHOLD, EnergyTrace, stability_verdict, step_energies,
 )
-from .errors import NonFinite, check_count, check_number
+from .errors import NonFinite, check_choice, check_count, check_number
 from .field2d import Field, error_norms
 from .spectral1d import Basis1D, assemble_basis
 from .timestepping import SchemeParams, bootstrap_first_step, build_step_operator, march
@@ -44,6 +44,7 @@ def splitmix64(seed: int, count: int) -> np.ndarray:
     """
     if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
         raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    check_count("count", count, 0)
     idx = np.arange(1, count + 1, dtype=np.uint64)
     z = np.uint64(seed) + idx * _GOLDEN
     z = (z ^ (z >> np.uint64(30))) * _MIX1
@@ -124,13 +125,11 @@ class RunConfig(SchemeParams):
             check_count(name, getattr(self, name), least)
         if self.seed >= 2**64:  # the one seed check_count passes that splitmix64 refuses
             splitmix64(self.seed, 0)  # raises its one-line error
-        if self.scheme not in ("SL_BDF2", "SL_CN"):
-            raise ValueError("run scheme must be SL_BDF2 or SL_CN")
+        check_choice("scheme", self.scheme, ("SL_BDF2", "SL_CN"))
         super().__post_init__()
         check_number("T", self.T, True)
         self.n_steps()  # raises unless T is a positive multiple of tau
-        if self.initial not in ("random", "prepared"):
-            raise ValueError("initial must be 'random' or 'prepared'")
+        check_choice("initial", self.initial, ("random", "prepared"))
         if self.initial == "prepared":
             prepare_params(self.eps)  # raises on an eps too small to prepare phi1
 
@@ -241,14 +240,13 @@ def default_ladder(target: str, gamma: float, eps: float) -> list[float]:
     significant digits, so 4/0.05^2 / 2^7 is 12.5, not 12.499999999999998.
     ValueError unless gamma > 0, eps is in (0, 1] and the rungs are finite
     and strictly increasing (an eps^2 that underflows gives an inf base)."""
+    check_choice("target", target, ("A", "B"))
     check_number("gamma", gamma, True)
     check_number("eps", eps, True, 1.0)
     if target == "A":
         base, powers = (4.0 * gamma / (eps * eps) if eps * eps else math.inf), range(-7, 2)
-    elif target == "B":
-        base, powers = 2.0 / eps, range(-3, 5)
     else:
-        raise ValueError("target must be 'A' or 'B'")
+        base, powers = 2.0 / eps, range(-3, 5)
     ladder = [0.0] + [float(f"{2.0**i * base:.12g}") for i in powers]
     _check_list("ladder", ladder, False)
     return ladder
@@ -278,8 +276,7 @@ class SweepConfig:
             raise ValueError(f"base must be a run config object, got {self.base!r}")
         if self.base.snapshot_every:
             raise ValueError(f"snapshot_every must be 0 in a sweep, got {self.base.snapshot_every}")
-        if self.target not in ("A", "B"):
-            raise ValueError("target must be 'A' or 'B'")
+        check_choice("target", self.target, ("A", "B"))
         for name in ("gamma_list", "tau_list"):
             _check_list(name, getattr(self, name), True)
         check_number("fixed_value", self.fixed_value, False)

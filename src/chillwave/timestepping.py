@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFinite, check_count, check_number
+from .errors import NonFinite, check_choice, check_count, check_number
 from .field2d import Field
 from .potential import L, potential_deriv, square_in_range
 from .spectral1d import Basis1D
@@ -81,8 +81,7 @@ class SchemeParams:
     B: float = 0.0
 
     def __post_init__(self):
-        if self.scheme not in _TABLE:
-            raise ValueError(f"scheme must be one of {tuple(_TABLE)}")
+        check_choice("scheme", self.scheme, tuple(_TABLE))
         check_number("tau", self.tau, True)
         check_number("gamma", self.gamma, True)
         check_number("eps", self.eps, True, 1.0)
@@ -243,16 +242,15 @@ def sufficient_stabilizers(
 ) -> tuple[float, float]:
     """Stabilizer pair (A, B) meeting the two schemes' sufficient discrete
     energy-dissipation conditions, for eps in (0, 1] and gamma, tau, L > 0."""
+    check_choice("scheme", scheme, ("SL_BDF2", "SL_CN"))
     check_number("eps", eps, True, 1.0)
     for name, value in (("gamma", gamma), ("tau", tau), ("L", L)):
         check_number(name, value, True)
     inputs = f"{scheme} at eps = {eps}, gamma = {gamma}, tau = {tau}, L = {L}"
     if scheme == "SL_CN":
         return _quotient(L * L * gamma, 16.0 * eps * eps, inputs), _quotient(L, 2.0 * eps, inputs)
-    if scheme == "SL_BDF2":
-        return (max(0.0, _quotient(L * L * gamma, 16.0 * eps * eps, inputs)
-                    - _quotient(eps, 2.0 * tau, inputs)), _quotient(L, eps, inputs))
-    raise ValueError("no dissipation condition for scheme " + scheme)
+    return (max(0.0, _quotient(L * L * gamma, 16.0 * eps * eps, inputs)
+                - _quotient(eps, 2.0 * tau, inputs)), _quotient(L, eps, inputs))
 
 
 def bdf2_smallstep_threshold(eps: float, gamma: float) -> float:

@@ -94,17 +94,6 @@ def test_run_summary_records_blow_up(tmp_path, capsys):
     assert set(summary["versions"]) == {"chillwave", "numpy", "python"}
 
 
-def test_run_final_field_matches_last_snapshot(tmp_path):
-    cfg_path = tmp_path / "run.json"
-    write_json(cfg_path, dict(RUN_CFG, snapshot_every=1))
-    out = tmp_path / "out"
-    main(["run", "--config", str(cfg_path), "--out-dir", str(out)])
-    u_final, meta_final = read_snapshot(out / "final_field.csv")
-    u_last, meta_last = read_snapshot(out / "snapshot_000005.csv")
-    np.testing.assert_array_equal(u_final.coeffs, u_last.coeffs)
-    assert meta_final == meta_last
-
-
 def final_field_bytes(tmp_path, cfg):
     # final_field.csv as write_snapshot formats the run's final field
     trace, final, _ = run_simulation(run_config_from_dict(cfg))

@@ -4,7 +4,8 @@ smaller than the count's least value, or a one-line ValueError. Every
 step size, mobility, interface width, stabilizer, Lipschitz bound and
 final time, and each entry of a config's lists, goes through
 `errors.check_number`: a finite real number (a numpy one too, not a
-bool) in its range."""
+bool) in its range. Every scheme, initial datum and sweep target goes
+through `errors.check_choice`: a string among its choices."""
 import math
 import re
 
@@ -19,7 +20,7 @@ from chillwave import (
 from chillwave import harness
 from chillwave.diagnostics import TRACE_DTYPE, EnergyTrace
 from chillwave.harness import (
-    RunConfig, SweepConfig, convergence_study, prepare_params, random_nodal_field,
+    RunConfig, SweepConfig, convergence_study, prepare_params, random_nodal_field, splitmix64,
 )
 
 RUN = dict(M=8, eps=0.25, gamma=1.0, tau=0.1, T=1.0, scheme="SL_CN")
@@ -50,6 +51,7 @@ CALLERS = {
     "RunConfig.seed": ("seed", 0, lambda basis, seed: RunConfig(**dict(RUN, seed=seed))),
     "RunConfig.snapshot_every": (
         "snapshot_every", 0, lambda basis, k: RunConfig(**dict(RUN, snapshot_every=k))),
+    "splitmix64": ("count", 0, lambda basis, n: splitmix64(1, n)),
 }
 
 
@@ -154,6 +156,35 @@ def test_every_number_is_finite_and_in_range(monkeypatch, caller, bad):
     value = {"bool": True, "string": "1", "none": None, "nan": math.nan, "inf": math.inf,
              "past_the_floats": 10**400, "out_of_range": out}[bad]
     message = f"{name} must be a finite number {bound}, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(value)
+
+
+# caller -> (the name's key, its choices, a wrong-case choice, a call that passes it)
+CHOICES = {
+    "SchemeParams": (
+        "scheme", "SL_BDF2, SL_CN, FIRST_ORDER", "sl_cn", lambda x: scheme(scheme=x)),
+    "RunConfig.scheme": (
+        "scheme", "SL_BDF2, SL_CN", "sl_bdf2", lambda x: RunConfig(**dict(RUN, scheme=x))),
+    "RunConfig.initial": (
+        "initial", "random, prepared", "Random", lambda x: RunConfig(**dict(RUN, initial=x))),
+    "SweepConfig.target": ("target", "A, B", "a", lambda x: SweepConfig(**dict(SWEEP, target=x))),
+    "default_ladder": ("target", "A, B", "b", lambda x: default_ladder(x, 1.0, 0.05)),
+    "sufficient_stabilizers": (
+        "scheme", "SL_BDF2, SL_CN", "Sl_Cn", lambda x: stabilizers(scheme=x)),
+}
+
+
+@pytest.mark.parametrize("bad", ["wrong_case", "list", "dict", "none", "int"])
+@pytest.mark.parametrize("caller", list(CHOICES))
+def test_every_choice_is_a_string_among_its_choices(caller, bad):
+    # a word in the wrong case, a list or dict holding a choice, None or an
+    # int raises the one message listing the choices, not a TypeError
+    name, choices, wrong_case, call = CHOICES[caller]
+    first = choices.split(", ")[0]
+    value = {"wrong_case": wrong_case, "list": [first], "dict": {first: 1}, "none": None,
+             "int": 1}[bad]
+    message = f"{name} must be one of {choices}, got {value!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
         call(value)
 

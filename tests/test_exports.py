@@ -60,7 +60,7 @@ def test_no_module_imports_another_modules_private_name():
 def test_only_potential_reads_the_truncation_spec():
     # PotentialSpec and lipschitz_bound stay for perfbench alone: every
     # step and energy reads the constants potential.P and potential.L
-    spec_names = {"PotentialSpec", "lipschitz_bound", "truncation_point"}
+    spec_names = {"PotentialSpec", "lipschitz_bound"}
     readers = {
         path.name: sorted(names_read(path) & spec_names)
         for path in PACKAGE.glob("*.py") if path.name != "potential.py"
