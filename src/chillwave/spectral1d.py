@@ -99,7 +99,9 @@ class Basis1D:
     basis table eval_P and weights w_P, the grid map T_P = eval_P^T E
     (grid = T_P v T_P^T) and the fit G_P = E^T eval_P diag(w_P) (v = G_P g
     G_P^T; the modal load G c(grid) G^T on the 2M set). T and G are the 2M
-    maps, T_M and G_M the M ones. Every array is read-only, and
+    maps, stored column-major so that the second GEMM of each pair reads
+    T.T or G.T as a C-contiguous operand; T_M and G_M, the M ones, stay
+    C-ordered, as no step reads them. Every array is read-only, and
     `replace(basis, E=...)` re-checks the new pair and re-derives the maps.
     """
 
@@ -135,7 +137,7 @@ class Basis1D:
         eval_M, eval_2M = legendre_table(M - 1, xm), legendre_table(M - 1, x2)
         derived = {
             "M": M, "weights_2M": w2, "sigma": lam[:, None] + lam[None, :], "residual": residual,
-            "T": eval_2M.T @ E, "G": E.T @ (eval_2M * w2),
+            "T": np.asfortranarray(eval_2M.T @ E), "G": np.asfortranarray(E.T @ (eval_2M * w2)),
             "T_M": eval_M.T @ E, "G_M": E.T @ (eval_M * wm),
         }
         for name, value in derived.items():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -204,3 +206,18 @@ def test_grid_maps_match_oracle(M):
         np.testing.assert_allclose(T, tab.T @ b.E, atol=1e-12)
         np.testing.assert_allclose(G, b.E.T @ (tab * w), atol=1e-12)
         np.testing.assert_allclose(G @ T, np.eye(M), atol=1e-12)
+
+
+@pytest.mark.parametrize("M", [8, 47, 48, 128])
+def test_step_maps_are_column_major(M):
+    # T and G are stored column-major, so the second matmul of each pair
+    # (tall @ T.T, wide @ G.T) reads a C-contiguous operand; the values are
+    # the plain products, bit for bit, and replace() re-derives the layout
+    b = assemble_basis(M)
+    x, w = gauss_legendre(2 * M)
+    tab = legendre_table(M - 1, x)
+    for basis in (b, replace(b, E=b.E)):
+        for A, expected in ((basis.T, tab.T @ basis.E), (basis.G, basis.E.T @ (tab * w))):
+            assert A.flags.f_contiguous and not A.flags.writeable
+            assert A.T.flags.c_contiguous
+            assert np.array_equal(A, expected)
