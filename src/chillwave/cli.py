@@ -66,6 +66,7 @@ def _cmd_run(args) -> int:
     rows = trace.rows
     ran = len(rows) > 0  # a blow-up in the bootstrap leaves no row
     coeffs = np.abs(final.coeffs)  # the tail: Legendre modes with max(k, j) >= M - 4
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     summary = {
         "config": asdict(cfg),
         "steps_completed": len(trace),
@@ -75,11 +76,14 @@ def _cmd_run(args) -> int:
             "chillwave": __version__,
             "numpy": np.__version__,
             "python": platform.python_version(),
+            "blas": {key: blas.get(key) for key in ("name", "version")},
+            "threads": {var: os.environ.get(var) for var in (  # None if unset
+                "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
         },
         "max_residual": trace.max_residual,
         "final_E_eps": float(rows["E_eps"][-1]) if ran else None,
         "final_E_mod": float(rows["E_mod"][-1]) if ran else None,
-        "max_dE_mod": float(rows["dE_mod"].max()) if ran else None,
+        "max_dE_mod": trace.max_dE_mod if len(rows) >= 2 else None,
         "mean_drift": float(np.abs(rows["mean"] - rows["mean"][0]).max()) if ran else None,
         "spectral_tail": float(max(coeffs[cfg.M - 4:].max(), coeffs[:, cfg.M - 4:].max())),
     }

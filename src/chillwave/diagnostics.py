@@ -21,12 +21,14 @@ constant of f. In the modal coordinates v of a Field and of `march`
 Both history corrections are then one weighted sum, sum hw (dt v)^2.
 The per-mode weights hw and grad = eps sigma / 2 are the step operator's
 (`build_step_operator`), so `step_energies` reads a trace row off the
-operator and a state of `march`. The bulk term is w^T F(g) w for the grid
-g of v and the 2M Gauss weights w. On a grid inside [-P, P]
+operator and a state of `march`. The bulk term is the 2M Gauss rule's
+sum of w_i F(g_ij) w_j over the quadrant-major grid g of v (see field2d),
+whose rows, read as a 4M x M array, carry the weights `Basis1D.weights`
+and whose columns their first M. On a grid inside [-P, P]
 (`potential.square_in_range`) F is the quartic u^4/4 - u^2/2 + 1/4, and
 the rule, exact to degree 4M - 1, integrates u^2 exactly, so there
 
-    int F(u) = 1/4 w^T (g^2)^2 w - 1/2 sum v^2 + 1      (|Omega| / 4 = 1);
+    int F(u) = 1/4 sum w_i (g_ij^2)^2 w_j - 1/2 sum v^2 + 1      (|Omega| / 4 = 1);
 
 any other grid (a node outside, a NaN or an infinity) takes the
 quadrature of `potential_value`.
@@ -81,6 +83,13 @@ class EnergyTrace:
     def blew_up(self) -> bool:
         return self.stop_reason == "blow_up"
 
+    @property
+    def max_dE_mod(self) -> float:
+        """The largest dE_mod over rows n >= 2, the measured increments
+        (row 1's 0 is a convention); NaN with fewer than 2 rows, and NaN
+        if one of them is NaN."""
+        return float(self.rows["dE_mod"][1:].max()) if len(self) >= 2 else math.nan
+
     def __len__(self) -> int:
         return len(self.rows)
 
@@ -126,19 +135,19 @@ def step_energies(
     """(E_eps, modified energy, ||curr - prev||^2, mean) of the modal pair
     (phi^{n-1}, phi^n) = (prev, curr) under op's scheme, with grid the 2M
     grid of curr: a state that `march` yields, and what a trace row needs.
-    The in-range bulk term squares grid into scratch, a 2M x 2M array the
+    The in-range bulk term squares grid into scratch, a (2, 2, M, M) array the
     caller owns (a run allocates one for all its rows), and squares that in
     place, so a row allocates no grid; grid itself is only read.
     ValueError for FIRST_ORDER, which has no modified energy."""
     if op.hw is None:
         raise ValueError("modified energy is defined for SL_CN and SL_BDF2 only")
-    w = op.basis.weights_2M
+    w, M = op.basis.weights, op.basis.M
     sq = square_in_range(grid, scratch)
     if sq is not None:  # F = u^4/4 - u^2/2 + 1/4, |Omega| = 4
         sq *= sq
-        bulk = 0.25 * float(w @ sq @ w) - 0.5 * float(np.vdot(curr, curr)) + 1.0
+        bulk = 0.25 * float(w @ sq.reshape(-1, M) @ w[:M]) - 0.5 * float(np.vdot(curr, curr)) + 1.0
     else:
-        bulk = float(w @ potential_value(grid) @ w)
+        bulk = float(w @ potential_value(grid).reshape(-1, M) @ w[:M])
     e = float(np.vdot(op.grad, curr * curr)) + bulk / op.params.eps
     diff = curr - prev
     dt_sq = float(np.vdot(diff, diff))

@@ -13,9 +13,18 @@ sum over modes:
 The Neumann kernel, the constants, is exactly the (0,0) mode. The
 Legendre coefficients C = E v E^T, with u = sum C[k,j] phi_k(x) phi_j(y),
 are a read-only export (`Field.coeffs`); nothing in the package reads
-them back. Grid values are plain arrays, T_P v T_P^T on the P x P Gauss
-grid, and G_P g G_P^T fits a grid g back, with the basis's maps: the M
-set for snapshot files, the 2M set for the seeded noise and the step.
+them back. Grid values are plain arrays: T_M v T_M^T on the M x M Gauss
+grid of the snapshot files, fitted back by G_M g G_M^T, and on the 2M x 2M
+grid of the seeded noise and the step the quadrant-major
+g[s, t, i, j] = u((-1)^s x_i, (-1)^t y_j) over the M positive nodes x_i,
+to and from which `to_grid` and `fit_grid` are the only ways. As the
+modes are parity-major (see Basis1D), each runs two batched GEMMs over
+the four parity blocks v_pq, A_p v_pq A_q^T, and one sign GEMM,
+(H2 x H2) @ X.reshape(4, M^2) with H2 = [[1, 1], [1, -1]], since a mirror
+flips the sign of each odd factor: 3M^3 multiply-adds against 6M^3 for
+dense 2M maps. Their modes are padded 2H x 2H arrays, H = ceil(M/2), an
+odd M's v in the [:M, :M] corner and zeros around it, so that the blocks
+are one strided view.
 """
 
 from __future__ import annotations
@@ -54,6 +63,55 @@ class Field:
         c = self.basis.E @ self.v @ self.basis.E.T
         c.flags.writeable = False
         return c
+
+
+# H2 x H2 for H2 = [[1, 1], [1, -1]]: row 2s + t, column 2p + q, entry (-1)^(sp + tq)
+_SIGNS = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, -1.0],
+                   [1.0, 1.0, -1.0, -1.0], [1.0, -1.0, -1.0, 1.0]])
+
+
+def _blocks(v: np.ndarray, H: int) -> np.ndarray:
+    """The parity blocks v_pq of the padded 2H x 2H modal array v, a (2, 2, H, H) view."""
+    return v.reshape(2, H, 2, H).transpose(0, 2, 1, 3)
+
+
+def to_grid(basis: Basis1D, v: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """The quadrant-major 2M grid of the padded modal array v, written
+    into out and returned; out and work are C-contiguous (2, 2, M, M)
+    arrays, and work is overwritten. Only the first GEMM reads v, so v may
+    lie in work's memory but not in out's."""
+    A = basis.eval_stack
+    _, M, H = A.shape
+    half = np.matmul(_blocks(v, H), A.transpose(0, 2, 1),
+                     out=out.reshape(-1)[:4 * H * M].reshape(2, 2, H, M))
+    np.matmul(A[:, None], half, out=work)
+    np.matmul(_SIGNS, work.reshape(4, -1), out=out.reshape(4, -1))
+    return out
+
+
+def fit_grid(basis: Basis1D, grid: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """The 2M-point quadrature of the grid against each modal basis
+    function, G_p Z_pq G_q^T for Z the sign GEMM of grid and G = fit_stack,
+    as a padded 2H x 2H array at the start of work's memory; grid and work
+    are C-contiguous (2, 2, M, M) arrays, and both are overwritten."""
+    G = basis.fit_stack
+    _, H, M = G.shape
+    z = np.matmul(_SIGNS, grid.reshape(4, -1), out=work.reshape(4, -1))
+    half = np.matmul(G[:, None], z.reshape(2, 2, M, M),
+                     out=grid.reshape(-1)[:4 * H * M].reshape(2, 2, H, M))
+    modes = work.reshape(-1)[:4 * H * H].reshape(2 * H, 2 * H)
+    np.matmul(half, G.transpose(0, 2, 1), out=_blocks(modes, H))
+    return modes
+
+
+def quadrants(grid: np.ndarray) -> np.ndarray:
+    """The quadrant-major layout, a new C-contiguous (2, 2, M, M) array, of
+    a 2M x 2M grid on the ascending Gauss nodes: the positive nodes are
+    its last M, and -x_i is node M - 1 - i."""
+    M = len(grid) // 2
+    order = np.concatenate([np.arange(M, 2 * M), np.arange(M - 1, -1, -1)])
+    return np.ascontiguousarray(
+        grid[np.ix_(order, order)].reshape(2, M, 2, M).transpose(0, 2, 1, 3))
 
 
 def modal_decomposition(basis: Basis1D):

@@ -24,7 +24,7 @@ from .diagnostics import (
     TRACE_DTYPE, VERDICT_THRESHOLD, EnergyTrace, stability_verdict, step_energies,
 )
 from .errors import NonFinite, check_choice, check_count, check_number
-from .field2d import Field, error_norms
+from .field2d import Field, error_norms, fit_grid, quadrants
 from .spectral1d import Basis1D, assemble_basis
 from .timestepping import SchemeParams, bootstrap_first_step, build_step_operator, march
 
@@ -58,10 +58,11 @@ def _uniform_pm1(seed: int, count: int) -> np.ndarray:
 
 def random_nodal_field(basis: Basis1D, seed: int) -> Field:
     """Seeded uniform [-1, 1] noise at the 2M x 2M Gauss nodes (row-major
-    by x-index then y-index), L^2-projected onto V_M x V_M."""
-    P = 2 * basis.M
-    G = basis.G
-    return Field(basis, G @ _uniform_pm1(seed, P * P).reshape(P, P) @ G.T)
+    by x-index then y-index, nodes ascending), L^2-projected onto
+    V_M x V_M: permuted to the quadrant layout and fitted."""
+    M = basis.M
+    grid = quadrants(_uniform_pm1(seed, 4 * M * M).reshape(2 * M, 2 * M))
+    return Field(basis, fit_grid(basis, grid, np.empty_like(grid))[:M, :M].copy())
 
 
 PREPARE_STEPS = 64  # prepare_phi1's substeps of eps^3
@@ -205,7 +206,7 @@ def run_simulation(
     keep = on_snapshot or (lambda *snapshot: snapshots.append(snapshot))
     N = cfg.n_steps()
     rows = np.empty(N, TRACE_DTYPE)
-    scratch = np.empty((2 * cfg.M, 2 * cfg.M))  # step_energies' square, for every row
+    scratch = np.empty((2, 2, cfg.M, cfg.M))  # step_energies' square, for every row
     n, e_mod, curr, stop_reason = 0, 0.0, None, "completed"
     try:
         phi1 = bootstrap_first_step(phi0, cfg)
@@ -294,7 +295,7 @@ def sweep_config_from_dict(d: dict) -> SweepConfig:
 
 SWEEP_LOG_DTYPE = np.dtype([
     ("gamma", "f8"), ("tau", "f8"), ("candidate", "f8"), ("verdict", "U8"), ("rows_run", "i8"),
-    ("stop_reason", "U15"), ("first_violation_dE_mod", "f8"),
+    ("stop_reason", "U15"), ("max_dE_mod", "f8"),
 ])
 
 
@@ -303,7 +304,9 @@ class SweepResult:
     """A sweep's config and its log, a SWEEP_LOG_DTYPE record array with a
     row per candidate run in run order; cells, ladders and anomalies are
     read off the two. A run stops after rows_run steps, for its trace's
-    stop_reason; first_violation_dE_mod is NaN unless energy_increase."""
+    stop_reason; max_dE_mod is its trace's (EnergyTrace.max_dE_mod), the
+    violating row's for an energy_increase stop and a stable candidate's
+    margin below the threshold otherwise."""
 
     config: SweepConfig
     log: np.recarray
@@ -352,7 +355,7 @@ class SweepResult:
 
     def write_log_csv(self, path) -> None:
         """One row per candidate run, columns named as SWEEP_LOG_DTYPE's;
-        an empty cell for no violation."""
+        an empty cell for a NaN max_dE_mod."""
         write_rows(path, ",".join(SWEEP_LOG_DTYPE.names), self.log.tolist(),
                    cell=lambda v: v if isinstance(v, str) else "" if math.isnan(v) else _num(v))
 
@@ -380,8 +383,8 @@ def _sweep_cell(sc: SweepConfig, phi0: Field, gamma: float, tau: float, log: lis
         cfg = _candidate_config(sc, gamma, tau, candidate)
         trace, _, _ = run_simulation(cfg, phi_init=phi0, until_unstable=True)
         verdict = stability_verdict(trace, min_steps=cfg.n_steps())
-        dE = trace.rows["dE_mod"][-1] if trace.stop_reason == "energy_increase" else math.nan
-        log.append((gamma, tau, candidate, verdict, len(trace), trace.stop_reason, dE))
+        log.append((gamma, tau, candidate, verdict, len(trace), trace.stop_reason,
+                    trace.max_dE_mod))
         if verdict == "stable" and not sc.full_scan:
             break
 

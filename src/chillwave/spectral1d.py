@@ -16,8 +16,12 @@ Neumann problem requires. Basis products have degree <= 2M-2, so both the
 M- and 2M-point Gauss rules integrate them exactly and the quadrature Gram
 of either rule is the mass matrix. The eigenbasis of (stiffness, mass)
 diagonalizes every operator of the time steppers (Shen's
-matrix-diagonalization method); `Basis1D` checks that eigenpair and derives
-from it the only maps between modal coefficients and either Gauss grid.
+matrix-diagonalization method). As the stiffness couples only indices of
+one parity, each eigenvector is even or odd, with exact zeros at the other
+parity's indices: `assemble_basis` solves the two parity blocks apart
+(Shen's odd/even decoupling), and `Basis1D` checks that eigenpair and
+derives from it the only maps between modal coefficients and either
+Gauss grid.
 """
 
 from __future__ import annotations
@@ -90,28 +94,35 @@ def _mass_stiffness(M: int) -> tuple[np.ndarray, np.ndarray]:
 class Basis1D:
     """Galerkin basis of dimension M = len(lam) from an eigenpair (lam, E)
     with K E = M E diag(lam), E^T M E = I and lam[0] = 0 (the constant mode).
+    E is parity-major: its first H = ceil(M/2) columns are the even modes,
+    zero at the odd Legendre indices, and the rest the odd ones, zero at
+    the even indices.
 
-    Construction raises ValueError unless M >= 4 and E is M x M, and
-    SolveFailed unless the pair's residual against the analytic mass and
-    stiffness, max(||K E - M E diag(lam)|| / ||K E||, ||E^T M E - I||), is
-    within 1e-10. From the checked pair it derives
-    sigma[k, j] = lam[k] + lam[j] and, per Gauss node set P with M x P
-    basis table eval_P and weights w_P, the grid map T_P = eval_P^T E
-    (grid = T_P v T_P^T) and the fit G_P = E^T eval_P diag(w_P) (v = G_P g
-    G_P^T; the modal load G c(grid) G^T on the 2M set). T and G are the 2M
-    maps, stored column-major so that the second GEMM of each pair reads
-    T.T or G.T as a C-contiguous operand; T_M and G_M, the M ones, stay
-    C-ordered, as no step reads them. Every array is read-only, and
-    `replace(basis, E=...)` re-checks the new pair and re-derives the maps.
+    Construction raises ValueError unless M >= 4 and E is M x M and
+    parity-major with exact zeros, and SolveFailed unless the pair's
+    residual against the analytic mass and stiffness,
+    max(||K E - M E diag(lam)|| / ||K E||, ||E^T M E - I||), is within
+    1e-10. From the checked pair it derives sigma[k, j] = lam[k] + lam[j],
+    the M-point grid map T_M = eval_M^T E (grid = T_M v T_M^T) and fit
+    G_M = E^T eval_M diag(w_M) (v = G_M g G_M^T), and the stacks of the 2M
+    transforms (see field2d), whose nodes are the M positive ones x_i with
+    weights w and their mirrors: eval_stack[p] (M x H) holds the values
+    psi_k(x_i) of the parity-p modes, fit_stack[p] = eval_stack[p]^T
+    diag(w) (H x M), an odd M's odd block padded with a zero column or
+    row, each stored so that its transpose is C-contiguous, as a GEMM's
+    right operand. weights is w once per quadrant, the weight of each row
+    of a 2M grid read as a 4M x M array; its first M weigh the columns.
+    Every array is read-only, and `replace(basis, E=...)` re-checks the
+    new pair and re-derives the maps.
     """
 
     M: int = field(init=False)
     lam: np.ndarray
     E: np.ndarray
-    weights_2M: np.ndarray = field(init=False, repr=False)
+    weights: np.ndarray = field(init=False, repr=False)
     sigma: np.ndarray = field(init=False, repr=False)
-    T: np.ndarray = field(init=False, repr=False)
-    G: np.ndarray = field(init=False, repr=False)
+    eval_stack: np.ndarray = field(init=False, repr=False)
+    fit_stack: np.ndarray = field(init=False, repr=False)
     T_M: np.ndarray = field(init=False, repr=False)
     G_M: np.ndarray = field(init=False, repr=False)
     residual: float = field(init=False)
@@ -121,6 +132,10 @@ class Basis1D:
         check_count("M", M, 4)
         if np.shape(E) != (M, M):
             raise ValueError(f"E must be M x M = {M} x {M} for M = len(lam), got {np.shape(E)}")
+        H = (M + 1) // 2
+        if np.any(E[(np.arange(M) % 2 == 1)[:, None] != (np.arange(M) >= H)]):
+            raise ValueError(f"E must be parity-major: its first {H} columns zero at the odd "
+                             "Legendre indices and the rest zero at the even ones")
         mass, stiffness = _mass_stiffness(M)
         KE = stiffness @ E
         ME = mass[:, None] * E
@@ -134,10 +149,15 @@ class Basis1D:
             )
         xm, wm = gauss_legendre(M)
         x2, w2 = gauss_legendre(2 * M)
-        eval_M, eval_2M = legendre_table(M - 1, xm), legendre_table(M - 1, x2)
+        eval_M = legendre_table(M - 1, xm)
+        values = np.zeros((M, 2 * H))  # psi_k(x_i) at the positive nodes, modes padded to 2H
+        values[:, :M] = legendre_table(M - 1, x2[M:]).T @ E
+        stack = values.reshape(M, 2, H).transpose(1, 0, 2)
         derived = {
-            "M": M, "weights_2M": w2, "sigma": lam[:, None] + lam[None, :], "residual": residual,
-            "T": np.asfortranarray(eval_2M.T @ E), "G": np.asfortranarray(E.T @ (eval_2M * w2)),
+            "M": M, "weights": np.tile(w2[M:], 4), "sigma": lam[:, None] + lam[None, :],
+            "residual": residual,
+            "eval_stack": np.ascontiguousarray(stack.transpose(0, 2, 1)).transpose(0, 2, 1),
+            "fit_stack": np.ascontiguousarray(stack * w2[M:, None]).transpose(0, 2, 1),
             "T_M": eval_M.T @ E, "G_M": E.T @ (eval_M * wm),
         }
         for name, value in derived.items():
@@ -148,12 +168,19 @@ class Basis1D:
 
 
 def assemble_basis(M: int) -> Basis1D:
-    """Build Basis1D from the analytic Legendre orthogonality relations;
-    with D = diag(mass), E = D^-1/2 Q for the eigenvectors Q of the
-    symmetric D^-1/2 K D^-1/2."""
+    """Build Basis1D from the analytic Legendre orthogonality relations,
+    one parity block at a time: with D = diag(mass), the block's E = D^-1/2
+    Q for the eigenvectors Q of the symmetric D^-1/2 K D^-1/2 restricted to
+    the Legendre indices of one parity, even modes first, each block in
+    ascending lam."""
     check_count("M", M, 4)
     mass, stiffness = _mass_stiffness(M)
     s = 1.0 / np.sqrt(mass)
-    lam, Q = np.linalg.eigh(s[:, None] * stiffness * s)
+    H = (M + 1) // 2
+    lam, E = np.empty(M), np.zeros((M, M))
+    for parity, modes in ((0, slice(0, H)), (1, slice(H, M))):
+        i = slice(parity, M, 2)
+        lam[modes], Q = np.linalg.eigh(s[i, None] * stiffness[i, i] * s[i])
+        E[i, modes] = s[i, None] * Q
     lam[0] = 0.0  # Neumann kernel: exactly the constant mode
-    return Basis1D(lam=lam, E=s[:, None] * Q)
+    return Basis1D(lam=lam, E=E)

@@ -15,29 +15,30 @@ R1 = r_n v^n + r_p v^{n-1} and R2 = load / eps + s sigma v^n -
 B (y_n v^n + y_p v^{n-1}) leaves three per-mode weights, built once per
 operator (see `build_step_operator`), and the explicit force f(w) at the
 extrapolated field w = x_n v^n + x_p v^{n-1}, x_n = 1 - x_p, on its grid
-g = T w T^T on the 2M x 2M Gauss nodes (T = eval_2M^T E,
-G = E^T (eval_2M w_2M), f = `potential.potential_deriv`). Writing
-f(g) = c(g) - g and using G g G^T = w (G T = I), the -w joins the weights
-of v^n and v^{n-1}, and a step is
+g = T(w) on the 2M x 2M Gauss nodes (T = `field2d.to_grid`, G =
+`field2d.fit_grid`, the quadrature against the modal basis functions,
+f = `potential.potential_deriv`). Writing f(g) = c(g) - g and using
+G(T(w)) = w, the -w joins the weights of v^n and v^{n-1}, and a step is
 
-    v^{n+1} = cn v^n + cp v^{n-1} + cl G c(T w T^T) G^T
+    v^{n+1} = cn v^n + cp v^{n-1} + cl G(c(T(w)))
 
 with the per-scheme coefficients of `_TABLE` (SL_CN stabilizes B on
 2 phi^n - phi^{n-1} but extrapolates f at 1.5 phi^n - 0.5 phi^{n-1};
 FIRST_ORDER has x_p = cp = 0). Inside [-P, P] c is the cube, so the
-load is G g^3 G^T (`modal_load`). A step is one load and one new grid:
-4 dense matmuls. All three schemes run one step body. Its force is one
-combination a + x_p (b - a): of the grids (a, b) = (g^n, g^{n-1}),
-g^n = T v^n T^T, which `march` keeps for each level (the default), or of
-the modes (v^n, v^{n-1}) in a lean march (grids=False, for callers that
-read only the modal pairs), which then transforms it and keeps no grid.
+load is G(g^3) (`modal_load`). A step is one load and one new grid, two
+parity-block transforms of 3M^3 multiply-adds each. All three schemes
+run one step body. Its force is one combination a + x_p (b - a): of the
+grids (a, b) = (g^n, g^{n-1}), g^n = T(v^n), which `march` keeps for
+each level (the default), or of the modes (v^n, v^{n-1}) in a lean
+march (grids=False, for callers that read only the modal pairs), which
+then transforms it and keeps no grid.
 FIRST_ORDER steps with v^{n-1} = v^n after its entry state, so its force
 is exactly v^n, its history term exact zeros, and it never reads the
 v^{n-1} it was given.
-sigma, T and G are the basis's (see Basis1D). A `_TABLE` row also holds
-its scheme's modified-energy constants (h_1, h_L), from which the
-operator keeps the energy weights that `diagnostics.step_energies`
-reads. `march` yields the states (v^{n-1}, v^n, g^n), the entry state
+sigma and the transforms' stacks are the basis's (see Basis1D). A
+`_TABLE` row also holds its scheme's modified-energy constants (h_1, h_L),
+from which the operator keeps the energy weights that
+`diagnostics.step_energies` reads. `march` yields the states (v^{n-1}, v^n, g^n), the entry state
 first, with g^n None in a lean march; runs, sweeps, convergence studies
 and the first-order bootstrap are loops over them, and a run may
 `break` early.
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFinite, check_choice, check_count, check_number
-from .field2d import Field
+from .field2d import Field, fit_grid, to_grid
 from .potential import L, potential_deriv, square_in_range
 from .spectral1d import Basis1D
 
@@ -139,28 +140,31 @@ def build_step_operator(params: SchemeParams, basis: Basis1D) -> StepOperator:
     return StepOperator(p, basis, xp, cn, cp, cl, 0.5 * p.eps * sigma, hw)
 
 
-def _part(grid: np.ndarray, rows: int, cols: int, start: int) -> np.ndarray:
-    """The C-contiguous rows x cols array at flat offset start of grid's buffer."""
-    return grid.reshape(-1)[start:start + rows * cols].reshape(rows, cols)
+def _part(buffer: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The C-contiguous rows x cols array at the start of buffer's memory."""
+    return buffer.reshape(-1)[:rows * cols].reshape(rows, cols)
+
+
+def _padded(a: np.ndarray, n: int) -> np.ndarray:
+    """A new n x n array of zeros with a in its top-left corner."""
+    out = np.zeros((n, n))
+    out[:len(a), :len(a)] = a
+    return out
 
 
 def modal_load(op: StepOperator, grid: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """G c(grid) G^T for the 2M grid of the force w, with c(g) = f(g) + g:
-    the 2M-point quadrature of f against each modal basis function plus w
-    (G T = I), whose -w the folded weights cn, cp carry. On a grid inside
-    [-P, P] c is the cube: grid^2, squared into the 2M x 2M scratch by
-    `square_in_range`, times grid, written over grid; the two matmuls then
-    write into scratch, and the load is an M x M view of it. Any other grid
-    (a point outside, a NaN or an infinity) takes `potential_deriv`'s f
-    plus the grid, in new arrays, and leaves grid as it was."""
-    G = op.basis.G
-    M = len(G)
+    """G(c(grid)), `field2d.fit_grid`, for the quadrant-major 2M grid of
+    the force w, with c(g) = f(g) + g: the 2M-point quadrature of f
+    against each modal basis function plus w (G(T(w)) = w), whose -w the
+    folded weights cn, cp carry. On a grid inside [-P, P] c is the cube:
+    grid^2, squared into scratch by `square_in_range`, times grid, written
+    over grid. Any other grid (a point outside, a NaN or an infinity)
+    takes `potential_deriv`'s f plus the grid, in a new array, and leaves
+    grid as it was. The load, a padded 2H x 2H array (see field2d), is
+    written at the start of scratch, a (2, 2, M, M) array like grid."""
     sq = square_in_range(grid, scratch)
-    if sq is None:
-        return G @ (potential_deriv(grid) + grid) @ G.T
-    cube = np.multiply(sq, grid, out=grid)
-    wide = np.matmul(G, cube, out=_part(scratch, M, 2 * M, 0))
-    return np.matmul(wide, G.T, out=_part(scratch, M, M, 2 * M * M))
+    cube = potential_deriv(grid) + grid if sq is None else np.multiply(sq, grid, out=grid)
+    return fit_grid(op.basis, cube, scratch)
 
 
 def march(
@@ -170,13 +174,16 @@ def march(
     (prev, curr) = (v^{n-1}, v^n); FIRST_ORDER reads only curr.
 
     Yields (prev, curr, grid) for the entry pair and then for each new
-    pair, n_steps + 1 states, with grid the 2M grid of curr, or None in a
-    lean march (grids=False, for callers that read only modal states).
-    A march allocates its work arrays once, before the entry state: two
-    2M x 2M grids, the force and the cube, whose buffers also hold the
-    step's M x M, 2M x M and M x 2M intermediates while they are free.
-    A step then allocates only what it yields, the new modal state and,
-    unless lean, its grid (a load off [-P, P] allocates its fallback too).
+    pair, n_steps + 1 states, with grid the quadrant-major 2M grid of
+    curr, or None in a lean march (grids=False, for callers that read only
+    modal states). A march holds its states, and the step's weights, in
+    zero-padded 2H x 2H arrays, H = ceil(M/2), the transforms' layout, and
+    yields their M x M corners, the whole arrays for an even M. It
+    allocates its work arrays once, before the entry state: two 2M grids,
+    the force and the cube, whose memory also holds the transforms'
+    intermediates and the step's modal ones while they are free. A step
+    then allocates only what it yields, the new modal state and, unless
+    lean, its grid (a load off [-P, P] allocates its fallback too).
     Each step writes to no array that it was given or has yielded, so a
     consumer may keep any of them but must not write to them; it stops
     early by leaving its loop. An n_steps that is not an integer >= 0
@@ -185,33 +192,34 @@ def march(
     state (stability sweeps treat that as an unstable verdict).
     """
     check_count("n_steps", n_steps, 0)
-    T, xp, cn, cp, cl = op.basis.T, op.xp, op.cn, op.cp, op.cl
-    M = len(curr)
-    force, cube = np.empty((2, 2 * M, 2 * M))
-    modes, tall = _part(force, M, M, 0), _part(cube, 2 * M, M, 0)
-    grid = T @ curr @ T.T if grids else None
-    grid_prev = T @ prev @ T.T if grids and xp != 0.0 else grid
+    basis, xp, M = op.basis, op.xp, op.basis.M
+    n = 2 * ((M + 1) // 2)
+    cn, cp, cl, prev_pad, curr_pad = (_padded(a, n) for a in (op.cn, op.cp, op.cl, prev, curr))
+    force, cube = np.empty((2, 2, 2, M, M))
+    modes, force_modes = _part(force, n, n), _part(cube, n, n)
+    grid = to_grid(basis, curr_pad, np.empty_like(force), cube) if grids else None
+    grid_prev = to_grid(basis, prev_pad, np.empty_like(force), cube) if grids and xp != 0.0 else grid
     yield prev, curr, grid
     if xp == 0.0:
-        prev = curr  # FIRST_ORDER (x_p = cp = 0) never reads v^{n-1}
+        prev, prev_pad = curr, curr_pad  # FIRST_ORDER (x_p = cp = 0) never reads v^{n-1}
     for _ in range(n_steps):
-        a, b = (grid, grid_prev) if grids else (curr, prev)
-        w = np.subtract(b, a, out=force if grids else modes)  # x_n a + x_p b
+        a, b = (grid, grid_prev) if grids else (curr_pad, prev_pad)
+        w = np.subtract(b, a, out=force if grids else force_modes)  # x_n a + x_p b
         w *= xp
         w += a
         b = grid_prev = None  # g^{n-1}, now dead, is freed before the new grid is made
         if not grids:  # the force's grid, over its modes
-            np.matmul(np.matmul(T, modes, out=tall), T.T, out=force)
+            to_grid(basis, w, force, cube)
         load = modal_load(op, force, cube)
         load *= cl
-        new = cn * curr
-        new += np.multiply(cp, prev, out=modes)
+        new = cn * curr_pad
+        new += np.multiply(cp, prev_pad, out=modes)
         new += load
         if not np.abs(new, out=modes).max() <= BLOWUP_LIMIT:  # NaN fails the comparison too
             raise NonFinite(f"step blew up (max |modal coeff| > {BLOWUP_LIMIT:.0e} or non-finite)")
-        prev, curr = curr, new
+        prev, curr, prev_pad, curr_pad = curr, new[:M, :M], curr_pad, new
         if grids:
-            grid_prev, grid = grid, np.matmul(T, new, out=tall) @ T.T
+            grid_prev, grid = grid, to_grid(basis, new, np.empty_like(force), cube)
         yield prev, curr, grid
 
 

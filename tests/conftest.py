@@ -6,7 +6,11 @@ numpy's leggauss, so matrix/transform tests cross-check two independent
 implementations. A Field holds modal coefficients; `legendre_field` builds
 one from Legendre coefficients with the analytic mass diag(2/(2k+1)), and
 `analytic_mass_stiffness` gives the dense mass and stiffness matrices from
-their closed forms. `lean_final` is the last state of a lean march from a
+their closed forms. `dense_maps` are the dense 2M maps, from the oracle
+tables, that the parity transforms replace. `grid_of` and `fitted` run
+the package's transforms on fresh arrays, and `natural` takes one of its
+quadrant-major grids back to the ascending nodes, where the oracles
+evaluate. `lean_final` is the last state of a lean march from a
 datum. `experiment` runs a benchmark workload (perfbench/workloads.py, as
 checked in) once per session for the tests that share it.
 """
@@ -24,6 +28,7 @@ from chillwave import (
     potential_deriv,
 )
 from chillwave.diagnostics import step_energies
+from chillwave.field2d import fit_grid, quadrants, to_grid
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -106,6 +111,45 @@ def oracle_load(coeffs):
     return tw @ potential_deriv(oracle_eval_2d(coeffs, x, x)) @ tw.T
 
 
+def dense_maps(basis):
+    """(T, G) on the 2M ascending Gauss nodes from the oracle table:
+    T = eval^T E evaluates modes, grid = T v T^T, and G = E^T eval diag(w)
+    fits a grid back, v = G g G^T."""
+    x, w = oracle_quadrature(2 * basis.M)
+    tab = oracle_basis_values(basis.M, x)
+    return tab.T @ basis.E, basis.E.T @ (tab * w)
+
+
+def _padded(basis, v):
+    n = 2 * ((basis.M + 1) // 2)
+    out = np.zeros((n, n))
+    out[:basis.M, :basis.M] = v
+    return out
+
+
+def grid_of(basis, v):
+    """The quadrant-major 2M grid of the M x M modal array v, by
+    field2d.to_grid on fresh arrays."""
+    M = basis.M
+    return to_grid(basis, _padded(basis, v), np.empty((2, 2, M, M)), np.empty((2, 2, M, M)))
+
+
+def fitted(basis, grid):
+    """The Field fitted from a 2M grid, quadrant-major or 2M x 2M on the
+    ascending nodes, by field2d.fit_grid on fresh arrays."""
+    M = basis.M
+    grid = quadrants(grid) if grid.ndim == 2 else grid.copy()
+    return Field(basis, fit_grid(basis, grid, np.empty_like(grid))[:M, :M].copy())
+
+
+def natural(grid):
+    """The 2M x 2M grid on the ascending Gauss nodes of a quadrant-major
+    (2, 2, M, M) one, the inverse of field2d.quadrants."""
+    M = grid.shape[-1]
+    back = np.argsort(np.concatenate([np.arange(M, 2 * M), np.arange(M - 1, -1, -1)]))
+    return grid.transpose(0, 2, 1, 3).reshape(2 * M, 2 * M)[np.ix_(back, back)]
+
+
 def analytic_mass_stiffness(M):
     """Dense mass and stiffness of L_0..L_{M-1}: integral L_k^2 = 2/(2k+1),
     and integral L_j' L_k' = m(m+1), m = min(j, k), when j + k is even
@@ -136,9 +180,8 @@ def field_energies(params, curr, prev=None):
     """step_energies of the Field pair (prev, curr): (E_eps, E_mod,
     ||curr - prev||^2, mean). prev defaults to curr."""
     op = build_step_operator(params, curr.basis)
-    T = op.basis.T
     prev = curr if prev is None else prev
-    grid = T @ curr.v @ T.T
+    grid = grid_of(curr.basis, curr.v)
     return step_energies(op, prev.v, curr.v, grid, np.empty_like(grid))
 
 

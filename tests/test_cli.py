@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+import chillwave as cw
 from chillwave import (
     Field, __version__, assemble_basis, cli, mean_value, read_snapshot, run_simulation,
     write_snapshot,
@@ -56,11 +57,40 @@ def test_run_outputs(tmp_path, capsys):
     assert summary["mean_drift"] <= 1e-11
     assert summary["config"]["M"] == 8
     assert (summary["stop_reason"], summary["stop_step"]) == ("completed", 5)
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert summary["versions"] == {
         "chillwave": __version__, "numpy": np.__version__,
         "python": platform.python_version(),
+        "blas": {"name": blas["name"], "version": blas["version"]},
+        "threads": {var: os.environ.get(var)
+                    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
     }
     assert "completed" in capsys.readouterr().out
+
+
+def test_run_summary_names_its_blas_and_threads(tmp_path, monkeypatch):
+    # the thread variables as the run saw them, null when unset, and the
+    # BLAS numpy was built with
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    write_json(tmp_path / "run.json", RUN_CFG)
+    assert main(["run", "--config", str(tmp_path / "run.json"), "--out-dir", str(tmp_path)]) == 0
+    versions = json.loads((tmp_path / "summary.json").read_text())["versions"]
+    assert versions["threads"]["OPENBLAS_NUM_THREADS"] == "2"
+    assert versions["threads"]["MKL_NUM_THREADS"] is None
+    assert set(versions["blas"]) == {"name", "version"}
+    assert all(isinstance(value, str) and value for value in versions["blas"].values())
+
+
+def test_run_summary_max_dE_mod_is_measured(tmp_path):
+    # on trace_m48's config the rows n >= 2 peak at -2.79e-3; row 1, the
+    # bootstrap step, carries dE_mod = 0 by convention and is left out
+    A, B = cw.sufficient_stabilizers("SL_BDF2", 0.05, 0.0025, 0.01, 11.0)
+    write_json(tmp_path / "run.json", dict(M=48, eps=0.05, gamma=0.0025, tau=0.01, T=10.24,
+                                           scheme="SL_BDF2", A=A, B=B, seed=42))
+    assert main(["run", "--config", str(tmp_path / "run.json"), "--out-dir", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["max_dE_mod"] == pytest.approx(-2.7894457649e-3, rel=1e-9)
 
 
 def test_run_summary_spectral_tail(tmp_path):
@@ -91,7 +121,7 @@ def test_run_summary_records_blow_up(tmp_path, capsys):
     assert summary["stop_step"] == summary["steps_completed"] + 1 == 8
     # stop_reason and stop_step are the summary's one record of the stop
     assert not {"blew_up", "blowup_step"} & set(summary)
-    assert set(summary["versions"]) == {"chillwave", "numpy", "python"}
+    assert set(summary["versions"]) == {"chillwave", "numpy", "python", "blas", "threads"}
 
 
 def final_field_bytes(tmp_path, cfg):
@@ -508,8 +538,10 @@ def test_sweep_command(tmp_path, capsys):
     assert lines[0] == "tau,gamma=1"
     assert lines[1] == "4e-05,0"
     assert "1 cells" in capsys.readouterr().out
-    log = (out / "sweep_log.csv").read_text().splitlines()
-    assert log == [SWEEP_LOG_COLUMNS, "1,4e-05,0,stable,64,completed,"]
+    header, row = (out / "sweep_log.csv").read_text().splitlines()
+    row, max_dE_mod = row.rsplit(",", 1)
+    assert (header, row) == (SWEEP_LOG_COLUMNS, "1,4e-05,0,stable,64,completed")
+    assert float(max_dE_mod) < 0.0
 
 
 def test_sweep_prints_each_anomaly_on_stderr(tmp_path, capsys, monkeypatch):
@@ -530,7 +562,7 @@ def test_sweep_prints_each_anomaly_on_stderr(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "out" / "sweep.csv").read_text() == "tau,gamma=1\n4e-05,1\n"
 
 
-SWEEP_LOG_COLUMNS = "gamma,tau,candidate,verdict,rows_run,stop_reason,first_violation_dE_mod"
+SWEEP_LOG_COLUMNS = "gamma,tau,candidate,verdict,rows_run,stop_reason,max_dE_mod"
 
 
 def test_sweep_log_records_every_candidate(tmp_path):
@@ -551,9 +583,11 @@ def test_sweep_log_records_every_candidate(tmp_path):
     for r in stopped:
         assert (r["verdict"], r["stop_reason"]) == ("unstable", "energy_increase")
         assert int(r["rows_run"]) < 64
-        assert float(r["first_violation_dE_mod"]) > 1e-10
+        assert float(r["max_dE_mod"]) > 1e-10
+    # a stable candidate logs its margin below the threshold: a negative maximum
+    assert float(last.pop("max_dE_mod")) < 0.0
     assert last == dict(gamma="1", tau="0.01", candidate="4", verdict="stable", rows_run="64",
-                        stop_reason="completed", first_violation_dE_mod="")
+                        stop_reason="completed")
     assert (out / "sweep.csv").read_text().splitlines()[1] == "0.01,4"
 
 

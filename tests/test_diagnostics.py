@@ -21,6 +21,7 @@ from chillwave.potential import P
 from conftest import (
     energy_eps,
     field_energies,
+    grid_of,
     legendre_field,
     oracle_eval_2d,
     oracle_quadrature,
@@ -164,9 +165,10 @@ def test_step_energies_history_terms(basis8):
 
 def quadrature_energies(op, prev, curr, grid):
     # step_energies with its bulk term the 2M-point quadrature of F,
-    # potential_value, on every grid: the rule it keeps off [-P, P]
-    w = op.basis.weights_2M
-    bulk = float(w @ potential_value(grid) @ w)
+    # potential_value, on every grid: the rule it keeps off [-P, P], with
+    # the quadrant grid's row weights and, its first M, column weights
+    w, M = op.basis.weights, op.basis.M
+    bulk = float(w @ potential_value(grid).reshape(-1, M) @ w[:M])
     e = float(np.vdot(op.grad, curr * curr)) + bulk / op.params.eps
     diff = curr - prev
     return e, e + float(np.vdot(op.hw, diff * diff)), float(np.vdot(diff, diff)), \
@@ -183,14 +185,14 @@ def test_step_energies_closed_form_bulk_and_fallback(M, basis8, basis16):
     op = build_step_operator(params, basis)
     curr = random_nodal_field(basis, 31).v
     prev = curr + 0.01 * random_nodal_field(basis, 32).v
-    grid = basis.T @ curr @ basis.T.T
+    grid = grid_of(basis, curr)
     assert 1.0 < np.abs(grid).max() <= P
     scratch = np.empty_like(grid)
     np.testing.assert_allclose(step_energies(op, prev, curr, grid, scratch),
                                quadrature_energies(op, prev, curr, grid), rtol=1e-13, atol=0)
     for bad in (2.5, -2.5, np.nan, np.inf, 1e200):
         off = grid.copy()
-        off[2, 3] = bad
+        off[1, 0, 2, 3] = bad
         np.testing.assert_array_equal(step_energies(op, prev, curr, off, scratch),
                                       quadrature_energies(op, prev, curr, off))
 
@@ -198,12 +200,12 @@ def test_step_energies_closed_form_bulk_and_fallback(M, basis8, basis16):
 def test_step_energies_allocate_no_grid(basis16):
     # the in-range bulk term squares into the caller's scratch grid:
     # numpy reports its buffers to tracemalloc, and a row traces less than
-    # one 2M x 2M grid (8,192 B at M = 16)
+    # one 2M grid (8,192 B at M = 16)
     params = SchemeParams("SL_CN", tau=0.01, gamma=0.0025, eps=0.05, A=1.0, B=220.0)
     op = build_step_operator(params, basis16)
     curr = random_nodal_field(basis16, 31).v
     prev = curr + 0.01 * random_nodal_field(basis16, 32).v
-    grid = basis16.T @ curr @ basis16.T.T
+    grid = grid_of(basis16, curr)
     scratch = np.empty_like(grid)
     assert np.abs(grid).max() <= P
     tracemalloc.start()
@@ -220,7 +222,7 @@ def test_trace_m48_energy_is_the_quadrature_of_its_final_field(experiment):
     # the quadrature of F on the grid of its final field
     ctx, (trace, final, _) = experiment("trace_m48")
     op = build_step_operator(ctx.cfg, final.basis)
-    grid = final.basis.T @ final.v @ final.basis.T.T
+    grid = grid_of(final.basis, final.v)
     assert np.abs(grid).max() <= P
     want = quadrature_energies(op, final.v, final.v, grid)[0]
     assert trace.rows["E_eps"][-1] == pytest.approx(want, rel=1e-12, abs=0)
@@ -340,7 +342,7 @@ def test_energy_decreases_along_stable_run(basis16):
     phi0 = random_nodal_field(basis16, 30)
     phi1 = bootstrap_first_step(phi0, params)
     op = build_step_operator(params, basis16)
-    rows, scratch = [], np.empty((32, 32))
+    rows, scratch = [], np.empty((2, 2, 16, 16))
     for prev, curr, grid in march(op, phi0.v, phi1.v, 50):
         rows.append(step_energies(op, prev, curr, grid, scratch))
     assert len(rows) == 51  # the entry pair, then one per step

@@ -4,8 +4,10 @@ Before its last inequality, the proof that each scheme's modified energy
 does not increase is an identity: row n + 1 of a trace has
 dE_mod = S - D, with D >= 0 a sum of the scheme's dissipation terms and
 S the force's consistency term. In modal coordinates, with
-delta = v^{n+1} - v^n, delta' = v^n - v^{n-1}, g^k = T v^k T^T, the force
-grid g_w of the extrapolated field w, and the 2M Gauss weights q,
+delta = v^{n+1} - v^n, delta' = v^n - v^{n-1}, g^k = T v^k T^T on the 2M
+ascending Gauss nodes (the dense oracle map, not the step's parity
+transforms), the force grid g_w of the extrapolated field w, and the 2M
+Gauss weights q,
 
     R = q^T [F(g^{n+1}) - F(g^n) - f(g_w) (g^{n+1} - g^n)] q
 
@@ -32,14 +34,16 @@ import pytest
 import chillwave as cw
 from chillwave.harness import initial_field
 from chillwave.potential import L, potential_deriv, potential_value
+from conftest import dense_maps, oracle_quadrature
 
 EXTRAPOLATION = {"SL_BDF2": (2.0, -1.0), "SL_CN": (1.5, -0.5)}
 
 
-def budget(cfg, basis, v0, v1, v2):
-    """(S, D) of the step (v^{n-1}, v^n) -> v^{n+1} = (v0, v1, v2)."""
+def budget(cfg, basis, T, q, v0, v1, v2):
+    """(S, D) of the step (v^{n-1}, v^n) -> v^{n+1} = (v0, v1, v2), with
+    T the dense 2M grid map and q the 2M Gauss weights."""
     tau, gamma, eps, A, B = cfg.tau, cfg.gamma, cfg.eps, cfg.A, cfg.B
-    sigma, T, q = basis.sigma, basis.T, basis.weights_2M
+    sigma = basis.sigma
     pos = sigma > 0.0
 
     def l2(x):
@@ -75,9 +79,10 @@ def identity_gaps(cfg):
     trace, _, snapshots = cw.run_simulation(cfg, phi_init=phi0)
     vs = [phi0.v] + [u.v for _, _, u in snapshots]
     assert len(vs) == len(trace) + 1
+    (T, _), (_, q) = dense_maps(basis), oracle_quadrature(2 * cfg.M)
     gaps = []
     for row, (v0, v1, v2) in zip(trace.rows[1:], zip(vs, vs[1:], vs[2:])):
-        S, D = budget(cfg, basis, v0, v1, v2)
+        S, D = budget(cfg, basis, T, q, v0, v1, v2)
         assert D >= 0.0
         gaps.append(abs(row["dE_mod"] - (S - D)) / max(1.0, abs(row["E_mod"])))
     return np.array(gaps), trace

@@ -86,8 +86,8 @@ def test_only_the_verdict_and_the_run_read_the_verdict_threshold():
 
 def test_only_the_run_names_every_stop_reason():
     # run_simulation sets a trace's stop_reason at its three exits; the
-    # trace reads "blow_up" and a sweep "energy_increase"; summary.json and
-    # the sweep log copy the trace's reason and name none
+    # trace reads "blow_up"; summary.json and the sweep log copy the
+    # trace's reason and name none
     reasons = {"completed", "energy_increase", "blow_up"}
     named = set()  # (module, the top-level def or class, the reason)
     for path in PACKAGE.glob("*.py"):
@@ -96,7 +96,7 @@ def test_only_the_run_names_every_stop_reason():
                 if isinstance(node, ast.Constant) and node.value in reasons:
                     named.add((path.stem, getattr(stmt, "name", None), node.value))
     assert named == {("harness", "run_simulation", reason) for reason in reasons} | {
-        ("diagnostics", "EnergyTrace", "blow_up"), ("harness", "_sweep_cell", "energy_increase")}
+        ("diagnostics", "EnergyTrace", "blow_up")}
 
 
 def test_only_snapshot_path_names_the_snapshot_files():

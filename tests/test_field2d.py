@@ -15,9 +15,14 @@ from chillwave import (
     read_snapshot,
     write_snapshot,
 )
+from chillwave.field2d import fit_grid, quadrants
 from chillwave.timestepping import modal_load
 from conftest import (
     analytic_mass_stiffness,
+    dense_maps,
+    fitted,
+    grid_of,
+    natural,
     oracle_eval_2d,
     oracle_load,
     oracle_quadrature,
@@ -51,42 +56,76 @@ def test_coeffs_is_a_read_only_export(basis8):
         u.coeffs = expected
 
 
-def grid_maps(basis):
-    # (T_P, G_P) for the M- and the 2M-point Gauss grid
-    return (basis.T_M, basis.G_M), (basis.T, basis.G)
-
-
 def test_nodal_round_trip_constant(basis8):
     u = unit_field(basis8, 0, 0)
     T, G = basis8.T_M, basis8.G_M
     g = T @ u.v @ T.T
     np.testing.assert_allclose(g, np.ones((8, 8)), atol=1e-14)
     np.testing.assert_allclose(Field(basis8, G @ g @ G.T).coeffs, u.coeffs, atol=1e-13)
+    np.testing.assert_allclose(grid_of(basis8, u.v), np.ones((2, 2, 8, 8)), atol=1e-14)
 
 
 def test_nodal_round_trip_basis_member(basis8):
     u = unit_field(basis8, 2, 3)
-    for (T, G), P in zip(grid_maps(basis8), (8, 16)):
-        g = T @ u.v @ T.T
-        assert g.shape == (P, P)
-        np.testing.assert_allclose(Field(basis8, G @ g @ G.T).coeffs, u.coeffs, atol=1e-13)
+    T, G = basis8.T_M, basis8.G_M
+    g = T @ u.v @ T.T
+    assert g.shape == (8, 8)
+    np.testing.assert_allclose(Field(basis8, G @ g @ G.T).coeffs, u.coeffs, atol=1e-13)
+    g = grid_of(basis8, u.v)
+    assert g.shape == (2, 2, 8, 8)
+    np.testing.assert_allclose(fitted(basis8, g).coeffs, u.coeffs, atol=1e-13)
 
 
 def test_nodal_round_trip_random(basis16):
     rng = np.random.default_rng(3)
     u = rand_field(basis16, rng)
-    for T, G in grid_maps(basis16):
-        back = Field(basis16, G @ (T @ u.v @ T.T) @ G.T)
+    T, G = basis16.T_M, basis16.G_M
+    for back in (Field(basis16, G @ (T @ u.v @ T.T) @ G.T), fitted(basis16, grid_of(basis16, u.v))):
         assert np.abs(back.coeffs - u.coeffs).max() <= 1e-12
 
 
 def test_grid_map_matches_oracle_evaluation(basis8):
     rng = np.random.default_rng(4)
     u = rand_field(basis8, rng)
-    g = basis8.T @ u.v @ basis8.T.T
+    g = natural(grid_of(basis8, u.v))
     x, _ = cw.gauss_legendre(16)
     expected = oracle_eval_2d(u.coeffs, x, x)
     np.testing.assert_allclose(g, expected, atol=1e-12)
+
+
+def test_quadrant_layout_round_trip():
+    # g[s, t, i, j] = u((-1)^s x_i, (-1)^t y_j) for the positive nodes x_i
+    # in ascending order: quadrants and the tests' natural are inverses
+    M = 5
+    x, _ = cw.gauss_legendre(2 * M)
+    g = np.add.outer(10.0 * x, x)
+    q = quadrants(g)
+    assert q.shape == (2, 2, M, M) and q.flags.c_contiguous
+    for s in (0, 1):
+        for t in (0, 1):
+            np.testing.assert_array_equal(q[s, t], np.add.outer(10.0 * (-1) ** s * x[M:],
+                                                                (-1) ** t * x[M:]))
+    np.testing.assert_array_equal(natural(q), g)
+
+
+@pytest.mark.parametrize("M", [8, 9, 13, 48])
+def test_parity_transforms_match_the_dense_maps(M):
+    # to_grid is T v T^T and fit_grid G g G^T for the dense 2M maps of the
+    # oracle tables, in the quadrant layout; an odd M's padding row and
+    # column stay exact zeros in the fit
+    b = cw.assemble_basis(M)
+    T, G = dense_maps(b)
+    rng = np.random.default_rng(M)
+    v, g = rng.standard_normal((M, M)), rng.standard_normal((2 * M, 2 * M))
+    want = T @ v @ T.T
+    assert np.abs(natural(grid_of(b, v)) - want).max() <= 1e-12 * np.abs(want).max()
+    q = quadrants(g)
+    modes = fit_grid(b, q, np.empty_like(q))
+    n = 2 * ((M + 1) // 2)
+    assert modes.shape == (n, n)
+    assert not modes[M:].any() and not modes[:, M:].any()
+    want = G @ g @ G.T
+    assert np.abs(modes[:M, :M] - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("pair", [inner_l2, inner_hminus1, cw.error_norms])
@@ -166,16 +205,16 @@ def test_hminus1_dense_oracle(basis16):
 def test_hminus1_cosine_value():
     b = cw.assemble_basis(32)
     c = np.cos(np.pi * cw.gauss_legendre(64)[0])
-    u = Field(b, b.G @ np.outer(c, c) @ b.G.T)
+    u = fitted(b, np.outer(c, c))
     assert hminus1_norm(u) == pytest.approx(1.0 / (np.sqrt(2.0) * np.pi), abs=1e-6)
 
 
 def nonlinear_load(u):
-    # the production modal load G (f(g) + g) G^T of a field's 2M grid g,
+    # the production modal load G(f(g) + g) of a field's 2M grid g,
     # as march holds it, less the field's modal coefficients: G f(g) G^T
     op = cw.build_step_operator(cw.SchemeParams("SL_CN", tau=1.0, gamma=1.0, eps=1.0), u.basis)
-    grid = u.basis.T @ u.v @ u.basis.T.T
-    return modal_load(op, grid, np.empty_like(grid)) - u.v
+    grid = grid_of(u.basis, u.v)
+    return modal_load(op, grid, np.empty_like(grid))[:u.basis.M, :u.basis.M] - u.v
 
 
 def to_modal_form(basis, load):
@@ -312,7 +351,7 @@ def test_spatial_convergence_cosine():
     for M in range(6, 18, 2):
         b = cw.assemble_basis(M)
         c = np.cos(np.pi * cw.gauss_legendre(2 * M)[0])
-        u = Field(b, b.G @ np.outer(c, c) @ b.G.T)
+        u = fitted(b, np.outer(c, c))
         diff = oracle_eval_2d(u.coeffs, x, x) - exact
         errs.append(np.sqrt(w @ diff**2 @ w))
     assert all(fine <= coarse / 10 for coarse, fine in zip(errs, errs[1:]))

@@ -548,7 +548,7 @@ def test_nan_energy_increment_stops_a_sweep_candidate(monkeypatch):
                      ladder=[0.0])
     (row,) = sweep_min_stabilizer(sc).log
     assert (row.verdict, row.stop_reason, row.rows_run) == ("unstable", "energy_increase", 3)
-    assert math.isnan(row.first_violation_dE_mod)
+    assert math.isnan(row.max_dE_mod)
 
 
 @pytest.mark.parametrize("above", [False, True], ids=["at-threshold", "just-above"])
@@ -575,10 +575,9 @@ def test_verdict_threshold_is_the_candidate_stop(monkeypatch, above):
     (row,) = sweep_min_stabilizer(sc).log
     if above:
         assert (row.verdict, row.stop_reason, row.rows_run) == ("unstable", "energy_increase", 3)
-        assert row.first_violation_dE_mod == dE
     else:
         assert (row.verdict, row.stop_reason, row.rows_run) == ("stable", "completed", 64)
-        assert math.isnan(row.first_violation_dE_mod)
+    assert row.max_dE_mod == dE  # row 3 is the largest either way
 
 
 def ladder_walk(sc, gamma, tau):
@@ -610,12 +609,13 @@ def test_sweep_early_stop_keeps_every_verdict():
         first = next((r for r in full.rows if r["dE_mod"] > 1e-10), None)
         if first is None:
             assert (record.stop_reason, record.rows_run) == ("completed", 64)
+            assert record.max_dE_mod == full.rows["dE_mod"][1:].max() < 0.0
             continue
         stopped += 1
         # the stopped run ends exactly at the full run's first violating row
         assert record.stop_reason == "energy_increase"
         assert record.rows_run == first["n"] < 64
-        assert record.first_violation_dE_mod == first["dE_mod"]
+        assert record.max_dE_mod == first["dE_mod"]  # every earlier row is <= 1e-10
         cfg = replace(base, A=candidate)
         short, _, _ = run_simulation(cfg, until_unstable=True)
         assert short.stop_reason == "energy_increase"

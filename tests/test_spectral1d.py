@@ -3,10 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from chillwave import Field, SolveFailed, assemble_basis, gauss_legendre
+from chillwave import SolveFailed, assemble_basis, gauss_legendre
 from chillwave import spectral1d
 from chillwave.spectral1d import legendre_table
-from conftest import analytic_mass_stiffness, oracle_basis_values, oracle_quadrature
+from conftest import (
+    analytic_mass_stiffness, fitted, grid_of, natural, oracle_basis_values, oracle_quadrature,
+)
 
 
 # explicit monomial forms, k <= 5
@@ -175,8 +177,7 @@ def x5_grid(basis):
 
 def test_x5_round_trip_as_written(basis8):
     g = x5_grid(basis8)
-    T, G = basis8.T, basis8.G
-    np.testing.assert_allclose(T @ (G @ g @ G.T) @ T.T, g, atol=1e-13)
+    np.testing.assert_allclose(natural(grid_of(basis8, fitted(basis8, g).v)), g, atol=1e-13)
 
 
 def test_x5_forward_is_the_exact_projection(basis8):
@@ -189,35 +190,128 @@ def test_x5_forward_is_the_exact_projection(basis8):
     rhs = (tab * w) @ x**5
     expected = np.zeros((M, M))
     expected[:, 0] = np.linalg.solve(gram, rhs)
-    G = basis8.G
-    fit = Field(basis8, G @ x5_grid(basis8) @ G.T)
-    np.testing.assert_allclose(fit.coeffs, expected, atol=1e-12)
+    np.testing.assert_allclose(fitted(basis8, x5_grid(basis8)).coeffs, expected, atol=1e-12)
+
+
+def parity_columns(values, M):
+    """(2, rows, H) stack of the parity-major columns of values, the odd
+    block padded with a zero column for an odd M."""
+    H = (M + 1) // 2
+    out = np.zeros((2, len(values), H))
+    out[0], out[1, :, :M - H] = values[:, :H], values[:, H:]
+    return out
 
 
 @pytest.mark.parametrize("M", [8, 13])
 def test_grid_maps_match_oracle(M):
-    # T_P = eval_P^T E evaluates modal coefficients on the P-point Gauss
-    # grid and G_P = E^T eval_P diag(w_P) fits them back, for P = M (T_M,
-    # G_M) and P = 2M (T, G); the fit inverts evaluation on either set
+    # T_M = eval_M^T E evaluates modal coefficients on the M-point Gauss
+    # grid and G_M = E^T eval_M diag(w_M) fits them back; on the 2M set the
+    # stacks hold each parity's mode values at the positive nodes and
+    # their weighted transposes, and weights is those nodes' weights once
+    # per quadrant
     b = assemble_basis(M)
-    for n, T, G in ((M, b.T_M, b.G_M), (2 * M, b.T, b.G)):
-        x, w = oracle_quadrature(n)
-        tab = oracle_basis_values(M, x)
-        np.testing.assert_allclose(T, tab.T @ b.E, atol=1e-12)
-        np.testing.assert_allclose(G, b.E.T @ (tab * w), atol=1e-12)
-        np.testing.assert_allclose(G @ T, np.eye(M), atol=1e-12)
+    x, w = oracle_quadrature(M)
+    tab = oracle_basis_values(M, x)
+    np.testing.assert_allclose(b.T_M, tab.T @ b.E, atol=1e-12)
+    np.testing.assert_allclose(b.G_M, b.E.T @ (tab * w), atol=1e-12)
+    np.testing.assert_allclose(b.G_M @ b.T_M, np.eye(M), atol=1e-12)
+    x, w = oracle_quadrature(2 * M)
+    stack = parity_columns(oracle_basis_values(M, x[M:]).T @ b.E, M)
+    np.testing.assert_allclose(b.eval_stack, stack, atol=1e-12)
+    np.testing.assert_allclose(b.fit_stack, stack.transpose(0, 2, 1) * w[M:], atol=1e-12)
+    np.testing.assert_allclose(b.weights, np.tile(w[M:], 4), atol=1e-14)
 
 
 @pytest.mark.parametrize("M", [8, 47, 48, 128])
-def test_step_maps_are_column_major(M):
-    # T and G are stored column-major, so the second matmul of each pair
-    # (tall @ T.T, wide @ G.T) reads a C-contiguous operand; the values are
-    # the plain products, bit for bit, and replace() re-derives the layout
+def test_parity_stacks_layout(M):
+    # the stacks are (2, M, H) and (2, H, M), H = ceil(M/2), stored so
+    # that each transpose, a transform's right-hand GEMM operand, is
+    # C-contiguous; the values are the plain products, bit for bit, an odd
+    # M's padding is exact zeros, and replace() re-derives the layout
     b = assemble_basis(M)
+    H = (M + 1) // 2
     x, w = gauss_legendre(2 * M)
-    tab = legendre_table(M - 1, x)
+    values = parity_columns(legendre_table(M - 1, x[M:]).T @ b.E, M)
     for basis in (b, replace(b, E=b.E)):
-        for A, expected in ((basis.T, tab.T @ basis.E), (basis.G, basis.E.T @ (tab * w))):
-            assert A.flags.f_contiguous and not A.flags.writeable
-            assert A.T.flags.c_contiguous
-            assert np.array_equal(A, expected)
+        A, G = basis.eval_stack, basis.fit_stack
+        assert A.shape == (2, M, H) and G.shape == (2, H, M)
+        for stack in (A, G):
+            assert stack.transpose(0, 2, 1).flags.c_contiguous and not stack.flags.writeable
+        assert np.array_equal(A, values)
+        assert np.array_equal(G, values.transpose(0, 2, 1) * w[M:])
+        assert not A[1, :, M - H:].any() and not G[1, M - H:].any()
+        assert np.array_equal(basis.weights, np.tile(w[M:], 4))
+
+
+def cross_parity(E):
+    """E's entries that a parity-major E holds at exactly 0: the odd
+    Legendre rows of its first ceil(M/2) columns, the even rows of the rest."""
+    M = len(E)
+    return E[(np.arange(M) % 2 == 1)[:, None] != (np.arange(M) >= (M + 1) // 2)]
+
+
+@pytest.mark.parametrize("M", [16, 48, 128])
+def test_eigenbasis_is_parity_exact(M):
+    # one eigh per parity block: every cross-parity entry is exactly 0,
+    # each block is in ascending lam, and lam[0] = 0 is the constant mode
+    b = assemble_basis(M)
+    H = (M + 1) // 2
+    assert not cross_parity(b.E).any()
+    assert b.lam[0] == 0.0 and b.E[0, 0] > 0.0 and not b.E[1:, 0].any()
+    assert np.all(np.diff(b.lam[:H]) > 0) and np.all(np.diff(b.lam[H:]) > 0)
+
+
+def refined_block(M, parity):
+    """One parity block of the eigenbasis in long double: the symmetric
+    D^-1/2 K D^-1/2 of that block, built from the integer stiffness and the
+    exact mass D = diag(2/(2k+1)), its float64 eigh, refined by one
+    Ogita-Aishima step (Japan J. Indust. Appl. Math. 35, 2018), and scaled
+    back by D^-1/2."""
+    k = np.arange(parity, M, 2)
+    m = np.minimum.outer(k, k).astype(np.longdouble)
+    s = np.sqrt((2 * k + 1).astype(np.longdouble) / 2)
+    A = s[:, None] * (m * (m + 1)) * s
+    X = np.linalg.eigh(A.astype(float))[1].astype(np.longdouble)
+    R = np.eye(len(k), dtype=np.longdouble) - X.T @ X
+    S = X.T @ A @ X
+    lam = np.diag(S) / (1 - np.diag(R))
+
+    def norm(Y):  # Frobenius, a bound on the 2-norm that numpy's norm lacks for long double
+        return np.sqrt(np.sum(Y * Y))
+
+    delta = 2 * (norm(S - np.diag(lam)) + norm(A) * norm(R))
+    gap = lam[None, :] - lam[:, None]
+    apart = np.abs(gap) > delta
+    F = np.where(apart, (S + lam[None, :] * R) / np.where(apart, gap, 1), R / 2)
+    return s[:, None] * (X + X @ F)
+
+
+def eigenvector_error(E, M):
+    """max |E - E_ref| after aligning each column's sign with the refined
+    long-double reference, which is 0 across parities."""
+    H = (M + 1) // 2
+    ref = np.zeros((M, M), dtype=np.longdouble)
+    ref[0::2, :H], ref[1::2, H:] = refined_block(M, 0), refined_block(M, 1)
+    sign = np.where(np.sum(E * ref, axis=0) < 0, -1.0, 1.0)
+    return float(np.abs(E * sign - ref).max())
+
+
+@pytest.mark.parametrize("M", [48, 64])
+def test_eigenbasis_matches_a_long_double_oracle(M):
+    # per-parity E lies within 1e-11 of the refined reference (measured
+    # 1.2e-12 and 4.4e-12 against a 40-digit one); a single eigh of the
+    # whole matrix, with its cross-parity roundoff, misses the bound
+    assert eigenvector_error(assemble_basis(M).E, M) <= 1e-11
+
+
+def test_basis_rejects_an_E_that_is_not_parity_major():
+    # a lam-sorted E (the two blocks merged by eigenvalue), or one with a
+    # cross-parity entry of 1e-14, is rejected with a one-line error
+    b = assemble_basis(9)
+    order = np.argsort(b.lam, kind="stable")
+    polluted = b.E.copy()
+    polluted[1, 0] = 1e-14
+    for lam, E in ((b.lam[order], b.E[:, order]), (b.lam, polluted)):
+        with pytest.raises(ValueError, match="^E must be parity-major: its first 5 columns") as exc:
+            spectral1d.Basis1D(lam=lam, E=E)
+        assert "\n" not in str(exc.value)

@@ -1,4 +1,7 @@
 import inspect
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import FrozenInstanceError, replace
@@ -25,9 +28,10 @@ from chillwave import (
 from chillwave.harness import random_nodal_field
 from chillwave.potential import P
 from chillwave.timestepping import BLOWUP_LIMIT, modal_load
+from chillwave.field2d import fit_grid
 from conftest import (
-    amplification_factors, analytic_mass_stiffness, energy_eps, legendre_field, oracle_load,
-    unit_field,
+    amplification_factors, analytic_mass_stiffness, dense_maps, energy_eps, grid_of,
+    legendre_field, natural, oracle_load, unit_field,
 )
 
 
@@ -312,18 +316,19 @@ def test_bdf2_smallstep_threshold():
 
 def test_march_yields_entry_then_each_step(basis8):
     # n_steps + 1 states: the entry pair first, as given, then each new
-    # pair, whose prev is the curr before it; every grid is T curr T^T
+    # pair, whose prev is the curr before it; every grid is T curr T^T for
+    # the dense oracle map T, in the quadrant layout
     params = SchemeParams(scheme="SL_BDF2", tau=0.05, gamma=1.0, eps=0.25, A=0.25, B=8.0)
     phi0 = random_nodal_field(basis8, 9)
     phi1 = bootstrap_first_step(phi0, params)
-    T = basis8.T
+    T, _ = dense_maps(basis8)
     states = list(march(build_step_operator(params, basis8), phi0.v, phi1.v, 10))
     assert len(states) == 11
     assert states[0][0] is phi0.v and states[0][1] is phi1.v
     for (_, before, _), (prev, _, _) in zip(states, states[1:]):
         assert prev is before
     for _, curr, grid in states:
-        np.testing.assert_allclose(grid, T @ curr @ T.T, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(natural(grid), T @ curr @ T.T, rtol=0, atol=1e-13)
 
 
 def test_march_rejects_negative_n_steps(basis8):
@@ -379,16 +384,18 @@ def test_march_yields_arrays_that_share_no_memory(basis8):
 def reference_step(op, prev, curr, grid_prev, grid):
     # one step of op's scheme on fresh arrays, in march's order of
     # operations: the force grid (from the grids, or in a lean march from
-    # the modes), its load G c(g) G^T, the new state and its grid
-    T, G = op.basis.T, op.basis.G
+    # the modes), its load G(c(g)), the new state and its grid, with the
+    # transforms of field2d (checked against the dense maps in test_field2d)
+    basis, M = op.basis, op.basis.M
     if grid is None:
-        force = T @ (curr + op.xp * (prev - curr)) @ T.T
+        force = grid_of(basis, curr + op.xp * (prev - curr))
     else:
         force = grid + op.xp * (grid_prev - grid)
     in_range = np.abs(force).max() <= P
     c = force * force * force if in_range else potential_deriv(force) + force
-    new = op.cn * curr + op.cp * prev + op.cl * (G @ c @ G.T)
-    return in_range, new, None if grid is None else T @ new @ T.T
+    load = fit_grid(basis, c, np.empty_like(c))[:M, :M]
+    new = op.cn * curr + op.cp * prev + op.cl * load
+    return in_range, new, None if grid is None else grid_of(basis, new)
 
 
 @pytest.mark.parametrize("grids", [True, False], ids=["grids", "lean"])
@@ -405,7 +412,7 @@ def test_march_steps_as_a_reference_step_on_and_off_the_range(grids):
         op = build_step_operator(params, basis)
         states = march(op, phi0.v, phi1.v, 20, grids=grids)
         before = next(states)
-        grid_prev = basis.T @ phi0.v @ basis.T.T if grids else None
+        grid_prev = grid_of(basis, phi0.v) if grids else None
         try:
             for state in states:
                 in_range, new, new_grid = reference_step(op, *before[:2], grid_prev, before[2])
@@ -464,6 +471,67 @@ def test_lean_march_matches_grid_march(M):
             assert np.abs(a - b).max() <= 1e-13
 
 
+def dense_step(op, prev, curr):
+    # one step on the dense 2M maps of the oracle tables, ascending nodes
+    T, G = dense_maps(op.basis)
+    g = T @ (curr + op.xp * (prev - curr)) @ T.T
+    return op.cn * curr + op.cp * prev + op.cl * (G @ (potential_deriv(g) + g) @ G.T)
+
+
+@pytest.mark.parametrize("grids", [True, False], ids=["grids", "lean"])
+@pytest.mark.parametrize("M", [9, 13])
+def test_odd_M_march_matches_the_dense_maps(M, grids):
+    # an odd M runs the one step body on zero-padded arrays: each state is
+    # the dense step of the one before within 1e-12 relative, and so is
+    # each grid, T curr T^T in the quadrant layout; the yielded states are
+    # the padded arrays' M x M corners
+    basis = assemble_basis(M)
+    T, _ = dense_maps(basis)
+    phi0 = random_nodal_field(basis, 5)
+    for params in (SchemeParams("SL_BDF2", tau=0.05, gamma=1.0, eps=0.25, A=0.25, B=8.0),
+                   SchemeParams("SL_CN", tau=0.05, gamma=1.0, eps=0.25, A=0.25, B=8.0)):
+        op = build_step_operator(params, basis)
+        states = list(march(op, phi0.v, bootstrap_first_step(phi0, params).v, 20, grids=grids))
+        for (prev, curr, _), (_, new, grid) in zip(states, states[1:]):
+            want = dense_step(op, prev, curr)
+            assert new.shape == (M, M)
+            assert np.abs(new - want).max() <= 1e-12 * np.abs(want).max()
+            if grids:
+                want = T @ new @ T.T
+                assert np.abs(natural(grid) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+THREADS_SCRIPT = """
+import sys
+import numpy as np
+from chillwave import SchemeParams, assemble_basis, build_step_operator, march
+from chillwave.harness import random_nodal_field
+
+basis = assemble_basis(128)
+params = SchemeParams("SL_CN", tau=0.01, gamma=0.0025, eps=0.05, A=7.5625, B=110.0)
+phi0 = random_nodal_field(basis, 42)
+for _, curr, grid in march(build_step_operator(params, basis), phi0.v, phi0.v, 16):
+    pass
+sys.stdout.buffer.write(np.ascontiguousarray(curr).tobytes() + grid.tobytes())
+"""
+
+
+def test_march_does_not_depend_on_the_blas_thread_count():
+    # a 16-step grid march at M = 128, in two processes under 1 and 2
+    # BLAS threads: the final modal state and the last grid agree byte for
+    # byte, so the batched GEMMs split no sum by thread
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", THREADS_SCRIPT], env=env,
+                              capture_output=True, check=True)
+        outputs.append(proc.stdout)
+    assert len(outputs[0]) == 8 * (128 * 128 + 256 * 256)
+    assert outputs[0] == outputs[1]
+
+
 def test_first_order_never_reads_prev(basis8):
     # x_p and cp are 0 for FIRST_ORDER, so a NaN prev must not reach a
     # step: the states from (NaN, v) are those from (v, v), bit for bit
@@ -480,29 +548,33 @@ def test_first_order_never_reads_prev(basis8):
 
 
 def test_modal_load_cubic_and_fallback(basis8):
-    # the load is G c(g) G^T with c(g) = f(g) + g: inside [-P, P] it is
-    # G g^3 G^T bit for bit, and less w it is the quadrature of f up to
-    # roundoff (G T = I); a grid with a point outside, a NaN or an
-    # infinity is G (f(g) + g) G^T with potential_deriv's f, bit for bit,
-    # and leaves the grid as it was
+    # the load is G(c(g)) with c(g) = f(g) + g: inside [-P, P] it is
+    # G(g^3) bit for bit, and less w it is the dense quadrature of f up to
+    # roundoff (G(T(w)) = w); a grid with a point outside, a NaN or an
+    # infinity is G(f(g) + g) with potential_deriv's f, bit for bit, and
+    # leaves the grid as it was
     op = build_step_operator(SchemeParams("SL_CN", tau=1.0, gamma=1.0, eps=1.0), basis8)
-    T, G = basis8.T, basis8.G
+    _, G = dense_maps(basis8)
     w = random_nodal_field(basis8, 13).v
-    g = T @ w @ T.T
+    g = grid_of(basis8, w)
     scratch = np.empty_like(g)
     assert np.abs(g).max() <= P
-    np.testing.assert_array_equal(modal_load(op, g.copy(), scratch), G @ (g * g * g) @ G.T)
-    np.testing.assert_allclose(modal_load(op, g.copy(), scratch) - w,
-                               G @ potential_deriv(g) @ G.T, rtol=0, atol=1e-13)
+
+    def fit(c):
+        return fit_grid(basis8, c, np.empty_like(c)).copy()
+
+    np.testing.assert_array_equal(modal_load(op, g.copy(), scratch), fit(g * g * g))
+    np.testing.assert_allclose(modal_load(op, g.copy(), scratch)[:8, :8] - w,
+                               G @ potential_deriv(natural(g)) @ G.T, rtol=0, atol=1e-13)
     for bad in (2.5, -2.5, np.nan, np.inf, -np.inf):
         off = g.copy()
-        off[3, 5] = bad
+        off[1, 0, 3, 5] = bad
         with np.errstate(invalid="ignore"):  # inf - inf inside the matmuls
             got = modal_load(op, off, scratch)
-            want = G @ (potential_deriv(off) + off) @ G.T
+            want = fit(potential_deriv(off) + off)
         np.testing.assert_array_equal(got, want)
         expected = g.copy()
-        expected[3, 5] = bad
+        expected[1, 0, 3, 5] = bad
         np.testing.assert_array_equal(off, expected)
 
 
@@ -557,9 +629,9 @@ def test_march_rejects_wrong_eigenbasis():
         good = getattr(basis, which)
         with pytest.raises(SolveFailed):
             replace(basis, **{which: good * (1.0 + rel * rng.standard_normal(good.shape))})
-    for name in ("sigma", "E", "T", "G", "T_M", "G_M"):
+    for name in ("sigma", "E", "eval_stack", "fit_stack", "T_M", "G_M", "weights"):
         with pytest.raises(ValueError, match="read-only"):
-            getattr(basis, name)[1, 1] = 0.0
+            getattr(basis, name)[1] = 0.0
         with pytest.raises(FrozenInstanceError):
             setattr(basis, name, np.zeros((8, 8)))
 
@@ -573,10 +645,11 @@ def test_basis_rederives_its_maps_from_any_valid_eigenpair():
     s = np.where(np.arange(8) % 3 == 0, -1.0, 1.0)
     flipped = replace(basis, E=basis.E * s)
     assert flipped.residual <= 1e-10
-    for name in ("T", "T_M"):
-        np.testing.assert_array_equal(getattr(flipped, name), getattr(basis, name) * s)
-    for name in ("G", "G_M"):
-        np.testing.assert_array_equal(getattr(flipped, name), s[:, None] * getattr(basis, name))
+    np.testing.assert_array_equal(flipped.T_M, basis.T_M * s)
+    np.testing.assert_array_equal(flipped.G_M, s[:, None] * basis.G_M)
+    blocks = s.reshape(2, 4)  # the parity blocks' signs, modes parity-major
+    np.testing.assert_array_equal(flipped.eval_stack, basis.eval_stack * blocks[:, None, :])
+    np.testing.assert_array_equal(flipped.fit_stack, blocks[:, :, None] * basis.fit_stack)
     grids = []
     for b in (basis, flipped):
         phi0 = random_nodal_field(b, 7)
