@@ -1,10 +1,9 @@
 """Command-line interface.
 
 Subcommands:
-    run              single simulation -> trace.csv, snapshots, final_field.csv, summary.json
-    sweep            minimum-stabilizer tables -> sweep.csv, sweep_log.csv
-    converge         temporal convergence table -> convergence.csv
-    prepare-initial  emit phi0.csv / phi1.csv snapshot files
+    run       single simulation -> trace.csv, snapshots, final_field.csv, summary.json
+    sweep     minimum-stabilizer tables -> sweep.csv, sweep_log.csv
+    converge  temporal convergence table -> convergence.csv
 
 Configs are JSON objects whose keys match the config dataclass field names
 (see README).
@@ -25,20 +24,15 @@ import numpy as np
 from . import __version__
 from ._snapshots import SnapshotWriter
 from .errors import ChillwaveError
-from .field2d import mean_value, write_snapshot
+from .field2d import write_snapshot
 from .harness import (
-    PREPARE_STEPS,
     convergence_study,
-    prepare_params,
-    prepare_phi1,
-    random_nodal_field,
     run_config_from_dict,
     run_simulation,
     sweep_config_from_dict,
     sweep_min_stabilizer,
     write_convergence_csv,
 )
-from .spectral1d import assemble_basis
 
 
 def _load_json(path: str) -> dict:
@@ -125,22 +119,6 @@ def _cmd_converge(args) -> int:
     return 0
 
 
-def _cmd_prepare_initial(args) -> int:
-    phi0 = random_nodal_field(assemble_basis(args.M), args.seed)
-    phi1 = prepare_phi1(phi0, args.eps)
-    params = prepare_params(args.eps)
-    out = _ensure_dir(args.out)
-    write_snapshot(phi0, os.path.join(out, "phi0.csv"),
-                   eps=args.eps, gamma=params.gamma, t=0.0, step=0)
-    write_snapshot(phi1, os.path.join(out, "phi1.csv"),
-                   eps=args.eps, gamma=params.gamma, t=params.tau, step=PREPARE_STEPS)
-    print(
-        f"wrote phi0.csv (mean {mean_value(phi0):+.3e}) and phi1.csv "
-        f"(mean {mean_value(phi1):+.3e}) to {out}"
-    )
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chillwave",
@@ -157,13 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
         p_cfg.add_argument("--config", required=True)
         p_cfg.add_argument("--out-dir", default=None)
         p_cfg.set_defaults(func=func)
-
-    p_prep = sub.add_parser("prepare-initial", help="emit phi0/phi1 snapshots")
-    p_prep.add_argument("--M", type=int, required=True)
-    p_prep.add_argument("--eps", type=float, required=True)
-    p_prep.add_argument("--seed", type=int, required=True)
-    p_prep.add_argument("--out", required=True)
-    p_prep.set_defaults(func=_cmd_prepare_initial)
 
     return parser
 

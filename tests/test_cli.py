@@ -1,17 +1,20 @@
+import argparse
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import chillwave as cw
 from chillwave import (
-    Field, __version__, assemble_basis, cli, mean_value, read_snapshot, run_simulation,
+    Field, __version__, assemble_basis, cli, read_snapshot, run_simulation,
     write_snapshot,
 )
 from chillwave import _snapshots
@@ -32,11 +35,22 @@ BLOW_UP_CFG = dict(M=16, eps=0.05, gamma=0.0025, tau=1.0, T=100.0, scheme="SL_BD
 
 
 def test_parser_subcommands():
+    # the parser, README's command sections and cli's docstring name the
+    # same commands, so a section left behind by a deleted command fails
     parser = build_parser()
+    commands = ("run", "sweep", "converge")
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert tuple(sub.choices) == commands
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert tuple(re.findall(r"^### `chillwave (\S+)", readme, re.M)) == commands
+    listed = cli.__doc__.split("Subcommands:\n")[1].split("\n\n")[0].splitlines()
+    assert tuple(line.split()[0] for line in listed) == commands
     args = parser.parse_args(["run", "--config", "x.json", "--out-dir", "d"])
     assert args.config == "x.json" and args.out_dir == "d"
-    with pytest.raises(SystemExit):
-        parser.parse_args(["frobnicate"])
+    for argv in (["frobnicate"],
+                 ["prepare-initial", "--M", "8", "--eps", "0.25", "--seed", "7", "--out", "d"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
 
 
 def test_run_outputs(tmp_path, capsys):
@@ -483,22 +497,19 @@ def test_run_rejects_overflowing_step_coefficients(tmp_path, capsys, bad):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command,snapshot_every", [
-    pytest.param(["run"], 0, id="run-1e15-rows"),
-    pytest.param(["run"], 1, id="run-1e15-rows-snapshot_every-1"),
-    pytest.param(["prepare-initial", "--M", "10000000", "--eps", "0.05", "--seed", "1"], 0,
-                 id="prepare-M1e7"),
+@pytest.mark.parametrize("size", [
+    pytest.param(dict(T=1e13), id="run-1e15-rows"),
+    pytest.param(dict(T=1e13, snapshot_every=1), id="run-1e15-rows-snapshot_every-1"),
+    pytest.param(dict(M=10000000), id="run-M1e7"),
 ])
-def test_unallocatable_size_is_an_error(tmp_path, capsys, command, snapshot_every):
+def test_unallocatable_size_is_an_error(tmp_path, capsys, size):
     # 10^15 trace rows (49.7 PiB) and M = 10^7 (728 TiB in assemble_basis)
     # are both larger than a 47-bit user address space, so the allocation
     # is refused before any memory is touched
     cfg_path = tmp_path / "run.json"
-    write_json(cfg_path, dict(M=8, eps=0.05, gamma=1.0, tau=0.01, T=1e13, scheme="SL_BDF2",
-                              snapshot_every=snapshot_every))
+    write_json(cfg_path, dict(M=8, eps=0.05, gamma=1.0, tau=0.01, T=0.01, scheme="SL_BDF2") | size)
     out = tmp_path / "out"
-    args = ["--config", str(cfg_path), "--out-dir"] if command == ["run"] else ["--out"]
-    rc = main(command + args + [str(out)])
+    rc = main(["run", "--config", str(cfg_path), "--out-dir", str(out)])
     assert_one_line_error(capsys, rc, "Unable to allocate")
     assert not out.exists()
 
@@ -602,39 +613,15 @@ def test_converge_command(tmp_path, capsys):
     assert "convergence table" in capsys.readouterr().out
 
 
-def test_prepare_initial_command(tmp_path, capsys):
-    out = tmp_path / "init"
-    rc = main(["prepare-initial", "--M", "8", "--eps", "0.25",
-               "--seed", "7", "--out", str(out)])
-    assert rc == 0
-    phi0, meta0 = read_snapshot(out / "phi0.csv")
-    phi1, meta1 = read_snapshot(out / "phi1.csv")
-    assert meta0["t"] == 0.0 and meta0["step"] == 0
-    assert meta1["t"] == pytest.approx(64 * 0.25**3)
-    assert meta1["step"] == 64
-    assert mean_value(phi0) == pytest.approx(mean_value(phi1), abs=1e-11)
-    assert "phi0.csv" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("M, eps, word", [
-    *(pytest.param("8", eps, "eps", id=eps) for eps in ("0", "1e-200", "nan")),
-    pytest.param("3", "0.25", "M", id="M3"),
-])
-def test_prepare_initial_rejects_bad_eps(tmp_path, capsys, M, eps, word):
-    # the error names the eps the user gave, not the tau derived from it,
+@pytest.mark.parametrize("eps", [0.0, 1e-200, float("nan")], ids=str)
+def test_run_rejects_prepared_eps_underflow(tmp_path, capsys, eps):
+    # the error names the eps the config gave, not the tau derived from it,
     # and comes before the out directory is made
-    out = tmp_path / "init"
-    rc = main(["prepare-initial", "--M", M, "--eps", eps, "--seed", "7", "--out", str(out)])
-    assert "tau" not in assert_one_line_error(capsys, rc, word)
-    assert not out.exists()
-
-
-def test_run_rejects_prepared_eps_underflow(tmp_path, capsys):
     cfg_path = tmp_path / "run.json"
-    write_json(cfg_path, dict(RUN_CFG, eps=1e-200, initial="prepared"))
+    write_json(cfg_path, dict(RUN_CFG, eps=eps, initial="prepared"))
     out = tmp_path / "out"
     rc = main(["run", "--config", str(cfg_path), "--out-dir", str(out)])
-    assert_one_line_error(capsys, rc, "eps")
+    assert "tau" not in assert_one_line_error(capsys, rc, "eps")
     assert not out.exists()
 
 
@@ -662,7 +649,7 @@ def test_config_out_dir_and_m_are_unknown_keys(tmp_path, capsys, monkeypatch, co
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
 @pytest.mark.parametrize("command,snapshot_every", [
-    *(pytest.param(c, 0, id=c) for c in ("run", "sweep", "converge", "prepare-initial")),
+    *(pytest.param(c, 0, id=c) for c in ("run", "sweep", "converge")),
     pytest.param("run", 1, id="run-snapshot_every-1"),
 ])
 def test_seed_outside_64_bits_is_an_error(tmp_path, capsys, monkeypatch, command,
@@ -672,16 +659,13 @@ def test_seed_outside_64_bits_is_an_error(tmp_path, capsys, monkeypatch, command
     monkeypatch.setattr(cli, "SnapshotWriter",
                         lambda *args: started.append(args) or _snapshots.SnapshotWriter(*args))
     out = tmp_path / "out"
-    if command == "prepare-initial":
-        args = ["--M", "8", "--eps", "0.25", "--seed", str(seed), "--out", str(out)]
-    else:
-        cfg = {
-            "run": dict(RUN_CFG, seed=seed, snapshot_every=snapshot_every),
-            "sweep": dict(SWEEP_CFG, base=dict(SWEEP_CFG["base"], seed=seed)),
-            "converge": dict(CONVERGE_CFG, seed=seed),
-        }[command]
-        write_json(tmp_path / "config.json", cfg)
-        args = ["--config", str(tmp_path / "config.json"), "--out-dir", str(out)]
-    assert_one_line_error(capsys, main([command, *args]), "seed", str(seed))
+    cfg = {
+        "run": dict(RUN_CFG, seed=seed, snapshot_every=snapshot_every),
+        "sweep": dict(SWEEP_CFG, base=dict(SWEEP_CFG["base"], seed=seed)),
+        "converge": dict(CONVERGE_CFG, seed=seed),
+    }[command]
+    write_json(tmp_path / "config.json", cfg)
+    rc = main([command, "--config", str(tmp_path / "config.json"), "--out-dir", str(out)])
+    assert_one_line_error(capsys, rc, "seed", str(seed))
     assert not out.exists()
     assert started == []

@@ -116,6 +116,7 @@ def test_prepare_phi1_dissipates():
     phi0 = random_nodal_field(assemble_basis(16), 42)
     phi1 = prepare_phi1(phi0, 0.05)
     assert energy_eps(0.05, phi1) < energy_eps(0.05, phi0)
+    assert mean_value(phi1) == pytest.approx(mean_value(phi0), abs=1e-11)
 
 
 def test_run_config_validation():
