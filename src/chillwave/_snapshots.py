@@ -13,6 +13,7 @@ does not spend its start-up loading numpy.
 
 import os
 import sys
+from itertools import chain
 from struct import Struct
 
 SNAPSHOT_HEADER = "M,eps,gamma,t,step"
@@ -42,7 +43,7 @@ def write_rows(path, header: str, rows, cell=repr) -> None:
 def write_grid(path, meta, rows) -> None:
     """Write a snapshot file: line 1 SNAPSHOT_HEADER, line 2 the meta
     values (M, eps, gamma, t, step), then the M rows of the grid."""
-    write_rows(path, SNAPSHOT_HEADER, [meta, *rows])
+    write_rows(path, SNAPSHOT_HEADER, chain((meta,), rows))
 
 
 class SnapshotWriter:

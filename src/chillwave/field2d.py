@@ -17,8 +17,8 @@ them back. Grid values are plain arrays: T_M v T_M^T on the M x M Gauss
 grid of the snapshot files, fitted back by G_M g G_M^T, and on the 2M x 2M
 grid of the seeded noise and the step the quadrant-major
 g[s, t, i, j] = u((-1)^s x_i, (-1)^t y_j) over the M positive nodes x_i,
-to and from which `to_grid` and `fit_grid` are the only ways. As the
-modes are parity-major (see Basis1D), each runs two batched GEMMs over
+to and from which a `GridPlan`'s `grid` and `fit` are the only ways. As
+the modes are parity-major (see Basis1D), each runs two batched GEMMs over
 the four parity blocks v_pq, A_p v_pq A_q^T, and one sign GEMM,
 (H2 x H2) @ X.reshape(4, M^2) with H2 = [[1, 1], [1, -1]], since a mirror
 flips the sign of each odd factor: 3M^3 multiply-adds against 6M^3 for
@@ -75,33 +75,46 @@ def _blocks(v: np.ndarray, H: int) -> np.ndarray:
     return v.reshape(2, H, 2, H).transpose(0, 2, 1, 3)
 
 
-def to_grid(basis: Basis1D, v: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """The quadrant-major 2M grid of the padded modal array v, written
-    into out and returned; out and work are C-contiguous (2, 2, M, M)
-    arrays, and work is overwritten. Only the first GEMM reads v, so v may
-    lie in work's memory but not in out's."""
-    A = basis.eval_stack
-    _, M, H = A.shape
-    half = np.matmul(_blocks(v, H), A.transpose(0, 2, 1),
-                     out=out.reshape(-1)[:4 * H * M].reshape(2, 2, H, M))
-    np.matmul(A[:, None], half, out=work)
-    np.matmul(_SIGNS, work.reshape(4, -1), out=out.reshape(4, -1))
-    return out
+class GridPlan:
+    """The two 2M transforms on two C-contiguous (2, 2, M, M) work grids a
+    and b, with every view their GEMMs read or write built once, here: a
+    march builds one plan, so its transforms build no view but those of a
+    new grid and of the modal array it is made from (`grid(v)`).
 
+    `fit` writes the 2M-point quadrature of a against each modal basis
+    function, G_p Z_pq G_q^T for Z the sign GEMM of a and G = fit_stack,
+    over `modes`, the padded 2H x 2H array at the start of b's memory,
+    and returns it. `grid(v)` returns the quadrant-major 2M grid of the
+    padded modal array v in a new array, and `grid()` that of `modes`
+    written over a. Both overwrite a and b but for their result; v may
+    lie in b's memory but not in a's."""
 
-def fit_grid(basis: Basis1D, grid: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """The 2M-point quadrature of the grid against each modal basis
-    function, G_p Z_pq G_q^T for Z the sign GEMM of grid and G = fit_stack,
-    as a padded 2H x 2H array at the start of work's memory; grid and work
-    are C-contiguous (2, 2, M, M) arrays, and both are overwritten."""
-    G = basis.fit_stack
-    _, H, M = G.shape
-    z = np.matmul(_SIGNS, grid.reshape(4, -1), out=work.reshape(4, -1))
-    half = np.matmul(G[:, None], z.reshape(2, 2, M, M),
-                     out=grid.reshape(-1)[:4 * H * M].reshape(2, 2, H, M))
-    modes = work.reshape(-1)[:4 * H * H].reshape(2 * H, 2 * H)
-    np.matmul(half, G.transpose(0, 2, 1), out=_blocks(modes, H))
-    return modes
+    def __init__(self, basis: Basis1D, a: np.ndarray, b: np.ndarray):
+        A, G = basis.eval_stack, basis.fit_stack
+        _, M, H = A.shape
+        self.basis, self.a, self.b, self._H = basis, a, b, H
+        self.modes = b.reshape(-1)[:4 * H * H].reshape(2 * H, 2 * H)
+        self._blocks, self._a4, self._b4 = _blocks(self.modes, H), a.reshape(4, -1), b.reshape(4, -1)
+        self._half = a.reshape(-1)[:4 * H * M].reshape(2, 2, H, M)
+        self._A, self._At = A[:, None], A.transpose(0, 2, 1)
+        self._G, self._Gt = G[:, None], G.transpose(0, 2, 1)
+
+    def grid(self, v: np.ndarray | None = None) -> np.ndarray:
+        if v is None:
+            blocks, out, out4 = self._blocks, self.a, self._a4
+        else:
+            out = np.empty_like(self.a)
+            blocks, out4 = _blocks(v, self._H), out.reshape(4, -1)
+        np.matmul(blocks, self._At, out=self._half)
+        np.matmul(self._A, self._half, out=self.b)
+        np.matmul(_SIGNS, self._b4, out=out4)
+        return out
+
+    def fit(self) -> np.ndarray:
+        np.matmul(_SIGNS, self._a4, out=self._b4)
+        np.matmul(self._G, self.b, out=self._half)
+        np.matmul(self._half, self._Gt, out=self._blocks)
+        return self.modes
 
 
 def quadrants(grid: np.ndarray) -> np.ndarray:
@@ -202,7 +215,7 @@ def write_snapshot(u: Field, path, eps: float, gamma: float, t: float, step: int
     values, row i = x-index, column j = y-index.
     """
     meta = (int(u.basis.M), float(eps), float(gamma), float(t), int(step))
-    write_grid(path, meta, snapshot_grid(u).tolist())
+    write_grid(path, meta, (row.tolist() for row in snapshot_grid(u)))
 
 
 def read_snapshot(path, basis: Basis1D | None = None) -> tuple[Field, dict]:

@@ -24,7 +24,7 @@ from .diagnostics import (
     TRACE_DTYPE, VERDICT_THRESHOLD, EnergyTrace, stability_verdict, step_energies,
 )
 from .errors import NonFinite, check_choice, check_count, check_number
-from .field2d import Field, error_norms, fit_grid, quadrants
+from .field2d import Field, GridPlan, error_norms, quadrants
 from .spectral1d import Basis1D, assemble_basis
 from .timestepping import SchemeParams, bootstrap_first_step, build_step_operator, march
 
@@ -62,7 +62,7 @@ def random_nodal_field(basis: Basis1D, seed: int) -> Field:
     V_M x V_M: permuted to the quadrant layout and fitted."""
     M = basis.M
     grid = quadrants(_uniform_pm1(seed, 4 * M * M).reshape(2 * M, 2 * M))
-    return Field(basis, fit_grid(basis, grid, np.empty_like(grid))[:M, :M].copy())
+    return Field(basis, GridPlan(basis, grid, np.empty_like(grid)).fit()[:M, :M].copy())
 
 
 PREPARE_STEPS = 64  # prepare_phi1's substeps of eps^3

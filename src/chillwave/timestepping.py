@@ -15,8 +15,8 @@ R1 = r_n v^n + r_p v^{n-1} and R2 = load / eps + s sigma v^n -
 B (y_n v^n + y_p v^{n-1}) leaves three per-mode weights, built once per
 operator (see `build_step_operator`), and the explicit force f(w) at the
 extrapolated field w = x_n v^n + x_p v^{n-1}, x_n = 1 - x_p, on its grid
-g = T(w) on the 2M x 2M Gauss nodes (T = `field2d.to_grid`, G =
-`field2d.fit_grid`, the quadrature against the modal basis functions,
+g = T(w) on the 2M x 2M Gauss nodes (T and G, the quadrature against
+the modal basis functions, a `field2d.GridPlan`'s `grid` and `fit`,
 f = `potential.potential_deriv`). Writing f(g) = c(g) - g and using
 G(T(w)) = w, the -w joins the weights of v^n and v^{n-1}, and a step is
 
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFinite, check_choice, check_count, check_number
-from .field2d import Field, fit_grid, to_grid
+from .field2d import Field, GridPlan
 from .potential import L, potential_deriv, square_in_range
 from .spectral1d import Basis1D
 
@@ -145,26 +145,21 @@ def _part(buffer: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return buffer.reshape(-1)[:rows * cols].reshape(rows, cols)
 
 
-def _padded(a: np.ndarray, n: int) -> np.ndarray:
-    """A new n x n array of zeros with a in its top-left corner."""
-    out = np.zeros((n, n))
-    out[:len(a), :len(a)] = a
-    return out
-
-
-def modal_load(op: StepOperator, grid: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """G(c(grid)), `field2d.fit_grid`, for the quadrant-major 2M grid of
-    the force w, with c(g) = f(g) + g: the 2M-point quadrature of f
-    against each modal basis function plus w (G(T(w)) = w), whose -w the
-    folded weights cn, cp carry. On a grid inside [-P, P] c is the cube:
-    grid^2, squared into scratch by `square_in_range`, times grid, written
-    over grid. Any other grid (a point outside, a NaN or an infinity)
-    takes `potential_deriv`'s f plus the grid, in a new array, and leaves
-    grid as it was. The load, a padded 2H x 2H array (see field2d), is
-    written at the start of scratch, a (2, 2, M, M) array like grid."""
-    sq = square_in_range(grid, scratch)
-    cube = potential_deriv(grid) + grid if sq is None else np.multiply(sq, grid, out=grid)
-    return fit_grid(op.basis, cube, scratch)
+def modal_load(plan: GridPlan) -> np.ndarray:
+    """G(c(grid)), the plan's `fit`, for the quadrant-major 2M grid of the
+    force w in the plan's grid a, with c(g) = f(g) + g: the 2M-point
+    quadrature of f against each modal basis function plus w
+    (G(T(w)) = w), whose -w the folded weights cn, cp carry. On a grid
+    inside [-P, P] c is the cube: grid^2, squared into the plan's b by
+    `square_in_range`, times grid, written over grid. Any other grid (a
+    point outside, a NaN or an infinity) takes `potential_deriv`'s f plus
+    the grid, in a new array fitted on a plan of its own, and leaves grid
+    as it was. The load is the plan's `modes`, in b (see field2d)."""
+    grid, scratch = plan.a, plan.b
+    if (sq := square_in_range(grid, scratch)) is None:
+        return GridPlan(plan.basis, potential_deriv(grid) + grid, scratch).fit()
+    np.multiply(sq, grid, out=grid)
+    return plan.fit()
 
 
 def march(
@@ -177,13 +172,15 @@ def march(
     pair, n_steps + 1 states, with grid the quadrant-major 2M grid of
     curr, or None in a lean march (grids=False, for callers that read only
     modal states). A march holds its states, and the step's weights, in
-    zero-padded 2H x 2H arrays, H = ceil(M/2), the transforms' layout, and
-    yields their M x M corners, the whole arrays for an even M. It
-    allocates its work arrays once, before the entry state: two 2M grids,
-    the force and the cube, whose memory also holds the transforms'
-    intermediates and the step's modal ones while they are free. A step
-    then allocates only what it yields, the new modal state and, unless
-    lean, its grid (a load off [-P, P] allocates its fallback too).
+    2H x 2H arrays, H = ceil(M/2), the transforms' layout: for an odd M
+    zero-padded copies, whose M x M corners it yields, and for an even M
+    the arrays as given. Once, before the entry state, it allocates its
+    work arrays, two 2M grids, the force and the cube, whose memory also
+    holds the transforms' intermediates and the step's modal ones while
+    they are free, and builds their `field2d.GridPlan`. A step then
+    allocates only what it yields, the new modal state and, unless lean,
+    its grid, and builds views of those two alone (a load off [-P, P]
+    allocates its fallback too).
     Each step writes to no array that it was given or has yielded, so a
     consumer may keep any of them but must not write to them; it stops
     early by leaving its loop. An n_steps that is not an integer >= 0
@@ -192,34 +189,35 @@ def march(
     state (stability sweeps treat that as an unstable verdict).
     """
     check_count("n_steps", n_steps, 0)
-    basis, xp, M = op.basis, op.xp, op.basis.M
+    xp, M = op.xp, op.basis.M
     n = 2 * ((M + 1) // 2)
-    cn, cp, cl, prev_pad, curr_pad = (_padded(a, n) for a in (op.cn, op.cp, op.cl, prev, curr))
-    force, cube = np.empty((2, 2, 2, M, M))
-    modes, force_modes = _part(force, n, n), _part(cube, n, n)
-    grid = to_grid(basis, curr_pad, np.empty_like(force), cube) if grids else None
-    grid_prev = to_grid(basis, prev_pad, np.empty_like(force), cube) if grids and xp != 0.0 else grid
+    cn, cp, cl, prev_pad, curr_pad = (
+        a if n == M else np.pad(a, (0, 1)) for a in (op.cn, op.cp, op.cl, prev, curr))
+    plan = GridPlan(op.basis, *np.empty((2, 2, 2, M, M)))
+    force, spare = plan.a, _part(plan.a, n, n)
+    grid = plan.grid(curr_pad) if grids else None
+    grid_prev = plan.grid(prev_pad) if grids and xp != 0.0 else grid
     yield prev, curr, grid
     if xp == 0.0:
         prev, prev_pad = curr, curr_pad  # FIRST_ORDER (x_p = cp = 0) never reads v^{n-1}
     for _ in range(n_steps):
         a, b = (grid, grid_prev) if grids else (curr_pad, prev_pad)
-        w = np.subtract(b, a, out=force if grids else force_modes)  # x_n a + x_p b
+        w = np.subtract(b, a, out=force if grids else plan.modes)  # x_n a + x_p b
         w *= xp
         w += a
         b = grid_prev = None  # g^{n-1}, now dead, is freed before the new grid is made
         if not grids:  # the force's grid, over its modes
-            to_grid(basis, w, force, cube)
-        load = modal_load(op, force, cube)
+            plan.grid()
+        load = modal_load(plan)
         load *= cl
         new = cn * curr_pad
-        new += np.multiply(cp, prev_pad, out=modes)
+        new += np.multiply(cp, prev_pad, out=spare)
         new += load
-        if not np.abs(new, out=modes).max() <= BLOWUP_LIMIT:  # NaN fails the comparison too
+        if not np.abs(new, out=spare).max() <= BLOWUP_LIMIT:  # NaN fails the comparison too
             raise NonFinite(f"step blew up (max |modal coeff| > {BLOWUP_LIMIT:.0e} or non-finite)")
-        prev, curr, prev_pad, curr_pad = curr, new[:M, :M], curr_pad, new
+        prev, curr, prev_pad, curr_pad = curr, new if n == M else new[:M, :M], curr_pad, new
         if grids:
-            grid_prev, grid = grid, to_grid(basis, new, np.empty_like(force), cube)
+            grid_prev, grid = grid, plan.grid(new)
         yield prev, curr, grid
 
 

@@ -28,7 +28,7 @@ from chillwave import (
     potential_deriv,
 )
 from chillwave.diagnostics import step_energies
-from chillwave.field2d import fit_grid, quadrants, to_grid
+from chillwave.field2d import GridPlan, quadrants
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -128,18 +128,18 @@ def _padded(basis, v):
 
 
 def grid_of(basis, v):
-    """The quadrant-major 2M grid of the M x M modal array v, by
-    field2d.to_grid on fresh arrays."""
+    """The quadrant-major 2M grid of the M x M modal array v, by a
+    field2d.GridPlan on fresh arrays."""
     M = basis.M
-    return to_grid(basis, _padded(basis, v), np.empty((2, 2, M, M)), np.empty((2, 2, M, M)))
+    return GridPlan(basis, np.empty((2, 2, M, M)), np.empty((2, 2, M, M))).grid(_padded(basis, v))
 
 
 def fitted(basis, grid):
     """The Field fitted from a 2M grid, quadrant-major or 2M x 2M on the
-    ascending nodes, by field2d.fit_grid on fresh arrays."""
+    ascending nodes, by a field2d.GridPlan on fresh arrays."""
     M = basis.M
     grid = quadrants(grid) if grid.ndim == 2 else grid.copy()
-    return Field(basis, fit_grid(basis, grid, np.empty_like(grid))[:M, :M].copy())
+    return Field(basis, GridPlan(basis, grid, np.empty_like(grid)).fit()[:M, :M].copy())
 
 
 def natural(grid):

@@ -15,7 +15,7 @@ from chillwave import (
     read_snapshot,
     write_snapshot,
 )
-from chillwave.field2d import fit_grid, quadrants
+from chillwave.field2d import GridPlan, quadrants
 from chillwave.timestepping import modal_load
 from conftest import (
     analytic_mass_stiffness,
@@ -110,7 +110,7 @@ def test_quadrant_layout_round_trip():
 
 @pytest.mark.parametrize("M", [8, 9, 13, 48])
 def test_parity_transforms_match_the_dense_maps(M):
-    # to_grid is T v T^T and fit_grid G g G^T for the dense 2M maps of the
+    # a GridPlan's grid is T v T^T and its fit G g G^T for the dense 2M maps of the
     # oracle tables, in the quadrant layout; an odd M's padding row and
     # column stay exact zeros in the fit
     b = cw.assemble_basis(M)
@@ -120,7 +120,7 @@ def test_parity_transforms_match_the_dense_maps(M):
     want = T @ v @ T.T
     assert np.abs(natural(grid_of(b, v)) - want).max() <= 1e-12 * np.abs(want).max()
     q = quadrants(g)
-    modes = fit_grid(b, q, np.empty_like(q))
+    modes = GridPlan(b, q, np.empty_like(q)).fit()
     n = 2 * ((M + 1) // 2)
     assert modes.shape == (n, n)
     assert not modes[M:].any() and not modes[:, M:].any()
@@ -212,9 +212,8 @@ def test_hminus1_cosine_value():
 def nonlinear_load(u):
     # the production modal load G(f(g) + g) of a field's 2M grid g,
     # as march holds it, less the field's modal coefficients: G f(g) G^T
-    op = cw.build_step_operator(cw.SchemeParams("SL_CN", tau=1.0, gamma=1.0, eps=1.0), u.basis)
     grid = grid_of(u.basis, u.v)
-    return modal_load(op, grid, np.empty_like(grid))[:u.basis.M, :u.basis.M] - u.v
+    return modal_load(GridPlan(u.basis, grid, np.empty_like(grid)))[:u.basis.M, :u.basis.M] - u.v
 
 
 def to_modal_form(basis, load):

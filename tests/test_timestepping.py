@@ -25,10 +25,11 @@ from chillwave import (
     potential_deriv,
     sufficient_stabilizers,
 )
+from chillwave import timestepping
 from chillwave.harness import random_nodal_field
 from chillwave.potential import P
 from chillwave.timestepping import BLOWUP_LIMIT, modal_load
-from chillwave.field2d import fit_grid
+from chillwave.field2d import GridPlan
 from conftest import (
     amplification_factors, analytic_mass_stiffness, dense_maps, energy_eps, grid_of,
     legendre_field, natural, oracle_load, unit_field,
@@ -393,7 +394,7 @@ def reference_step(op, prev, curr, grid_prev, grid):
         force = grid + op.xp * (grid_prev - grid)
     in_range = np.abs(force).max() <= P
     c = force * force * force if in_range else potential_deriv(force) + force
-    load = fit_grid(basis, c, np.empty_like(c))[:M, :M]
+    load = GridPlan(basis, c, np.empty_like(c)).fit()[:M, :M]
     new = op.cn * curr + op.cp * prev + op.cl * load
     return in_range, new, None if grid is None else grid_of(basis, new)
 
@@ -452,6 +453,53 @@ def test_a_step_allocates_only_what_it_yields(scheme, grids, basis16):
     assert peak <= yielded + 2048
 
 
+@pytest.mark.parametrize("grids", [True, False], ids=["grids", "lean"])
+@pytest.mark.parametrize("scheme", ["SL_BDF2", "SL_CN", "FIRST_ORDER"])
+def test_a_march_sets_up_only_its_work_and_entry_grids(scheme, grids, basis16):
+    # up to its entry state, a march at an even M (16) traces its two work
+    # grids (16,384 B) and, unless lean, the entry grids, one per level it
+    # reads (8,192 B each; FIRST_ORDER reads one), plus at most 4 KiB, the
+    # plan's views (about 2.5 KiB) among them: the states and weights it
+    # was given are used as they are, where copying them would add 10,240 B
+    A = 0.0 if scheme == "FIRST_ORDER" else 0.25  # FIRST_ORDER has no A
+    params = SchemeParams(scheme=scheme, tau=0.05, gamma=1.0, eps=0.25, A=A, B=8.0)
+    phi0 = random_nodal_field(basis16, 14)
+    phi1 = bootstrap_first_step(phi0, params)
+    op = build_step_operator(params, basis16)
+    tracemalloc.start()
+    try:
+        _, _, grid = next(march(op, phi0.v, phi1.v, 2, grids=grids))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    entry_grids = 0 if not grids else 1 if scheme == "FIRST_ORDER" else 2
+    assert grid is None or grid.nbytes == 8_192
+    assert peak <= 16_384 + 8_192 * entry_grids + 4096
+
+
+@pytest.mark.parametrize("grids", [True, False], ids=["grids", "lean"])
+def test_a_march_builds_one_grid_plan_before_its_entry_state(grids, basis16, monkeypatch):
+    # every view a step's transforms read or write is built once, by the
+    # march's one field2d.GridPlan, before the entry state; this march's
+    # forces stay in [-P, P], so no load takes the fallback and its plan
+    built = []
+
+    class CountedPlan(GridPlan):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(timestepping, "GridPlan", CountedPlan)
+    params = SchemeParams(scheme="SL_CN", tau=0.05, gamma=1.0, eps=0.25, A=0.25, B=8.0)
+    phi0 = random_nodal_field(basis16, 10)
+    states = march(build_step_operator(params, basis16), phi0.v, phi0.v, 20, grids=grids)
+    assert not built
+    next(states)
+    assert len(built) == 1
+    assert sum(1 for _ in states) == 20
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("M", [8, 16])
 def test_lean_march_matches_grid_march(M):
     # grids=False builds the force on modes and transforms it once; its
@@ -505,6 +553,7 @@ THREADS_SCRIPT = """
 import sys
 import numpy as np
 from chillwave import SchemeParams, assemble_basis, build_step_operator, march
+from chillwave import timestepping
 from chillwave.harness import random_nodal_field
 
 basis = assemble_basis(128)
@@ -553,7 +602,6 @@ def test_modal_load_cubic_and_fallback(basis8):
     # roundoff (G(T(w)) = w); a grid with a point outside, a NaN or an
     # infinity is G(f(g) + g) with potential_deriv's f, bit for bit, and
     # leaves the grid as it was
-    op = build_step_operator(SchemeParams("SL_CN", tau=1.0, gamma=1.0, eps=1.0), basis8)
     _, G = dense_maps(basis8)
     w = random_nodal_field(basis8, 13).v
     g = grid_of(basis8, w)
@@ -561,16 +609,16 @@ def test_modal_load_cubic_and_fallback(basis8):
     assert np.abs(g).max() <= P
 
     def fit(c):
-        return fit_grid(basis8, c, np.empty_like(c)).copy()
+        return GridPlan(basis8, c, np.empty_like(c)).fit().copy()
 
-    np.testing.assert_array_equal(modal_load(op, g.copy(), scratch), fit(g * g * g))
-    np.testing.assert_allclose(modal_load(op, g.copy(), scratch)[:8, :8] - w,
+    np.testing.assert_array_equal(modal_load(GridPlan(basis8, g.copy(), scratch)), fit(g * g * g))
+    np.testing.assert_allclose(modal_load(GridPlan(basis8, g.copy(), scratch))[:8, :8] - w,
                                G @ potential_deriv(natural(g)) @ G.T, rtol=0, atol=1e-13)
     for bad in (2.5, -2.5, np.nan, np.inf, -np.inf):
         off = g.copy()
         off[1, 0, 3, 5] = bad
         with np.errstate(invalid="ignore"):  # inf - inf inside the matmuls
-            got = modal_load(op, off, scratch)
+            got = modal_load(GridPlan(basis8, off, scratch))
             want = fit(potential_deriv(off) + off)
         np.testing.assert_array_equal(got, want)
         expected = g.copy()
