@@ -16,12 +16,7 @@ from .spectral1d import (
 from .field2d import (
     Field,
     error_norms,
-    h1_seminorm_sq,
-    hminus1_norm,
-    inner_hminus1,
-    inner_l2,
     mean_value,
-    norm_l2,
     read_snapshot,
     write_snapshot,
 )

@@ -3,12 +3,12 @@
 A Field stores the modal coefficients v of u in the eigenbasis (lam, E)
 of the basis (see Basis1D): u = sum_{k,j} v[k,j] psi_k(x) psi_j(y) with
 psi_k = sum_i E[i,k] phi_i. There the mass is the identity and the
-stiffness is the symbol sigma[k,j] = lam_k + lam_j, so every norm is a
-sum over modes:
+stiffness is the symbol sigma[k,j] = lam_k + lam_j, so the three sums
+over modes of `error_norms` are its squared norms:
 
-    (u, w)      = sum v_u v_w
+    ||u||^2     = sum v^2
     |grad u|^2  = sum sigma v^2
-    (u, w)_-1   = sum over sigma > 0 of v_u v_w / sigma
+    ||u||_-1^2  = sum over sigma > 0 of v^2 / sigma
 
 The Neumann kernel, the constants, is exactly the (0,0) mode. The
 Legendre coefficients C = E v E^T, with u = sum C[k,j] phi_k(x) phi_j(y),
@@ -36,11 +36,6 @@ import numpy as np
 
 from ._snapshots import SNAPSHOT_HEADER, snapshot_grid, write_grid
 from .spectral1d import Basis1D, assemble_basis
-
-# absolute floor for the zero-mean precondition so that near-zero
-# difference fields (norm ~ roundoff) are not rejected spuriously
-_MEAN_ABS_FLOOR = 1e-14
-
 
 @dataclass
 class Field:
@@ -140,66 +135,31 @@ def modal_mean(basis: Basis1D, v: np.ndarray) -> float:
     return e * float(v[0, 0]) * e
 
 
-def inner_l2(u: Field, v: Field) -> float:
-    _same_basis(u, v)
-    return float(np.sum(u.v * v.v))
-
-
-def norm_l2(u: Field) -> float:
-    return float(np.sqrt(inner_l2(u, u)))
-
-
-def h1_seminorm_sq(u: Field) -> float:
-    return float(np.sum(u.basis.sigma * u.v * u.v))
-
-
 def mean_value(u: Field) -> float:
     """(1/|Omega|) integral of u; equals coeffs[0,0]."""
     return modal_mean(u.basis, u.v)
 
 
-def _require_zero_mean(u: Field) -> None:
-    m = abs(mean_value(u))
-    # the norm is needed only when |mean| clears the absolute floor
-    if m > _MEAN_ABS_FLOOR and m > 1e-10 * norm_l2(u):
-        raise ValueError(f"|mean| = {m:.3e} for a field that must be zero-mean")
+def error_norms(u: Field, v: Field) -> tuple[float, float, float]:
+    """(H^-1, L^2, H^1) norms of d = u - v, each a sum over the modes of d.
 
-
-def inner_hminus1(u: Field, v: Field) -> float:
-    """(u, v) in H^-1, i.e. (u, -Lap^-1 v); both fields must be zero-mean."""
-    _same_basis(u, v)
-    _require_zero_mean(u)
-    if v is not u:
-        _require_zero_mean(v)
-    sigma = u.basis.sigma
-    pos = sigma > 0.0
-    return float(np.sum(u.v[pos] * v.v[pos] / sigma[pos]))
-
-
-def hminus1_norm(u: Field) -> float:
-    return float(np.sqrt(inner_hminus1(u, u)))
-
-
-def _same_basis(u: Field, v: Field) -> None:
+    The two fields must share one basis instance and their mean to 1e-9
+    (the H^-1 norm needs a zero-mean difference); the residual mean, pure
+    roundoff at that point, is removed from the difference before the
+    Neumann solve, the sum over sigma > 0 of d^2 / sigma.
+    """
     if u.basis is not v.basis:
         raise ValueError("fields must share one Basis1D instance")
-
-
-def error_norms(u: Field, v: Field) -> tuple[float, float, float]:
-    """(H^-1, L^2, H^1) norms of u - v.
-
-    The two fields must share their mean to 1e-9 (the H^-1 norm needs a
-    zero-mean difference); the residual mean, pure roundoff at that point,
-    is removed from the difference before the Neumann solve.
-    """
-    _same_basis(u, v)
     if abs(mean_value(u) - mean_value(v)) > 1e-9:
         raise ValueError(f"mean(u) - mean(v) = {mean_value(u) - mean_value(v):.3e} exceeds 1e-9")
-    d = Field(u.basis, u.v - v.v)
-    d.v[0, 0] = 0.0  # the constant mode
-    l2_sq = inner_l2(d, d)
-    h1_full = np.sqrt(l2_sq + h1_seminorm_sq(d))
-    return hminus1_norm(d), float(np.sqrt(l2_sq)), float(h1_full)
+    d = u.v - v.v
+    d[0, 0] = 0.0  # the constant mode
+    sigma = u.basis.sigma
+    pos = sigma > 0.0
+    l2_sq = np.sum(d * d)
+    h1_full = np.sqrt(l2_sq + np.sum(sigma * d * d))
+    hminus1 = np.sqrt(np.sum(d[pos] * d[pos] / sigma[pos]))
+    return float(hminus1), float(np.sqrt(l2_sq)), float(h1_full)
 
 
 # ---------------------------------------------------------------------------

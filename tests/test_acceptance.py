@@ -127,7 +127,7 @@ def test_criterion_5_spectral_oracles(capsys):
     x2m, _ = cw.gauss_legendre(64)
     grid = np.cos(np.pi * x2m)[:, None] * np.cos(np.pi * x2m)[None, :]
     u = fitted(b32, grid)
-    got = cw.hminus1_norm(u)
+    got = cw.error_norms(u, cw.Field(b32, np.zeros((32, 32))))[0]
     want = 1.0 / (np.sqrt(2.0) * np.pi)
     cosine_ok = abs(got - want) <= 1e-6
 
@@ -173,7 +173,9 @@ def test_criterion_6_algebraic_identities(capsys):
     def close(lhs, rhs):
         return abs(lhs - rhs) <= 1e-11 * max(abs(lhs), abs(rhs), 1e-6)
 
-    inners = {"L2": cw.inner_l2, "H-1": cw.inner_hminus1}
+    pos = basis.sigma > 0.0
+    inners = {"L2": lambda u, w: float(np.sum(u.v * w.v)),
+              "H-1": lambda u, w: float(np.sum(u.v[pos] * w.v[pos] / basis.sigma[pos]))}
     worst_ok = True
     for _ in range(100):
         a, b, c = zero_mean(), zero_mean(), zero_mean()
@@ -299,7 +301,7 @@ def test_criterion_10_spatial_convergence(capsys):
     for M in (8, 12, 16, 20, 24, 32):
         padded = np.zeros((64, 64))
         padded[:M, :M] = spatial_run(M).coeffs
-        errs.append(cw.norm_l2(legendre_field(ref.basis, padded - ref.coeffs)))
+        errs.append(cw.error_norms(legendre_field(ref.basis, padded), ref)[1])
     # bound: the 3.9e-8 of the prototype table in ROADMAP item 3, to one
     # digit; its smallest ratio between neighbours there is 4.2
     geometric = all(fine <= coarse / 3 for coarse, fine in zip(errs, errs[1:]))
@@ -335,7 +337,7 @@ def test_criterion_11_spatial_convergence_paper_eps(capsys):
         for M in (32, 48, 64):
             padded = np.zeros((96, 96))
             padded[:M, :M] = paper_eps_final(scheme, datum, M).coeffs
-            errs[scheme].append(cw.norm_l2(legendre_field(ref.basis, padded - ref.coeffs)))
+            errs[scheme].append(cw.error_norms(legendre_field(ref.basis, padded), ref)[1])
     # bound: the ROADMAP table gives 3.75e-2, 4.78e-3 and 6.65e-4 for
     # SL_BDF2, a smallest ratio of 7.1 between neighbours
     geometric = all(fine <= coarse / 4 for e in errs.values() for coarse, fine in zip(e, e[1:]))
@@ -641,7 +643,7 @@ def test_criterion_17_the_pde_as_its_own_oracle(capsys):
     for scheme, width, M in [(s, 1.0, M) for M in bases for s in schemes] + [("SL_BDF2", 1.2, 48)]:
         phi0 = fitted_field(bases[M], lambda x, y: np.tanh(x / (width * np.sqrt(2) * eps)) + 0 * y)
         final = theorem_final(scheme, phi0, eps, gamma, tau, 1.0, stops)
-        drift[scheme, width, M] = cw.norm_l2(cw.Field(bases[M], final.v - phi0.v))
+        drift[scheme, width, M] = cw.error_norms(final, phi0)[1]
     equilibrium_ok = all(drift[s, 1.0, 48] <= min(1e-4, drift[s, 1.0, 32] / 10) for s in schemes)
     wide_ok = drift["SL_BDF2", 1.2, 48] >= 1e-2
 

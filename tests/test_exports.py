@@ -1,8 +1,9 @@
 """Every name `chillwave/__init__.py` exports has a user besides the tests.
 
 A name passes when code reads it in a `src/` module other than the one it
-comes from or in `perfbench/*.py`, or when README.md names it for users.
-A public function that only tests call fails here.
+comes from or in `perfbench/*.py`, or when README.md names it anywhere:
+a public function that only tests call fails here unless README.md
+mentions it, so a README mention alone does not show that it has a user.
 """
 import ast
 import re

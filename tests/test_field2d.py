@@ -6,12 +6,8 @@ import pytest
 import chillwave as cw
 from chillwave import (
     Field,
-    h1_seminorm_sq,
-    hminus1_norm,
-    inner_hminus1,
-    inner_l2,
+    error_norms,
     mean_value,
-    norm_l2,
     read_snapshot,
     write_snapshot,
 )
@@ -128,7 +124,12 @@ def test_parity_transforms_match_the_dense_maps(M):
     assert np.abs(modes[:M, :M] - want).max() <= 1e-12 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("pair", [inner_l2, inner_hminus1, cw.error_norms])
+def norms(u):
+    """error_norms(u, 0): the (H^-1, L^2, H^1) norms of a zero-mean u."""
+    return error_norms(u, Field(u.basis, np.zeros_like(u.v)))
+
+
+@pytest.mark.parametrize("pair", [error_norms])
 def test_a_field_pair_shares_one_basis_instance(pair):
     # two assemble_basis(8) calls give equal bases but two instances
     u, v = (unit_field(cw.assemble_basis(8), 1, 0) for _ in range(2))
@@ -136,38 +137,30 @@ def test_a_field_pair_shares_one_basis_instance(pair):
         pair(u, v)
 
 
-def test_inner_l2_examples(basis8):
-    one = unit_field(basis8, 0, 0)
-    assert inner_l2(one, one) == pytest.approx(4.0, abs=1e-13)
-    u = unit_field(basis8, 2, 0)
-    assert inner_l2(u, u) == pytest.approx((2 / 5) * 2, abs=1e-13)
-
-
-def test_inner_l2_symmetry_and_oracle(basis8):
-    rng = np.random.default_rng(5)
-    u, v = rand_field(basis8, rng), rand_field(basis8, rng)
-    assert inner_l2(u, v) == pytest.approx(inner_l2(v, u), abs=1e-13)
+def test_l2_norm_example_and_oracle(basis8):
+    # u = L_2(x): integral of u^2 over the square is (2/5) 2
+    assert norms(unit_field(basis8, 2, 0))[1] ** 2 == pytest.approx((2 / 5) * 2, abs=1e-13)
     # quadrature oracle on the doubled grid
+    u = rand_zero_mean(basis8, np.random.default_rng(5))
     x, w = oracle_quadrature(16)
     uu = oracle_eval_2d(u.coeffs, x, x)
-    vv = oracle_eval_2d(v.coeffs, x, x)
-    assert inner_l2(u, v) == pytest.approx(w @ (uu * vv) @ w, rel=1e-12)
+    assert norms(u)[1] ** 2 == pytest.approx(w @ (uu * uu) @ w, rel=1e-12)
 
 
 def test_h1_seminorm_examples(basis8):
-    assert h1_seminorm_sq(unit_field(basis8, 0, 0, 3.0)) == pytest.approx(0.0, abs=1e-14)
     # u = x: integral of |grad u|^2 over the square is 4
-    assert h1_seminorm_sq(unit_field(basis8, 1, 0)) == pytest.approx(4.0, abs=1e-13)
+    _, l2, h1 = norms(unit_field(basis8, 1, 0))
+    assert h1**2 - l2**2 == pytest.approx(4.0, abs=1e-13)
 
 
 def test_h1_seminorm_quadrature_oracle(basis8):
-    rng = np.random.default_rng(6)
-    u = rand_field(basis8, rng)
+    u = rand_zero_mean(basis8, np.random.default_rng(6))
     x, w = oracle_quadrature(16)
     ux = oracle_eval_2d(u.coeffs, x, x, dx=1)
     uy = oracle_eval_2d(u.coeffs, x, x, dy=1)
     quad = w @ (ux * ux + uy * uy) @ w
-    assert h1_seminorm_sq(u) == pytest.approx(quad, rel=1e-11)
+    _, l2, h1 = norms(u)
+    assert h1**2 - l2**2 == pytest.approx(quad, rel=1e-11)
 
 
 def test_mean_value(basis8):
@@ -181,14 +174,24 @@ def test_mean_value(basis8):
 
 
 def test_hminus1_basics(basis16):
-    assert hminus1_norm(unit_field(basis16, 0, 0, 0.0)) == 0.0
+    assert norms(unit_field(basis16, 0, 0, 0.0))[0] == 0.0
     rng = np.random.default_rng(10)
     u = rand_zero_mean(basis16, rng)
-    assert hminus1_norm(Field(basis16, -2.5 * u.v)) == pytest.approx(
-        2.5 * hminus1_norm(u), rel=1e-12
-    )
-    with pytest.raises(ValueError, match="zero-mean"):
-        hminus1_norm(unit_field(basis16, 0, 0, 1.0))
+    assert norms(Field(basis16, -2.5 * u.v))[0] == pytest.approx(2.5 * norms(u)[0], rel=1e-12)
+
+
+def test_error_norms_remove_a_mean_gap_below_1e_9(basis8):
+    # two fields that differ only in the constant mode, whose mean is E[0,0]^2 v[0,0]
+    u = rand_field(basis8, np.random.default_rng(9))
+
+    def shifted(gap):
+        v = Field(basis8, u.v.copy())
+        v.v[0, 0] += gap / basis8.E[0, 0] ** 2
+        return v
+
+    assert error_norms(u, shifted(5e-10)) == (0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="exceeds 1e-9"):
+        error_norms(u, shifted(2e-9))
 
 
 def test_hminus1_dense_oracle(basis16):
@@ -199,14 +202,14 @@ def test_hminus1_dense_oracle(basis16):
     w = np.linalg.solve(K2[1:, 1:], rhs)
     v = np.concatenate([[0.0], w])
     expected = np.sqrt(u.coeffs.ravel() @ M2 @ v)
-    assert hminus1_norm(u) == pytest.approx(expected, rel=1e-11)
+    assert norms(u)[0] == pytest.approx(expected, rel=1e-11)
 
 
 def test_hminus1_cosine_value():
     b = cw.assemble_basis(32)
     c = np.cos(np.pi * cw.gauss_legendre(64)[0])
     u = fitted(b, np.outer(c, c))
-    assert hminus1_norm(u) == pytest.approx(1.0 / (np.sqrt(2.0) * np.pi), abs=1e-6)
+    assert norms(u)[0] == pytest.approx(1.0 / (np.sqrt(2.0) * np.pi), abs=1e-6)
 
 
 def nonlinear_load(u):
@@ -252,32 +255,21 @@ def test_nonlinear_load_oracle(basis8):
 
 
 def test_l2_telescoping_identity(basis16):
-    # 2(a - b, a) = |a|^2 - |b|^2 + |a - b|^2
+    # 2(a - b, a) = |a|^2 - |b|^2 + |a - b|^2 in each of the three norms,
+    # with 4(a - b, a) = |2a - b|^2 - |b|^2 by polarization
     rng = np.random.default_rng(13)
-    a, b = rand_field(basis16, rng), rand_field(basis16, rng)
-    d = Field(basis16, a.v - b.v)
-    lhs = 2 * inner_l2(d, a)
-    rhs = norm_l2(a) ** 2 - norm_l2(b) ** 2 + norm_l2(d) ** 2
-    assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-def test_hminus1_inner_product_consistency(basis16):
-    rng = np.random.default_rng(14)
-    u = rand_zero_mean(basis16, rng)
-    v = rand_zero_mean(basis16, rng)
-    assert inner_hminus1(u, v) == pytest.approx(inner_hminus1(v, u), rel=1e-11)
-    assert inner_hminus1(u, u) == pytest.approx(hminus1_norm(u) ** 2, rel=1e-11)
-    # u with itself checks one mean; a copy takes the general path
-    assert inner_hminus1(u, u) == inner_hminus1(u, Field(u.basis, u.v.copy()))
+    a, b = rand_zero_mean(basis16, rng), rand_zero_mean(basis16, rng)
+    lhs = (np.square(error_norms(Field(basis16, 2 * a.v), b)) - np.square(norms(b))) / 2
+    rhs = np.square(norms(a)) - np.square(norms(b)) + np.square(error_norms(a, b))
+    np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
 def test_interpolation_inequality(basis16):
+    # ||u||^2 <= |u|_1 ||u||_-1
     rng = np.random.default_rng(15)
     for _ in range(20):
-        u = rand_zero_mean(basis16, rng)
-        l2sq = norm_l2(u) ** 2
-        bound = np.sqrt(h1_seminorm_sq(u)) * hminus1_norm(u)
-        assert l2sq <= bound + 1e-9
+        hm1, l2, h1 = norms(rand_zero_mean(basis16, rng))
+        assert l2**2 <= np.sqrt(h1**2 - l2**2) * hm1 + 1e-9
 
 
 def test_snapshot_round_trip(tmp_path, basis8):
