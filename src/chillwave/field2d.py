@@ -22,9 +22,9 @@ the modes are parity-major (see Basis1D), each runs two batched GEMMs over
 the four parity blocks v_pq, A_p v_pq A_q^T, and one sign GEMM,
 (H2 x H2) @ X.reshape(4, M^2) with H2 = [[1, 1], [1, -1]], since a mirror
 flips the sign of each odd factor: 3M^3 multiply-adds against 6M^3 for
-dense 2M maps. Their modes are padded 2H x 2H arrays, H = ceil(M/2), an
-odd M's v in the [:M, :M] corner and zeros around it, so that the blocks
-are one strided view.
+dense 2M maps. Their blocks are one strided view of a 2H x 2H array,
+H = ceil(M/2), which for an odd M pads v with a zero last row and column;
+that padding is the plan's alone, and its callers see M x M modes.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ _SIGNS = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, -1.0],
 
 
 def _blocks(v: np.ndarray, H: int) -> np.ndarray:
-    """The parity blocks v_pq of the padded 2H x 2H modal array v, a (2, 2, H, H) view."""
+    """The parity blocks v_pq of the 2H x 2H modal array v, a (2, 2, H, H) view."""
     return v.reshape(2, H, 2, H).transpose(0, 2, 1, 3)
 
 
@@ -78,28 +78,35 @@ class GridPlan:
 
     `fit` writes the 2M-point quadrature of a against each modal basis
     function, G_p Z_pq G_q^T for Z the sign GEMM of a and G = fit_stack,
-    over `modes`, the padded 2H x 2H array at the start of b's memory,
-    and returns it. `grid(v)` returns the quadrant-major 2M grid of the
-    padded modal array v in a new array, and `grid()` that of `modes`
-    written over a. Both overwrite a and b but for their result; v may
-    lie in b's memory but not in a's."""
+    over `modes`, the M x M modes at the start of b's memory, and returns
+    it. `grid(v)` returns the quadrant-major 2M grid of the M x M modal
+    array v in a new array, and `grid()` that of `modes` written over a.
+    Both overwrite a and b but for their result; v may lie in b's memory
+    but not in a's. For an odd M `modes` is the [:M, :M] corner of the
+    2H x 2H array the blocks view, into which `grid(v)` copies v."""
 
     def __init__(self, basis: Basis1D, a: np.ndarray, b: np.ndarray):
         A, G = basis.eval_stack, basis.fit_stack
         _, M, H = A.shape
         self.basis, self.a, self.b, self._H = basis, a, b, H
-        self.modes = b.reshape(-1)[:4 * H * H].reshape(2 * H, 2 * H)
-        self._blocks, self._a4, self._b4 = _blocks(self.modes, H), a.reshape(4, -1), b.reshape(4, -1)
+        padded = b.reshape(-1)[:4 * H * H].reshape(2 * H, 2 * H)
+        self.modes, self._edges = padded[:M, :M], (padded[M], padded[:, M]) if M % 2 else ()
+        self._blocks, self._a4, self._b4 = _blocks(padded, H), a.reshape(4, -1), b.reshape(4, -1)
         self._half = a.reshape(-1)[:4 * H * M].reshape(2, 2, H, M)
         self._A, self._At = A[:, None], A.transpose(0, 2, 1)
         self._G, self._Gt = G[:, None], G.transpose(0, 2, 1)
 
     def grid(self, v: np.ndarray | None = None) -> np.ndarray:
-        if v is None:
-            blocks, out, out4 = self._blocks, self.a, self._a4
-        else:
+        blocks, out, out4 = self._blocks, self.a, self._a4
+        if v is not None:
             out = np.empty_like(self.a)
-            blocks, out4 = _blocks(v, self._H), out.reshape(4, -1)
+            out4 = out.reshape(4, -1)
+            if self._edges:
+                self.modes[...] = v
+            else:
+                blocks = _blocks(v, self._H)
+        for edge in self._edges:  # an odd M's padding, dirty after earlier GEMMs
+            edge.fill(0.0)
         np.matmul(blocks, self._At, out=self._half)
         np.matmul(self._A, self._half, out=self.b)
         np.matmul(_SIGNS, self._b4, out=out4)

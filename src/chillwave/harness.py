@@ -62,7 +62,7 @@ def random_nodal_field(basis: Basis1D, seed: int) -> Field:
     V_M x V_M: permuted to the quadrant layout and fitted."""
     M = basis.M
     grid = quadrants(_uniform_pm1(seed, 4 * M * M).reshape(2 * M, 2 * M))
-    return Field(basis, GridPlan(basis, grid, np.empty_like(grid)).fit()[:M, :M].copy())
+    return Field(basis, GridPlan(basis, grid, np.empty_like(grid)).fit().copy())
 
 
 PREPARE_STEPS = 64  # prepare_phi1's substeps of eps^3

@@ -140,11 +140,6 @@ def build_step_operator(params: SchemeParams, basis: Basis1D) -> StepOperator:
     return StepOperator(p, basis, xp, cn, cp, cl, 0.5 * p.eps * sigma, hw)
 
 
-def _part(buffer: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """The C-contiguous rows x cols array at the start of buffer's memory."""
-    return buffer.reshape(-1)[:rows * cols].reshape(rows, cols)
-
-
 def modal_load(plan: GridPlan) -> np.ndarray:
     """G(c(grid)), the plan's `fit`, for the quadrant-major 2M grid of the
     force w in the plan's grid a, with c(g) = f(g) + g: the 2M-point
@@ -154,7 +149,7 @@ def modal_load(plan: GridPlan) -> np.ndarray:
     `square_in_range`, times grid, written over grid. Any other grid (a
     point outside, a NaN or an infinity) takes `potential_deriv`'s f plus
     the grid, in a new array fitted on a plan of its own, and leaves grid
-    as it was. The load is the plan's `modes`, in b (see field2d)."""
+    as it was. The load is the plan's M x M `modes`, in b (see field2d)."""
     grid, scratch = plan.a, plan.b
     if (sq := square_in_range(grid, scratch)) is None:
         return GridPlan(plan.basis, potential_deriv(grid) + grid, scratch).fit()
@@ -171,10 +166,9 @@ def march(
     Yields (prev, curr, grid) for the entry pair and then for each new
     pair, n_steps + 1 states, with grid the quadrant-major 2M grid of
     curr, or None in a lean march (grids=False, for callers that read only
-    modal states). A march holds its states, and the step's weights, in
-    2H x 2H arrays, H = ceil(M/2), the transforms' layout: for an odd M
-    zero-padded copies, whose M x M corners it yields, and for an even M
-    the arrays as given. Once, before the entry state, it allocates its
+    modal states). It steps M x M modal arrays at every M, those it was
+    given as they are: an odd M's parity padding is the plan's alone
+    (see `field2d.GridPlan`). Once, before the entry state, it allocates its
     work arrays, two 2M grids, the force and the cube, whose memory also
     holds the transforms' intermediates and the step's modal ones while
     they are free, and builds their `field2d.GridPlan`. A step then
@@ -190,18 +184,15 @@ def march(
     """
     check_count("n_steps", n_steps, 0)
     xp, M = op.xp, op.basis.M
-    n = 2 * ((M + 1) // 2)
-    cn, cp, cl, prev_pad, curr_pad = (
-        a if n == M else np.pad(a, (0, 1)) for a in (op.cn, op.cp, op.cl, prev, curr))
     plan = GridPlan(op.basis, *np.empty((2, 2, 2, M, M)))
-    force, spare = plan.a, _part(plan.a, n, n)
-    grid = plan.grid(curr_pad) if grids else None
-    grid_prev = plan.grid(prev_pad) if grids and xp != 0.0 else grid
+    force, spare = plan.a, plan.a[0, 0]
+    grid = plan.grid(curr) if grids else None
+    grid_prev = plan.grid(prev) if grids and xp != 0.0 else grid
     yield prev, curr, grid
     if xp == 0.0:
-        prev, prev_pad = curr, curr_pad  # FIRST_ORDER (x_p = cp = 0) never reads v^{n-1}
+        prev = curr  # FIRST_ORDER (x_p = cp = 0) never reads v^{n-1}
     for _ in range(n_steps):
-        a, b = (grid, grid_prev) if grids else (curr_pad, prev_pad)
+        a, b = (grid, grid_prev) if grids else (curr, prev)
         w = np.subtract(b, a, out=force if grids else plan.modes)  # x_n a + x_p b
         w *= xp
         w += a
@@ -209,13 +200,13 @@ def march(
         if not grids:  # the force's grid, over its modes
             plan.grid()
         load = modal_load(plan)
-        load *= cl
-        new = cn * curr_pad
-        new += np.multiply(cp, prev_pad, out=spare)
+        load *= op.cl
+        new = op.cn * curr
+        new += np.multiply(op.cp, prev, out=spare)
         new += load
         if not np.abs(new, out=spare).max() <= BLOWUP_LIMIT:  # NaN fails the comparison too
             raise NonFinite(f"step blew up (max |modal coeff| > {BLOWUP_LIMIT:.0e} or non-finite)")
-        prev, curr, prev_pad, curr_pad = curr, new if n == M else new[:M, :M], curr_pad, new
+        prev, curr = curr, new
         if grids:
             grid_prev, grid = grid, plan.grid(new)
         yield prev, curr, grid

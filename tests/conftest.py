@@ -120,26 +120,18 @@ def dense_maps(basis):
     return tab.T @ basis.E, basis.E.T @ (tab * w)
 
 
-def _padded(basis, v):
-    n = 2 * ((basis.M + 1) // 2)
-    out = np.zeros((n, n))
-    out[:basis.M, :basis.M] = v
-    return out
-
-
 def grid_of(basis, v):
     """The quadrant-major 2M grid of the M x M modal array v, by a
     field2d.GridPlan on fresh arrays."""
     M = basis.M
-    return GridPlan(basis, np.empty((2, 2, M, M)), np.empty((2, 2, M, M))).grid(_padded(basis, v))
+    return GridPlan(basis, np.empty((2, 2, M, M)), np.empty((2, 2, M, M))).grid(v)
 
 
 def fitted(basis, grid):
     """The Field fitted from a 2M grid, quadrant-major or 2M x 2M on the
     ascending nodes, by a field2d.GridPlan on fresh arrays."""
-    M = basis.M
     grid = quadrants(grid) if grid.ndim == 2 else grid.copy()
-    return Field(basis, GridPlan(basis, grid, np.empty_like(grid)).fit()[:M, :M].copy())
+    return Field(basis, GridPlan(basis, grid, np.empty_like(grid)).fit().copy())
 
 
 def natural(grid):

@@ -107,21 +107,23 @@ def test_quadrant_layout_round_trip():
 @pytest.mark.parametrize("M", [8, 9, 13, 48])
 def test_parity_transforms_match_the_dense_maps(M):
     # a GridPlan's grid is T v T^T and its fit G g G^T for the dense 2M maps of the
-    # oracle tables, in the quadrant layout; an odd M's padding row and
-    # column stay exact zeros in the fit
+    # oracle tables, in the quadrant layout, on M x M modes at every M; an odd
+    # M's padding is the plan's own, so on NaN-filled work grids grid() of v
+    # written into `modes` and grid(v) are T v T^T too, whatever b held
     b = cw.assemble_basis(M)
     T, G = dense_maps(b)
     rng = np.random.default_rng(M)
     v, g = rng.standard_normal((M, M)), rng.standard_normal((2 * M, 2 * M))
     want = T @ v @ T.T
-    assert np.abs(natural(grid_of(b, v)) - want).max() <= 1e-12 * np.abs(want).max()
+    plan = GridPlan(b, np.full((2, 2, M, M), np.nan), np.full((2, 2, M, M), np.nan))
+    plan.modes[...] = v
+    for got in (grid_of(b, v), plan.grid().copy(), plan.grid(v)):
+        assert np.abs(natural(got) - want).max() <= 1e-12 * np.abs(want).max()
     q = quadrants(g)
     modes = GridPlan(b, q, np.empty_like(q)).fit()
-    n = 2 * ((M + 1) // 2)
-    assert modes.shape == (n, n)
-    assert not modes[M:].any() and not modes[:, M:].any()
+    assert modes.shape == (M, M)
     want = G @ g @ G.T
-    assert np.abs(modes[:M, :M] - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.abs(modes - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def norms(u):
@@ -216,7 +218,7 @@ def nonlinear_load(u):
     # the production modal load G(f(g) + g) of a field's 2M grid g,
     # as march holds it, less the field's modal coefficients: G f(g) G^T
     grid = grid_of(u.basis, u.v)
-    return modal_load(GridPlan(u.basis, grid, np.empty_like(grid)))[:u.basis.M, :u.basis.M] - u.v
+    return modal_load(GridPlan(u.basis, grid, np.empty_like(grid))) - u.v
 
 
 def to_modal_form(basis, load):

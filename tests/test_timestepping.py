@@ -386,14 +386,14 @@ def reference_step(op, prev, curr, grid_prev, grid):
     # operations: the force grid (from the grids, or in a lean march from
     # the modes), its load G(c(g)), the new state and its grid, with the
     # transforms of field2d (checked against the dense maps in test_field2d)
-    basis, M = op.basis, op.basis.M
+    basis = op.basis
     if grid is None:
         force = grid_of(basis, curr + op.xp * (prev - curr))
     else:
         force = grid + op.xp * (grid_prev - grid)
     in_range = np.abs(force).max() <= P
     c = force * force * force if in_range else potential_deriv(force) + force
-    load = GridPlan(basis, c, np.empty_like(c)).fit()[:M, :M]
+    load = GridPlan(basis, c, np.empty_like(c)).fit()
     new = op.cn * curr + op.cp * prev + op.cl * load
     return in_range, new, None if grid is None else grid_of(basis, new)
 
@@ -455,25 +455,28 @@ def test_a_step_allocates_only_what_it_yields(scheme, grids, basis16):
 @pytest.mark.parametrize("grids", [True, False], ids=["grids", "lean"])
 @pytest.mark.parametrize("scheme", ["SL_BDF2", "SL_CN", "FIRST_ORDER"])
 def test_a_march_sets_up_only_its_work_and_entry_grids(scheme, grids, basis16):
-    # up to its entry state, a march at an even M (16) traces its two work
-    # grids (16,384 B) and, unless lean, the entry grids, one per level it
-    # reads (8,192 B each; FIRST_ORDER reads one), plus at most 4 KiB, the
-    # plan's views (about 2.5 KiB) among them: the states and weights it
-    # was given are used as they are, where copying them would add 10,240 B
+    # up to its entry state, a march at an even M (16) or an odd one (15)
+    # traces its two work grids (64 M^2 B) and, unless lean, the entry
+    # grids, one per level it reads (32 M^2 B each; FIRST_ORDER reads
+    # one), plus at most 4 KiB, the plan's views (about 2.5 KiB) among
+    # them: the states and weights it was given are used as they are,
+    # where copying them, or padding an odd M's, would add 10,240 B
     A = 0.0 if scheme == "FIRST_ORDER" else 0.25  # FIRST_ORDER has no A
     params = SchemeParams(scheme=scheme, tau=0.05, gamma=1.0, eps=0.25, A=A, B=8.0)
-    phi0 = random_nodal_field(basis16, 14)
-    phi1 = bootstrap_first_step(phi0, params)
-    op = build_step_operator(params, basis16)
-    tracemalloc.start()
-    try:
-        _, _, grid = next(march(op, phi0.v, phi1.v, 2, grids=grids))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     entry_grids = 0 if not grids else 1 if scheme == "FIRST_ORDER" else 2
-    assert grid is None or grid.nbytes == 8_192
-    assert peak <= 16_384 + 8_192 * entry_grids + 4096
+    for basis in (basis16, assemble_basis(15)):
+        M = basis.M
+        phi0 = random_nodal_field(basis, 14)
+        phi1 = bootstrap_first_step(phi0, params)
+        op = build_step_operator(params, basis)
+        tracemalloc.start()
+        try:
+            _, _, grid = next(march(op, phi0.v, phi1.v, 2, grids=grids))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid is None or grid.nbytes == 32 * M * M
+        assert peak <= 64 * M * M + 32 * M * M * entry_grids + 4096, M
 
 
 @pytest.mark.parametrize("grids", [True, False], ids=["grids", "lean"])
@@ -528,10 +531,9 @@ def dense_step(op, prev, curr):
 @pytest.mark.parametrize("grids", [True, False], ids=["grids", "lean"])
 @pytest.mark.parametrize("M", [9, 13])
 def test_odd_M_march_matches_the_dense_maps(M, grids):
-    # an odd M runs the one step body on zero-padded arrays: each state is
-    # the dense step of the one before within 1e-12 relative, and so is
-    # each grid, T curr T^T in the quadrant layout; the yielded states are
-    # the padded arrays' M x M corners
+    # an odd M runs the one step body: each state, a C-contiguous M x M
+    # array, is the dense step of the one before within 1e-12 relative,
+    # and so is each grid, T curr T^T in the quadrant layout
     basis = assemble_basis(M)
     T, _ = dense_maps(basis)
     phi0 = random_nodal_field(basis, 5)
@@ -541,7 +543,7 @@ def test_odd_M_march_matches_the_dense_maps(M, grids):
         states = list(march(op, phi0.v, bootstrap_first_step(phi0, params).v, 20, grids=grids))
         for (prev, curr, _), (_, new, grid) in zip(states, states[1:]):
             want = dense_step(op, prev, curr)
-            assert new.shape == (M, M)
+            assert new.shape == (M, M) and new.flags.c_contiguous
             assert np.abs(new - want).max() <= 1e-12 * np.abs(want).max()
             if grids:
                 want = T @ new @ T.T
@@ -611,7 +613,7 @@ def test_modal_load_cubic_and_fallback(basis8):
         return GridPlan(basis8, c, np.empty_like(c)).fit().copy()
 
     np.testing.assert_array_equal(modal_load(GridPlan(basis8, g.copy(), scratch)), fit(g * g * g))
-    np.testing.assert_allclose(modal_load(GridPlan(basis8, g.copy(), scratch))[:8, :8] - w,
+    np.testing.assert_allclose(modal_load(GridPlan(basis8, g.copy(), scratch)) - w,
                                G @ potential_deriv(natural(g)) @ G.T, rtol=0, atol=1e-13)
     for bad in (2.5, -2.5, np.nan, np.inf, -np.inf):
         off = g.copy()
