@@ -23,7 +23,6 @@ from .field2d import (
 from .timestepping import (
     SchemeParams,
     StepOperator,
-    bdf2_smallstep_threshold,
     bootstrap_first_step,
     build_step_operator,
     march,

@@ -88,7 +88,7 @@ class GridPlan:
     def __init__(self, basis: Basis1D, a: np.ndarray, b: np.ndarray):
         A, G = basis.eval_stack, basis.fit_stack
         _, M, H = A.shape
-        self.basis, self.a, self.b, self._H = basis, a, b, H
+        self.a, self.b, self._H = a, b, H
         padded = b.reshape(-1)[:4 * H * H].reshape(2 * H, 2 * H)
         self.modes, self._edges = padded[:M, :M], (padded[M], padded[:, M]) if M % 2 else ()
         self._blocks, self._a4, self._b4 = _blocks(padded, H), a.reshape(4, -1), b.reshape(4, -1)

@@ -46,7 +46,7 @@ def square_in_range(x: np.ndarray, out: np.ndarray) -> np.ndarray | None:
     x^2 decides, and a NaN fails its comparison."""
     with np.errstate(over="ignore"):  # x^2 at huge |x|
         sq = np.square(x, out=out)
-    return sq if not sq.size or sq.max() <= P * P else None
+    return sq if sq.max() <= P * P else None
 
 
 class PotentialSpec:

@@ -146,14 +146,15 @@ def modal_load(plan: GridPlan) -> np.ndarray:
     quadrature of f against each modal basis function plus w
     (G(T(w)) = w), whose -w the folded weights cn, cp carry. On a grid
     inside [-P, P] c is the cube: grid^2, squared into the plan's b by
-    `square_in_range`, times grid, written over grid. Any other grid (a
-    point outside, a NaN or an infinity) takes `potential_deriv`'s f plus
-    the grid, in a new array fitted on a plan of its own, and leaves grid
-    as it was. The load is the plan's M x M `modes`, in b (see field2d)."""
-    grid, scratch = plan.a, plan.b
-    if (sq := square_in_range(grid, scratch)) is None:
-        return GridPlan(plan.basis, potential_deriv(grid) + grid, scratch).fit()
-    np.multiply(sq, grid, out=grid)
+    `square_in_range`, times grid. Any other grid (a point outside, a NaN
+    or an infinity) takes `potential_deriv`'s f plus the grid. Either c is
+    written over grid and fitted by the same plan. The load is the plan's
+    M x M `modes`, in b (see field2d)."""
+    grid = plan.a
+    if (sq := square_in_range(grid, plan.b)) is None:
+        np.add(potential_deriv(grid), grid, out=grid)
+    else:
+        np.multiply(sq, grid, out=grid)
     return plan.fit()
 
 
@@ -174,7 +175,7 @@ def march(
     they are free, and builds their `field2d.GridPlan`. A step then
     allocates only what it yields, the new modal state and, unless lean,
     its grid, and builds views of those two alone (a load off [-P, P]
-    allocates its fallback too).
+    allocates `potential_deriv`'s temporaries too).
     Each step writes to no array that it was given or has yielded, so a
     consumer may keep any of them but must not write to them; it stops
     early by leaving its loop. An n_steps that is not an integer >= 0
@@ -248,11 +249,3 @@ def sufficient_stabilizers(
         return _quotient(L * L * gamma, 16.0 * eps * eps, inputs), _quotient(L, 2.0 * eps, inputs)
     return (max(0.0, _quotient(L * L * gamma, 16.0 * eps * eps, inputs)
                 - _quotient(eps, 2.0 * tau, inputs)), _quotient(L, eps, inputs))
-
-
-def bdf2_smallstep_threshold(eps: float, gamma: float) -> float:
-    """The paper's sufficient bound on an energy-stable SL_BDF2 step at A = B = 0,
-    8 eps^3 / (25 L^2 gamma) with L = potential.L, for eps in (0, 1] and gamma > 0."""
-    check_number("eps", eps, True, 1.0)
-    check_number("gamma", gamma, True)
-    return _quotient(8.0 * eps**3, 25.0 * L * L * gamma, f"eps = {eps}, gamma = {gamma}")

@@ -13,9 +13,8 @@ import numpy as np
 import pytest
 
 from chillwave import (
-    Basis1D, SchemeParams, assemble_basis, bdf2_smallstep_threshold, bootstrap_first_step,
-    build_step_operator, default_ladder, gauss_legendre, march, stability_verdict,
-    sufficient_stabilizers,
+    Basis1D, SchemeParams, assemble_basis, bootstrap_first_step, build_step_operator,
+    default_ladder, gauss_legendre, march, stability_verdict, sufficient_stabilizers,
 )
 from chillwave import harness
 from chillwave.diagnostics import TRACE_DTYPE, EnergyTrace
@@ -106,10 +105,6 @@ def stabilizers(**number):
         **dict(dict(scheme="SL_BDF2", eps=0.05, gamma=1.0, tau=0.1, L=11.0), **number))
 
 
-def threshold(**number):
-    return bdf2_smallstep_threshold(**dict(dict(eps=0.05, gamma=1.0), **number))
-
-
 # caller -> (the number's name, its range, a value out of it, a call that passes it)
 NUMBERS = {
     "SchemeParams.tau": ("tau", "> 0", 0.0, lambda x: scheme(tau=x)),
@@ -139,8 +134,6 @@ NUMBERS = {
     "sufficient_stabilizers.gamma": ("gamma", "> 0", 0.0, lambda x: stabilizers(gamma=x)),
     "sufficient_stabilizers.tau": ("tau", "> 0", 0.0, lambda x: stabilizers(tau=x)),
     "sufficient_stabilizers.L": ("L", "> 0", -11.0, lambda x: stabilizers(L=x)),
-    "bdf2_smallstep_threshold.eps": ("eps", "> 0, and <= 1", 1.5, lambda x: threshold(eps=x)),
-    "bdf2_smallstep_threshold.gamma": ("gamma", "> 0", 0.0, lambda x: threshold(gamma=x)),
 }
 
 
@@ -198,12 +191,6 @@ UNREPRESENTABLE = {
     "sufficient_stabilizers.A_overflows": (
         lambda: sufficient_stabilizers("SL_CN", 0.05, 1.0, 0.01, 1e200),
         "SL_CN at eps = 0.05, gamma = 1.0, tau = 0.01, L = 1e+200"),
-    "bdf2_smallstep_threshold.overflows": (
-        lambda: bdf2_smallstep_threshold(1.0, 5e-324),
-        "eps = 1.0, gamma = 5e-324"),
-    "bdf2_smallstep_threshold.underflows": (
-        lambda: bdf2_smallstep_threshold(1e-120, 1.0),
-        "eps = 1e-120, gamma = 1.0"),
     "sufficient_stabilizers.A_underflows": (
         lambda: sufficient_stabilizers("SL_CN", 1.0, 5e-324, 0.01, 1.0),
         "SL_CN at eps = 1.0, gamma = 5e-324, tau = 0.01, L = 1.0"),

@@ -1,9 +1,8 @@
 """Every name `chillwave/__init__.py` exports has a user besides the tests.
 
-A name passes when code reads it in a `src/` module other than the one it
-comes from or in `perfbench/*.py`, or when README.md names it anywhere:
-a public function that only tests call fails here unless README.md
-mentions it, so a README mention alone does not show that it has a user.
+A name passes when code reads it in a `src/` module, the one it comes
+from included, or in `perfbench/*.py`: a public function that only tests
+call fails here, whatever README.md says of it.
 """
 import ast
 import re
@@ -28,22 +27,14 @@ def names_read(path: Path) -> set[str]:
 
 
 def test_every_export_has_a_user():
-    exports = {}  # name -> module it is imported from
+    exports = set()
     for node in ast.parse((PACKAGE / "__init__.py").read_text()).body:
         if isinstance(node, ast.ImportFrom) and node.level == 1:
-            exports.update((alias.name, node.module) for alias in node.names)
-    assert len(exports) > 30
-    readers = {path.stem: names_read(path) for path in PACKAGE.glob("*.py")}
-    del readers["__init__"]
-    bench = set().union(*(names_read(p) for p in (ROOT / "perfbench").glob("*.py")))
-    readme = (ROOT / "README.md").read_text()
-    unused = [
-        name for name, module in exports.items()
-        if not any(name in names for stem, names in readers.items() if stem != module)
-        and name not in bench
-        and not re.search(rf"\b{re.escape(name)}\b", readme)
-    ]
-    assert unused == []
+            exports.update(alias.name for alias in node.names)
+    assert len(exports) >= 30
+    code = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    read = set().union(*map(names_read, code + list((ROOT / "perfbench").glob("*.py"))))
+    assert sorted(exports - read) == []
 
 
 def test_no_module_imports_another_modules_private_name():
