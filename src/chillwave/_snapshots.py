@@ -48,9 +48,9 @@ def write_grid(path, meta, rows) -> None:
 
 class SnapshotWriter:
     """The writer process, started from this file for one run's snapshots
-    in `directory`. `send` is run_simulation's on_snapshot hook: it hands
-    the process one step and returns once the pipe has taken it; `close`
-    waits until the process has written every file sent.
+    in `directory`. `send`, the run's one snapshot path (run_simulation's
+    on_snapshot hook), hands the process one step and returns once the
+    pipe has taken it; `close` waits until it has written every file sent.
     Either raises OSError, naming the file, once the process could not
     write one. As a context manager it closes on every exit; an exception
     already in flight is the one reported."""

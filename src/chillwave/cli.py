@@ -6,7 +6,7 @@ Subcommands:
     converge  temporal convergence table -> convergence.csv
 
 Configs are JSON objects whose keys match the config dataclass field names
-(see README).
+(see README). `run` writes snapshots only through run_simulation's on_snapshot.
 """
 
 from __future__ import annotations

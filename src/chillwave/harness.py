@@ -124,8 +124,7 @@ class RunConfig(SchemeParams):
     def __post_init__(self):
         for name, least in (("M", 4), ("seed", 0), ("snapshot_every", 0)):
             check_count(name, getattr(self, name), least)
-        if self.seed >= 2**64:  # the one seed check_count passes that splitmix64 refuses
-            splitmix64(self.seed, 0)  # raises its one-line error
+        splitmix64(self.seed, 0)  # raises unless the seed is in [0, 2^64)
         check_choice("scheme", self.scheme, ("SL_BDF2", "SL_CN"))
         super().__post_init__()
         check_number("T", self.T, True)
@@ -166,9 +165,7 @@ def initial_field(cfg: RunConfig, basis: Basis1D | None = None) -> Field:
     _check_modes("basis", basis, cfg)
     base = basis if basis is not None else assemble_basis(cfg.M)
     phi0 = random_nodal_field(base, cfg.seed)
-    if cfg.initial == "prepared":
-        phi0 = prepare_phi1(phi0, cfg.eps)
-    return phi0
+    return prepare_phi1(phi0, cfg.eps) if cfg.initial == "prepared" else phi0
 
 
 def run_simulation(
@@ -178,32 +175,33 @@ def run_simulation(
     *,
     until_unstable: bool = False,
     on_snapshot: Callable[[int, float, Field], object] | None = None,
-) -> tuple[EnergyTrace, Field, list[tuple[int, float, Field]]]:
+) -> tuple[EnergyTrace, Field, tuple[()]]:
     """Bootstrap the first step, then march T/tau - 1 scheme steps.
 
-    Returns the per-step energy trace, the final field, and the snapshot
-    list [(n, t, field), ...] per cfg.snapshot_every, held in memory until
-    the run ends. With on_snapshot given, each snapshot is passed to
-    on_snapshot(n, t, field) when the run reaches it, none is kept and
-    the list is empty. Trace rows, snapshots and the final field are read
-    off the modal pairs `march` yields.
-    phi_init and basis, when given, must have cfg.M modes (ValueError
-    otherwise); basis is unused when phi_init is given. A blow-up
-    (NonFinite) ends the run early, as trace.stop_reason records (verdict
-    data, not raised); the final field is then the last good state. A
-    SolveFailed from a bad eigendecomposition is a solver fault, not a
-    verdict, and propagates.
+    Returns the per-step energy trace, the final field and (), kept only
+    because perfbench unpacks three values (ROADMAP item 2c drops it). The
+    hook is a run's one snapshot path: on_snapshot(n, t, field) gets each
+    step that cfg.snapshot_every picks, and the last, when the run reaches
+    it. Trace rows, snapshots and the final field are read off the modal
+    pairs `march` yields. A hook must be given exactly when snapshot_every
+    > 0, and phi_init and basis, when given, must have cfg.M modes
+    (ValueError otherwise, before any basis is built); basis is unused
+    when phi_init is given. A blow-up (NonFinite) ends the run early, as
+    trace.stop_reason records (verdict data, not raised); the final field
+    is then the last good state. A SolveFailed from a bad
+    eigendecomposition is a solver fault, not a verdict, and propagates.
     With until_unstable, the run ends right after its first row whose
     dE_mod is not <= VERDICT_THRESHOLD (NaN included), the row that makes
     stability_verdict say "unstable": that row is then the trace's last.
     """
+    if (cfg.snapshot_every > 0) != (hooked := on_snapshot is not None):
+        raise ValueError(f"snapshot_every = {cfg.snapshot_every} with {'an' if hooked else 'no'}"
+                         " on_snapshot hook: a run takes snapshots exactly when it has one")
     _check_modes("phi_init", None if phi_init is None else phi_init.basis, cfg)
     _check_modes("basis", basis, cfg)
     phi0 = phi_init if phi_init is not None else initial_field(cfg, basis)
     basis = phi0.basis
     op = build_step_operator(cfg, basis)
-    snapshots: list[tuple[int, float, Field]] = []
-    keep = on_snapshot or (lambda *snapshot: snapshots.append(snapshot))
     N = cfg.n_steps()
     rows = np.empty(N, TRACE_DTYPE)
     scratch = np.empty((2, 2, cfg.M, cfg.M))  # step_energies' square, for every row
@@ -220,15 +218,14 @@ def run_simulation(
             rows[n - 1] = (n, t, e_eps, e_new, dE_mod, mean, np.sqrt(dt_sq))
             e_mod = e_new
             if cfg.snapshot_every > 0 and (n % cfg.snapshot_every == 0 or n == N):
-                keep(n, t, Field(basis, curr))
+                on_snapshot(n, t, Field(basis, curr))
             if until_unstable and not dE_mod <= VERDICT_THRESHOLD:
                 stop_reason = "energy_increase"
                 break
     except NonFinite:
         stop_reason = "blow_up"
-    trace = EnergyTrace(rows[:n].view(np.recarray), stop_reason, basis.residual)
     final = phi0 if curr is None else Field(basis, curr)
-    return trace, final, snapshots
+    return EnergyTrace(rows[:n].view(np.recarray), stop_reason, basis.residual), final, ()
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +255,10 @@ class SweepConfig:
     """Minimum-stabilizer sweep over a (gamma, tau) grid; a candidate runs base.n_steps() steps.
 
     target names the stabilizer being minimized; the other one is held at
-    fixed_value. ladder overrides the default candidate ladder (a
-    non-empty, strictly increasing list of finite values >= 0; it need
-    not start at 0). full_scan evaluates every candidate instead of
-    stopping at the first stable one, to surface monotonicity anomalies.
+    fixed_value, so base's A and B, like its snapshot_every, must be 0.
+    ladder overrides the default ladder (a non-empty, strictly increasing
+    list of finite values >= 0, from any start). full_scan runs past the
+    first stable candidate, to surface monotonicity anomalies.
     """
 
     base: RunConfig
@@ -275,8 +272,10 @@ class SweepConfig:
     def __post_init__(self):
         if not isinstance(self.base, RunConfig):
             raise ValueError(f"base must be a run config object, got {self.base!r}")
-        if self.base.snapshot_every:
-            raise ValueError(f"snapshot_every must be 0 in a sweep, got {self.base.snapshot_every}")
+        for key in ("snapshot_every", "A", "B"):
+            if value := getattr(self.base, key):
+                raise ValueError(f"{key} must be 0 in a sweep's base, got {value}: a sweep "
+                                 "takes no snapshots and holds the unswept stabilizer at fixed_value")
         check_choice("target", self.target, ("A", "B"))
         for name in ("gamma_list", "tau_list"):
             _check_list(name, getattr(self, name), True)
@@ -366,9 +365,8 @@ def _num(x: float) -> str:
 
 
 def _candidate_config(sc: SweepConfig, gamma: float, tau: float, candidate: float) -> RunConfig:
-    a, b = (candidate, sc.fixed_value) if sc.target == "A" else (sc.fixed_value, candidate)
-    n = sc.base.n_steps()
-    return replace(sc.base, gamma=gamma, tau=tau, T=n * tau, A=a, B=b)
+    stabilizers = {"A": sc.fixed_value, "B": sc.fixed_value, sc.target: candidate}
+    return replace(sc.base, gamma=gamma, tau=tau, T=sc.base.n_steps() * tau, **stabilizers)
 
 
 def _ladder(sc: SweepConfig, gamma: float) -> list[float]:

@@ -12,7 +12,8 @@ the package's transforms on fresh arrays, and `natural` takes one of its
 quadrant-major grids back to the ascending nodes, where the oracles
 evaluate. `lean_final` is the last state of a lean march from a
 datum. `experiment` runs a benchmark workload (perfbench/workloads.py, as
-checked in) once per session for the tests that share it.
+checked in) once per session for the tests that share it. `Snapshots` is
+an on_snapshot hook that keeps what a run hands it.
 """
 import importlib.util
 import sys
@@ -118,6 +119,14 @@ def dense_maps(basis):
     x, w = oracle_quadrature(2 * basis.M)
     tab = oracle_basis_values(basis.M, x)
     return tab.T @ basis.E, basis.E.T @ (tab * w)
+
+
+class Snapshots(list):
+    """An on_snapshot hook for run_simulation: the (n, t, field) of every
+    snapshot the run hands it, in order."""
+
+    def __call__(self, n, t, field):
+        self.append((n, t, field))
 
 
 def grid_of(basis, v):

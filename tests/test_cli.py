@@ -22,6 +22,7 @@ from chillwave.cli import build_parser, main
 from chillwave.diagnostics import TRACE_HEADER
 from chillwave.errors import NonFinite, SolveFailed
 from chillwave.harness import initial_field, run_config_from_dict
+from conftest import Snapshots
 
 
 def write_json(path, obj):
@@ -140,7 +141,7 @@ def test_run_summary_records_blow_up(tmp_path, capsys):
 
 def final_field_bytes(tmp_path, cfg):
     # final_field.csv as write_snapshot formats the run's final field
-    trace, final, _ = run_simulation(run_config_from_dict(cfg))
+    trace, final, _ = run_simulation(run_config_from_dict(cfg), on_snapshot=Snapshots())
     ref = tmp_path / "ref.csv"
     write_snapshot(final, ref, eps=cfg["eps"], gamma=cfg["gamma"],
                    t=trace.rows["t"][-1], step=trace.rows["n"][-1])
@@ -181,7 +182,8 @@ def test_run_final_field_formatted_after_a_blow_up(tmp_path):
 
 def snapshot_bytes(tmp_path, cfg):
     # {file name: bytes} of each snapshot write_snapshot formats for the run
-    _, _, snapshots = run_simulation(run_config_from_dict(cfg))
+    snapshots = Snapshots()
+    run_simulation(run_config_from_dict(cfg), on_snapshot=snapshots)
     want = {}
     for n, t, u in snapshots:
         ref = tmp_path / "ref.csv"
@@ -538,6 +540,17 @@ def test_sweep_rejects_bad_config(tmp_path, capsys, key, value):
     # "steps" is not a key: a candidate runs its base's step count
     unknown = "unknown SweepConfig keys: ['steps']"
     assert_one_line_error(capsys, rc, unknown if key == "steps" else key)
+
+
+def test_sweep_rejects_a_base_stabilizer(tmp_path, capsys):
+    # the held stabilizer is fixed_value: a base's B = 40 would otherwise be
+    # dropped without a word, and the sweep run at B = 0
+    cfg_path = tmp_path / "sweep.json"
+    write_json(cfg_path, dict(SWEEP_CFG, base=dict(SWEEP_CFG["base"], B=40)))
+    out = tmp_path / "out"
+    rc = main(["sweep", "--config", str(cfg_path), "--out-dir", str(out)])
+    assert_one_line_error(capsys, rc, "B must be 0 in a sweep's base, got 40", "fixed_value")
+    assert not out.exists()
 
 
 def test_sweep_command(tmp_path, capsys):

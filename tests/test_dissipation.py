@@ -34,7 +34,7 @@ import pytest
 import chillwave as cw
 from chillwave.harness import initial_field
 from chillwave.potential import L, potential_deriv, potential_value
-from conftest import dense_maps, oracle_quadrature
+from conftest import Snapshots, dense_maps, oracle_quadrature
 
 EXTRAPOLATION = {"SL_BDF2": (2.0, -1.0), "SL_CN": (1.5, -0.5)}
 
@@ -76,7 +76,8 @@ def identity_gaps(cfg):
     cfg = replace(cfg, snapshot_every=1)
     basis = cw.assemble_basis(cfg.M)
     phi0 = initial_field(cfg, basis)
-    trace, _, snapshots = cw.run_simulation(cfg, phi_init=phi0)
+    snapshots = Snapshots()
+    trace, _, _ = cw.run_simulation(cfg, phi_init=phi0, on_snapshot=snapshots)
     vs = [phi0.v] + [u.v for _, _, u in snapshots]
     assert len(vs) == len(trace) + 1
     (T, _), (_, q) = dense_maps(basis), oracle_quadrature(2 * cfg.M)

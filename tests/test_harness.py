@@ -34,7 +34,7 @@ from chillwave.harness import (
     sweep_config_from_dict,
     write_convergence_csv,
 )
-from conftest import energy_eps, unit_field
+from conftest import Snapshots, energy_eps, unit_field
 
 
 def splitmix_ref(seed, count):
@@ -210,6 +210,28 @@ def test_readme_config_examples_parse():
         replace(cfg, tau=tau).n_steps()  # raises unless T is a multiple of tau
 
 
+def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
+    # the four python blocks of "Library quick start" run in order in one
+    # namespace (blocks 2 and 3 write files, here into tmp_path), and block
+    # 1 prints what its comments say: the verdict and the snapshot steps
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start\n")[1].split("\n## ")[0]
+    blocks = [part.split("```")[0] for part in section.split("```python\n")[1:]]
+    assert len(blocks) == 4
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    for k, block in enumerate(blocks):
+        exec(compile(block, f"README.md quick start block {k + 1}", "exec"), namespace)
+        if k == 0:
+            printed = capsys.readouterr().out.splitlines()
+    comments = [line.split("#", 1)[1].strip() for line in blocks[0].splitlines()
+                if line.startswith("print(")]
+    assert comments[0] == printed[0] == "stable"
+    assert comments[3] == printed[3] == "[256, 512, 768, 1024]"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "phi1.csv", *(f"snapshot_{n:06d}.csv" for n in (256, 512, 768, 1024))]
+
+
 def test_n_steps_rounding():
     cfg = RunConfig(M=8, eps=0.05, gamma=1.0, tau=0.01, T=10.24, scheme="SL_CN")
     assert cfg.n_steps() == 1024
@@ -226,7 +248,7 @@ def test_single_step_run_is_the_bootstrap(basis8):
     assert len(trace) == 1
     assert trace.rows["n"][0] == 1
     assert trace.rows["dE_mod"][0] == 0.0
-    assert snaps == []
+    assert snaps == ()
 
 
 def test_constant_initial_flat_trace(basis8):
@@ -291,12 +313,30 @@ def test_run_simulation_raises_on_wrong_eigenbasis(monkeypatch):
 def test_run_simulation_snapshot_cadence(basis8):
     cfg = RunConfig(M=8, eps=0.25, gamma=1.0, tau=0.1, T=0.6, scheme="SL_CN",
                     A=0.25, B=8.0, seed=5, snapshot_every=2)
-    _, _, snaps = run_simulation(cfg, basis=basis8)
+    snaps = Snapshots()
+    run_simulation(cfg, basis=basis8, on_snapshot=snaps)
     assert [n for n, _, _ in snaps] == [2, 4, 6]
     cfg2 = RunConfig(M=8, eps=0.25, gamma=1.0, tau=0.1, T=0.6, scheme="SL_CN",
                      A=0.25, B=8.0, seed=5, snapshot_every=4)
-    _, _, snaps2 = run_simulation(cfg2, basis=basis8)
+    snaps2 = Snapshots()
+    run_simulation(cfg2, basis=basis8, on_snapshot=snaps2)
     assert [n for n, _, _ in snaps2] == [4, 6]  # final step always included
+
+
+@pytest.mark.parametrize("snapshot_every,hook", [(1, False), (0, True)])
+def test_run_takes_snapshots_exactly_when_it_has_a_hook(snapshot_every, hook):
+    # a snapshot leaves a run only through on_snapshot, so a cadence with
+    # no hook, or a hook with no cadence, is a config error; at M = 10^7
+    # the one-line ValueError, not a MemoryError, shows that it is raised
+    # before any basis is assembled
+    cfg = RunConfig(M=10**7, eps=0.25, gamma=1.0, tau=0.1, T=0.3, scheme="SL_CN",
+                    snapshot_every=snapshot_every)
+    with pytest.raises(ValueError) as caught:
+        run_simulation(cfg, on_snapshot=Snapshots() if hook else None)
+    message = str(caught.value)
+    assert "\n" not in message
+    hooked = "an" if hook else "no"
+    assert f"snapshot_every = {snapshot_every} with {hooked} on_snapshot hook" in message
 
 
 @pytest.mark.parametrize("raw,until_unstable,ends", [
@@ -309,23 +349,31 @@ def test_run_simulation_snapshot_cadence(basis8):
     pytest.param(dict(M=8, eps=0.25, gamma=1.0, tau=0.01, T=0.64, scheme="SL_CN", seed=42,
                       snapshot_every=3), True, "energy_increase", id="stop-above"),
 ])
-def test_snapshot_hook_receives_the_default_list(raw, until_unstable, ends):
-    # on_snapshot gets, when the run reaches it, each snapshot the default
-    # list would hold, and run_simulation then keeps none
+def test_snapshot_hook_follows_the_cadence(raw, until_unstable, ends):
+    # on_snapshot gets, when the run reaches it, every cadence step the run
+    # reaches and the last step of a completed run, at t = n * tau; a second
+    # run hands it the same bytes, and the run returns () for the third value
     cfg = RunConfig(**raw)
-    trace, final, listed = run_simulation(cfg, until_unstable=until_unstable)
-    hooked = []
-    hooked_trace, hooked_final, kept = run_simulation(
-        cfg, until_unstable=until_unstable,
-        on_snapshot=lambda n, t, field: hooked.append((n, t, field)))
-    assert kept == []
-    assert len(listed) >= 3
-    assert [(n, t) for n, t, _ in hooked] == [(n, t) for n, t, _ in listed]
-    assert [n for n, _, _ in hooked] == sorted({n for n, _, _ in hooked})
-    assert all(h.v.tobytes() == f.v.tobytes() for (_, _, h), (_, _, f) in zip(hooked, listed))
-    assert np.array_equal(hooked_trace.rows, trace.rows)
-    assert hooked_final.v.tobytes() == final.v.tobytes()
-    assert trace.stop_reason == hooked_trace.stop_reason == ends
+
+    def run():
+        snaps = Snapshots()
+        return (*run_simulation(cfg, until_unstable=until_unstable, on_snapshot=snaps), snaps)
+
+    (trace, final, rest, snaps), (trace2, final2, rest2, snaps2) = run(), run()
+    N, k = cfg.n_steps(), cfg.snapshot_every
+    assert rest == rest2 == ()
+    assert trace.stop_reason == trace2.stop_reason == ends
+    assert [n for n, _, _ in snaps] == [n for n in range(1, len(trace) + 1)
+                                       if n % k == 0 or n == N]
+    assert len(snaps) >= 3
+    assert [t for _, t, _ in snaps] == [n * cfg.tau for n, _, _ in snaps]
+    assert [(n, t) for n, t, _ in snaps2] == [(n, t) for n, t, _ in snaps]
+    assert all(a.v.tobytes() == b.v.tobytes() for (_, _, a), (_, _, b) in zip(snaps, snaps2))
+    assert np.array_equal(trace2.rows, trace.rows)
+    assert final2.v.tobytes() == final.v.tobytes()
+    if ends == "completed":
+        assert snaps[-1][0] == len(trace) == N
+        assert snaps[-1][2].v.tobytes() == final.v.tobytes()
 
 
 COMPLETES = dict(M=8, eps=0.25, gamma=1.0, tau=0.1, T=0.6, scheme="SL_CN", A=0.25, B=8.0, seed=5)
@@ -371,7 +419,8 @@ def test_trace_time_is_step_times_tau(basis8):
     # a running sum of 0.01 is 0.09999999999999999 after 10 steps
     cfg = RunConfig(M=8, eps=0.25, gamma=1.0, tau=0.01, T=1.0, scheme="SL_CN",
                     A=0.25, B=8.0, seed=5, snapshot_every=10)
-    trace, _, snaps = run_simulation(cfg, basis=basis8)
+    snaps = Snapshots()
+    trace, _, _ = run_simulation(cfg, basis=basis8, on_snapshot=snaps)
     assert len(trace) == 100
     assert (trace.rows["t"] == trace.rows["n"] * cfg.tau).all()
     assert [t for _, t, _ in snaps] == [n * cfg.tau for n, _, _ in snaps]
@@ -441,6 +490,20 @@ def test_sweep_config_validation():
             sweep_config_from_dict(not_an_object)
         with pytest.raises(ValueError, match="JSON object"):
             run_config_from_dict(not_an_object)
+
+
+@pytest.mark.parametrize("target", ["A", "B"])
+@pytest.mark.parametrize("key", ["A", "B"])
+def test_sweep_base_leaves_both_stabilizers_at_0(target, key):
+    # a candidate takes its target from the ladder and the other stabilizer
+    # from fixed_value, so a base's own A or B would be dropped unread
+    base = RunConfig(M=8, eps=0.25, gamma=1.0, tau=0.1, T=1.0, scheme="SL_BDF2", **{key: 40.0})
+    with pytest.raises(ValueError) as caught:
+        SweepConfig(base=base, target=target, gamma_list=[1.0], tau_list=[0.1], fixed_value=40.0)
+    message = str(caught.value)
+    assert "\n" not in message
+    assert message.startswith(f"{key} must be 0 in a sweep's base, got 40.0")
+    assert "fixed_value" in message
 
 
 def test_checked_sweep_types_are_frozen():
