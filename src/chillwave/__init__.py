@@ -25,6 +25,7 @@ from .timestepping import (
     StepOperator,
     bootstrap_first_step,
     build_step_operator,
+    lean_final,
     march,
     sufficient_stabilizers,
 )

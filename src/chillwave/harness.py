@@ -26,7 +26,7 @@ from .diagnostics import (
 from .errors import NonFinite, check_choice, check_count, check_number
 from .field2d import Field, GridPlan, error_norms, quadrants
 from .spectral1d import Basis1D, assemble_basis
-from .timestepping import SchemeParams, bootstrap_first_step, build_step_operator, march
+from .timestepping import SchemeParams, bootstrap_first_step, build_step_operator, lean_final, march
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -65,25 +65,25 @@ def random_nodal_field(basis: Basis1D, seed: int) -> Field:
     return Field(basis, GridPlan(basis, grid, np.empty_like(grid)).fit().copy())
 
 
-PREPARE_STEPS = 64  # prepare_phi1's substeps of eps^3
+PREPARE_STEPS = 64  # prepare_phi1's steps of prepare_params(eps)
 
 
 def prepare_params(eps: float) -> SchemeParams:
-    """The step that prepare_phi1 bootstraps in PREPARE_STEPS substeps of
-    eps^3, at unit mobility. The substep must be a normal float, so that
-    its reciprocal, the bootstrap's step coefficient, stays finite."""
+    """The first-order step, tau = eps^3 at unit mobility and B = 1/eps,
+    that prepare_phi1 takes PREPARE_STEPS times. eps^3 must be a normal
+    float, so that its reciprocal, the step coefficient, stays finite."""
     check_number("eps", eps, True, 1.0)
     if eps**3 < sys.float_info.min:
         raise ValueError(
             f"eps must be in (0, 1] with eps^3 a normal float to prepare phi1, got {eps!r}"
         )
-    return SchemeParams(scheme="FIRST_ORDER", tau=PREPARE_STEPS * eps**3, gamma=1.0, eps=eps)
+    return SchemeParams(scheme="FIRST_ORDER", tau=eps**3, gamma=1.0, eps=eps, B=1.0 / eps)
 
 
 def prepare_phi1(phi0: Field, eps: float) -> Field:
-    """Relax random noise into a developed-interface state: the first-order
-    bootstrap of `prepare_params(eps)`, stabilizer B = 1/eps."""
-    return bootstrap_first_step(phi0, prepare_params(eps), m=PREPARE_STEPS)
+    """Relax random noise into a developed-interface state: `lean_final`
+    of PREPARE_STEPS steps of `prepare_params(eps)`."""
+    return lean_final(phi0, prepare_params(eps), PREPARE_STEPS)
 
 
 def _step_count(T: float, tau: float, key: str = "tau") -> int:
@@ -414,11 +414,10 @@ def convergence_study(cfg: RunConfig, tau_list: list[float], tau_ref: float) -> 
 
     Returns a record array of CONVERGENCE_DTYPE, one row per tau_list
     entry; an order is NaN unless the previous entry is 2 tau and both
-    errors are nonzero. Every run starts from the same initial datum (per
-    cfg.initial), performs its own per-tau bootstrap and, reading only
-    its final pair, marches without grids; cfg.tau is not read, and
-    cfg.snapshot_every must be 0. tau_list must be a non-empty list and
-    tau_ref a number, all finite and > 0, with tau_ref <= min(tau_list).
+    errors are nonzero. Every run is a `lean_final`, with its own per-tau
+    bootstrap, from one datum, `initial_field(cfg)`; cfg.tau is not read,
+    and cfg.snapshot_every must be 0. tau_list must be a non-empty list
+    and tau_ref a number, all finite and > 0, with tau_ref <= min(tau_list).
     """
     _check_list("tau_list", tau_list, True)
     check_number("tau_ref", tau_ref, True)
@@ -430,18 +429,8 @@ def convergence_study(cfg: RunConfig, tau_list: list[float], tau_ref: float) -> 
     if tau_ref > min(tau_list):
         raise ValueError(f"the reference tau = {tau_ref} is coarser than the finest tau in "
                          f"tau_list, {min(tau_list)}: the reference run must be the finest")
-    basis = assemble_basis(cfg.M)
-    phi_init = initial_field(cfg, basis)
-
-    finals = []
-    for tau, n in zip(taus, steps):
-        params = replace(cfg, tau=tau)
-        phi1 = bootstrap_first_step(phi_init, params)
-        op = build_step_operator(params, basis)
-        for _, final, _ in march(op, phi_init.v, phi1.v, n - 1, grids=False):
-            pass  # keeps only the last state
-        finals.append(Field(basis, final))
-
+    phi_init = initial_field(cfg)
+    finals = [lean_final(phi_init, replace(cfg, tau=tau), n) for tau, n in zip(taus, steps)]
     errs = [error_norms(final, finals[0]) for final in finals[1:]]
     rows = []
     for k, tau in enumerate(tau_list):

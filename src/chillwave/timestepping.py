@@ -39,9 +39,9 @@ sigma and the transforms' stacks are the basis's (see Basis1D). A
 `_TABLE` row also holds its scheme's modified-energy constants (h_1, h_L),
 from which the operator keeps the energy weights that
 `diagnostics.step_energies` reads. `march` yields the states (v^{n-1}, v^n, g^n), the entry state
-first, with g^n None in a lean march; runs, sweeps, convergence studies
-and the first-order bootstrap are loops over them, and a run may
-`break` early.
+first, with g^n None in a lean march. Runs and sweeps loop over them (a
+run may `break` early); `lean_final`, which keeps only the last, serves
+the first-order bootstrap, the prepared datum and convergence studies.
 """
 
 from __future__ import annotations
@@ -166,10 +166,10 @@ def march(
 
     Yields (prev, curr, grid) for the entry pair and then for each new
     pair, n_steps + 1 states, with grid the quadrant-major 2M grid of
-    curr, or None in a lean march (grids=False, for callers that read only
-    modal states). It steps M x M modal arrays at every M, those it was
-    given as they are: an odd M's parity padding is the plan's alone
-    (see `field2d.GridPlan`). Once, before the entry state, it allocates its
+    curr, or None in a lean march (grids=False, which `lean_final` runs).
+    It steps M x M modal arrays at every M, those it was given as they
+    are: an odd M's parity padding is the plan's alone (see
+    `field2d.GridPlan`). Once, before the entry state, it allocates its
     work arrays, two 2M grids, the force and the cube, whose memory also
     holds the transforms' intermediates and the step's modal ones while
     they are free, and builds their `field2d.GridPlan`. A step then
@@ -213,19 +213,27 @@ def march(
         yield prev, curr, grid
 
 
-def bootstrap_first_step(phi0: Field, params: SchemeParams, m: int = 10) -> Field:
-    """Produce phi^1 for the two-level schemes: m substeps of the
-    first-order scheme with step tau/m and stabilizer B = 1/eps, on a lean
-    march (no grids)."""
-    check_count("m", m, 1)
-    first = SchemeParams(
-        scheme="FIRST_ORDER", tau=params.tau / m, gamma=params.gamma,
-        eps=params.eps, B=1.0 / params.eps,
-    )
-    op = build_step_operator(first, phi0.basis)
-    for _, v1, _ in march(op, phi0.v, phi0.v, m, grids=False):
+def lean_final(phi0: Field, params: SchemeParams, n_steps: int) -> Field:
+    """The Field after n_steps of params' scheme from phi0 on a lean march:
+    FIRST_ORDER marches from (phi0, phi0), a two-level scheme from phi0 and
+    its step 1, `bootstrap_first_step`'s phi1. An n_steps that is not an
+    integer >= 1 raises ValueError before any operator is built."""
+    check_count("n_steps", n_steps, 1)
+    if params.scheme == "FIRST_ORDER":
+        start = phi0
+    else:
+        start, n_steps = bootstrap_first_step(phi0, params), n_steps - 1
+    op = build_step_operator(params, phi0.basis)
+    for _, final, _ in march(op, phi0.v, start.v, n_steps, grids=False):
         pass  # keeps only the last state
-    return Field(phi0.basis, v1)
+    return Field(phi0.basis, final)
+
+
+def bootstrap_first_step(phi0: Field, params: SchemeParams) -> Field:
+    """phi^1 for the two-level schemes: `lean_final` of 10 first-order
+    substeps of tau/10 with stabilizer B = 1/eps."""
+    first = SchemeParams("FIRST_ORDER", params.tau / 10, params.gamma, params.eps, B=1 / params.eps)
+    return lean_final(phi0, first, 10)
 
 
 def _quotient(num: float, den: float, inputs: str) -> float:

@@ -10,8 +10,7 @@ their closed forms. `dense_maps` are the dense 2M maps, from the oracle
 tables, that the parity transforms replace. `grid_of` and `fitted` run
 the package's transforms on fresh arrays, and `natural` takes one of its
 quadrant-major grids back to the ascending nodes, where the oracles
-evaluate. `lean_final` is the last state of a lean march from a
-datum. `experiment` runs a benchmark workload (perfbench/workloads.py, as
+evaluate. `experiment` runs a benchmark workload (perfbench/workloads.py, as
 checked in) once per session for the tests that share it. `Snapshots` is
 an on_snapshot hook that keeps what a run hands it.
 """
@@ -24,10 +23,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
 
-from chillwave import (
-    Field, SchemeParams, assemble_basis, bootstrap_first_step, build_step_operator, march,
-    potential_deriv,
-)
+from chillwave import Field, SchemeParams, assemble_basis, build_step_operator, potential_deriv
 from chillwave.diagnostics import step_energies
 from chillwave.field2d import GridPlan, quadrants
 
@@ -184,23 +180,6 @@ def field_energies(params, curr, prev=None):
     prev = curr if prev is None else prev
     grid = grid_of(curr.basis, curr.v)
     return step_energies(op, prev.v, curr.v, grid, np.empty_like(grid))
-
-
-def lean_final(phi0, params, n_steps):
-    """The Field after n_steps of params' scheme from phi0 on a lean march,
-    the last state a convergence study keeps: a two-level scheme's first
-    step is `bootstrap_first_step`'s, while FIRST_ORDER marches from phi0
-    alone. `convergence_study` cannot run FIRST_ORDER, nor score one scheme
-    against another's reference."""
-    op = build_step_operator(params, phi0.basis)
-    if params.scheme == "FIRST_ORDER":
-        states = march(op, phi0.v, phi0.v, n_steps, grids=False)
-    else:
-        phi1 = bootstrap_first_step(phi0, params)
-        states = march(op, phi0.v, phi1.v, n_steps - 1, grids=False)
-    for _, final, _ in states:
-        pass
-    return Field(phi0.basis, final)
 
 
 def energy_eps(eps, u):

@@ -16,7 +16,7 @@ import pytest
 import chillwave as cw
 from chillwave.harness import random_nodal_field
 from conftest import (
-    amplification_factors, fitted, grid_of, lean_final, legendre_field, natural, unit_field,
+    amplification_factors, fitted, grid_of, legendre_field, natural, unit_field,
 )
 
 L = 11.0
@@ -329,7 +329,7 @@ def paper_eps_final(scheme, datum, M):
     phi0 = legendre_field(cw.assemble_basis(M), padded)
     A, B = cw.sufficient_stabilizers(scheme, EPS, GAMMA, 0.01, L)
     params = cw.SchemeParams(scheme=scheme, tau=0.01, gamma=GAMMA, eps=EPS, A=A, B=B)
-    return lean_final(phi0, params, 256)
+    return cw.lean_final(phi0, params, 256)
 
 
 def test_criterion_11_spatial_convergence_paper_eps(capsys):
@@ -357,11 +357,11 @@ def test_criterion_11_spatial_convergence_paper_eps(capsys):
 
 
 def lean_errors(phi0, params, T, ref=None):
-    """error_norms of `lean_final` at T, one triple per tau in TAUS, against
+    """error_norms of `cw.lean_final` at T, one triple per tau in TAUS, against
     the Field ref, by default params' own run at TAU_REF."""
     if ref is None:
-        ref = lean_final(phi0, replace(params, tau=TAU_REF), round(T / TAU_REF))
-    return [cw.error_norms(lean_final(phi0, replace(params, tau=tau), round(T / tau)), ref)
+        ref = cw.lean_final(phi0, replace(params, tau=TAU_REF), round(T / TAU_REF))
+    return [cw.error_norms(cw.lean_final(phi0, replace(params, tau=tau), round(T / tau)), ref)
             for tau in TAUS]
 
 
@@ -699,7 +699,7 @@ def test_criterion_18_accuracy_per_step_against_first_order(capsys):
     A, B = cw.sufficient_stabilizers("SL_CN", eps, GAMMA, TAU_REF, L)
     schemes = {"SL_BDF2": bdf2, "SL_CN": replace(bdf2, scheme="SL_CN", A=A, B=B),
                "FIRST_ORDER": replace(bdf2, scheme="FIRST_ORDER", A=0.0, B=1 / eps)}
-    ref = lean_final(phi0, bdf2, round(T / TAU_REF))
+    ref = cw.lean_final(phi0, bdf2, round(T / TAU_REF))
     l2 = {s: [e[1] for e in lean_errors(phi0, p, T, ref)] for s, p in schemes.items()}
     order = {s: math.log2(e[-2] / e[-1]) for s, e in l2.items()}
     # the steps to SL_BDF2's error at tau = 0.04 on each scheme's line

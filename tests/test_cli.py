@@ -644,8 +644,8 @@ def test_run_rejects_prepared_eps_underflow(tmp_path, capsys, eps):
 @pytest.mark.parametrize("command", ["run", "sweep", "converge"])
 def test_config_out_dir_and_m_are_unknown_keys(tmp_path, capsys, monkeypatch, command, key,
                                                value):
-    # the output path comes only from --out-dir and the bootstrap count is
-    # bootstrap_first_step's, so a run config naming either is rejected
+    # the output path comes only from --out-dir and the bootstrap's 10
+    # substeps are fixed, so a run config naming either is rejected
     # before anything is written
     cfg = {
         "run": dict(RUN_CFG, **{key: value}),

@@ -1,4 +1,4 @@
-"""Every mode, step, substep, row count and seed goes through one check,
+"""Every mode, step, row count and seed goes through one check,
 `errors.check_count`: an integer (a numpy one too, not a bool) no
 smaller than the count's least value, or a one-line ValueError. Every
 step size, mobility, interface width, stabilizer, Lipschitz bound and
@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from chillwave import (
-    Basis1D, SchemeParams, assemble_basis, bootstrap_first_step, build_step_operator,
-    default_ladder, gauss_legendre, march, stability_verdict, sufficient_stabilizers,
+    Basis1D, SchemeParams, assemble_basis, build_step_operator, default_ladder, gauss_legendre,
+    lean_final, march, stability_verdict, sufficient_stabilizers,
 )
 from chillwave import harness
 from chillwave.diagnostics import TRACE_DTYPE, EnergyTrace
@@ -41,8 +41,8 @@ CALLERS = {
     "assemble_basis": ("M", 4, lambda basis, M: assemble_basis(M)),
     "march": ("n_steps", 0, lambda basis, n: march_states(basis, n, True)),
     "march_lean": ("n_steps", 0, lambda basis, n: march_states(basis, n, False)),
-    "bootstrap_first_step": (
-        "m", 1, lambda basis, m: bootstrap_first_step(random_nodal_field(basis, 9), PARAMS, m)),
+    "lean_final": (
+        "n_steps", 1, lambda basis, n: lean_final(random_nodal_field(basis, 9), PARAMS, n)),
     "stability_verdict": (
         "min_steps", 1,
         lambda basis, k: stability_verdict(EnergyTrace(np.zeros(4, TRACE_DTYPE)), min_steps=k)),

@@ -19,6 +19,8 @@ from chillwave import (
     build_step_operator,
     convergence_study,
     default_ladder,
+    error_norms,
+    lean_final,
     mean_value,
     prepare_phi1,
     run_simulation,
@@ -29,6 +31,7 @@ from chillwave import (
 from chillwave.harness import (
     CONVERGENCE_DTYPE,
     initial_field,
+    prepare_params,
     random_nodal_field,
     run_config_from_dict,
     sweep_config_from_dict,
@@ -110,6 +113,12 @@ def test_prepare_phi1_constant_unchanged(basis8):
     c = unit_field(basis8, 0, 0, 0.2)
     out = prepare_phi1(c, 0.25)
     assert np.abs(out.coeffs - c.coeffs).max() <= 1e-12
+
+
+def test_prepare_params_is_the_first_order_step():
+    # prepare_phi1 takes PREPARE_STEPS steps of tau = eps^3 at B = 1/eps
+    p = prepare_params(0.25)
+    assert (p.scheme, p.tau, p.gamma, p.B) == ("FIRST_ORDER", 0.25**3, 1.0, 4.0)
 
 
 def test_prepare_phi1_dissipates():
@@ -795,6 +804,19 @@ def test_convergence_order_is_nan_after_a_zero_error():
         assert rows[name + "_err"][0] > 0.0 and rows[name + "_err"][1] == 0.0
         assert np.isnan(rows[name + "_order"]).all()
 
+
+@pytest.mark.parametrize("initial", ["random", "prepared"])
+def test_convergence_rows_are_error_norms_of_lean_finals(initial):
+    # a row's errors are error_norms of the lean_final at its tau against
+    # the one at tau_ref, both from initial_field(cfg), bit for bit
+    cfg = RunConfig(M=8, eps=0.25, gamma=1e-3, tau=0.02, T=0.08, scheme="SL_CN",
+                    A=0.25, B=8.0, seed=11, initial=initial)
+    rows = convergence_study(cfg, [0.02, 0.01], 0.0025)
+    phi0 = initial_field(cfg)
+    ref = lean_final(phi0, replace(cfg, tau=0.0025), 32)
+    for row, tau, n in zip(rows, (0.02, 0.01), (4, 8)):
+        want = error_norms(lean_final(phi0, replace(cfg, tau=tau), n), ref)
+        assert (row.h_minus1_err, row.l2_err, row.h1_err) == tuple(want)
 
 
 def test_library_runs_without_scipy(tmp_path):
