@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its count, number and choice checks."""
+"""Exception types shared across the package, and its count, mode, number and choice checks."""
 
 import sys
 from numbers import Integral, Real
@@ -9,6 +9,13 @@ def check_count(name: str, value, least: int) -> None:
     integer, not a bool, a float or a string."""
     if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def check_modes(M, name: str = "M") -> None:
+    """ValueError unless M is an even integer >= 4, the one rule for a mode count."""
+    check_count(name, M, 4)
+    if M % 2:
+        raise ValueError(f"{name} must be even, got {M!r}")
 
 
 def check_number(name: str, value, positive: bool, most: float = sys.float_info.max) -> None:

@@ -22,9 +22,8 @@ the modes are parity-major (see Basis1D), each runs two batched GEMMs over
 the four parity blocks v_pq, A_p v_pq A_q^T, and one sign GEMM,
 (H2 x H2) @ X.reshape(4, M^2) with H2 = [[1, 1], [1, -1]], since a mirror
 flips the sign of each odd factor: 3M^3 multiply-adds against 6M^3 for
-dense 2M maps. Their blocks are one strided view of a 2H x 2H array,
-H = ceil(M/2), which for an odd M pads v with a zero last row and column;
-that padding is the plan's alone, and its callers see M x M modes.
+dense 2M maps. M is even (see `errors.check_modes`), so each block is
+H x H, H = M/2, and the four are one strided view of v.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._snapshots import SNAPSHOT_HEADER, snapshot_grid, write_grid
+from .errors import check_modes
 from .spectral1d import Basis1D, assemble_basis
 
 @dataclass
@@ -66,7 +66,7 @@ _SIGNS = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, -1.0],
 
 
 def _blocks(v: np.ndarray, H: int) -> np.ndarray:
-    """The parity blocks v_pq of the 2H x 2H modal array v, a (2, 2, H, H) view."""
+    """The parity blocks v_pq of the M x M modal array v, M = 2H, a (2, 2, H, H) view."""
     return v.reshape(2, H, 2, H).transpose(0, 2, 1, 3)
 
 
@@ -82,17 +82,15 @@ class GridPlan:
     it. `grid(v)` returns the quadrant-major 2M grid of the M x M modal
     array v in a new array, and `grid()` that of `modes` written over a.
     Both overwrite a and b but for their result; v may lie in b's memory
-    but not in a's. For an odd M `modes` is the [:M, :M] corner of the
-    2H x 2H array the blocks view, into which `grid(v)` copies v."""
+    but not in a's. The parity blocks are views of `modes`, or of v, in
+    place."""
 
     def __init__(self, basis: Basis1D, a: np.ndarray, b: np.ndarray):
         A, G = basis.eval_stack, basis.fit_stack
         _, M, H = A.shape
-        self.a, self.b, self._H = a, b, H
-        padded = b.reshape(-1)[:4 * H * H].reshape(2 * H, 2 * H)
-        self.modes, self._edges = padded[:M, :M], (padded[M], padded[:, M]) if M % 2 else ()
-        self._blocks, self._a4, self._b4 = _blocks(padded, H), a.reshape(4, -1), b.reshape(4, -1)
-        self._half = a.reshape(-1)[:4 * H * M].reshape(2, 2, H, M)
+        self.a, self.b, self._H, self.modes = a, b, H, b[0, 0]
+        self._blocks, self._a4, self._b4 = _blocks(b[0, 0], H), a.reshape(4, -1), b.reshape(4, -1)
+        self._half = a[0].reshape(2, 2, H, M)
         self._A, self._At = A[:, None], A.transpose(0, 2, 1)
         self._G, self._Gt = G[:, None], G.transpose(0, 2, 1)
 
@@ -100,13 +98,7 @@ class GridPlan:
         blocks, out, out4 = self._blocks, self.a, self._a4
         if v is not None:
             out = np.empty_like(self.a)
-            out4 = out.reshape(4, -1)
-            if self._edges:
-                self.modes[...] = v
-            else:
-                blocks = _blocks(v, self._H)
-        for edge in self._edges:  # an odd M's padding, dirty after earlier GEMMs
-            edge.fill(0.0)
+            out4, blocks = out.reshape(4, -1), _blocks(v, self._H)
         np.matmul(blocks, self._At, out=self._half)
         np.matmul(self._A, self._half, out=self.b)
         np.matmul(_SIGNS, self._b4, out=out4)
@@ -190,7 +182,8 @@ def read_snapshot(path, basis: Basis1D | None = None) -> tuple[Field, dict]:
 
     A basis is assembled from the header M when none is supplied.
     ValueError, naming the file, unless line 1 is SNAPSHOT_HEADER, line 2
-    its five finite values with M >= 4, and M lines of M finite numbers follow.
+    its five finite values with M even and >= 4, and M lines of M finite
+    numbers follow.
     """
     with open(path) as fh:
         header, parts = fh.readline().strip(), fh.readline().strip().split(",")
@@ -206,8 +199,7 @@ def read_snapshot(path, basis: Basis1D | None = None) -> tuple[Field, dict]:
                 "and a line of its five finite values"
             ) from None
         M = meta["M"]
-        if M < 4:
-            raise ValueError(f"snapshot {path} has M = {M}, but M must be >= 4")
+        check_modes(M, f"snapshot {path}: M")
         vals = []
         for i, line in enumerate(fh, 1):
             cells = line.split(",")

@@ -23,7 +23,7 @@ from ._snapshots import write_rows
 from .diagnostics import (
     TRACE_DTYPE, VERDICT_THRESHOLD, EnergyTrace, stability_verdict, step_energies,
 )
-from .errors import NonFinite, check_choice, check_count, check_number
+from .errors import NonFinite, check_choice, check_count, check_modes, check_number
 from .field2d import Field, GridPlan, error_norms, quadrants
 from .spectral1d import Basis1D, assemble_basis
 from .timestepping import SchemeParams, bootstrap_first_step, build_step_operator, lean_final, march
@@ -115,15 +115,16 @@ class RunConfig(SchemeParams):
     """Single-simulation configuration: a two-level scheme's parameters
     plus the run's size and initial datum; JSON keys match field names."""
 
-    M: int
+    M: int  # even and >= 4 (errors.check_modes)
     T: float
     seed: int = 42
     initial: str = "random"  # "random" (raw noise) or "prepared" (phi1 state)
     snapshot_every: int = 0  # steps between snapshots; 0 disables
 
     def __post_init__(self):
-        for name, least in (("M", 4), ("seed", 0), ("snapshot_every", 0)):
-            check_count(name, getattr(self, name), least)
+        check_modes(self.M)
+        for name in ("seed", "snapshot_every"):
+            check_count(name, getattr(self, name), 0)
         splitmix64(self.seed, 0)  # raises unless the seed is in [0, 2^64)
         check_choice("scheme", self.scheme, ("SL_BDF2", "SL_CN"))
         super().__post_init__()

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SolveFailed, check_count
+from .errors import SolveFailed, check_count, check_modes
 
 RESIDUAL_LIMIT = 1e-10
 
@@ -94,26 +94,26 @@ def _mass_stiffness(M: int) -> tuple[np.ndarray, np.ndarray]:
 class Basis1D:
     """Galerkin basis of dimension M = len(lam) from an eigenpair (lam, E)
     with K E = M E diag(lam), E^T M E = I and lam[0] = 0 (the constant mode).
-    E is parity-major: its first H = ceil(M/2) columns are the even modes,
-    zero at the odd Legendre indices, and the rest the odd ones, zero at
-    the even indices.
+    E is parity-major: its first H = M/2 columns are the even modes, zero
+    at the odd Legendre indices, and the rest the odd ones, zero at the
+    even indices.
 
-    Construction raises ValueError unless M >= 4 and E is M x M and
-    parity-major with exact zeros, and SolveFailed unless the pair's
-    residual against the analytic mass and stiffness,
-    max(||K E - M E diag(lam)|| / ||K E||, ||E^T M E - I||), is within
-    1e-10. From the checked pair it derives sigma[k, j] = lam[k] + lam[j],
-    the M-point grid map T_M = eval_M^T E (grid = T_M v T_M^T) and fit
-    G_M = E^T eval_M diag(w_M) (v = G_M g G_M^T), and the stacks of the 2M
-    transforms (see field2d), whose nodes are the M positive ones x_i with
-    weights w and their mirrors: eval_stack[p] (M x H) holds the values
-    psi_k(x_i) of the parity-p modes, fit_stack[p] = eval_stack[p]^T
-    diag(w) (H x M), an odd M's odd block padded with a zero column or
-    row, each stored so that its transpose is C-contiguous, as a GEMM's
-    right operand. weights is w once per quadrant, the weight of each row
-    of a 2M grid read as a 4M x M array; its first M weigh the columns.
-    Every array is read-only, and `replace(basis, E=...)` re-checks the
-    new pair and re-derives the maps.
+    Construction raises ValueError unless M is even and >= 4
+    (`errors.check_modes`) and E is M x M and parity-major with exact
+    zeros, and SolveFailed unless the pair's residual against the analytic
+    mass and stiffness, max(||K E - M E diag(lam)|| / ||K E||,
+    ||E^T M E - I||), is within 1e-10. From the checked pair it derives
+    sigma[k, j] = lam[k] + lam[j], the M-point grid map T_M = eval_M^T E
+    (grid = T_M v T_M^T) and fit G_M = E^T eval_M diag(w_M)
+    (v = G_M g G_M^T), and the stacks of the 2M transforms (see field2d),
+    whose nodes are the M positive ones x_i with weights w and their
+    mirrors: eval_stack[p] (M x H) holds the values psi_k(x_i) of the
+    parity-p modes, fit_stack[p] = eval_stack[p]^T diag(w) (H x M), each
+    stored so that its transpose, a GEMM's right operand, is C-contiguous.
+    weights is w once per quadrant, the weight of each row of a 2M grid
+    read as a 4M x M array; its first M weigh the columns. Every array is
+    read-only, and `replace(basis, E=...)` re-checks the new pair and
+    re-derives the maps.
     """
 
     M: int = field(init=False)
@@ -129,10 +129,10 @@ class Basis1D:
 
     def __post_init__(self):
         lam, E, M = self.lam, self.E, len(self.lam)
-        check_count("M", M, 4)
+        check_modes(M)
         if np.shape(E) != (M, M):
             raise ValueError(f"E must be M x M = {M} x {M} for M = len(lam), got {np.shape(E)}")
-        H = (M + 1) // 2
+        H = M // 2
         if np.any(E[(np.arange(M) % 2 == 1)[:, None] != (np.arange(M) >= H)]):
             raise ValueError(f"E must be parity-major: its first {H} columns zero at the odd "
                              "Legendre indices and the rest zero at the even ones")
@@ -150,9 +150,7 @@ class Basis1D:
         xm, wm = gauss_legendre(M)
         x2, w2 = gauss_legendre(2 * M)
         eval_M = legendre_table(M - 1, xm)
-        values = np.zeros((M, 2 * H))  # psi_k(x_i) at the positive nodes, modes padded to 2H
-        values[:, :M] = legendre_table(M - 1, x2[M:]).T @ E
-        stack = values.reshape(M, 2, H).transpose(1, 0, 2)
+        stack = (legendre_table(M - 1, x2[M:]).T @ E).reshape(M, 2, H).transpose(1, 0, 2)
         derived = {
             "M": M, "weights": np.tile(w2[M:], 4), "sigma": lam[:, None] + lam[None, :],
             "residual": residual,
@@ -173,10 +171,10 @@ def assemble_basis(M: int) -> Basis1D:
     Q for the eigenvectors Q of the symmetric D^-1/2 K D^-1/2 restricted to
     the Legendre indices of one parity, even modes first, each block in
     ascending lam."""
-    check_count("M", M, 4)
+    check_modes(M)
     mass, stiffness = _mass_stiffness(M)
     s = 1.0 / np.sqrt(mass)
-    H = (M + 1) // 2
+    H = M // 2
     lam, E = np.empty(M), np.zeros((M, M))
     for parity, modes in ((0, slice(0, H)), (1, slice(H, M))):
         i = slice(parity, M, 2)

@@ -167,15 +167,15 @@ def march(
     Yields (prev, curr, grid) for the entry pair and then for each new
     pair, n_steps + 1 states, with grid the quadrant-major 2M grid of
     curr, or None in a lean march (grids=False, which `lean_final` runs).
-    It steps M x M modal arrays at every M, those it was given as they
-    are: an odd M's parity padding is the plan's alone (see
-    `field2d.GridPlan`). Once, before the entry state, it allocates its
-    work arrays, two 2M grids, the force and the cube, whose memory also
-    holds the transforms' intermediates and the step's modal ones while
-    they are free, and builds their `field2d.GridPlan`. A step then
-    allocates only what it yields, the new modal state and, unless lean,
-    its grid, and builds views of those two alone (a load off [-P, P]
-    allocates `potential_deriv`'s temporaries too).
+    It steps the M x M modal arrays it was given as they are, M even, so
+    that their parity blocks are views (see `field2d`). Once, before the
+    entry state, it allocates its work arrays, two 2M grids, the force and
+    the cube, whose memory also holds the transforms' intermediates and
+    the step's modal ones while they are free, and builds their
+    `field2d.GridPlan`. A step then allocates only what it yields, the new
+    modal state and, unless lean, its grid, and builds views of those two
+    alone (a load off [-P, P] allocates `potential_deriv`'s temporaries
+    too).
     Each step writes to no array that it was given or has yielded, so a
     consumer may keep any of them but must not write to them; it stops
     early by leaving its loop. An n_steps that is not an integer >= 0

@@ -660,25 +660,44 @@ def test_config_out_dir_and_m_are_unknown_keys(tmp_path, capsys, monkeypatch, co
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64])
-@pytest.mark.parametrize("command,snapshot_every", [
-    *(pytest.param(c, 0, id=c) for c in ("run", "sweep", "converge")),
-    pytest.param("run", 1, id="run-snapshot_every-1"),
-])
-def test_seed_outside_64_bits_is_an_error(tmp_path, capsys, monkeypatch, command,
-                                         snapshot_every, seed):
-    # the config rejects the seed, so `run` starts no snapshot writer
+def assert_rejected_before_any_output(tmp_path, capsys, monkeypatch, command, keys, *words):
+    # `command` on its config with the run keys set: the config rejects
+    # them in one line, so no output directory is made and `run` starts no
+    # snapshot writer
     started = []
     monkeypatch.setattr(cli, "SnapshotWriter",
                         lambda *args: started.append(args) or _snapshots.SnapshotWriter(*args))
     out = tmp_path / "out"
     cfg = {
-        "run": dict(RUN_CFG, seed=seed, snapshot_every=snapshot_every),
-        "sweep": dict(SWEEP_CFG, base=dict(SWEEP_CFG["base"], seed=seed)),
-        "converge": dict(CONVERGE_CFG, seed=seed),
+        "run": dict(RUN_CFG, **keys),
+        "sweep": dict(SWEEP_CFG, base=dict(SWEEP_CFG["base"], **keys)),
+        "converge": dict(CONVERGE_CFG, **keys),
     }[command]
     write_json(tmp_path / "config.json", cfg)
     rc = main([command, "--config", str(tmp_path / "config.json"), "--out-dir", str(out)])
-    assert_one_line_error(capsys, rc, "seed", str(seed))
+    assert_one_line_error(capsys, rc, *words)
     assert not out.exists()
     assert started == []
+
+
+COMMANDS = [
+    *(pytest.param(c, 0, id=c) for c in ("run", "sweep", "converge")),
+    pytest.param("run", 1, id="run-snapshot_every-1"),
+]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("command,snapshot_every", COMMANDS)
+def test_seed_outside_64_bits_is_an_error(tmp_path, capsys, monkeypatch, command,
+                                         snapshot_every, seed):
+    assert_rejected_before_any_output(tmp_path, capsys, monkeypatch, command,
+                                      dict(seed=seed, snapshot_every=snapshot_every),
+                                      "seed", str(seed))
+
+
+@pytest.mark.parametrize("command,snapshot_every", COMMANDS)
+def test_odd_M_is_an_error(tmp_path, capsys, monkeypatch, command, snapshot_every):
+    # an odd M fails as `M must be even, got 9` before any basis exists
+    assert_rejected_before_any_output(tmp_path, capsys, monkeypatch, command,
+                                      dict(M=9, snapshot_every=snapshot_every),
+                                      "chillwave: error: M must be even, got 9\n")

@@ -1,6 +1,7 @@
 """Every mode, step, row count and seed goes through one check,
 `errors.check_count`: an integer (a numpy one too, not a bool) no
-smaller than the count's least value, or a one-line ValueError. Every
+smaller than the count's least value, or a one-line ValueError; a mode
+count M must also be even (`errors.check_modes`). Every
 step size, mobility, interface width, stabilizer, Lipschitz bound and
 final time, and each entry of a config's lists, goes through
 `errors.check_number`: a finite real number (a numpy one too, not a
@@ -14,9 +15,9 @@ import pytest
 
 from chillwave import (
     Basis1D, SchemeParams, assemble_basis, build_step_operator, default_ladder, gauss_legendre,
-    lean_final, march, stability_verdict, sufficient_stabilizers,
+    lean_final, march, read_snapshot, stability_verdict, sufficient_stabilizers,
 )
-from chillwave import harness
+from chillwave import harness, spectral1d
 from chillwave.diagnostics import TRACE_DTYPE, EnergyTrace
 from chillwave.harness import (
     RunConfig, SweepConfig, convergence_study, prepare_params, random_nodal_field, splitmix64,
@@ -87,6 +88,38 @@ def test_basis_reads_M_off_lam():
         Basis1D(b.lam[:3], b.E[:3, :3])
     with pytest.raises(ValueError, match=re.escape("E must be M x M = 4 x 4")):
         Basis1D(b.lam, b.E[:, :3])
+
+
+def snapshot_of(M, path):
+    # read_snapshot of a file whose header and body are those of M modes
+    row = ",".join(["0.0"] * M) + "\n"
+    path.write_text(f"M,eps,gamma,t,step\n{M},0.25,1.0,0.5,5\n" + row * M)
+    return read_snapshot(path)
+
+
+# caller -> a call that passes it M (and the path of the snapshot file it reads)
+MODES = {
+    "RunConfig": lambda M, path: RunConfig(**dict(RUN, M=M)),
+    "assemble_basis": lambda M, path: assemble_basis(M),
+    "Basis1D": lambda M, path: Basis1D(np.zeros(M), np.eye(M)),
+    "read_snapshot": snapshot_of,
+}
+
+
+@pytest.mark.parametrize("M", [5, 9])
+@pytest.mark.parametrize("caller", list(MODES))
+def test_every_M_is_even(monkeypatch, tmp_path, caller, M):
+    # an odd M raises the one-line message before any basis exists: no
+    # Gauss rule and no eigh runs, and a snapshot's message names its file
+    def unreached(*args):
+        raise AssertionError("a basis was being built")
+
+    monkeypatch.setattr(np.linalg, "eigh", unreached)
+    monkeypatch.setattr(spectral1d, "gauss_legendre", unreached)
+    path = tmp_path / "snap.csv"
+    prefix = f"snapshot {path}: " if caller == "read_snapshot" else ""
+    with pytest.raises(ValueError, match=f"^{re.escape(prefix)}M must be even, got {M}$"):
+        MODES[caller](M, path)
 
 
 SWEEP = dict(base=RunConfig(**RUN), target="A", gamma_list=[1.0], tau_list=[0.1])

@@ -104,12 +104,12 @@ def test_quadrant_layout_round_trip():
     np.testing.assert_array_equal(natural(q), g)
 
 
-@pytest.mark.parametrize("M", [8, 9, 13, 48])
+@pytest.mark.parametrize("M", [8, 10, 14, 48])
 def test_parity_transforms_match_the_dense_maps(M):
     # a GridPlan's grid is T v T^T and its fit G g G^T for the dense 2M maps of the
-    # oracle tables, in the quadrant layout, on M x M modes at every M; an odd
-    # M's padding is the plan's own, so on NaN-filled work grids grid() of v
-    # written into `modes` and grid(v) are T v T^T too, whatever b held
+    # oracle tables, in the quadrant layout, on M x M modes whose parity blocks are
+    # M/2 wide, an odd width at M = 10 and 14; on NaN-filled work grids grid() of v
+    # written into `modes` and grid(v) are T v T^T too
     b = cw.assemble_basis(M)
     T, G = dense_maps(b)
     rng = np.random.default_rng(M)
@@ -322,7 +322,7 @@ def test_snapshot_reuses_supplied_basis(tmp_path, basis8):
         (lines[:-1], "has 7 grid rows, expected M = 8"),
         (lines + ["\n"], r"grid row 9 \(line 11\)"),
         (["M,eps,gamma,t,step\n", "2,0.25,1.0,0.5,5\n", "0.0,0.0\n", "0.0,0.0\n"],
-         "has M = 2, but M must be >= 4"),
+         "M must be an integer >= 4, got 2"),
         # a snapshot the package writes holds no NaN or infinity
         ([*lines[:2], ",".join(["nan", "inf", *row[2:]]) + "\n", *lines[3:]],
          r"grid row 1 \(line 3\): expected M = 8 comma-separated finite numbers"),

@@ -194,15 +194,13 @@ def test_x5_forward_is_the_exact_projection(basis8):
 
 
 def parity_columns(values, M):
-    """(2, rows, H) stack of the parity-major columns of values, the odd
-    block padded with a zero column for an odd M."""
-    H = (M + 1) // 2
-    out = np.zeros((2, len(values), H))
-    out[0], out[1, :, :M - H] = values[:, :H], values[:, H:]
-    return out
+    """(2, rows, M/2) stack of the parity-major columns of values: the
+    even block, then the odd one."""
+    H = M // 2
+    return np.stack([values[:, :H], values[:, H:]])
 
 
-@pytest.mark.parametrize("M", [8, 13])
+@pytest.mark.parametrize("M", [8, 14])
 def test_grid_maps_match_oracle(M):
     # T_M = eval_M^T E evaluates modal coefficients on the M-point Gauss
     # grid and G_M = E^T eval_M diag(w_M) fits them back; on the 2M set the
@@ -222,14 +220,14 @@ def test_grid_maps_match_oracle(M):
     np.testing.assert_allclose(b.weights, np.tile(w[M:], 4), atol=1e-14)
 
 
-@pytest.mark.parametrize("M", [8, 47, 48, 128])
+@pytest.mark.parametrize("M", [8, 10, 48, 128])
 def test_parity_stacks_layout(M):
-    # the stacks are (2, M, H) and (2, H, M), H = ceil(M/2), stored so
-    # that each transpose, a transform's right-hand GEMM operand, is
-    # C-contiguous; the values are the plain products, bit for bit, an odd
-    # M's padding is exact zeros, and replace() re-derives the layout
+    # the stacks are (2, M, H) and (2, H, M), H = M/2 (odd at M = 10),
+    # stored so that each transpose, a transform's right-hand GEMM operand,
+    # is C-contiguous; the values are the plain products, bit for bit, and
+    # replace() re-derives the layout
     b = assemble_basis(M)
-    H = (M + 1) // 2
+    H = M // 2
     x, w = gauss_legendre(2 * M)
     values = parity_columns(legendre_table(M - 1, x[M:]).T @ b.E, M)
     for basis in (b, replace(b, E=b.E)):
@@ -239,15 +237,14 @@ def test_parity_stacks_layout(M):
             assert stack.transpose(0, 2, 1).flags.c_contiguous and not stack.flags.writeable
         assert np.array_equal(A, values)
         assert np.array_equal(G, values.transpose(0, 2, 1) * w[M:])
-        assert not A[1, :, M - H:].any() and not G[1, M - H:].any()
         assert np.array_equal(basis.weights, np.tile(w[M:], 4))
 
 
 def cross_parity(E):
     """E's entries that a parity-major E holds at exactly 0: the odd
-    Legendre rows of its first ceil(M/2) columns, the even rows of the rest."""
+    Legendre rows of its first M/2 columns, the even rows of the rest."""
     M = len(E)
-    return E[(np.arange(M) % 2 == 1)[:, None] != (np.arange(M) >= (M + 1) // 2)]
+    return E[(np.arange(M) % 2 == 1)[:, None] != (np.arange(M) >= M // 2)]
 
 
 @pytest.mark.parametrize("M", [16, 48, 128])
@@ -255,7 +252,7 @@ def test_eigenbasis_is_parity_exact(M):
     # one eigh per parity block: every cross-parity entry is exactly 0,
     # each block is in ascending lam, and lam[0] = 0 is the constant mode
     b = assemble_basis(M)
-    H = (M + 1) // 2
+    H = M // 2
     assert not cross_parity(b.E).any()
     assert b.lam[0] == 0.0 and b.E[0, 0] > 0.0 and not b.E[1:, 0].any()
     assert np.all(np.diff(b.lam[:H]) > 0) and np.all(np.diff(b.lam[H:]) > 0)
@@ -289,25 +286,30 @@ def refined_block(M, parity):
 def eigenvector_error(E, M):
     """max |E - E_ref| after aligning each column's sign with the refined
     long-double reference, which is 0 across parities."""
-    H = (M + 1) // 2
+    H = M // 2
     ref = np.zeros((M, M), dtype=np.longdouble)
     ref[0::2, :H], ref[1::2, H:] = refined_block(M, 0), refined_block(M, 1)
     sign = np.where(np.sum(E * ref, axis=0) < 0, -1.0, 1.0)
     return float(np.abs(E * sign - ref).max())
 
 
-@pytest.mark.parametrize("M", [48, 64])
+@pytest.mark.parametrize("M", [48, 64, pytest.param(128, marks=pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 19: a dense eigh resolves the smooth modes only to about "
+    "eps lam_max / gap, so E lies 1.2e-10 from the reference at M = 128"))])
 def test_eigenbasis_matches_a_long_double_oracle(M):
     # per-parity E lies within 1e-11 of the refined reference (measured
-    # 1.2e-12 and 4.4e-12 against a 40-digit one); a single eigh of the
-    # whole matrix, with its cross-parity roundoff, misses the bound
+    # 1.2e-12 and 4.4e-12 against a 40-digit one, and 1.24e-10 at M = 128,
+    # which item 19's tridiagonal form brings to 3.4e-13); a single eigh of
+    # the whole matrix, with its cross-parity roundoff, misses the bound
     assert eigenvector_error(assemble_basis(M).E, M) <= 1e-11
 
 
 def test_basis_rejects_an_E_that_is_not_parity_major():
     # a lam-sorted E (the two blocks merged by eigenvalue), or one with a
-    # cross-parity entry of 1e-14, is rejected with a one-line error
-    b = assemble_basis(9)
+    # cross-parity entry of 1e-14, is rejected with a one-line error; at
+    # M = 10 each parity block is 5 wide
+    b = assemble_basis(10)
     order = np.argsort(b.lam, kind="stable")
     polluted = b.E.copy()
     polluted[1, 0] = 1e-14

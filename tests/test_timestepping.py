@@ -459,28 +459,26 @@ def test_a_step_allocates_only_what_it_yields(scheme, grids, basis16):
 @pytest.mark.parametrize("grids", [True, False], ids=["grids", "lean"])
 @pytest.mark.parametrize("scheme", ["SL_BDF2", "SL_CN", "FIRST_ORDER"])
 def test_a_march_sets_up_only_its_work_and_entry_grids(scheme, grids, basis16):
-    # up to its entry state, a march at an even M (16) or an odd one (15)
-    # traces its two work grids (64 M^2 B) and, unless lean, the entry
-    # grids, one per level it reads (32 M^2 B each; FIRST_ORDER reads
-    # one), plus at most 4 KiB, the plan's views (about 2.5 KiB) among
-    # them: the states and weights it was given are used as they are,
-    # where copying them, or padding an odd M's, would add 10,240 B
+    # up to its entry state, a march at M = 16 traces its two work grids
+    # (64 M^2 B) and, unless lean, the entry grids, one per level it reads
+    # (32 M^2 B each; FIRST_ORDER reads one), plus at most 4 KiB, the
+    # plan's views (about 2.5 KiB) among them: the states and weights it
+    # was given are used as they are, where copying them would add 10,240 B
     A = 0.0 if scheme == "FIRST_ORDER" else 0.25  # FIRST_ORDER has no A
     params = SchemeParams(scheme=scheme, tau=0.05, gamma=1.0, eps=0.25, A=A, B=8.0)
     entry_grids = 0 if not grids else 1 if scheme == "FIRST_ORDER" else 2
-    for basis in (basis16, assemble_basis(15)):
-        M = basis.M
-        phi0 = random_nodal_field(basis, 14)
-        phi1 = bootstrap_first_step(phi0, params)
-        op = build_step_operator(params, basis)
-        tracemalloc.start()
-        try:
-            _, _, grid = next(march(op, phi0.v, phi1.v, 2, grids=grids))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert grid is None or grid.nbytes == 32 * M * M
-        assert peak <= 64 * M * M + 32 * M * M * entry_grids + 4096, M
+    M = basis16.M
+    phi0 = random_nodal_field(basis16, 14)
+    phi1 = bootstrap_first_step(phi0, params)
+    op = build_step_operator(params, basis16)
+    tracemalloc.start()
+    try:
+        _, _, grid = next(march(op, phi0.v, phi1.v, 2, grids=grids))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid is None or grid.nbytes == 32 * M * M
+    assert peak <= 64 * M * M + 32 * M * M * entry_grids + 4096
 
 
 @pytest.fixture
@@ -602,11 +600,11 @@ def dense_step(op, prev, curr):
 
 
 @pytest.mark.parametrize("grids", [True, False], ids=["grids", "lean"])
-@pytest.mark.parametrize("M", [9, 13])
-def test_odd_M_march_matches_the_dense_maps(M, grids):
-    # an odd M runs the one step body: each state, a C-contiguous M x M
-    # array, is the dense step of the one before within 1e-12 relative,
-    # and so is each grid, T curr T^T in the quadrant layout
+@pytest.mark.parametrize("M", [10, 14])
+def test_odd_half_march_matches_the_dense_maps(M, grids):
+    # parity blocks of an odd width M/2 run the one step body: each state,
+    # a C-contiguous M x M array, is the dense step of the one before within
+    # 1e-12 relative, and so is each grid, T curr T^T in the quadrant layout
     basis = assemble_basis(M)
     T, _ = dense_maps(basis)
     phi0 = random_nodal_field(basis, 5)
@@ -839,7 +837,7 @@ def long_double_march(params, basis, v0, v1, n_steps):
     long-double Gauss nodes, and each mode's step solved from the paper's
     scheme as written, with no weight folded."""
     M, LD = basis.M, np.longdouble
-    H = (M + 1) // 2
+    H = M // 2
     E = np.zeros((M, M), dtype=LD)
     E[0::2, :H], E[1::2, H:] = refined_block(M, 0), refined_block(M, 1)
     lam = np.einsum("ik,ij,jk->k", E, analytic_mass_stiffness(M)[1].astype(LD), E)
@@ -880,26 +878,43 @@ FLOAT64_FLOOR = {(16, "SL_BDF2"): 7.6e-14, (16, "SL_CN"): 4.3e-14,
                  (24, "SL_BDF2"): 1.7e-13, (24, "SL_CN"): 1.6e-13}
 
 
-@pytest.mark.parametrize("scheme", ["SL_BDF2", "SL_CN"])
-@pytest.mark.parametrize("M", [16, 24])
-def test_march_stays_at_its_float64_floor_from_a_long_double_oracle(M, scheme, capsys):
-    # the float64 march against the same discrete problem in 80-bit, from
-    # one entry pair (the seed-42 noise and its bootstrap, trace_m48's
-    # theorem run at M = 16 and 24): over 200 steps the largest Legendre
-    # coefficient distance stays within 10 times FLOAT64_FLOOR, measured
-    # on 2-core AMD EPYC with OpenBLAS; the coefficients reach 1.6 to 2.4
+def float64_distance(M, scheme, n_steps):
+    """The largest Legendre coefficient distance over n_steps of the
+    float64 march from long_double_march, from one entry pair: the seed-42
+    noise and its bootstrap, at trace_m48's theorem run of scheme."""
     eps, gamma, tau = 0.05, 0.0025, 0.01
     A, B = sufficient_stabilizers(scheme, eps, gamma, tau, 11.0)
     params = SchemeParams(scheme, tau=tau, gamma=gamma, eps=eps, A=A, B=B)
     basis = assemble_basis(M)
     phi0 = random_nodal_field(basis, 42)
     phi1 = bootstrap_first_step(phi0, params)
-    oracle = long_double_march(params, basis, phi0.v, phi1.v, 200)
+    oracle = long_double_march(params, basis, phi0.v, phi1.v, n_steps)
     E = basis.E.astype(np.longdouble)
-    states = march(build_step_operator(params, basis), phi0.v, phi1.v, 200, grids=False)
-    distance = max(float(np.abs(E @ curr.astype(np.longdouble) @ E.T - ref).max())
-                   for (_, curr, _), ref in zip(states, oracle, strict=True))
+    states = march(build_step_operator(params, basis), phi0.v, phi1.v, n_steps, grids=False)
+    return max(float(np.abs(E @ curr.astype(np.longdouble) @ E.T - ref).max())
+               for (_, curr, _), ref in zip(states, oracle, strict=True))
+
+
+@pytest.mark.parametrize("scheme", ["SL_BDF2", "SL_CN"])
+@pytest.mark.parametrize("M", [16, 24])
+def test_march_stays_at_its_float64_floor_from_a_long_double_oracle(M, scheme, capsys):
+    # the float64 march against the same discrete problem in 80-bit, at
+    # M = 16 and 24: over 200 steps the largest Legendre coefficient
+    # distance stays within 10 times FLOAT64_FLOOR, measured on 2-core AMD
+    # EPYC with OpenBLAS; the coefficients reach 1.6 to 2.4
+    distance = float64_distance(M, scheme, 200)
     with capsys.disabled():
         print(f"\nFLOAT64 FLOOR: {scheme} at M = {M}, 200 steps: max |C - C_80bit| = "
               f"{distance:.2e} (aim 1's bound on a moved field: 1e-10)")
     assert distance <= 10 * FLOAT64_FLOOR[M, scheme]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 19: the dense eigh's E is 1.2e-12 off at M = 48, "
+                   "so the float64 march lies 4.7e-13 from the 80-bit one in 50 steps")
+@pytest.mark.parametrize("scheme", ["SL_BDF2", "SL_CN"])
+def test_march_at_M48_stays_within_1e_13_of_a_long_double_oracle(scheme):
+    # over 50 steps at M = 48 the distance reads 4.68e-13 (SL_BDF2) and
+    # 4.79e-13 (SL_CN) with today's E, and 1.7e-14 and 1.1e-14 with item
+    # 19's tridiagonal one (ROADMAP)
+    assert float64_distance(48, scheme, 50) <= 1e-13
