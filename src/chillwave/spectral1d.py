@@ -19,9 +19,9 @@ diagonalizes every operator of the time steppers (Shen's
 matrix-diagonalization method). As the stiffness couples only indices of
 one parity, each eigenvector is even or odd, with exact zeros at the other
 parity's indices: `assemble_basis` solves the two parity blocks apart
-(Shen's odd/even decoupling), and `Basis1D` checks that eigenpair and
-derives from it the only maps between modal coefficients and either
-Gauss grid.
+(Shen's odd/even decoupling), each from the tridiagonal inverse of its
+stiffness, and `Basis1D` checks that eigenpair and derives from it the
+only maps between modal coefficients and either Gauss grid.
 """
 
 from __future__ import annotations
@@ -139,10 +139,9 @@ class Basis1D:
         mass, stiffness = _mass_stiffness(M)
         KE = stiffness @ E
         ME = mass[:, None] * E
-        residual = float(max(
-            np.linalg.norm(KE - ME * lam) / np.linalg.norm(KE),
-            np.linalg.norm(E.T @ ME - np.eye(M)),
-        ))
+        # Frobenius norms as numpy sums, whose order no BLAS thread count moves
+        R, O = KE - ME * lam, E.T @ ME - np.eye(M)
+        residual = float(max(np.sqrt(np.sum(R * R) / np.sum(KE * KE)), np.sqrt(np.sum(O * O))))
         if not residual <= RESIDUAL_LIMIT:
             raise SolveFailed(
                 f"eigendecomposition residual {residual:.3e} exceeds {RESIDUAL_LIMIT:.0e}"
@@ -166,19 +165,22 @@ class Basis1D:
 
 
 def assemble_basis(M: int) -> Basis1D:
-    """Build Basis1D from the analytic Legendre orthogonality relations,
-    one parity block at a time: with D = diag(mass), the block's E = D^-1/2
-    Q for the eigenvectors Q of the symmetric D^-1/2 K D^-1/2 restricted to
-    the Legendre indices of one parity, even modes first, each block in
-    ascending lam."""
+    """Build Basis1D from the analytic orthogonality relations, one parity
+    block at a time, even modes first, each in ascending lam: the constant
+    mode exactly (E[0, 0] = 1/sqrt(2), lam = 0), and past it E = Y / r for
+    the eigenvectors Y of r T r, r = sqrt(mass), T the tridiagonal inverse
+    of the block's Green's stiffness c_min(j,k), c_k = k(k+1), with steps
+    d of c from 0 and lam each column's sum_m d_m (sum_{i>=m} E_i)^2."""
     check_modes(M)
-    mass, stiffness = _mass_stiffness(M)
-    s = 1.0 / np.sqrt(mass)
+    mass, _ = _mass_stiffness(M)
     H = M // 2
-    lam, E = np.empty(M), np.zeros((M, M))
-    for parity, modes in ((0, slice(0, H)), (1, slice(H, M))):
-        i = slice(parity, M, 2)
-        lam[modes], Q = np.linalg.eigh(s[i, None] * stiffness[i, i] * s[i])
-        E[i, modes] = s[i, None] * Q
-    lam[0] = 0.0  # Neumann kernel: exactly the constant mode
+    lam, E = np.zeros(M), np.zeros((M, M))
+    E[0, 0] = np.sqrt(0.5)
+    for k, modes in ((np.arange(2, M, 2), slice(1, H)), (np.arange(1, M, 2), slice(H, M))):
+        d = np.diff(k * (k + 1.0), prepend=0.0)
+        g, r = 1.0 / d, np.sqrt(mass[k])
+        T = np.diag(g + np.append(g[1:], 0.0)) - np.diag(g[1:], 1) - np.diag(g[1:], -1)
+        E[k, modes] = np.linalg.eigh(r[:, None] * T * r)[1][:, ::-1] / r[:, None]
+        tails = np.cumsum(E[k[::-1], modes], axis=0)[::-1]  # sum_{i>=m} E_i
+        lam[modes] = np.sum(d[:, None] * tails * tails, axis=0)
     return Basis1D(lam=lam, E=E)

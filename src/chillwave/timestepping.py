@@ -32,9 +32,6 @@ grids (a, b) = (g^n, g^{n-1}), g^n = T(v^n), which `march` keeps for
 each level (the default), or of the modes (v^n, v^{n-1}) in a lean
 march (grids=False, for callers that read only the modal pairs), which
 then transforms it and keeps no grid.
-FIRST_ORDER steps with v^{n-1} = v^n after its entry state, so its force
-is exactly v^n, its history term exact zeros, and it never reads the
-v^{n-1} it was given.
 sigma and the transforms' stacks are the basis's (see Basis1D). A
 `_TABLE` row also holds its scheme's modified-energy constants (h_1, h_L),
 from which the operator keeps the energy weights that
@@ -162,7 +159,7 @@ def march(
     op: StepOperator, prev: np.ndarray, curr: np.ndarray, n_steps: int, *, grids: bool = True
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
     """Advance n_steps of op's scheme from the modal arrays
-    (prev, curr) = (v^{n-1}, v^n); FIRST_ORDER reads only curr.
+    (prev, curr) = (v^{n-1}, v^n).
 
     Yields (prev, curr, grid) for the entry pair and then for each new
     pair, n_steps + 1 states, with grid the quadrant-major 2M grid of
@@ -188,10 +185,8 @@ def march(
     plan = GridPlan(op.basis, *np.empty((2, 2, 2, M, M)))
     force, spare = plan.a, plan.a[0, 0]
     grid = plan.grid(curr) if grids else None
-    grid_prev = plan.grid(prev) if grids and xp != 0.0 else grid
+    grid_prev = plan.grid(prev) if grids else None
     yield prev, curr, grid
-    if xp == 0.0:
-        prev = curr  # FIRST_ORDER (x_p = cp = 0) never reads v^{n-1}
     for _ in range(n_steps):
         a, b = (grid, grid_prev) if grids else (curr, prev)
         w = np.subtract(b, a, out=force if grids else plan.modes)  # x_n a + x_p b

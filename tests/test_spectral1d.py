@@ -293,15 +293,12 @@ def eigenvector_error(E, M):
     return float(np.abs(E * sign - ref).max())
 
 
-@pytest.mark.parametrize("M", [48, 64, pytest.param(128, marks=pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="ROADMAP item 19: a dense eigh resolves the smooth modes only to about "
-    "eps lam_max / gap, so E lies 1.2e-10 from the reference at M = 128"))])
+@pytest.mark.parametrize("M", [48, 64, 128])
 def test_eigenbasis_matches_a_long_double_oracle(M):
-    # per-parity E lies within 1e-11 of the refined reference (measured
-    # 1.2e-12 and 4.4e-12 against a 40-digit one, and 1.24e-10 at M = 128,
-    # which item 19's tridiagonal form brings to 3.4e-13); a single eigh of
-    # the whole matrix, with its cross-parity roundoff, misses the bound
+    # per-parity E from the tridiagonal inverse lies within 1e-11 of the
+    # refined reference; a dense eigh of each block's D^-1/2 K D^-1/2 lay
+    # 1.2e-12, 4.4e-12 and 1.24e-10 from it, and a single eigh of the whole
+    # matrix, with its cross-parity roundoff, misses the bound further
     assert eigenvector_error(assemble_basis(M).E, M) <= 1e-11
 
 

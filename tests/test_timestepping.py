@@ -460,13 +460,13 @@ def test_a_step_allocates_only_what_it_yields(scheme, grids, basis16):
 @pytest.mark.parametrize("scheme", ["SL_BDF2", "SL_CN", "FIRST_ORDER"])
 def test_a_march_sets_up_only_its_work_and_entry_grids(scheme, grids, basis16):
     # up to its entry state, a march at M = 16 traces its two work grids
-    # (64 M^2 B) and, unless lean, the entry grids, one per level it reads
-    # (32 M^2 B each; FIRST_ORDER reads one), plus at most 4 KiB, the
+    # (64 M^2 B) and, unless lean, the entry grids of both levels
+    # (32 M^2 B each, FIRST_ORDER's too), plus at most 4 KiB, the
     # plan's views (about 2.5 KiB) among them: the states and weights it
     # was given are used as they are, where copying them would add 10,240 B
     A = 0.0 if scheme == "FIRST_ORDER" else 0.25  # FIRST_ORDER has no A
     params = SchemeParams(scheme=scheme, tau=0.05, gamma=1.0, eps=0.25, A=A, B=8.0)
-    entry_grids = 0 if not grids else 1 if scheme == "FIRST_ORDER" else 2
+    entry_grids = 2 if grids else 0
     M = basis16.M
     phi0 = random_nodal_field(basis16, 14)
     phi1 = bootstrap_first_step(phi0, params)
@@ -659,6 +659,30 @@ def test_march_does_not_depend_on_the_blas_thread_count():
     assert outputs[0] == outputs[1]
 
 
+BASIS_SCRIPT = """
+import hashlib
+import numpy as np
+from chillwave import assemble_basis
+
+for M in (128, 256, 512):
+    for name, value in vars(assemble_basis(M)).items():
+        print(M, name, hashlib.sha256(np.asarray(value).tobytes()).hexdigest())
+"""
+OPENBLAS = "openblas" in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 CPUs for 2 BLAS threads")
+@pytest.mark.skipif(not OPENBLAS, reason="the thread split measured is OpenBLAS's")
+def test_basis_does_not_depend_on_the_blas_thread_count():
+    # assemble_basis at M = 128, 256 and 512 in two processes under 1 and
+    # 2 BLAS threads: every array of the basis and its residual have the
+    # same bytes (a dense eigh of D^-1/2 K D^-1/2 moved lam by 3.8e-6 at
+    # M = 512, and a BLAS ddot norm moved the residual at M = 256)
+    one, two = (out.decode().splitlines() for out in under_one_and_two_threads(BASIS_SCRIPT))
+    assert len(one) == 3 * 10 and any(line.startswith("512 residual ") for line in one)
+    assert one == two
+
+
 TRACE_SCRIPT = """
 import sys
 import chillwave as cw
@@ -670,7 +694,6 @@ cfg = cw.RunConfig(M=128, eps=0.05, gamma=0.0025, tau=0.01, T=0.16, scheme="SL_C
 trace, _, _ = cw.run_simulation(cfg)
 sys.stdout.buffer.write(trace.rows.tobytes())
 """
-OPENBLAS = "openblas" in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 CPUs for 2 BLAS threads")
@@ -686,19 +709,23 @@ def test_trace_rows_do_not_depend_on_the_blas_thread_count():
     assert outputs[0] == outputs[1]
 
 
-def test_first_order_never_reads_prev(basis8):
-    # x_p and cp are 0 for FIRST_ORDER, so a NaN prev must not reach a
-    # step: the states from (NaN, v) are those from (v, v), bit for bit
+def test_first_order_march_weights_the_prev_it_is_given(basis8):
+    # FIRST_ORDER runs the one step body, whose x_p = cp = 0 still weight
+    # v^{n-1}: from (NaN, v) it yields its entry state, with the grid of v,
+    # and then raises NonFinite, lean and grid
     params = SchemeParams(scheme="FIRST_ORDER", tau=0.05, gamma=1.0, eps=0.25, B=4.0)
     op = build_step_operator(params, basis8)
     v = random_nodal_field(basis8, 12).v
     for grids in (True, False):
-        got = list(march(op, np.full_like(v, np.nan), v, 3, grids=grids))
-        want = list(march(op, v, v, 3, grids=grids))
-        assert len(got) == len(want) == 4
-        for n, (a, b) in enumerate(zip(got, want)):
-            for x, y in zip(a[n == 0:], b[n == 0:]):  # the entry prev is as given
-                np.testing.assert_array_equal(x, y)
+        states = march(op, np.full_like(v, np.nan), v, 3, grids=grids)
+        prev, curr, grid = next(states)
+        assert np.isnan(prev).all() and curr is v
+        if grids:
+            np.testing.assert_array_equal(grid, grid_of(basis8, v))
+        else:
+            assert grid is None
+        with pytest.raises(NonFinite):
+            next(states)
 
 
 def test_modal_load_cubic_and_fallback(basis8):
@@ -909,12 +936,9 @@ def test_march_stays_at_its_float64_floor_from_a_long_double_oracle(M, scheme, c
     assert distance <= 10 * FLOAT64_FLOOR[M, scheme]
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 19: the dense eigh's E is 1.2e-12 off at M = 48, "
-                   "so the float64 march lies 4.7e-13 from the 80-bit one in 50 steps")
 @pytest.mark.parametrize("scheme", ["SL_BDF2", "SL_CN"])
 def test_march_at_M48_stays_within_1e_13_of_a_long_double_oracle(scheme):
-    # over 50 steps at M = 48 the distance reads 4.68e-13 (SL_BDF2) and
-    # 4.79e-13 (SL_CN) with today's E, and 1.7e-14 and 1.1e-14 with item
-    # 19's tridiagonal one (ROADMAP)
+    # over 50 steps at M = 48 the distance reads about 2e-14 (SL_BDF2) and
+    # 1e-14 (SL_CN) with the tridiagonal E, where a dense eigh's E gave
+    # 4.68e-13 and 4.79e-13
     assert float64_distance(48, scheme, 50) <= 1e-13
