@@ -96,8 +96,6 @@ def _cmd_sweep(args) -> int:
     path = os.path.join(out, "sweep.csv")
     result.write_csv(path)
     result.write_log_csv(os.path.join(out, "sweep_log.csv"))
-    for note in result.anomalies:
-        print("anomaly:", note, file=sys.stderr)
     print(f"sweep of min {sc.target} ({len(result.cells)} cells) written to {path}")
     return 0
 

@@ -5,9 +5,9 @@ Everything here is deterministic given the config (seed included). Every
 run starts with `bootstrap_first_step` and then steps with `march`.
 Results are tables: a run's trace, a sweep's log (one row per candidate
 run) and a convergence study are record arrays, from which verdicts,
-cells, ladders and anomalies are read and which `_snapshots.write_rows`
-writes as CSV; a NaN in a sweep log or convergence table, "no value",
-is an empty cell.
+cells and ladders are read and which `_snapshots.write_rows` writes as
+CSV; a NaN in a sweep log or convergence table, "no value", is an empty
+cell.
 """
 
 from __future__ import annotations
@@ -258,8 +258,7 @@ class SweepConfig:
     target names the stabilizer being minimized; the other one is held at
     fixed_value, so base's A and B, like its snapshot_every, must be 0.
     ladder overrides the default ladder (a non-empty, strictly increasing
-    list of finite values >= 0, from any start). full_scan runs past the
-    first stable candidate, to surface monotonicity anomalies.
+    list of finite values >= 0, from any start).
     """
 
     base: RunConfig
@@ -268,7 +267,6 @@ class SweepConfig:
     tau_list: list[float]
     fixed_value: float = 0.0
     ladder: list[float] | None = None
-    full_scan: bool = False
 
     def __post_init__(self):
         if not isinstance(self.base, RunConfig):
@@ -281,8 +279,6 @@ class SweepConfig:
         for name in ("gamma_list", "tau_list"):
             _check_list(name, getattr(self, name), True)
         check_number("fixed_value", self.fixed_value, False)
-        if not isinstance(self.full_scan, bool):
-            raise ValueError(f"full_scan must be true or false, got {self.full_scan!r}")
         if self.ladder is not None:
             _check_list("ladder", self.ladder, False)
 
@@ -302,45 +298,30 @@ SWEEP_LOG_DTYPE = np.dtype([
 @dataclass(frozen=True)
 class SweepResult:
     """A sweep's config and its log, a SWEEP_LOG_DTYPE record array with a
-    row per candidate run in run order; cells, ladders and anomalies are
-    read off the two. A run stops after rows_run steps, for its trace's
-    stop_reason; max_dE_mod is its trace's (EnergyTrace.max_dE_mod), the
-    violating row's for an energy_increase stop and a stable candidate's
-    margin below the threshold otherwise."""
+    row per candidate run in run order; cells and ladders are read off the
+    two. A run stops after rows_run steps, for its trace's stop_reason;
+    max_dE_mod is its trace's (EnergyTrace.max_dE_mod), the violating
+    row's for an energy_increase stop and a stable candidate's margin below
+    the threshold otherwise."""
 
     config: SweepConfig
     log: np.recarray
-
-    def _runs(self) -> dict[tuple[float, float], np.recarray]:
-        """(gamma, tau) -> the cell's log rows in run order, for every cell."""
-        cfg, log = self.config, self.log
-        return {(gamma, tau): log[(log["gamma"] == gamma) & (log["tau"] == tau)]
-                for gamma in cfg.gamma_list for tau in cfg.tau_list}
 
     @property
     def cells(self) -> dict[tuple[float, float], float | None]:
         """(gamma, tau) -> the smallest stable candidate, the first one a
         cell logs; None if the ladder was exhausted without one."""
-        return {key: next(iter(runs["candidate"][runs["verdict"] == "stable"].tolist()), None)
-                for key, runs in self._runs().items()}
+        cfg, log = self.config, self.log
+        stable = log[log["verdict"] == "stable"]
+        return {(gamma, tau): next(iter(stable["candidate"][
+                    (stable["gamma"] == gamma) & (stable["tau"] == tau)].tolist()), None)
+                for gamma in cfg.gamma_list for tau in cfg.tau_list}
 
     @property
     def ladders(self) -> dict[tuple[float, float], list[float]]:
         """(gamma, tau) -> the ladder the cell walks."""
         cfg = self.config
         return {(gamma, tau): _ladder(cfg, gamma) for gamma in cfg.gamma_list for tau in cfg.tau_list}
-
-    @property
-    def anomalies(self) -> list[str]:
-        """The cells of a full scan where an unstable candidate follows a
-        stable one."""
-        notes = []
-        for (gamma, tau), runs in self._runs().items():
-            stable = runs["verdict"] == "stable"
-            if stable.any() and not stable[stable.argmax():].all():
-                notes.append(f"non-monotone ladder at gamma={gamma} tau={tau}: "
-                             f"verdicts {stable.tolist()}")
-        return notes
 
     def write_csv(self, path) -> None:
         """Wide layout mirroring the reference tables: one row per tau, one
@@ -376,15 +357,15 @@ def _ladder(sc: SweepConfig, gamma: float) -> list[float]:
 
 def _sweep_cell(sc: SweepConfig, phi0: Field, gamma: float, tau: float, log: list[tuple]):
     """Walk the cell's ladder from phi0, appending a SWEEP_LOG_DTYPE row
-    per candidate, up to the first stable one (every one with full_scan);
-    a candidate runs until_unstable, so an energy increase is its last row."""
+    per candidate, up to the first stable one; a candidate runs
+    until_unstable, so an energy increase is its last row."""
     for candidate in _ladder(sc, gamma):
         cfg = _candidate_config(sc, gamma, tau, candidate)
         trace, _, _ = run_simulation(cfg, phi_init=phi0, until_unstable=True)
         verdict = stability_verdict(trace, min_steps=cfg.n_steps())
         log.append((gamma, tau, candidate, verdict, len(trace), trace.stop_reason,
                     trace.max_dE_mod))
-        if verdict == "stable" and not sc.full_scan:
+        if verdict == "stable":
             break
 
 

@@ -537,9 +537,10 @@ def test_sweep_rejects_bad_config(tmp_path, capsys, key, value):
     cfg_path = tmp_path / "sweep.json"
     write_json(cfg_path, dict(SWEEP_CFG, **{key: value}))
     rc = main(["sweep", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
-    # "steps" is not a key: a candidate runs its base's step count
-    unknown = "unknown SweepConfig keys: ['steps']"
-    assert_one_line_error(capsys, rc, unknown if key == "steps" else key)
+    # "steps" and "full_scan" are not keys: a candidate runs its base's
+    # step count, and a cell stops at its first stable rung
+    unknown = key in ("steps", "full_scan")
+    assert_one_line_error(capsys, rc, f"unknown SweepConfig keys: ['{key}']" if unknown else key)
 
 
 def test_sweep_rejects_a_base_stabilizer(tmp_path, capsys):
@@ -568,22 +569,16 @@ def test_sweep_command(tmp_path, capsys):
     assert float(max_dE_mod) < 0.0
 
 
-def test_sweep_prints_each_anomaly_on_stderr(tmp_path, capsys, monkeypatch):
-    # a full scan whose ladder is not monotone: unstable, stable, unstable
-    from chillwave.harness import SWEEP_LOG_DTYPE, SweepResult
-
-    stopped, completed = ("unstable", 3, "energy_increase", 1.0), (
-        "stable", 64, "completed", np.nan)
-    log = np.array([(1.0, 4e-5, candidate, *row) for candidate, row in
-                    ((0.0, stopped), (1.0, completed), (2.0, stopped))], SWEEP_LOG_DTYPE)
-    monkeypatch.setattr(cli, "sweep_min_stabilizer",
-                        lambda sc: SweepResult(sc, log.view(np.recarray)))
+def test_sweep_rejects_full_scan_as_an_unknown_key(tmp_path, capsys):
+    # a sweep stops at its first stable rung: there is no full-scan mode
     cfg_path = tmp_path / "sweep.json"
-    write_json(cfg_path, dict(SWEEP_CFG, ladder=[0.0, 1.0, 2.0], full_scan=True))
-    assert main(["sweep", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 0
+    write_json(cfg_path, dict(SWEEP_CFG, full_scan=True))
+    out = tmp_path / "out"
+    rc = main(["sweep", "--config", str(cfg_path), "--out-dir", str(out)])
+    assert rc == 2
     assert capsys.readouterr().err == (
-        "anomaly: non-monotone ladder at gamma=1.0 tau=4e-05: verdicts [False, True, False]\n")
-    assert (tmp_path / "out" / "sweep.csv").read_text() == "tau,gamma=1\n4e-05,1\n"
+        "chillwave: error: unknown SweepConfig keys: ['full_scan']\n")
+    assert not out.exists()
 
 
 SWEEP_LOG_COLUMNS = "gamma,tau,candidate,verdict,rows_run,stop_reason,max_dE_mod"

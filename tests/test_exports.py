@@ -2,14 +2,22 @@
 
 A name passes when code reads it in a `src/` module, the one it comes
 from included, or in `perfbench/*.py`: a public function that only tests
-call fails here, whatever README.md says of it.
+call fails here, whatever README.md says of it. Every dotted chillwave
+name README.md quotes names something the package has.
 """
 import ast
+import dataclasses
+import importlib
+import pkgutil
 import re
+import typing
 from pathlib import Path
+
+import chillwave
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "chillwave"
+MODULES = {m.name for m in pkgutil.iter_modules(chillwave.__path__)}
 
 
 def names_read(path: Path) -> set[str]:
@@ -130,3 +138,43 @@ def test_every_raise_is_one_of_three_failure_kinds():
             types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
             caught.update(ast.unparse(t) for t in types)
     assert caught == {"ChillwaveError", "ValueError", "OSError", "MemoryError"}
+
+
+def resolve(name: str):
+    """The object a dotted name names: its head is `chillwave`, `cw`, a
+    chillwave module or an exported class, and each later part an
+    attribute or, on a dataclass, a field (one with no default is no class
+    attribute), followed on to its annotated type."""
+    head, *parts = name.split(".")
+    if head in ("chillwave", "cw"):
+        obj = chillwave
+    elif head in MODULES:
+        obj = importlib.import_module(f"chillwave.{head}")
+    else:
+        obj = getattr(chillwave, head)
+    for part in parts:
+        if hasattr(obj, part):
+            obj = getattr(obj, part)
+        elif dataclasses.is_dataclass(obj) and part in {f.name for f in dataclasses.fields(obj)}:
+            obj = typing.get_type_hints(obj)[part]
+        else:
+            raise AttributeError(f"{obj!r} has no attribute or field {part!r}")
+    return obj
+
+
+def test_every_dotted_name_in_readme_resolves():
+    # a name left behind by a deleted option or renamed function fails here;
+    # names on local variables (`trace.rows`, `plan.grid`) are not checked
+    heads = {"chillwave", "cw"} | MODULES | {
+        name for name in dir(chillwave) if isinstance(getattr(chillwave, name), type)}
+    dotted = re.compile(r"(?<![\w.])[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
+    names = {name for span in re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text())
+             for name in dotted.findall(span) if name.split(".")[0] in heads}
+    assert len(names) >= 30
+    unresolved = []
+    for name in sorted(names):
+        try:
+            resolve(name)
+        except AttributeError:
+            unresolved.append(name)
+    assert unresolved == []

@@ -476,7 +476,7 @@ def test_sweep_config_validation():
         SweepConfig(base=base, target="A", gamma_list=[1.0], tau_list=[0.1],
                     ladder=[0.0, 2.0, 1.0])
     good = dict(base=base, target="A", gamma_list=[1.0], tau_list=[0.1])
-    SweepConfig(**dict(good, gamma_list=[1], fixed_value=0, full_scan=True))
+    SweepConfig(**dict(good, gamma_list=[1], fixed_value=0))
     for bad in (
         dict(base=5), dict(base={"M": 8}),
         dict(gamma_list=1), dict(tau_list=0.1), dict(gamma_list=(1.0,)),
@@ -484,7 +484,6 @@ def test_sweep_config_validation():
         dict(gamma_list=[1.0, 1.0]), dict(tau_list=[0.1, 0.2, 0.1]),
         dict(tau_list=["0.1"]), dict(gamma_list=[float("nan")]),
         dict(fixed_value=-1.0), dict(fixed_value="0"), dict(fixed_value=None),
-        dict(full_scan=1), dict(full_scan="yes"),
         dict(ladder=5), dict(ladder=[]), dict(ladder=[0.0, "1"]), dict(ladder=[-1.0, 0.0]),
     ):
         with pytest.raises(ValueError):
@@ -537,7 +536,6 @@ def test_sweep_stable_at_zero_returns_zero(tmp_path):
     assert res.cells[(1.0, 4e-5)] == 0.0
     res.write_csv(tmp_path / "sweep.csv")
     assert (tmp_path / "sweep.csv").read_text() == "tau,gamma=1\n4e-05,0\n"
-    assert res.anomalies == []
 
 
 def test_sweep_candidate_runs_its_base_step_count():
@@ -574,21 +572,22 @@ def test_sweep_csv_layout(tmp_path):
     assert lines[1].startswith("4e-05,")
 
 
-def test_sweep_result_reads_cells_and_anomalies_off_its_log(tmp_path):
+def test_sweep_result_reads_cells_and_ladders_off_its_log(tmp_path):
     # a result is its config plus its log: no run is needed to derive the
-    # cells, the ladders, the ">X" text and a non-monotone full scan
+    # cells, the ladders and the ">X" text
     from chillwave.harness import SWEEP_LOG_DTYPE, SweepResult
 
     base = RunConfig(M=8, eps=0.25, gamma=1.0, tau=0.1, T=6.4, scheme="SL_CN")
     sc = SweepConfig(base=base, target="A", gamma_list=[1.0, 2.0], tau_list=[0.1],
-                     ladder=[0.0, 1.0, 2.0], full_scan=True)
+                     ladder=[0.0, 1.0, 2.0])
 
     def record(gamma, candidate, stable):
         if stable:
             return (gamma, 0.1, candidate, "stable", 64, "completed", np.nan)
         return (gamma, 0.1, candidate, "unstable", 5, "energy_increase", 1e-3)
 
-    verdicts = {1.0: [False, True, False], 2.0: [False, False, False]}
+    # gamma = 1 stops at its first stable rung, gamma = 2 exhausts its ladder
+    verdicts = {1.0: [False, True], 2.0: [False, False, False]}
     log = np.array([record(gamma, candidate, stable)
                     for gamma in (1.0, 2.0)
                     for candidate, stable in zip(sc.ladder, verdicts[gamma])], SWEEP_LOG_DTYPE)
@@ -597,9 +596,6 @@ def test_sweep_result_reads_cells_and_anomalies_off_its_log(tmp_path):
     assert res.ladders == {(1.0, 0.1): [0.0, 1.0, 2.0], (2.0, 0.1): [0.0, 1.0, 2.0]}
     res.write_csv(tmp_path / "sweep.csv")
     assert (tmp_path / "sweep.csv").read_text() == "tau,gamma=1,gamma=2\n0.1,1,>2\n"
-    assert res.anomalies == [
-        "non-monotone ladder at gamma=1.0 tau=0.1: verdicts [False, True, False]"
-    ]
 
 
 def test_nan_energy_increment_stops_a_sweep_candidate(monkeypatch):
@@ -668,14 +664,16 @@ def ladder_walk(sc, gamma, tau):
 
 def test_sweep_early_stop_keeps_every_verdict():
     # SL_CN at M = 8: A = 0 .. 2 break the 1e-10 bound after 28 to 57 of
-    # 64 steps, A >= 4 are stable
+    # 64 steps, A >= 4 are stable; the sweep runs the reference's rungs up
+    # to its first stable one, A = 4, and stops there
     base = RunConfig(M=8, eps=0.25, gamma=1.0, tau=0.01, T=0.64, scheme="SL_CN", seed=42)
-    sc = SweepConfig(base=base, target="A", gamma_list=[1.0], tau_list=[0.01], full_scan=True)
+    sc = SweepConfig(base=base, target="A", gamma_list=[1.0], tau_list=[0.01])
     res = sweep_min_stabilizer(sc)
     reference = ladder_walk(sc, 1.0, 0.01)
-    assert [r.verdict for r in res.log] == [v for _, _, v in reference]
-    assert {v for _, _, v in reference} == {"stable", "unstable"}
-    assert res.cells[(1.0, 0.01)] == 4.0 and res.anomalies == []
+    verdicts = [v for _, _, v in reference]
+    assert set(verdicts) == {"stable", "unstable"}
+    assert [r.verdict for r in res.log] == verdicts[:verdicts.index("stable") + 1]
+    assert res.cells[(1.0, 0.01)] == 4.0
     stopped = 0
     for record, (candidate, full, verdict) in zip(res.log, reference):
         assert record.candidate == candidate
