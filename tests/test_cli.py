@@ -531,16 +531,21 @@ SWEEP_CFG = {
     ("base", 5), ("gamma_list", 1), ("tau_list", []), ("steps", 8.0),
     ("fixed_value", -1), ("full_scan", "yes"), ("ladder", 5), ("ladder", []),
     ("gamma_list", [float("inf")]), ("tau_list", [float("nan")]),
-    ("fixed_value", float("inf")), ("ladder", [0.0, float("inf")]),
+    ("fixed_value", float("inf")), ("ladder", [0.0, float("inf")]), ("full_scan", True),
 ])
 def test_sweep_rejects_bad_config(tmp_path, capsys, key, value):
     cfg_path = tmp_path / "sweep.json"
     write_json(cfg_path, dict(SWEEP_CFG, **{key: value}))
-    rc = main(["sweep", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+    out = tmp_path / "out"
+    rc = main(["sweep", "--config", str(cfg_path), "--out-dir", str(out)])
     # "steps" and "full_scan" are not keys: a candidate runs its base's
     # step count, and a cell stops at its first stable rung
-    unknown = key in ("steps", "full_scan")
-    assert_one_line_error(capsys, rc, f"unknown SweepConfig keys: ['{key}']" if unknown else key)
+    if key in ("steps", "full_scan"):
+        assert rc == 2 and capsys.readouterr().err == (
+            f"chillwave: error: unknown SweepConfig keys: ['{key}']\n")
+    else:
+        assert_one_line_error(capsys, rc, key)
+    assert not out.exists()
 
 
 def test_sweep_rejects_a_base_stabilizer(tmp_path, capsys):
@@ -567,18 +572,6 @@ def test_sweep_command(tmp_path, capsys):
     row, max_dE_mod = row.rsplit(",", 1)
     assert (header, row) == (SWEEP_LOG_COLUMNS, "1,4e-05,0,stable,64,completed")
     assert float(max_dE_mod) < 0.0
-
-
-def test_sweep_rejects_full_scan_as_an_unknown_key(tmp_path, capsys):
-    # a sweep stops at its first stable rung: there is no full-scan mode
-    cfg_path = tmp_path / "sweep.json"
-    write_json(cfg_path, dict(SWEEP_CFG, full_scan=True))
-    out = tmp_path / "out"
-    rc = main(["sweep", "--config", str(cfg_path), "--out-dir", str(out)])
-    assert rc == 2
-    assert capsys.readouterr().err == (
-        "chillwave: error: unknown SweepConfig keys: ['full_scan']\n")
-    assert not out.exists()
 
 
 SWEEP_LOG_COLUMNS = "gamma,tau,candidate,verdict,rows_run,stop_reason,max_dE_mod"
